@@ -147,8 +147,10 @@ def execution_accuracy(
 ) -> bool:
     """True iff both queries run and their results match.
 
-    Any prediction-side failure (parse error, unknown identifier, timeout)
-    counts as incorrect; a gold-side failure raises GoldExecutionError.
+    A prediction the store rejects (StoreError: parse error, unknown
+    identifier, type mismatch, timeout) counts as incorrect; any other
+    exception is an engine fault and propagates.  A gold-side failure
+    raises GoldExecutionError.
     """
     try:
         gold_parsed = _sql.parse(gold_sql)
@@ -158,8 +160,6 @@ def execution_accuracy(
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
-        return False
-    except Exception:
         return False
     order_sensitive = bool(gold_parsed.order_by)
     return results_match(pred_result, gold_result, order_sensitive, rel_tol=rel_tol)

@@ -329,10 +329,6 @@ def conn_to_row(record: ConnRecord) -> tuple:
     return tuple(getattr(record, spec.name) for spec in CONN_FIELDS)
 
 
-def zeek_to_row(record: ZeekRecord) -> tuple:
-    return record.fields
-
-
 def conn_from_fields(values: tuple, label: AttackLabel = AttackLabel.Benign) -> ConnRecord:
     kwargs = {spec.name: v for spec, v in zip(CONN_FIELDS, values)}
     return ConnRecord(label=label, **kwargs)

@@ -172,13 +172,6 @@ def read_detection_examples(stream) -> list[DetectionExample]:
     return out
 
 
-def write_predictions(records: Iterable[PredictionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({"id": rec.id, "payload": rec.payload},
-                                ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def read_predictions(stream, kind: str = "sql") -> list[PredictionRecord]:
     """Parse a prediction file; duplicate or missing ids are rejected.
 

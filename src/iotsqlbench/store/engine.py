@@ -1,16 +1,27 @@
 """Embedded relational store: typed row storage and query evaluation.
 
 Values are Python natives: str (text), int/float (number), naive UTC
-datetime (time), bool (boolean), None (null).  Evaluation semantics:
+datetime (time), bool (boolean), None (null).  Evaluation semantics, whose
+written form is ``values_eq``/``values_lt``:
 
 * integer comparisons are exact; floats compare with relative tolerance
   1e-9 (abs 1e-12); comparisons involving null or incompatible types are
   false;
-* a time column compares against ISO-8601 string literals;
+* a time compares against text read as ISO-8601 (literal, column or
+  subquery value); text with a UTC offset is a TypeMismatch, since stored
+  times are naive;
+* ``=``, ``IN (subquery)`` and ``JOIN ... ON`` share one equality;
 * aggregates skip nulls, COUNT(*) counts rows, empty aggregates yield
   null (COUNT yields 0);
-* result rows keep a deterministic evaluation order but are semantically
+* result rows keep a deterministic evaluation order (a join emits each
+  left row's right matches in right-table order) but are semantically
   unordered unless the query has ORDER BY.
+
+A query is compiled before any row is read.  Each comparison gets one
+comparator, chosen from the attributes of its two sides (column attribute,
+literal type, scalar-subquery value), so rows are tested without type
+dispatch.  In a join, every WHERE conjunct that reads one table filters
+that table before the join; the rest run on the joined rows.
 
 Writes take the database lock; ``execute`` works on a snapshot taken under
 the lock, so one writer and many concurrent readers are safe.
@@ -18,12 +29,15 @@ the lock, so one writer and many concurrent readers are safe.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+import operator
 import threading
 import time as _time
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import sql as _sql
 from .errors import (
@@ -60,6 +74,16 @@ def parse_time_literal(text: str) -> datetime | None:
         return None
 
 
+def _time_of_text(text: str) -> datetime | None:
+    """``text`` compared with a stored time: its naive time, or None when it
+    is no ISO-8601 time.  A UTC offset is a TypeMismatch, since stored times
+    are naive UTC."""
+    parsed = parse_time_literal(text)
+    if parsed is not None and parsed.tzinfo is not None:
+        raise TypeMismatch(f"time text {text!r} has a UTC offset; stored times are naive UTC")
+    return parsed
+
+
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -67,7 +91,10 @@ def _is_number(v: object) -> bool:
 def numbers_equal(a: float, b: float) -> bool:
     if isinstance(a, int) and isinstance(b, int):
         return a == b
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+    try:
+        return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+    except OverflowError:  # an int beyond float range equals no float
+        return False
 
 
 def values_eq(a: object, b: object) -> bool | None:
@@ -83,7 +110,7 @@ def values_eq(a: object, b: object) -> bool | None:
     if isinstance(a, datetime) and isinstance(b, datetime):
         return a == b
     if isinstance(a, datetime) and isinstance(b, str):
-        parsed = parse_time_literal(b)
+        parsed = _time_of_text(b)
         return None if parsed is None else a == parsed
     if isinstance(a, str) and isinstance(b, datetime):
         return values_eq(b, a)
@@ -102,28 +129,12 @@ def values_lt(a: object, b: object) -> bool | None:
     if isinstance(a, datetime) and isinstance(b, datetime):
         return a < b
     if isinstance(a, datetime) and isinstance(b, str):
-        parsed = parse_time_literal(b)
+        parsed = _time_of_text(b)
         return None if parsed is None else a < parsed
     if isinstance(a, str) and isinstance(b, datetime):
-        parsed = parse_time_literal(a)
+        parsed = _time_of_text(a)
         return None if parsed is None else parsed < b
     return None
-
-
-def _cmp_closure(op: str) -> Callable[[object, object], bool]:
-    if op == "=":
-        return lambda a, b: values_eq(a, b) is True
-    if op == "!=":
-        return lambda a, b: values_eq(a, b) is False
-    if op == "<":
-        return lambda a, b: values_lt(a, b) is True
-    if op == ">":
-        return lambda a, b: values_lt(b, a) is True
-    if op == "<=":
-        return lambda a, b: (values_lt(a, b) is True) or (values_eq(a, b) is True)
-    if op == ">=":
-        return lambda a, b: (values_lt(b, a) is True) or (values_eq(a, b) is True)
-    raise ParseError(f"unsupported operator {op!r}")
 
 
 def _coerce_value(value: object, col: ColumnDef, table: str) -> object:
@@ -137,12 +148,10 @@ def _coerce_value(value: object, col: ColumnDef, table: str) -> object:
         if _is_number(value):
             return value
     elif attr == "time":
-        if isinstance(value, datetime):
-            return value
-        if isinstance(value, str):
-            parsed = parse_time_literal(value)
-            if parsed is not None:
-                return parsed
+        parsed = parse_time_literal(value) if isinstance(value, str) else value
+        # stored times are naive UTC; an aware one would not order against them
+        if isinstance(parsed, datetime) and parsed.tzinfo is None:
+            return parsed
     elif attr == "boolean":
         if isinstance(value, bool):
             return value
@@ -201,6 +210,194 @@ class Database:
 
 
 # ---------------------------------------------------------------------------
+# Compiled comparisons: one comparator per (op, attribute, attribute)
+
+
+class _Operand(NamedTuple):
+    """One side of a comparison: a position in the row, or a constant."""
+
+    index: int | None
+    attr: str | None  # column attribute; for a constant, that of its value
+    value: object = None
+
+
+def _value_attr(value: object) -> str | None:
+    """The attribute a constant compares as; None for null."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "text"
+    if isinstance(value, datetime):
+        return "time"
+    return None
+
+
+def _constant(value: object) -> _Operand:
+    return _Operand(None, _value_attr(value), value)
+
+
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+# text and time values of the same attribute use Python's own order
+_ORDERED = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+# booleans have equality but no order, so <= and >= reduce to =
+_BOOLEAN = {"=": operator.eq, "!=": operator.ne, "<=": operator.eq, ">=": operator.eq}
+_NUMBER = {
+    "=": numbers_equal,
+    "!=": lambda a, b: not numbers_equal(a, b),
+    "<": lambda a, b: a < b and not numbers_equal(a, b),
+    ">": lambda a, b: a > b and not numbers_equal(a, b),
+    "<=": lambda a, b: a < b or numbers_equal(a, b),
+    ">=": lambda a, b: a > b or numbers_equal(a, b),
+}
+# time against text: the text side is parsed per value
+_MIXED = {
+    "=": lambda a, b: values_eq(a, b) is True,
+    "!=": lambda a, b: values_eq(a, b) is False,
+    "<": lambda a, b: values_lt(a, b) is True,
+    ">": lambda a, b: values_lt(b, a) is True,
+    "<=": lambda a, b: values_lt(a, b) is True or values_eq(a, b) is True,
+    ">=": lambda a, b: values_lt(b, a) is True or values_eq(a, b) is True,
+}
+
+
+def _value_test(op: str, left_attr: str | None, right_attr: str | None):
+    """``(a, b) -> a op b`` for non-null values of the two attributes, as
+    values_eq/values_lt decide it; None when the pair never compares true."""
+    if left_attr is None or right_attr is None:
+        return None
+    if left_attr != right_attr:
+        return _MIXED[op] if {left_attr, right_attr} == {"time", "text"} else None
+    if left_attr == "number":
+        return _NUMBER[op]
+    if left_attr == "boolean":
+        return _BOOLEAN.get(op)
+    return _ORDERED[op]
+
+
+def _tolerance_window(x) -> tuple:
+    """(lo, hi) holding every number equal to ``x`` under numbers_equal.
+
+    The window is wider than the tolerance, so a number inside it still
+    needs numbers_equal; one outside it never does.  NaN gets an empty
+    window, an infinity the point itself.
+    """
+    try:
+        if not math.isfinite(x):
+            return x, x
+        slack = 2 * (_REL_TOL * abs(x) + _ABS_TOL)
+        return x - slack, x + slack
+    except OverflowError:  # an int beyond float range
+        return -math.inf, math.inf
+
+
+def _never(row) -> bool:
+    return False
+
+
+def _compile_comparison(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[tuple], bool]:
+    """Row predicate for ``lhs op rhs``."""
+    if op not in _FLIPPED:
+        raise ParseError(f"unsupported operator {op!r}")
+    if lhs.index is None and rhs.index is not None:
+        op, lhs, rhs = _FLIPPED[op], rhs, lhs
+    test = _value_test(op, lhs.attr, rhs.attr)
+    if test is None:
+        return _never
+    i, j, v = lhs.index, rhs.index, rhs.value
+    if i is None:
+        result = test(lhs.value, v)
+        return lambda row: result
+    if j is not None:
+        return lambda row: (a := row[i]) is not None and (b := row[j]) is not None and test(a, b)
+    if op == "=" and lhs.attr == rhs.attr != "number":
+        return lambda row: row[i] == v
+    return lambda row: (a := row[i]) is not None and test(a, v)
+
+
+def _typed_literal(side: _Operand, other_attr: str | None) -> _Operand:
+    """An ISO string constant compared with a time value, parsed once."""
+    if side.index is None and side.attr == "text" and other_attr == "time":
+        parsed = _time_of_text(side.value)
+        if parsed is not None:
+            return _constant(parsed)
+    return side
+
+
+def _compile_typed_comparison(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[tuple], bool]:
+    return _compile_comparison(op, _typed_literal(lhs, rhs.attr), _typed_literal(rhs, lhs.attr))
+
+
+# ---------------------------------------------------------------------------
+# Equality lookup, shared by IN (subquery) and JOIN
+
+
+def _number_lookup(entries: Iterable[tuple]) -> Callable[[object], Sequence]:
+    # keyed by (value, is float): an int key equals an int probe only
+    # exactly, so 1 and 1.0 stay apart
+    groups: dict = {}
+    for pos, (key, payload) in enumerate(entries):
+        if key is not None and key == key:  # null and NaN equal nothing
+            groups.setdefault((key, isinstance(key, float)), []).append((pos, payload))
+    keys = sorted(groups)
+
+    def lookup(x) -> Sequence:
+        lo, hi = _tolerance_window(x)
+        i = bisect.bisect_left(keys, (lo,))
+        hits = []
+        while i < len(keys) and keys[i][0] <= hi:
+            if numbers_equal(x, keys[i][0]):
+                hits.append(groups[keys[i]])
+            i += 1
+        return [payload for _, payload in heapq.merge(*hits)]
+
+    return lookup
+
+
+def _equality_lookup(
+    probe_attr: str | None, key_attr: str | None, entries: Iterable[tuple]
+) -> Callable[[object], Sequence]:
+    """``probe -> payloads`` of the (key, payload) entries whose key equals
+    the non-null probe under values_eq, in entry order."""
+    if probe_attr is None or key_attr is None:
+        return lambda x: ()
+    if probe_attr == key_attr == "number":
+        return _number_lookup(entries)
+    parse_keys = parse_probe = False
+    if probe_attr != key_attr:
+        if {probe_attr, key_attr} != {"time", "text"}:
+            return lambda x: ()
+        parse_keys, parse_probe = key_attr == "text", probe_attr == "text"
+    # one attribute per side, so hashing never meets 1 == True
+    buckets: dict = {}
+    for key, payload in entries:
+        if key is not None and parse_keys:
+            key = _time_of_text(key)
+        if key is not None:
+            buckets.setdefault(key, []).append(payload)
+    if parse_probe:
+        return lambda x: buckets.get(_time_of_text(x), ())
+    return lambda x: buckets.get(x, ())
+
+
+def _compile_membership(probe: _Operand, values: list) -> Callable[[tuple], bool]:
+    """Row predicate for ``probe IN values``; the values are one column's,
+    so they share one attribute."""
+    key_attr = _value_attr(values[0]) if values else None
+    lookup = _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
+    if probe.index is None:
+        result = probe.value is not None and bool(lookup(probe.value))
+        return lambda row: result
+    i = probe.index
+    return lambda row: (x := row[i]) is not None and bool(lookup(x))
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -241,6 +438,15 @@ class _Scope:
                 return base + idx, tschema.columns[idx]
         raise UnknownIdentifier(f"unknown column {raw!r}")
 
+    def operand(self, node) -> _Operand:
+        """A WHERE operand: a column of the scope's row, or a literal."""
+        if isinstance(node, _sql.ColumnRef):
+            idx, col = self.resolve(node.name)
+            return _Operand(idx, col.attribute)
+        if isinstance(node, _sql.Literal):
+            return _constant(node.value)
+        raise ParseError("aggregates are not allowed in WHERE or JOIN conditions")
+
     def all_columns(self) -> list[ColumnDef]:
         out: list[ColumnDef] = []
         for t, _ in self.tables:
@@ -260,11 +466,34 @@ def _check_deadline(deadline: float) -> None:
         raise QueryTimeout("query exceeded its time budget")
 
 
+def _checked(rows: Iterable[tuple], deadline: float) -> Iterable[tuple]:
+    """``rows``, checking the deadline before every _CHECK_EVERY-th row."""
+    for i, row in enumerate(rows):
+        if not i % _CHECK_EVERY:
+            _check_deadline(deadline)
+        yield row
+
+
+def _filter(rows: Sequence[tuple], predicates: list, deadline: float) -> Sequence[tuple]:
+    """The rows that pass every predicate, in order."""
+    if not predicates:
+        return rows
+    kept: list[tuple] = []
+    for start in range(0, len(rows), _CHECK_EVERY):
+        _check_deadline(deadline)
+        chunk = rows[start : start + _CHECK_EVERY]
+        for predicate in predicates:
+            chunk = filter(predicate, chunk)
+        kept.extend(chunk)
+    return kept
+
+
 class _AggSpec:
     """One aggregate computation over a group of rows."""
 
     def __init__(self, call: _sql.AggCall, scope: _Scope):
         self.op = call.op
+        self.attr = "number"
         if isinstance(call.arg, _sql.Star):
             self.index: int | None = None
             self.label = f"{call.op}(*)"
@@ -272,6 +501,8 @@ class _AggSpec:
             idx, col = scope.resolve(call.arg.name)
             if call.op in ("AVG", "SUM") and col.attribute not in ("number",):
                 raise ParseError(f"{call.op} requires a number column, got {col.name!r} ({col.attribute})")
+            if call.op in ("MIN", "MAX"):
+                self.attr = col.attribute
             self.index = idx
             self.label = f"{call.op}({col.name})"
         self.key = (self.op, self.index)
@@ -295,80 +526,84 @@ class _AggSpec:
         return max(values)
 
 
-def _compile_row_operand(node, scope: _Scope) -> Callable[[tuple], object]:
-    if isinstance(node, _sql.ColumnRef):
-        idx, _ = scope.resolve(node.name)
-        return lambda row: row[idx]
-    if isinstance(node, _sql.Literal):
-        value = node.value
-        return lambda row: value
-    raise ParseError("aggregates are not allowed in WHERE or JOIN conditions")
+def _all_of(parts: list) -> Callable[[tuple], bool]:
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, second = parts
+        return lambda row: first(row) and second(row)
+    return lambda row: all(p(row) for p in parts)
 
 
-def _literal_for_column(literal_value: object, other) -> object:
-    # Pre-parse ISO strings compared against a time column, once per query.
-    if isinstance(other, ColumnDef) and other.attribute == "time" and isinstance(literal_value, str):
-        parsed = parse_time_literal(literal_value)
-        return parsed if parsed is not None else literal_value
-    return literal_value
+def _any_of(parts: list) -> Callable[[tuple], bool]:
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, second = parts
+        return lambda row: first(row) or second(row)
+    return lambda row: any(p(row) for p in parts)
 
 
 def _compile_condition(
     cond,
-    scope: _Scope,
+    operand: Callable[[object], _Operand],
     schema: DatabaseSchema,
     snap: dict[str, tuple],
     deadline: float,
 ) -> Callable[[tuple], bool]:
-    if isinstance(cond, _sql.And):
-        parts = [_compile_condition(c, scope, schema, snap, deadline) for c in cond.items]
-        return lambda row: all(p(row) for p in parts)
-    if isinstance(cond, _sql.Or):
-        parts = [_compile_condition(c, scope, schema, snap, deadline) for c in cond.items]
-        return lambda row: any(p(row) for p in parts)
+    """Row predicate for a WHERE or HAVING condition; ``operand`` places an
+    AST operand in the row or makes it a constant."""
+    if isinstance(cond, (_sql.And, _sql.Or)):
+        parts = [_compile_condition(c, operand, schema, snap, deadline) for c in cond.items]
+        return _all_of(parts) if isinstance(cond, _sql.And) else _any_of(parts)
     if isinstance(cond, _sql.Comparison):
-        lhs_col = _operand_column(cond.lhs, scope)
-        rhs_col = _operand_column(cond.rhs, scope)
-        lhs = _compile_row_operand(_pretyped(cond.lhs, rhs_col), scope)
-        rhs = _compile_row_operand(_pretyped(cond.rhs, lhs_col), scope)
-        cmp = _cmp_closure(cond.op)
-        return lambda row: cmp(lhs(row), rhs(row))
+        return _compile_typed_comparison(cond.op, operand(cond.lhs), operand(cond.rhs))
     if isinstance(cond, _sql.Between):
-        col = _operand_column(cond.operand, scope)
-        operand = _compile_row_operand(cond.operand, scope)
-        lo = _literal_for_column(cond.lo.value, col)
-        hi = _literal_for_column(cond.hi.value, col)
-        ge = _cmp_closure(">=")
-        le = _cmp_closure("<=")
-        return lambda row: ge(operand(row), lo) and le(operand(row), hi)
+        value = operand(cond.operand)
+        lo = _typed_literal(operand(cond.lo), value.attr)
+        hi = _typed_literal(operand(cond.hi), value.attr)
+        return _all_of([_compile_comparison(">=", value, lo), _compile_comparison("<=", value, hi)])
     if isinstance(cond, _sql.SubqueryCmp):
         value = _scalar_subquery(cond.query, schema, snap, deadline)
-        lhs = _compile_row_operand(cond.lhs, scope)
-        cmp = _cmp_closure(cond.op)
-        return lambda row: cmp(lhs(row), value)
+        return _compile_typed_comparison(cond.op, operand(cond.lhs), _constant(value))
     if isinstance(cond, _sql.InSubquery):
         values = _column_subquery(cond.query, schema, snap, deadline)
-        operand = _compile_row_operand(cond.operand, scope)
-        hashable = all(not isinstance(v, float) for v in values)
-        if hashable:
-            value_set = set(values)
-            return lambda row: row is not None and operand(row) in value_set
-        eq = _cmp_closure("=")
-        return lambda row: any(eq(operand(row), v) for v in values)
+        return _compile_membership(operand(cond.operand), values)
     raise ParseError(f"unsupported condition {cond!r}")
 
 
-def _pretyped(node, other_col: ColumnDef | None):
-    if isinstance(node, _sql.Literal) and other_col is not None:
-        return _sql.Literal(_literal_for_column(node.value, other_col))
-    return node
+def _conjuncts(cond) -> list:
+    if cond is None:
+        return []
+    if isinstance(cond, _sql.And):
+        return [c for item in cond.items for c in _conjuncts(item)]
+    return [cond]
 
 
-def _operand_column(node, scope: _Scope) -> ColumnDef | None:
-    if isinstance(node, _sql.ColumnRef):
-        _, col = scope.resolve(node.name)
-        return col
-    return None
+def _outer_columns(cond):
+    """The column references a condition reads from its own row; a
+    subquery's body reads its own table."""
+    if isinstance(cond, (_sql.And, _sql.Or)):
+        for item in cond.items:
+            yield from _outer_columns(item)
+        return
+    if isinstance(cond, _sql.Comparison):
+        nodes = (cond.lhs, cond.rhs)
+    elif isinstance(cond, _sql.SubqueryCmp):
+        nodes = (cond.lhs,)
+    else:
+        nodes = (cond.operand,)
+    yield from (n for n in nodes if isinstance(n, _sql.ColumnRef))
+
+
+def _shifted(operand: Callable[[object], _Operand], offset: int) -> Callable[[object], _Operand]:
+    """``operand`` for a row that starts ``offset`` columns into the scope's row."""
+
+    def shifted(node) -> _Operand:
+        side = operand(node)
+        return side if side.index is None else side._replace(index=side.index - offset)
+
+    return shifted
 
 
 def _scalar_subquery(query, schema, snap, deadline) -> object:
@@ -402,33 +637,43 @@ def _run_query(
     main = _resolve_table(schema, query.table)
     rows: Sequence[tuple] = snap[norm_ident(main.name)]
 
+    def compile_where(cond, operand):
+        return _compile_condition(cond, operand, schema, snap, deadline)
+
     if query.join is not None:
         right = _resolve_table(schema, query.join.table)
         if norm_ident(right.name) == norm_ident(main.name):
             raise ParseError("self-joins are not supported")
-        scope = _Scope([(main, 0), (right, len(main.columns))])
-        left_idx, _ = scope.resolve(query.join.left.name)
-        right_idx, _ = scope.resolve(query.join.right.name)
         base = len(main.columns)
-        if left_idx >= base and right_idx < base:
-            left_idx, right_idx = right_idx, left_idx
-        elif not (left_idx < base <= right_idx):
+        scope = _Scope([(main, 0), (right, base)])
+        left_key = scope.resolve(query.join.left.name)
+        right_key = scope.resolve(query.join.right.name)
+        if left_key[0] >= base and right_key[0] < base:
+            left_key, right_key = right_key, left_key
+        elif not (left_key[0] < base <= right_key[0]):
             raise ParseError("JOIN condition must relate one column from each table")
+        # a conjunct reading one table filters it before the join
+        left_preds, right_preds, joined_preds = [], [], []
+        for cond in _conjuncts(query.where):
+            sides = {scope.resolve(ref.name)[0] >= base for ref in _outer_columns(cond)}
+            if sides == {True}:
+                right_preds.append(compile_where(cond, _shifted(scope.operand, base)))
+            elif sides == {True, False}:
+                joined_preds.append(compile_where(cond, scope.operand))
+            else:
+                left_preds.append(compile_where(cond, scope.operand))
         rows = _hash_join(
-            rows, snap[norm_ident(right.name)], left_idx, right_idx - base, deadline
+            _filter(rows, left_preds, deadline),
+            _filter(snap[norm_ident(right.name)], right_preds, deadline),
+            (left_key[0], left_key[1].attribute),
+            (right_key[0] - base, right_key[1].attribute),
+            deadline,
         )
+        rows = _filter(rows, joined_preds, deadline)
     else:
         scope = _Scope([(main, 0)])
-
-    if query.where is not None:
-        predicate = _compile_condition(query.where, scope, schema, snap, deadline)
-        kept = []
-        for i, row in enumerate(rows):
-            if not i % _CHECK_EVERY:
-                _check_deadline(deadline)
-            if predicate(row):
-                kept.append(row)
-        rows = kept
+        preds = [compile_where(cond, scope.operand) for cond in _conjuncts(query.where)]
+        rows = _filter(rows, preds, deadline)
 
     select = list(query.select)
     has_star = any(isinstance(item, _sql.Star) for item in select)
@@ -456,29 +701,28 @@ def _run_query(
         order_keys = _row_order_keys(query, scope, projected, select)
         return _finish(query, columns, projected, order_keys)
 
-    # grouped evaluation
+    # grouped evaluation: each group becomes one row of its key values
+    # followed by every aggregate the query uses, computed once per group
     if has_star:
         raise ParseError("'*' cannot be combined with aggregation or GROUP BY")
     group_idxs: list[int] = []
-    group_cols: list[ColumnDef] = []
     for ref in query.group_by:
-        idx, col = scope.resolve(ref.name)
+        idx, _ = scope.resolve(ref.name)
         group_idxs.append(idx)
-        group_cols.append(col)
 
-    # aggregates needed anywhere in the query, computed once per group
     agg_specs: dict[tuple, _AggSpec] = {}
 
-    def agg_spec(call: _sql.AggCall) -> _AggSpec:
+    def agg_slot(call: _sql.AggCall) -> tuple[int, _AggSpec]:
         spec = _AggSpec(call, scope)
-        return agg_specs.setdefault(spec.key, spec)
+        spec = agg_specs.setdefault(spec.key, spec)
+        return len(group_idxs) + list(agg_specs).index(spec.key), spec
 
     columns = []
-    select_plan: list[tuple[str, object]] = []
+    select_slots: list[int] = []
     for item in select:
         if isinstance(item, _sql.AggCall):
-            spec = agg_spec(item)
-            select_plan.append(("agg", spec.key))
+            slot, spec = agg_slot(item)
+            select_slots.append(slot)
             columns.append(spec.label)
         elif isinstance(item, _sql.ColumnRef):
             idx, col = scope.resolve(item.name)
@@ -486,32 +730,42 @@ def _run_query(
                 raise ParseError(
                     f"column {col.name!r} must appear in GROUP BY or inside an aggregate"
                 )
-            select_plan.append(("key", group_idxs.index(idx)))
+            select_slots.append(group_idxs.index(idx))
             columns.append(col.name)
         else:
             raise ParseError("select items must be columns or aggregates")
 
-    having_fn = None
+    def having_operand(node) -> _Operand:
+        if isinstance(node, _sql.AggCall):
+            slot, spec = agg_slot(node)
+            return _Operand(slot, spec.attr)
+        if isinstance(node, _sql.ColumnRef):
+            idx, col = scope.resolve(node.name)
+            if idx not in group_idxs:
+                raise ParseError(
+                    f"HAVING may only use group columns or aggregates, not {col.name!r}"
+                )
+            return _Operand(group_idxs.index(idx), col.attribute)
+        return _constant(node.value)
+
+    having = None
     if query.having is not None:
-        having_fn = _compile_having(query.having, scope, group_idxs, agg_spec, schema, snap, deadline)
+        having = _compile_condition(query.having, having_operand, schema, snap, deadline)
 
     order_plan = []
     for item in query.order_by:
         if isinstance(item.expr, _sql.AggCall):
-            order_plan.append((("agg", agg_spec(item.expr).key), item.desc))
+            order_plan.append((agg_slot(item.expr)[0], item.desc))
         else:
             idx, col = scope.resolve(item.expr.name)
             if idx not in group_idxs:
                 raise ParseError("ORDER BY in a grouped query must use group columns or aggregates")
-            order_plan.append((("key", group_idxs.index(idx)), item.desc))
+            order_plan.append((group_idxs.index(idx), item.desc))
 
     groups: dict[tuple, list[tuple]] = {}
     if group_idxs:
-        for i, row in enumerate(rows):
-            if not i % _CHECK_EVERY:
-                _check_deadline(deadline)
-            key = tuple(row[i] for i in group_idxs)
-            groups.setdefault(key, []).append(row)
+        for row in _checked(rows, deadline):
+            groups.setdefault(tuple(row[i] for i in group_idxs), []).append(row)
     else:
         groups[()] = list(rows)
 
@@ -519,108 +773,36 @@ def _run_query(
     out_keys: list[list] = []
     for key, members in groups.items():
         _check_deadline(deadline)
-        agg_values = {k: spec.compute(members) for k, spec in agg_specs.items()}
-        if having_fn is not None and not having_fn(key, agg_values):
+        group_row = key + tuple(spec.compute(members) for spec in agg_specs.values())
+        if having is not None and not having(group_row):
             continue
-        rendered = tuple(
-            agg_values[ref] if kind == "agg" else key[ref] for kind, ref in select_plan
-        )
-        out_rows.append(rendered)
+        out_rows.append(tuple(group_row[slot] for slot in select_slots))
         if order_plan:
-            out_keys.append(
-                [agg_values[ref] if kind == "agg" else key[ref] for (kind, ref), _ in order_plan]
-            )
+            out_keys.append([group_row[slot] for slot, _ in order_plan])
     projected = list(zip(out_keys or [None] * len(out_rows), out_rows))
     order_keys = [(vals, [desc for _, desc in order_plan]) for vals, _ in projected] if order_plan else None
     return _finish(query, columns, projected, order_keys)
 
 
-def _hash_join(left_rows, right_rows, left_idx, right_idx, deadline) -> list[tuple]:
-    buckets: dict[object, list[tuple]] = {}
-    for i, row in enumerate(right_rows):
-        if not i % _CHECK_EVERY:
-            _check_deadline(deadline)
-        key = row[right_idx]
-        if key is None or isinstance(key, float):
-            continue  # float join keys fall through to the scan below
-        buckets.setdefault(key, []).append(row)
-    float_rights = [r for r in right_rows if isinstance(r[right_idx], float)]
+def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tuple]:
+    """Equi-join on (index, attribute) keys under the engine's equality."""
+    (left_idx, left_attr), (right_idx, right_attr) = left_key, right_key
+    lookup = _equality_lookup(
+        left_attr, right_attr, ((row[right_idx], row) for row in _checked(right_rows, deadline))
+    )
     joined: list[tuple] = []
-    for i, lrow in enumerate(left_rows):
-        if not i % _CHECK_EVERY:
-            _check_deadline(deadline)
+    checked_at = 0
+    for lrow in _checked(left_rows, deadline):
         key = lrow[left_idx]
         if key is None:
             continue
-        if float_rights:
-            for rrow in float_rights:
-                if values_eq(key, rrow[right_idx]) is True:
-                    joined.append(lrow + rrow)
-        if isinstance(key, float):
-            # numbers hash-bucketed as ints; probe those a float key can equal
-            if key.is_integer():
-                for rrow in buckets.get(int(key), ()):
-                    joined.append(lrow + rrow)
-        else:
-            for rrow in buckets.get(key, ()):
-                joined.append(lrow + rrow)
+        matches = lookup(key)
+        for start in range(0, len(matches), _CHECK_EVERY):
+            joined.extend([lrow + rrow for rrow in matches[start : start + _CHECK_EVERY]])
+            if len(joined) - checked_at >= _CHECK_EVERY:
+                _check_deadline(deadline)
+                checked_at = len(joined)
     return joined
-
-
-def _compile_having(cond, scope, group_idxs, agg_spec, schema, snap, deadline):
-    """HAVING predicate over (group key, computed aggregates)."""
-
-    def compile_operand(node):
-        if isinstance(node, _sql.AggCall):
-            key = agg_spec(node).key
-            return lambda gkey, aggs: aggs[key]
-        if isinstance(node, _sql.ColumnRef):
-            idx, col = scope.resolve(node.name)
-            if idx not in group_idxs:
-                raise ParseError(
-                    f"HAVING may only use group columns or aggregates, not {col.name!r}"
-                )
-            pos = group_idxs.index(idx)
-            return lambda gkey, aggs: gkey[pos]
-        if isinstance(node, _sql.Literal):
-            value = node.value
-            return lambda gkey, aggs: value
-        raise ParseError("unsupported HAVING operand")
-
-    if isinstance(cond, _sql.And):
-        parts = [
-            _compile_having(c, scope, group_idxs, agg_spec, schema, snap, deadline)
-            for c in cond.items
-        ]
-        return lambda gkey, aggs: all(p(gkey, aggs) for p in parts)
-    if isinstance(cond, _sql.Or):
-        parts = [
-            _compile_having(c, scope, group_idxs, agg_spec, schema, snap, deadline)
-            for c in cond.items
-        ]
-        return lambda gkey, aggs: any(p(gkey, aggs) for p in parts)
-    if isinstance(cond, _sql.Comparison):
-        lhs = compile_operand(cond.lhs)
-        rhs = compile_operand(cond.rhs)
-        cmp = _cmp_closure(cond.op)
-        return lambda gkey, aggs: cmp(lhs(gkey, aggs), rhs(gkey, aggs))
-    if isinstance(cond, _sql.Between):
-        operand = compile_operand(cond.operand)
-        ge = _cmp_closure(">=")
-        le = _cmp_closure("<=")
-        lo, hi = cond.lo.value, cond.hi.value
-        return lambda gkey, aggs: ge(operand(gkey, aggs), lo) and le(operand(gkey, aggs), hi)
-    if isinstance(cond, _sql.SubqueryCmp):
-        value = _scalar_subquery(cond.query, schema, snap, deadline)
-        lhs = compile_operand(cond.lhs)
-        cmp = _cmp_closure(cond.op)
-        return lambda gkey, aggs: cmp(lhs(gkey, aggs), value)
-    if isinstance(cond, _sql.InSubquery):
-        values = _column_subquery(cond.query, schema, snap, deadline)
-        operand = compile_operand(cond.operand)
-        eq = _cmp_closure("=")
-        return lambda gkey, aggs: any(eq(operand(gkey, aggs), v) for v in values)
-    raise ParseError(f"unsupported HAVING condition {cond!r}")
 
 
 def _row_order_keys(query, scope, projected, select):
@@ -688,8 +870,3 @@ def _finish(query, columns, projected, order_keys) -> ResultTable:
     if query.limit is not None:
         rows = rows[: query.limit]
     return ResultTable(columns=columns, rows=rows)
-
-
-def execute(query: str, db: Database, timeout: float = DEFAULT_TIMEOUT) -> ResultTable:
-    """Module-level convenience wrapper around Database.execute."""
-    return db.execute(query, timeout=timeout)

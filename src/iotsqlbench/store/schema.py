@@ -73,9 +73,6 @@ class TableSchema:
                 raise DuplicateColumn(f"table {self.name!r}: duplicate column {col.name!r}")
             seen.add(key)
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
     def column_index(self, name: str) -> int | None:
         key = norm_ident(name)
         for i, col in enumerate(self.columns):

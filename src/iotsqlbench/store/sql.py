@@ -10,6 +10,7 @@ string literals are case-sensitive.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -402,11 +403,19 @@ def _number_value(text: str) -> int | float:
     return float(text)
 
 
+@functools.lru_cache(maxsize=4096)
 def parse(sql: str) -> Query:
-    """Parse one SELECT statement (optional trailing semicolon)."""
+    """Parse one SELECT statement (optional trailing semicolon).
+
+    Results are cached by text: the AST is immutable, so callers share it.
+    A ParseError is raised again on every call, never cached.
+    """
     tokens = tokenize(sql)
     parser = _Parser(tokens)
-    query = parser.parse_query()
+    try:
+        query = parser.parse_query()
+    except RecursionError:
+        raise ParseError("query is nested too deeply") from None
     if parser.peek().text == ";":
         parser.next()
     tail = parser.peek()

@@ -127,9 +127,6 @@ class QueryTemplate:
     def slot(self, name: str) -> SlotSpec:
         return self.slots[name]
 
-    def slots_of_kind(self, kind: SlotKind) -> list[SlotSpec]:
-        return [s for s in self.slots.values() if s.kind is kind]
-
     @property
     def is_temporal(self) -> bool:
         """Whether every instantiation carries a datetime predicate."""

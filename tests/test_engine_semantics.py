@@ -1,0 +1,369 @@
+"""The engine agrees with its written semantics (values_eq / values_lt) on
+every comparison path: compiled WHERE and HAVING comparisons, IN
+(subquery), JOIN, and WHERE filters pushed below a join."""
+
+import math
+from datetime import datetime
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iotsqlbench.store import (
+    ColumnDef,
+    Database,
+    ParseError,
+    QueryTimeout,
+    TableSchema,
+    TypeMismatch,
+    UnknownIdentifier,
+    define_schema,
+    parse,
+)
+from iotsqlbench.store import engine
+from iotsqlbench.store.engine import values_eq, values_lt
+
+ATTRS = ("text", "number", "time", "boolean")
+OPS = ("=", "!=", "<", ">", "<=", ">=")
+
+
+def written(op, a, b):
+    """``a op b`` as values_eq/values_lt define it."""
+    eq, lt, gt = values_eq(a, b) is True, values_lt(a, b) is True, values_lt(b, a) is True
+    return {
+        "=": eq, "!=": values_eq(a, b) is False, "<": lt, ">": gt, "<=": lt or eq, ">=": gt or eq,
+    }[op]
+
+
+def one_row_db(row: dict):
+    """Tables ``t`` and ``k``, each with one row: column ``<name>_<attr>``
+    holds ``row[name]`` in the column of its attribute, null elsewhere."""
+    cols = tuple(ColumnDef(f"{name}_{attr}", attr) for name in row for attr in ATTRS)
+    db = Database(define_schema([TableSchema("t", cols), TableSchema("k", cols)]))
+    values = tuple(v if attr == attr_of(v) else None for v in row.values() for attr in ATTRS)
+    db.load_records("t", [values])
+    db.load_records("k", [values])
+    return db
+
+
+def attr_of(value):
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, datetime):
+        return "time"
+    return "text"
+
+
+def literal(value):
+    """SQL text for a literal, or None when the dialect cannot spell it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        text = repr(abs(value))
+        return f"-{text}" if math.copysign(1.0, value) < 0 else text
+    if isinstance(value, datetime):
+        return f'"{value.isoformat()}"'
+    return f'"{value}"'
+
+
+NEAR = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 9.99e-10, 1e-9, -1e-9, 1.01e-9, 2e-9, 1e-6)
+BASES = (0.0, 1.0, 3.0, -2.5, 1e-13, 1e12, 1.7976931348623157e308, 2.0**60)
+
+near_floats = st.builds(
+    lambda base, rel, absolute: base * (1 + rel) + absolute,
+    st.sampled_from(BASES), st.sampled_from(NEAR), st.sampled_from((0.0, 0.0, 1e-12, -3e-12)),
+)
+numbers = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-5, 5),
+    near_floats,
+    st.sampled_from((math.nan, math.inf, -math.inf, 3, 3.0, 3.0000000001, 2**60, 2**60 + 1, float(2**60))),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+times = st.datetimes(min_value=datetime(2020, 12, 30), max_value=datetime(2021, 1, 2))
+texts = st.one_of(
+    st.sampled_from(("2021-01-01", "2021-01-01T00:00:00", "2021-01-01 12:30:00", "2021-13-45", "abc", "")),
+    st.text(alphabet="abz019-:T ", max_size=10),
+)
+VALUES = {"text": texts, "number": numbers, "time": times, "boolean": st.booleans()}
+
+
+def values_of(attr):
+    return st.one_of(st.none(), VALUES[attr], VALUES[attr])
+
+
+def count(db, sql):
+    return db.execute(sql).rows[0][0]
+
+
+@pytest.mark.parametrize("left", ATTRS)
+@pytest.mark.parametrize("right", ATTRS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_comparisons_follow_written_semantics(left, right, data):
+    a = data.draw(values_of(left), label="a")
+    b = data.draw(values_of(right), label="b")
+    if left == right == "number" and a is not None and data.draw(st.booleans()):
+        # b within or just outside tolerance of a
+        b = data.draw(st.builds(
+            lambda rel, absolute: a * (1 + rel) + absolute,
+            st.sampled_from(NEAR + tuple(-r for r in NEAR)), st.sampled_from((0.0, 1e-12, -3e-12)),
+        ), label="b near a")
+    db = one_row_db({"a": a, "b": b})
+    col_a, col_b = f"a_{left}", f"b_{right}"
+    lit_a, lit_b = literal(a), literal(b)
+    for op in OPS:
+        expected = int(written(op, a, b))
+        assert count(db, f"SELECT COUNT(*) FROM t WHERE {col_a} {op} {col_b}") == expected, op
+        assert count(db, f"SELECT COUNT(*) FROM t WHERE {col_a} {op} (SELECT {col_b} FROM k)") == expected, op
+        # HAVING compares aggregates through the same comparators
+        having = f"SELECT {col_a} FROM t GROUP BY {col_a} HAVING MAX({col_a}) {op} (SELECT {col_b} FROM k)"
+        assert len(db.execute(having).rows) == expected, op
+        if b is not None and lit_b is not None:
+            # a literal compares as written; a time column pre-parses it
+            want = int(written(op, a, b if isinstance(b, (bool, int, float)) else lit_b[1:-1]))
+            assert count(db, f"SELECT COUNT(*) FROM t WHERE {col_a} {op} {lit_b}") == want, op
+        if a is not None and lit_a is not None:
+            want = int(written(op, a if isinstance(a, (bool, int, float)) else lit_a[1:-1], b))
+            assert count(db, f"SELECT COUNT(*) FROM t WHERE {lit_a} {op} {col_b}") == want, op
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    probes=st.lists(st.one_of(st.none(), numbers), max_size=8),
+    keys=st.lists(st.one_of(st.none(), numbers), max_size=8),
+)
+# an int probe equals an int key only exactly, a float key within tolerance
+@example(probes=[2**60 + 1, 2**60], keys=[2**60, float(2**60), math.nan, math.inf])
+def test_in_and_join_over_numbers_follow_values_eq(probes, keys):
+    db = Database(define_schema([
+        TableSchema("p", (ColumnDef("i", "number"), ColumnDef("x", "number"))),
+        TableSchema("q", (ColumnDef("j", "number"), ColumnDef("y", "number"))),
+    ]))
+    db.load_records("p", list(enumerate(probes)))
+    db.load_records("q", list(enumerate(keys)))
+    got = db.execute("SELECT i FROM p WHERE x IN (SELECT y FROM q)").rows
+    assert got == [(i,) for i, x in enumerate(probes) if any(values_eq(x, y) is True for y in keys)]
+    # a join emits left rows in order, each followed by its right matches in order
+    joined = db.execute("SELECT i, j FROM p JOIN q ON p.x = q.y").rows
+    assert joined == [
+        (i, j) for i, x in enumerate(probes) for j, y in enumerate(keys) if values_eq(x, y) is True
+    ]
+
+
+def attr_db():
+    db = Database(define_schema([
+        TableSchema("t", (ColumnDef("id", "number"), ColumnDef("n", "number"),
+                          ColumnDef("f", "number"), ColumnDef("flag", "boolean"),
+                          ColumnDef("ts", "time"))),
+        TableSchema("u", (ColumnDef("n", "number"), ColumnDef("flag", "boolean"),
+                          ColumnDef("label", "text"))),
+    ]))
+    db.load_records("t", [
+        (1, 1, 3.0000000001, True, datetime(2021, 1, 1, 12)),
+        (2, 0, 2.5, False, datetime(2020, 12, 31)),
+        (3, 3, 7.0, True, None),
+    ])
+    db.load_records("u", [(1, True, "one"), (3, False, "three"), (0, True, "zero")])
+    return db
+
+
+def test_in_subquery_keeps_booleans_apart_from_numbers():
+    db = attr_db()
+    assert count(db, "SELECT COUNT(*) FROM t WHERE flag = 1") == 0
+    assert count(db, "SELECT COUNT(*) FROM t WHERE flag IN (SELECT n FROM u)") == 0
+    assert count(db, "SELECT COUNT(*) FROM t WHERE n IN (SELECT flag FROM u)") == 0
+    assert count(db, "SELECT COUNT(*) FROM t WHERE flag IN (SELECT flag FROM u)") == 3
+
+
+def test_in_subquery_uses_float_tolerance_like_equals():
+    db = attr_db()
+    assert count(db, "SELECT COUNT(*) FROM t WHERE f = 3") == 1
+    assert db.execute("SELECT id FROM t WHERE f IN (SELECT n FROM u)").rows == [(1,)]
+
+
+def test_join_never_matches_boolean_to_number():
+    db = attr_db()
+    assert count(db, "SELECT COUNT(*) FROM t JOIN u ON t.n = u.flag") == 0
+    assert count(db, "SELECT COUNT(*) FROM t JOIN u ON t.flag = u.n") == 0
+    assert db.execute("SELECT id, label FROM t JOIN u ON t.flag = u.flag").rows == [
+        (1, "one"), (1, "zero"), (2, "three"), (3, "one"), (3, "zero"),
+    ]
+
+
+def test_int_beyond_float_range_compares_without_error():
+    db = Database(define_schema([TableSchema("t", (ColumnDef("n", "number"),))]))
+    huge = 10**400
+    db.load_records("t", [(huge,), (1.5,), (3,)])
+    assert db.execute(f"SELECT n FROM t WHERE n = {huge}").rows == [(huge,)]
+    assert db.execute(f"SELECT n FROM t WHERE n < {huge}").rows == [(1.5,), (3,)]
+    assert db.execute("SELECT n FROM t WHERE n IN (SELECT n FROM t)").rows == [(huge,), (1.5,), (3,)]
+
+
+@pytest.mark.parametrize("where", [
+    't.ts < "2021-01-01T00:00:00+00:00"',
+    't.ts = "2021-01-01 00:00:00+00:00"',
+    't.ts BETWEEN "2020-01-01" AND "2021-06-01T00:00:00-05:00"',
+    't.ts < (SELECT "2021-01-01T00:00:00+00:00")',
+    '"2021-01-01T00:00:00+00:00" > (SELECT MAX(ts) FROM t)',
+    't.ts = (SELECT "2021-01-01T00:00:00+00:00")',
+])
+def test_offset_aware_time_literal_is_a_type_mismatch(where):
+    with pytest.raises(TypeMismatch):
+        attr_db().execute(f"SELECT id FROM t WHERE {where}")
+
+
+@pytest.mark.parametrize("having", [
+    'MAX(ts) > "2021-01-01T00:00:00+01:00"',
+    'MAX(ts) > (SELECT "2021-01-01T00:00:00+01:00")',
+])
+def test_offset_aware_time_literal_in_having_is_a_type_mismatch(having):
+    with pytest.raises(TypeMismatch):
+        attr_db().execute(f"SELECT n FROM t GROUP BY n HAVING {having}")
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM t WHERE ts < s",
+    "SELECT id FROM t WHERE s >= ts",
+    "SELECT id FROM t WHERE ts = s",
+    "SELECT id FROM t WHERE ts < (SELECT s FROM v)",
+    "SELECT id FROM t WHERE ts IN (SELECT s FROM v)",
+    "SELECT id FROM v WHERE s IN (SELECT ts FROM t)",
+    "SELECT id FROM t JOIN v ON t.ts = v.s",
+])
+def test_offset_aware_text_value_against_a_time_is_a_type_mismatch(sql):
+    db = Database(define_schema([
+        TableSchema("t", (ColumnDef("id", "number"), ColumnDef("ts", "time"), ColumnDef("s", "text"))),
+        TableSchema("v", (ColumnDef("s", "text"),)),
+    ]))
+    db.load_records("t", [(1, datetime(2021, 1, 1), "2021-01-01T00:00:00+00:00")])
+    db.load_records("v", [("2021-01-01T00:00:00+00:00",)])
+    with pytest.raises(TypeMismatch):
+        db.execute(sql)
+
+
+@pytest.mark.parametrize("value", [
+    "2021-01-01T00:00:00+00:00",
+    datetime.fromisoformat("2021-01-01T00:00:00+01:00"),
+])
+def test_offset_aware_time_is_rejected_at_load(value):
+    db = Database(define_schema([TableSchema("t", (ColumnDef("ts", "time"),))]))
+    with pytest.raises(TypeMismatch):
+        db.load_records("t", [(value,)])
+    assert db.row_count("t") == 0
+
+
+def test_long_flat_and_or_conditions_compile_and_run():
+    db = attr_db()
+    ors = " OR ".join(f"(n = {k})" for k in range(2000, 4000)) + " OR (n = 3)"
+    assert db.execute(f"SELECT id FROM t WHERE {ors}").rows == [(3,)]
+    ands = " AND ".join(f"(COUNT(*) > {-k})" for k in range(2000))
+    assert db.execute(f"SELECT n FROM t GROUP BY n HAVING {ands}").rows == [(1,), (0,), (3,)]
+    nested_ands = "(id = 1) OR (" + " AND ".join(f"(n < {k})" for k in range(1, 2001)) + ")"
+    assert db.execute(f"SELECT id FROM t WHERE {nested_ands}").rows == [(1,), (2,)]
+
+
+def pushdown_db(left_rows, right_rows):
+    db = Database(define_schema([
+        TableSchema("a", (ColumnDef("id", "number"), ColumnDef("k", "text"), ColumnDef("x", "number"))),
+        TableSchema("b", (ColumnDef("k", "text"), ColumnDef("y", "number"), ColumnDef("tag", "text"))),
+    ]))
+    db.load_records("a", left_rows)
+    db.load_records("b", right_rows)
+    return db
+
+
+# (WHERE clause, the same test on a joined row (a.id, a.k, a.x, b.k, b.y,
+# b.tag) given the subquery results ctx)
+PUSHDOWN_CASES = [
+    ("a.x > 2", lambda r, ctx: r[2] is not None and r[2] > 2),
+    ('b.tag = "p"', lambda r, ctx: r[5] == "p"),
+    ('(x > 2) AND (tag = "p")', lambda r, ctx: r[2] is not None and r[2] > 2 and r[5] == "p"),
+    ('(x > 2) OR (tag = "p")', lambda r, ctx: (r[2] is not None and r[2] > 2) or r[5] == "p"),
+    ('(y < 5) AND ((x = 1) OR (tag != "q")) AND (id >= 0)',
+     lambda r, ctx: r[4] is not None and r[4] < 5 and (r[2] == 1 or (r[5] is not None and r[5] != "q"))
+     and r[0] >= 0),
+    ("(x = y) AND (y > 1)",
+     lambda r, ctx: r[2] is not None and r[4] is not None and r[2] == r[4] and r[4] > 1),
+    ('(a.k IN (SELECT k FROM b WHERE (tag = "q"))) AND (1 = 1)', lambda r, ctx: r[1] in ctx["q_keys"]),
+    ("b.y > (SELECT MIN(x) FROM a)",
+     lambda r, ctx: r[4] is not None and ctx["min_x"] is not None and r[4] > ctx["min_x"]),
+]
+
+rows_a = st.lists(
+    st.tuples(st.integers(0, 9), st.sampled_from(("k0", "k1", "k2")), st.one_of(st.none(), st.integers(0, 4))),
+    max_size=10,
+)
+rows_b = st.lists(
+    st.tuples(st.sampled_from(("k0", "k1", "k2")), st.one_of(st.none(), st.integers(0, 6)),
+              st.one_of(st.none(), st.sampled_from(("p", "q")))),
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("where, keep", PUSHDOWN_CASES, ids=[c[0] for c in PUSHDOWN_CASES])
+@settings(max_examples=40, deadline=None)
+@given(left=rows_a, right=rows_b)
+def test_pushdown_matches_filtering_after_the_join(where, keep, left, right):
+    db = pushdown_db(left, right)
+    xs = [x for _, _, x in left if x is not None]
+    ctx = {"q_keys": {k for k, _, tag in right if tag == "q"}, "min_x": min(xs) if xs else None}
+    joined = db.execute("SELECT * FROM a JOIN b ON a.k = b.k").rows
+    got = db.execute(f"SELECT * FROM a JOIN b ON a.k = b.k WHERE {where}").rows
+    assert got == [row for row in joined if keep(row, ctx)]
+
+
+def test_pushdown_keeps_name_resolution_of_the_joined_scope():
+    db = pushdown_db([(1, "k0", 1)], [("k0", 1, "p")])
+    with pytest.raises(UnknownIdentifier):  # k is in both tables
+        db.execute('SELECT * FROM a JOIN b ON a.k = b.k WHERE k = "k0"')
+    with pytest.raises(UnknownIdentifier):
+        db.execute("SELECT * FROM a JOIN b ON a.k = b.k WHERE (nope = 1) AND (x = 1)")
+    with pytest.raises(ParseError):
+        db.execute("SELECT * FROM a JOIN b ON a.k = b.k WHERE COUNT(*) > 1")
+    assert db.execute('SELECT b.tag FROM a JOIN b ON a.k = b.k WHERE a.k = "k0"').rows == [("p",)]
+
+
+def test_join_checks_deadline_while_emitting(monkeypatch):
+    """The deadline is read at least once per _CHECK_EVERY joined rows, so
+    a join of a few left rows with a wide fan-out still times out.  The
+    engine's clock is replaced, so nothing here depends on machine speed."""
+    db = Database(define_schema([
+        TableSchema("l", (ColumnDef("k", "number"),)),
+        TableSchema("r", (ColumnDef("k", "number"), ColumnDef("v", "number"))),
+    ]))
+    wide = 3 * engine._CHECK_EVERY
+    db.load_records("l", [(1,)] * 8)
+    db.load_records("r", [(1, i) for i in range(wide)])
+    sql = "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k"
+
+    reads = []
+    monkeypatch.setattr(engine, "_time", SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0))
+    assert db.execute(sql, timeout=1.0).rows == [(8 * wide,)]
+    assert len(reads) >= 8 * wide // engine._CHECK_EVERY
+
+    # time runs out after half of those reads: the join itself raises
+    limit = len(reads) // 2
+    reads.clear()
+    monkeypatch.setattr(engine, "_time", SimpleNamespace(
+        monotonic=lambda: reads.append(1) or (0.0 if len(reads) <= limit else 10.0)))
+    with pytest.raises(QueryTimeout) as info:
+        db.execute(sql, timeout=1.0)
+    assert any(entry.name == "_hash_join" for entry in info.traceback)
+
+
+def test_parse_is_cached_and_errors_are_not():
+    text = "SELECT uid FROM conn.log WHERE (orig_bytes > 1000)"
+    assert parse(text) is parse(text)
+    before = parse.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse("SELEC uid FROM conn.log")
+    assert parse.cache_info().currsize == before

@@ -280,3 +280,49 @@ def test_detection_bounds_and_macro_le_max():
     for value in (report.macro_precision, report.macro_recall, report.macro_f1):
         assert 0.0 <= value <= 1.0
     assert report.macro_f1 <= max(m.f1 for m in report.per_class.values())
+
+
+def test_execution_pred_store_rejections_are_false():
+    db = Database(define_schema([
+        TableSchema(name="u", columns=(ColumnDef("ts", "time"), ColumnDef("v", "number"))),
+    ]))
+    db.load_records("u", [("2021-01-01T10:00:00", 1)])
+    gold = 'SELECT v FROM u WHERE ts < "2021-02-01"'
+    assert execution_accuracy(gold, gold, db)
+    # offset-aware literal: TypeMismatch at compile time, scored as wrong
+    assert not execution_accuracy('SELECT v FROM u WHERE ts < "2021-02-01T00:00:00+00:00"', gold, db)
+    assert not execution_accuracy(
+        'SELECT v FROM u WHERE ts < (SELECT "2021-02-01T00:00:00+00:00")', gold, db
+    )
+    assert not execution_accuracy(
+        'SELECT v FROM u GROUP BY v HAVING MAX(ts) > (SELECT "2021-01-01T00:00:00+01:00")', gold, db
+    )
+    # nesting deep enough to exhaust the parser's recursion is a ParseError
+    deep = "SELECT v FROM u WHERE " + "(" * 5000 + "v = 1" + ")" * 5000
+    assert not execution_accuracy(deep, gold, db)
+
+
+def test_execution_pred_engine_fault_propagates(ab_db, monkeypatch):
+    gold = "SELECT a FROM t"
+    real_execute = Database.execute
+
+    def execute(self, sql, timeout=5.0):
+        if sql != gold:
+            raise RuntimeError("engine fault")
+        return real_execute(self, sql, timeout)
+
+    monkeypatch.setattr(Database, "execute", execute)
+    with pytest.raises(RuntimeError):
+        execution_accuracy("SELECT b FROM t", gold, ab_db)
+
+
+def test_execution_scores_long_flat_conditions():
+    db = Database(define_schema([
+        TableSchema(name="u", columns=(ColumnDef("ts", "time"), ColumnDef("v", "number"))),
+    ]))
+    db.load_records("u", [("2021-01-01T10:00:00", 1), ("2021-01-02T10:00:00", 2)])
+    gold = "SELECT v FROM u WHERE v = 1"
+    ors = "SELECT v FROM u WHERE " + " OR ".join(["(v = 1)"] * 2000)
+    assert execution_accuracy(ors, gold, db)
+    ands = "SELECT v FROM u GROUP BY v HAVING " + " AND ".join(["(MAX(v) < 2)"] * 2000)
+    assert execution_accuracy(ands, gold, db)
