@@ -354,17 +354,9 @@ def cmd_eval_sql(cfg: RunConfig, out: Path, args) -> int:
 def cmd_eval_detect(cfg: RunConfig, out: Path, args) -> int:
     examples = modelio.read_detection_examples(Path(args.examples))
     predictions = modelio.read_predictions(Path(args.predictions), kind="detection")
-    by_id = {p.id: p for p in predictions}
-    known = {ex.id for ex in examples}
-    for p in predictions:
-        if p.id not in known:
-            raise evaluation.UnknownId(f"prediction for unknown id {p.id!r}")
-    golds, preds = [], []
-    for ex in examples:
-        if ex.id not in by_id:
-            raise evaluation.MissingPrediction(f"no prediction for example {ex.id!r}")
-        golds.append(ex.gold)
-        preds.append(modelio.label_to_bool(by_id[ex.id].payload))
+    pairs = evaluation.join_predictions(examples, predictions)
+    golds = [ex.gold for ex, _ in pairs]
+    preds = [modelio.label_to_bool(rec.payload) for _, rec in pairs]
     report = evaluation.detection_metrics(golds, preds)
     writer = ArtifactWriter(out)
     writer.write("eval/detect_report.json", report.to_json() + "\n")

@@ -7,6 +7,11 @@ accuracy compares result multisets positionally with numeric relative
 tolerance 1e-6, turning order-sensitive only when the gold query has
 ORDER BY.  Detection metrics are macro precision/recall/F1 over the two
 classes with 0 substituted for empty denominators.
+
+Scoring a file runs each gold query once per exact SQL text and keeps its
+result ready to compare (sorted unless order counts) until the file is
+scored.  A prediction textually identical to its gold query is scored from
+that result without running.  Neither changes the comparison policy.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain, repeat
+from typing import Sequence
 
 from .modelio import PredictionRecord, SqlExample
 from .store import Database, ResultTable, StoreError
@@ -86,35 +93,102 @@ def logical_accuracy(pred_sql: str, gold_sql: str) -> bool:
 
 
 def _values_match(a, b, rel_tol: float) -> bool:
+    # equal values of one type match at once (NaN is unequal to itself)
+    if type(a) is type(b) and a == b:
+        return True
+    return _values_close(a, b, rel_tol)
+
+
+def _values_close(a, b, rel_tol: float) -> bool:
+    """The value policy: null matches null, a boolean only a boolean, numbers
+    within the tolerance, anything else an equal value of its type."""
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-9)
+        try:
+            return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-9)
+        except OverflowError:  # an int beyond float range matches only an equal int
+            return False
     if type(a) is not type(b):
         return False
     return a == b
 
 
+def _rows_match(rows: list[tuple], expected: list[tuple], rel_tol: float) -> bool:
+    """Value by value, for rows of one width."""
+    values, wanted = chain.from_iterable(rows), chain.from_iterable(expected)
+    return all(map(_values_match, values, wanted, repeat(rel_tol)))
+
+
+# Unordered results are compared after sorting by a key of (type rank,
+# value) per column: null < boolean < number < time < text < other, numbers
+# as floats, so 1 and 1.0 tie and stay in their order.
 _TYPE_ORDER = {type(None): 0, bool: 1, int: 2, float: 2, datetime: 3, str: 4}
 
 
-def _sort_key(row: tuple):
-    key = []
-    for v in row:
-        rank = _TYPE_ORDER.get(type(v), 5)
-        if v is None:
-            key.append((rank, 0))
-        elif isinstance(v, bool):
-            key.append((rank, int(v)))
-        elif isinstance(v, (int, float)):
-            key.append((rank, float(v)))
-        elif isinstance(v, datetime):
-            key.append((rank, v.isoformat()))
-        else:
-            key.append((rank, str(v)))
-    return key
+def _cell_key(v) -> tuple:
+    rank = _TYPE_ORDER.get(type(v), 5)
+    if v is None:
+        return (rank, 0)
+    if isinstance(v, bool):
+        return (rank, int(v))
+    if isinstance(v, (int, float)):
+        try:
+            return (rank, float(v))
+        except OverflowError:  # an int beyond float range
+            return (rank, math.inf if v > 0 else -math.inf)
+    if isinstance(v, datetime):
+        return (rank, v.isoformat())
+    return (rank, str(v))
+
+
+def _column_key(values: tuple) -> Sequence:
+    """One column's part of the sort key.  A column of one type needs no
+    rank, and its values order as their keys do (booleans as 0/1, naive
+    times as their ISO text), so they are their own key."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= {type(None), bool, float, datetime, str}:
+        return values
+    if kinds <= {int, float}:
+        try:
+            return list(map(float, values))
+        except OverflowError:
+            pass
+    return list(map(_cell_key, values))
+
+
+def _sorted_rows(rows: list[tuple]) -> list[tuple]:
+    """``rows`` sorted by their per-column keys; ties keep their order."""
+    columns = list(zip(*rows))
+    keys = [_column_key(col) for col in columns]
+    if all(key is col for key, col in zip(keys, columns)):
+        return sorted(rows)
+    row_keys = list(zip(*keys))
+    return [rows[i] for i in sorted(range(len(rows)), key=row_keys.__getitem__)]
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """A result ready to be compared against: its rows are sorted once,
+    unless row order counts."""
+
+    width: int
+    ordered: bool
+    rows: list
+
+    @classmethod
+    def of(cls, result: ResultTable, ordered: bool) -> "_Prepared":
+        rows = result.rows if ordered else _sorted_rows(result.rows)
+        return cls(len(result.columns), ordered, rows)
+
+    def matches(self, pred: ResultTable, rel_tol: float = EXEC_REL_TOL) -> bool:
+        """Positional multiset comparison; column names are ignored."""
+        if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
+            return False
+        rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
+        return _rows_match(rows, self.rows, rel_tol)
 
 
 def results_match(
@@ -124,18 +198,31 @@ def results_match(
     rel_tol: float = EXEC_REL_TOL,
 ) -> bool:
     """Positional multiset comparison; column names are ignored."""
-    if len(pred.columns) != len(gold.columns):
-        return False
-    if len(pred.rows) != len(gold.rows):
-        return False
-    pred_rows, gold_rows = pred.rows, gold.rows
-    if not order_sensitive:
-        pred_rows = sorted(pred_rows, key=_sort_key)
-        gold_rows = sorted(gold_rows, key=_sort_key)
-    for p_row, g_row in zip(pred_rows, gold_rows):
-        if not all(_values_match(p, g, rel_tol) for p, g in zip(p_row, g_row)):
-            return False
-    return True
+    return _Prepared.of(gold, order_sensitive).matches(pred, rel_tol)
+
+
+@dataclass(frozen=True)
+class _Gold:
+    """What scoring needs of one gold query on one database."""
+
+    expected: _Prepared
+    self_match: bool  # whether the result matches itself: false iff it holds a NaN
+    tables: frozenset  # referenced tables, by their schema names
+
+
+def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
+    try:
+        parsed = _sql.parse(gold_sql)
+        result = db.execute(gold_sql, timeout=timeout)
+    except Exception as exc:
+        raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
+    expected = _Prepared.of(result, bool(parsed.order_by))
+    tables = set()
+    for name in _sql.referenced_tables(parsed):
+        t = db.schema.table(name)
+        tables.add(t.name if t is not None else name)
+    self_match = _rows_match(expected.rows, expected.rows, EXEC_REL_TOL)
+    return _Gold(expected, self_match, frozenset(tables))
 
 
 def execution_accuracy(
@@ -144,25 +231,32 @@ def execution_accuracy(
     db: Database,
     timeout: float = PRED_TIMEOUT,
     rel_tol: float = EXEC_REL_TOL,
+    golds: dict | None = None,
 ) -> bool:
     """True iff both queries run and their results match.
 
     A prediction the store rejects (StoreError: parse error, unknown
     identifier, type mismatch, timeout) counts as incorrect; any other
     exception is an engine fault and propagates.  A gold-side failure
-    raises GoldExecutionError.
+    raises GoldExecutionError.  A prediction with the gold query's exact
+    text is not run: on the same rows the engine returns the gold result.
+
+    ``golds`` keeps prepared gold results by exact SQL text (``= 1`` and
+    ``= true`` parse equal) for a caller that scores many predictions on
+    the same rows with the same timeout: each gold query then runs once.
     """
-    try:
-        gold_parsed = _sql.parse(gold_sql)
-        gold_result = db.execute(gold_sql, timeout=timeout)
-    except Exception as exc:
-        raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
+    gold = golds.get(gold_sql) if golds is not None else None
+    if gold is None:
+        gold = _gold(gold_sql, db, timeout)
+        if golds is not None:
+            golds[gold_sql] = gold
+    if pred_sql == gold_sql:
+        return gold.self_match
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
         return False
-    order_sensitive = bool(gold_parsed.order_by)
-    return results_match(pred_result, gold_result, order_sensitive, rel_tol=rel_tol)
+    return gold.expected.matches(pred_result, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +333,23 @@ class SqlEvalReport:
         return "\n".join(lines)
 
 
+def join_predictions(examples: Sequence, predictions: Sequence[PredictionRecord]) -> list[tuple]:
+    """Each example paired with its prediction by id, in example order (a
+    repeated id keeps its last record).  A prediction for no example raises
+    UnknownId; an example without one raises MissingPrediction."""
+    by_id = {rec.id: rec for rec in predictions}
+    known = {ex.id for ex in examples}
+    for rec in predictions:
+        if rec.id not in known:
+            raise UnknownId(f"prediction for unknown id {rec.id!r}")
+    pairs = []
+    for ex in examples:
+        if ex.id not in by_id:
+            raise MissingPrediction(f"no prediction for example {ex.id!r}")
+        pairs.append((ex, by_id[ex.id]))
+    return pairs
+
+
 def score_sql_corpus(
     examples: list[SqlExample],
     predictions: list[PredictionRecord],
@@ -246,27 +357,18 @@ def score_sql_corpus(
     timeout: float = PRED_TIMEOUT,
 ) -> SqlEvalReport:
     """Score a prediction file against emitted examples on one database."""
-    by_id = {}
-    for rec in predictions:
-        by_id[rec.id] = rec
-    known = {ex.id for ex in examples}
-    for rec in predictions:
-        if rec.id not in known:
-            raise UnknownId(f"prediction for unknown id {rec.id!r}")
     exec_correct = 0
     logical_correct = 0
     per_table: dict[str, TableBucket] = {}
     failures: list[tuple[str, str]] = []
-    for ex in examples:
-        if ex.id not in by_id:
-            raise MissingPrediction(f"no prediction for example {ex.id!r}")
-        pred_sql = by_id[ex.id].payload
+    golds: dict[str, _Gold] = {}
+    for ex, rec in join_predictions(examples, predictions):
+        pred_sql = rec.payload
         logical = logical_accuracy(pred_sql, ex.gold_sql)
-        execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout)
+        execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout, golds=golds)
         exec_correct += execution
         logical_correct += logical
-        tables = _gold_tables(ex.gold_sql, db)
-        for name in tables:
+        for name in golds[ex.gold_sql].tables:
             bucket = per_table.setdefault(name, TableBucket())
             bucket.n += 1
             bucket.execution_correct += execution
@@ -286,18 +388,6 @@ def score_sql_corpus(
         per_table=per_table,
         failures=failures,
     )
-
-
-def _gold_tables(gold_sql: str, db: Database) -> set[str]:
-    try:
-        raw = _sql.referenced_tables(gold_sql)
-    except StoreError:
-        return set()
-    out = set()
-    for name in raw:
-        t = db.schema.table(name)
-        out.add(t.name if t is not None else name)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -137,27 +137,48 @@ def values_lt(a: object, b: object) -> bool | None:
     return None
 
 
-def _coerce_value(value: object, col: ColumnDef, table: str) -> object:
-    if value is None:
-        return None
+def _value_checker(col: ColumnDef, table: str) -> Callable[[object], object]:
+    """The stored form of a value for ``col``: None stays None, a value of
+    the column's attribute passes (a time may also be ISO-8601 text), any
+    other value is a TypeMismatch."""
     attr = col.attribute
-    if attr == "text":
-        if isinstance(value, str):
-            return value
-    elif attr == "number":
-        if _is_number(value):
-            return value
-    elif attr == "time":
+
+    def bad(value):
+        raise TypeMismatch(
+            f"table {table!r}, column {col.name!r} ({attr}): bad value {value!r}"
+        )
+
+    def time_value(value):
         parsed = parse_time_literal(value) if isinstance(value, str) else value
         # stored times are naive UTC; an aware one would not order against them
         if isinstance(parsed, datetime) and parsed.tzinfo is None:
             return parsed
-    elif attr == "boolean":
-        if isinstance(value, bool):
-            return value
-    raise TypeMismatch(
-        f"table {table!r}, column {col.name!r} ({attr}): bad value {value!r}"
-    )
+        return bad(value)
+
+    if attr == "time":
+        return lambda v: v if v is None else time_value(v)
+    if attr == "text":
+        return lambda v: v if v is None or isinstance(v, str) else bad(v)
+    if attr == "number":
+        return lambda v: v if v is None or _is_number(v) else bad(v)
+    return lambda v: v if v is None or isinstance(v, bool) else bad(v)  # boolean
+
+
+_STORED_TYPES = {"text": {str}, "number": {int, float}, "boolean": {bool}, "time": {datetime}}
+
+
+def _stored_as_is(columns: Sequence[ColumnDef], rows: list[tuple]) -> bool:
+    """Whether every value is None or of the exact type its column stores,
+    with naive times: values ``_value_checker`` would return unchanged, so
+    the rows need no per-value check.  It checks a batch per column at C
+    speed; anything else goes through the checkers."""
+    for col, values in zip(columns, zip(*rows)):
+        kinds = set(map(type, values)) - {type(None)}
+        if not kinds <= _STORED_TYPES[col.attribute]:
+            return False
+        if col.attribute == "time" and any(v.tzinfo is not None for v in values if v is not None):
+            return False
+    return True
 
 
 class Database:
@@ -174,19 +195,16 @@ class Database:
         if tschema is None:
             raise UnknownTable(f"no such table {table!r}")
         ncols = len(tschema.columns)
-        staged: list[tuple] = []
-        for record in records:
-            row = tuple(record)
-            if len(row) != ncols:
-                raise ArityMismatch(
-                    f"table {table!r} expects {ncols} values, got {len(row)}"
-                )
-            staged.append(
-                tuple(
-                    _coerce_value(v, col, tschema.name)
-                    for v, col in zip(row, tschema.columns)
-                )
-            )
+        staged = [tuple(record) for record in records]
+        if not (set(map(len, staged)) <= {ncols} and _stored_as_is(tschema.columns, staged)):
+            # time text to convert, or a bad row to report: the first in order
+            checkers = [_value_checker(col, tschema.name) for col in tschema.columns]
+            for pos, row in enumerate(staged):
+                if len(row) != ncols:
+                    raise ArityMismatch(
+                        f"table {table!r} expects {ncols} values, got {len(row)}"
+                    )
+                staged[pos] = tuple([check(v) for check, v in zip(checkers, row)])
         with self._lock:
             self._rows[norm_ident(tschema.name)].extend(staged)
         return len(staged)
@@ -686,18 +704,27 @@ def _run_query(
             projected = [(row, row) for row in rows]
         else:
             getters = []
+            idxs = []
             columns = []
             for item in select:
                 if isinstance(item, _sql.ColumnRef):
                     idx, col = scope.resolve(item.name)
                     getters.append(lambda row, i=idx: row[i])
+                    idxs.append(idx)
                     columns.append(col.name)
                 elif isinstance(item, _sql.Literal):
                     getters.append(lambda row, v=item.value: v)
                     columns.append(_render_literal_name(item.value))
                 else:
                     raise ParseError("select items must be columns, literals, or aggregates")
-            projected = [(row, tuple(g(row) for g in getters)) for row in rows]
+            if len(idxs) != len(getters):  # literal items
+                projected = [(row, tuple([g(row) for g in getters])) for row in rows]
+            elif len(idxs) == 1:
+                i = idxs[0]
+                projected = [(row, (row[i],)) for row in rows]
+            else:
+                pick = operator.itemgetter(*idxs)
+                projected = [(row, pick(row)) for row in rows]
         order_keys = _row_order_keys(query, scope, projected, select)
         return _finish(query, columns, projected, order_keys)
 

@@ -207,6 +207,7 @@ class TemplateBinder:
         self.schema: DatabaseSchema = db.schema
         self.values = ValueIndex(db)
         self._join_options = self._enumerate_join_options()
+        self._viable: dict[tuple[str, str, str], tuple[QueryTemplate, bool]] = {}
 
     def _enumerate_join_options(self) -> list[tuple[TableSchema, TableSchema, str]]:
         options = []
@@ -231,6 +232,14 @@ class TemplateBinder:
     _AGG_COLUMN_DEFAULT_ATTRS = ("number", "time")
 
     def _table_viable(self, template: QueryTemplate, table: TableSchema, table_slot: str) -> bool:
+        # a pure function of the schema and the template, asked on every bind
+        key = (template.id, table.name, table_slot)
+        hit = self._viable.get(key)
+        if hit is None or hit[0] is not template:  # ids repeat across banks
+            hit = self._viable[key] = (template, self._check_viable(template, table, table_slot))
+        return hit[1]
+
+    def _check_viable(self, template: QueryTemplate, table: TableSchema, table_slot: str) -> bool:
         for spec in template.slots.values():
             if spec.kind not in (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN):
                 continue
