@@ -117,14 +117,22 @@ class DecisionTree:
         return best
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Walks all rows down the tree together, one level per step: a row
+        goes left when its value is <= the node's threshold (NaN goes right)."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(len(X), dtype=bool)
-        for i, row in enumerate(X):
-            node = 0
-            while self.feature[node] >= 0:
-                node = self.left[node] if row[self.feature[node]] <= self.threshold[node] else self.right[node]
-            out[i] = bool(self.leaf_value[node])
-        return out
+        feature = np.asarray(self.feature, dtype=np.int64)
+        threshold = np.asarray(self.threshold, dtype=np.float64)
+        left = np.asarray(self.left, dtype=np.int64)
+        right = np.asarray(self.right, dtype=np.int64)
+        node = np.zeros(len(X), dtype=np.int64)
+        rows = np.arange(len(X))
+        while len(rows):
+            at = node[rows]
+            feat = feature[at]
+            inner = feat >= 0
+            rows, at, feat = rows[inner], at[inner], feat[inner]
+            node[rows] = np.where(X[rows, feat] <= threshold[at], left[at], right[at])
+        return np.asarray(self.leaf_value, dtype=bool)[node]
 
     def state(self) -> dict:
         return {

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 
 
 class IngestError(Exception):
@@ -46,11 +48,13 @@ def _fold_label(text: str) -> str:
     return text.strip().casefold().replace(" ", "").replace("-", "").replace("&", "and")
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
     """Map (label, detailed-label) strings to the ten-variant taxonomy.
 
     Tolerates case and spacing differences; ``C&C`` maps to CandC.  Raises
     UnknownLabel naming the offending string for anything outside the set.
+    Memoised per pair: a log repeats a handful of label pairs on every line.
     """
     coarse = _fold_label(raw_label or "")
     detail = _fold_label(raw_detail or "")
@@ -63,21 +67,6 @@ def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
     if coarse in _LABEL_LOOKUP:
         return _LABEL_LOOKUP[coarse]
     raise UnknownLabel(f"unknown label {raw_label!r}")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise RecordInvariantError(message)
-
-
-def _check_port(value: int | None, name: str) -> None:
-    if value is not None:
-        _require(0 <= value <= 65535, f"{name} out of range: {value}")
-
-
-def _check_count(value: int | None, name: str) -> None:
-    if value is not None:
-        _require(value >= 0, f"{name} must be nonnegative: {value}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +97,21 @@ class ConnRecord:
     label: AttackLabel = AttackLabel.Benign
 
     def __post_init__(self) -> None:
-        _check_port(self.orig_p, "orig_p")
-        _check_port(self.resp_p, "resp_p")
-        if self.duration is not None:
-            _require(self.duration >= 0, f"duration must be nonnegative: {self.duration}")
-        for name in ("orig_bytes", "resp_bytes", "missed_bytes", "orig_pkts",
-                     "orig_ip_bytes", "resp_pkts", "resp_ip_bytes"):
-            _check_count(getattr(self, name), name)
+        # written out without helper calls: one record is built per log line
+        if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
+            raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
+        if self.resp_p is not None and not 0 <= self.resp_p <= 65535:
+            raise RecordInvariantError(f"resp_p out of range: {self.resp_p}")
+        if self.duration is not None and not self.duration >= 0:
+            raise RecordInvariantError(f"duration must be nonnegative: {self.duration}")
+        for name, value in (
+            ("orig_bytes", self.orig_bytes), ("resp_bytes", self.resp_bytes),
+            ("missed_bytes", self.missed_bytes), ("orig_pkts", self.orig_pkts),
+            ("orig_ip_bytes", self.orig_ip_bytes), ("resp_pkts", self.resp_pkts),
+            ("resp_ip_bytes", self.resp_ip_bytes),
+        ):
+            if value is not None and not value >= 0:
+                raise RecordInvariantError(f"{name} must be nonnegative: {value}")
 
     @property
     def is_malicious(self) -> bool:
@@ -324,9 +321,8 @@ LABEL_FIELDS = [
 ]
 
 
-def conn_to_row(record: ConnRecord) -> tuple:
-    """A 21-value row for the conn.log table (label excluded)."""
-    return tuple(getattr(record, spec.name) for spec in CONN_FIELDS)
+# conn_to_row(record): a 21-value row for the conn.log table (label excluded)
+conn_to_row = attrgetter(*(spec.name for spec in CONN_FIELDS))
 
 
 def conn_from_fields(values: tuple, label: AttackLabel = AttackLabel.Benign) -> ConnRecord:

@@ -5,13 +5,29 @@ and line-delimited JSON.  ``-`` is the unset marker, ``(empty)`` the empty
 collection.  Labeled IoT-23 conn logs are accepted in the three shapes
 seen in the wild: label columns declared in ``#fields``, appended as extra
 TSV columns, or glued onto the final field with spaces.
+
+A TSV log is converted one column at a time.  Its data lines are split and
+grouped by their resolved field plan (with or without the label columns);
+each group is transposed and each column converted in one pass (``int``,
+``float``, ``epoch_to_datetime`` or the bool table mapped over it, then one
+range check), a string column passes through as it is.  A column goes
+through the per-value ``_convert`` instead when it holds the unset or empty
+marker, when a value does not parse, or when a value is out of range; that
+path finds each bad line's first failing column, so issues and records are
+the same as a line-by-line parse gives.  ``_convert`` is the one per-value
+semantics.  Conn rows are rendered (``serialize_zeek``) and projected
+(``rows_for_table``) a column at a time in the same way, with ``_render``
+for a column that holds an unset or empty value.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Union
 
 from .records import (
@@ -27,6 +43,7 @@ from .records import (
     UnknownKind,
     UnknownLabel,
     ZeekRecord,
+    conn_to_row,
     parse_iot23_label,
 )
 
@@ -56,26 +73,42 @@ class ZeekParseResult:
 
 
 def epoch_to_datetime(text: str) -> datetime:
-    """Zeek epoch-seconds string to naive UTC datetime, exact to the microsecond."""
-    if "." in text:
-        secs_part, frac = text.split(".", 1)
-        usec = int((frac + "000000")[:6])
-    else:
-        secs_part, usec = text, 0
-    return _EPOCH + timedelta(seconds=int(secs_part), microseconds=usec)
+    """Zeek epoch-seconds string to naive UTC datetime, exact to the microsecond.
+
+    The sign applies to the fraction too: ``-1.5`` is 1.5 s before the epoch.
+    A time beyond the range of ``datetime`` is a ValueError.
+    """
+    secs_part, dot, frac = text.partition(".")
+    secs = int(secs_part)
+    usec = int((frac + "000000")[:6]) if dot else 0
+    if secs_part.lstrip().startswith("-"):
+        usec = -usec
+    try:
+        return _EPOCH + timedelta(seconds=secs, microseconds=usec)
+    except OverflowError as exc:
+        raise ValueError(f"time out of range: {text!r}") from exc
 
 
 def datetime_to_epoch(dt: datetime) -> str:
     delta = dt - _EPOCH
-    secs = delta.days * 86400 + delta.seconds
-    return f"{secs}.{delta.microseconds:06d}"
+    sign = ""
+    if delta.days < 0:  # before the epoch: the sign goes before the whole value
+        sign, delta = "-", -delta
+    return f"{sign}{delta.days * 86400 + delta.seconds}.{delta.microseconds:06d}"
+
+
+_BOOLS = {"T": True, "true": True, "True": True, "F": False, "false": False, "False": False}
 
 
 def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
     if value == unset:
         return None
     if value == empty:
-        return ""
+        # the empty marker stands for an empty set or vector, which only a
+        # string column holds; in a number, time or bool column it is a bad value
+        if spec.vtype == "str":
+            return ""
+        raise ValueError(f"{spec.name}: empty marker in a {spec.zeek_type} field")
     vtype = spec.vtype
     if vtype == "str":
         return value
@@ -86,10 +119,8 @@ def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
     elif vtype in ("float", "duration"):
         out = float(value)
     elif vtype == "bool":
-        if value in ("T", "true", "True"):
-            return True
-        if value in ("F", "false", "False"):
-            return False
+        if value in _BOOLS:
+            return _BOOLS[value]
         raise ValueError(f"bad bool {value!r}")
     else:
         raise ValueError(f"unhandled field type {vtype!r}")
@@ -156,14 +187,38 @@ def _field_plan(kind: str, names: list[str]) -> list[FieldSpec | None]:
     return plan
 
 
+# Lines converted together: enough for each column pass to run in C, few
+# enough to bound the split values held at once (MonetDB/X100's vectors).
+_BLOCK_LINES = 256
+
+
 def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     separator = "\t"
     unset, empty, set_sep = "-", "(empty)", ","
     field_names: list[str] | None = None
+    plan: list | None = None
+    # data lines waiting for conversion, by resolved line plan length (the
+    # plan itself, or the plan plus IoT-23 label columns): (line plan, line
+    # numbers, split lines).  Converted when the plan or a marker changes and
+    # every _BLOCK_LINES lines, so that only one block's split values are
+    # held at once.
+    pending: dict[int, tuple[list, list[int], list[list[str]]]] = {}
     records: list = []
     issues: list[ParseIssue] = []
 
-    plan: list | None = None
+    def flush() -> None:
+        groups = [_convert_group(kind, line_plan, line_nos, rows, unset, empty)
+                  for line_plan, line_nos, rows in pending.values()]
+        pending.clear()
+        if len(groups) == 1:
+            records.extend(groups[0][1])
+        else:  # labeled and unlabeled lines in one block: back into line order
+            records.extend(record for _, record in heapq.merge(
+                *(zip(line_nos, group_records) for line_nos, group_records, _ in groups),
+                key=itemgetter(0)))
+        for _, _, group_issues in groups:
+            issues.extend(group_issues)
+
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -173,28 +228,35 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
                 value = raw[1:].split(" ", 1)[1] if " " in raw[1:] else raw[1:].split(separator)[1]
                 separator = value.encode().decode("unicode_escape")
             elif directive == "fields":
+                flush()
                 field_names = raw[1:].split(separator)[1:]
                 plan = _field_plan(kind, field_names)
             elif directive == "unset_field":
+                flush()
                 unset = raw[1:].split(separator)[1]
             elif directive == "empty_field":
+                flush()
                 empty = raw[1:].split(separator)[1]
             elif directive == "set_separator":
                 set_sep = raw[1:].split(separator)[1]  # noqa: F841 - sets stay comma-joined text
             continue
         if plan is None:
             raise MissingFieldsHeader("data line before #fields directive")
-        values = raw.split(separator)
-        values, line_plan, issue = _reconcile_arity(values, plan, kind, line_no)
+        values, line_plan, issue = _reconcile_arity(raw.split(separator), plan, kind, line_no)
         if issue is not None:
             issues.append(issue)
             continue
-        try:
-            records.append(_build_record(kind, line_plan, values, unset, empty))
-        except (ValueError, RecordInvariantError, UnknownLabel) as exc:
-            issues.append(ParseIssue(line_no=line_no, message=str(exc)))
+        group = pending.get(len(line_plan))
+        if group is None:
+            group = pending[len(line_plan)] = (line_plan, [], [])
+        group[1].append(line_no)
+        group[2].append(values)
+        if len(group[1]) == _BLOCK_LINES:
+            flush()
+    flush()
     if field_names is None:
         raise MissingFieldsHeader("no #fields directive found")
+    issues.sort(key=attrgetter("line_no"))
     return ZeekParseResult(records=records, issues=issues)
 
 
@@ -218,37 +280,119 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
     )
 
 
-def _build_record(kind: str, plan: list, values: list[str], unset: str, empty: str):
-    converted: dict[str, object] = {}
-    raw_label = None
-    raw_detail = None
-    for spec, value in zip(plan, values):
+# Column conversions that match _convert on a column free of the unset and
+# empty markers; a column they reject, or whose values fall outside the
+# range below, goes through _convert value by value.
+_COLUMN_CONVERT = {
+    "time": epoch_to_datetime,
+    "count": int, "port": int, "int": int,
+    "float": float, "duration": float,
+    "bool": _BOOLS.__getitem__,
+}
+# (lowest, highest) allowed value, one min() and one max() per column; both
+# return the NaN of a float column led by one, which fails the test and so
+# takes the per-value path
+_COLUMN_RANGE = {"count": (0, math.inf), "duration": (0, math.inf), "port": (0, 65535)}
+
+
+def _convert_column(column: tuple, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
+    """Convert one column of raw values; a value that fails records its
+    message in ``errors`` (row index -> message) unless that row already
+    failed in an earlier column, whose values then stop being converted."""
+    if unset not in column and empty not in column:
+        if spec.vtype == "str":
+            return column
+        try:
+            out = list(map(_COLUMN_CONVERT[spec.vtype], column))
+        except (ValueError, KeyError):
+            pass
+        else:
+            bounds = _COLUMN_RANGE.get(spec.vtype)
+            if bounds is None or (bounds[0] <= min(out) and max(out) <= bounds[1]):
+                return out
+    out = []
+    for i, value in enumerate(column):
+        if i in errors:
+            out.append(None)
+            continue
+        try:
+            out.append(_convert(value, spec, unset, empty))
+        except ValueError as exc:
+            errors[i] = str(exc)
+            out.append(None)
+    return out
+
+
+def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[list[str]],
+                   unset: str, empty: str):
+    """(line numbers of the records, records, issues) for data lines that
+    share one line plan.
+
+    Converts column by column.  A line reports what a line-by-line parse
+    would: its first failing column in column order, then its label, then
+    the required fields, then the record invariants.
+    """
+    n = len(rows)
+    columns = list(zip(*rows))
+    rows.clear()  # the split lines are not needed once the columns exist
+    errors: dict[int, str] = {}
+    by_name: dict[str, object] = {}
+    for j, spec in enumerate(line_plan):
+        column, columns[j] = columns[j], None
         if spec is None:
             continue
-        if spec.name == "label":
-            raw_label = value
-            continue
-        if spec.name == "detailed_label":
-            raw_detail = value
-            continue
-        converted[spec.name] = _convert(value, spec, unset, empty)
-    if kind == "conn":
-        label = AttackLabel.Benign
-        if raw_label is not None:
-            label = parse_iot23_label(raw_label, raw_detail if raw_detail is not None else "-")
-        kwargs = {spec.name: converted.get(spec.name) for spec in CONN_FIELDS}
-        _require_present(kwargs)
-        return ConnRecord(label=label, **kwargs)
-    ordered = tuple(converted.get(spec.name) for spec in KIND_FIELDS[kind])
-    return ZeekRecord(kind=kind, fields=ordered)
+        if spec.name in ("label", "detailed_label"):
+            by_name[spec.name] = column
+        else:
+            # a name listed twice in #fields is converted at each position;
+            # the last one is kept, as in a line-by-line parse
+            by_name[spec.name] = _convert_column(column, spec, unset, empty, errors)
+    unset_column = [None] * n
+    records: list = []
+    record_lines: list[int] = []
+    issues: list[ParseIssue] = []
+    if kind != "conn":
+        for i, values in enumerate(zip(*(by_name.get(spec.name, unset_column)
+                                         for spec in KIND_FIELDS[kind]))):
+            if i in errors:
+                issues.append(ParseIssue(line_no=line_nos[i], message=errors[i]))
+            else:
+                records.append(ZeekRecord(kind=kind, fields=values))
+                record_lines.append(line_nos[i])
+        return record_lines, records, issues
+    raw_labels = by_name.get("label")
+    raw_details = by_name.get("detailed_label", ["-"] * n)
+    value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
+    check_required = any(None in value_columns[j] for _, j in _REQUIRED)
+    for i, values in enumerate(zip(*value_columns)):
+        message = errors.get(i)
+        if message is None:
+            try:
+                label = (AttackLabel.Benign if raw_labels is None
+                         else parse_iot23_label(raw_labels[i], raw_details[i]))
+                if check_required:
+                    _require_present(values)
+                records.append(ConnRecord(*values, label))
+                record_lines.append(line_nos[i])
+                continue
+            except (ValueError, RecordInvariantError, UnknownLabel) as exc:
+                message = str(exc)
+        issues.append(ParseIssue(line_no=line_nos[i], message=message))
+    return record_lines, records, issues
 
 
-def _require_present(kwargs: dict) -> None:
-    required = ("ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p",
-                "proto", "conn_state", "missed_bytes", "history",
-                "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes")
-    for name in required:
-        if kwargs.get(name) is None:
+_REQUIRED = [
+    (name, [spec.name for spec in CONN_FIELDS].index(name))
+    for name in ("ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p",
+                 "proto", "conn_state", "missed_bytes", "history",
+                 "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes")
+]
+
+
+def _require_present(values: tuple) -> None:
+    """``values`` in CONN_FIELDS order."""
+    for name, j in _REQUIRED:
+        if values[j] is None:
             raise ValueError(f"required field {name} is unset")
 
 
@@ -265,22 +409,19 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
             issues.append(ParseIssue(line_no=line_no, message=f"bad json: {exc}"))
             continue
         try:
-            converted = {}
-            for spec in specs:
-                value = obj.get(spec.zeek_name, obj.get(spec.name))
-                converted[spec.name] = _convert_json(value, spec)
+            values = tuple(
+                _convert_json(obj.get(spec.zeek_name, obj.get(spec.name)), spec) for spec in specs
+            )
             if kind == "conn":
                 label = AttackLabel.Benign
                 if "label" in obj or "detailed-label" in obj:
                     label = parse_iot23_label(
                         str(obj.get("label", "-")), str(obj.get("detailed-label", "-"))
                     )
-                _require_present(converted)
-                records.append(ConnRecord(label=label, **converted))
+                _require_present(values)
+                records.append(ConnRecord(*values, label))
             else:
-                records.append(
-                    ZeekRecord(kind=kind, fields=tuple(converted[s.name] for s in specs))
-                )
+                records.append(ZeekRecord(kind=kind, fields=values))
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:
             issues.append(ParseIssue(line_no=line_no, message=str(exc)))
     return ZeekParseResult(records=records, issues=issues)
@@ -289,17 +430,19 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
 def _convert_json(value, spec: FieldSpec):
     if value is None:
         return None
+    if spec.vtype in ("count", "port", "int"):
+        # only a JSON integer: 1.9, true or "80" is a bad line, not 1, 1 or 80
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{spec.name} must be an integer: {value!r}")
+        if spec.vtype == "port" and not 0 <= value <= 65535:
+            raise ValueError(f"{spec.name} out of range: {value}")
+        if spec.vtype == "count" and value < 0:
+            raise ValueError(f"{spec.name} must be nonnegative: {value}")
+        return value
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
     if spec.vtype == "time":
         return epoch_to_datetime(repr(value) if isinstance(value, float) else str(value))
-    if spec.vtype in ("count", "port", "int"):
-        out = int(value)
-        if spec.vtype == "port" and not 0 <= out <= 65535:
-            raise ValueError(f"{spec.name} out of range: {out}")
-        if spec.vtype == "count" and out < 0:
-            raise ValueError(f"{spec.name} must be nonnegative: {out}")
-        return out
     if spec.vtype in ("float", "duration"):
         out = float(value)
         if spec.vtype == "duration" and out < 0:
@@ -333,30 +476,46 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         "#fields\t" + "\t".join(spec.zeek_name for spec in specs),
         "#types\t" + "\t".join(spec.zeek_type for spec in specs),
     ]
-    for record in records:
-        if kind == "conn":
-            row = [_render(getattr(record, spec.name), spec) for spec in CONN_FIELDS]
+    if kind == "conn":
+        # a block of rows at a time, so that only one block's rendered values
+        # are held before they are joined into lines
+        for start in range(0, len(records), _BLOCK_LINES):
+            block = records[start:start + _BLOCK_LINES]
+            columns = [_render_column(column, spec)
+                       for column, spec in zip(zip(*map(conn_to_row, block)), CONN_FIELDS)]
             if labeled:
-                if record.label is AttackLabel.Benign:
-                    row += ["Benign", "-"]
-                else:
-                    row += ["Malicious", record.label.value]
-        else:
-            row = [_render(v, spec) for v, spec in zip(record.fields, specs)]
-        lines.append("\t".join(row))
+                labels = [record.label for record in block]
+                columns.append(["Benign" if label is AttackLabel.Benign else "Malicious"
+                                for label in labels])
+                columns.append(["-" if label is AttackLabel.Benign else label.value
+                                for label in labels])
+            lines.extend(map("\t".join, zip(*columns)))
+    else:
+        for record in records:
+            lines.append("\t".join(_render(v, spec) for v, spec in zip(record.fields, specs)))
     lines.append("#close\t2000-01-01-00-00-00")
     return "\n".join(lines) + "\n"
 
 
+def _render_column(column: tuple, spec: FieldSpec) -> list[str]:
+    """``_render`` over one column: mapped at once unless the column holds
+    None (or, for a string column, ``""``), which goes value by value."""
+    if None in column or (spec.vtype == "str" and "" in column):
+        return [_render(value, spec) for value in column]
+    if spec.vtype in ("float", "duration"):
+        return list(map("{:.6f}".format, column))
+    if spec.vtype == "time":
+        return list(map(datetime_to_epoch, column))
+    if spec.vtype == "bool":
+        return ["T" if value else "F" for value in column]
+    return list(map(str, column))
+
+
 def rows_for_table(records: Iterable, kind: str) -> list[tuple]:
     """Store-ready rows (conn label columns excluded; table schema order)."""
-    out = []
-    for record in records:
-        if isinstance(record, ConnRecord):
-            out.append(tuple(getattr(record, spec.name) for spec in CONN_FIELDS))
-        else:
-            out.append(record.fields)
-    return out
+    if kind == "conn":
+        return list(map(conn_to_row, records))
+    return [record.fields for record in records]
 
 
 def table_name(kind: str) -> str:

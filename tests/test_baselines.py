@@ -213,3 +213,61 @@ def test_model_file_reports_feature_names(tmp_path, synth_data):
     payload = json.loads(path.read_text())
     assert payload["feature_names"] == feat.feature_names
     assert len(payload["feature_names"]) == 19
+
+
+def _predict_row_by_row(tree, X):
+    """Reference: one row at a time down the node arrays."""
+    out = np.zeros(len(X), dtype=bool)
+    for i, row in enumerate(np.asarray(X, dtype=np.float64)):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = bool(tree.leaf_value[node])
+    return out
+
+
+def test_tree_predict_matches_row_by_row_traversal(separable):
+    X, y = separable
+    forest = RandomForest(n_trees=15, max_depth=6, seed=5).fit(X[::3], y[::3])
+    rng = np.random.default_rng(2)
+    probes = [X, rng.normal(2.5, 3.0, size=(300, 3))]
+    for tree in forest.trees:
+        inner = [n for n, f in enumerate(tree.feature) if f >= 0]
+        # rows sitting exactly on each threshold (<= goes left), and NaN (goes right)
+        on_threshold = X[:len(inner)].copy()
+        for row, node in enumerate(inner):
+            on_threshold[row, tree.feature[node]] = tree.threshold[node]
+        with_nan = X[:40].copy()
+        with_nan[::2, 0] = np.nan
+        with_nan[1::3, 2] = np.nan
+        for probe in probes + [on_threshold, with_nan, np.empty((0, 3))]:
+            got = tree.predict(probe)
+            assert got.dtype == bool and got.shape == (len(probe),)
+            assert np.array_equal(got, _predict_row_by_row(tree, probe))
+    assert forest.predict(np.empty((0, 3))).shape == (0,)
+
+
+def test_tree_predict_single_leaf_and_threshold_edges():
+    tree = DecisionTree.from_state({
+        "max_depth": 2, "min_samples_split": 2, "max_features": None, "seed": 0,
+        "feature": [1, -1, 0, -1, -1], "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+        "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+        "leaf_value": [0, 1, 0, 0, 1],
+    })
+    X = np.array([
+        [0.0, 0.5],          # on the root threshold: left leaf
+        [-1.0, 0.6],         # right, then on the second threshold: left leaf
+        [-0.9, 0.6],         # right, right
+        [np.nan, 0.6],       # NaN goes right
+        [0.0, np.nan],       # NaN at the root goes right, then 0.0 > -1.0
+        [np.inf, -np.inf],
+    ])
+    assert tree.predict(X).tolist() == [True, False, True, True, True, True]
+    assert np.array_equal(tree.predict(X), _predict_row_by_row(tree, X))
+    leaf = DecisionTree.from_state({
+        "max_depth": 1, "min_samples_split": 2, "max_features": None, "seed": 0,
+        "feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "leaf_value": [1],
+    })
+    assert leaf.predict(X).tolist() == [True] * len(X)
+    assert leaf.predict(np.empty((0, 2))).tolist() == []

@@ -1,19 +1,29 @@
+import json
+from datetime import datetime
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.ingest import (
+    KIND_FIELDS,
     AttackLabel,
     ConnRecord,
     MissingFieldsHeader,
+    RecordInvariantError,
     SynthSpec,
     UnknownKind,
     UnknownLabel,
+    ZeekRecord,
+    datetime_to_epoch,
+    epoch_to_datetime,
     parse_iot23_label,
     parse_zeek,
     serialize_zeek,
     synthesize_logs,
 )
+from iotsqlbench.ingest import zeek
 
 HEADER = "\n".join([
     "#separator \\x09",
@@ -193,3 +203,298 @@ def test_generator_parser_duality(seed, n):
     back = parse_zeek(text, "conn")
     assert not back.issues
     assert back.records == records
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time TSV conversion against a line-by-line reference
+
+_REFERENCE_REQUIRED = (
+    "ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p", "proto", "conn_state",
+    "missed_bytes", "history", "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes",
+)
+
+
+def _reference_record(kind, plan, values, unset, empty):
+    """One line, one value at a time through zeek._convert."""
+    converted, raw_label, raw_detail = {}, None, None
+    for spec, value in zip(plan, values):
+        if spec is None:
+            continue
+        if spec.name == "label":
+            raw_label = value
+        elif spec.name == "detailed_label":
+            raw_detail = value
+        else:
+            converted[spec.name] = zeek._convert(value, spec, unset, empty)
+    if kind != "conn":
+        return ZeekRecord(kind=kind, fields=tuple(converted.get(s.name) for s in KIND_FIELDS[kind]))
+    label = AttackLabel.Benign
+    if raw_label is not None:
+        label = parse_iot23_label(raw_label, raw_detail if raw_detail is not None else "-")
+    kwargs = {spec.name: converted.get(spec.name) for spec in KIND_FIELDS["conn"]}
+    for name in _REFERENCE_REQUIRED:
+        if kwargs[name] is None:
+            raise ValueError(f"required field {name} is unset")
+    return ConnRecord(label=label, **kwargs)
+
+
+def _reference_parse(text, kind):
+    """Line-by-line parse of a tab-separated log: (records, [(line_no, message)])."""
+    unset, empty, plan = "-", "(empty)", None
+    records, issues = [], []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        if raw.startswith("#"):
+            parts = raw[1:].split("\t")
+            if parts[0] == "fields":
+                plan = zeek._field_plan(kind, parts[1:])
+            elif parts[0] == "unset_field":
+                unset = parts[1]
+            elif parts[0] == "empty_field":
+                empty = parts[1]
+            continue
+        values, line_plan, issue = zeek._reconcile_arity(raw.split("\t"), plan, kind, line_no)
+        if issue is not None:
+            issues.append((line_no, issue.message))
+            continue
+        try:
+            records.append(_reference_record(kind, line_plan, values, unset, empty))
+        except (ValueError, RecordInvariantError, UnknownLabel) as exc:
+            issues.append((line_no, str(exc)))
+    return records, issues
+
+
+_GOOD = {
+    "time": ["1616161616.123456", "0.5", "-1.5", "1616161616"],
+    "count": ["0", "450", "7", "007"],
+    "port": ["0", "80", "65535"],
+    "int": ["0", "-4", "12"],
+    "float": ["1.5", "-0.25", "nan", "inf", "1e3"],
+    "duration": ["0.0", "1.500000", "inf", "nan"],  # NaN fails the conn invariant
+    "bool": ["T", "F", "true", "False"],
+    "str": ["abc", "x y", "CAbc1", "-x", "(empty)x"],
+}
+_BAD = {
+    "time": ["abc", "1.x", "99999999999999.5"],
+    "count": ["-3", "1.9", "x"],
+    "port": ["70000", "-1", "8O"],
+    "int": ["z", "1.5"],
+    "float": ["x", "1,5"],
+    "duration": ["-0.5", "1,5"],
+    "bool": ["yes", "1"],
+}
+_LABEL_PAIRS = [
+    ("Benign", "-"), ("Malicious", "Okiru"), ("Malicious", "C&C"), ("malicious", " okiru "),
+    ("Malicious", "Zerg"), ("Bogus", "-"), ("-", "-"), ("DDoS", "-"),
+]
+_MARKERS = [("-", "(empty)"), ("NA", "EMPTY"), ("5", "T")]
+
+
+@st.composite
+def _tsv_logs(draw):
+    """A tab-separated log of one kind: one to three #fields headers (columns
+    dropped, repeated or unknown; markers changed), each followed by lines
+    that are clean, hold markers or hold bad values, with labels declared,
+    appended or glued, wrong field counts and blank lines."""
+    kind = draw(st.sampled_from(["conn", "dns", "http", "files", "ntp", "weird"]))
+    rnd = draw(st.randoms(use_true_random=False))  # per-value choices, cheap to draw
+    specs = KIND_FIELDS[kind]
+    lines = ["#separator \\x09", "#set_separator\t,", f"#path\t{kind}"]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            unset, empty = draw(st.sampled_from(_MARKERS))
+            lines += [f"#unset_field\t{unset}", f"#empty_field\t{empty}"]
+        else:
+            unset, empty = "-", "(empty)"
+        fields = list(specs)
+        if draw(st.integers(0, 3)) == 0:
+            fields = draw(st.permutations(fields))[: draw(st.integers(1, len(fields)))]
+            fields += draw(st.lists(st.sampled_from(specs), max_size=3))
+        names = [spec.zeek_name for spec in fields]
+        if draw(st.integers(0, 4)) == 0:
+            names.append("unknown_column")
+            fields.append(None)
+        declared_labels = kind == "conn" and draw(st.booleans())
+        if declared_labels:
+            names += ["label", "detailed-label"]
+        lines.append("#fields\t" + "\t".join(names))
+        for _ in range(rnd.randint(0, 10)):
+            mode = rnd.choice(["clean", "clean", "clean", "markers", "bad", "blank"])
+            if mode == "blank":
+                lines.append(rnd.choice(["", "   "]))
+                continue
+            values = [rnd.choice(_GOOD[spec.vtype]) if spec else "x" for spec in fields]
+            for j, spec in enumerate(fields):
+                if mode == "markers" and rnd.randint(0, 5) == 0:
+                    values[j] = rnd.choice([unset, empty])
+                if mode == "bad" and spec and spec.vtype in _BAD and rnd.randint(0, 4) == 0:
+                    values[j] = rnd.choice(_BAD[spec.vtype])
+            label, detail = rnd.choice(_LABEL_PAIRS)
+            shape = rnd.choice(["plain"] * 3 + ["appended"] * 2 + ["glued"] * 2 + ["short", "long"])
+            if declared_labels:
+                values += [label, detail]
+            elif kind == "conn" and shape == "appended":
+                values += [label, detail]
+            elif kind == "conn" and shape == "glued" and fields == list(specs):
+                values[-1] = f"{values[-1]}   {label}   {detail}"
+            if shape == "short":
+                values = values[:-1]
+            elif shape == "long":
+                values.append("extra")
+            lines.append("\t".join(values))
+    return kind, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tsv_logs(), st.sampled_from([1, 2, 3, 256]))
+def test_column_conversion_matches_line_by_line_reference(log, block):
+    kind, text = log
+    want_records, want_issues = _reference_parse(text, kind)
+    with mock.patch.object(zeek, "_BLOCK_LINES", block):
+        got = parse_zeek(text, kind)
+    # repr compares types too (1 vs 1.0 vs True) and treats NaN as equal to NaN
+    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert [(i.line_no, i.message) for i in got.issues] == want_issues
+
+
+def test_column_conversion_mixed_label_shapes_across_blocks():
+    parts = GOOD_LINE.split("\t")
+    glued = "\t".join(parts[:-1] + ["-   Malicious   Okiru"])
+    bad_port = "\t".join(parts[:3] + ["70000"] + parts[4:])
+    body = []
+    for i in range(700):
+        body.append([GOOD_LINE, GOOD_LINE + "\tMalicious\tDDoS", glued, bad_port, ""][i % 5])
+    text = HEADER + "\n" + "\n".join(body) + "\n"
+    want_records, want_issues = _reference_parse(text, "conn")
+    got = parse_zeek(text, "conn")
+    assert len(got.records) == 420 and len(got.issues) == 140
+    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert [(i.line_no, i.message) for i in got.issues] == want_issues
+    assert [r.label for r in got.records[:3]] == [AttackLabel.Benign, AttackLabel.DDoS, AttackLabel.Okiru]
+
+
+def test_bad_line_reports_its_first_failing_column():
+    parts = GOOD_LINE.split("\t")
+    parts[3] = "70000"      # orig_p out of range
+    parts[9] = "1.9"        # orig_bytes not a count
+    line = "\t".join(parts) + "\tMalicious\tZerg"
+    result = parse_zeek(HEADER + "\n" + GOOD_LINE + "\n" + line + "\n", "conn")
+    assert [(i.line_no, i.message) for i in result.issues] == [(10, "orig_p out of range: 70000")]
+    assert len(result.records) == 1
+
+
+def test_duplicate_field_checked_at_each_position():
+    header = HEADER.replace("\ttunnel_parents", "\ttunnel_parents\tid.orig_p")
+    good = GOOD_LINE + "\t443"
+    bad = GOOD_LINE + "\t-5"
+    result = parse_zeek(header + "\n" + good + "\n" + bad + "\n", "conn")
+    assert [r.orig_p for r in result.records] == [443]
+    assert [(i.line_no, i.message) for i in result.issues] == [(10, "orig_p out of range: -5")]
+
+
+def test_serialize_and_rows_render_unset_and_empty_values():
+    parts = GOOD_LINE.split("\t")
+    parts[7], parts[8], parts[12], parts[20] = "(empty)", "-", "-", "(empty)"
+    text = HEADER + "\n" + "\t".join(parts) + "\n" + GOOD_LINE + "\n"
+    records = parse_zeek(text, "conn").records
+    out = serialize_zeek(records, "conn", labeled=False)
+    assert out.splitlines()[8:10] == ["\t".join(parts), GOOD_LINE]
+    rows = zeek.rows_for_table(records, "conn")
+    assert rows[0][7] == "" and rows[0][8] is None and rows[0][12] is None
+    assert rows[1] == tuple(getattr(records[1], spec.name) for spec in KIND_FIELDS["conn"])
+
+
+# ---------------------------------------------------------------------------
+# Epoch times on both sides of 1970
+
+_EPOCH_PAIRS = [
+    ("0.000000", datetime(1970, 1, 1)),
+    ("1.500000", datetime(1970, 1, 1, 0, 0, 1, 500000)),
+    ("-0.500000", datetime(1969, 12, 31, 23, 59, 59, 500000)),
+    ("-1.500000", datetime(1969, 12, 31, 23, 59, 58, 500000)),
+    ("-86400.000001", datetime(1969, 12, 30, 23, 59, 59, 999999)),
+    ("1616161616.123456", datetime(2021, 3, 19, 13, 46, 56, 123456)),
+    ("-62135596800.000000", datetime(1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("text,dt", _EPOCH_PAIRS)
+def test_epoch_known_pairs(text, dt):
+    assert epoch_to_datetime(text) == dt
+    assert datetime_to_epoch(dt) == text
+
+
+def test_epoch_short_fraction_and_sign():
+    assert epoch_to_datetime("-1.5") == datetime(1969, 12, 31, 23, 59, 58, 500000)
+    assert epoch_to_datetime("-0.25") == datetime(1969, 12, 31, 23, 59, 59, 750000)
+    assert epoch_to_datetime("-2") == datetime(1969, 12, 31, 23, 59, 58)
+    assert epoch_to_datetime("2.1234567") == datetime(1970, 1, 1, 0, 0, 2, 123456)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)))
+def test_epoch_round_trip_from_datetime(dt):
+    assert epoch_to_datetime(datetime_to_epoch(dt)) == dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-62135596800, 253402300799), st.integers(0, 999_999))
+def test_epoch_round_trip_from_text(secs, usec):
+    text = f"{'-' if secs < 0 else ''}{abs(secs)}.{usec:06d}"
+    if secs < 0 and (abs(secs) + usec / 1e6) > 62135596800:
+        return  # before year 1
+    assert datetime_to_epoch(epoch_to_datetime(text)) == text
+
+
+def test_epoch_out_of_range_is_a_bad_line_not_a_crash():
+    with pytest.raises(ValueError, match="out of range"):
+        epoch_to_datetime("99999999999999.0")
+    parts = GOOD_LINE.split("\t")
+    parts[0] = "99999999999999.0"
+    result = parse_zeek(HEADER + "\n" + "\t".join(parts) + "\n" + GOOD_LINE + "\n", "conn")
+    assert len(result.records) == 1
+    assert [(i.line_no, i.message) for i in result.issues] == [
+        (9, "time out of range: '99999999999999.0'")
+    ]
+
+
+# ---------------------------------------------------------------------------
+# JSON logs: integer fields take JSON integers only
+
+_JSON_CONN = {
+    "ts": 1616161616.5, "uid": "CJson1", "id.orig_h": "192.168.1.2", "id.orig_p": 1024,
+    "id.resp_h": "10.0.0.1", "id.resp_p": 443, "proto": "tcp", "conn_state": "SF",
+    "missed_bytes": 0, "history": "S", "orig_pkts": 1, "orig_ip_bytes": 40,
+    "resp_pkts": 1, "resp_ip_bytes": 40,
+}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("orig_bytes", 1.9, "orig_bytes must be an integer: 1.9"),
+    ("orig_pkts", True, "orig_pkts must be an integer: True"),
+    ("id.resp_p", 80.7, "resp_p must be an integer: 80.7"),
+    ("id.resp_p", 80.0, "resp_p must be an integer: 80.0"),
+    ("missed_bytes", "0", "missed_bytes must be an integer: '0'"),
+    ("resp_bytes", [1, 2], "resp_bytes must be an integer: [1, 2]"),
+])
+def test_json_integer_fields_reject_non_integers(field, value, message):
+    obj = dict(_JSON_CONN, **{field: value})
+    result = parse_zeek(json.dumps(_JSON_CONN) + "\n" + json.dumps(obj) + "\n", "conn")
+    assert len(result.records) == 1
+    assert [(i.line_no, i.message) for i in result.issues] == [(2, message)]
+
+
+def test_json_integer_fields_keep_range_checks():
+    lines = [
+        dict(_JSON_CONN, **{"id.orig_p": 65535, "orig_bytes": 2**40}),
+        dict(_JSON_CONN, **{"id.orig_p": 65536}),
+        dict(_JSON_CONN, **{"orig_bytes": -1}),
+    ]
+    result = parse_zeek("".join(json.dumps(o) + "\n" for o in lines), "conn")
+    (rec,) = result.records
+    assert rec.orig_p == 65535 and rec.orig_bytes == 2**40
+    assert [(i.line_no, i.message) for i in result.issues] == [
+        (2, "orig_p out of range: 65536"),
+        (3, "orig_bytes must be nonnegative: -1"),
+    ]
