@@ -91,6 +91,13 @@ class ArtifactWriter:
         self.artifacts[rel] = hashlib.sha256(data).hexdigest()
         return path
 
+    def write_with(self, rel: str, write) -> None:
+        """Let ``write(path)`` write the artifact ``rel``; record its digest."""
+        path = self.out_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        self.artifacts[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+
     def _portable(self, value) -> str:
         # inputs inside the output dir are recorded relative to it, so a
         # rerun rooted elsewhere produces the same manifest bytes
@@ -180,6 +187,17 @@ def load_db_dir(path: Path):
     data = read_logs_dir(path)
     data.pop("_issues", None)
     return schema, build_database(schema, data), data
+
+
+def network_splits(anonymized: str, network_manifest: str) -> dict[str, list]:
+    """The anonymized conn records of each split, in manifest order."""
+    result = parse_zeek(Path(anonymized).read_text(encoding="utf-8"), "conn")
+    by_uid = {r.uid: r for r in result.records}
+    manifest = splitter.load_manifest(Path(network_manifest).read_text(encoding="utf-8"))
+    return {
+        split: [by_uid[i] for i in manifest.ids_for(split) if i in by_uid]
+        for split in splitter.SPLITS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +323,21 @@ def cmd_emit(cfg: RunConfig, out: Path, args) -> int:
     if args.corpus and args.pairs_manifest:
         pairs = templates.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
         manifest = splitter.load_manifest(Path(args.pairs_manifest).read_text(encoding="utf-8"))
+        separator = cfg.raw("emit.separator")
         for split in splitter.SPLITS:
             subset = [pairs[int(i)] for i in manifest.ids_for(split)]
-            path = writer.out_dir / f"model_io/sql_{split}.jsonl"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            modelio.write_sql_examples(subset, schema, path, separator=cfg.raw("emit.separator"))
-            writer.artifacts[f"model_io/sql_{split}.jsonl"] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
+            writer.write_with(
+                f"model_io/sql_{split}.jsonl",
+                lambda path: modelio.write_sql_examples(subset, schema, path, separator=separator),
+            )
         inputs.update({"corpus": args.corpus, "pairs_manifest": args.pairs_manifest})
     if args.anonymized and args.network_manifest:
-        result = parse_zeek(Path(args.anonymized).read_text(encoding="utf-8"), "conn")
-        by_uid = {r.uid: r for r in result.records}
-        manifest = splitter.load_manifest(Path(args.network_manifest).read_text(encoding="utf-8"))
-        for split in splitter.SPLITS:
-            subset = [by_uid[i] for i in manifest.ids_for(split) if i in by_uid]
-            path = writer.out_dir / f"model_io/detect_{split}.jsonl"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            modelio.write_detection_examples(subset, path, instruction=cfg.raw("emit.instruction"))
-            writer.artifacts[f"model_io/detect_{split}.jsonl"] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
+        instruction = cfg.raw("emit.instruction")
+        for split, subset in network_splits(args.anonymized, args.network_manifest).items():
+            writer.write_with(
+                f"model_io/detect_{split}.jsonl",
+                lambda path: modelio.write_detection_examples(subset, path, instruction=instruction),
+            )
         inputs.update({"anonymized": args.anonymized, "network_manifest": args.network_manifest})
     if not inputs:
         raise ConfigError("emit needs (--corpus, --pairs-manifest) and/or (--anonymized, --network-manifest)")
@@ -369,13 +381,7 @@ def cmd_eval_detect(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
-    result = parse_zeek(Path(args.anonymized).read_text(encoding="utf-8"), "conn")
-    by_uid = {r.uid: r for r in result.records}
-    manifest = splitter.load_manifest(Path(args.network_manifest).read_text(encoding="utf-8"))
-    subsets = {
-        split: [by_uid[i] for i in manifest.ids_for(split) if i in by_uid]
-        for split in splitter.SPLITS
-    }
+    subsets = network_splits(args.anonymized, args.network_manifest)
     if not subsets["train"]:
         raise baselines.Empty("no training records in the manifest")
     seed = cfg.get_int("seed")
@@ -395,10 +401,7 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
     model = baselines.train(kind, X_train, y_train, hyperparams=hp, seed=seed, featurizer=featurizer)
 
     writer = ArtifactWriter(out)
-    model_path = writer.out_dir / "baseline/model.json"
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    baselines.save_model(model, model_path)
-    writer.artifacts["baseline/model.json"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
+    writer.write_with("baseline/model.json", lambda path: baselines.save_model(model, path))
     if kind == "linear_svm":
         log_lines = [f"epoch {i + 1}: loss {loss:.6f}" for i, loss in enumerate(model.model.epoch_losses)]
         writer.write("baseline/svm_training.log", "\n".join(log_lines) + "\n")

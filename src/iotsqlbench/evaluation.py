@@ -183,22 +183,17 @@ class _Prepared:
         rows = result.rows if ordered else _sorted_rows(result.rows)
         return cls(len(result.columns), ordered, rows)
 
-    def matches(self, pred: ResultTable, rel_tol: float = EXEC_REL_TOL) -> bool:
+    def matches(self, pred: ResultTable) -> bool:
         """Positional multiset comparison; column names are ignored."""
         if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
             return False
         rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
-        return _rows_match(rows, self.rows, rel_tol)
+        return _rows_match(rows, self.rows, EXEC_REL_TOL)
 
 
-def results_match(
-    pred: ResultTable,
-    gold: ResultTable,
-    order_sensitive: bool,
-    rel_tol: float = EXEC_REL_TOL,
-) -> bool:
+def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -> bool:
     """Positional multiset comparison; column names are ignored."""
-    return _Prepared.of(gold, order_sensitive).matches(pred, rel_tol)
+    return _Prepared.of(gold, order_sensitive).matches(pred)
 
 
 @dataclass(frozen=True)
@@ -217,12 +212,8 @@ def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     except Exception as exc:
         raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
     expected = _Prepared.of(result, bool(parsed.order_by))
-    tables = set()
-    for name in _sql.referenced_tables(parsed):
-        t = db.schema.table(name)
-        tables.add(t.name if t is not None else name)
     self_match = _rows_match(expected.rows, expected.rows, EXEC_REL_TOL)
-    return _Gold(expected, self_match, frozenset(tables))
+    return _Gold(expected, self_match, _sql.canonical_tables(parsed, db.schema))
 
 
 def execution_accuracy(
@@ -230,7 +221,6 @@ def execution_accuracy(
     gold_sql: str,
     db: Database,
     timeout: float = PRED_TIMEOUT,
-    rel_tol: float = EXEC_REL_TOL,
     golds: dict | None = None,
 ) -> bool:
     """True iff both queries run and their results match.
@@ -256,7 +246,7 @@ def execution_accuracy(
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
         return False
-    return gold.expected.matches(pred_result, rel_tol)
+    return gold.expected.matches(pred_result)
 
 
 # ---------------------------------------------------------------------------

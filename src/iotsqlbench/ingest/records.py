@@ -142,9 +142,6 @@ class ZeekRecord:
     kind: str
     fields: tuple  # values in KIND_FIELDS order
 
-    def get(self, name: str):
-        return self.fields[_FIELD_INDEX[self.kind][name]]
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -310,11 +307,6 @@ KIND_FIELDS = {
 
 TABLE_FOR_KIND = {kind: f"{kind}.log" for kind in ZEEK_KINDS}
 
-_FIELD_INDEX = {
-    kind: {spec.name: i for i, spec in enumerate(fields)}
-    for kind, fields in KIND_FIELDS.items()
-}
-
 LABEL_FIELDS = [
     FieldSpec(name="label", zeek_name="label", zeek_type="string", vtype="str"),
     FieldSpec(name="detailed_label", zeek_name="detailed-label", zeek_type="string", vtype="str"),
@@ -323,8 +315,3 @@ LABEL_FIELDS = [
 
 # conn_to_row(record): a 21-value row for the conn.log table (label excluded)
 conn_to_row = attrgetter(*(spec.name for spec in CONN_FIELDS))
-
-
-def conn_from_fields(values: tuple, label: AttackLabel = AttackLabel.Benign) -> ConnRecord:
-    kwargs = {spec.name: v for spec, v in zip(CONN_FIELDS, values)}
-    return ConnRecord(label=label, **kwargs)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from datetime import datetime
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 from .records import SENSOR_TYPES, IngestError, RecordInvariantError, SensorReading
 
@@ -16,15 +16,7 @@ class BadValue(IngestError):
     pass
 
 
-def _lines(stream: Union[str, IO[str], Iterable[str]]) -> list[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    if hasattr(stream, "read"):
-        return stream.read().splitlines()
-    return [line.rstrip("\n") for line in stream]
-
-
-def ingest_sensors(stream, sensor_type: str) -> list[SensorReading]:
+def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
     """Parse a sensor CSV into typed readings.
 
     Expects a ``room,ts,value`` header; ts is ISO-8601.  Raises BadTimestamp
@@ -33,7 +25,7 @@ def ingest_sensors(stream, sensor_type: str) -> list[SensorReading]:
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
     readings: list[SensorReading] = []
-    rows = _lines(stream)
+    rows = text.splitlines()
     start = 0
     if rows and rows[0].replace(" ", "").casefold().startswith("room,"):
         start = 1
@@ -69,7 +61,7 @@ def serialize_sensors(readings: Iterable[SensorReading]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sensor_rows(readings: Iterable[SensorReading], prefix: str = "") -> list[tuple]:
+def sensor_rows(readings: Iterable[SensorReading]) -> list[tuple]:
     """Store rows for a sensor table: (reading_id, room, floor, ts, value).
 
     Floor is derived from rooms shaped like R<floor><nn>; otherwise null.
@@ -79,6 +71,6 @@ def sensor_rows(readings: Iterable[SensorReading], prefix: str = "") -> list[tup
         floor = None
         if len(r.room) >= 2 and r.room[0] in "Rr" and r.room[1].isdigit():
             floor = int(r.room[1])
-        rid = f"{prefix or r.sensor_type[:1]}{i:06d}"
+        rid = f"{r.sensor_type[:1]}{i:06d}"
         rows.append((rid, r.room, floor, r.ts, r.value))
     return rows

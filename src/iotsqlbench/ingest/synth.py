@@ -409,13 +409,8 @@ def serialize_devices(devices: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_devices(stream) -> list[dict]:
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    elif hasattr(stream, "read"):
-        lines = stream.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+def parse_devices(text: str) -> list[dict]:
+    lines = text.splitlines()
     if not lines:
         return []
     header = lines[0].split(",")

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 from .records import (
     CONN_FIELDS,
@@ -145,16 +145,8 @@ def _render(value, spec: FieldSpec) -> str:
     return str(value)
 
 
-def _read_lines(stream: Union[str, IO[str], Iterable[str]]) -> list[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    if hasattr(stream, "read"):
-        return stream.read().splitlines()
-    return [line.rstrip("\n") for line in stream]
-
-
-def parse_zeek(stream, kind: str) -> ZeekParseResult:
-    """Parse one Zeek log stream into typed records.
+def parse_zeek(text: str, kind: str) -> ZeekParseResult:
+    """Parse the text of one Zeek log into typed records.
 
     Returns the records plus per-line issues for malformed rows (wrong
     field count, out-of-range values); bad lines are reported, never
@@ -162,7 +154,7 @@ def parse_zeek(stream, kind: str) -> ZeekParseResult:
     """
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
-    lines = _read_lines(stream)
+    lines = text.splitlines()
     for line in lines:
         if not line.strip():
             continue
@@ -439,19 +431,22 @@ def _convert_json(value, spec: FieldSpec):
         if spec.vtype == "count" and value < 0:
             raise ValueError(f"{spec.name} must be nonnegative: {value}")
         return value
-    if isinstance(value, list):
-        return ",".join(str(v) for v in value)
-    if spec.vtype == "time":
-        return epoch_to_datetime(repr(value) if isinstance(value, float) else str(value))
     if spec.vtype in ("float", "duration"):
+        # only a JSON number: true, "2.5" or [1.5] is a bad line
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{spec.name} must be a number: {value!r}")
         out = float(value)
         if spec.vtype == "duration" and out < 0:
             raise ValueError(f"{spec.name} must be nonnegative: {out}")
         return out
+    if spec.vtype == "time":
+        return epoch_to_datetime(repr(value) if isinstance(value, float) else str(value))
     if spec.vtype == "bool":
         if isinstance(value, bool):
             return value
         raise ValueError(f"bad bool {value!r}")
+    if isinstance(value, list):  # a set or vector, in a string field only
+        return ",".join(str(v) for v in value)
     return str(value)
 
 

@@ -10,7 +10,9 @@ predictions travel as UTF-8 JSON lines keyed by id.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 from .ingest.records import CONN_FIELDS, ConnRecord
@@ -144,9 +146,9 @@ def write_detection_examples(records: Iterable[ConnRecord], path, instruction: s
     return examples
 
 
-def read_sql_examples(stream) -> list[SqlExample]:
+def read_sql_examples(source: str | os.PathLike) -> list[SqlExample]:
     out = []
-    for line_no, obj in _read_jsonl(stream):
+    for line_no, obj in _read_jsonl(source):
         try:
             instruction_free = obj["input"]
             out.append(SqlExample(id=obj["id"], input=instruction_free, gold_sql=obj["gold_sql"]))
@@ -156,9 +158,9 @@ def read_sql_examples(stream) -> list[SqlExample]:
     return out
 
 
-def read_detection_examples(stream) -> list[DetectionExample]:
+def read_detection_examples(source: str | os.PathLike) -> list[DetectionExample]:
     out = []
-    for line_no, obj in _read_jsonl(stream):
+    for line_no, obj in _read_jsonl(source):
         try:
             text = obj["input"]
             gold = label_to_bool(obj["gold"])
@@ -172,7 +174,7 @@ def read_detection_examples(stream) -> list[DetectionExample]:
     return out
 
 
-def read_predictions(stream, kind: str = "sql") -> list[PredictionRecord]:
+def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[PredictionRecord]:
     """Parse a prediction file; duplicate or missing ids are rejected.
 
     kind="detection" additionally validates that each payload normalizes
@@ -181,7 +183,7 @@ def read_predictions(stream, kind: str = "sql") -> list[PredictionRecord]:
     if kind not in ("sql", "detection"):
         raise ParseError(f"unknown prediction kind {kind!r}")
     out = []
-    for line_no, obj in _read_jsonl(stream):
+    for line_no, obj in _read_jsonl(source):
         if "id" not in obj:
             raise MissingId(f"line {line_no}: prediction record has no id")
         if "payload" not in obj:
@@ -196,17 +198,11 @@ def read_predictions(stream, kind: str = "sql") -> list[PredictionRecord]:
     return out
 
 
-def _read_jsonl(stream):
-    if hasattr(stream, "read"):
-        lines = stream.read().splitlines()
-    elif hasattr(stream, "__fspath__") or (
-        isinstance(stream, str) and "\n" not in stream and stream.lstrip()[:1] != "{"
-    ):
-        with open(stream, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = stream.splitlines() if isinstance(stream, str) else list(stream)
-    for line_no, line in enumerate(lines, start=1):
+def _read_jsonl(source: str | os.PathLike):
+    """(line number, object) per record; a str is the file's text, an
+    os.PathLike its path."""
+    text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -288,11 +288,7 @@ def dump_manifest(manifest: SplitManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_manifest(stream) -> SplitManifest:
-    if hasattr(stream, "read"):
-        text = stream.read()
-    else:
-        text = stream
+def load_manifest(text: str) -> SplitManifest:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# "):
         raise SplitError("manifest missing header")

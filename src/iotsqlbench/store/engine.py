@@ -419,7 +419,7 @@ def _compile_membership(probe: _Operand, values: list) -> Callable[[tuple], bool
 # Evaluation
 
 
-class _Scope:
+class Scope:
     """Column resolution over one table or a joined pair."""
 
     def __init__(self, tables: list[tuple[TableSchema, int]]):
@@ -434,6 +434,18 @@ class _Scope:
                 self._unqualified.setdefault(norm_ident(col.name), []).append(
                     (base + i, col)
                 )
+
+    @classmethod
+    def of(cls, query: _sql.Query, schema: DatabaseSchema) -> "Scope":
+        """The columns a query's own row holds: its table's, then its join
+        table's.  An unknown table or a self-join is an error."""
+        main = _resolve_table(schema, query.table)
+        if query.join is None:
+            return cls([(main, 0)])
+        right = _resolve_table(schema, query.join.table)
+        if norm_ident(right.name) == norm_ident(main.name):
+            raise ParseError("self-joins are not supported")
+        return cls([(main, 0), (right, len(main.columns))])
 
     def resolve(self, raw: str) -> tuple[int, ColumnDef]:
         key = norm_ident(raw)
@@ -509,7 +521,7 @@ def _filter(rows: Sequence[tuple], predicates: list, deadline: float) -> Sequenc
 class _AggSpec:
     """One aggregate computation over a group of rows."""
 
-    def __init__(self, call: _sql.AggCall, scope: _Scope):
+    def __init__(self, call: _sql.AggCall, scope: Scope):
         self.op = call.op
         self.attr = "number"
         if isinstance(call.arg, _sql.Star):
@@ -598,22 +610,6 @@ def _conjuncts(cond) -> list:
     return [cond]
 
 
-def _outer_columns(cond):
-    """The column references a condition reads from its own row; a
-    subquery's body reads its own table."""
-    if isinstance(cond, (_sql.And, _sql.Or)):
-        for item in cond.items:
-            yield from _outer_columns(item)
-        return
-    if isinstance(cond, _sql.Comparison):
-        nodes = (cond.lhs, cond.rhs)
-    elif isinstance(cond, _sql.SubqueryCmp):
-        nodes = (cond.lhs,)
-    else:
-        nodes = (cond.operand,)
-    yield from (n for n in nodes if isinstance(n, _sql.ColumnRef))
-
-
 def _shifted(operand: Callable[[object], _Operand], offset: int) -> Callable[[object], _Operand]:
     """``operand`` for a row that starts ``offset`` columns into the scope's row."""
 
@@ -652,18 +648,15 @@ def _run_query(
     if query.table is None:
         values = tuple(item.value for item in query.select)
         return ResultTable(columns=[_render_literal_name(v) for v in values], rows=[values])
-    main = _resolve_table(schema, query.table)
+    scope = Scope.of(query, schema)
+    main = scope.tables[0][0]
     rows: Sequence[tuple] = snap[norm_ident(main.name)]
 
     def compile_where(cond, operand):
         return _compile_condition(cond, operand, schema, snap, deadline)
 
     if query.join is not None:
-        right = _resolve_table(schema, query.join.table)
-        if norm_ident(right.name) == norm_ident(main.name):
-            raise ParseError("self-joins are not supported")
-        base = len(main.columns)
-        scope = _Scope([(main, 0), (right, base)])
+        right, base = scope.tables[1]
         left_key = scope.resolve(query.join.left.name)
         right_key = scope.resolve(query.join.right.name)
         if left_key[0] >= base and right_key[0] < base:
@@ -673,7 +666,12 @@ def _run_query(
         # a conjunct reading one table filters it before the join
         left_preds, right_preds, joined_preds = [], [], []
         for cond in _conjuncts(query.where):
-            sides = {scope.resolve(ref.name)[0] >= base for ref in _outer_columns(cond)}
+            sides = {
+                scope.resolve(node.name)[0] >= base
+                for leaf in _sql.leaves(cond)
+                for node in _sql.operands(leaf)
+                if isinstance(node, _sql.ColumnRef)
+            }
             if sides == {True}:
                 right_preds.append(compile_where(cond, _shifted(scope.operand, base)))
             elif sides == {True, False}:
@@ -689,7 +687,6 @@ def _run_query(
         )
         rows = _filter(rows, joined_preds, deadline)
     else:
-        scope = _Scope([(main, 0)])
         preds = [compile_where(cond, scope.operand) for cond in _conjuncts(query.where)]
         rows = _filter(rows, preds, deadline)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable
 
 ATTRIBUTES = ("text", "number", "time", "boolean")
 
@@ -145,18 +145,13 @@ def linearize_schema(schema: DatabaseSchema) -> LinearizedSchema:
     return LinearizedSchema(tokens=tuple(tokens))
 
 
-def parse_schema_text(stream: TextIO | str) -> DatabaseSchema:
+def parse_schema_text(text: str) -> DatabaseSchema:
     """Parse the line-oriented schema format.
 
     Format: ``table <name>`` lines, each followed by indented
     ``column <name> <attribute>`` lines.  ``#`` starts a comment; blank
     lines are ignored.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
-
     tables: list[TableSchema] = []
     current_name: str | None = None
     current_cols: list[ColumnDef] = []
@@ -167,7 +162,7 @@ def parse_schema_text(stream: TextIO | str) -> DatabaseSchema:
             tables.append(TableSchema(name=current_name, columns=tuple(current_cols)))
         current_name, current_cols = None, []
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -200,7 +195,7 @@ def dump_schema_text(schema: DatabaseSchema) -> str:
 
 def load_schema_file(path: str) -> DatabaseSchema:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_schema_text(fh)
+        return parse_schema_text(fh.read())
 
 
 def default_schema() -> DatabaseSchema:

@@ -6,6 +6,13 @@ ORDER BY, LIMIT, aggregates AVG/MIN/MAX/SUM/COUNT, and a single level of
 subquery nesting in WHERE (scalar comparison or IN).  Identifiers are
 case-insensitive and may contain dots (``conn.log``, ``id.orig_h``);
 string literals are case-sensitive.
+
+A query is walked in one way for every analysis of it: ``queries`` yields
+the query and its subqueries, ``leaves`` the comparisons of a WHERE or
+HAVING tree, and ``operands`` what one comparison reads from its own row.
+The tables a query references (``referenced_tables``, ``canonical_tables``),
+the engine's placement of join filters, and the corpus's construct and
+temporal counts are all built on these.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import ParseError
+from .schema import DatabaseSchema
 
 AGG_OPS = ("AVG", "MIN", "MAX", "SUM", "COUNT")
 
@@ -424,26 +432,58 @@ def parse(sql: str) -> Query:
     return query
 
 
+# ---------------------------------------------------------------------------
+# Query walk
+
+
+def leaves(cond: Condition | None) -> Iterator[Condition]:
+    """The comparisons of an AND/OR tree, left to right; none for None."""
+    if isinstance(cond, (And, Or)):
+        for item in cond.items:
+            yield from leaves(item)
+    elif cond is not None:
+        yield cond
+
+
+def operands(leaf: Condition) -> tuple:
+    """What a comparison reads from its own row: its columns, literals and
+    aggregates.  A subquery's body reads its own table and is not included."""
+    if isinstance(leaf, Comparison):
+        return (leaf.lhs, leaf.rhs)
+    if isinstance(leaf, Between):
+        return (leaf.operand, leaf.lo, leaf.hi)
+    if isinstance(leaf, SubqueryCmp):
+        return (leaf.lhs,)
+    return (leaf.operand,)  # InSubquery
+
+
+def queries(query: Query) -> Iterator[Query]:
+    """The query, then the subqueries of its WHERE and HAVING, depth first."""
+    yield query
+    for cond in (query.where, query.having):
+        for leaf in leaves(cond):
+            if isinstance(leaf, (InSubquery, SubqueryCmp)):
+                yield from queries(leaf.query)
+
+
 def referenced_tables(query: Query | str) -> set[str]:
     """Raw table names mentioned by a query, including join and subquery tables."""
     if isinstance(query, str):
         query = parse(query)
-    names = set() if query.table is None else {query.table}
-    if query.join is not None:
-        names.add(query.join.table)
-    for cond in (query.where, query.having):
-        names.update(_subquery_tables(cond))
+    names = set()
+    for q in queries(query):
+        if q.table is not None:
+            names.add(q.table)
+        if q.join is not None:
+            names.add(q.join.table)
     return names
 
 
-def _subquery_tables(cond) -> set[str]:
-    if cond is None:
-        return set()
-    if isinstance(cond, (And, Or)):
-        out: set[str] = set()
-        for item in cond.items:
-            out.update(_subquery_tables(item))
-        return out
-    if isinstance(cond, (InSubquery, SubqueryCmp)):
-        return referenced_tables(cond.query)
-    return set()
+def canonical_tables(query: Query | str, schema: DatabaseSchema) -> frozenset:
+    """The tables a query references, by their names in ``schema``; a name
+    the schema lacks is kept as written."""
+    names = set()
+    for raw in referenced_tables(query):
+        t = schema.table(raw)
+        names.add(t.name if t is not None else raw)
+    return frozenset(names)

@@ -49,9 +49,6 @@ class SlotKind(enum.Enum):
 
 CATEGORIES = ("retrieval", "reasoning")
 
-COLUMN_KINDS = (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN)
-VALUE_KINDS = (SlotKind.COND_VALUE, SlotKind.TIME_LO, SlotKind.TIME_HI)
-
 PLACEHOLDER_RE = re.compile(
     r"\$\{(?P<braced>[A-Z][A-Z0-9_]*)(?::(?P<mode>[a-z]+))?\}|\$(?P<bare>[A-Z][A-Z0-9_]*)"
 )
@@ -123,9 +120,6 @@ class QueryTemplate:
                     raise BankFormatError(
                         f"template {self.id}: unknown rendering mode {mode!r}"
                     )
-
-    def slot(self, name: str) -> SlotSpec:
-        return self.slots[name]
 
     @property
     def is_temporal(self) -> bool:

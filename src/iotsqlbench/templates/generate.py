@@ -6,6 +6,12 @@ the database, so every emitted query executes on the database it came
 from.  Corpus generation derives one RNG per candidate index from the
 seed, de-duplicates on (question, sql), and keeps a floor of pairs with
 datetime predicates when the database has populated time columns.
+
+Each pair is classified from its parsed SQL through the store's one query
+walk (``store.sql.queries``/``leaves``/``operands``): the tables it names
+(``canonical_tables``, shared with scoring), whether it is temporal
+(``has_datetime_predicate``, columns resolved by the engine's ``Scope``)
+and the constructs it uses (``construct_coverage``).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 
-from ..store import Database, norm_ident
+from ..store import Database, Scope, StoreError, canonical_tables, norm_ident
 from ..store import sql as _sql
 from ..store.schema import ColumnDef, DatabaseSchema, TableSchema
 from .bank import (
@@ -29,7 +35,6 @@ from .bank import (
     UnboundPlaceholder,
     UnsatisfiableSlot,
     default_bank,
-    slot_suffix,
 )
 
 
@@ -435,15 +440,13 @@ def instantiate(
     db: Database,
     rng: random.Random,
     binder: TemplateBinder | None = None,
-    verify: bool = True,
 ) -> TextSqlPair:
     """Bind all slots and emit one text-SQL pair; the SQL is run against the
     database to uphold the executability guarantee."""
     binder = binder or TemplateBinder(db)
     bindings = binder.bind(template, rng)
     sql_text = render_sql(template, bindings)
-    if verify:
-        db.execute(sql_text)
+    db.execute(sql_text)
     variant = rng.randrange(len(template.nl_patterns))
     question = realize_question(template, bindings, variant)
     return TextSqlPair(
@@ -455,63 +458,34 @@ def instantiate(
     )
 
 
-def canonical_tables(sql_text: str, schema: DatabaseSchema) -> frozenset:
-    names = set()
-    for raw in _sql.referenced_tables(sql_text):
-        t = schema.table(raw)
-        names.add(t.name if t is not None else raw)
-    return frozenset(names)
-
-
 def has_datetime_predicate(sql_text: str, schema: DatabaseSchema) -> bool:
-    """True when WHERE/HAVING compares a time-attribute column (temporal pair)."""
+    """True when a WHERE/HAVING comparison of the query or of a subquery
+    reads a time-attribute column (a temporal pair).  Columns resolve as
+    the engine resolves them, in the scope of their own query: one it
+    cannot resolve (ambiguous, or from a table outside FROM) is no time
+    column."""
     try:
         query = _sql.parse(sql_text)
     except Exception:
         return False
-    return _query_has_time_pred(query, schema)
+    for q in _sql.queries(query):
+        try:
+            scope = Scope.of(q, schema)
+        except StoreError:  # no FROM, an unknown table, a self-join
+            continue
+        for cond in (q.where, q.having):
+            for leaf in _sql.leaves(cond):
+                for node in _sql.operands(leaf):
+                    if isinstance(node, _sql.ColumnRef) and _is_time_column(scope, node.name):
+                        return True
+    return False
 
 
-def _query_has_time_pred(query: _sql.Query, schema: DatabaseSchema) -> bool:
-    tables = [schema.table(raw) for raw in ([query.table] if query.table else [])]
-    if query.join is not None:
-        tables.append(schema.table(query.join.table))
-    tables = [t for t in tables if t is not None]
-
-    def col_is_time(ref: _sql.ColumnRef) -> bool:
-        raw = ref.name
-        for t in tables:
-            col = t.column(raw)
-            if col is not None:
-                return col.attribute == "time"
-        for split in range(len(raw) - 1, 0, -1):
-            if raw[split] != ".":
-                continue
-            t = schema.table(raw[:split])
-            if t is not None:
-                col = t.column(raw[split + 1 :])
-                if col is not None:
-                    return col.attribute == "time"
+def _is_time_column(scope: Scope, raw: str) -> bool:
+    try:
+        return scope.resolve(raw)[1].attribute == "time"
+    except StoreError:
         return False
-
-    def walk(cond) -> bool:
-        if cond is None:
-            return False
-        if isinstance(cond, (_sql.And, _sql.Or)):
-            return any(walk(c) for c in cond.items)
-        if isinstance(cond, _sql.Comparison):
-            return any(isinstance(o, _sql.ColumnRef) and col_is_time(o) for o in (cond.lhs, cond.rhs))
-        if isinstance(cond, _sql.Between):
-            return isinstance(cond.operand, _sql.ColumnRef) and col_is_time(cond.operand)
-        if isinstance(cond, _sql.SubqueryCmp):
-            lhs_time = isinstance(cond.lhs, _sql.ColumnRef) and col_is_time(cond.lhs)
-            return lhs_time or _query_has_time_pred(cond.query, schema)
-        if isinstance(cond, _sql.InSubquery):
-            op_time = isinstance(cond.operand, _sql.ColumnRef) and col_is_time(cond.operand)
-            return op_time or _query_has_time_pred(cond.query, schema)
-        return False
-
-    return walk(query.where) or walk(query.having)
 
 
 @dataclass
@@ -519,10 +493,11 @@ class CorpusConfig:
     n_pairs: int
     seed: int = 0
     template_weights: dict | None = None  # template id -> weight; None = uniform
-    bank: list | None = None
     temporal_floor: float = 0.10
-    temporal_stride: int = 5  # every k-th candidate draws from temporal templates
     max_attempt_factor: int = 60
+
+
+_TEMPORAL_STRIDE = 5  # every k-th candidate draws from temporal templates
 
 
 def _candidate_rng(seed: int, index: int) -> random.Random:
@@ -534,7 +509,7 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
     """Generate exactly n distinct pairs, deterministic in the seed."""
     if config.n_pairs == 0:
         return []
-    bank = config.bank if config.bank is not None else default_bank()
+    bank = default_bank()
     weights = {t.id: 1.0 for t in bank}
     if config.template_weights is not None:
         weights.update(config.template_weights)
@@ -556,7 +531,7 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
         rng = _candidate_rng(config.seed, k)
         remaining = config.n_pairs - len(pairs)
         force_temporal = bool(temporal) and (need_temporal - temporal_count) >= remaining
-        reserve_temporal = bool(temporal) and (k % config.temporal_stride == 0)
+        reserve_temporal = bool(temporal) and (k % _TEMPORAL_STRIDE == 0)
         pool = temporal if (force_temporal or reserve_temporal) else active
         template = rng.choices(pool, weights=[weights[t.id] for t in pool])[0]
         try:
@@ -589,12 +564,6 @@ def _temporal_possible(binder: TemplateBinder, template: QueryTemplate) -> bool:
 # corpus file I/O and reporting
 
 
-def write_corpus(pairs: list[TextSqlPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(pair_to_json(pair) + "\n")
-
-
 def pair_to_json(pair: TextSqlPair) -> str:
     return json.dumps(
         {
@@ -609,16 +578,10 @@ def pair_to_json(pair: TextSqlPair) -> str:
     )
 
 
-def read_corpus(stream) -> list[TextSqlPair]:
-    """Load a corpus file; every pair's SQL must parse in the store dialect."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    elif hasattr(stream, "read"):
-        lines = stream.read().splitlines()
-    else:
-        lines = list(stream)
+def read_corpus(text: str) -> list[TextSqlPair]:
+    """Load a corpus file's text; every pair's SQL must parse in the store dialect."""
     pairs = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -642,16 +605,10 @@ def read_corpus(stream) -> list[TextSqlPair]:
     return pairs
 
 
-def read_manual_pairs(stream, db: Database) -> list[TextSqlPair]:
-    """Hand-written pairs from a JSONL side channel, validated by execution."""
-    if hasattr(stream, "read"):
-        lines = stream.read().splitlines()
-    elif isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = list(stream)
+def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
+    """Hand-written pairs from JSONL text, validated by execution."""
     pairs = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -689,7 +646,9 @@ def corpus_stats(pairs: list[TextSqlPair]) -> dict:
 
 
 def construct_coverage(pairs: list[TextSqlPair]) -> dict:
-    """How many pairs use each construct (join, having, nested, each aggregate...)."""
+    """How many pairs use each construct (join, having, nested, each
+    aggregate...).  An aggregate counts wherever the query or a subquery
+    names it: SELECT, WHERE/HAVING comparisons or ORDER BY."""
     counts = {
         key: 0
         for key in ("join", "having", "nested", "distinct", "order_by", "limit",
@@ -712,52 +671,19 @@ def construct_coverage(pairs: list[TextSqlPair]) -> dict:
             counts["limit"] += 1
         if query.group_by:
             counts["group_by"] += 1
-        if _has_subquery(query):
+        if len(list(_sql.queries(query))) > 1:
             counts["nested"] += 1
-        for op in _agg_ops_used(query):
+        for op in _agg_ops(query):
             counts[op] += 1
     return counts
 
 
-def _has_subquery(query: _sql.Query) -> bool:
-    def walk(cond) -> bool:
-        if cond is None:
-            return False
-        if isinstance(cond, (_sql.And, _sql.Or)):
-            return any(walk(c) for c in cond.items)
-        return isinstance(cond, (_sql.InSubquery, _sql.SubqueryCmp))
-
-    return walk(query.where) or walk(query.having)
-
-
-def _agg_ops_used(query: _sql.Query) -> set[str]:
-    ops: set[str] = set()
-
-    def visit_operand(node) -> None:
-        if isinstance(node, _sql.AggCall):
-            ops.add(node.op)
-
-    for item in query.select:
-        visit_operand(item)
-
-    def walk(cond) -> None:
-        if cond is None:
-            return
-        if isinstance(cond, (_sql.And, _sql.Or)):
-            for c in cond.items:
-                walk(c)
-            return
-        if isinstance(cond, _sql.Comparison):
-            visit_operand(cond.lhs)
-            visit_operand(cond.rhs)
-        elif isinstance(cond, _sql.Between):
-            visit_operand(cond.operand)
-        elif isinstance(cond, (_sql.InSubquery, _sql.SubqueryCmp)):
-            sub = cond.query
-            ops.update(_agg_ops_used(sub))
-
-    walk(query.where)
-    walk(query.having)
-    for item in query.order_by:
-        visit_operand(item.expr)
+def _agg_ops(query: _sql.Query) -> set[str]:
+    ops = set()
+    for q in _sql.queries(query):
+        nodes = [*q.select, *(item.expr for item in q.order_by)]
+        for cond in (q.where, q.having):
+            for leaf in _sql.leaves(cond):
+                nodes.extend(_sql.operands(leaf))
+        ops.update(node.op for node in nodes if isinstance(node, _sql.AggCall))
     return ops

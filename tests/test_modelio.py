@@ -174,3 +174,15 @@ def test_examples_round_trip(tmp_path, synth_data):
     assert all(label_to_bool(g.payload) == e.gold for g, e in zip(golds, examples))
     sql_golds = echo_gold_sql(written)
     assert all(g.payload == e.gold_sql for g, e in zip(sql_golds, written))
+
+
+def test_read_jsonl_takes_a_str_as_text_and_a_path_as_a_file(tmp_path):
+    # a one-line str is text, whatever it starts with
+    for text in ("not json", "[1]", "missing.jsonl"):
+        with pytest.raises(ParseError):
+            read_predictions(text, kind="sql")
+    line = '{"id": "a", "payload": "SELECT 1"}'
+    assert read_predictions(line, kind="sql")[0].id == "a"
+    path = tmp_path / "preds.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert read_predictions(path, kind="sql")[0].payload == "SELECT 1"

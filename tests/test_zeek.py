@@ -498,3 +498,48 @@ def test_json_integer_fields_keep_range_checks():
         (2, "orig_p out of range: 65536"),
         (3, "orig_bytes must be nonnegative: -1"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# JSON logs: bool, float and duration fields are not read through text
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("local_orig", [True], "bad bool [True]"),
+    ("duration", [1.5], "duration must be a number: [1.5]"),
+    ("duration", True, "duration must be a number: True"),
+    ("duration", "2.5", "duration must be a number: '2.5'"),
+])
+def test_json_fields_take_values_of_their_type_only(field, value, message):
+    obj = dict(_JSON_CONN, **{field: value})
+    result = parse_zeek(json.dumps(_JSON_CONN) + "\n" + json.dumps(obj) + "\n", "conn")
+    assert len(result.records) == 1
+    assert [(i.line_no, i.message) for i in result.issues] == [(2, message)]
+
+
+def test_json_float_fields_take_json_numbers():
+    lines = [dict(_JSON_CONN, duration=2), dict(_JSON_CONN, duration=1.5, local_orig=True)]
+    first, second = parse_zeek("".join(json.dumps(o) + "\n" for o in lines), "conn").records
+    assert first.duration == 2.0 and isinstance(first.duration, float)
+    assert second.duration == 1.5 and second.local_orig is True
+    ntp = parse_zeek(json.dumps({"ts": 1.0, "uid": "N1", "poll": [8.0]}) + "\n", "ntp")
+    assert [i.message for i in ntp.issues] == ["poll must be a number: [8.0]"]
+
+
+def test_json_list_is_joined_in_a_string_field():
+    obj = dict(_JSON_CONN, tunnel_parents=["CA", "CB"])
+    (rec,) = parse_zeek(json.dumps(obj) + "\n", "conn").records
+    assert rec.tunnel_parents == "CA,CB"
+
+
+def test_ingest_reports_a_json_list_in_a_bool_field(tmp_path):
+    from iotsqlbench.cli import main
+
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    lines = [_JSON_CONN, dict(_JSON_CONN, uid="CJson2", local_orig=[True])]
+    (logs / "conn.log").write_text("".join(json.dumps(o) + "\n" for o in lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "ingest", "--logs", str(logs)]) == 0
+    issues = (out / "db/ingest_issues.txt").read_text(encoding="utf-8")
+    assert issues == "conn.log:2\tbad bool [True]\n"
