@@ -1,41 +1,34 @@
 #!/usr/bin/env python3
-"""Inspect a generated corpus: length stats, construct coverage, temporal share.
+"""Summarise a generated corpus: the stats.json gen-pairs wrote next to it
+(question and SQL token lengths, reported separately, construct coverage
+and temporal pairs), plus the number of pairs in each template category.
 
-Reads a corpus.jsonl (from gen-pairs) and the database dir it came from,
-then prints standard dataset-card statistics:
-question and SQL token lengths (both, explicitly), category balance, and
-per-construct counts.
+    python scripts/corpus_report.py out/corpus/corpus.jsonl
 """
 
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
-
-from iotsqlbench.cli import load_db_dir
-from iotsqlbench.templates import construct_coverage, corpus_stats, has_datetime_predicate, read_corpus
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("corpus", help="corpus.jsonl path")
-    parser.add_argument("--db", help="database dir (enables the temporal scan)")
+    parser.add_argument("corpus", help="corpus.jsonl path; stats.json is read from its directory")
     args = parser.parse_args()
 
-    pairs = read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
-    stats = corpus_stats(pairs)
+    corpus = Path(args.corpus)
+    stats = json.loads((corpus.parent / "stats.json").read_text(encoding="utf-8"))
     print(json.dumps(stats, indent=2, sort_keys=True))
 
-    categories = {}
-    for p in pairs:
-        categories[p.category] = categories.get(p.category, 0) + 1
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    # hand-written pairs have no category
+    categories = Counter(json.loads(line)["category"] or "(none)" for line in lines if line.strip())
     print("categories:", json.dumps(categories, sort_keys=True))
-    print("coverage:", json.dumps(construct_coverage(pairs), sort_keys=True))
 
-    if args.db:
-        _, db, _ = load_db_dir(Path(args.db))
-        temporal = sum(has_datetime_predicate(p.sql, db.schema) for p in pairs)
-        print(f"temporal pairs: {temporal}/{len(pairs)} ({temporal / max(len(pairs), 1):.1%})")
+    temporal, n = stats["temporal_pairs"], stats["n_pairs"]
+    print(f"temporal pairs: {temporal}/{n} ({temporal / max(n, 1):.1%})")
     return 0
 
 

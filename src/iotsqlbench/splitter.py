@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import timedelta
 
-from .ingest.records import AttackLabel, ConnRecord
+from .ingest.records import AttackLabel
 
 SPLITS = ("train", "dev", "test")
 
@@ -207,23 +207,6 @@ def _benign_targets(n: int, fracs) -> list[int]:
     targets = [int(n * f) for f in fracs]
     targets[0] += n - sum(targets)
     return targets
-
-
-@dataclass(frozen=True)
-class MergedRecord:
-    """Binary-labeled view of a record; the detailed label stays for audit."""
-
-    record: ConnRecord
-    is_malicious: bool
-
-    @property
-    def audit_label(self) -> AttackLabel:
-        return self.record.label
-
-
-def merge_labels(records: list) -> list[MergedRecord]:
-    """Collapse the ten attack classes to a single malicious flag."""
-    return [MergedRecord(record=r, is_malicious=r.label is not AttackLabel.Benign) for r in records]
 
 
 _ANON_BLOCKS = ("198.18", "198.19")  # benchmarking range, disjoint from real captures

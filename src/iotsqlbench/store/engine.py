@@ -21,7 +21,11 @@ A query is compiled before any row is read.  Each comparison gets one
 comparator, chosen from the attributes of its two sides (column attribute,
 literal type, scalar-subquery value), so rows are tested without type
 dispatch.  In a join, every WHERE conjunct that reads one table filters
-that table before the join; the rest run on the joined rows.
+that table before the join; the rest run on the joined rows.  A joined row
+holds only the columns read after the join (by those conjuncts, the select
+list, GROUP BY, aggregate arguments, HAVING and ORDER BY; all of them for
+SELECT *), and everything after the join resolves names to their place in
+that narrow row.
 
 Writes take the database lock; ``execute`` works on a snapshot taken under
 the lock, so one writer and many concurrent readers are safe.
@@ -30,6 +34,7 @@ the lock, so one writer and many concurrent readers are safe.
 from __future__ import annotations
 
 import bisect
+import copy
 import heapq
 import math
 import operator
@@ -425,6 +430,7 @@ class Scope:
     def __init__(self, tables: list[tuple[TableSchema, int]]):
         # tables: (schema, base offset into the combined row)
         self.tables = tables
+        self._slots: dict[int, int] | None = None  # set by narrowed()
         self._by_table: dict[str, tuple[TableSchema, int]] = {
             norm_ident(t.name): (t, base) for t, base in tables
         }
@@ -447,7 +453,19 @@ class Scope:
             raise ParseError("self-joins are not supported")
         return cls([(main, 0), (right, len(main.columns))])
 
+    def narrowed(self, positions: Sequence[int]) -> "Scope":
+        """This scope over rows that hold only the combined row's
+        ``positions``, in that order.  Names resolve as before; a name
+        outside ``positions`` is a KeyError, a bug in the caller."""
+        narrow = copy.copy(self)
+        narrow._slots = {pos: slot for slot, pos in enumerate(positions)}
+        return narrow
+
     def resolve(self, raw: str) -> tuple[int, ColumnDef]:
+        idx, col = self._locate(raw)
+        return (idx, col) if self._slots is None else (self._slots[idx], col)
+
+    def _locate(self, raw: str) -> tuple[int, ColumnDef]:
         key = norm_ident(raw)
         hits = self._unqualified.get(key, [])
         if len(hits) == 1:
@@ -664,7 +682,7 @@ def _run_query(
         elif not (left_key[0] < base <= right_key[0]):
             raise ParseError("JOIN condition must relate one column from each table")
         # a conjunct reading one table filters it before the join
-        left_preds, right_preds, joined_preds = [], [], []
+        left_preds, right_preds, spanning = [], [], []
         for cond in _conjuncts(query.where):
             sides = {
                 scope.resolve(node.name)[0] >= base
@@ -675,14 +693,19 @@ def _run_query(
             if sides == {True}:
                 right_preds.append(compile_where(cond, _shifted(scope.operand, base)))
             elif sides == {True, False}:
-                joined_preds.append(compile_where(cond, scope.operand))
+                spanning.append(cond)
             else:
                 left_preds.append(compile_where(cond, scope.operand))
+        # joined rows hold only the columns read after the join; everything
+        # after it resolves names to their place in that narrow row
+        reads = _read_after_join(query, spanning, scope)
+        scope = scope.narrowed(reads)
+        joined_preds = [compile_where(cond, scope.operand) for cond in spanning]
         rows = _hash_join(
             _filter(rows, left_preds, deadline),
             _filter(snap[norm_ident(right.name)], right_preds, deadline),
-            (left_key[0], left_key[1].attribute),
-            (right_key[0] - base, right_key[1].attribute),
+            (left_key[0], left_key[1].attribute, [p for p in reads if p < base]),
+            (right_key[0] - base, right_key[1].attribute, [p - base for p in reads if p >= base]),
             deadline,
         )
         rows = _filter(rows, joined_preds, deadline)
@@ -786,12 +809,12 @@ def _run_query(
                 raise ParseError("ORDER BY in a grouped query must use group columns or aggregates")
             order_plan.append((group_idxs.index(idx), item.desc))
 
-    groups: dict[tuple, list[tuple]] = {}
+    groups: dict[tuple, Sequence[tuple]] = {}
     if group_idxs:
         for row in _checked(rows, deadline):
             groups.setdefault(tuple(row[i] for i in group_idxs), []).append(row)
     else:
-        groups[()] = list(rows)
+        groups[()] = rows
 
     out_rows: list[tuple] = []
     out_keys: list[list] = []
@@ -808,11 +831,39 @@ def _run_query(
     return _finish(query, columns, projected, order_keys)
 
 
+def _read_after_join(query: _sql.Query, spanning: list, scope: Scope) -> Sequence[int]:
+    """The positions in the joined row that are read after the join, in
+    order: by WHERE conjuncts that span both tables, the select list,
+    GROUP BY, aggregate arguments, HAVING and ORDER BY.  SELECT * reads
+    every position."""
+    if any(isinstance(item, _sql.Star) for item in query.select):
+        return range(len(scope.all_columns()))
+    nodes = [*query.select, *query.group_by, *(item.expr for item in query.order_by)]
+    for cond in (*spanning, query.having):
+        nodes.extend(node for leaf in _sql.leaves(cond) for node in _sql.operands(leaf))
+    refs = (node.arg if isinstance(node, _sql.AggCall) else node for node in nodes)
+    return sorted({scope.resolve(ref.name)[0] for ref in refs if isinstance(ref, _sql.ColumnRef)})
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> (row[p] for p in positions)`` as a tuple."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return operator.itemgetter(*positions)
+
+
 def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tuple]:
-    """Equi-join on (index, attribute) keys under the engine's equality."""
-    (left_idx, left_attr), (right_idx, right_attr) = left_key, right_key
+    """Equi-join on (index, attribute, kept positions) keys under the
+    engine's equality.  A joined row holds its left row's kept positions,
+    then its right row's."""
+    (left_idx, left_attr, left_kept), (right_idx, right_attr, right_kept) = left_key, right_key
+    pick_left, pick_right = _picker(left_kept), _picker(right_kept)
     lookup = _equality_lookup(
-        left_attr, right_attr, ((row[right_idx], row) for row in _checked(right_rows, deadline))
+        left_attr, right_attr,
+        ((row[right_idx], pick_right(row)) for row in _checked(right_rows, deadline)),
     )
     joined: list[tuple] = []
     checked_at = 0
@@ -821,8 +872,9 @@ def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tup
         if key is None:
             continue
         matches = lookup(key)
+        lpart = pick_left(lrow)
         for start in range(0, len(matches), _CHECK_EVERY):
-            joined.extend([lrow + rrow for rrow in matches[start : start + _CHECK_EVERY]])
+            joined.extend([lpart + rpart for rpart in matches[start : start + _CHECK_EVERY]])
             if len(joined) - checked_at >= _CHECK_EVERY:
                 _check_deadline(deadline)
                 checked_at = len(joined)

@@ -99,9 +99,6 @@ class DatabaseSchema:
                 return t
         return None
 
-    def table_names(self) -> list[str]:
-        return [t.name for t in self.tables]
-
     @property
     def n_columns(self) -> int:
         return sum(len(t.columns) for t in self.tables)

@@ -3,6 +3,7 @@ every comparison path: compiled WHERE and HAVING comparisons, IN
 (subquery), JOIN, and WHERE filters pushed below a join."""
 
 import math
+import tracemalloc
 from datetime import datetime
 from types import SimpleNamespace
 
@@ -357,6 +358,108 @@ def test_join_checks_deadline_while_emitting(monkeypatch):
     with pytest.raises(QueryTimeout) as info:
         db.execute(sql, timeout=1.0)
     assert any(entry.name == "_hash_join" for entry in info.traceback)
+
+
+def join_db(left_rows, right_rows):
+    db = Database(define_schema([
+        TableSchema("l", (ColumnDef("id", "number"), ColumnDef("k", "number"),
+                          ColumnDef("x", "number"), ColumnDef("s", "text"))),
+        TableSchema("r", (ColumnDef("k", "number"), ColumnDef("y", "number"),
+                          ColumnDef("tag", "text"), ColumnDef("z", "number"))),
+    ]))
+    db.load_records("l", left_rows)
+    db.load_records("r", right_rows)
+    return db
+
+
+def nulls_first(value):
+    return (value is not None, 0 if value is None else value)
+
+
+def tag_groups(joined):
+    """GROUP BY tag HAVING SUM(z) > 2, selecting tag, COUNT(*), MAX(y)."""
+    groups = {}
+    for row in joined:
+        groups.setdefault(row[6], []).append(row)
+    out = []
+    for tag, members in groups.items():
+        zs = [row[7] for row in members if row[7] is not None]
+        ys = [row[5] for row in members if row[5] is not None]
+        if zs and values_lt(2, sum(zs)) is True:
+            out.append((tag, len(members), max(ys) if ys else None))
+    return out
+
+
+def distinct(rows):
+    return list(dict.fromkeys(rows))
+
+
+# (select list, clauses after "FROM l JOIN r ON l.k = r.k", the result
+# computed from the full-width joined rows (l.id, l.k, l.x, l.s, r.k, r.y,
+# r.tag, r.z))
+JOIN_CASES = [
+    ("COUNT(*)", "", lambda j: [(len(j),)]),
+    ("s, y, l.id", "", lambda j: [(r[3], r[5], r[0]) for r in j]),
+    ("id, tag", 'WHERE ((x < y) OR (tag = "p")) AND (id > 0)',
+     lambda j: [(r[0], r[6]) for r in j
+                if (values_lt(r[2], r[5]) is True or r[6] == "p") and r[0] > 0]),
+    ("tag, COUNT(*), MAX(y)", "GROUP BY tag HAVING SUM(z) > 2", tag_groups),
+    # a stable sort: ties keep scan order, nulls come last when descending
+    ("id", "ORDER BY y DESC LIMIT 3",
+     lambda j: [(r[0],) for r in sorted(j, key=lambda r: nulls_first(r[5]), reverse=True)][:3]),
+    ("DISTINCT tag", "ORDER BY tag",
+     lambda j: sorted(distinct((r[6],) for r in j), key=lambda t: nulls_first(t[0]))),
+    ("*", "", lambda j: j),
+]
+
+# null keys; 2, 2.0 and 2.000000001 are equal under the 1e-9 tolerance,
+# 2.00000001 is not
+join_keys = st.sampled_from((None, 1, 2, 2.0, 2.000000001, 2.00000001, 3.5))
+rows_l = st.lists(
+    st.tuples(st.integers(0, 5), join_keys, st.one_of(st.none(), st.integers(0, 4)),
+              st.sampled_from((None, "a", "b"))),
+    max_size=8,
+)
+rows_r = st.lists(
+    st.tuples(join_keys, st.one_of(st.none(), st.integers(0, 4), st.floats(0, 4)),
+              st.sampled_from((None, "p", "q")), st.one_of(st.none(), st.integers(0, 3))),
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize(
+    "select, clauses, expected", JOIN_CASES, ids=[f"{c[0]} {c[1]}".strip() for c in JOIN_CASES]
+)
+@settings(max_examples=40, deadline=None)
+@given(left=rows_l, right=rows_r)
+def test_join_matches_a_nested_loop_over_full_rows(select, clauses, expected, left, right):
+    """Joined rows keep only the columns read after the join; the result is
+    the one a nested loop over full-width rows gives."""
+    db = join_db(left, right)
+    joined = [lrow + rrow for lrow in left for rrow in right if values_eq(lrow[1], rrow[0]) is True]
+    got = db.execute(f"SELECT {select} FROM l JOIN r ON l.k = r.k {clauses}").rows
+    assert got == expected(joined)
+
+
+def test_count_over_a_wide_join_keeps_joined_rows_narrow():
+    """COUNT(*) reads no column after the join, so a joined row holds none.
+    Full-width rows here are 40-value tuples of 56 + 40 * 8 = 376 B each,
+    about 30 MB for the 80,000 joined rows; narrow ones are the shared
+    empty tuple, so the joined list is 80,000 pointers (640 kB, under
+    720 kB with list over-allocation).  The 4 MB cap leaves room for the
+    key lookup and interpreter noise and is well below full width."""
+    cols = tuple(ColumnDef(f"c{i}", "number") for i in range(20))
+    db = Database(define_schema([TableSchema("l", cols), TableSchema("r", cols)]))
+    for table in ("l", "r"):  # keys 0 and 1, 200 rows each
+        db.load_records(table, [(i % 2,) + (i,) * 19 for i in range(400)])
+    tracemalloc.start()
+    try:
+        rows = db.execute("SELECT COUNT(*) FROM l JOIN r ON l.c0 = r.c0").rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == [(2 * 200 * 200,)]
+    assert peak < 4_000_000
 
 
 def test_parse_is_cached_and_errors_are_not():

@@ -24,7 +24,6 @@ def test_define_schema_single_table():
             ColumnDef("orig_h", "text"), ColumnDef("orig_p", "number"),
         )),
     ])
-    assert schema.table_names() == ["conn.log"]
     assert schema.n_columns == 2
     assert schema.table("conn.log").column("orig_h").attribute == "text"
 

@@ -15,7 +15,6 @@ from iotsqlbench.splitter import (
     anonymize,
     dump_manifest,
     load_manifest,
-    merge_labels,
     split_network,
     split_pairs,
 )
@@ -118,19 +117,6 @@ def test_split_network_empty_attack_class():
     config = NetworkSplitConfig(totals=(20, 10, 10), malicious_totals=(5, 2, 2))
     with pytest.raises(EmptyAttackClass):
         split_network(records, seed=0, config=config)
-
-
-def test_merge_labels_counts():
-    records = _records(
-        {AttackLabel.Benign: 0.5, AttackLabel.Torii: 0.3, AttackLabel.Mirai: 0.2}, 100
-    )
-    merged = merge_labels(records)
-    expected = sum(1 for r in records if r.label is not AttackLabel.Benign)
-    assert sum(m.is_malicious for m in merged) == expected
-    torii = next(m for m in merged if m.audit_label is AttackLabel.Torii)
-    assert torii.is_malicious is True
-    benign = next(m for m in merged if m.audit_label is AttackLabel.Benign)
-    assert benign.is_malicious is False
 
 
 def test_anonymize_bijection_consistency():
