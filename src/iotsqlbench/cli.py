@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -347,12 +348,14 @@ def cmd_emit(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_eval_sql(cfg: RunConfig, out: Path, args) -> int:
+    timeout = cfg.get_float("eval.timeout")
+    # a NaN deadline never passes, and one at or before now fails every query
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigError(f"eval.timeout must be a finite number > 0, got {cfg.raw('eval.timeout')!r}")
     _, db, _ = load_db_dir(Path(args.db))
     examples = modelio.read_sql_examples(Path(args.examples))
     predictions = modelio.read_predictions(Path(args.predictions), kind="sql")
-    report = evaluation.score_sql_corpus(
-        examples, predictions, db, timeout=cfg.get_float("eval.timeout")
-    )
+    report = evaluation.score_sql_corpus(examples, predictions, db, timeout=timeout)
     writer = ArtifactWriter(out)
     writer.write("eval/sql_report.json", report.to_json() + "\n")
     writer.write("eval/sql_report.txt", report.to_text() + "\n")

@@ -9,18 +9,22 @@ ORDER BY.  Detection metrics are macro precision/recall/F1 over the two
 classes with 0 substituted for empty denominators.
 
 Scoring a file runs each gold query once per exact SQL text and keeps its
-result ready to compare (sorted unless order counts) until the file is
-scored.  A prediction textually identical to its gold query is scored from
-that result without running.  Neither changes the comparison policy.
+result, as returned, until the file is scored.  Unless order counts, the
+result is sorted on the first comparison that needs it: a prediction with
+the gold's width and row count.  A prediction textually identical to its
+gold query is scored without running, by checking the gold result for a
+value unequal to itself (NaN).  None of this changes the comparison policy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -171,24 +175,28 @@ def _sorted_rows(rows: list[tuple]) -> list[tuple]:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A result ready to be compared against: its rows are sorted once,
-    unless row order counts."""
+    """A result to compare against.  Unless row order counts, its rows are
+    sorted once, by the first comparison that gets past the width and
+    row-count checks."""
 
     width: int
     ordered: bool
-    rows: list
+    rows: list  # as returned
 
     @classmethod
     def of(cls, result: ResultTable, ordered: bool) -> "_Prepared":
-        rows = result.rows if ordered else _sorted_rows(result.rows)
-        return cls(len(result.columns), ordered, rows)
+        return cls(len(result.columns), ordered, result.rows)
+
+    @cached_property
+    def comparable_rows(self) -> list:
+        return self.rows if self.ordered else _sorted_rows(self.rows)
 
     def matches(self, pred: ResultTable) -> bool:
         """Positional multiset comparison; column names are ignored."""
         if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
             return False
         rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
-        return _rows_match(rows, self.rows, EXEC_REL_TOL)
+        return _rows_match(rows, self.comparable_rows, EXEC_REL_TOL)
 
 
 def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -> bool:
@@ -196,12 +204,17 @@ def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -
     return _Prepared.of(gold, order_sensitive).matches(pred)
 
 
+def _matches_itself(rows: list[tuple]) -> bool:
+    """Whether ``rows`` match themselves: false iff a cell is unequal to
+    itself, which among store values only NaN is."""
+    return not any(map(operator.ne, chain.from_iterable(rows), chain.from_iterable(rows)))
+
+
 @dataclass(frozen=True)
 class _Gold:
     """What scoring needs of one gold query on one database."""
 
     expected: _Prepared
-    self_match: bool  # whether the result matches itself: false iff it holds a NaN
     tables: frozenset  # referenced tables, by their schema names
 
 
@@ -212,8 +225,7 @@ def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     except Exception as exc:
         raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
     expected = _Prepared.of(result, bool(parsed.order_by))
-    self_match = _rows_match(expected.rows, expected.rows, EXEC_REL_TOL)
-    return _Gold(expected, self_match, _sql.canonical_tables(parsed, db.schema))
+    return _Gold(expected, _sql.canonical_tables(parsed, db.schema))
 
 
 def execution_accuracy(
@@ -241,7 +253,7 @@ def execution_accuracy(
         if golds is not None:
             golds[gold_sql] = gold
     if pred_sql == gold_sql:
-        return gold.self_match
+        return _matches_itself(gold.expected.rows)
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
@@ -377,6 +389,7 @@ def score_sql_corpus(
         logical_acc=logical_correct / n if n else 0.0,
         per_table=per_table,
         failures=failures,
+        policy={**COMPARISON_POLICY, "prediction_timeout_seconds": timeout},
     )
 
 

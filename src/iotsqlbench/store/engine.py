@@ -25,7 +25,8 @@ that table before the join; the rest run on the joined rows.  A joined row
 holds only the columns read after the join (by those conjuncts, the select
 list, GROUP BY, aggregate arguments, HAVING and ORDER BY; all of them for
 SELECT *), and everything after the join resolves names to their place in
-that narrow row.
+that narrow row.  Each output row is built once, and DISTINCT, ORDER BY (a
+stable sort of row positions per key) and LIMIT work on those rows.
 
 Writes take the database lock; ``execute`` works on a snapshot taken under
 the lock, so one writer and many concurrent readers are safe.
@@ -721,32 +722,29 @@ def _run_query(
     if not grouped:
         if has_star:
             columns = [c.name for c in scope.all_columns()]
-            projected = [(row, row) for row in rows]
+            selected = None
+            out_rows = list(rows)
         else:
-            getters = []
-            idxs = []
-            columns = []
+            selected, getters, columns = [], [], []
             for item in select:
                 if isinstance(item, _sql.ColumnRef):
                     idx, col = scope.resolve(item.name)
-                    getters.append(lambda row, i=idx: row[i])
-                    idxs.append(idx)
+                    selected.append(idx)
+                    getters.append(operator.itemgetter(idx))
                     columns.append(col.name)
                 elif isinstance(item, _sql.Literal):
                     getters.append(lambda row, v=item.value: v)
                     columns.append(_render_literal_name(item.value))
                 else:
                     raise ParseError("select items must be columns, literals, or aggregates")
-            if len(idxs) != len(getters):  # literal items
-                projected = [(row, tuple([g(row) for g in getters])) for row in rows]
-            elif len(idxs) == 1:
-                i = idxs[0]
-                projected = [(row, (row[i],)) for row in rows]
+            if len(selected) != len(getters):  # literal items
+                out_rows = [tuple([g(row) for g in getters]) for row in rows]
+            elif len(selected) == 1:
+                out_rows = list(zip(map(getters[0], rows)))
             else:
-                pick = operator.itemgetter(*idxs)
-                projected = [(row, pick(row)) for row in rows]
-        order_keys = _row_order_keys(query, scope, projected, select)
-        return _finish(query, columns, projected, order_keys)
+                out_rows = list(map(operator.itemgetter(*selected), rows))
+        order_keys = _row_order_keys(query, scope, rows, selected)
+        return _finish(query, columns, out_rows, order_keys)
 
     # grouped evaluation: each group becomes one row of its key values
     # followed by every aggregate the query uses, computed once per group
@@ -816,19 +814,20 @@ def _run_query(
     else:
         groups[()] = rows
 
+    pick_out = _picker(select_slots)
+    pick_key = _picker([slot for slot, _ in order_plan])
     out_rows: list[tuple] = []
-    out_keys: list[list] = []
+    out_keys: list[tuple] = []
     for key, members in groups.items():
         _check_deadline(deadline)
         group_row = key + tuple(spec.compute(members) for spec in agg_specs.values())
         if having is not None and not having(group_row):
             continue
-        out_rows.append(tuple(group_row[slot] for slot in select_slots))
+        out_rows.append(pick_out(group_row))
         if order_plan:
-            out_keys.append([group_row[slot] for slot, _ in order_plan])
-    projected = list(zip(out_keys or [None] * len(out_rows), out_rows))
-    order_keys = [(vals, [desc for _, desc in order_plan]) for vals, _ in projected] if order_plan else None
-    return _finish(query, columns, projected, order_keys)
+            out_keys.append(pick_key(group_row))
+    order_keys = (out_keys, [desc for _, desc in order_plan]) if order_plan else None
+    return _finish(query, columns, out_rows, order_keys)
 
 
 def _read_after_join(query: _sql.Query, spanning: list, scope: Scope) -> Sequence[int]:
@@ -881,28 +880,21 @@ def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tup
     return joined
 
 
-def _row_order_keys(query, scope, projected, select):
-    """ORDER BY key extraction for non-grouped queries."""
+def _row_order_keys(query, scope, rows, selected):
+    """ORDER BY of an ungrouped query: (the key values of each row, the desc
+    flag of each key), or None without ORDER BY.  ``selected`` holds the row
+    positions the select list reads; None for SELECT *."""
     if not query.order_by:
         return None
-    extractors = []
+    idxs = []
     for item in query.order_by:
         if isinstance(item.expr, _sql.AggCall):
             raise ParseError("aggregate ORDER BY requires GROUP BY")
-        idx, col = scope.resolve(item.expr.name)
-        if query.distinct:
-            sel_idx = None
-            for j, sel in enumerate(select):
-                if isinstance(sel, _sql.ColumnRef) and scope.resolve(sel.name)[0] == idx:
-                    sel_idx = j
-                    break
-            if sel_idx is None and not any(isinstance(s, _sql.Star) for s in select):
-                raise ParseError("ORDER BY with DISTINCT must use selected columns")
-        extractors.append((idx, item.desc))
-    keys = []
-    for row, _ in projected:
-        keys.append(([row[idx] for idx, _ in extractors], [desc for _, desc in extractors]))
-    return keys
+        idx, _ = scope.resolve(item.expr.name)
+        if query.distinct and selected is not None and idx not in selected:
+            raise ParseError("ORDER BY with DISTINCT must use selected columns")
+        idxs.append(idx)
+    return list(map(_picker(idxs), rows)), [item.desc for item in query.order_by]
 
 
 def _render_literal_name(value: object) -> str:
@@ -923,26 +915,22 @@ def _sort_token(value: object):
     return (1, rank, value)
 
 
-def _finish(query, columns, projected, order_keys) -> ResultTable:
-    """Shared tail: DISTINCT, ORDER BY (stable, nulls first asc), LIMIT."""
-    paired = list(zip(projected, order_keys or [None] * len(projected)))
-
-    if query.distinct:
-        seen = set()
-        deduped = []
-        for (ctx, out), key in paired:
-            if out not in seen:
-                seen.add(out)
-                deduped.append(((ctx, out), key))
-        paired = deduped
-
-    if order_keys is not None and paired:
-        n_keys = len(paired[0][1][0])
-        for pos in range(n_keys - 1, -1, -1):
-            desc = paired[0][1][1][pos]
-            paired.sort(key=lambda item: _sort_token(item[1][0][pos]), reverse=desc)
-
-    rows = [out for (_, out), _ in paired]
+def _finish(query, columns, rows, order_keys) -> ResultTable:
+    """Shared tail: DISTINCT (the first of equal rows), ORDER BY (stable,
+    nulls first asc), LIMIT.  ``order_keys`` is (the key values of each row,
+    the desc flag of each key), or None without ORDER BY."""
+    if order_keys is not None:
+        keys, descs = order_keys
+        if query.distinct:
+            seen: set = set()
+            kept = [i for i, row in enumerate(rows) if not (row in seen or seen.add(row))]
+            rows, keys = [rows[i] for i in kept], [keys[i] for i in kept]
+        order = list(range(len(rows)))
+        for pos in range(len(descs) - 1, -1, -1):
+            order.sort(key=lambda i: _sort_token(keys[i][pos]), reverse=descs[pos])
+        rows = [rows[i] for i in order]
+    elif query.distinct:
+        rows = list(dict.fromkeys(rows))
     if query.limit is not None:
         rows = rows[: query.limit]
     return ResultTable(columns=columns, rows=rows)

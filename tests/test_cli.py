@@ -79,6 +79,26 @@ def test_eval_sql_gold_execution_error_exits_nonzero(tmp_path):
                 "--examples", examples, "--predictions", preds]) == 1
 
 
+def test_eval_sql_timeout_must_be_finite_and_positive(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(out)
+    examples = out / "model_io/sql_test.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "payload": "SELECT 1"}) + "\n"
+        for line in examples.read_text().splitlines()
+    ))
+    args = ["eval-sql", "--db", out / "synth", "--examples", examples, "--predictions", preds]
+    # a NaN deadline never passes and one at or before the start fails every
+    # gold query: both are configuration errors, as is an unbounded budget
+    for bad in ("nan", "inf", "-inf", "0", "-1"):
+        assert run(["--out", out, "--set", f"eval.timeout={bad}", *args]) == 2, bad
+        assert not (out / "eval/sql_report.json").exists()
+    assert run(["--out", out, "--set", "eval.timeout=2.5", *args]) == 0
+    report = json.loads((out / "eval/sql_report.json").read_text())
+    assert report["policy"]["prediction_timeout_seconds"] == 2.5
+
+
 def test_eval_detect_round_trip(tmp_path):
     out = tmp_path / "run"
     run_pipeline(out)

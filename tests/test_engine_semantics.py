@@ -470,3 +470,151 @@ def test_parse_is_cached_and_errors_are_not():
         with pytest.raises(ParseError):
             parse("SELEC uid FROM conn.log")
     assert parse.cache_info().currsize == before
+
+
+# ---------------------------------------------------------------------------
+# The result tail (DISTINCT, ORDER BY, LIMIT) against the paired form it
+# replaced, which carried each row with its output and its order key
+
+
+def paired_finish(query, columns, projected, order_keys):
+    """The earlier tail, kept as the reference: ``projected`` holds
+    (source row, output row) pairs and ``order_keys`` one (key values,
+    desc flags) pair per row."""
+    paired = list(zip(projected, order_keys or [None] * len(projected)))
+    if query.distinct:
+        seen = set()
+        deduped = []
+        for (ctx, out), key in paired:
+            if out not in seen:
+                seen.add(out)
+                deduped.append(((ctx, out), key))
+        paired = deduped
+    if order_keys is not None and paired:
+        n_keys = len(paired[0][1][0])
+        for pos in range(n_keys - 1, -1, -1):
+            desc = paired[0][1][1][pos]
+            paired.sort(key=lambda item: engine._sort_token(item[1][0][pos]), reverse=desc)
+    rows = [out for (_, out), _ in paired]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return engine.ResultTable(columns=columns, rows=rows)
+
+
+TAIL_T = ("id", "a", "b", "c")  # number, number, text, boolean
+TAIL_U = ("tid", "e", "f")  # number, number, text
+tail_numbers = st.one_of(
+    st.none(), st.sampled_from((0, 1, 1.0, 2, 2.0, 2.5, -1, 2**64, math.inf, math.nan)),
+)
+tail_texts = st.sampled_from((None, "", "a", "b", "B"))
+tail_t = st.lists(st.tuples(st.sampled_from((None, 1, 2, 3)), tail_numbers, tail_texts,
+                            st.one_of(st.none(), st.booleans())), max_size=8)
+tail_u = st.lists(st.tuples(st.sampled_from((None, 1, 2, 2.0)), tail_numbers, tail_texts), max_size=6)
+AGGS = ("COUNT(*)", "MAX(a)", "MIN(b)", "SUM(a)", "COUNT(c)", "MAX(c)", "MIN(e)")
+
+
+def tail_db(t_rows, u_rows):
+    db = Database(define_schema([
+        TableSchema("t", (ColumnDef("id", "number"), ColumnDef("a", "number"),
+                          ColumnDef("b", "text"), ColumnDef("c", "boolean"))),
+        TableSchema("u", (ColumnDef("tid", "number"), ColumnDef("e", "number"), ColumnDef("f", "text"))),
+    ]))
+    db.load_records("t", t_rows)
+    db.load_records("u", u_rows)
+    return db
+
+
+@st.composite
+def tail_queries(draw):
+    """(SQL, the same query without DISTINCT/ORDER BY/LIMIT selecting the
+    output columns and then the order keys, output width or None for
+    SELECT *, the order key positions in a SELECT * row, desc flags,
+    DISTINCT, LIMIT)."""
+    join = draw(st.booleans())
+    cols = TAIL_T + TAIL_U if join else TAIL_T
+    source = "t JOIN u ON t.id = u.tid" if join else "t"
+    distinct = draw(st.booleans())
+    limit = draw(st.one_of(st.none(), st.integers(0, 4)))
+    grouped = draw(st.booleans())
+    if grouped:
+        group = draw(st.lists(st.sampled_from(("id", "b", "c")), min_size=1, max_size=2, unique=True))
+        aggs = [a for a in AGGS if join or not a.endswith("(e)")]
+        select = draw(st.lists(st.sampled_from(group + aggs), min_size=1, max_size=3))
+        order = draw(st.lists(st.sampled_from(group + aggs), max_size=3))  # aggregates need not be selected
+        tail = f" GROUP BY {', '.join(group)}"
+        star = False
+    else:
+        tail = ""
+        star = draw(st.integers(0, 4)) == 0
+        if star:
+            select = ["*"]
+            order = draw(st.lists(st.sampled_from(cols), max_size=3))
+        else:
+            select = draw(st.lists(st.sampled_from(cols + ("5", "true", '"s"')), min_size=1, max_size=3))
+            chosen = [item for item in select if item in cols]
+            # with DISTINCT, ORDER BY may only use selected columns
+            allowed = chosen if distinct else cols
+            order = draw(st.lists(st.sampled_from(allowed), max_size=3)) if allowed else []
+    descs = [draw(st.booleans()) for _ in order]
+    sql = f"SELECT {'DISTINCT ' if distinct else ''}{', '.join(select)} FROM {source}{tail}"
+    if order:
+        sql += " ORDER BY " + ", ".join(f"{item}{' DESC' if desc else ''}" for item, desc in zip(order, descs))
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    if star:
+        wide = f"SELECT * FROM {source}"
+        return sql, wide, None, [cols.index(item) for item in order], descs, distinct, limit
+    wide = f"SELECT {', '.join(select + order)} FROM {source}{tail}"
+    return sql, wide, len(select), None, descs, distinct, limit
+
+
+def exact(result):
+    """A result with every value's type, and NaN equal to itself."""
+    return result.columns, [[(type(v).__name__, repr(v)) for v in row] for row in result.rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=tail_queries(), t_rows=tail_t, u_rows=tail_u)
+@example(  # DISTINCT keeps the first row's key, also when the key is not selected
+    query=("SELECT DISTINCT COUNT(*) FROM t GROUP BY b ORDER BY MAX(a) DESC",
+           "SELECT COUNT(*), MAX(a) FROM t GROUP BY b", 1, None, [True], True, None),
+    t_rows=[(1, 1, "a", None), (1, 5, "b", None), (1, 3, "B", True), (2, 0, "B", None)], u_rows=[],
+)
+def test_result_tail_matches_the_paired_reference(query, t_rows, u_rows):
+    sql, wide_sql, width, star_keys, descs, distinct, limit = query
+    db = tail_db(t_rows, u_rows)
+    wide = db.execute(wide_sql)
+    if width is None:  # SELECT *: output and keys come from the whole row
+        columns = wide.columns
+        projected = [(row, row) for row in wide.rows]
+        keys = [[row[i] for i in star_keys] for row in wide.rows]
+    else:
+        columns = wide.columns[:width]
+        projected = [(row, row[:width]) for row in wide.rows]
+        keys = [list(row[width:]) for row in wide.rows]
+    order_keys = [(key, descs) for key in keys] if descs else None
+    expected = paired_finish(SimpleNamespace(distinct=distinct, limit=limit), columns, projected, order_keys)
+    assert exact(db.execute(sql)) == exact(expected)
+
+
+# (query with a bad select item and a bad ORDER BY, the error it raised
+# before the tail was rewritten): the select list is still checked first
+BAD_SELECT_AND_ORDER = [
+    ("SELECT nope FROM t ORDER BY alsonope", UnknownIdentifier, "unknown column 'nope'"),
+    ("SELECT DISTINCT nope FROM t ORDER BY a", UnknownIdentifier, "unknown column 'nope'"),
+    ("SELECT nope FROM t ORDER BY MAX(a)", UnknownIdentifier, "unknown column 'nope'"),
+    ("SELECT nope FROM t JOIN u ON t.id = u.tid ORDER BY bad", UnknownIdentifier, "unknown column 'nope'"),
+    ("SELECT nope, COUNT(*) FROM t GROUP BY b ORDER BY bad", UnknownIdentifier, "unknown column 'nope'"),
+    ("SELECT a FROM t GROUP BY b ORDER BY nope", ParseError,
+     "column 'a' must appear in GROUP BY or inside an aggregate"),
+    ("SELECT DISTINCT b FROM t ORDER BY a, nope", ParseError,
+     "ORDER BY with DISTINCT must use selected columns"),
+]
+
+
+@pytest.mark.parametrize("sql, error, message", BAD_SELECT_AND_ORDER, ids=[c[0] for c in BAD_SELECT_AND_ORDER])
+def test_bad_select_list_is_reported_before_bad_order_by(sql, error, message):
+    db = tail_db([(1, 2, "x", True)], [(1, 5, "y")])
+    with pytest.raises(error) as info:
+        db.execute(sql)
+    assert str(info.value) == message

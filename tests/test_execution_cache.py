@@ -1,6 +1,8 @@
 """Prepared gold results: built once per gold SQL text while a file is
-scored, and compared through the same path as ``results_match``."""
+scored, sorted on the first comparison that needs it, and compared through
+the same path as ``results_match``."""
 
+import json
 import math
 from datetime import datetime, timezone
 
@@ -340,3 +342,88 @@ def test_values_match_fast_path_agrees_with_policy(a, b, same):
     if same:
         b = a
     assert evaluation._values_match(a, b, EXEC_REL_TOL) == evaluation._values_close(a, b, EXEC_REL_TOL)
+
+
+# -- gold results are sorted on the first comparison that needs them
+
+
+def count_gold_sorts(monkeypatch):
+    """(the prepared gold entries made, the rows lists _sorted_rows sorts)."""
+    golds, sorts = [], []
+    real_gold, real_sort = evaluation._gold, evaluation._sorted_rows
+
+    def gold(*args):
+        golds.append(real_gold(*args))
+        return golds[-1]
+
+    monkeypatch.setattr(evaluation, "_gold", gold)
+    monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.append(rows) or real_sort(rows))
+    return golds, sorts
+
+
+def gold_sorts(golds, sorts):
+    return sum(rows is gold.expected.rows for rows in sorts for gold in golds)
+
+
+def score(pairs, db):
+    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=gold) for i, (gold, _) in enumerate(pairs)]
+    preds = [PredictionRecord(id=f"e{i}", payload=pred) for i, (_, pred) in enumerate(pairs)]
+    return score_sql_corpus(examples, preds, db)
+
+
+def test_gold_is_not_sorted_when_no_prediction_compares_rows(monkeypatch):
+    db = make_db()
+    golds, sorts = count_gold_sorts(monkeypatch)
+    report = score([
+        ("SELECT a FROM t", "SELECT a FROM t"),  # echo
+        ("SELECT b FROM t", "SELECT nope FROM t"),  # fails to run
+        ("SELECT x FROM t", "SELECT x, a FROM t"),  # wrong width
+        ("SELECT a FROM t WHERE b > 10", "SELECT a FROM t"),  # wrong row count
+    ], db)
+    assert report.execution_acc == 0.25
+    assert len(golds) == 4
+    assert sorts == []
+
+
+def test_gold_is_sorted_once_for_many_comparisons(monkeypatch):
+    db = make_db()
+    golds, sorts = count_gold_sorts(monkeypatch)
+    gold = "SELECT a FROM t WHERE b > 10"
+    report = score([
+        (gold, "select a from t where b > 10"),
+        (gold, "SELECT a FROM t WHERE a < 3"),  # rows (1, 2), not (2, 3)
+        (gold, gold),
+        (gold, "SELECT a FROM t WHERE b >= 20"),
+    ], db)
+    assert report.execution_acc == 0.75
+    assert len(golds) == 1
+    assert gold_sorts(golds, sorts) == 1
+    assert len(sorts) == 4  # the gold once, each run prediction once
+
+
+def test_ordered_gold_is_never_sorted(monkeypatch):
+    db = make_db()
+    golds, sorts = count_gold_sorts(monkeypatch)
+    gold = "SELECT a FROM t ORDER BY a DESC"
+    report = score([
+        (gold, "SELECT a FROM t ORDER BY b DESC"),
+        (gold, "SELECT a FROM t ORDER BY a"),
+        (gold, gold),
+    ], db)
+    assert report.execution_acc == 2 / 3
+    assert sorts == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=result_rows())
+def test_echo_verdict_is_the_rows_matching_themselves(rows):
+    assert evaluation._matches_itself(rows) == evaluation._rows_match(rows, rows, EXEC_REL_TOL)
+
+
+def test_report_header_records_the_timeout_used():
+    db = make_db()
+    default = json.loads(score_sql_corpus(EXAMPLES, PREDICTIONS, db).to_json())
+    assert default["policy"]["prediction_timeout_seconds"] == evaluation.PRED_TIMEOUT == 5.0
+    custom = json.loads(score_sql_corpus(EXAMPLES, PREDICTIONS, db, timeout=2.5).to_json())
+    assert custom["policy"]["prediction_timeout_seconds"] == 2.5
+    assert {**custom, "policy": default["policy"]} == default
