@@ -258,9 +258,7 @@ def cmd_gen_pairs(cfg: RunConfig, out: Path, args) -> int:
     writer.write("corpus/corpus.jsonl", "".join(templates.pair_to_json(p) + "\n" for p in pairs))
     stats = templates.corpus_stats(pairs)
     stats["construct_coverage"] = templates.construct_coverage(pairs)
-    stats["temporal_pairs"] = sum(
-        templates.has_datetime_predicate(p.sql, db.schema) for p in pairs
-    )
+    stats["temporal_pairs"] = sum(p.temporal for p in pairs)
     writer.write("corpus/stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
     writer.manifest("gen-pairs", cfg, inputs={"db": args.db})
     print(f"gen-pairs: {len(pairs)} pairs; stats: {json.dumps(stats['question_length'])}")

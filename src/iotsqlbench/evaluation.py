@@ -359,6 +359,8 @@ def score_sql_corpus(
     timeout: float = PRED_TIMEOUT,
 ) -> SqlEvalReport:
     """Score a prediction file against emitted examples on one database."""
+    if not math.isfinite(timeout):  # the report records it as a JSON number
+        raise ValueError(f"timeout must be a finite number of seconds, got {timeout!r}")
     exec_correct = 0
     logical_correct = 0
     per_table: dict[str, TableBucket] = {}

@@ -227,6 +227,8 @@ class Database:
             return {name: tuple(rows) for name, rows in self._rows.items()}
 
     def execute(self, query: str, timeout: float = DEFAULT_TIMEOUT) -> ResultTable:
+        if math.isnan(timeout):  # no deadline would ever pass
+            raise ValueError("timeout must be a number of seconds, not NaN")
         parsed = _sql.parse(query)
         deadline = _time.monotonic() + timeout
         snap = self.snapshot()

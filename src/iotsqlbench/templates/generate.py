@@ -7,11 +7,15 @@ from.  Corpus generation derives one RNG per candidate index from the
 seed, de-duplicates on (question, sql), and keeps a floor of pairs with
 datetime predicates when the database has populated time columns.
 
-Each pair is classified from its parsed SQL through the store's one query
-walk (``store.sql.queries``/``leaves``/``operands``): the tables it names
+Each pair is classified once, as it is generated, from the one ``Query``
+that ``instantiate`` parses, through the store's one query walk
+(``store.sql.queries``/``leaves``/``operands``): the tables it names
 (``canonical_tables``, shared with scoring), whether it is temporal
 (``has_datetime_predicate``, columns resolved by the engine's ``Scope``)
-and the constructs it uses (``construct_coverage``).
+and the constructs it uses (``query_constructs``).  The pair keeps these
+values, so the corpus counts (``construct_coverage``, the temporal floor,
+``stats.json``) never parse its SQL again; the text-path functions parse
+a pair that was not classified when it was made.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from ..store import Database, Scope, StoreError, canonical_tables, norm_ident
@@ -53,6 +57,10 @@ class TextSqlPair:
     template_id: str | None = None  # absent means manually authored
     tables_referenced: frozenset = frozenset()
     category: str | None = None
+    # classification made once from the parsed SQL when the pair is made
+    # (None: not classified); derived, so never serialized or compared
+    temporal: bool | None = field(default=None, compare=False)
+    constructs: frozenset | None = field(default=None, compare=False)
 
 
 _OP_WORDS = {
@@ -446,6 +454,7 @@ def instantiate(
     binder = binder or TemplateBinder(db)
     bindings = binder.bind(template, rng)
     sql_text = render_sql(template, bindings)
+    query = _sql.parse(sql_text)
     db.execute(sql_text)
     variant = rng.randrange(len(template.nl_patterns))
     question = realize_question(template, bindings, variant)
@@ -453,21 +462,24 @@ def instantiate(
         question=question,
         sql=sql_text,
         template_id=template.id,
-        tables_referenced=canonical_tables(sql_text, db.schema),
+        tables_referenced=canonical_tables(query, db.schema),
         category=template.category,
+        temporal=has_datetime_predicate(query, db.schema),
+        constructs=query_constructs(query),
     )
 
 
-def has_datetime_predicate(sql_text: str, schema: DatabaseSchema) -> bool:
+def has_datetime_predicate(query: _sql.Query | str, schema: DatabaseSchema) -> bool:
     """True when a WHERE/HAVING comparison of the query or of a subquery
     reads a time-attribute column (a temporal pair).  Columns resolve as
     the engine resolves them, in the scope of their own query: one it
     cannot resolve (ambiguous, or from a table outside FROM) is no time
-    column."""
-    try:
-        query = _sql.parse(sql_text)
-    except Exception:
-        return False
+    column, and text that does not parse is no temporal query."""
+    if isinstance(query, str):
+        try:
+            query = _sql.parse(query)
+        except StoreError:
+            return False
     for q in _sql.queries(query):
         try:
             scope = Scope.of(q, schema)
@@ -543,8 +555,7 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
             continue
         seen.add(key)
         pairs.append(pair)
-        if has_datetime_predicate(pair.sql, db.schema):
-            temporal_count += 1
+        temporal_count += pair.temporal
     if len(pairs) < config.n_pairs:
         raise ExhaustedResampling(
             f"could only produce {len(pairs)} of {config.n_pairs} distinct pairs"
@@ -645,45 +656,45 @@ def corpus_stats(pairs: list[TextSqlPair]) -> dict:
     return {"n_pairs": len(pairs), "question_length": block(qlens), "sql_length": block(slens)}
 
 
+CONSTRUCTS = ("join", "having", "nested", "distinct", "order_by", "limit",
+              "group_by", "AVG", "MIN", "MAX", "SUM", "COUNT")
+
+
 def construct_coverage(pairs: list[TextSqlPair]) -> dict:
-    """How many pairs use each construct (join, having, nested, each
-    aggregate...).  An aggregate counts wherever the query or a subquery
-    names it: SELECT, WHERE/HAVING comparisons or ORDER BY."""
-    counts = {
-        key: 0
-        for key in ("join", "having", "nested", "distinct", "order_by", "limit",
-                    "group_by", "AVG", "MIN", "MAX", "SUM", "COUNT")
-    }
+    """How many pairs use each construct (``CONSTRUCTS``).  A pair
+    classified when it was made is counted from its recorded constructs;
+    any other is parsed, and one whose SQL does not parse counts nowhere."""
+    counts = dict.fromkeys(CONSTRUCTS, 0)
     for pair in pairs:
-        try:
-            query = _sql.parse(pair.sql)
-        except Exception:
-            continue
-        if query.join is not None:
-            counts["join"] += 1
-        if query.having is not None:
-            counts["having"] += 1
-        if query.distinct:
-            counts["distinct"] += 1
-        if query.order_by:
-            counts["order_by"] += 1
-        if query.limit is not None:
-            counts["limit"] += 1
-        if query.group_by:
-            counts["group_by"] += 1
-        if len(list(_sql.queries(query))) > 1:
-            counts["nested"] += 1
-        for op in _agg_ops(query):
-            counts[op] += 1
+        constructs = pair.constructs
+        if constructs is None:
+            try:
+                constructs = query_constructs(_sql.parse(pair.sql))
+            except StoreError:
+                continue
+        for name in constructs:
+            counts[name] += 1
     return counts
 
 
-def _agg_ops(query: _sql.Query) -> set[str]:
-    ops = set()
-    for q in _sql.queries(query):
+def query_constructs(query: _sql.Query) -> frozenset:
+    """The constructs a query uses.  An aggregate counts wherever the query
+    or a subquery names it: SELECT, WHERE/HAVING comparisons or ORDER BY."""
+    walk = list(_sql.queries(query))  # the query, then its subqueries
+    flags = {
+        "join": query.join is not None,
+        "having": query.having is not None,
+        "nested": len(walk) > 1,
+        "distinct": query.distinct,
+        "order_by": bool(query.order_by),
+        "limit": query.limit is not None,
+        "group_by": bool(query.group_by),
+    }
+    found = {name for name, used in flags.items() if used}
+    for q in walk:
         nodes = [*q.select, *(item.expr for item in q.order_by)]
         for cond in (q.where, q.having):
             for leaf in _sql.leaves(cond):
                 nodes.extend(_sql.operands(leaf))
-        ops.update(node.op for node in nodes if isinstance(node, _sql.AggCall))
-    return ops
+        found.update(node.op for node in nodes if isinstance(node, _sql.AggCall))
+    return frozenset(found)

@@ -188,3 +188,31 @@ def test_config_command_prints_documentation(capsys):
     captured = capsys.readouterr()
     assert "corpus.n_pairs" in captured.out
     assert "split.train_attacks" in captured.out
+
+
+def test_gen_pairs_parses_no_sql_after_generation(tmp_path, monkeypatch):
+    from iotsqlbench import templates
+    from iotsqlbench.store import sql as _sql
+
+    out = tmp_path / "run"
+    base = ["--out", out, *SMALL]
+    assert run(base + ["synth"]) == 0
+    real_generate, real_parse = templates.generate_corpus, _sql.parse
+    generated, late = [], []
+
+    def generate_corpus(*args, **kwargs):
+        generated.extend(real_generate(*args, **kwargs))
+        return generated
+
+    def parse(sql):
+        if generated:
+            late.append(sql)
+        return real_parse(sql)
+
+    monkeypatch.setattr(templates, "generate_corpus", generate_corpus)
+    monkeypatch.setattr(_sql, "parse", parse)
+    assert run(base + ["gen-pairs", "--db", out / "synth"]) == 0
+    assert len(generated) == 120
+    assert late == []  # stats.json comes from the pairs' recorded classification
+    stats = json.loads((out / "corpus/stats.json").read_text())
+    assert stats["temporal_pairs"] == sum(p.temporal for p in generated) > 0

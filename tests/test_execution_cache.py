@@ -134,6 +134,20 @@ def test_gold_verdict_does_not_depend_on_earlier_timeouts():
         score_sql_corpus(example, pred, db, timeout=-1.0)
 
 
+def test_execute_rejects_a_nan_timeout():
+    # with a NaN deadline no comparison with the clock is ever true
+    with pytest.raises(ValueError):
+        make_db().execute("SELECT a FROM t", timeout=math.nan)
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf])
+def test_scoring_rejects_a_timeout_that_is_no_json_number(monkeypatch, timeout):
+    calls = count_executes(monkeypatch)
+    with pytest.raises(ValueError):
+        score_sql_corpus(EXAMPLES, PREDICTIONS, make_db(), timeout=timeout)
+    assert calls == []  # raised before anything was scored
+
+
 def test_gold_entry_keyed_by_exact_text():
     db = Database(define_schema([TableSchema("t", (ColumnDef("v", "number"),))]))
     db.load_records("t", [(1,), (2,)])

@@ -13,6 +13,7 @@ from iotsqlbench.templates import (
     generate_corpus,
     has_datetime_predicate,
 )
+from iotsqlbench.templates.generate import CONSTRUCTS
 
 # two tables that share an id and a time column name, each with one time
 # column of its own
@@ -151,6 +152,28 @@ def test_coverage_counts_an_aggregate_compared_with_a_subquery_in_having():
 
 def test_coverage_skips_unparsable_sql():
     assert set(_coverage("SELECT FROM").values()) == {0}
+
+
+def test_an_engine_fault_in_parse_propagates(monkeypatch):
+    def parse(sql):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(_sql, "parse", parse)
+    with pytest.raises(RuntimeError):
+        has_datetime_predicate("SELECT id FROM evt", SCHEMA)
+    with pytest.raises(RuntimeError):
+        _coverage("SELECT id FROM evt")
+
+
+def test_generated_pairs_are_classified_as_the_text_path_classifies(synth_db):
+    pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=300, seed=27))
+    assert set().union(*(p.constructs for p in pairs)) == set(CONSTRUCTS)
+    assert any(p.temporal for p in pairs) and not all(p.temporal for p in pairs)
+    for pair in pairs:
+        assert pair.temporal == has_datetime_predicate(pair.sql, synth_db.schema), pair.sql
+        from_text = _coverage(pair.sql)  # a pair with no recorded classification
+        assert pair.constructs == {name for name, n in from_text.items() if n}, pair.sql
+        assert construct_coverage([pair]) == from_text, pair.sql
 
 
 def test_generation_and_scoring_name_tables_alike(synth_db):
