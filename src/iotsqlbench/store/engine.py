@@ -28,8 +28,11 @@ SELECT *), and everything after the join resolves names to their place in
 that narrow row.  Each output row is built once, and DISTINCT, ORDER BY (a
 stable sort of row positions per key) and LIMIT work on those rows.
 
-Writes take the database lock; ``execute`` works on a snapshot taken under
-the lock, so one writer and many concurrent readers are safe.
+Each stored table is one tuple of rows.  A load builds the table's longer
+tuple and swaps in a new table mapping under the writers' lock; no stored
+mapping or tuple changes after it is built.  ``snapshot`` is the current
+mapping, read-only, so a reader takes no lock, copies no row and sees every
+load that finished before it began, and none that finishes during it.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ import math
 import operator
 import threading
 import time as _time
+import types
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import sql as _sql
 from .errors import (
@@ -54,7 +58,7 @@ from .errors import (
     UnknownIdentifier,
     UnknownTable,
 )
-from .schema import ColumnDef, DatabaseSchema, TableSchema, norm_ident
+from .schema import ColumnDef, DatabaseSchema, TableSchema
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -192,7 +196,7 @@ class Database:
 
     def __init__(self, schema: DatabaseSchema):
         self.schema = schema
-        self._rows: dict[str, list[tuple]] = {norm_ident(t.name): [] for t in schema.tables}
+        self._tables: dict[str, tuple] = {t.name: () for t in schema.tables}
         self._lock = threading.Lock()
 
     def load_records(self, table: str, records: Iterable[Sequence]) -> int:
@@ -212,19 +216,17 @@ class Database:
                     )
                 staged[pos] = tuple([check(v) for check, v in zip(checkers, row)])
         with self._lock:
-            self._rows[norm_ident(tschema.name)].extend(staged)
+            self._tables = {**self._tables, tschema.name: self._tables[tschema.name] + tuple(staged)}
         return len(staged)
 
     def row_count(self, table: str) -> int:
         tschema = self.schema.table(table)
         if tschema is None:
             raise UnknownTable(f"no such table {table!r}")
-        with self._lock:
-            return len(self._rows[norm_ident(tschema.name)])
+        return len(self._tables[tschema.name])
 
-    def snapshot(self) -> dict[str, tuple]:
-        with self._lock:
-            return {name: tuple(rows) for name, rows in self._rows.items()}
+    def snapshot(self) -> Mapping[str, tuple]:
+        return types.MappingProxyType(self._tables)
 
     def execute(self, query: str, timeout: float = DEFAULT_TIMEOUT) -> ResultTable:
         if math.isnan(timeout):  # no deadline would ever pass
@@ -430,19 +432,12 @@ def _compile_membership(probe: _Operand, values: list) -> Callable[[tuple], bool
 class Scope:
     """Column resolution over one table or a joined pair."""
 
-    def __init__(self, tables: list[tuple[TableSchema, int]]):
-        # tables: (schema, base offset into the combined row)
+    def __init__(self, schema: DatabaseSchema, tables: list[tuple[TableSchema, int]]):
+        # tables: (table, base offset into the combined row); ``schema``
+        # finds the table a qualifier names
+        self.schema = schema
         self.tables = tables
         self._slots: dict[int, int] | None = None  # set by narrowed()
-        self._by_table: dict[str, tuple[TableSchema, int]] = {
-            norm_ident(t.name): (t, base) for t, base in tables
-        }
-        self._unqualified: dict[str, list[tuple[int, ColumnDef]]] = {}
-        for t, base in tables:
-            for i, col in enumerate(t.columns):
-                self._unqualified.setdefault(norm_ident(col.name), []).append(
-                    (base + i, col)
-                )
 
     @classmethod
     def of(cls, query: _sql.Query, schema: DatabaseSchema) -> "Scope":
@@ -450,11 +445,11 @@ class Scope:
         table's.  An unknown table or a self-join is an error."""
         main = _resolve_table(schema, query.table)
         if query.join is None:
-            return cls([(main, 0)])
+            return cls(schema, [(main, 0)])
         right = _resolve_table(schema, query.join.table)
-        if norm_ident(right.name) == norm_ident(main.name):
+        if right is main:
             raise ParseError("self-joins are not supported")
-        return cls([(main, 0), (right, len(main.columns))])
+        return cls(schema, [(main, 0), (right, len(main.columns))])
 
     def narrowed(self, positions: Sequence[int]) -> "Scope":
         """This scope over rows that hold only the combined row's
@@ -469,24 +464,20 @@ class Scope:
         return (idx, col) if self._slots is None else (self._slots[idx], col)
 
     def _locate(self, raw: str) -> tuple[int, ColumnDef]:
-        key = norm_ident(raw)
-        hits = self._unqualified.get(key, [])
+        hits = [(t, base, i) for t, base in self.tables if (i := t.column_index(raw)) is not None]
         if len(hits) == 1:
-            return hits[0]
-        if len(hits) > 1:
+            t, base, i = hits[0]
+            return base + i, t.columns[i]
+        if hits:
             raise UnknownIdentifier(f"ambiguous column {raw!r}; qualify with a table name")
         # qualified form: longest table-name prefix split at a dot
         for split in range(len(raw) - 1, 0, -1):
             if raw[split] != ".":
                 continue
-            prefix, suffix = raw[:split], raw[split + 1 :]
-            entry = self._by_table.get(norm_ident(prefix))
-            if entry is None:
-                continue
-            tschema, base = entry
-            idx = tschema.column_index(suffix)
-            if idx is not None:
-                return base + idx, tschema.columns[idx]
+            named = self.schema.table(raw[:split])
+            for t, base in self.tables:
+                if t is named and (i := t.column_index(raw[split + 1 :])) is not None:
+                    return base + i, t.columns[i]
         raise UnknownIdentifier(f"unknown column {raw!r}")
 
     def operand(self, node) -> _Operand:
@@ -599,7 +590,7 @@ def _compile_condition(
     cond,
     operand: Callable[[object], _Operand],
     schema: DatabaseSchema,
-    snap: dict[str, tuple],
+    snap: Mapping[str, tuple],
     deadline: float,
 ) -> Callable[[tuple], bool]:
     """Row predicate for a WHERE or HAVING condition; ``operand`` places an
@@ -662,7 +653,7 @@ def _column_subquery(query, schema, snap, deadline) -> list:
 def _run_query(
     query: _sql.Query,
     schema: DatabaseSchema,
-    snap: dict[str, tuple],
+    snap: Mapping[str, tuple],
     deadline: float,
 ) -> ResultTable:
     _check_deadline(deadline)
@@ -671,7 +662,7 @@ def _run_query(
         return ResultTable(columns=[_render_literal_name(v) for v in values], rows=[values])
     scope = Scope.of(query, schema)
     main = scope.tables[0][0]
-    rows: Sequence[tuple] = snap[norm_ident(main.name)]
+    rows: Sequence[tuple] = snap[main.name]
 
     def compile_where(cond, operand):
         return _compile_condition(cond, operand, schema, snap, deadline)
@@ -706,7 +697,7 @@ def _run_query(
         joined_preds = [compile_where(cond, scope.operand) for cond in spanning]
         rows = _hash_join(
             _filter(rows, left_preds, deadline),
-            _filter(snap[norm_ident(right.name)], right_preds, deadline),
+            _filter(snap[right.name], right_preds, deadline),
             (left_key[0], left_key[1].attribute, [p for p in reads if p < base]),
             (right_key[0] - base, right_key[1].attribute, [p - base for p in reads if p >= base]),
             deadline,

@@ -4,12 +4,17 @@ A database schema is an ordered list of tables; each table an ordered list
 of columns; each column carries one of four datatype attributes.  The
 linearized form is the token sequence prepended to model inputs:
 ``[*, table1, col1, attr1, col2, attr2, table2, ...]``.
+
+Names are looked up here and nowhere else: ``norm_ident`` folds an
+identifier (case-insensitive, '.' and '_' alike), and each table and
+schema folds its names once, when it is built, into the map that
+``column_index`` and ``table`` read.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 ATTRIBUTES = ("text", "number", "time", "boolean")
@@ -58,6 +63,7 @@ class ColumnDef:
 class TableSchema:
     name: str
     columns: tuple[ColumnDef, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -66,19 +72,16 @@ class TableSchema:
         object.__setattr__(self, "columns", cols)
         if not cols:
             raise SchemaError(f"table {self.name!r} must have at least one column")
-        seen: set[str] = set()
-        for col in cols:
+        index: dict[str, int] = {}
+        for i, col in enumerate(cols):
             key = norm_ident(col.name)
-            if key in seen:
+            if key in index:
                 raise DuplicateColumn(f"table {self.name!r}: duplicate column {col.name!r}")
-            seen.add(key)
+            index[key] = i
+        object.__setattr__(self, "_index", index)
 
     def column_index(self, name: str) -> int | None:
-        key = norm_ident(name)
-        for i, col in enumerate(self.columns):
-            if norm_ident(col.name) == key:
-                return i
-        return None
+        return self._index.get(norm_ident(name))
 
     def column(self, name: str) -> ColumnDef | None:
         idx = self.column_index(name)
@@ -88,16 +91,16 @@ class TableSchema:
 @dataclass(frozen=True)
 class DatabaseSchema:
     tables: tuple[TableSchema, ...]
+    _index: dict[str, TableSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", tuple(self.tables))
+        tables = tuple(self.tables)
+        object.__setattr__(self, "tables", tables)
+        # of two tables whose names fold alike, the first is found
+        object.__setattr__(self, "_index", {norm_ident(t.name): t for t in reversed(tables)})
 
     def table(self, name: str) -> TableSchema | None:
-        key = norm_ident(name)
-        for t in self.tables:
-            if norm_ident(t.name) == key:
-                return t
-        return None
+        return self._index.get(norm_ident(name))
 
     @property
     def n_columns(self) -> int:

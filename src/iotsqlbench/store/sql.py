@@ -269,7 +269,7 @@ class _Parser:
             tok = self.next()
             if tok.kind != "number" or not tok.text.isdigit():
                 raise ParseError(f"LIMIT expects a nonnegative integer (position {tok.pos})")
-            limit = int(tok.text)
+            limit = _number_value(tok.text)
 
         return Query(
             select=tuple(select),
@@ -407,7 +407,10 @@ class _Parser:
 
 def _number_value(text: str) -> int | float:
     if re.fullmatch(r"\d+", text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(f"integer literal of {len(text)} digits is too long") from None
     return float(text)
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from ..store import Database, Scope, StoreError, canonical_tables, norm_ident
+from ..store import Database, Scope, StoreError, canonical_tables
 from ..store import sql as _sql
 from ..store.schema import ColumnDef, DatabaseSchema, TableSchema
 from .bank import (
@@ -202,10 +202,10 @@ class ValueIndex:
         self._cache: dict[tuple[str, str], list] = {}
 
     def distinct(self, table: TableSchema, column: ColumnDef) -> list:
-        key = (norm_ident(table.name), norm_ident(column.name))
+        key = (table.name, column.name)
         if key not in self._cache:
             idx = table.column_index(column.name)
-            seen = {row[idx] for row in self._snap[key[0]]}
+            seen = {row[idx] for row in self._snap[table.name]}
             seen.discard(None)
             usable = [v for v in seen if not (isinstance(v, str) and '"' in v and "'" in v)]
             self._cache[key] = sorted(usable, key=lambda v: (str(type(v)), v))
@@ -228,9 +228,8 @@ class TemplateBinder:
             for t2 in self.schema.tables:
                 if t1 is t2:
                     continue
-                names1 = {norm_ident(c.name): c for c in t1.columns}
                 for c2 in t2.columns:
-                    c1 = names1.get(norm_ident(c2.name))
+                    c1 = t1.column(c2.name)
                     if c1 is not None and c1.attribute == c2.attribute == "text":
                         options.append((t1, t2, c1.name))
         return options

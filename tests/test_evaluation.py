@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from iotsqlbench.evaluation import (
@@ -326,3 +328,12 @@ def test_execution_scores_long_flat_conditions():
     assert execution_accuracy(ors, gold, db)
     ands = "SELECT v FROM u GROUP BY v HAVING " + " AND ".join(["(MAX(v) < 2)"] * 2000)
     assert execution_accuracy(ands, gold, db)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() not in range(1, 5000),
+    reason="this interpreter converts any integer literal",
+)
+def test_execution_pred_oversize_integer_literal_is_false(ab_db):
+    # past the int-string limit the parse fails as a ParseError, not a ValueError
+    assert not execution_accuracy("SELECT a FROM t WHERE a = " + "1" * 5000, "SELECT a FROM t", ab_db)

@@ -1,3 +1,4 @@
+import sys
 import threading
 from datetime import datetime
 
@@ -15,6 +16,7 @@ from iotsqlbench.store import (
     UnknownTable,
     default_schema,
     define_schema,
+    parse,
     referenced_tables,
 )
 from tests.conftest import FIXTURE_CONN_ROWS
@@ -276,3 +278,23 @@ def test_referenced_tables():
         "SELECT * FROM a WHERE (x IN (SELECT x FROM c WHERE (y = 1)))"
     ) == {"a", "c"}
     assert referenced_tables("SELECT 1") == set()
+
+
+# An integer literal longer than the interpreter's int-string limit (4,300
+# digits by default) is a ParseError, in every place a literal may stand.
+_HUGE = "1" * 5000
+_converts_huge = getattr(sys, "get_int_max_str_digits", lambda: 0)() in range(1, len(_HUGE))
+
+
+@pytest.mark.skipif(not _converts_huge, reason="this interpreter converts any integer literal")
+@pytest.mark.parametrize("sql", [
+    f"SELECT orig_p FROM conn.log WHERE orig_p = {_HUGE}",
+    f"SELECT orig_p FROM conn.log WHERE orig_p > -{_HUGE}",
+    f"SELECT {_HUGE}",
+    f"SELECT orig_p FROM conn.log LIMIT {_HUGE}",
+], ids=["where", "negative", "select", "limit"])
+def test_oversize_integer_literal_is_a_parse_error(fixture_db, sql):
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse(sql)
+    with pytest.raises(ParseError):
+        fixture_db.execute(sql)

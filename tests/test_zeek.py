@@ -3,7 +3,7 @@ from datetime import datetime
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.ingest import (
@@ -440,9 +440,12 @@ def test_epoch_round_trip_from_datetime(dt):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-62135596800, 253402300799), st.integers(0, 999_999))
+@example(-62135596800, 0)
+@example(-62135596800, 1)  # 1 µs before year 1
 def test_epoch_round_trip_from_text(secs, usec):
     text = f"{'-' if secs < 0 else ''}{abs(secs)}.{usec:06d}"
-    if secs < 0 and (abs(secs) + usec / 1e6) > 62135596800:
+    # compared in integers: at 6.2e10 s a float drops the microseconds
+    if secs < 0 and -secs * 10**6 + usec > 62135596800 * 10**6:
         return  # before year 1
     assert datetime_to_epoch(epoch_to_datetime(text)) == text
 
@@ -450,6 +453,8 @@ def test_epoch_round_trip_from_text(secs, usec):
 def test_epoch_out_of_range_is_a_bad_line_not_a_crash():
     with pytest.raises(ValueError, match="out of range"):
         epoch_to_datetime("99999999999999.0")
+    with pytest.raises(ValueError, match="out of range"):
+        epoch_to_datetime("-62135596800.000001")  # 1 µs before year 1
     parts = GOOD_LINE.split("\t")
     parts[0] = "99999999999999.0"
     result = parse_zeek(HEADER + "\n" + "\t".join(parts) + "\n" + GOOD_LINE + "\n", "conn")
