@@ -3,10 +3,16 @@
 Identifier columns (ts, uid, orig_h, resp_h, tunnel_parents) never
 contribute features.  Numeric columns pass through (unset becomes 0 plus
 a presence flag); categorical columns are one-hot over a training-time
-vocabulary with an explicit "other" slot for unseen values.
+vocabulary with an explicit "other" slot for unseen values.  The matrix
+is filled a column at a time: one pass per numeric column, and for each
+categorical column a dict lookup per value and one assignment of its
+one-hot slots.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,10 +73,7 @@ class Featurizer:
         if not records:
             raise Empty("cannot fit a featurizer on zero records")
         for name in CATEGORICAL_FIELDS:
-            counts: dict[str, int] = {}
-            for r in records:
-                text = _categorical_text(getattr(r, name))
-                counts[text] = counts.get(text, 0) + 1
+            counts = Counter(map(_categorical_text, map(attrgetter(name), records)))
             budget = self.vocab_budget[name]
             ranked = sorted(counts, key=lambda v: (-counts[v], v))[:budget]
             self.vocab[name] = sorted(ranked)
@@ -113,28 +116,26 @@ class Featurizer:
             raise FeatureError("featurizer is not fitted")
 
     def transform(self, records: list[ConnRecord]) -> np.ndarray:
+        """The feature matrix, one row per record, filled a column at a time."""
         self._require_fitted()
         n = len(records)
         X = np.zeros((n, self.n_dims), dtype=np.float64)
-        for i, r in enumerate(records):
-            col = 0
-            for name in NUMERIC_FIELDS:
-                value = getattr(r, name)
-                X[i, col] = 0.0 if value is None else float(value)
-                col += 1
-            for name in OPTIONAL_NUMERIC_FIELDS:
-                X[i, col] = 0.0 if getattr(r, name) is None else 1.0
-                col += 1
-            for name in CATEGORICAL_FIELDS:
-                vocab = self.vocab[name]
-                text = _categorical_text(getattr(r, name))
-                width = len(vocab) + 1
-                try:
-                    slot = vocab.index(text)
-                except ValueError:
-                    slot = width - 1  # other
-                X[i, col + slot] = 1.0
-                col += width
+        rows = np.arange(n)
+        col = 0
+        for name in NUMERIC_FIELDS:
+            X[:, col] = [0.0 if value is None else value for value in map(attrgetter(name), records)]
+            col += 1
+        for name in OPTIONAL_NUMERIC_FIELDS:
+            X[:, col] = [value is not None for value in map(attrgetter(name), records)]
+            col += 1
+        for name in CATEGORICAL_FIELDS:
+            vocab = self.vocab[name]
+            # the first slot of each value, as vocab.index gives it
+            slot_of = {text: slot for slot, text in reversed(list(enumerate(vocab)))}
+            other = len(vocab)
+            texts = map(_categorical_text, map(attrgetter(name), records))
+            X[rows, [col + slot_of.get(text, other) for text in texts]] = 1.0
+            col += other + 1
         return X
 
     def state(self) -> dict:

@@ -142,18 +142,26 @@ def write_db_dir(writer: ArtifactWriter, rel_dir: str, schema, data: dict) -> No
         writer.write(f"{rel_dir}/devices.csv", serialize_devices(data["devices"]))
 
 
+def _zeek_log(path: Path, kind: str) -> Path | None:
+    """The log of ``kind`` in a directory: the first of ``<kind>.log.tsv``,
+    ``<kind>.log`` and ``<kind>.log.labeled`` that exists, else None."""
+    for name in (f"{kind}.log.tsv", f"{kind}.log", f"{kind}.log.labeled"):
+        candidate = path / name
+        if candidate.exists():
+            return candidate
+    return None
+
+
 def read_logs_dir(path: Path) -> dict:
     """Parse every recognized log file in a directory; returns records per kind."""
     data: dict = {}
     issues = []
     for kind in ZEEK_KINDS:
-        for name in (f"{kind}.log.tsv", f"{kind}.log", f"{kind}.log.labeled"):
-            candidate = path / name
-            if candidate.exists():
-                result = parse_zeek(candidate.read_text(encoding="utf-8"), kind)
-                data[kind] = result.records
-                issues.extend((f"{name}:{i.line_no}", i.message) for i in result.issues)
-                break
+        candidate = _zeek_log(path, kind)
+        if candidate is not None:
+            result = parse_zeek(candidate.read_text(encoding="utf-8"), kind)
+            data[kind] = result.records
+            issues.extend((f"{candidate.name}:{i.line_no}", i.message) for i in result.issues)
     for sensor in SENSOR_TYPES:
         candidate = path / f"{sensor}.csv"
         if candidate.exists():
@@ -191,12 +199,22 @@ def load_db_dir(path: Path):
 
 
 def network_splits(anonymized: str, network_manifest: str) -> dict[str, list]:
-    """The anonymized conn records of each split, in manifest order."""
+    """The anonymized conn records of each split, in manifest order.
+
+    A malformed line in the anonymized log, or a manifest uid it does not
+    hold, is a data error: the splits would silently lose records.
+    """
     result = parse_zeek(Path(anonymized).read_text(encoding="utf-8"), "conn")
+    if result.issues:
+        issue = result.issues[0]
+        raise IngestError(f"{anonymized}:{issue.line_no}: {issue.message}")
     by_uid = {r.uid: r for r in result.records}
     manifest = splitter.load_manifest(Path(network_manifest).read_text(encoding="utf-8"))
+    for uid in manifest.assignment:
+        if uid not in by_uid:
+            raise splitter.SplitError(f"manifest uid {uid!r} is not in {anonymized}")
     return {
-        split: [by_uid[i] for i in manifest.ids_for(split) if i in by_uid]
+        split: [by_uid[i] for i in manifest.ids_for(split)]
         for split in splitter.SPLITS
     }
 
@@ -276,8 +294,11 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
         inputs["corpus"] = args.corpus
         print(f"split: pairs {manifest.counts()}")
     if args.db:
-        _, _, data = load_db_dir(Path(args.db))
-        records = data.get("conn") or []
+        # only the conn log: the rest of the database dir plays no part
+        conn_log = _zeek_log(Path(args.db), "conn")
+        records = []
+        if conn_log is not None:
+            records = parse_zeek(conn_log.read_text(encoding="utf-8"), "conn").records
         if not records:
             raise IngestError("network split requested but no conn records found")
         anonymized, maps = splitter.anonymize(

@@ -314,4 +314,20 @@ LABEL_FIELDS = [
 
 
 # conn_to_row(record): a 21-value row for the conn.log table (label excluded)
-conn_to_row = attrgetter(*(spec.name for spec in CONN_FIELDS))
+_CONN_NAMES = tuple(spec.name for spec in CONN_FIELDS)
+conn_to_row = attrgetter(*_CONN_NAMES)
+
+
+def _conn_record(values, label: AttackLabel) -> ConnRecord:
+    """``ConnRecord(*values, label)`` for ``values`` in CONN_FIELDS order.
+
+    The fields go straight into the instance dict, where the generated
+    ``__init__`` makes one ``object.__setattr__`` call per field; then
+    ``__post_init__`` checks the record, as it does after ``__init__``.
+    """
+    record = object.__new__(ConnRecord)
+    state = record.__dict__
+    state.update(zip(_CONN_NAMES, values))
+    state["label"] = label
+    record.__post_init__()
+    return record

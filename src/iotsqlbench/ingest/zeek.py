@@ -15,9 +15,13 @@ through the per-value ``_convert`` instead when it holds the unset or empty
 marker, when a value does not parse, or when a value is out of range; that
 path finds each bad line's first failing column, so issues and records are
 the same as a line-by-line parse gives.  ``_convert`` is the one per-value
-semantics.  Conn rows are rendered (``serialize_zeek``) and projected
-(``rows_for_table``) a column at a time in the same way, with ``_render``
-for a column that holds an unset or empty value.
+semantics.  Each conn record is then built once, its values set straight
+into the record (``records._conn_record``), and checked once, by
+``ConnRecord.__post_init__``: the one check that catches a NaN duration,
+which both the column range check and ``_convert`` let through.  Conn rows
+are rendered (``serialize_zeek``) and projected (``rows_for_table``) a
+column at a time in the same way, with ``_render`` for a column that holds
+an unset or empty value.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .records import (
     UnknownKind,
     UnknownLabel,
     ZeekRecord,
+    _conn_record,
     conn_to_row,
     parse_iot23_label,
 )
@@ -364,7 +369,7 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
                          else parse_iot23_label(raw_labels[i], raw_details[i]))
                 if check_required:
                     _require_present(values)
-                records.append(ConnRecord(*values, label))
+                records.append(_conn_record(values, label))
                 record_lines.append(line_nos[i])
                 continue
             except (ValueError, RecordInvariantError, UnknownLabel) as exc:
@@ -411,7 +416,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                         str(obj.get("label", "-")), str(obj.get("detailed-label", "-"))
                     )
                 _require_present(values)
-                records.append(ConnRecord(*values, label))
+                records.append(_conn_record(values, label))
             else:
                 records.append(ZeekRecord(kind=kind, fields=values))
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:

@@ -3,8 +3,11 @@
 Text-to-SQL inputs are the question, a separator, then the linearized
 schema tokens.  Detection inputs are a fixed instruction followed by the
 space-joined connection-log row (identifier columns ts and uid excluded,
-matching the 19-feature row; unset values render as ``-``).  Examples and
-predictions travel as UTF-8 JSON lines keyed by id.
+matching the 19-feature row; unset values render as ``-``).  The rows are
+rendered a column at a time by ``zeek._render_column``, the renderer the
+TSV writer uses, and ``detection_row`` renders one record the same way, so
+rendering has one semantics.  Examples and predictions travel as UTF-8
+JSON lines keyed by id.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 from .ingest.records import CONN_FIELDS, ConnRecord
-from .ingest.zeek import _render
+from .ingest.zeek import _render_column
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
 DEFAULT_INSTRUCTION = "Is the following network information Malicious?"
@@ -24,6 +28,7 @@ DEFAULT_SEPARATOR = " | "
 SCHEMA_TOKEN_JOINER = ", "
 
 DETECTION_FIELDS = [spec for spec in CONN_FIELDS if spec.name not in ("ts", "uid")]
+_detection_values = attrgetter(*(spec.name for spec in DETECTION_FIELDS))
 
 
 class ModelIOError(Exception):
@@ -83,18 +88,27 @@ def build_sql_input(
     return f"{question}{separator}{linearized.joined(SCHEMA_TOKEN_JOINER)}"
 
 
+def _detection_rows(records: list[ConnRecord]) -> list[str]:
+    """``detection_row`` of each record, rendered a column at a time."""
+    columns = [_render_column(column, spec)
+               for column, spec in zip(zip(*map(_detection_values, records)), DETECTION_FIELDS)]
+    return list(map(" ".join, zip(*columns)))
+
+
 def detection_row(record: ConnRecord) -> str:
     """Space-joined column values in connection-log order (ts/uid dropped)."""
-    return " ".join(_render(getattr(record, spec.name), spec) for spec in DETECTION_FIELDS)
+    return _detection_rows([record])[0]
 
 
 def build_detection_input(record: ConnRecord, instruction: str = DEFAULT_INSTRUCTION) -> DetectionExample:
-    return DetectionExample(
-        id=record.uid,
-        instruction=instruction,
-        row=detection_row(record),
-        gold=record.is_malicious,
-    )
+    return _detection_examples([record], instruction)[0]
+
+
+def _detection_examples(records: list[ConnRecord], instruction: str) -> list[DetectionExample]:
+    return [
+        DetectionExample(id=record.uid, instruction=instruction, row=row, gold=record.is_malicious)
+        for record, row in zip(records, _detection_rows(records))
+    ]
 
 
 def bool_to_label(value: bool) -> str:
@@ -136,13 +150,13 @@ def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEF
 
 
 def write_detection_examples(records: Iterable[ConnRecord], path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
-    examples = [build_detection_input(r, instruction=instruction) for r in records]
+    examples = _detection_examples(list(records), instruction)
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(
-                {"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)},
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
+        fh.writelines(
+            encode({"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)}) + "\n"
+            for ex in examples
+        )
     return examples
 
 

@@ -9,7 +9,6 @@ independent per-record time offsets).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
@@ -220,7 +219,12 @@ class AnonymizationMaps:
 
 def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
     """Randomize identifiers: one IP bijection for all records, independent
-    per-record timestamp offsets.  All other fields are untouched."""
+    per-record timestamp offsets.  All other fields are untouched.
+
+    Each anonymized record is a copy of the input record's state with
+    ``ts``, ``orig_h`` and ``resp_h`` swapped in; the other values were
+    checked when the input record was built and are not checked again.
+    """
     rng = random.Random(seed)
     input_ips = sorted({r.orig_h for r in records} | {r.resp_h for r in records})
     pool_iter = _synthetic_ips(set(input_ips))
@@ -234,14 +238,13 @@ def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
     for r in records:
         offset = rng.randint(-max_offset, max_offset)
         offsets[r.uid] = offset
-        out.append(
-            dataclasses.replace(
-                r,
-                orig_h=ip_map[r.orig_h],
-                resp_h=ip_map[r.resp_h],
-                ts=r.ts + timedelta(seconds=offset),
-            )
-        )
+        record = object.__new__(type(r))
+        state = record.__dict__
+        state.update(r.__dict__)
+        state["ts"] = r.ts + timedelta(seconds=offset)
+        state["orig_h"] = ip_map[r.orig_h]
+        state["resp_h"] = ip_map[r.resp_h]
+        out.append(record)
     return out, AnonymizationMaps(ip_map=ip_map, time_offsets=offsets)
 
 

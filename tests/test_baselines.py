@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from iotsqlbench.baselines import (
+    CATEGORICAL_FIELDS,
+    NUMERIC_FIELDS,
+    OPTIONAL_NUMERIC_FIELDS,
     DecisionTree,
     DimensionMismatch,
     Empty,
@@ -271,3 +274,75 @@ def test_tree_predict_single_leaf_and_threshold_edges():
     })
     assert leaf.predict(X).tolist() == [True] * len(X)
     assert leaf.predict(np.empty((0, 2))).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# Featurizer.transform against a row-by-row reference
+
+
+def _transform_row_by_row(feat, records):
+    X = np.zeros((len(records), feat.n_dims), dtype=np.float64)
+    for i, r in enumerate(records):
+        col = 0
+        for name in NUMERIC_FIELDS:
+            value = getattr(r, name)
+            X[i, col] = 0.0 if value is None else float(value)
+            col += 1
+        for name in OPTIONAL_NUMERIC_FIELDS:
+            X[i, col] = 0.0 if getattr(r, name) is None else 1.0
+            col += 1
+        for name in CATEGORICAL_FIELDS:
+            vocab = feat.vocab[name]
+            value = getattr(r, name)
+            text = "-" if value is None else ("T" if value else "F") if isinstance(value, bool) else str(value)
+            slot = vocab.index(text) if text in vocab else len(vocab)
+            X[i, col + slot] = 1.0
+            col += len(vocab) + 1
+    return X
+
+
+def test_featurizer_transform_matches_row_by_row_reference(synth_data):
+    import dataclasses
+
+    train_records = synth_data["conn"][:300]
+    feat = fit_featurizer(train_records)
+    base = train_records[0]
+    odd = [
+        dataclasses.replace(base, duration=None, orig_bytes=None, resp_bytes=None,
+                            service=None, local_orig=None, local_resp=None),
+        dataclasses.replace(base, local_orig=True, local_resp=False, service=""),
+        dataclasses.replace(base, local_orig=False, local_resp=True, duration=0.0),
+        # categories never seen at fit time go to the <other> slot
+        dataclasses.replace(base, proto="sctp", service="gopher", conn_state="ZZ",
+                            history="Never-seen"),
+    ]
+    records = odd + synth_data["conn"][300:600]
+    X = feat.transform(records)
+    assert X.dtype == np.float64 and X.shape == (len(records), feat.n_dims)
+    assert np.array_equal(X, _transform_row_by_row(feat, records))
+    assert X[3, feat.expanded_names.index("proto=<other>")] == 1.0
+    assert X[3, feat.expanded_names.index("history=<other>")] == 1.0
+    one_hot = X[:, len(NUMERIC_FIELDS) + len(OPTIONAL_NUMERIC_FIELDS):]
+    assert np.array_equal(one_hot.sum(axis=1), np.full(len(records), float(len(CATEGORICAL_FIELDS))))
+
+
+def test_featurizer_transform_empty_and_single(synth_data):
+    feat = fit_featurizer(synth_data["conn"][:100])
+    X = feat.transform([])
+    assert X.shape == (0, feat.n_dims) and X.dtype == np.float64
+    one = synth_data["conn"][100:101]
+    assert np.array_equal(feat.transform(one), _transform_row_by_row(feat, one))
+
+
+def test_featurizer_local_flags_one_hot(synth_data):
+    import dataclasses
+
+    base = synth_data["conn"][0]
+    records = [dataclasses.replace(base, uid=f"CFlag{i}", local_orig=flag)
+               for i, flag in enumerate((None, True, False, True))]
+    feat = fit_featurizer(records)
+    assert feat.vocab["local_orig"] == ["-", "F", "T"]
+    X = feat.transform(records)
+    assert np.array_equal(X, _transform_row_by_row(feat, records))
+    cols = [feat.expanded_names.index(f"local_orig={v}") for v in ("-", "T", "F", "T")]
+    assert [X[i, col] for i, col in enumerate(cols)] == [1.0] * 4

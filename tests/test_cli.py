@@ -216,3 +216,75 @@ def test_gen_pairs_parses_no_sql_after_generation(tmp_path, monkeypatch):
     assert late == []  # stats.json comes from the pairs' recorded classification
     stats = json.loads((out / "corpus/stats.json").read_text())
     assert stats["temporal_pairs"] == sum(p.temporal for p in generated) > 0
+
+
+def _network_split(out: Path) -> list[str]:
+    """synth then split --db; the emit arguments for the network split."""
+    base = ["--seed", 7, "--out", out, *SMALL]
+    assert run(base + ["synth"]) == 0
+    assert run(base + ["split", "--db", out / "synth"]) == 0
+    return ["--anonymized", out / "splits/conn.anonymized.tsv",
+            "--network-manifest", out / "splits/network_manifest.txt"]
+
+
+def test_emit_and_baseline_reject_malformed_anonymized_lines(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    anonymized = out / "splits/conn.anonymized.tsv"
+    lines = anonymized.read_text(encoding="utf-8").splitlines(keepends=True)
+    first_data = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    first_bad, second_bad = first_data + 3, first_data + 7  # 0-based
+    for i in (first_bad, second_bad):
+        parts = lines[i].split("\t")
+        parts[3] = "70000"  # orig_p out of range
+        lines[i] = "\t".join(parts)
+    anonymized.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "emit", "emit", *network]) == 1
+    err = capsys.readouterr().err
+    assert f"conn.anonymized.tsv:{first_bad + 1}:" in err and "orig_p out of range" in err
+    assert not (tmp_path / "emit/model_io").exists()
+    assert run(["--out", tmp_path / "base", "--set", "baseline.n_trees=2", "baseline", *network]) == 1
+    assert f"conn.anonymized.tsv:{first_bad + 1}:" in capsys.readouterr().err
+
+
+def test_emit_and_baseline_reject_manifest_uid_missing_from_anonymized(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    anonymized = out / "splits/conn.anonymized.tsv"
+    manifest = (out / "splits/network_manifest.txt").read_text(encoding="utf-8").splitlines()
+    first_uid = manifest[1].split("\t")[0]
+    later_uid = manifest[5].split("\t")[0]
+    kept = [line for line in anonymized.read_text(encoding="utf-8").splitlines(keepends=True)
+            if line.split("\t")[1:2] not in ([first_uid], [later_uid])]
+    anonymized.write_text("".join(kept), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "emit", "emit", *network]) == 1
+    err = capsys.readouterr().err
+    assert repr(first_uid) in err and repr(later_uid) not in err
+    assert run(["--out", tmp_path / "base", "--set", "baseline.n_trees=2", "baseline", *network]) == 1
+    assert repr(first_uid) in capsys.readouterr().err
+
+
+def test_emit_writes_every_manifest_record(tmp_path):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    assert run(["--out", out, "emit", *network]) == 0
+    manifest = (out / "splits/network_manifest.txt").read_text(encoding="utf-8").splitlines()[1:]
+    emitted = sum(len((out / f"model_io/detect_{split}.jsonl").read_text().splitlines())
+                  for split in ("train", "dev", "test"))
+    assert emitted == len(manifest) > 0
+
+
+def test_split_db_reads_only_the_conn_log(tmp_path):
+    clean, other = tmp_path / "clean", tmp_path / "other"
+    _network_split(clean)
+    base = ["--seed", 7, "--out", other, *SMALL]
+    assert run(base + ["synth"]) == 0
+    (other / "synth/dns.log.tsv").write_text("not a zeek log\n", encoding="utf-8")
+    (other / "synth/schema.txt").unlink()
+    assert run(base + ["split", "--db", other / "synth"]) == 0
+    for name in ("network_manifest.txt", "conn.anonymized.tsv", "private_anonymization_maps.json"):
+        assert (other / "splits" / name).read_bytes() == (clean / "splits" / name).read_bytes()
+    (other / "synth/conn.log.tsv").unlink()
+    assert run(["--out", tmp_path / "none", "split", "--db", other / "synth"]) == 1

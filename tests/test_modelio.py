@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from datetime import datetime
 
 import pytest
@@ -186,3 +188,75 @@ def test_read_jsonl_takes_a_str_as_text_and_a_path_as_a_file(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     assert read_predictions(path, kind="sql")[0].payload == "SELECT 1"
+
+
+# ---------------------------------------------------------------------------
+# detection examples against a per-value reference renderer
+
+_DETECTION_NAMES = (
+    "orig_h", "orig_p", "resp_h", "resp_p", "proto", "service", "duration", "orig_bytes",
+    "resp_bytes", "conn_state", "local_orig", "local_resp", "missed_bytes", "history",
+    "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes", "tunnel_parents",
+)
+
+
+def _reference_value(value) -> str:
+    if value is None:
+        return "-"
+    if value == "" and isinstance(value, str):
+        return "(empty)"
+    if isinstance(value, bool):
+        return "T" if value else "F"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def _reference_line(record, instruction) -> str:
+    row = " ".join(_reference_value(getattr(record, name)) for name in _DETECTION_NAMES)
+    return json.dumps(
+        {"id": record.uid, "input": f"{instruction} {row}",
+         "gold": "Malicious" if record.is_malicious else "Benign"},
+        ensure_ascii=False, sort_keys=True,
+    ) + "\n"
+
+
+def _detection_records():
+    base = REFERENCE_RECORD
+    return [
+        base,
+        dataclasses.replace(base, uid="CRef02", service=None, duration=None, orig_bytes=None,
+                            resp_bytes=None, local_orig=None, local_resp=None,
+                            label=AttackLabel.Benign),
+        dataclasses.replace(base, uid="CRef03", service="", history="", tunnel_parents="",
+                            local_orig=False, local_resp=True, duration=0.0),
+        dataclasses.replace(base, uid="CRef04", history="Séü", tunnel_parents="CTun1,CTun2",
+                            duration=12345.6789, orig_p=0, resp_p=65535),
+    ]
+
+
+@pytest.mark.parametrize("pick", [slice(None), slice(0, 1), slice(1, 2), slice(2, 3),
+                                  slice(3, 4), slice(0, 0), slice(1, None)])
+def test_write_detection_examples_matches_per_value_reference(tmp_path, pick):
+    records = _detection_records()[pick]
+    instruction = "Is this one Malicious?"
+    path = tmp_path / "det.jsonl"
+    examples = write_detection_examples(records, path, instruction=instruction)
+    expected = "".join(_reference_line(record, instruction) for record in records)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert [ex.id for ex in examples] == [record.uid for record in records]
+    assert [ex.gold for ex in examples] == [record.is_malicious for record in records]
+    for record, example in zip(records, examples):
+        assert example == build_detection_input(record, instruction=instruction)
+        assert example.row == detection_row(record)
+        assert json.loads(_reference_line(record, instruction))["input"] == example.input
+
+
+def test_write_detection_examples_takes_an_iterator(tmp_path):
+    records = _detection_records()
+    path = tmp_path / "det.jsonl"
+    examples = write_detection_examples(iter(records), path)
+    assert len(examples) == len(records)
+    assert path.read_text(encoding="utf-8") == "".join(
+        _reference_line(record, "Is the following network information Malicious?")
+        for record in records)

@@ -1,11 +1,12 @@
 import dataclasses
 from collections import Counter
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, SynthSpec, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, synthesize_logs
 from iotsqlbench.splitter import (
     BadRatios,
     EmptyAttackClass,
@@ -160,6 +161,48 @@ def test_anonymize_shifts_timestamps_independently():
     shifted = sum(1 for old, new in zip(records, anonymized) if old.ts != new.ts)
     assert shifted > 40  # offsets of exactly 0 are possible but rare
     assert len(set(maps.time_offsets.values())) > 1
+
+
+def _odd_records():
+    """Records holding None, "" and bool values, built with the dataclass constructor."""
+    base = ConnRecord(
+        ts=datetime(2021, 3, 1, 12, 0, 0), uid="COdd0", orig_h="192.168.1.1", orig_p=80,
+        resp_h="10.0.0.2", resp_p=8080, proto="tcp", service="http", duration=1.5,
+        orig_bytes=100, resp_bytes=230, conn_state="SF", local_orig=True, local_resp=False,
+        missed_bytes=0, history="ShADadFf", orig_pkts=4, orig_ip_bytes=260, resp_pkts=5,
+        resp_ip_bytes=430, tunnel_parents=None, label=AttackLabel.Okiru,
+    )
+    return [
+        base,
+        dataclasses.replace(base, uid="COdd1", service=None, duration=None, orig_bytes=None,
+                            resp_bytes=None, local_orig=None, local_resp=None,
+                            label=AttackLabel.Benign),
+        dataclasses.replace(base, uid="COdd2", orig_h="10.0.0.2", resp_h="192.168.1.1",
+                            service="", history="", tunnel_parents="", local_orig=False,
+                            local_resp=True, duration=0.0),
+    ]
+
+
+def test_anonymize_matches_a_dataclasses_replace_reference():
+    records = _odd_records() + _records({AttackLabel.Benign: 0.5, AttackLabel.DDoS: 0.5}, 40)
+    anonymized, maps = anonymize(records, seed=4)
+    assert len(anonymized) == len(records)
+    for record, got in zip(records, anonymized):
+        reference = dataclasses.replace(
+            record,
+            ts=record.ts + timedelta(seconds=maps.time_offsets[record.uid]),
+            orig_h=maps.ip_map[record.orig_h],
+            resp_h=maps.ip_map[record.resp_h],
+        )
+        for spec in dataclasses.fields(ConnRecord):
+            value, expected = getattr(got, spec.name), getattr(reference, spec.name)
+            assert value == expected and type(value) is type(expected), spec.name
+        assert got == reference and hash(got) == hash(reference)
+        assert repr(got) == repr(reference)
+        assert type(got) is ConnRecord
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.orig_h = "10.9.9.9"
+    assert records[0].orig_h == "192.168.1.1"  # the input records are untouched
 
 
 def test_manifest_round_trip():

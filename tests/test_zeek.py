@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from datetime import datetime
 from unittest import mock
@@ -157,6 +158,55 @@ def test_json_lines_format():
     assert rec.uid == "CJson1"
     assert rec.label is AttackLabel.CandC
     assert rec.duration is None
+
+
+# A NaN duration passes the column range check (min and max skip a NaN that
+# is not first) and _convert (NaN < 0 is false); __post_init__ rejects it.
+@pytest.mark.parametrize("position", [0, 1, 255, 256, 299])
+def test_nan_duration_reported_as_negative_duration(position):
+    lines = [GOOD_LINE.replace("CAbc1", f"CNan{i}") for i in range(300)]
+    parts = lines[position].split("\t")
+    parts[8] = "nan"
+    lines[position] = "\t".join(parts)
+    result = parse_zeek(HEADER + "\n" + "\n".join(lines) + "\n", "conn")
+    (issue,) = result.issues
+    assert issue.line_no == 9 + position
+    assert issue.message == "duration must be nonnegative: nan"
+    assert len(result.records) == 299
+    assert f"CNan{position}" not in {r.uid for r in result.records}
+
+
+def test_nan_duration_in_json_reported():
+    line = json.dumps({
+        "ts": 1616161616.5, "uid": "CJsonNan", "id.orig_h": "192.168.1.2",
+        "id.orig_p": 1024, "id.resp_h": "10.0.0.1", "id.resp_p": 443, "proto": "tcp",
+        "duration": float("nan"), "conn_state": "SF", "missed_bytes": 0, "history": "S",
+        "orig_pkts": 1, "orig_ip_bytes": 40, "resp_pkts": 1, "resp_ip_bytes": 40,
+    })
+    result = parse_zeek(line + "\n", "conn")
+    assert not result.records
+    assert [issue.message for issue in result.issues] == ["duration must be nonnegative: nan"]
+
+
+def test_parsed_record_is_the_dataclass_record():
+    parts = GOOD_LINE.split("\t")
+    parts[7], parts[8], parts[12], parts[13], parts[20] = "(empty)", "-", "-", "T", "(empty)"
+    labeled = "\t".join(parts + ["Malicious", "Okiru"])
+    (record,) = parse_zeek(HEADER + "\n" + labeled + "\n", "conn").records
+    reference = ConnRecord(
+        ts=datetime(2021, 3, 19, 13, 46, 56, 123456), uid="CAbc1", orig_h="192.168.1.5",
+        orig_p=51234, resp_h="10.0.0.9", resp_p=80, proto="tcp", service="", duration=None,
+        orig_bytes=450, resp_bytes=2300, conn_state="SF", local_orig=None, local_resp=True,
+        missed_bytes=0, history="ShADadFf", orig_pkts=7, orig_ip_bytes=730, resp_pkts=9,
+        resp_ip_bytes=2660, tunnel_parents="", label=AttackLabel.Okiru,
+    )
+    for spec in dataclasses.fields(ConnRecord):
+        value, expected = getattr(record, spec.name), getattr(reference, spec.name)
+        assert value == expected and type(value) is type(expected), spec.name
+    assert record == reference and hash(record) == hash(reference)
+    assert repr(record) == repr(reference)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.duration = 1.0
 
 
 def test_parse_iot23_label_cases():
