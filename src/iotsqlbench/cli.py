@@ -198,17 +198,23 @@ def load_db_dir(path: Path):
     return schema, build_database(schema, data), data
 
 
+def _conn_records(path) -> list:
+    """The records of a conn log.  A malformed line is a data error naming
+    ``<file>:<line>``: the records would otherwise silently go missing."""
+    result = parse_zeek(Path(path).read_text(encoding="utf-8"), "conn")
+    if result.issues:
+        issue = result.issues[0]
+        raise IngestError(f"{path}:{issue.line_no}: {issue.message}")
+    return result.records
+
+
 def network_splits(anonymized: str, network_manifest: str) -> dict[str, list]:
     """The anonymized conn records of each split, in manifest order.
 
     A malformed line in the anonymized log, or a manifest uid it does not
     hold, is a data error: the splits would silently lose records.
     """
-    result = parse_zeek(Path(anonymized).read_text(encoding="utf-8"), "conn")
-    if result.issues:
-        issue = result.issues[0]
-        raise IngestError(f"{anonymized}:{issue.line_no}: {issue.message}")
-    by_uid = {r.uid: r for r in result.records}
+    by_uid = {r.uid: r for r in _conn_records(anonymized)}
     manifest = splitter.load_manifest(Path(network_manifest).read_text(encoding="utf-8"))
     for uid in manifest.assignment:
         if uid not in by_uid:
@@ -296,9 +302,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
     if args.db:
         # only the conn log: the rest of the database dir plays no part
         conn_log = _zeek_log(Path(args.db), "conn")
-        records = []
-        if conn_log is not None:
-            records = parse_zeek(conn_log.read_text(encoding="utf-8"), "conn").records
+        records = [] if conn_log is None else _conn_records(conn_log)
         if not records:
             raise IngestError("network split requested but no conn records found")
         anonymized, maps = splitter.anonymize(

@@ -28,6 +28,21 @@ SELECT *), and everything after the join resolves names to their place in
 that narrow row.  Each output row is built once, and DISTINCT, ORDER BY (a
 stable sort of row positions per key) and LIMIT work on those rows.
 
+WHERE, GROUP BY and the join take their rows a chunk of _CHECK_EVERY rows
+at a time and read the deadline once per chunk (and once per group, and
+once per _CHECK_EVERY joined rows).  Each WHERE conjunct is a pass over the
+chunk.  A column compared with a constant of its own attribute (text,
+time, boolean or number; BETWEEN is two such passes) and a column IN
+(subquery) read the chunk's column in one pass and keep rows with
+``itertools.compress``; a null passes no test, so a chunk whose column
+holds one drops those rows first.  A number outside the constant's
+tolerance window is decided by one comparison with the window's edge; only
+the values inside it take the tolerance test.  Every other condition (OR,
+a column against a column, a time against text, whose parse can raise)
+tests one row at a time.  GROUP BY takes a chunk's keys with one
+``itemgetter`` pass, an aggregate reads its argument column of a group in
+one pass, and the join takes its build and probe keys the same way.
+
 Each stored table is one tuple of rows.  A load builds the table's longer
 tuple and swaps in a new table mapping under the writers' lock; no stored
 mapping or tuple changes after it is built.  ``snapshot`` is the current
@@ -47,6 +62,7 @@ import time as _time
 import types
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, compress, count, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import sql as _sql
@@ -348,6 +364,73 @@ def _compile_comparison(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[tupl
     return lambda row: (a := row[i]) is not None and test(a, v)
 
 
+def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequence[tuple]], list]:
+    """``lhs op rhs`` as a pass over a chunk of rows.  A column against a
+    constant of its own attribute is decided a column at a time; any other
+    comparison, such as a time against text, goes through the row
+    predicate."""
+    predicate = _compile_comparison(op, lhs, rhs)
+    if lhs.index is None:
+        op, lhs, rhs = _FLIPPED[op], rhs, lhs
+    test = _value_test(op, lhs.attr, rhs.attr)
+    if lhs.index is None or rhs.index is not None or lhs.attr != rhs.attr or test is None:
+        return _rows_pass(predicate)
+    if lhs.attr == "number":
+        return _column_pass(lhs.index, _number_mask(op, test, rhs.value))
+    v = rhs.value
+    return _column_pass(lhs.index, lambda values: map(test, values, repeat(v)))
+
+
+def _rows_pass(predicate: Callable[[tuple], bool]) -> Callable[[Sequence[tuple]], list]:
+    """A pass that tests each row of a chunk with ``predicate``."""
+    return lambda chunk: list(filter(predicate, chunk))
+
+
+def _column_pass(index: int, decide: Callable[[list], Iterable]) -> Callable[[Sequence[tuple]], list]:
+    """A pass that keeps the rows of a chunk whose value at ``index``
+    ``decide`` finds true; ``decide`` maps a list of non-null values to
+    their truth values.  A null passes no test, so a chunk whose column
+    holds one drops those rows first."""
+    get = operator.itemgetter(index)
+
+    def column_pass(chunk: Sequence[tuple]) -> list:
+        values = list(map(get, chunk))
+        if None in values:
+            chunk = list(compress(chunk, map(operator.is_not, values, repeat(None))))
+            values = list(map(get, chunk))
+        return list(compress(chunk, decide(values)))
+
+    return column_pass
+
+
+def _number_mask(op: str, test, v) -> Callable[[list], list]:
+    """``values -> [test(a, v) for a in values]`` for a list of numbers.  A
+    value outside the tolerance window of ``v`` equals no value near ``v``,
+    so one comparison with the window's edge decides it; only the values
+    inside the window (all of them when ``v`` is an int beyond float range)
+    call ``test``.  A NaN lies on neither side and in no window: ``test``
+    finds it false for every operator but ``!=``, and so does the mask."""
+    lo, hi = _tolerance_window(v)
+    # ``outside`` marks the values below the window, where < and <= hold
+    # (above it, for > and >=); ``reached`` also marks the values inside
+    # it, so the two differ exactly there
+    if op in (">", ">="):
+        beyond, edge, reach, far_edge = operator.gt, hi, operator.ge, lo
+    else:
+        beyond, edge, reach, far_edge = operator.lt, lo, operator.le, hi
+
+    def mask(values: list) -> list:
+        outside = list(map(beyond, values, repeat(edge)))
+        reached = list(map(reach, values, repeat(far_edge)))
+        keep = outside if op not in ("=", "!=") else [op == "!="] * len(values)
+        if outside != reached:
+            for pos in list(compress(count(), map(operator.ne, outside, reached))):
+                keep[pos] = test(values[pos], v)
+        return keep
+
+    return mask
+
+
 def _typed_literal(side: _Operand, other_attr: str | None) -> _Operand:
     """An ISO string constant compared with a time value, parsed once."""
     if side.index is None and side.attr == "text" and other_attr == "time":
@@ -355,10 +438,6 @@ def _typed_literal(side: _Operand, other_attr: str | None) -> _Operand:
         if parsed is not None:
             return _constant(parsed)
     return side
-
-
-def _compile_typed_comparison(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[tuple], bool]:
-    return _compile_comparison(op, _typed_literal(lhs, rhs.attr), _typed_literal(rhs, lhs.attr))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +492,18 @@ def _equality_lookup(
     return lambda x: buckets.get(x, ())
 
 
-def _compile_membership(probe: _Operand, values: list) -> Callable[[tuple], bool]:
-    """Row predicate for ``probe IN values``; the values are one column's,
-    so they share one attribute."""
+def _membership(cond, operand, schema, snap, deadline) -> tuple[_Operand, Callable[[object], Sequence]]:
+    """``probe IN (subquery)`` as (probe, lookup): the lookup of a non-null
+    value is non-empty exactly when the subquery returned a value equal to
+    it.  The values are one column's, so they share one attribute."""
+    values = _column_subquery(cond.query, schema, snap, deadline)
+    probe = operand(cond.operand)
     key_attr = _value_attr(values[0]) if values else None
-    lookup = _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
+    return probe, _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
+
+
+def _compile_membership(probe: _Operand, lookup) -> Callable[[tuple], bool]:
+    """Row predicate for ``probe IN values``, given their lookup."""
     if probe.index is None:
         result = probe.value is not None and bool(lookup(probe.value))
         return lambda row: result
@@ -508,24 +594,22 @@ def _check_deadline(deadline: float) -> None:
         raise QueryTimeout("query exceeded its time budget")
 
 
-def _checked(rows: Iterable[tuple], deadline: float) -> Iterable[tuple]:
-    """``rows``, checking the deadline before every _CHECK_EVERY-th row."""
-    for i, row in enumerate(rows):
-        if not i % _CHECK_EVERY:
-            _check_deadline(deadline)
-        yield row
-
-
-def _filter(rows: Sequence[tuple], predicates: list, deadline: float) -> Sequence[tuple]:
-    """The rows that pass every predicate, in order."""
-    if not predicates:
-        return rows
-    kept: list[tuple] = []
+def _chunks(rows: Sequence[tuple], deadline: float) -> Iterable[Sequence[tuple]]:
+    """``rows`` in slices of _CHECK_EVERY, checking the deadline before each."""
     for start in range(0, len(rows), _CHECK_EVERY):
         _check_deadline(deadline)
-        chunk = rows[start : start + _CHECK_EVERY]
-        for predicate in predicates:
-            chunk = filter(predicate, chunk)
+        yield rows[start : start + _CHECK_EVERY]
+
+
+def _filter(rows: Sequence[tuple], passes: list, deadline: float) -> Sequence[tuple]:
+    """The rows every pass keeps, in order; a pass takes a chunk of rows
+    and returns the ones it keeps."""
+    if not passes:
+        return rows
+    kept: list[tuple] = []
+    for chunk in _chunks(rows, deadline):
+        for run in passes:
+            chunk = run(chunk)
         kept.extend(chunk)
     return kept
 
@@ -550,13 +634,13 @@ class _AggSpec:
         self.key = (self.op, self.index)
 
     def compute(self, rows: Sequence[tuple]) -> object:
+        if self.index is None:  # COUNT(*)
+            return len(rows)
+        values = list(map(operator.itemgetter(self.index), rows))
+        if None in values:
+            values = [v for v in values if v is not None]
         if self.op == "COUNT":
-            if self.index is None:
-                return len(rows)
-            idx = self.index
-            return sum(1 for r in rows if r[idx] is not None)
-        idx = self.index
-        values = [r[idx] for r in rows if r[idx] is not None]
+            return len(values)
         if not values:
             return None
         if self.op == "AVG":
@@ -598,19 +682,41 @@ def _compile_condition(
     if isinstance(cond, (_sql.And, _sql.Or)):
         parts = [_compile_condition(c, operand, schema, snap, deadline) for c in cond.items]
         return _all_of(parts) if isinstance(cond, _sql.And) else _any_of(parts)
+    if isinstance(cond, _sql.InSubquery):
+        return _compile_membership(*_membership(cond, operand, schema, snap, deadline))
+    return _all_of([_compile_comparison(*c) for c in _comparisons(cond, operand, schema, snap, deadline)])
+
+
+def _compile_passes(cond, operand, schema, snap, deadline) -> list:
+    """A WHERE conjunct as passes over a chunk of rows, run one after the
+    other: one per comparison it amounts to, one for a column IN (subquery),
+    else one of its row predicate."""
+    if isinstance(cond, _sql.InSubquery):
+        probe, lookup = _membership(cond, operand, schema, snap, deadline)
+        if probe.index is None:
+            return [_rows_pass(_compile_membership(probe, lookup))]
+        return [_column_pass(probe.index, lambda values: map(lookup, values))]
+    if isinstance(cond, (_sql.And, _sql.Or)):
+        return [_rows_pass(_compile_condition(cond, operand, schema, snap, deadline))]
+    return [_comparison_pass(*c) for c in _comparisons(cond, operand, schema, snap, deadline)]
+
+
+def _comparisons(cond, operand, schema, snap, deadline) -> list[tuple[str, _Operand, _Operand]]:
+    """The (op, lhs, rhs) comparisons a comparison, BETWEEN or scalar
+    subquery condition amounts to, with text constants compared against a
+    time typed as times."""
     if isinstance(cond, _sql.Comparison):
-        return _compile_typed_comparison(cond.op, operand(cond.lhs), operand(cond.rhs))
+        lhs, rhs = operand(cond.lhs), operand(cond.rhs)
+        return [(cond.op, _typed_literal(lhs, rhs.attr), _typed_literal(rhs, lhs.attr))]
     if isinstance(cond, _sql.Between):
         value = operand(cond.operand)
         lo = _typed_literal(operand(cond.lo), value.attr)
         hi = _typed_literal(operand(cond.hi), value.attr)
-        return _all_of([_compile_comparison(">=", value, lo), _compile_comparison("<=", value, hi)])
+        return [(">=", value, lo), ("<=", value, hi)]
     if isinstance(cond, _sql.SubqueryCmp):
-        value = _scalar_subquery(cond.query, schema, snap, deadline)
-        return _compile_typed_comparison(cond.op, operand(cond.lhs), _constant(value))
-    if isinstance(cond, _sql.InSubquery):
-        values = _column_subquery(cond.query, schema, snap, deadline)
-        return _compile_membership(operand(cond.operand), values)
+        rhs = _constant(_scalar_subquery(cond.query, schema, snap, deadline))
+        lhs = operand(cond.lhs)
+        return [(cond.op, _typed_literal(lhs, rhs.attr), _typed_literal(rhs, lhs.attr))]
     raise ParseError(f"unsupported condition {cond!r}")
 
 
@@ -665,7 +771,7 @@ def _run_query(
     rows: Sequence[tuple] = snap[main.name]
 
     def compile_where(cond, operand):
-        return _compile_condition(cond, operand, schema, snap, deadline)
+        return _compile_passes(cond, operand, schema, snap, deadline)
 
     if query.join is not None:
         right, base = scope.tables[1]
@@ -676,7 +782,7 @@ def _run_query(
         elif not (left_key[0] < base <= right_key[0]):
             raise ParseError("JOIN condition must relate one column from each table")
         # a conjunct reading one table filters it before the join
-        left_preds, right_preds, spanning = [], [], []
+        left_passes, right_passes, spanning = [], [], []
         for cond in _conjuncts(query.where):
             sides = {
                 scope.resolve(node.name)[0] >= base
@@ -685,27 +791,27 @@ def _run_query(
                 if isinstance(node, _sql.ColumnRef)
             }
             if sides == {True}:
-                right_preds.append(compile_where(cond, _shifted(scope.operand, base)))
+                right_passes.extend(compile_where(cond, _shifted(scope.operand, base)))
             elif sides == {True, False}:
                 spanning.append(cond)
             else:
-                left_preds.append(compile_where(cond, scope.operand))
+                left_passes.extend(compile_where(cond, scope.operand))
         # joined rows hold only the columns read after the join; everything
         # after it resolves names to their place in that narrow row
         reads = _read_after_join(query, spanning, scope)
         scope = scope.narrowed(reads)
-        joined_preds = [compile_where(cond, scope.operand) for cond in spanning]
+        joined_passes = [p for cond in spanning for p in compile_where(cond, scope.operand)]
         rows = _hash_join(
-            _filter(rows, left_preds, deadline),
-            _filter(snap[right.name], right_preds, deadline),
+            _filter(rows, left_passes, deadline),
+            _filter(snap[right.name], right_passes, deadline),
             (left_key[0], left_key[1].attribute, [p for p in reads if p < base]),
             (right_key[0] - base, right_key[1].attribute, [p - base for p in reads if p >= base]),
             deadline,
         )
-        rows = _filter(rows, joined_preds, deadline)
+        rows = _filter(rows, joined_passes, deadline)
     else:
-        preds = [compile_where(cond, scope.operand) for cond in _conjuncts(query.where)]
-        rows = _filter(rows, preds, deadline)
+        passes = [p for cond in _conjuncts(query.where) for p in compile_where(cond, scope.operand)]
+        rows = _filter(rows, passes, deadline)
 
     select = list(query.select)
     has_star = any(isinstance(item, _sql.Star) for item in select)
@@ -732,10 +838,8 @@ def _run_query(
                     raise ParseError("select items must be columns, literals, or aggregates")
             if len(selected) != len(getters):  # literal items
                 out_rows = [tuple([g(row) for g in getters]) for row in rows]
-            elif len(selected) == 1:
-                out_rows = list(zip(map(getters[0], rows)))
             else:
-                out_rows = list(map(operator.itemgetter(*selected), rows))
+                out_rows = list(_picked(selected, rows))
         order_keys = _row_order_keys(query, scope, rows, selected)
         return _finish(query, columns, out_rows, order_keys)
 
@@ -800,26 +904,33 @@ def _run_query(
                 raise ParseError("ORDER BY in a grouped query must use group columns or aggregates")
             order_plan.append((group_idxs.index(idx), item.desc))
 
-    groups: dict[tuple, Sequence[tuple]] = {}
+    # one group key: the value itself, made a 1-tuple once per group
+    groups: dict = {}
     if group_idxs:
-        for row in _checked(rows, deadline):
-            groups.setdefault(tuple(row[i] for i in group_idxs), []).append(row)
+        key_of = operator.itemgetter(*group_idxs)
+        for chunk in _chunks(rows, deadline):
+            for key, row in zip(map(key_of, chunk), chunk):
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = [row]
+                else:
+                    members.append(row)
     else:
         groups[()] = rows
 
-    pick_out = _picker(select_slots)
-    pick_key = _picker([slot for slot, _ in order_plan])
-    out_rows: list[tuple] = []
-    out_keys: list[tuple] = []
+    one_key = len(group_idxs) == 1
+    group_rows: list[tuple] = []
     for key, members in groups.items():
         _check_deadline(deadline)
-        group_row = key + tuple(spec.compute(members) for spec in agg_specs.values())
-        if having is not None and not having(group_row):
-            continue
-        out_rows.append(pick_out(group_row))
-        if order_plan:
-            out_keys.append(pick_key(group_row))
-    order_keys = (out_keys, [desc for _, desc in order_plan]) if order_plan else None
+        aggregates = tuple([spec.compute(members) for spec in agg_specs.values()])
+        group_row = ((key,) if one_key else key) + aggregates
+        if having is None or having(group_row):
+            group_rows.append(group_row)
+    out_rows = list(_picked(select_slots, group_rows))
+    order_keys = None
+    if order_plan:
+        keys = list(_picked([slot for slot, _ in order_plan], group_rows))
+        order_keys = keys, [desc for _, desc in order_plan]
     return _finish(query, columns, out_rows, order_keys)
 
 
@@ -837,14 +948,13 @@ def _read_after_join(query: _sql.Query, spanning: list, scope: Scope) -> Sequenc
     return sorted({scope.resolve(ref.name)[0] for ref in refs if isinstance(ref, _sql.ColumnRef)})
 
 
-def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """``row -> (row[p] for p in positions)`` as a tuple."""
+def _picked(positions: Sequence[int], rows: Sequence[tuple]) -> Iterable[tuple]:
+    """The tuple of each row's values at ``positions``, in row order."""
     if not positions:
-        return lambda row: ()
+        return repeat((), len(rows))
     if len(positions) == 1:
-        i = positions[0]
-        return lambda row: (row[i],)
-    return operator.itemgetter(*positions)
+        return zip(map(operator.itemgetter(positions[0]), rows))
+    return map(operator.itemgetter(*positions), rows)
 
 
 def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tuple]:
@@ -852,24 +962,33 @@ def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tup
     engine's equality.  A joined row holds its left row's kept positions,
     then its right row's."""
     (left_idx, left_attr, left_kept), (right_idx, right_attr, right_kept) = left_key, right_key
-    pick_left, pick_right = _picker(left_kept), _picker(right_kept)
+    right_key_of, left_key_of = operator.itemgetter(right_idx), operator.itemgetter(left_idx)
     lookup = _equality_lookup(
         left_attr, right_attr,
-        ((row[right_idx], pick_right(row)) for row in _checked(right_rows, deadline)),
+        chain.from_iterable(
+            zip(map(right_key_of, chunk), _picked(right_kept, chunk))
+            for chunk in _chunks(right_rows, deadline)
+        ),
     )
+    # a side that keeps no column adds nothing to its joined rows
+    if not right_kept:
+        joined_rows = lambda lpart, rparts: repeat(lpart, len(rparts))
+    elif not left_kept:
+        joined_rows = lambda lpart, rparts: rparts
+    else:
+        joined_rows = lambda lpart, rparts: [lpart + rpart for rpart in rparts]
     joined: list[tuple] = []
     checked_at = 0
-    for lrow in _checked(left_rows, deadline):
-        key = lrow[left_idx]
-        if key is None:
-            continue
-        matches = lookup(key)
-        lpart = pick_left(lrow)
-        for start in range(0, len(matches), _CHECK_EVERY):
-            joined.extend([lpart + rpart for rpart in matches[start : start + _CHECK_EVERY]])
-            if len(joined) - checked_at >= _CHECK_EVERY:
-                _check_deadline(deadline)
-                checked_at = len(joined)
+    for chunk in _chunks(left_rows, deadline):
+        for key, lpart in zip(map(left_key_of, chunk), _picked(left_kept, chunk)):
+            if key is None:
+                continue
+            matches = lookup(key)
+            for start in range(0, len(matches), _CHECK_EVERY):
+                joined.extend(joined_rows(lpart, matches[start : start + _CHECK_EVERY]))
+                if len(joined) - checked_at >= _CHECK_EVERY:
+                    _check_deadline(deadline)
+                    checked_at = len(joined)
     return joined
 
 
@@ -887,7 +1006,7 @@ def _row_order_keys(query, scope, rows, selected):
         if query.distinct and selected is not None and idx not in selected:
             raise ParseError("ORDER BY with DISTINCT must use selected columns")
         idxs.append(idx)
-    return list(map(_picker(idxs), rows)), [item.desc for item in query.order_by]
+    return list(_picked(idxs, rows)), [item.desc for item in query.order_by]
 
 
 def _render_literal_name(value: object) -> str:

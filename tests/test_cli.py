@@ -288,3 +288,23 @@ def test_split_db_reads_only_the_conn_log(tmp_path):
         assert (other / "splits" / name).read_bytes() == (clean / "splits" / name).read_bytes()
     (other / "synth/conn.log.tsv").unlink()
     assert run(["--out", tmp_path / "none", "split", "--db", other / "synth"]) == 1
+
+
+def test_split_db_rejects_malformed_conn_lines(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["--seed", 7, "--out", out, *SMALL, "--set", "synth.conn=200"]
+    assert run(base + ["synth"]) == 0
+    conn_log = out / "synth/conn.log.tsv"
+    lines = conn_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    assert len(data) == 200
+    bad = data[120]  # 0-based
+    parts = lines[bad].split("\t")
+    parts[3] = "70000"  # orig_p out of range
+    lines[bad] = "\t".join(parts)
+    conn_log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(base + ["split", "--db", out / "synth"]) == 1
+    err = capsys.readouterr().err
+    assert f"conn.log.tsv:{bad + 1}:" in err and "orig_p out of range" in err
+    assert not (out / "splits").exists()
