@@ -191,10 +191,16 @@ def build_database(schema, data: dict) -> Database:
 
 
 def load_db_dir(path: Path):
+    """The schema, database and records of a db dir.  A malformed log line
+    is a data error naming ``<file>:<line>``: its row would silently go
+    missing from the database."""
     schema_file = path / "schema.txt"
     schema = load_schema_file(str(schema_file)) if schema_file.exists() else default_schema()
     data = read_logs_dir(path)
-    data.pop("_issues", None)
+    issues = data.pop("_issues")
+    if issues:
+        loc, message = issues[0]
+        raise IngestError(f"{path / loc}: {message}")
     return schema, build_database(schema, data), data
 
 

@@ -220,12 +220,11 @@ class _Gold:
 
 def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     try:
-        parsed = _sql.parse(gold_sql)
         result = db.execute(gold_sql, timeout=timeout)
     except Exception as exc:
         raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
-    expected = _Prepared.of(result, bool(parsed.order_by))
-    return _Gold(expected, _sql.canonical_tables(parsed, db.schema))
+    expected = _Prepared.of(result, bool(result.query.order_by))
+    return _Gold(expected, _sql.canonical_tables(result.query, db.schema))
 
 
 def execution_accuracy(

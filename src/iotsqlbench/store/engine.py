@@ -60,7 +60,7 @@ import operator
 import threading
 import time as _time
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, compress, count, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -85,8 +85,11 @@ _CHECK_EVERY = 4096
 
 @dataclass
 class ResultTable:
+    """A query's columns and rows; ``query`` is the statement that
+    ``Database.execute`` parsed and ran, so no caller parses it again."""
     columns: list[str]
     rows: list[tuple]
+    query: _sql.Query | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -250,7 +253,9 @@ class Database:
         parsed = _sql.parse(query)
         deadline = _time.monotonic() + timeout
         snap = self.snapshot()
-        return _run_query(parsed, self.schema, snap, deadline)
+        result = _run_query(parsed, self.schema, snap, deadline)
+        result.query = parsed
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +648,13 @@ class _AggSpec:
             return len(values)
         if not values:
             return None
-        if self.op == "AVG":
-            return sum(values) / len(values)
-        if self.op == "SUM":
-            return sum(values)
+        try:
+            if self.op == "AVG":
+                return sum(values) / len(values)
+            if self.op == "SUM":
+                return sum(values)  # exact over ints alone
+        except OverflowError:  # an int beyond float range divided, or added to a float
+            raise TypeMismatch(f"{self.label} is beyond float range") from None
         if self.op == "MIN":
             return min(values)
         return max(values)

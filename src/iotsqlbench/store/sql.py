@@ -17,10 +17,9 @@ temporal counts are all built on these.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import ParseError
 from .schema import DatabaseSchema
@@ -41,13 +40,13 @@ _TOKEN_RE = re.compile(
   | (?P<string>'[^']*'|"[^"]*")
   | (?P<op><=|>=|!=|<>|=|<|>)
   | (?P<punct>[(),;*\-])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -59,17 +58,14 @@ class Token:
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[pos]!r} at position {pos}")
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(sql):
         kind = m.lastgroup
         if kind == "ws":
             continue
-        tokens.append(Token(kind=kind, text=m.group(), pos=m.start()))
-    tokens.append(Token(kind="end", text="", pos=len(sql)))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} at position {m.start()}")
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("end", "", len(sql)))
     return tokens
 
 
@@ -176,7 +172,8 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        # next() stops at the end token, and only a token before it looks ahead
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -383,7 +380,7 @@ class _Parser:
             if lowered in ("true", "false"):
                 self.next()
                 return Literal(lowered == "true")
-            if allow_agg and lowered in (op.casefold() for op in AGG_OPS) and self.peek(1).text == "(":
+            if allow_agg and lowered.upper() in AGG_OPS and self.peek(1).text == "(":
                 self.next()
                 self.next()  # '('
                 if self.peek().text == "*":
@@ -414,12 +411,11 @@ def _number_value(text: str) -> int | float:
     return float(text)
 
 
-@functools.lru_cache(maxsize=4096)
 def parse(sql: str) -> Query:
     """Parse one SELECT statement (optional trailing semicolon).
 
-    Results are cached by text: the AST is immutable, so callers share it.
-    A ParseError is raised again on every call, never cached.
+    Nothing is cached: each call parses its text.  A run parses once, in
+    ``Database.execute``, which returns the ``Query`` with its result.
     """
     tokens = tokenize(sql)
     parser = _Parser(tokens)

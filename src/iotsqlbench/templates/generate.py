@@ -8,7 +8,7 @@ seed, de-duplicates on (question, sql), and keeps a floor of pairs with
 datetime predicates when the database has populated time columns.
 
 Each pair is classified once, as it is generated, from the one ``Query``
-that ``instantiate`` parses, through the store's one query walk
+that ``Database.execute`` parses to run it, through the store's query walk
 (``store.sql.queries``/``leaves``/``operands``): the tables it names
 (``canonical_tables``, shared with scoring), whether it is temporal
 (``has_datetime_predicate``, columns resolved by the engine's ``Scope``)
@@ -453,8 +453,7 @@ def instantiate(
     binder = binder or TemplateBinder(db)
     bindings = binder.bind(template, rng)
     sql_text = render_sql(template, bindings)
-    query = _sql.parse(sql_text)
-    db.execute(sql_text)
+    query = db.execute(sql_text).query
     variant = rng.randrange(len(template.nl_patterns))
     question = realize_question(template, bindings, variant)
     return TextSqlPair(
@@ -627,7 +626,7 @@ def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
         except (json.JSONDecodeError, KeyError) as exc:
             raise ManualPairError(f"line {line_no}: bad record ({exc})") from exc
         try:
-            db.execute(sql_text)
+            query = db.execute(sql_text).query
         except Exception as exc:
             raise ManualPairError(f"line {line_no}: sql does not execute: {exc}") from exc
         pairs.append(
@@ -635,7 +634,7 @@ def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
                 question=question,
                 sql=sql_text,
                 template_id=None,
-                tables_referenced=canonical_tables(sql_text, db.schema),
+                tables_referenced=canonical_tables(query, db.schema),
                 category=None,
             )
         )

@@ -248,6 +248,31 @@ def test_emit_and_baseline_reject_malformed_anonymized_lines(tmp_path, capsys):
     assert f"conn.anonymized.tsv:{first_bad + 1}:" in capsys.readouterr().err
 
 
+def test_gen_pairs_and_eval_sql_reject_malformed_db_lines(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["--out", out, *SMALL, "synth"]) == 0
+    conn = out / "synth/conn.log.tsv"
+    lines = conn.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 2  # 0-based
+    parts = lines[bad].split("\t")
+    parts[3] = "70000"  # orig_p out of range
+    lines[bad] = "\t".join(parts)
+    conn.write_text("".join(lines), encoding="utf-8")
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text('{"id": "g0", "input": "q", "gold_sql": "SELECT 1"}\n')
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"id": "g0", "payload": "SELECT 1"}\n')
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "gen", *SMALL, "gen-pairs", "--db", out / "synth"]) == 1
+    err = capsys.readouterr().err
+    assert f"conn.log.tsv:{bad + 1}:" in err and "orig_p out of range" in err
+    assert not (tmp_path / "gen/corpus").exists()
+    assert run(["--out", tmp_path / "eval", "eval-sql", "--db", out / "synth",
+                "--examples", examples, "--predictions", preds]) == 1
+    assert f"conn.log.tsv:{bad + 1}:" in capsys.readouterr().err
+    assert not (tmp_path / "eval/eval").exists()
+
+
 def test_emit_and_baseline_reject_manifest_uid_missing_from_anonymized(tmp_path, capsys):
     out = tmp_path / "run"
     network = _network_split(out)

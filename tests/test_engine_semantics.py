@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iotsqlbench.evaluation import score_sql_corpus
+from iotsqlbench.modelio import PredictionRecord, SqlExample
 from iotsqlbench.store import (
     ColumnDef,
     Database,
@@ -23,7 +25,9 @@ from iotsqlbench.store import (
     parse,
 )
 from iotsqlbench.store import engine
+from iotsqlbench.store import sql as _sql
 from iotsqlbench.store.engine import values_eq, values_lt
+from iotsqlbench.templates import CorpusConfig, generate_corpus
 
 ATTRS = ("text", "number", "time", "boolean")
 OPS = ("=", "!=", "<", ">", "<=", ">=")
@@ -462,14 +466,59 @@ def test_count_over_a_wide_join_keeps_joined_rows_narrow():
     assert peak < 4_000_000
 
 
-def test_parse_is_cached_and_errors_are_not():
-    text = "SELECT uid FROM conn.log WHERE (orig_bytes > 1000)"
-    assert parse(text) is parse(text)
-    before = parse.cache_info().currsize
-    for _ in range(2):
+def test_parse_errors_are_raised_on_every_call():
+    for _ in range(3):
         with pytest.raises(ParseError):
             parse("SELEC uid FROM conn.log")
-    assert parse.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT uid FROM conn.log WHERE (orig_bytes > 1000) ORDER BY uid",
+    "SELECT dns.log.query FROM conn.log JOIN dns.log ON conn.log.uid = dns.log.uid"
+    " WHERE conn.log.uid IN (SELECT uid FROM conn.log WHERE orig_bytes > 10)",
+    "SELECT 1",
+])
+def test_execute_returns_the_query_it_ran(fixture_db, text):
+    result = fixture_db.execute(text)
+    assert result.query == parse(text)
+    assert result == engine.ResultTable(result.columns, result.rows)  # query is not compared
+
+
+def count_parses_and_executes(monkeypatch):
+    counts = {"parse": 0, "execute": 0}
+    real_parse, real_execute = _sql.parse, Database.execute
+
+    def counting_parse(text):
+        counts["parse"] += 1
+        return real_parse(text)
+
+    def counting_execute(self, text, timeout=5.0):
+        counts["execute"] += 1
+        return real_execute(self, text, timeout)
+
+    monkeypatch.setattr(_sql, "parse", counting_parse)
+    monkeypatch.setattr(Database, "execute", counting_execute)
+    return counts
+
+
+def test_generation_parses_each_text_once(synth_db, monkeypatch):
+    counts = count_parses_and_executes(monkeypatch)
+    pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=60, seed=3))
+    assert len(pairs) == 60
+    assert counts["parse"] == counts["execute"] >= 60
+
+
+def test_scoring_parses_each_text_once(synth_db, monkeypatch):
+    pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=30, seed=5))
+    golds = [p.sql for p in pairs] + [pairs[0].sql]  # one gold text twice
+    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    payloads = [g if i % 3 == 0 else g.lower() if i % 3 == 1 else g + " junk"
+                for i, g in enumerate(golds)]  # echo, formatting, parse error
+    predictions = [PredictionRecord(id=f"e{i}", payload=p) for i, p in enumerate(payloads)]
+    counts = count_parses_and_executes(monkeypatch)
+    report = score_sql_corpus(examples, predictions, synth_db)
+    assert report.n == len(golds)
+    assert counts["parse"] == counts["execute"] > len(golds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from iotsqlbench.evaluation import (
     score_sql_corpus,
 )
 from iotsqlbench.modelio import PredictionRecord, SqlExample
-from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
+from iotsqlbench.store import ColumnDef, Database, TableSchema, TypeMismatch, define_schema
 from iotsqlbench.templates import CorpusConfig, generate_corpus
 
 
@@ -337,3 +337,30 @@ def test_execution_scores_long_flat_conditions():
 def test_execution_pred_oversize_integer_literal_is_false(ab_db):
     # past the int-string limit the parse fails as a ParseError, not a ValueError
     assert not execution_accuracy("SELECT a FROM t WHERE a = " + "1" * 5000, "SELECT a FROM t", ab_db)
+
+
+def _huge_db(other):
+    db = Database(define_schema([TableSchema(name="h", columns=(ColumnDef("n", "number"),))]))
+    db.load_records("h", [(10**400,), (other,)])
+    return db
+
+
+@pytest.mark.parametrize("other, aggregates", [(1, ("AVG",)), (1.5, ("AVG", "SUM"))])
+def test_aggregate_beyond_float_range_is_a_store_rejection(other, aggregates):
+    db = _huge_db(other)
+    gold = "SELECT COUNT(*) FROM h"
+    for op in aggregates:
+        text = f"SELECT {op}(n) FROM h"
+        with pytest.raises(TypeMismatch, match=rf"{op}\(n\)"):
+            db.execute(text)
+        assert not execution_accuracy(text, gold, db)
+        with pytest.raises(GoldExecutionError, match=rf"{op}\(n\)"):
+            execution_accuracy(gold, text, db)
+        report = score_sql_corpus(
+            [SqlExample(id="e0", input="q", gold_sql=gold)], [PredictionRecord(id="e0", payload=text)], db,
+        )
+        assert report.execution_acc == 0.0
+
+
+def test_sum_over_ints_alone_stays_exact():
+    assert _huge_db(1).execute("SELECT SUM(n) FROM h").rows == [(10**400 + 1,)]
