@@ -8,12 +8,15 @@ tolerance 1e-6, turning order-sensitive only when the gold query has
 ORDER BY.  Detection metrics are macro precision/recall/F1 over the two
 classes with 0 substituted for empty denominators.
 
-Scoring a file runs each gold query once per exact SQL text and keeps its
-result, as returned, until the file is scored.  Unless order counts, the
-result is sorted on the first comparison that needs it: a prediction with
-the gold's width and row count.  A prediction textually identical to its
-gold query is scored without running, by checking the gold result for a
-value unequal to itself (NaN).  None of this changes the comparison policy.
+Each gold query runs once per exact SQL text, database and timeout: its
+result, as returned, is kept with the database while the database's rows
+and the timeout stay the same, so a second prediction file scored on the
+same rows runs no gold query again.  Unless order counts, a kept result is
+sorted on the first comparison that needs it (a prediction with the gold's
+width and row count), and at most once.  A prediction textually identical
+to its gold query is scored without running, by checking the gold result
+for a value unequal to itself (NaN).  None of this changes the comparison
+policy.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import json
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .modelio import PredictionRecord, SqlExample
 from .store import Database, ResultTable, StoreError
@@ -218,6 +222,32 @@ class _Gold:
     tables: frozenset  # referenced tables, by their schema names
 
 
+@dataclass
+class _KeptGolds:
+    """The gold entries prepared on one database, valid for the rows of
+    ``snapshot`` under ``timeout``."""
+
+    snapshot: Mapping
+    timeout: float
+    golds: dict = field(default_factory=dict)  # exact SQL text -> _Gold
+
+
+# Released with their database.  Stored tables are immutable tuples that a
+# load replaces, so comparing snapshots compares each table by identity
+# first, and a table that grew is unequal by its length.
+_KEPT: weakref.WeakKeyDictionary[Database, _KeptGolds] = weakref.WeakKeyDictionary()
+
+
+def _kept_golds(db: Database, timeout: float) -> dict:
+    """The gold entries kept for ``db``, by exact SQL text: the set built on
+    its current rows under ``timeout``, or a new empty one."""
+    snapshot = db.snapshot()
+    kept = _KEPT.get(db)
+    if kept is None or kept.timeout != timeout or kept.snapshot != snapshot:
+        kept = _KEPT[db] = _KeptGolds(snapshot, timeout)
+    return kept.golds
+
+
 def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     try:
         result = db.execute(gold_sql, timeout=timeout)
@@ -227,13 +257,7 @@ def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     return _Gold(expected, _sql.canonical_tables(result.query, db.schema))
 
 
-def execution_accuracy(
-    pred_sql: str,
-    gold_sql: str,
-    db: Database,
-    timeout: float = PRED_TIMEOUT,
-    golds: dict | None = None,
-) -> bool:
+def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: float = PRED_TIMEOUT) -> bool:
     """True iff both queries run and their results match.
 
     A prediction the store rejects (StoreError: parse error, unknown
@@ -242,15 +266,16 @@ def execution_accuracy(
     raises GoldExecutionError.  A prediction with the gold query's exact
     text is not run: on the same rows the engine returns the gold result.
 
-    ``golds`` keeps prepared gold results by exact SQL text (``= 1`` and
-    ``= true`` parse equal) for a caller that scores many predictions on
-    the same rows with the same timeout: each gold query then runs once.
+    Prepared gold results are kept per database by exact SQL text (``= 1``
+    and ``= true`` parse equal) while the database's rows and the timeout
+    stay the same, so each gold query runs once for any number of calls
+    and prediction files on those rows.  A load, or another timeout, starts
+    an empty set.  Failed gold queries and predictions are never kept.
     """
-    gold = golds.get(gold_sql) if golds is not None else None
-    if gold is None:
-        gold = _gold(gold_sql, db, timeout)
-        if golds is not None:
-            golds[gold_sql] = gold
+    golds = _kept_golds(db, timeout)
+    gold = golds.get(gold_sql)
+    if gold is None:  # a gold query that raises is not kept
+        gold = golds[gold_sql] = _gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
         return _matches_itself(gold.expected.rows)
     try:
@@ -364,14 +389,13 @@ def score_sql_corpus(
     logical_correct = 0
     per_table: dict[str, TableBucket] = {}
     failures: list[tuple[str, str]] = []
-    golds: dict[str, _Gold] = {}
     for ex, rec in join_predictions(examples, predictions):
         pred_sql = rec.payload
         logical = logical_accuracy(pred_sql, ex.gold_sql)
-        execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout, golds=golds)
+        execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout)
         exec_correct += execution
         logical_correct += logical
-        for name in golds[ex.gold_sql].tables:
+        for name in _KEPT[db].golds[ex.gold_sql].tables:  # kept by that call
             bucket = per_table.setdefault(name, TableBucket())
             bucket.n += 1
             bucket.execution_correct += execution
