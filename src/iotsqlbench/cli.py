@@ -113,7 +113,10 @@ class ArtifactWriter:
             "command": command,
             "config_hash": cfg.config_hash(),
             "seed": cfg.get_int("seed"),
-            "inputs": {k: self._portable(v) for k, v in sorted(inputs.items())},
+            "inputs": {
+                k: [self._portable(x) for x in v] if isinstance(v, list) else self._portable(v)
+                for k, v in sorted(inputs.items())
+            },
             "artifacts": dict(sorted(self.artifacts.items())),
         }
         rel = f"run-{command}.json"
@@ -381,17 +384,28 @@ def cmd_eval_sql(cfg: RunConfig, out: Path, args) -> int:
     # a NaN deadline never passes, and one at or before now fails every query
     if not (math.isfinite(timeout) and timeout > 0):
         raise ConfigError(f"eval.timeout must be a finite number > 0, got {cfg.raw('eval.timeout')!r}")
+    paths = [Path(p) for p in args.predictions]
+    # one file reports into eval/, several into eval/<file stem>/
+    dirs = ["eval"] if len(paths) == 1 else [f"eval/{p.stem}" for p in paths]
+    if len(set(dirs)) < len(dirs):
+        raise ConfigError(f"eval-sql: prediction files need distinct names, got {args.predictions}")
     _, db, _ = load_db_dir(Path(args.db))
     examples = modelio.read_sql_examples(Path(args.examples))
-    predictions = modelio.read_predictions(Path(args.predictions), kind="sql")
-    report = evaluation.score_sql_corpus(examples, predictions, db, timeout=timeout)
+    files = [modelio.read_predictions(p, kind="sql") for p in paths]
+    # one database and one timeout: each gold query runs once for all files
+    reports = [evaluation.score_sql_corpus(examples, preds, db, timeout=timeout) for preds in files]
     writer = ArtifactWriter(out)
-    writer.write("eval/sql_report.json", report.to_json() + "\n")
-    writer.write("eval/sql_report.txt", report.to_text() + "\n")
+    for rel, report in zip(dirs, reports):
+        writer.write(f"{rel}/sql_report.json", report.to_json() + "\n")
+        writer.write(f"{rel}/sql_report.txt", report.to_text() + "\n")
     writer.manifest("eval-sql", cfg, inputs={
-        "db": args.db, "examples": args.examples, "predictions": args.predictions,
+        "db": args.db, "examples": args.examples,
+        "predictions": args.predictions[0] if len(paths) == 1 else args.predictions,
     })
-    print(report.to_text())
+    for rel, report in zip(dirs, reports):
+        if len(reports) > 1:
+            print(f"== {rel}")
+        print(report.to_text())
     return EXIT_OK
 
 
@@ -495,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-sql", help="score SQL predictions")
     p.add_argument("--db", required=True, help="database dir to execute against")
     p.add_argument("--examples", required=True, help="emitted sql examples jsonl")
-    p.add_argument("--predictions", required=True, help="prediction jsonl (id, payload)")
+    p.add_argument("--predictions", required=True, nargs="+",
+                   help="prediction jsonl (id, payload); several files share one database load")
 
     p = sub.add_parser("eval-detect", help="score detection predictions")
     p.add_argument("--examples", required=True, help="emitted detection examples jsonl")

@@ -234,18 +234,27 @@ class _KeptGolds:
 
 # Released with their database.  Stored tables are immutable tuples that a
 # load replaces, so comparing snapshots compares each table by identity
-# first, and a table that grew is unequal by its length.
+# first, and a table that grew is unequal by its length.  A kept set holds
+# the table dict it was built on, so after a load the old rows stay in
+# memory until the next scoring call on that database.
 _KEPT: weakref.WeakKeyDictionary[Database, _KeptGolds] = weakref.WeakKeyDictionary()
 
 
-def _kept_golds(db: Database, timeout: float) -> dict:
-    """The gold entries kept for ``db``, by exact SQL text: the set built on
-    its current rows under ``timeout``, or a new empty one."""
+def _prepared_gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
+    """The gold entry for ``gold_sql`` on the current rows of ``db`` under
+    ``timeout``: the kept one, or one run now.  A new entry is kept only if
+    the rows did not change while it ran (a load only appends rows, so
+    equal snapshots before and after mean the query saw those rows)."""
     snapshot = db.snapshot()
     kept = _KEPT.get(db)
     if kept is None or kept.timeout != timeout or kept.snapshot != snapshot:
         kept = _KEPT[db] = _KeptGolds(snapshot, timeout)
-    return kept.golds
+    gold = kept.golds.get(gold_sql)
+    if gold is None:  # a gold query that raises is not kept
+        gold = _gold(gold_sql, db, timeout)
+        if db.snapshot() == snapshot:
+            kept.golds[gold_sql] = gold
+    return gold
 
 
 def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
@@ -271,11 +280,11 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
     stay the same, so each gold query runs once for any number of calls
     and prediction files on those rows.  A load, or another timeout, starts
     an empty set.  Failed gold queries and predictions are never kept.
+    The kept results, sorted ones and join results included, live as long
+    as the database does (or until the next load or timeout change), not
+    only until the call returns.
     """
-    golds = _kept_golds(db, timeout)
-    gold = golds.get(gold_sql)
-    if gold is None:  # a gold query that raises is not kept
-        gold = golds[gold_sql] = _gold(gold_sql, db, timeout)
+    gold = _prepared_gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
         return _matches_itself(gold.expected.rows)
     try:
@@ -395,7 +404,9 @@ def score_sql_corpus(
         execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout)
         exec_correct += execution
         logical_correct += logical
-        for name in _KEPT[db].golds[ex.gold_sql].tables:  # kept by that call
+        # kept by that call, or run again if another caller replaced the
+        # set meanwhile: the referenced tables depend on the text alone
+        for name in _prepared_gold(ex.gold_sql, db, timeout).tables:
             bucket = per_table.setdefault(name, TableBucket())
             bucket.n += 1
             bucket.execution_correct += execution

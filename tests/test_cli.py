@@ -333,3 +333,54 @@ def test_split_db_rejects_malformed_conn_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"conn.log.tsv:{bad + 1}:" in err and "orig_p out of range" in err
     assert not (out / "splits").exists()
+
+
+def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, monkeypatch):
+    from iotsqlbench.store import Database
+
+    out = tmp_path / "run"
+    run_pipeline(out)
+    examples = out / "model_io/sql_test.jsonl"
+    objs = [json.loads(line) for line in examples.read_text().splitlines()]
+    golds = {obj["gold_sql"] for obj in objs}
+    files = []
+    for name, payload in (("echo", lambda o: o["gold_sql"]), ("lower", lambda o: o["gold_sql"].lower())):
+        path = tmp_path / name / f"{name}.jsonl"
+        path.parent.mkdir()
+        path.write_text("".join(json.dumps({"id": o["id"], "payload": payload(o)}) + "\n" for o in objs))
+        files.append(path)
+    for path in files:
+        alone = tmp_path / f"alone_{path.stem}"
+        assert run(["--out", alone, "eval-sql", "--db", out / "synth",
+                    "--examples", examples, "--predictions", path]) == 0
+
+    calls = []
+    real_execute = Database.execute
+
+    def execute(self, sql, timeout=5.0):
+        calls.append(sql)
+        return real_execute(self, sql, timeout)
+
+    monkeypatch.setattr(Database, "execute", execute)
+    both = tmp_path / "both"
+    assert run(["--out", both, "eval-sql", "--db", out / "synth",
+                "--examples", examples, "--predictions", *files]) == 0
+    # each distinct gold text runs once for both files
+    assert sorted(sql for sql in calls if sql in golds) == sorted(golds)
+    for path in files:
+        for ext in ("json", "txt"):
+            got = (both / f"eval/{path.stem}/sql_report.{ext}").read_bytes()
+            assert got == (tmp_path / f"alone_{path.stem}/eval/sql_report.{ext}").read_bytes()
+    manifest = json.loads((both / "run-eval-sql.json").read_text())
+    assert manifest["inputs"]["predictions"] == [str(p) for p in files]
+    assert sorted(manifest["artifacts"]) == [
+        f"eval/{p.stem}/sql_report.{ext}" for p in files for ext in ("json", "txt")
+    ]
+
+    # two files with one name would write one report directory: exit 2
+    twin = tmp_path / "twin" / "echo.jsonl"
+    twin.parent.mkdir()
+    twin.write_bytes(files[0].read_bytes())
+    assert run(["--out", tmp_path / "twins", "eval-sql", "--db", out / "synth",
+                "--examples", examples, "--predictions", files[0], twin]) == 2
+    assert not (tmp_path / "twins" / "eval").exists()

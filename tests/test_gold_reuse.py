@@ -3,6 +3,8 @@ while the rows and the timeout stay the same, and released with the
 database."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import pytest
@@ -155,3 +157,81 @@ def test_kept_entries_are_released_with_the_database():
     gc.collect()
     assert kept() is None
     assert len(evaluation._KEPT) == before
+
+
+# another corpus: its kept set holds none of the golds above
+OTHER = (
+    [SqlExample(id="o", input="q", gold_sql="SELECT b FROM t")],
+    [PredictionRecord(id="o", payload="SELECT b FROM t WHERE a > 0")],
+)
+
+
+def test_a_scorer_with_another_timeout_in_between_leaves_a_scoring_run_whole(monkeypatch):
+    # another caller replaces the kept set after each execution_accuracy
+    # call, as a second thread scoring with another timeout may
+    db = make_db()
+    alone = report_bytes(score_sql_corpus(EXAMPLES, FILE_A, make_db()))
+    other = report_bytes(score_sql_corpus(*OTHER, make_db(), timeout=60.0))
+    real = evaluation.execution_accuracy
+    others = []
+
+    def interleaved(pred_sql, gold_sql, db_, timeout=evaluation.PRED_TIMEOUT):
+        verdict = real(pred_sql, gold_sql, db_, timeout)
+        monkeypatch.setattr(evaluation, "execution_accuracy", real)
+        others.append(report_bytes(score_sql_corpus(*OTHER, db, timeout=60.0)))
+        monkeypatch.setattr(evaluation, "execution_accuracy", interleaved)
+        return verdict
+
+    monkeypatch.setattr(evaluation, "execution_accuracy", interleaved)
+    assert report_bytes(score_sql_corpus(EXAMPLES, FILE_A, db)) == alone
+    assert others == [other] * len(EXAMPLES)
+
+
+def test_threads_with_different_timeouts_share_one_database():
+    db = make_db()
+    files = {5.0: (EXAMPLES, FILE_A), 60.0: OTHER}
+    want = {t: report_bytes(score_sql_corpus(*f, make_db(), timeout=t)) for t, f in files.items()}
+    start = threading.Barrier(len(files))
+    got = {t: [] for t in files}
+    errors = []
+
+    def score(timeout):
+        try:
+            start.wait()
+            for _ in range(30):
+                got[timeout].append(report_bytes(score_sql_corpus(*files[timeout], db, timeout=timeout)))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=score, args=(t,)) for t in files]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert got == {t: [want[t]] * 30 for t in files}
+
+
+def test_a_gold_run_that_a_load_overtakes_is_not_kept(monkeypatch):
+    db = make_db()
+    gold, pred = "SELECT a FROM t", "SELECT a FROM t WHERE b < 100"
+    calls = []
+    real_execute = Database.execute
+
+    def execute(self, sql, timeout=5.0):
+        calls.append(sql)
+        if len(calls) == 1:  # the rows change after scoring took its snapshot
+            self.load_records("t", [(5, 500, "ef")])
+        return real_execute(self, sql, timeout)
+
+    monkeypatch.setattr(Database, "execute", execute)
+    assert not evaluation.execution_accuracy(pred, gold, db)  # the gold saw row 5
+    assert gold not in evaluation._KEPT[db].golds
+    assert not evaluation.execution_accuracy(pred, gold, db)
+    assert calls == [gold, pred, gold, pred]
+    assert gold in evaluation._KEPT[db].golds
