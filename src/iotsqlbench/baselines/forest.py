@@ -3,7 +3,8 @@
 Trees split on gini impurity with exact threshold search over sorted
 feature values.  The forest bootstraps rows per tree and subsamples
 sqrt(d) candidate features per node; per-tree seeds derive from
-(seed, tree index) so parallel and sequential training agree.
+(seed, tree index) so parallel and sequential training agree.  Labels
+are binary: anything outside {0, 1} is a ValueError.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ class DecisionTree:
         self.right: list[int] = []
         self.leaf_value: list[int] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None) -> "DecisionTree":
+        """Grow the tree on ``X[rows]``, ``y[rows]`` (all rows by default)
+        without copying them out; ``rows`` may repeat a row."""
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        y = _binary_labels(y)
+        rows = np.arange(len(y)) if rows is None else np.asarray(rows)
         rng = np.random.default_rng(self.seed)
-        self._grow(X, y, np.arange(len(y)), depth=0, rng=rng)
+        self._grow(X, y, rows, depth=0, rng=rng)
         return self
 
     def _new_node(self) -> int:
@@ -86,24 +90,24 @@ class DecisionTree:
             candidates = np.arange(n_features)
         else:
             candidates = np.sort(rng.choice(n_features, size=self.max_features, replace=False))
-        labels = y[idx].astype(np.float64)
+        positive_idx = idx[y[idx]]
         n = len(idx)
-        total_pos = labels.sum()
+        total_pos = float(len(positive_idx))
         parent_gini = _gini(total_pos, n)
         best = None
         best_score = parent_gini - 1e-12  # require strict improvement
         for feat in candidates:
-            values = X[idx, feat]
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = labels[order]
-            pos_prefix = np.cumsum(y_sorted)
-            # split between distinct neighboring values
+            v_sorted = np.sort(X[idx, feat])
+            # split between distinct neighboring values (NaN sorts last and
+            # is never above its neighbour), so the rows left of a cut are
+            # exactly those at or below its value
             boundaries = np.nonzero(v_sorted[1:] > v_sorted[:-1])[0]
             if len(boundaries) == 0:
                 continue
             n_left = boundaries + 1
-            pos_left = pos_prefix[boundaries]
+            pos_left = np.searchsorted(
+                np.sort(X[positive_idx, feat]), v_sorted[boundaries], side="right"
+            ).astype(np.float64)
             n_right = n - n_left
             pos_right = total_pos - pos_left
             gini_left = 1.0 - (pos_left / n_left) ** 2 - (1 - pos_left / n_left) ** 2
@@ -163,6 +167,16 @@ class DecisionTree:
         return tree
 
 
+def _binary_labels(y) -> np.ndarray:
+    """Labels as a bool array; a label outside {0, 1} is a ValueError."""
+    y = np.asarray(y)
+    if y.dtype != bool:
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("labels must be 0 or 1 (or bool)")
+        y = y == 1
+    return y
+
+
 def _gini(pos: float, n: int) -> float:
     if n == 0:
         return 0.0
@@ -195,7 +209,7 @@ class RandomForest:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        y = _binary_labels(y)
         k = self._resolve_max_features(X.shape[1])
         self.trees = []
         for t in range(self.n_trees):
@@ -211,7 +225,7 @@ class RandomForest:
                 max_features=k,
                 seed=tree_seed,
             )
-            tree.fit(X[idx], y[idx])
+            tree.fit(X, y, rows=idx)
             self.trees.append(tree)
         return self
 

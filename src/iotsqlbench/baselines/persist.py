@@ -46,9 +46,9 @@ def save_model(model: ClassifierModel, path) -> None:
         payload["params"] = model.model.state()
     else:
         raise ModelFileError(f"unknown kind {model.kind!r}")
+    # json.dumps takes the C encoder; json.dump always takes the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path) -> ClassifierModel:

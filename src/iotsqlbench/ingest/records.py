@@ -97,7 +97,21 @@ class ConnRecord:
     label: AttackLabel = AttackLabel.Benign
 
     def __post_init__(self) -> None:
-        # written out without helper calls: one record is built per log line
+        # one record is built per log line: one combined test, written out
+        # without helper calls, and the named checks only when it fails
+        if (
+            (self.orig_p is None or 0 <= self.orig_p <= 65535)
+            and (self.resp_p is None or 0 <= self.resp_p <= 65535)
+            and (self.duration is None or self.duration >= 0)
+            and (self.orig_bytes is None or self.orig_bytes >= 0)
+            and (self.resp_bytes is None or self.resp_bytes >= 0)
+            and (self.missed_bytes is None or self.missed_bytes >= 0)
+            and (self.orig_pkts is None or self.orig_pkts >= 0)
+            and (self.orig_ip_bytes is None or self.orig_ip_bytes >= 0)
+            and (self.resp_pkts is None or self.resp_pkts >= 0)
+            and (self.resp_ip_bytes is None or self.resp_ip_bytes >= 0)
+        ):
+            return
         if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
             raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
         if self.resp_p is not None and not 0 <= self.resp_p <= 65535:

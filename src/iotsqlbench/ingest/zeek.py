@@ -10,7 +10,9 @@ A TSV log is converted one column at a time.  Its data lines are split and
 grouped by their resolved field plan (with or without the label columns);
 each group is transposed and each column converted in one pass (``int``,
 ``float``, ``epoch_to_datetime`` or the bool table mapped over it, then one
-range check), a string column passes through as it is.  A column goes
+range check), a string column passes through as it is.  A time column of
+plain ``digits.dddddd`` values is converted in C-level passes as exact
+microsecond counts (``_epoch_column``).  A column goes
 through the per-value ``_convert`` instead when it holds the unset or empty
 marker, when a value does not parse, or when a value is out of range; that
 path finds each bad line's first failing column, so issues and records are
@@ -18,7 +20,10 @@ the same as a line-by-line parse gives.  ``_convert`` is the one per-value
 semantics.  Each conn record is then built once, its values set straight
 into the record (``records._conn_record``), and checked once, by
 ``ConnRecord.__post_init__``: the one check that catches a NaN duration,
-which both the column range check and ``_convert`` let through.  Conn rows
+which both the column range check and ``_convert`` let through.  A block
+whose lines all convert and hold their required fields has its records
+built in one pass; when that pass fails, the lines are built one by one so
+that each bad line is reported.  Conn rows
 are rendered (``serialize_zeek``) and projected (``rows_for_table``) a
 column at a time in the same way, with ``_render`` for a column that holds
 an unset or empty value.
@@ -31,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -103,6 +109,25 @@ def datetime_to_epoch(dt: datetime) -> str:
 
 
 _BOOLS = {"T": True, "true": True, "True": True, "F": False, "false": False, "False": False}
+
+
+def _epoch_column(column) -> list:
+    """``epoch_to_datetime`` over a column.  A column of plain values, all
+    ``digits.dddddd`` (ASCII digits, one dot at [-7], no sign), is taken in
+    C-level passes as exact microsecond counts; any other column goes value
+    by value.  A time beyond the range of ``datetime`` is a ValueError."""
+    digits = list(map(str.replace, column, repeat("."), repeat("")))
+    joined = "".join(digits)
+    if (joined.isascii() and joined.isdigit()
+            and len(joined) + len(digits) == sum(map(len, column))  # one dot each
+            and min(map(len, column)) > 7
+            and all(map(".".__eq__, map(itemgetter(-7), column)))):
+        try:
+            return list(map(_EPOCH.__add__,
+                            map(timedelta, repeat(0), repeat(0), map(int, digits))))
+        except OverflowError as exc:
+            raise ValueError("time out of range") from exc
+    return list(map(epoch_to_datetime, column))
 
 
 def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
@@ -278,10 +303,10 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
 
 
 # Column conversions that match _convert on a column free of the unset and
-# empty markers; a column they reject, or whose values fall outside the
-# range below, goes through _convert value by value.
+# empty markers (a time column takes _epoch_column); a column they reject,
+# or whose values fall outside the range below, goes through _convert value
+# by value.
 _COLUMN_CONVERT = {
-    "time": epoch_to_datetime,
     "count": int, "port": int, "int": int,
     "float": float, "duration": float,
     "bool": _BOOLS.__getitem__,
@@ -300,7 +325,8 @@ def _convert_column(column: tuple, spec: FieldSpec, unset: str, empty: str, erro
         if spec.vtype == "str":
             return column
         try:
-            out = list(map(_COLUMN_CONVERT[spec.vtype], column))
+            out = (_epoch_column(column) if spec.vtype == "time"
+                   else list(map(_COLUMN_CONVERT[spec.vtype], column)))
         except (ValueError, KeyError):
             pass
         else:
@@ -361,6 +387,15 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
     raw_details = by_name.get("detailed_label", ["-"] * n)
     value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
     check_required = any(None in value_columns[j] for _, j in _REQUIRED)
+    if not errors and not check_required:
+        # every line converted and holds its required fields: build the
+        # records in one pass, or find the failing lines one by one below
+        labels = (repeat(AttackLabel.Benign) if raw_labels is None
+                  else map(parse_iot23_label, raw_labels, raw_details))
+        try:
+            return line_nos, list(map(_conn_record, zip(*value_columns), labels)), issues
+        except (ValueError, RecordInvariantError, UnknownLabel):
+            pass
     for i, values in enumerate(zip(*value_columns)):
         message = errors.get(i)
         if message is None:

@@ -26,6 +26,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
 
 from ..store import Database, Scope, StoreError, canonical_tables
 from ..store import sql as _sql
@@ -204,11 +205,14 @@ class ValueIndex:
     def distinct(self, table: TableSchema, column: ColumnDef) -> list:
         key = (table.name, column.name)
         if key not in self._cache:
-            idx = table.column_index(column.name)
-            seen = {row[idx] for row in self._snap[table.name]}
+            seen = set(map(itemgetter(table.column_index(column.name)), self._snap[table.name]))
             seen.discard(None)
             usable = [v for v in seen if not (isinstance(v, str) and '"' in v and "'" in v)]
-            self._cache[key] = sorted(usable, key=lambda v: (str(type(v)), v))
+            if len(set(map(type, usable))) <= 1:
+                # one type: the same order as the mixed-type key below
+                self._cache[key] = sorted(usable)
+            else:
+                self._cache[key] = sorted(usable, key=lambda v: (str(type(v)), v))
         return self._cache[key]
 
 

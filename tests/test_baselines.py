@@ -1,5 +1,11 @@
+import io
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotsqlbench.baselines import (
     CATEGORICAL_FIELDS,
@@ -18,7 +24,7 @@ from iotsqlbench.baselines import (
     save_model,
     train,
 )
-from iotsqlbench.baselines.forest import _child_seed
+from iotsqlbench.baselines.forest import _child_seed, _gini
 from iotsqlbench.evaluation import detection_metrics
 
 
@@ -346,3 +352,124 @@ def test_featurizer_local_flags_one_hot(synth_data):
     assert np.array_equal(X, _transform_row_by_row(feat, records))
     cols = [feat.expanded_names.index(f"local_orig={v}") for v in ("-", "T", "F", "T")]
     assert [X[i, col] for i, col in enumerate(cols)] == [1.0] * 4
+
+
+# ---------------------------------------------------------------------------
+# Split search: sort + searchsorted against the argsort reference
+
+
+def _reference_best_split(self, X, y, idx, rng):
+    """The argsort split search: a stable argsort of each candidate feature,
+    a gather of the labels in that order and their running sum."""
+    n_features = X.shape[1]
+    if self.max_features is None or self.max_features >= n_features:
+        candidates = np.arange(n_features)
+    else:
+        candidates = np.sort(rng.choice(n_features, size=self.max_features, replace=False))
+    labels = y[idx].astype(np.float64)
+    n = len(idx)
+    total_pos = labels.sum()
+    best = None
+    best_score = _gini(total_pos, n) - 1e-12  # require strict improvement
+    for feat in candidates:
+        values = X[idx, feat]
+        order = np.argsort(values, kind="stable")
+        v_sorted = values[order]
+        pos_prefix = np.cumsum(labels[order])
+        boundaries = np.nonzero(v_sorted[1:] > v_sorted[:-1])[0]
+        if len(boundaries) == 0:
+            continue
+        n_left = boundaries + 1
+        pos_left = pos_prefix[boundaries]
+        n_right = n - n_left
+        pos_right = total_pos - pos_left
+        gini_left = 1.0 - (pos_left / n_left) ** 2 - (1 - pos_left / n_left) ** 2
+        gini_right = 1.0 - (pos_right / n_right) ** 2 - (1 - pos_right / n_right) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        j = int(np.argmin(weighted))
+        if weighted[j] < best_score:
+            best_score = float(weighted[j])
+            cut = boundaries[j]
+            best = (int(feat), float((v_sorted[cut] + v_sorted[cut + 1]) / 2.0))
+    return best
+
+
+_tree_fit = DecisionTree.fit
+
+
+def _reference_tree_fit(self, X, y, rows=None):
+    """Each tree grown on its own copy of its bootstrap rows."""
+    if rows is not None:
+        X, y = np.asarray(X)[rows], np.asarray(y)[rows]
+    return _tree_fit(self, X, y)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+@st.composite
+def _forest_inputs(draw):
+    """(X, y): 2-300 rows, columns that are continuous, tied (few distinct
+    values), constant, or laced with +-0.0, +-inf and NaN."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["continuous", "ties", "constant", "special"]))
+        if kind == "continuous":
+            column = rng.normal(size=n)
+        elif kind == "ties":
+            column = rng.integers(0, draw(st.integers(2, 5)), size=n).astype(np.float64)
+        elif kind == "constant":
+            column = np.full(n, draw(st.sampled_from([0.0, -0.0, 2.5, np.inf, np.nan])))
+        else:
+            column = np.where(rng.random(n) < 0.5, rng.choice(_SPECIAL, size=n),
+                              rng.integers(-2, 3, size=n).astype(np.float64))
+        columns.append(column)
+    y = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return np.column_stack(columns), y
+
+
+@settings(max_examples=80, deadline=None)
+@given(_forest_inputs(), st.booleans(), st.sampled_from([None, "sqrt", 1, 2]),
+       st.integers(0, 1000))
+def test_forest_matches_argsort_reference(data, bootstrap, max_features, seed):
+    X, y = data
+    params = dict(n_trees=4, max_depth=8, max_features=max_features, bootstrap=bootstrap,
+                  seed=seed)
+    got = json.dumps(RandomForest(**params).fit(X, y).state())
+    with mock.patch.object(DecisionTree, "_best_split", _reference_best_split), \
+            mock.patch.object(DecisionTree, "fit", _reference_tree_fit):
+        want = json.dumps(RandomForest(**params).fit(X, y).state())
+    assert got == want
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0.0, 0.5, 1.0, 1.0], [-1, 0, 1, 1],
+                                    [0.0, np.nan, 1.0, 1.0]])
+def test_forest_rejects_non_binary_labels(labels):
+    X = np.array([[0.0], [0.1], [0.9], [1.0]])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        RandomForest(n_trees=2).fit(X, labels)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        DecisionTree().fit(X, labels)
+
+
+def test_forest_takes_bool_and_zero_one_labels_alike(separable):
+    X, y = separable
+    as_bool = RandomForest(n_trees=5, seed=2).fit(X, y).state()
+    assert RandomForest(n_trees=5, seed=2).fit(X, y.astype(np.int64)).state() == as_bool
+    assert RandomForest(n_trees=5, seed=2).fit(X, y.astype(np.float64)).state() == as_bool
+
+
+def test_save_model_bytes_match_the_stream_encoder(tmp_path, separable):
+    X, y = separable
+    for kind in ("stratified", "uniform", "random_forest", "linear_svm"):
+        model = train(kind, X, y, hyperparams=Hyperparams(n_trees=5), seed=3)
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        written = path.read_text(encoding="utf-8")
+        want = io.StringIO()
+        json.dump(json.loads(written), want, sort_keys=True)
+        want.write("\n")
+        assert written == want.getvalue()

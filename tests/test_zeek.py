@@ -500,6 +500,73 @@ def test_epoch_round_trip_from_text(secs, usec):
     assert datetime_to_epoch(epoch_to_datetime(text)) == text
 
 
+# ts texts for the column pass: plain digits.dddddd values, and values it
+# must leave to epoch_to_datetime (signs, short, long or missing fractions,
+# "_", spaces, non-ASCII digits) or reject (beyond year 9999, no digits)
+_PLAIN_TIME = st.builds(
+    "{}.{:06d}".format,
+    st.one_of(st.integers(0, 2_000_000_000), st.integers(253_402_300_700, 10**13),
+              st.integers(10**20, 10**30)).map(str)
+    | st.integers(0, 10**6).map("{:012d}".format),
+    st.integers(0, 999_999),
+)
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_ODD_TIME = st.one_of(
+    _PLAIN_TIME.map("-{}".format), _PLAIN_TIME.map("+{}".format),
+    _PLAIN_TIME.map(" {}".format), _PLAIN_TIME.map("{} ".format),
+    _PLAIN_TIME.map(lambda t: t[:-3]),                  # short fraction
+    _PLAIN_TIME.map("{}123".format),                    # long fraction
+    _PLAIN_TIME.map(lambda t: t.split(".")[0]),         # no fraction
+    _PLAIN_TIME.map(lambda t: t.split(".")[0] + "."),   # empty fraction
+    _PLAIN_TIME.map(lambda t: t[:1] + "_" + t[1:]),
+    _PLAIN_TIME.map(lambda t: t.translate(_ARABIC_INDIC)),
+    _PLAIN_TIME.map(lambda t: t[:-7] + "." + t[-7:]),   # two dots
+    st.sampled_from([".123456", "1.123456", "", ".", "-.500000", "1.5e3", "nan"]),
+)
+_TIME_COLUMNS = st.one_of(
+    st.lists(_PLAIN_TIME, min_size=1, max_size=12),
+    st.lists(_PLAIN_TIME | _ODD_TIME, min_size=1, max_size=12),
+)
+
+
+def _epoch_value_by_value(column):
+    """epoch_to_datetime over each value: the values, or None if one fails."""
+    try:
+        return list(map(epoch_to_datetime, column))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TIME_COLUMNS)
+@example(["1616161616.123456", "0000000000.000001"])
+@example(["253402300799.999999"])  # the last microsecond of year 9999
+@example(["253402300800.000000"])  # the first beyond it
+@example(["1.123456", ".123456"])
+@example(["1.123456", "1.1.3456"])
+def test_time_column_pass_matches_epoch_to_datetime(column):
+    want = _epoch_value_by_value(column)
+    if want is None:
+        with pytest.raises(ValueError):
+            zeek._epoch_column(column)
+    else:
+        assert zeek._epoch_column(column) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PLAIN_TIME | _ODD_TIME | st.sampled_from(["-", "(empty)"]), min_size=1, max_size=12),
+       st.sampled_from([1, 3, 256]))
+def test_time_column_pass_in_a_log_matches_line_by_line_reference(times, block):
+    parts = GOOD_LINE.split("\t")
+    lines = ["\t".join([ts] + parts[1:]) for ts in times]
+    text = HEADER + "\n" + "\n".join(lines) + "\n"
+    want_records, want_issues = _reference_parse(text, "conn")
+    with mock.patch.object(zeek, "_BLOCK_LINES", block):
+        got = parse_zeek(text, "conn")
+    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert [(i.line_no, i.message) for i in got.issues] == want_issues
+
+
 def test_epoch_out_of_range_is_a_bad_line_not_a_crash():
     with pytest.raises(ValueError, match="out of range"):
         epoch_to_datetime("99999999999999.0")
