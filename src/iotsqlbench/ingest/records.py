@@ -97,35 +97,28 @@ class ConnRecord:
     label: AttackLabel = AttackLabel.Benign
 
     def __post_init__(self) -> None:
-        # one record is built per log line: one combined test, written out
-        # without helper calls, and the named checks only when it fails
-        if (
-            (self.orig_p is None or 0 <= self.orig_p <= 65535)
-            and (self.resp_p is None or 0 <= self.resp_p <= 65535)
-            and (self.duration is None or self.duration >= 0)
-            and (self.orig_bytes is None or self.orig_bytes >= 0)
-            and (self.resp_bytes is None or self.resp_bytes >= 0)
-            and (self.missed_bytes is None or self.missed_bytes >= 0)
-            and (self.orig_pkts is None or self.orig_pkts >= 0)
-            and (self.orig_ip_bytes is None or self.orig_ip_bytes >= 0)
-            and (self.resp_pkts is None or self.resp_pkts >= 0)
-            and (self.resp_ip_bytes is None or self.resp_ip_bytes >= 0)
-        ):
-            return
+        # written out check by check, without a loop or helper calls: one
+        # record is built per log line
         if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
             raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
         if self.resp_p is not None and not 0 <= self.resp_p <= 65535:
             raise RecordInvariantError(f"resp_p out of range: {self.resp_p}")
         if self.duration is not None and not self.duration >= 0:
             raise RecordInvariantError(f"duration must be nonnegative: {self.duration}")
-        for name, value in (
-            ("orig_bytes", self.orig_bytes), ("resp_bytes", self.resp_bytes),
-            ("missed_bytes", self.missed_bytes), ("orig_pkts", self.orig_pkts),
-            ("orig_ip_bytes", self.orig_ip_bytes), ("resp_pkts", self.resp_pkts),
-            ("resp_ip_bytes", self.resp_ip_bytes),
-        ):
-            if value is not None and not value >= 0:
-                raise RecordInvariantError(f"{name} must be nonnegative: {value}")
+        if self.orig_bytes is not None and not self.orig_bytes >= 0:
+            raise RecordInvariantError(f"orig_bytes must be nonnegative: {self.orig_bytes}")
+        if self.resp_bytes is not None and not self.resp_bytes >= 0:
+            raise RecordInvariantError(f"resp_bytes must be nonnegative: {self.resp_bytes}")
+        if self.missed_bytes is not None and not self.missed_bytes >= 0:
+            raise RecordInvariantError(f"missed_bytes must be nonnegative: {self.missed_bytes}")
+        if self.orig_pkts is not None and not self.orig_pkts >= 0:
+            raise RecordInvariantError(f"orig_pkts must be nonnegative: {self.orig_pkts}")
+        if self.orig_ip_bytes is not None and not self.orig_ip_bytes >= 0:
+            raise RecordInvariantError(f"orig_ip_bytes must be nonnegative: {self.orig_ip_bytes}")
+        if self.resp_pkts is not None and not self.resp_pkts >= 0:
+            raise RecordInvariantError(f"resp_pkts must be nonnegative: {self.resp_pkts}")
+        if self.resp_ip_bytes is not None and not self.resp_ip_bytes >= 0:
+            raise RecordInvariantError(f"resp_ip_bytes must be nonnegative: {self.resp_ip_bytes}")
 
     @property
     def is_malicious(self) -> bool:

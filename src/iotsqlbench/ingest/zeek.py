@@ -20,13 +20,11 @@ the same as a line-by-line parse gives.  ``_convert`` is the one per-value
 semantics.  Each conn record is then built once, its values set straight
 into the record (``records._conn_record``), and checked once, by
 ``ConnRecord.__post_init__``: the one check that catches a NaN duration,
-which both the column range check and ``_convert`` let through.  A block
-whose lines all convert and hold their required fields has its records
-built in one pass; when that pass fails, the lines are built one by one so
-that each bad line is reported.  Conn rows
-are rendered (``serialize_zeek``) and projected (``rows_for_table``) a
-column at a time in the same way, with ``_render`` for a column that holds
-an unset or empty value.
+which both the column range check and ``_convert`` let through.  The
+records of a block are built line by line, so that each bad line is
+reported.  Conn rows are rendered (``serialize_zeek``) and projected
+(``rows_for_table``) a column at a time in the same way, with ``_render``
+for a column that holds an unset or empty value.
 """
 
 from __future__ import annotations
@@ -387,15 +385,6 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
     raw_details = by_name.get("detailed_label", ["-"] * n)
     value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
     check_required = any(None in value_columns[j] for _, j in _REQUIRED)
-    if not errors and not check_required:
-        # every line converted and holds its required fields: build the
-        # records in one pass, or find the failing lines one by one below
-        labels = (repeat(AttackLabel.Benign) if raw_labels is None
-                  else map(parse_iot23_label, raw_labels, raw_details))
-        try:
-            return line_nos, list(map(_conn_record, zip(*value_columns), labels)), issues
-        except (ValueError, RecordInvariantError, UnknownLabel):
-            pass
     for i, values in enumerate(zip(*value_columns)):
         message = errors.get(i)
         if message is None:

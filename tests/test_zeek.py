@@ -209,6 +209,33 @@ def test_parsed_record_is_the_dataclass_record():
         record.duration = 1.0
 
 
+_VALID_RECORD = dict(
+    ts=datetime(2021, 3, 19, 13, 46, 56), uid="CInv1", orig_h="192.168.1.5", orig_p=51234,
+    resp_h="10.0.0.9", resp_p=80, proto="tcp", service=None, duration=0.5, orig_bytes=450,
+    resp_bytes=2300, conn_state="SF", local_orig=None, local_resp=None, missed_bytes=0,
+    history="ShADadFf", orig_pkts=7, orig_ip_bytes=730, resp_pkts=9, resp_ip_bytes=2660,
+    tunnel_parents=None,
+)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("orig_p", 65536, "orig_p out of range: 65536"),
+    ("orig_p", -1, "orig_p out of range: -1"),
+    ("resp_p", 70000, "resp_p out of range: 70000"),
+    ("duration", -0.5, "duration must be nonnegative: -0.5"),
+    ("duration", float("nan"), "duration must be nonnegative: nan"),
+    *((name, -1, f"{name} must be nonnegative: -1") for name in (
+        "orig_bytes", "resp_bytes", "missed_bytes", "orig_pkts", "orig_ip_bytes",
+        "resp_pkts", "resp_ip_bytes")),
+])
+def test_conn_record_invariants_name_the_field(name, bad, message):
+    ConnRecord(**_VALID_RECORD)
+    ConnRecord(**{**_VALID_RECORD, name: None})
+    with pytest.raises(RecordInvariantError) as exc:
+        ConnRecord(**{**_VALID_RECORD, name: bad})
+    assert str(exc.value) == message
+
+
 def test_parse_iot23_label_cases():
     assert parse_iot23_label("Benign", "-") is AttackLabel.Benign
     assert parse_iot23_label("benign", "") is AttackLabel.Benign
