@@ -48,11 +48,26 @@ class StratifiedBaseline:
         rng = random.Random(seed)
         return np.array([rng.random() < self.p_malicious for _ in range(n)], dtype=bool)
 
+    def state(self) -> dict:
+        return {"p_malicious": self.p_malicious}
 
-class UniformBaseline:
-    def predict(self, n: int, seed: int = 0) -> np.ndarray:
-        rng = random.Random(seed)
-        return np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)
+    @classmethod
+    def from_state(cls, state: dict) -> "StratifiedBaseline":
+        return cls(p_malicious=state["p_malicious"])
+
+
+class UniformBaseline(StratifiedBaseline):
+    """The stratified draw at ``p_malicious`` 0.5; it saves no parameters."""
+
+    def __init__(self):
+        super().__init__(p_malicious=0.5)
+
+    def state(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "UniformBaseline":
+        return cls()
 
 
 class LinearSVM:
@@ -194,8 +209,6 @@ def predict(model: ClassifierModel, features: np.ndarray, seed: int = 0) -> np.n
         raise DimensionMismatch(
             f"model expects {model.n_dims} feature dims, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
-    if model.kind == "stratified":
-        return model.model.predict(len(X), seed=seed)
-    if model.kind == "uniform":
+    if model.kind in ("stratified", "uniform"):
         return model.model.predict(len(X), seed=seed)
     return model.model.predict(X)

@@ -20,6 +20,14 @@ from .features import Featurizer
 from .forest import RandomForest
 
 FORMAT_VERSION = 1
+# the class of each model kind; each saves its learned parameters as
+# ``state()`` and is rebuilt from them by ``from_state``
+_MODEL_CLASSES = {
+    "stratified": StratifiedBaseline,
+    "uniform": UniformBaseline,
+    "random_forest": RandomForest,
+    "linear_svm": LinearSVM,
+}
 
 
 class ModelFileError(Exception):
@@ -27,6 +35,8 @@ class ModelFileError(Exception):
 
 
 def save_model(model: ClassifierModel, path) -> None:
+    if model.kind not in _MODEL_CLASSES:
+        raise ModelFileError(f"unknown kind {model.kind!r}")
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
@@ -35,17 +45,8 @@ def save_model(model: ClassifierModel, path) -> None:
         "featurizer": model.featurizer.state() if model.featurizer else None,
         "feature_names": model.featurizer.feature_names if model.featurizer else None,
         "expanded_names": model.featurizer.expanded_names if model.featurizer else None,
+        "params": model.model.state(),
     }
-    if model.kind == "stratified":
-        payload["params"] = {"p_malicious": model.model.p_malicious}
-    elif model.kind == "uniform":
-        payload["params"] = {}
-    elif model.kind == "random_forest":
-        payload["params"] = model.model.state()
-    elif model.kind == "linear_svm":
-        payload["params"] = model.model.state()
-    else:
-        raise ModelFileError(f"unknown kind {model.kind!r}")
     # json.dumps takes the C encoder; json.dump always takes the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -58,17 +59,9 @@ def load_model(path) -> ClassifierModel:
     if version != FORMAT_VERSION:
         raise ModelFileError(f"unsupported model format version {version!r}")
     kind = payload["kind"]
-    params = payload["params"]
-    if kind == "stratified":
-        model: object = StratifiedBaseline(p_malicious=params["p_malicious"])
-    elif kind == "uniform":
-        model = UniformBaseline()
-    elif kind == "random_forest":
-        model = RandomForest.from_state(params)
-    elif kind == "linear_svm":
-        model = LinearSVM.from_state(params)
-    else:
+    if kind not in _MODEL_CLASSES:
         raise ModelFileError(f"unknown kind {kind!r}")
+    model = _MODEL_CLASSES[kind].from_state(payload["params"])
     featurizer = Featurizer.from_state(payload["featurizer"]) if payload.get("featurizer") else None
     return ClassifierModel(
         kind=kind,

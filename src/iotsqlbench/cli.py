@@ -155,8 +155,9 @@ def _zeek_log(path: Path, kind: str) -> Path | None:
     return None
 
 
-def read_logs_dir(path: Path) -> dict:
-    """Parse every recognized log file in a directory; returns records per kind."""
+def read_logs_dir(path: Path) -> tuple[dict, list]:
+    """Parse every recognized log file in a directory: (records per kind,
+    ``(<file>:<line>, message)`` for each malformed Zeek line)."""
     data: dict = {}
     issues = []
     for kind in ZEEK_KINDS:
@@ -174,7 +175,7 @@ def read_logs_dir(path: Path) -> dict:
         data["devices"] = parse_devices(candidate.read_text(encoding="utf-8"))
     if not data:
         raise IngestError(f"no recognizable log files under {path}")
-    return data | {"_issues": issues}
+    return data, issues
 
 
 def build_database(schema, data: dict) -> Database:
@@ -199,8 +200,7 @@ def load_db_dir(path: Path):
     missing from the database."""
     schema_file = path / "schema.txt"
     schema = load_schema_file(str(schema_file)) if schema_file.exists() else default_schema()
-    data = read_logs_dir(path)
-    issues = data.pop("_issues")
+    data, issues = read_logs_dir(path)
     if issues:
         loc, message = issues[0]
         raise IngestError(f"{path / loc}: {message}")
@@ -263,8 +263,7 @@ def cmd_ingest(cfg: RunConfig, out: Path, args) -> int:
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
         raise ConfigError(f"--logs {logs_dir} is not a directory")
-    data = read_logs_dir(logs_dir)
-    issues = data.pop("_issues")
+    data, issues = read_logs_dir(logs_dir)
     schema = _load_schema(cfg)
     build_database(schema, data)  # validates types/arity before writing
     writer = ArtifactWriter(out)

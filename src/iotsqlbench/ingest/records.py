@@ -38,14 +38,11 @@ class AttackLabel(enum.Enum):
     PartOfAHorizontalPortScan = "PartOfAHorizontalPortScan"
 
 
-_LABEL_LOOKUP = {
-    label.value.casefold().replace(" ", "").replace("-", "").replace("&", "and"): label
-    for label in AttackLabel
-}
-
-
 def _fold_label(text: str) -> str:
     return text.strip().casefold().replace(" ", "").replace("-", "").replace("&", "and")
+
+
+_LABEL_LOOKUP = {_fold_label(label.value): label for label in AttackLabel}
 
 
 @functools.lru_cache(maxsize=1024)

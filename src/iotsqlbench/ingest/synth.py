@@ -13,6 +13,7 @@ from datetime import datetime, timedelta
 
 from .records import (
     SENSOR_TYPES,
+    ZEEK_KINDS,
     AttackLabel,
     ConnRecord,
     IngestError,
@@ -20,8 +21,11 @@ from .records import (
     ZeekRecord,
 )
 
-ZEEK_ORDER = ("conn", "dns", "http", "files", "ntp", "weird")
-ALL_KINDS = ZEEK_ORDER + SENSOR_TYPES + ("devices",)
+ALL_KINDS = ZEEK_KINDS + SENSOR_TYPES + ("devices",)
+# the columns of a device row, in devices.csv and in the devices table
+DEVICE_COLUMNS = ("device_id", "name", "type", "vendor", "model", "firmware_version",
+                  "mac", "ip", "room", "floor", "install_ts", "last_seen_ts", "status",
+                  "battery_level", "network_segment", "is_gateway")
 
 
 class InvalidSpec(IngestError):
@@ -372,32 +376,20 @@ def synthesize_logs(spec: SynthSpec) -> dict[str, list]:
     out: dict[str, list] = {}
     for kind in ALL_KINDS:
         n = spec.counts.get(kind, 0)
-        if kind == "conn":
-            out[kind] = synth.conn(n)
-        elif kind in ZEEK_ORDER:
-            out[kind] = getattr(synth, kind)(n)
-        elif kind in SENSOR_TYPES:
-            out[kind] = synth.sensor(kind, n)
-        else:
-            out[kind] = synth.devices(n)
+        # a Zeek kind and the devices each have a method of their own name
+        out[kind] = synth.sensor(kind, n) if kind in SENSOR_TYPES else getattr(synth, kind)(n)
     return out
 
 
 def device_rows(devices: list[dict]) -> list[tuple]:
-    order = ("device_id", "name", "type", "vendor", "model", "firmware_version",
-             "mac", "ip", "room", "floor", "install_ts", "last_seen_ts", "status",
-             "battery_level", "network_segment", "is_gateway")
-    return [tuple(d[k] for k in order) for d in devices]
+    return [tuple(d[k] for k in DEVICE_COLUMNS) for d in devices]
 
 
 def serialize_devices(devices: list[dict]) -> str:
-    order = ("device_id", "name", "type", "vendor", "model", "firmware_version",
-             "mac", "ip", "room", "floor", "install_ts", "last_seen_ts", "status",
-             "battery_level", "network_segment", "is_gateway")
-    lines = [",".join(order)]
+    lines = [",".join(DEVICE_COLUMNS)]
     for d in devices:
         rendered = []
-        for k in order:
+        for k in DEVICE_COLUMNS:
             v = d[k]
             if isinstance(v, datetime):
                 rendered.append(v.isoformat())

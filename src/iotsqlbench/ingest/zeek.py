@@ -7,29 +7,28 @@ seen in the wild: label columns declared in ``#fields``, appended as extra
 TSV columns, or glued onto the final field with spaces.
 
 A TSV log is converted one column at a time.  Its data lines are split and
-grouped by their resolved field plan (with or without the label columns);
-each group is transposed and each column converted in one pass (``int``,
-``float``, ``epoch_to_datetime`` or the bool table mapped over it, then one
-range check), a string column passes through as it is.  A time column of
-plain ``digits.dddddd`` values is converted in C-level passes as exact
-microsecond counts (``_epoch_column``).  A column goes
-through the per-value ``_convert`` instead when it holds the unset or empty
-marker, when a value does not parse, or when a value is out of range; that
-path finds each bad line's first failing column, so issues and records are
-the same as a line-by-line parse gives.  ``_convert`` is the one per-value
-semantics.  Each conn record is then built once, its values set straight
-into the record (``records._conn_record``), and checked once, by
+taken in blocks of one resolved field plan (with or without the label
+columns): a block ends where the plan or a marker changes, or at
+``_BLOCK_LINES`` lines.  Each column of a block is converted in one pass
+(``int``, ``float``, ``epoch_to_datetime`` or the bool table mapped over it,
+then one range check), a string column passes through as it is.  A time
+column of plain ``digits.dddddd`` values is converted in C-level passes as
+exact microsecond counts (``_epoch_column``).  A column goes through the
+per-value ``_convert`` instead when it holds the unset or empty marker, when
+a value does not parse, or when a value is out of range; that path finds
+each bad line's first failing column, so issues and records are the same as
+a line-by-line parse gives.  ``_convert`` is the one per-value semantics.
+Each conn record is then built once, its values set straight into the record
+(``records._conn_record``), and checked once, by
 ``ConnRecord.__post_init__``: the one check that catches a NaN duration,
-which both the column range check and ``_convert`` let through.  The
-records of a block are built line by line, so that each bad line is
-reported.  Conn rows are rendered (``serialize_zeek``) and projected
-(``rows_for_table``) a column at a time in the same way, with ``_render``
-for a column that holds an unset or empty value.
+which both the column range check and ``_convert`` let through.  The records
+of a block are built line by line, so that each bad line is reported.  Rows
+of every kind are rendered (``serialize_zeek``) a column at a time in the
+same way, with ``_render`` for a column that holds an unset or empty value.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -73,12 +72,6 @@ class ParseIssue:
 class ZeekParseResult:
     records: list
     issues: list[ParseIssue]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def epoch_to_datetime(text: str) -> datetime:
@@ -214,30 +207,25 @@ _BLOCK_LINES = 256
 
 def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     separator = "\t"
-    unset, empty, set_sep = "-", "(empty)", ","
+    unset, empty = "-", "(empty)"
     field_names: list[str] | None = None
     plan: list | None = None
-    # data lines waiting for conversion, by resolved line plan length (the
-    # plan itself, or the plan plus IoT-23 label columns): (line plan, line
-    # numbers, split lines).  Converted when the plan or a marker changes and
-    # every _BLOCK_LINES lines, so that only one block's split values are
-    # held at once.
-    pending: dict[int, tuple[list, list[int], list[list[str]]]] = {}
+    # the block of data lines waiting for conversion, all of one line plan
+    # (the plan, or the plan plus the IoT-23 label columns: told apart by
+    # length): converted where the line plan or a marker changes and every
+    # _BLOCK_LINES lines, so that only one block's split values are held
+    block_plan: list | None = None
+    line_nos: list[int] = []
+    rows: list[list[str]] = []
     records: list = []
     issues: list[ParseIssue] = []
 
     def flush() -> None:
-        groups = [_convert_group(kind, line_plan, line_nos, rows, unset, empty)
-                  for line_plan, line_nos, rows in pending.values()]
-        pending.clear()
-        if len(groups) == 1:
-            records.extend(groups[0][1])
-        else:  # labeled and unlabeled lines in one block: back into line order
-            records.extend(record for _, record in heapq.merge(
-                *(zip(line_nos, group_records) for line_nos, group_records, _ in groups),
-                key=itemgetter(0)))
-        for _, _, group_issues in groups:
-            issues.extend(group_issues)
+        if rows:
+            block_records, block_issues = _convert_group(kind, block_plan, line_nos, rows, unset, empty)
+            records.extend(block_records)
+            issues.extend(block_issues)
+            line_nos.clear()  # _convert_group has emptied rows
 
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -257,8 +245,6 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
             elif directive == "empty_field":
                 flush()
                 empty = raw[1:].split(separator)[1]
-            elif directive == "set_separator":
-                set_sep = raw[1:].split(separator)[1]  # noqa: F841 - sets stay comma-joined text
             continue
         if plan is None:
             raise MissingFieldsHeader("data line before #fields directive")
@@ -266,13 +252,12 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
         if issue is not None:
             issues.append(issue)
             continue
-        group = pending.get(len(line_plan))
-        if group is None:
-            group = pending[len(line_plan)] = (line_plan, [], [])
-        group[1].append(line_no)
-        group[2].append(values)
-        if len(group[1]) == _BLOCK_LINES:
+        if rows and (len(line_plan) != len(block_plan) or len(rows) == _BLOCK_LINES):
             flush()
+        if not rows:
+            block_plan = line_plan
+        line_nos.append(line_no)
+        rows.append(values)
     flush()
     if field_names is None:
         raise MissingFieldsHeader("no #fields directive found")
@@ -346,8 +331,7 @@ def _convert_column(column: tuple, spec: FieldSpec, unset: str, empty: str, erro
 
 def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[list[str]],
                    unset: str, empty: str):
-    """(line numbers of the records, records, issues) for data lines that
-    share one line plan.
+    """(records, issues) for a block of data lines that share one line plan.
 
     Converts column by column.  A line reports what a line-by-line parse
     would: its first failing column in column order, then its label, then
@@ -370,7 +354,6 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
             by_name[spec.name] = _convert_column(column, spec, unset, empty, errors)
     unset_column = [None] * n
     records: list = []
-    record_lines: list[int] = []
     issues: list[ParseIssue] = []
     if kind != "conn":
         for i, values in enumerate(zip(*(by_name.get(spec.name, unset_column)
@@ -379,8 +362,7 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
                 issues.append(ParseIssue(line_no=line_nos[i], message=errors[i]))
             else:
                 records.append(ZeekRecord(kind=kind, fields=values))
-                record_lines.append(line_nos[i])
-        return record_lines, records, issues
+        return records, issues
     raw_labels = by_name.get("label")
     raw_details = by_name.get("detailed_label", ["-"] * n)
     value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
@@ -394,12 +376,11 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
                 if check_required:
                     _require_present(values)
                 records.append(_conn_record(values, label))
-                record_lines.append(line_nos[i])
                 continue
             except (ValueError, RecordInvariantError, UnknownLabel) as exc:
                 message = str(exc)
         issues.append(ParseIssue(line_no=line_nos[i], message=message))
-    return record_lines, records, issues
+    return records, issues
 
 
 _REQUIRED = [
@@ -484,12 +465,11 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     records = list(records)
-    specs = list(KIND_FIELDS[kind])
-    if kind == "conn":
-        if labeled is None:
-            labeled = any(isinstance(r, ConnRecord) for r in records)
-        if labeled:
-            specs = specs + LABEL_FIELDS
+    if kind != "conn":
+        labeled = False
+    elif labeled is None:
+        labeled = any(isinstance(r, ConnRecord) for r in records)
+    specs = KIND_FIELDS[kind] + LABEL_FIELDS if labeled else KIND_FIELDS[kind]
     lines = [
         "#separator \\x09",
         "#set_separator\t,",
@@ -500,23 +480,19 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         "#fields\t" + "\t".join(spec.zeek_name for spec in specs),
         "#types\t" + "\t".join(spec.zeek_type for spec in specs),
     ]
-    if kind == "conn":
-        # a block of rows at a time, so that only one block's rendered values
-        # are held before they are joined into lines
-        for start in range(0, len(records), _BLOCK_LINES):
-            block = records[start:start + _BLOCK_LINES]
-            columns = [_render_column(column, spec)
-                       for column, spec in zip(zip(*map(conn_to_row, block)), CONN_FIELDS)]
-            if labeled:
-                labels = [record.label for record in block]
-                columns.append(["Benign" if label is AttackLabel.Benign else "Malicious"
-                                for label in labels])
-                columns.append(["-" if label is AttackLabel.Benign else label.value
-                                for label in labels])
-            lines.extend(map("\t".join, zip(*columns)))
-    else:
-        for record in records:
-            lines.append("\t".join(_render(v, spec) for v, spec in zip(record.fields, specs)))
+    # a block of rows at a time, so that only one block's rendered values are
+    # held before they are joined into lines
+    for start in range(0, len(records), _BLOCK_LINES):
+        block = records[start:start + _BLOCK_LINES]
+        columns = [_render_column(column, spec)
+                   for column, spec in zip(zip(*rows_for_table(block, kind)), KIND_FIELDS[kind])]
+        if labeled:
+            labels = [record.label for record in block]
+            columns.append(["Benign" if label is AttackLabel.Benign else "Malicious"
+                            for label in labels])
+            columns.append(["-" if label is AttackLabel.Benign else label.value
+                            for label in labels])
+        lines.extend(map("\t".join, zip(*columns)))
     lines.append("#close\t2000-01-01-00-00-00")
     return "\n".join(lines) + "\n"
 

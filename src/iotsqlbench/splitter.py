@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 
 from .ingest.records import AttackLabel
@@ -45,8 +45,6 @@ class SplitManifest:
     ratios: tuple | None
     seed: int
     train_attack_labels: frozenset = frozenset()
-    ip_map: dict = field(default_factory=dict)
-    time_offsets: dict = field(default_factory=dict)  # record id -> signed seconds
 
     def ids_for(self, split: str) -> list:
         return [i for i, s in self.assignment.items() if s == split]

@@ -276,6 +276,8 @@ class TemplateBinder:
 
     def bind(self, template: QueryTemplate, rng: random.Random) -> dict:
         has_join = any(s.kind is SlotKind.JOIN_TABLE for s in template.slots.values())
+        # (table, join table, join key) for each choice the slots allow, tried
+        # in a random order until one has sampleable values
         if has_join:
             options = [
                 (t1, t2, key)
@@ -283,34 +285,24 @@ class TemplateBinder:
                 if self._table_viable(template, t1, "TABLE")
                 and self._table_viable(template, t2, "JOIN_TABLE")
             ]
-            if not options:
-                raise UnsatisfiableSlot(
-                    f"template {template.id}: no joinable table pair satisfies the slots"
-                )
-            for t1, t2, key in rng.sample(options, len(options)):
-                table_map = {"TABLE": t1, "JOIN_TABLE": t2}
-                try:
-                    return self._bind_with_tables(template, rng, table_map, key)
-                except _RetryBind:
-                    continue
-            raise UnsatisfiableSlot(
-                f"template {template.id}: no join option has sampleable values"
-            )
-        options2 = [
-            t for t in self.schema.tables if self._table_viable(template, t, "TABLE")
-        ]
-        if not options2:
-            raise UnsatisfiableSlot(
-                f"template {template.id}: no table satisfies the column constraints"
-            )
-        for t in rng.sample(options2, len(options2)):
+            no_options = "no joinable table pair satisfies the slots"
+            no_values = "no join option has sampleable values"
+        else:
+            options = [
+                (t, None, None)
+                for t in self.schema.tables if self._table_viable(template, t, "TABLE")
+            ]
+            no_options = "no table satisfies the column constraints"
+            no_values = "no table has sampleable values for the slots"
+        if not options:
+            raise UnsatisfiableSlot(f"template {template.id}: {no_options}")
+        for t1, t2, key in rng.sample(options, len(options)):
+            table_map = {"TABLE": t1} if t2 is None else {"TABLE": t1, "JOIN_TABLE": t2}
             try:
-                return self._bind_with_tables(template, rng, {"TABLE": t}, None)
+                return self._bind_with_tables(template, rng, table_map, key)
             except _RetryBind:
                 continue
-        raise UnsatisfiableSlot(
-            f"template {template.id}: no table has sampleable values for the slots"
-        )
+        raise UnsatisfiableSlot(f"template {template.id}: {no_values}")
 
     def _bind_with_tables(
         self,
@@ -322,9 +314,8 @@ class TemplateBinder:
         bindings: dict[str, Bound] = {}
         col_tables: dict[str, TableSchema] = {}
         for name, table in table_map.items():
-            if name in template.slots or name in ("TABLE", "JOIN_TABLE"):
-                kind = SlotKind.TABLE if name == "TABLE" else SlotKind.JOIN_TABLE
-                bindings[name] = Bound(kind=kind, value=table)
+            kind = SlotKind.TABLE if name == "TABLE" else SlotKind.JOIN_TABLE
+            bindings[name] = Bound(kind=kind, value=table)
         for spec in template.slots.values():
             if spec.kind is SlotKind.JOIN_KEY:
                 bindings[spec.name] = Bound(kind=SlotKind.JOIN_KEY, value=join_key)
