@@ -481,11 +481,12 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         "#types\t" + "\t".join(spec.zeek_type for spec in specs),
     ]
     # a block of rows at a time, so that only one block's rendered values are
-    # held before they are joined into lines
+    # held before they are joined into lines; a record whose width differs
+    # from the others' is a ValueError (strict), never a cut to theirs
     for start in range(0, len(records), _BLOCK_LINES):
         block = records[start:start + _BLOCK_LINES]
-        columns = [_render_column(column, spec)
-                   for column, spec in zip(zip(*rows_for_table(block, kind)), KIND_FIELDS[kind])]
+        columns = [_render_column(column, spec) for column, spec in
+                   zip(zip(*rows_for_table(block, kind), strict=True), KIND_FIELDS[kind])]
         if labeled:
             labels = [record.label for record in block]
             columns.append(["Benign" if label is AttackLabel.Benign else "Malicious"

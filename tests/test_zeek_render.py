@@ -4,6 +4,7 @@ must equal the one a per-value ``_render`` gives."""
 from datetime import datetime
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,10 @@ def test_serialize_renders_markers_bools_nan_and_pre_epoch_times():
     assert [row["filename"] for row in got] == ["(empty)", "a.bin"]
     assert [row["duration"] for row in got] == ["nan", "-inf"]
     assert [row["is_orig"] for row in got] == ["T", "F"]
+
+
+def test_serialize_rejects_a_record_of_another_width_in_a_block():
+    full = (datetime(2021, 1, 1), "C1", "10.0.0.1", 1, "10.0.0.2", 2, "bad", None, False, "zeek", "IP")
+    records = [ZeekRecord("weird", full), ZeekRecord("weird", full[:5])]
+    with pytest.raises(ValueError):
+        serialize_zeek(records, "weird")
