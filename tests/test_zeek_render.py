@@ -21,11 +21,10 @@ from iotsqlbench.ingest import zeek
 _TIMES = st.datetimes(min_value=datetime(1, 1, 1),
                       max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-# values a record of any kind may hold; a conn record keeps its invariants
-# (ports in range, counts and duration nonnegative, no NaN duration)
+# non-string values a record of any kind may hold; a conn record keeps its
+# invariants (ports in range, counts and duration nonnegative, no NaN duration)
 _VALUES = {
     "time": _TIMES,
-    "str": st.text(max_size=6),
     "count": st.integers(-2**64, 2**64),
     "port": st.integers(-1, 70000),
     "float": _FLOATS,
@@ -49,9 +48,10 @@ def _records(draw):
     values = _CONN_VALUES if kind == "conn" else _VALUES
     columns = []
     for spec in KIND_FIELDS[kind]:
-        column = values[spec.vtype]
         if spec.vtype == "str":
-            column = st.text(max_size=6) if holes else st.text(min_size=1, max_size=6)
+            column = st.text(min_size=0 if holes else 1, max_size=6)
+        else:
+            column = values[spec.vtype]
         columns.append(st.none() | column if holes else column)
     rows = draw(st.lists(st.tuples(*columns), max_size=9))
     labeled = draw(st.sampled_from([None, False, True]))
