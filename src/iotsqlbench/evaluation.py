@@ -5,18 +5,23 @@ Logical accuracy is exact match after formatting-only normalization
 parentheses, quote style); literal contents keep their case.  Execution
 accuracy compares result multisets positionally with numeric relative
 tolerance 1e-6, turning order-sensitive only when the gold query has
-ORDER BY.  Detection metrics are macro precision/recall/F1 over the two
-classes with 0 substituted for empty denominators.
+ORDER BY; without it both results are sorted by exact keys first, so two
+rows within tolerance may still land at different positions.  Detection
+metrics are macro precision/recall/F1 over the two classes with 0
+substituted for empty denominators.
 
 Each gold query runs once per exact SQL text, database and timeout: its
 result, as returned, is kept with the database while the database's rows
 and the timeout stay the same, so a second prediction file scored on the
-same rows runs no gold query again.  Unless order counts, a kept result is
-sorted on the first comparison that needs it (a prediction with the gold's
-width and row count), and at most once.  A prediction textually identical
-to its gold query is scored without running, by checking the gold result
-for a value unequal to itself (NaN).  None of this changes the comparison
-policy.
+same rows runs no gold query again.  A kept result is checked for a value
+unequal to itself (NaN) at most once.  A prediction with the gold's width
+and row count whose rows equal the gold's as returned, with the same type
+in every cell, matches by one equality pass if the gold has no NaN.  Any
+other such prediction is compared after sorting, unless order counts; a
+kept result is sorted on the first comparison that needs it, and at most
+once.  A prediction textually identical to its gold query is scored
+without running, by the gold's NaN check, and is logically correct
+without being normalized.  None of this changes the comparison policy.
 """
 
 from __future__ import annotations
@@ -85,15 +90,17 @@ def normalize_sql(sql: str) -> str:
     return "".join(pieces).strip()
 
 
+_SPACE_RE = re.compile(r"\s+")
+_PUNCT_SPACE_RE = re.compile(r"\s*([(),])\s*")
+
+
 def _normalize_code(code: str) -> str:
-    code = code.casefold()
-    code = re.sub(r"\s+", " ", code)
-    code = re.sub(r"\s*([(),])\s*", r"\1", code)
-    return code
+    return _PUNCT_SPACE_RE.sub(r"\1", _SPACE_RE.sub(" ", code.casefold()))
 
 
 def logical_accuracy(pred_sql: str, gold_sql: str) -> bool:
-    return normalize_sql(pred_sql) == normalize_sql(gold_sql)
+    # identical texts normalize alike
+    return pred_sql == gold_sql or normalize_sql(pred_sql) == normalize_sql(gold_sql)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +186,10 @@ def _sorted_rows(rows: list[tuple]) -> list[tuple]:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A result to compare against.  Unless row order counts, its rows are
-    sorted once, by the first comparison that gets past the width and
-    row-count checks."""
+    """A result to compare against.  A prediction whose rows equal its rows
+    as returned, cell types included, matches it unless a cell is NaN.
+    Otherwise, unless row order counts, its rows are sorted once, by the
+    first comparison that gets that far."""
 
     width: int
     ordered: bool
@@ -195,10 +203,27 @@ class _Prepared:
     def comparable_rows(self) -> list:
         return self.rows if self.ordered else _sorted_rows(self.rows)
 
+    @cached_property
+    def matches_itself(self) -> bool:
+        """False iff a cell is unequal to itself, which among store values
+        only NaN is."""
+        return not any(map(operator.ne, chain.from_iterable(self.rows), chain.from_iterable(self.rows)))
+
     def matches(self, pred: ResultTable) -> bool:
         """Positional multiset comparison; column names are ignored."""
         if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
             return False
+        # Rows equal as returned, of one type cell for cell, pass the first
+        # test of _values_match at every position, ordered or sorted alike.
+        # Tuple == counts a cell identical to itself as equal, and with no
+        # NaN in the gold no other cell is unequal to itself.
+        if (
+            pred.rows == self.rows
+            and self.matches_itself
+            and all(map(operator.is_, map(type, chain.from_iterable(pred.rows)),
+                        map(type, chain.from_iterable(self.rows))))
+        ):
+            return True
         rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
         return _rows_match(rows, self.comparable_rows, EXEC_REL_TOL)
 
@@ -206,12 +231,6 @@ class _Prepared:
 def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -> bool:
     """Positional multiset comparison; column names are ignored."""
     return _Prepared.of(gold, order_sensitive).matches(pred)
-
-
-def _matches_itself(rows: list[tuple]) -> bool:
-    """Whether ``rows`` match themselves: false iff a cell is unequal to
-    itself, which among store values only NaN is."""
-    return not any(map(operator.ne, chain.from_iterable(rows), chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -286,7 +305,7 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
     """
     gold = _prepared_gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
-        return _matches_itself(gold.expected.rows)
+        return gold.expected.matches_itself
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:

@@ -224,7 +224,7 @@ class TemplateBinder:
         self.schema: DatabaseSchema = db.schema
         self.values = ValueIndex(db)
         self._join_options = self._enumerate_join_options()
-        self._viable: dict[tuple[str, str, str], tuple[QueryTemplate, bool]] = {}
+        self._options: dict[str, tuple[QueryTemplate, list, bool]] = {}
 
     def _enumerate_join_options(self) -> list[tuple[TableSchema, TableSchema, str]]:
         options = []
@@ -247,14 +247,6 @@ class TemplateBinder:
 
     _AGG_COLUMN_DEFAULT_ATTRS = ("number", "time")
 
-    def _table_viable(self, template: QueryTemplate, table: TableSchema, table_slot: str) -> bool:
-        # a pure function of the schema and the template, asked on every bind
-        key = (template.id, table.name, table_slot)
-        hit = self._viable.get(key)
-        if hit is None or hit[0] is not template:  # ids repeat across banks
-            hit = self._viable[key] = (template, self._check_viable(template, table, table_slot))
-        return hit[1]
-
     def _check_viable(self, template: QueryTemplate, table: TableSchema, table_slot: str) -> bool:
         for spec in template.slots.values():
             if spec.kind not in (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN):
@@ -274,24 +266,31 @@ class TemplateBinder:
                 return False
         return True
 
+    def _bind_options(self, template: QueryTemplate) -> tuple[list, bool]:
+        """(table, join table, join key) for each choice the slots allow, and
+        whether the template joins: a pure function of the schema and the
+        template, built on its first bind."""
+        hit = self._options.get(template.id)
+        if hit is None or hit[0] is not template:  # ids repeat across banks
+            has_join = any(s.kind is SlotKind.JOIN_TABLE for s in template.slots.values())
+            tables = {t.name for t in self.schema.tables if self._check_viable(template, t, "TABLE")}
+            if has_join:
+                joined = {t.name for t in self.schema.tables if self._check_viable(template, t, "JOIN_TABLE")}
+                options = [
+                    (t1, t2, key) for t1, t2, key in self._join_options if t1.name in tables and t2.name in joined
+                ]
+            else:
+                options = [(t, None, None) for t in self.schema.tables if t.name in tables]
+            hit = self._options[template.id] = (template, options, has_join)
+        return hit[1], hit[2]
+
     def bind(self, template: QueryTemplate, rng: random.Random) -> dict:
-        has_join = any(s.kind is SlotKind.JOIN_TABLE for s in template.slots.values())
-        # (table, join table, join key) for each choice the slots allow, tried
-        # in a random order until one has sampleable values
+        # tried in a random order until one option has sampleable values
+        options, has_join = self._bind_options(template)
         if has_join:
-            options = [
-                (t1, t2, key)
-                for t1, t2, key in self._join_options
-                if self._table_viable(template, t1, "TABLE")
-                and self._table_viable(template, t2, "JOIN_TABLE")
-            ]
             no_options = "no joinable table pair satisfies the slots"
             no_values = "no join option has sampleable values"
         else:
-            options = [
-                (t, None, None)
-                for t in self.schema.tables if self._table_viable(template, t, "TABLE")
-            ]
             no_options = "no table satisfies the column constraints"
             no_values = "no table has sampleable values for the slots"
         if not options:

@@ -4,6 +4,7 @@ the same path as ``results_match``."""
 
 import json
 import math
+import pickle
 from datetime import datetime, timezone
 
 import pytest
@@ -403,16 +404,33 @@ def test_gold_is_sorted_once_for_many_comparisons(monkeypatch):
     db = make_db()
     golds, sorts = count_gold_sorts(monkeypatch)
     gold = "SELECT a FROM t WHERE b > 10"
+    # each run prediction returns rows other than the gold's as returned
     report = score([
-        (gold, "select a from t where b > 10"),
+        (gold, "SELECT a FROM t WHERE b > 10 ORDER BY a DESC"),
         (gold, "SELECT a FROM t WHERE a < 3"),  # rows (1, 2), not (2, 3)
         (gold, gold),
-        (gold, "SELECT a FROM t WHERE b >= 20"),
+        (gold, "SELECT a FROM t WHERE b >= 20 ORDER BY a DESC"),
     ], db)
     assert report.execution_acc == 0.75
     assert len(golds) == 1
     assert gold_sorts(golds, sorts) == 1
     assert len(sorts) == 4  # the gold once, each run prediction once
+
+
+def test_rows_equal_as_returned_are_not_sorted(monkeypatch):
+    db = make_db()
+    golds, sorts = count_gold_sorts(monkeypatch)
+    gold = "SELECT a FROM t WHERE b > 10"
+    report = score([
+        (gold, "select a from t where b > 10"),
+        (gold, "SELECT a FROM t WHERE b >= 20"),
+        ("SELECT a FROM t WHERE a = 1", "SELECT a FROM t WHERE a < 2"),
+    ], db)
+    assert report.execution_acc == 1.0
+    assert sorts == []
+    # equal rows with another cell type take the sorted path
+    assert score([("SELECT a FROM t WHERE a = 1", "SELECT 1.0 FROM t WHERE a = 1")], db).execution_acc == 1.0
+    assert len(sorts) == 2
 
 
 def test_ordered_gold_is_never_sorted(monkeypatch):
@@ -431,7 +449,78 @@ def test_ordered_gold_is_never_sorted(monkeypatch):
 @settings(max_examples=500, deadline=None)
 @given(rows=result_rows())
 def test_echo_verdict_is_the_rows_matching_themselves(rows):
-    assert evaluation._matches_itself(rows) == evaluation._rows_match(rows, rows, EXEC_REL_TOL)
+    prepared = evaluation._Prepared(len(rows[0]) if rows else 1, False, rows)
+    assert prepared.matches_itself == evaluation._rows_match(rows, rows, EXEC_REL_TOL)
+
+
+# -- the exact pass settles a match only where sort-then-compare would
+
+
+def sort_then_compare(pred_rows, gold_rows, ordered):
+    """The verdict of the comparison without its exact pass."""
+    if ordered:
+        return evaluation._rows_match(pred_rows, gold_rows, EXEC_REL_TOL)
+    return evaluation._rows_match(
+        evaluation._sorted_rows(pred_rows), evaluation._sorted_rows(gold_rows), EXEC_REL_TOL
+    )
+
+
+def retyped(v):
+    if type(v) is bool:
+        return int(v)
+    if type(v) is int and abs(v) <= 2**53:
+        return float(v)
+    return v
+
+
+@st.composite
+def gold_and_prediction(draw):
+    gold = draw(result_rows())
+    width = len(gold[0]) if gold else 1
+    if gold and draw(st.booleans()):  # a NaN cell, which the draws make rarely
+        r, c = draw(st.integers(0, len(gold) - 1)), draw(st.integers(0, width - 1))
+        gold[r] = gold[r][:c] + (math.nan,) + gold[r][c + 1:]
+    pred = draw(st.sampled_from(["same", "copy", "retyped", "permutation", "draw"]))
+    if pred == "same":
+        rows = gold
+    elif pred == "copy":  # equal cells, none of them the gold's objects
+        rows = pickle.loads(pickle.dumps(gold))
+    elif pred == "retyped":  # equal under ==, yet booleans as ints and ints as floats
+        rows = [tuple(map(retyped, row)) for row in gold]
+    elif pred == "permutation":
+        rows = draw(st.permutations(gold))
+    else:
+        rows = draw(result_rows())
+    return gold, width, rows
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=gold_and_prediction(), ordered=st.booleans())
+def test_exact_pass_never_changes_a_verdict(case, ordered):
+    gold, width, rows = case
+    pred_width = len(rows[0]) if rows else width
+    want = pred_width == width and len(rows) == len(gold) and sort_then_compare(rows, gold, ordered)
+    got = results_match(ResultTable(["c"] * pred_width, rows), ResultTable(["c"] * width, gold), ordered)
+    assert got == want
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_exact_pass_named_cases(ordered):
+    def match(pred, gold):
+        return results_match(ResultTable(["c"], pred), ResultTable(["c"], gold), ordered)
+
+    assert not match([(True,)], [(1,)])  # equal under ==, yet a boolean is no number
+    row = (math.nan,)
+    assert not match([row], [row])  # the very same row object: tuple == would pass it
+    assert match([(1,)], [(1.0,)])
+
+
+def test_unordered_match_sorts_by_exact_keys_then_compares_with_tolerance():
+    # each predicted row is within tolerance of a distinct gold row, but the
+    # exact sort keys pair them differently
+    pred = ResultTable(["x", "y"], [(1.0 + 1e-12, "a"), (1.0, "b")])
+    gold = ResultTable(["x", "y"], [(1.0, "a"), (1.0 + 1e-12, "b")])
+    assert not results_match(pred, gold, order_sensitive=False)
 
 
 def test_report_header_records_the_timeout_used():

@@ -139,7 +139,8 @@ def test_an_unordered_gold_is_sorted_at_most_once_across_files(monkeypatch):
     monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.append(rows) or real_sort(rows))
     gold = "SELECT a FROM t WHERE b > 10"
     examples = [SqlExample(id="e", input="q", gold_sql=gold)]
-    for pred in ("SELECT a FROM t WHERE b >= 20", "SELECT a FROM t WHERE a > 1"):
+    # rows in another order than the gold's, so each comparison sorts
+    for pred in ("SELECT a FROM t WHERE b >= 20 ORDER BY a DESC", "SELECT a FROM t WHERE a > 1 ORDER BY a DESC"):
         assert score_sql_corpus(examples, [PredictionRecord(id="e", payload=pred)], db).execution_acc == 1.0
     kept = evaluation._KEPT[db].golds[gold].expected.rows
     assert sum(rows is kept for rows in sorts) == 1
