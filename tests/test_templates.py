@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -63,6 +64,23 @@ def test_instantiate_unsatisfiable_slot():
     db.load_records("strings_only", [("x", "y"), ("z", "w")])
     with pytest.raises(UnsatisfiableSlot):
         instantiate(BY_ID["agg_filter"], db, random.Random(0))
+
+
+def test_binder_options_follow_the_template_not_its_id():
+    db = Database(define_schema([
+        TableSchema(name="strings_only", columns=(ColumnDef("a", "text"), ColumnDef("b", "text"))),
+    ]))
+    db.load_records("strings_only", [("x", "y"), ("z", "w")])
+    binder = TemplateBinder(db)
+    unsatisfiable = BY_ID["agg_filter"]
+    # ids repeat across banks: another template under the same id
+    satisfiable = dataclasses.replace(BY_ID["select_all_filter"], id=unsatisfiable.id)
+    for template in (satisfiable, unsatisfiable, satisfiable, unsatisfiable):
+        if template is satisfiable:
+            assert binder.bind(template, random.Random(0))["TABLE"].value.name == "strings_only"
+        else:
+            with pytest.raises(UnsatisfiableSlot, match="no table satisfies the column constraints"):
+                binder.bind(template, random.Random(0))
 
 
 def test_instantiations_all_execute(synth_db):
