@@ -30,6 +30,7 @@ import json
 import math
 import operator
 import re
+import string
 import weakref
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -92,10 +93,15 @@ def normalize_sql(sql: str) -> str:
 
 _SPACE_RE = re.compile(r"\s+")
 _PUNCT_SPACE_RE = re.compile(r"\s*([(),])\s*")
+# the dialect's keywords and identifiers are ASCII: only A-Z fold, so that
+# text the parser rejects (a long s in "ſELECT") never normalizes to SQL.
+# lower() is the same fold on ASCII text and about 10x faster than translate
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 def _normalize_code(code: str) -> str:
-    return _PUNCT_SPACE_RE.sub(r"\1", _SPACE_RE.sub(" ", code.casefold()))
+    folded = code.lower() if code.isascii() else code.translate(_ASCII_LOWER)
+    return _PUNCT_SPACE_RE.sub(r"\1", _SPACE_RE.sub(" ", folded))
 
 
 def logical_accuracy(pred_sql: str, gold_sql: str) -> bool:

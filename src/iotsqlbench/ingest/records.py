@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from operator import attrgetter
 
 
@@ -66,9 +68,13 @@ def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
     raise UnknownLabel(f"unknown label {raw_label!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnRecord:
-    """One Zeek conn.log session plus its attack label."""
+    """One Zeek conn.log session plus its attack label.
+
+    Slotted: a record holds its 22 values without an instance dict, and
+    ``conn_records`` can set them a field at a time.
+    """
 
     ts: datetime
     uid: str
@@ -94,8 +100,9 @@ class ConnRecord:
     label: AttackLabel = AttackLabel.Benign
 
     def __post_init__(self) -> None:
-        # written out check by check, without a loop or helper calls: one
-        # record is built per log line
+        # written out check by check, without a loop or helper calls: a
+        # record is checked per line of a Zeek block that fails the column
+        # check (see zeek._convert_group) and per JSON log line
         if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
             raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
         if self.resp_p is not None and not 0 <= self.resp_p <= 65535:
@@ -322,16 +329,21 @@ _CONN_NAMES = tuple(spec.name for spec in CONN_FIELDS)
 conn_to_row = attrgetter(*_CONN_NAMES)
 
 
-def _conn_record(values, label: AttackLabel) -> ConnRecord:
-    """``ConnRecord(*values, label)`` for ``values`` in CONN_FIELDS order.
+# the slot descriptors of ConnRecord's fields: CONN_FIELDS order, then label
+_CONN_SLOTS = tuple(getattr(ConnRecord, name) for name in (*_CONN_NAMES, "label"))
 
-    The fields go straight into the instance dict, where the generated
-    ``__init__`` makes one ``object.__setattr__`` call per field; then
-    ``__post_init__`` checks the record, as it does after ``__init__``.
+
+def conn_records(columns, labels: list) -> list[ConnRecord]:
+    """Unchecked ConnRecords from value ``columns`` in CONN_FIELDS order and
+    a column of labels, all of one length.
+
+    The records are built a field at a time, one C-level pass per column
+    through the slot descriptors, and ``__post_init__`` does not run: the
+    caller has proved its invariants for every row (ports in range, counts
+    and durations nonnegative, no NaN duration), as the Zeek column passes
+    do for a clean block and as the values of checked records already are.
     """
-    record = object.__new__(ConnRecord)
-    state = record.__dict__
-    state.update(zip(_CONN_NAMES, values))
-    state["label"] = label
-    record.__post_init__()
-    return record
+    records = list(map(object.__new__, repeat(ConnRecord, len(labels))))
+    for slot, column in zip(_CONN_SLOTS, (*columns, labels), strict=True):
+        deque(map(slot.__set__, records, column), maxlen=0)
+    return records

@@ -6,25 +6,40 @@ collection.  Labeled IoT-23 conn logs are accepted in the three shapes
 seen in the wild: label columns declared in ``#fields``, appended as extra
 TSV columns, or glued onto the final field with spaces.
 
-A TSV log is converted one column at a time.  Its data lines are split and
-taken in blocks of one resolved field plan (with or without the label
-columns): a block ends where the plan or a marker changes, or at
-``_BLOCK_LINES`` lines.  Each column of a block is converted in one pass
-(``int``, ``float``, ``epoch_to_datetime`` or the bool table mapped over it,
-then one range check), a string column passes through as it is.  A time
-column of plain ``digits.dddddd`` values is converted in C-level passes as
-exact microsecond counts (``_epoch_column``).  A column goes through the
-per-value ``_convert`` instead when it holds the unset or empty marker, when
-a value does not parse, or when a value is out of range; that path finds
-each bad line's first failing column, so issues and records are the same as
-a line-by-line parse gives.  ``_convert`` is the one per-value semantics.
-Each conn record is then built once, its values set straight into the record
-(``records._conn_record``), and checked once, by
-``ConnRecord.__post_init__``: the one check that catches a NaN duration,
-which both the column range check and ``_convert`` let through.  The records
-of a block are built line by line, so that each bad line is reported.  Rows
-of every kind are rendered (``serialize_zeek``) a column at a time in the
-same way, with ``_render`` for a column that holds an unset or empty value.
+A TSV log is converted one column at a time.  The data lines between two
+directives form a run, split and converted ``_BLOCK_LINES`` lines at a
+time (``_split_block``).  A block whose lines all have one width (the field
+plan's, or the plan's plus two appended label columns) is split at once when
+the separator is one character: joined by it, split, and sliced into
+columns.  Any other block goes line by line through ``_reconcile_arity``
+(blank or whitespace-only lines, mixed widths, labels glued onto the last
+column, or a multi-character separator, which can match across a line
+boundary), in groups of consecutive lines of one line plan.
+
+Each column is converted in one pass (``int``, ``float``,
+``epoch_to_datetime`` or the bool table mapped over it, then one range
+check); a string column maps the unset and empty markers to None and "" in
+one pass, and any other column that holds the unset marker converts its
+other values in one pass and puts None back (``_fill``).  A time column of
+plain ``digits.dddddd`` values is converted in C-level passes as exact
+microsecond counts (``_epoch_column``).  A column goes through the per-value
+``_convert`` instead when it holds the empty marker outside a string column,
+when a value does not parse, or when a value is out of range; that path
+finds each bad line's first failing column, so issues and records are the
+same as a line-by-line parse gives.  ``_convert`` is the one per-value
+semantics.
+
+A conn block in which every value converted, every required field is
+present, no duration is NaN and every label is known needs no per-record
+check: the column passes have proved every other invariant of
+``ConnRecord.__post_init__`` (ports in range, counts and durations
+nonnegative), and its records are built a field at a time through the slot
+descriptors (``records.conn_records``).  NaN passes both the range check and
+``_convert``, so the block checks it on the duration column.  Any other conn
+block is built and checked record by record, so that each bad line is
+reported.  Rows of every kind are rendered (``serialize_zeek``) a column at
+a time in the same way (``_render_column``), with ``_render`` as the
+per-value semantics it matches.
 """
 
 from __future__ import annotations
@@ -33,8 +48,8 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_not, itemgetter
 from typing import Iterable
 
 from .records import (
@@ -50,7 +65,8 @@ from .records import (
     UnknownKind,
     UnknownLabel,
     ZeekRecord,
-    _conn_record,
+    _CONN_NAMES,
+    conn_records,
     conn_to_row,
     parse_iot23_label,
 )
@@ -60,6 +76,11 @@ _EPOCH = datetime(1970, 1, 1)
 
 class MissingFieldsHeader(IngestError):
     pass
+
+
+class BadDirective(IngestError):
+    """A ``#separator``, ``#unset_field`` or ``#empty_field`` line without a
+    usable value."""
 
 
 @dataclass(frozen=True)
@@ -210,59 +231,115 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     unset, empty = "-", "(empty)"
     field_names: list[str] | None = None
     plan: list | None = None
-    # the block of data lines waiting for conversion, all of one line plan
-    # (the plan, or the plan plus the IoT-23 label columns: told apart by
-    # length): converted where the line plan or a marker changes and every
-    # _BLOCK_LINES lines, so that only one block's split values are held
-    block_plan: list | None = None
-    line_nos: list[int] = []
-    rows: list[list[str]] = []
     records: list = []
     issues: list[ParseIssue] = []
-
-    def flush() -> None:
-        if rows:
-            block_records, block_issues = _convert_group(kind, block_plan, line_nos, rows, unset, empty)
-            records.extend(block_records)
-            issues.extend(block_issues)
-            line_nos.clear()  # _convert_group has emptied rows
-
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        if raw.startswith("#"):
-            directive = raw[1:].split(separator)[0].split(" ")[0]
-            if directive == "separator":
-                value = raw[1:].split(" ", 1)[1] if " " in raw[1:] else raw[1:].split(separator)[1]
-                separator = value.encode().decode("unicode_escape")
-            elif directive == "fields":
-                flush()
-                field_names = raw[1:].split(separator)[1:]
-                plan = _field_plan(kind, field_names)
-            elif directive == "unset_field":
-                flush()
-                unset = raw[1:].split(separator)[1]
-            elif directive == "empty_field":
-                flush()
-                empty = raw[1:].split(separator)[1]
-            continue
-        if plan is None:
-            raise MissingFieldsHeader("data line before #fields directive")
-        values, line_plan, issue = _reconcile_arity(raw.split(separator), plan, kind, line_no)
-        if issue is not None:
-            issues.append(issue)
-            continue
-        if rows and (len(line_plan) != len(block_plan) or len(rows) == _BLOCK_LINES):
-            flush()
-        if not rows:
-            block_plan = line_plan
-        line_nos.append(line_no)
-        rows.append(values)
-    flush()
+    # the data lines between two directives are a run, split and converted
+    # _BLOCK_LINES lines at a time, so that only one block's split values
+    # are held; every marker and the plan hold for the whole run
+    directives = [*compress(count(), map(str.startswith, lines, repeat("#"))), len(lines)]
+    start = 0
+    for stop in directives:
+        for first in range(start, stop, _BLOCK_LINES):
+            block = lines[first:min(first + _BLOCK_LINES, stop)]
+            if plan is None:
+                if any(map(str.strip, block)):
+                    raise MissingFieldsHeader("data line before #fields directive")
+                continue
+            for line_plan, line_nos, columns in _split_block(block, first + 1, plan, kind,
+                                                             separator, issues):
+                block_records, block_issues = _convert_group(kind, line_plan, line_nos, columns,
+                                                             unset, empty)
+                records.extend(block_records)
+                issues.extend(block_issues)
+        if stop == len(lines):
+            break
+        raw, start = lines[stop], stop + 1
+        directive = raw[1:].split(separator)[0].split(" ")[0]
+        if directive == "separator":
+            separator = _directive_value(raw, directive, separator, stop + 1)
+        elif directive == "fields":
+            field_names = raw[1:].split(separator)[1:]
+            plan = _field_plan(kind, field_names)
+        elif directive == "unset_field":
+            unset = _directive_value(raw, directive, separator, stop + 1)
+        elif directive == "empty_field":
+            empty = _directive_value(raw, directive, separator, stop + 1)
     if field_names is None:
         raise MissingFieldsHeader("no #fields directive found")
     issues.sort(key=attrgetter("line_no"))
     return ZeekParseResult(records=records, issues=issues)
+
+
+def _directive_value(raw: str, directive: str, separator: str, line_no: int) -> str:
+    """The value of a ``#separator``, ``#unset_field`` or ``#empty_field``
+    line.  A missing value, or a separator that is empty or does not decode,
+    is a BadDirective naming the line."""
+    body = raw[1:]
+    parts = body.split(" ", 1) if directive == "separator" and " " in body else body.split(separator)
+    if len(parts) < 2:
+        raise BadDirective(f"line {line_no}: #{directive} has no value")
+    if directive != "separator":
+        return parts[1]
+    try:
+        value = parts[1].encode().decode("unicode_escape")
+    except UnicodeError as exc:
+        raise BadDirective(f"line {line_no}: bad #separator value {parts[1]!r}") from exc
+    if not value:
+        raise BadDirective(f"line {line_no}: #separator has no value")
+    return value
+
+
+def _split_block(block: list[str], first_line_no: int, plan: list, kind: str,
+                 separator: str, issues: list):
+    """The data lines of a block as (line plan, line numbers, columns) groups
+    of consecutive lines of one line plan (the plan, or the plan plus the
+    IoT-23 label columns); a line of the wrong width goes to ``issues``.
+
+    A block of non-blank lines that all have one width (the plan's, or the
+    plan's plus two appended label columns) is split at once: joined by a
+    one-character separator, split, and sliced into columns.  Any other
+    block (blank lines, mixed widths, labels glued onto the last column, a
+    multi-character separator, which can match across a line boundary)
+    goes line by line through ``_reconcile_arity``.
+    """
+    if len(separator) == 1 and all(block) and not any(map(str.isspace, block)):
+        widths = set(map(str.count, block, repeat(separator)))
+        line_plan = None
+        if widths == {len(plan) - 1}:
+            line_plan = plan
+        elif widths == {len(plan) + 1} and _labels_appendable(plan, kind):
+            line_plan = plan + LABEL_FIELDS
+        if line_plan is not None:
+            values = separator.join(block).split(separator)
+            width = len(line_plan)
+            columns = [values[j::width] for j in range(width)]
+            del values
+            if not (line_plan is plan and _labels_gluable(plan, kind)
+                    and any(map(str.__contains__, columns[-1], repeat("  ")))):
+                return [(line_plan, range(first_line_no, first_line_no + len(block)), columns)]
+    groups: list = []
+    rows: list[list[str]] = []
+    for line_no, raw in enumerate(block, start=first_line_no):
+        if not raw.strip():
+            continue
+        values, line_plan, issue = _reconcile_arity(raw.split(separator), plan, kind, line_no)
+        if issue is not None:
+            issues.append(issue)
+            continue
+        if not rows or len(line_plan) != len(groups[-1][0]):
+            rows = []
+            groups.append((line_plan, [], rows))
+        groups[-1][1].append(line_no)
+        rows.append(values)
+    return [(line_plan, line_nos, list(zip(*rows))) for line_plan, line_nos, rows in groups]
+
+
+def _labels_gluable(plan: list, kind: str) -> bool:
+    return kind == "conn" and len(plan) == len(CONN_FIELDS)
+
+
+def _labels_appendable(plan: list, kind: str) -> bool:
+    return kind == "conn" and not any(spec in LABEL_FIELDS for spec in plan)
 
 
 def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
@@ -270,14 +347,12 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
     expected = len(plan)
     if len(values) == expected:
         # labels glued into the final column with spaces
-        if kind == "conn" and len(plan) == len(CONN_FIELDS) and "  " in values[-1].strip():
+        if _labels_gluable(plan, kind) and "  " in values[-1].strip():
             tail = values[-1].split()
             if len(tail) == 3:
                 return values[:-1] + tail, plan + LABEL_FIELDS, None
         return values, plan, None
-    if kind == "conn" and len(values) == expected + 2 and not any(
-        spec in LABEL_FIELDS for spec in plan
-    ):
+    if len(values) == expected + 2 and _labels_appendable(plan, kind):
         return values, plan + LABEL_FIELDS, None
     return values, plan, ParseIssue(
         line_no=line_no,
@@ -300,22 +375,33 @@ _COLUMN_CONVERT = {
 _COLUMN_RANGE = {"count": (0, math.inf), "duration": (0, math.inf), "port": (0, 65535)}
 
 
-def _convert_column(column: tuple, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
+def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
     """Convert one column of raw values; a value that fails records its
     message in ``errors`` (row index -> message) unless that row already
-    failed in an earlier column, whose values then stop being converted."""
-    if unset not in column and empty not in column:
-        if spec.vtype == "str":
-            return column
+    failed in an earlier column, whose values then stop being converted.
+
+    A string column maps its markers to None and "" in one pass.  Any other
+    column converts its values other than the unset marker in one pass and
+    puts None back in the marker's places (``_fill``); a column that holds
+    the empty marker, or whose pass fails, goes value by value.
+    """
+    if spec.vtype == "str":
+        if unset in column or empty in column:
+            # the unset marker wins where the two are the same, as in _convert
+            return list(map({empty: "", unset: None}.get, column, column))
+        return column
+    if empty not in column:
+        keep = list(map(unset.__ne__, column)) if unset in column else None
+        present = column if keep is None else list(compress(column, keep))
         try:
-            out = (_epoch_column(column) if spec.vtype == "time"
-                   else list(map(_COLUMN_CONVERT[spec.vtype], column)))
+            out = (_epoch_column(present) if spec.vtype == "time"
+                   else list(map(_COLUMN_CONVERT[spec.vtype], present)))
         except (ValueError, KeyError):
             pass
         else:
             bounds = _COLUMN_RANGE.get(spec.vtype)
-            if bounds is None or (bounds[0] <= min(out) and max(out) <= bounds[1]):
-                return out
+            if bounds is None or not out or (bounds[0] <= min(out) and max(out) <= bounds[1]):
+                return out if keep is None else _fill(keep, out, None)
     out = []
     for i, value in enumerate(column):
         if i in errors:
@@ -329,17 +415,28 @@ def _convert_column(column: tuple, spec: FieldSpec, unset: str, empty: str, erro
     return out
 
 
-def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[list[str]],
-                   unset: str, empty: str):
-    """(records, issues) for a block of data lines that share one line plan.
+def _fill(keep: list, values: list, marker) -> list:
+    """``values`` where ``keep`` is true and ``marker`` where it is false, in
+    one C-level pass: each flag picks the iterator that gives the next item."""
+    sources = (repeat(marker), iter(values))
+    return list(map(next, map(sources.__getitem__, keep)))
+
+
+def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: str, empty: str):
+    """(records, issues) for a block of data lines that share one line plan,
+    given as ``columns`` of raw values (emptied here as they are converted).
 
     Converts column by column.  A line reports what a line-by-line parse
     would: its first failing column in column order, then its label, then
-    the required fields, then the record invariants.
+    the required fields, then the record invariants.  A conn block in which
+    every value converted, every required field is present, no duration is
+    NaN and every label is known is built a field at a time without a
+    per-record check (``records.conn_records``): the column passes have
+    proved every other ``ConnRecord`` invariant (ports in range, counts and
+    durations nonnegative).  Any other conn block is built and checked
+    record by record.
     """
-    n = len(rows)
-    columns = list(zip(*rows))
-    rows.clear()  # the split lines are not needed once the columns exist
+    n = len(line_nos)
     errors: dict[int, str] = {}
     by_name: dict[str, object] = {}
     for j, spec in enumerate(line_plan):
@@ -367,6 +464,15 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
     raw_details = by_name.get("detailed_label", ["-"] * n)
     value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
     check_required = any(None in value_columns[j] for _, j in _REQUIRED)
+    nan_duration = any(map(math.isnan, filter(None, value_columns[_DURATION])))
+    if not errors and not check_required and not nan_duration:
+        try:
+            labels = ([AttackLabel.Benign] * n if raw_labels is None
+                      else list(map(parse_iot23_label, raw_labels, raw_details)))
+        except UnknownLabel:
+            pass  # the per-record loop reports each unknown label
+        else:
+            return conn_records(value_columns, labels), issues
     for i, values in enumerate(zip(*value_columns)):
         message = errors.get(i)
         if message is None:
@@ -375,7 +481,7 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
                          else parse_iot23_label(raw_labels[i], raw_details[i]))
                 if check_required:
                     _require_present(values)
-                records.append(_conn_record(values, label))
+                records.append(ConnRecord(*values, label))
                 continue
             except (ValueError, RecordInvariantError, UnknownLabel) as exc:
                 message = str(exc)
@@ -383,8 +489,9 @@ def _convert_group(kind: str, line_plan: list, line_nos: list[int], rows: list[l
     return records, issues
 
 
+_DURATION = _CONN_NAMES.index("duration")
 _REQUIRED = [
-    (name, [spec.name for spec in CONN_FIELDS].index(name))
+    (name, _CONN_NAMES.index(name))
     for name in ("ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p",
                  "proto", "conn_state", "missed_bytes", "history",
                  "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes")
@@ -421,7 +528,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                         str(obj.get("label", "-")), str(obj.get("detailed-label", "-"))
                     )
                 _require_present(values)
-                records.append(_conn_record(values, label))
+                records.append(ConnRecord(*values, label))
             else:
                 records.append(ZeekRecord(kind=kind, fields=values))
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:
@@ -498,16 +605,30 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def _render_column(column: tuple, spec: FieldSpec) -> list[str]:
-    """``_render`` over one column: mapped at once unless the column holds
-    None (or, for a string column, ``""``), which goes value by value."""
-    if None in column or (spec.vtype == "str" and "" in column):
-        return [_render(value, spec) for value in column]
-    if spec.vtype in ("float", "duration"):
+_STR_MARKERS_RENDERED = {None: "-", "": "(empty)"}
+
+
+def _render_column(column, spec: FieldSpec) -> list[str]:
+    """``_render`` over one column, in one pass.  A string column maps None
+    to "-" and "" to "(empty)" as it renders; any other column renders its
+    values other than None in one pass and puts "-" back in place of each
+    None (``_fill``)."""
+    if spec.vtype == "str":
+        return list(map(_STR_MARKERS_RENDERED.get, column, map(str, column)))
+    if None in column:
+        keep = list(map(is_not, column, repeat(None)))
+        return _fill(keep, _render_values(list(compress(column, keep)), spec.vtype), "-")
+    return _render_values(column, spec.vtype)
+
+
+def _render_values(column, vtype: str) -> list[str]:
+    """``_render`` over a column of a number, time or bool type that holds
+    no None."""
+    if vtype in ("float", "duration"):
         return list(map("{:.6f}".format, column))
-    if spec.vtype == "time":
+    if vtype == "time":
         return list(map(datetime_to_epoch, column))
-    if spec.vtype == "bool":
+    if vtype == "bool":
         return ["T" if value else "F" for value in column]
     return list(map(str, column))
 

@@ -7,7 +7,8 @@ matching the 19-feature row; unset values render as ``-``).  The rows are
 rendered a column at a time by ``zeek._render_column``, the renderer the
 TSV writer uses, and ``detection_row`` renders one record the same way, so
 rendering has one semantics.  Examples and predictions travel as UTF-8
-JSON lines keyed by id.
+JSON lines keyed by id; detection examples are built and written a column
+at a time, each line from ``json.encoder.encode_basestring`` pieces.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
+from json.encoder import encode_basestring
+from operator import attrgetter, is_not
 from pathlib import Path
 from typing import Iterable
 
-from .ingest.records import CONN_FIELDS, ConnRecord
+from .ingest.records import CONN_FIELDS, AttackLabel, ConnRecord
 from .ingest.zeek import _render_column
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
@@ -105,10 +108,10 @@ def build_detection_input(record: ConnRecord, instruction: str = DEFAULT_INSTRUC
 
 
 def _detection_examples(records: list[ConnRecord], instruction: str) -> list[DetectionExample]:
-    return [
-        DetectionExample(id=record.uid, instruction=instruction, row=row, gold=record.is_malicious)
-        for record, row in zip(records, _detection_rows(records))
-    ]
+    """The examples of ``records``, built from their id, row and gold columns."""
+    golds = map(is_not, map(attrgetter("label"), records), repeat(AttackLabel.Benign))
+    return list(map(DetectionExample, map(attrgetter("uid"), records), repeat(instruction),
+                    _detection_rows(records), golds))
 
 
 def bool_to_label(value: bool) -> str:
@@ -149,14 +152,23 @@ def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEF
     return examples
 
 
+# one detection example as a JSON line: the bytes of
+# json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode({"id": ..,
+# "input": .., "gold": ..}) + "\n", from encode_basestring pieces
+_DETECTION_LINE = '{{"gold": {}, "id": {}, "input": {}}}\n'.format
+_GOLD_JSON = {True: encode_basestring(bool_to_label(True)),
+              False: encode_basestring(bool_to_label(False))}
+
+
 def write_detection_examples(records: Iterable[ConnRecord], path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
+    """Write one JSON line per record, a column at a time (ids are strings)."""
     examples = _detection_examples(list(records), instruction)
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    lines = map(_DETECTION_LINE,
+                map(_GOLD_JSON.__getitem__, map(attrgetter("gold"), examples)),
+                map(encode_basestring, map(attrgetter("id"), examples)),
+                map(encode_basestring, map(attrgetter("input"), examples)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            encode({"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)}) + "\n"
-            for ex in examples
-        )
+        fh.writelines(lines)
     return examples
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
+from itertools import repeat
+from operator import attrgetter
 
-from .ingest.records import AttackLabel
+from .ingest.records import _CONN_NAMES, AttackLabel, conn_records, conn_to_row
 
 SPLITS = ("train", "dev", "test")
 
@@ -219,31 +221,29 @@ def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
     """Randomize identifiers: one IP bijection for all records, independent
     per-record timestamp offsets.  All other fields are untouched.
 
-    Each anonymized record is a copy of the input record's state with
-    ``ts``, ``orig_h`` and ``resp_h`` swapped in; the other values were
-    checked when the input record was built and are not checked again.
+    Works a column at a time: each field of the input records is read in one
+    pass, ``ts``, ``orig_h`` and ``resp_h`` are replaced in one pass each,
+    and the anonymized records are built from the columns by
+    ``records.conn_records``.  The other values were checked when the input
+    records were built and are not checked again.
     """
+    # one tuple of values per field, empty when there are no records
+    columns = dict(zip(_CONN_NAMES, zip(*map(conn_to_row, records)) if records else repeat(())))
     rng = random.Random(seed)
-    input_ips = sorted({r.orig_h for r in records} | {r.resp_h for r in records})
+    input_ips = sorted({*columns["orig_h"], *columns["resp_h"]})
     pool_iter = _synthetic_ips(set(input_ips))
     shuffled = list(input_ips)
     rng.shuffle(shuffled)
     ip_map = {ip: next(pool_iter) for ip in shuffled}
 
-    out = []
-    offsets = {}
+    # randint(a, b) is randrange(a, b + 1): the same draws
     max_offset = max_offset_days * 86400
-    for r in records:
-        offset = rng.randint(-max_offset, max_offset)
-        offsets[r.uid] = offset
-        record = object.__new__(type(r))
-        state = record.__dict__
-        state.update(r.__dict__)
-        state["ts"] = r.ts + timedelta(seconds=offset)
-        state["orig_h"] = ip_map[r.orig_h]
-        state["resp_h"] = ip_map[r.resp_h]
-        out.append(record)
-    return out, AnonymizationMaps(ip_map=ip_map, time_offsets=offsets)
+    offsets = list(map(rng.randrange, repeat(-max_offset, len(records)), repeat(max_offset + 1)))
+    columns["ts"] = list(map(datetime.__add__, columns["ts"], map(timedelta, repeat(0), offsets)))
+    columns["orig_h"] = list(map(ip_map.__getitem__, columns["orig_h"]))
+    columns["resp_h"] = list(map(ip_map.__getitem__, columns["resp_h"]))
+    out = conn_records(columns.values(), list(map(attrgetter("label"), records)))
+    return out, AnonymizationMaps(ip_map=ip_map, time_offsets=dict(zip(columns["uid"], offsets)))
 
 
 def _synthetic_ips(exclude: set):

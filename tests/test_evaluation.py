@@ -16,6 +16,7 @@ from iotsqlbench.evaluation import (
 )
 from iotsqlbench.modelio import PredictionRecord, SqlExample
 from iotsqlbench.store import ColumnDef, Database, TableSchema, TypeMismatch, define_schema
+from iotsqlbench.store.sql import ParseError, parse
 from iotsqlbench.templates import CorpusConfig, generate_corpus
 
 
@@ -61,6 +62,19 @@ def test_logical_whitespace_and_punctuation_normalization():
 
 def test_normalize_never_raises_on_junk():
     assert isinstance(normalize_sql("DROP ??? ~~ garbage ("), str)
+
+
+@pytest.mark.parametrize("pred,gold", [
+    # a long s (U+017F) and a Kelvin sign (U+212A) casefold to ASCII s and k
+    ('\u017fELECT uid FROM conn_log WHERE proto = "tcp"', 'SELECT uid FROM conn_log WHERE proto = "tcp"'),
+    ("SELECT orig_p\u212ats FROM conn_log", "SELECT orig_pkts FROM conn_log"),
+])
+def test_logical_folds_ascii_letters_only(pred, gold):
+    # text the parser rejects never scores as logically correct
+    with pytest.raises(ParseError):
+        parse(pred)
+    assert not logical_accuracy(pred, gold)
+    assert logical_accuracy(gold.upper().replace('"TCP"', '"tcp"'), gold)
 
 
 # -- execution accuracy

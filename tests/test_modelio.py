@@ -260,3 +260,22 @@ def test_write_detection_examples_takes_an_iterator(tmp_path):
     assert path.read_text(encoding="utf-8") == "".join(
         _reference_line(record, "Is the following network information Malicious?")
         for record in records)
+
+
+def test_write_detection_examples_bytes_match_the_json_encoder(tmp_path):
+    # quotes, backslashes, control characters and non-ASCII text in every
+    # string the writer escapes: id, instruction and row
+    odd = 'q"b\\s\x00\x1f\t\n\u2028é✓'
+    records = [dataclasses.replace(REFERENCE_RECORD, uid=f"C{odd}{i}", history=odd,
+                                   service=odd[:i], label=label)
+               for i, label in enumerate([AttackLabel.Benign, AttackLabel.Okiru, AttackLabel.CandC])]
+    instruction = f"Is {odd} Malicious?"
+    path = tmp_path / "det.jsonl"
+    examples = write_detection_examples(records, path, instruction=instruction)
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    expected = "".join(encode({"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)}) + "\n"
+                       for ex in examples)
+    assert path.read_bytes() == expected.encode("utf-8")
+    # split at "\n" only: the encoder leaves U+2028 unescaped
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert [json.loads(line)["id"] for line in lines] == [record.uid for record in records]

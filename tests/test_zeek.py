@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from iotsqlbench.ingest import (
     KIND_FIELDS,
     AttackLabel,
+    BadDirective,
     ConnRecord,
     MissingFieldsHeader,
     RecordInvariantError,
@@ -316,22 +317,24 @@ def _reference_record(kind, plan, values, unset, empty):
 
 
 def _reference_parse(text, kind):
-    """Line-by-line parse of a tab-separated log: (records, [(line_no, message)])."""
-    unset, empty, plan = "-", "(empty)", None
+    """Line-by-line parse of a log: (records, [(line_no, message)])."""
+    separator, unset, empty, plan = "\t", "-", "(empty)", None
     records, issues = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         if raw.startswith("#"):
-            parts = raw[1:].split("\t")
-            if parts[0] == "fields":
+            parts = raw[1:].split(separator)
+            if parts[0].startswith("separator "):
+                separator = parts[0].split(" ", 1)[1].encode().decode("unicode_escape")
+            elif parts[0] == "fields":
                 plan = zeek._field_plan(kind, parts[1:])
             elif parts[0] == "unset_field":
                 unset = parts[1]
             elif parts[0] == "empty_field":
                 empty = parts[1]
             continue
-        values, line_plan, issue = zeek._reconcile_arity(raw.split("\t"), plan, kind, line_no)
+        values, line_plan, issue = zeek._reconcile_arity(raw.split(separator), plan, kind, line_no)
         if issue is not None:
             issues.append((line_no, issue.message))
             continue
@@ -368,20 +371,33 @@ _LABEL_PAIRS = [
 _MARKERS = [("-", "(empty)"), ("NA", "EMPTY"), ("5", "T")]
 
 
+# one-character separators other than tab, and multi-character ones, which
+# can match across a line boundary
+_SEPARATORS = ["\t", "\t", "\t", "|", " ", "||", "\t;"]
+
+
+def _separator_directive(separator):
+    return "#separator " + "".join(f"\\x{ord(c):02x}" for c in separator)
+
+
 @st.composite
 def _tsv_logs(draw):
-    """A tab-separated log of one kind: one to three #fields headers (columns
-    dropped, repeated or unknown; markers changed), each followed by lines
-    that are clean, hold markers or hold bad values, with labels declared,
-    appended or glued, wrong field counts and blank lines."""
+    """A log of one kind: one to three #fields headers (columns dropped,
+    repeated or unknown; markers changed), each followed by lines that are
+    clean, hold markers or hold bad values, with labels declared, appended
+    or glued, wrong field counts, blank and whitespace-only lines, and
+    directives between data lines; and runs of clean lines of one width,
+    which cross block edges and may hold one NaN duration or unknown label.
+    The separator is a tab, another character, or several characters."""
     kind = draw(st.sampled_from(["conn", "dns", "http", "files", "ntp", "weird"]))
     rnd = draw(st.randoms(use_true_random=False))  # per-value choices, cheap to draw
+    sep = draw(st.sampled_from(_SEPARATORS))
     specs = KIND_FIELDS[kind]
-    lines = ["#separator \\x09", "#set_separator\t,", f"#path\t{kind}"]
+    lines = [_separator_directive(sep), sep.join(["#set_separator", ","]), sep.join(["#path", kind])]
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 3)) == 0:
             unset, empty = draw(st.sampled_from(_MARKERS))
-            lines += [f"#unset_field\t{unset}", f"#empty_field\t{empty}"]
+            lines += [sep.join(["#unset_field", unset]), sep.join(["#empty_field", empty])]
         else:
             unset, empty = "-", "(empty)"
         fields = list(specs)
@@ -395,20 +411,19 @@ def _tsv_logs(draw):
         declared_labels = kind == "conn" and draw(st.booleans())
         if declared_labels:
             names += ["label", "detailed-label"]
-        lines.append("#fields\t" + "\t".join(names))
-        for _ in range(rnd.randint(0, 10)):
-            mode = rnd.choice(["clean", "clean", "clean", "markers", "bad", "blank"])
-            if mode == "blank":
-                lines.append(rnd.choice(["", "   "]))
-                continue
+        lines.append(sep.join(["#fields"] + names))
+
+        def line(mode, shape, label_pair, nan_duration=False):
             values = [rnd.choice(_GOOD[spec.vtype]) if spec else "x" for spec in fields]
+            if nan_duration:
+                values = ["nan" if spec and spec.name == "duration" else v
+                          for v, spec in zip(values, fields)]
             for j, spec in enumerate(fields):
                 if mode == "markers" and rnd.randint(0, 5) == 0:
                     values[j] = rnd.choice([unset, empty])
                 if mode == "bad" and spec and spec.vtype in _BAD and rnd.randint(0, 4) == 0:
                     values[j] = rnd.choice(_BAD[spec.vtype])
-            label, detail = rnd.choice(_LABEL_PAIRS)
-            shape = rnd.choice(["plain"] * 3 + ["appended"] * 2 + ["glued"] * 2 + ["short", "long"])
+            label, detail = label_pair
             if declared_labels:
                 values += [label, detail]
             elif kind == "conn" and shape == "appended":
@@ -419,7 +434,27 @@ def _tsv_logs(draw):
                 values = values[:-1]
             elif shape == "long":
                 values.append("extra")
-            lines.append("\t".join(values))
+            return sep.join(values)
+
+        for _ in range(rnd.randint(0, 10)):
+            mode = rnd.choice(["clean", "clean", "clean", "markers", "bad", "blank", "directive", "run"])
+            if mode == "blank":
+                lines.append(rnd.choice(["", "   ", sep * (len(names) - 1)]))
+            elif mode == "directive":
+                lines.append(rnd.choice(["#types", "#open", sep.join(["#unset_field", unset])]))
+            elif mode == "run":
+                shape = rnd.choice(["plain", "appended"])
+                label_pair = rnd.choice(_LABEL_PAIRS[:4])
+                run = [line("clean", shape, label_pair) for _ in range(rnd.randint(2, 12))]
+                if kind == "conn" and rnd.randint(0, 2) == 0:
+                    # one NaN duration, or one unknown label, in a clean run
+                    bad = (line("clean", shape, label_pair, nan_duration=True) if rnd.randint(0, 1)
+                           else line("clean", shape, ("Malicious", "Zerg")))
+                    run[rnd.randrange(len(run))] = bad
+                lines += run
+            else:
+                shape = rnd.choice(["plain"] * 3 + ["appended"] * 2 + ["glued"] * 2 + ["short", "long"])
+                lines.append(line(mode, shape, rnd.choice(_LABEL_PAIRS)))
     return kind, "\n".join(lines) + "\n"
 
 
@@ -459,6 +494,39 @@ def test_bad_line_reports_its_first_failing_column():
     result = parse_zeek(HEADER + "\n" + GOOD_LINE + "\n" + line + "\n", "conn")
     assert [(i.line_no, i.message) for i in result.issues] == [(10, "orig_p out of range: 70000")]
     assert len(result.records) == 1
+
+
+def test_multi_character_separator_is_not_matched_across_lines():
+    # joined by "||", "b|" and "|c" would read as "b", "", "|c"
+    text = "#separator \\x7c\\x7c\n#fields||uid||name\na||b|\n|c||d\n"
+    result = parse_zeek(text, "weird")
+    assert result.issues == []
+    names = [spec.name for spec in KIND_FIELDS["weird"]]
+    got = [(dict(zip(names, r.fields))["uid"], dict(zip(names, r.fields))["name"]) for r in result.records]
+    assert got == [("a", "b|"), ("|c", "d")]
+
+
+@pytest.mark.parametrize("directive,message", [
+    ("#separator", "line 1: #separator has no value"),
+    ("#separator \\x", "line 1: bad #separator value '\\\\x'"),
+    ("#separator ", "line 1: #separator has no value"),
+    ("#unset_field", "line 1: #unset_field has no value"),
+    ("#empty_field", "line 1: #empty_field has no value"),
+])
+def test_bad_directive_is_an_ingest_error_naming_the_line(directive, message):
+    with pytest.raises(BadDirective) as info:
+        parse_zeek(directive + "\n" + HEADER + "\n" + GOOD_LINE + "\n", "conn")
+    assert str(info.value) == message
+
+
+def test_ingest_exits_1_on_a_bad_directive(tmp_path, capsys):
+    from iotsqlbench.cli import main
+
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "conn.log").write_text(HEADER + "\n#separator \\x\n" + GOOD_LINE + "\n", encoding="utf-8")
+    assert main(["--out", str(tmp_path / "out"), "ingest", "--logs", str(logs)]) == 1
+    assert "line 9: bad #separator value" in capsys.readouterr().err
 
 
 def test_duplicate_field_checked_at_each_position():

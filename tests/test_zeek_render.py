@@ -108,3 +108,35 @@ def test_serialize_rejects_a_record_of_another_width_in_a_block():
     records = [ZeekRecord("weird", full), ZeekRecord("weird", full[:5])]
     with pytest.raises(ValueError):
         serialize_zeek(records, "weird")
+
+
+_COLUMN_VALUES = {
+    "str": st.none() | st.sampled_from(["", "-", "(empty)", "None"]) | st.text(max_size=4),
+    # times on both sides of 1970, to the microsecond
+    "time": st.none() | _TIMES,
+    "count": st.none() | st.integers(-2**64, 2**64),
+    "float": st.none() | _FLOATS,
+    "bool": st.none() | st.booleans(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_COLUMN_VALUES)).flatmap(
+    lambda vtype: st.tuples(st.just(vtype), st.lists(_COLUMN_VALUES[vtype], max_size=12))))
+def test_render_column_matches_per_value_render(data):
+    vtype, column = data
+    spec = next(spec for kind in ZEEK_KINDS for spec in KIND_FIELDS[kind] if spec.vtype == vtype)
+    want = [zeek._render(value, spec) for value in column]
+    assert zeek._render_column(column, spec) == want
+    assert zeek._render_column(tuple(column), spec) == want
+
+
+def test_render_column_markers_and_pre_epoch_times():
+    specs = {spec.vtype: spec for spec in KIND_FIELDS["files"]}
+    assert zeek._render_column([None, "", "x", "-"], specs["str"]) == ["-", "(empty)", "x", "-"]
+    times = [datetime(1969, 12, 31, 23, 59, 59, 500000), None, datetime(1970, 1, 1),
+             datetime(1, 1, 1), datetime(2021, 3, 19, 13, 46, 56, 123456)]
+    assert zeek._render_column(times, specs["time"]) == [
+        "-0.500000", "-", "0.000000", "-62135596800.000000", "1616161616.123456"]
+    assert zeek._render_column([None, 0.5, None], specs["duration"]) == ["-", "0.500000", "-"]
+    assert zeek._render_column([None, None], specs["bool"]) == ["-", "-"]
