@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 from itertools import repeat
 from operator import attrgetter
 
-from .ingest.records import _CONN_NAMES, AttackLabel, conn_records, conn_to_row
+from .ingest.records import _CONN_NAMES, AttackLabel, conn_records
 
 SPLITS = ("train", "dev", "test")
 
@@ -227,8 +227,7 @@ def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
     ``records.conn_records``.  The other values were checked when the input
     records were built and are not checked again.
     """
-    # one tuple of values per field, empty when there are no records
-    columns = dict(zip(_CONN_NAMES, zip(*map(conn_to_row, records)) if records else repeat(())))
+    columns = {name: list(map(attrgetter(name), records)) for name in _CONN_NAMES}
     rng = random.Random(seed)
     input_ips = sorted({*columns["orig_h"], *columns["resp_h"]})
     pool_iter = _synthetic_ips(set(input_ips))
