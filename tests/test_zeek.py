@@ -502,8 +502,8 @@ def test_multi_character_separator_is_not_matched_across_lines():
     result = parse_zeek(text, "weird")
     assert result.issues == []
     names = [spec.name for spec in KIND_FIELDS["weird"]]
-    got = [(dict(zip(names, r.fields))["uid"], dict(zip(names, r.fields))["name"]) for r in result.records]
-    assert got == [("a", "b|"), ("|c", "d")]
+    rows = [dict(zip(names, record.fields)) for record in result.records]
+    assert [(row["uid"], row["name"]) for row in rows] == [("a", "b|"), ("|c", "d")]
 
 
 @pytest.mark.parametrize("directive,message", [
