@@ -22,6 +22,7 @@ from .config import ConfigError, RunConfig, default_config_text
 from .ingest import (
     SENSOR_TYPES,
     ZEEK_KINDS,
+    BadDirective,
     IngestError,
     SynthSpec,
     ingest_sensors,
@@ -155,6 +156,15 @@ def _zeek_log(path: Path, kind: str) -> Path | None:
     return None
 
 
+def _parse_zeek_file(path: Path, kind: str):
+    """``parse_zeek`` of a log file; a bad directive is an error naming
+    ``<file>:<line>``, as a malformed line is."""
+    try:
+        return parse_zeek(path.read_text(encoding="utf-8"), kind)
+    except BadDirective as exc:
+        raise IngestError(f"{path}:{exc.line_no}: {exc.message}") from exc
+
+
 def read_logs_dir(path: Path) -> tuple[dict, list]:
     """Parse every recognized log file in a directory: (records per kind,
     ``(<file>:<line>, message)`` for each malformed Zeek line)."""
@@ -163,7 +173,7 @@ def read_logs_dir(path: Path) -> tuple[dict, list]:
     for kind in ZEEK_KINDS:
         candidate = _zeek_log(path, kind)
         if candidate is not None:
-            result = parse_zeek(candidate.read_text(encoding="utf-8"), kind)
+            result = _parse_zeek_file(candidate, kind)
             data[kind] = result.records
             issues.extend((f"{candidate.name}:{i.line_no}", i.message) for i in result.issues)
     for sensor in SENSOR_TYPES:
@@ -210,7 +220,7 @@ def load_db_dir(path: Path):
 def _conn_records(path) -> list:
     """The records of a conn log.  A malformed line is a data error naming
     ``<file>:<line>``: the records would otherwise silently go missing."""
-    result = parse_zeek(Path(path).read_text(encoding="utf-8"), "conn")
+    result = _parse_zeek_file(Path(path), "conn")
     if result.issues:
         issue = result.issues[0]
         raise IngestError(f"{path}:{issue.line_no}: {issue.message}")

@@ -80,7 +80,12 @@ class MissingFieldsHeader(IngestError):
 
 class BadDirective(IngestError):
     """A ``#separator``, ``#unset_field`` or ``#empty_field`` line without a
-    usable value."""
+    usable value, at ``line_no``."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -277,15 +282,15 @@ def _directive_value(raw: str, directive: str, separator: str, line_no: int) -> 
     body = raw[1:]
     parts = body.split(" ", 1) if directive == "separator" and " " in body else body.split(separator)
     if len(parts) < 2:
-        raise BadDirective(f"line {line_no}: #{directive} has no value")
+        raise BadDirective(line_no, f"#{directive} has no value")
     if directive != "separator":
         return parts[1]
     try:
         value = parts[1].encode().decode("unicode_escape")
     except UnicodeError as exc:
-        raise BadDirective(f"line {line_no}: bad #separator value {parts[1]!r}") from exc
+        raise BadDirective(line_no, f"bad #separator value {parts[1]!r}") from exc
     if not value:
-        raise BadDirective(f"line {line_no}: #separator has no value")
+        raise BadDirective(line_no, "#separator has no value")
     return value
 
 

@@ -7,8 +7,7 @@ matching the 19-feature row; unset values render as ``-``).  The rows are
 rendered a column at a time by ``zeek._render_column``, the renderer the
 TSV writer uses, and ``detection_row`` renders one record the same way, so
 rendering has one semantics.  Examples and predictions travel as UTF-8
-JSON lines keyed by id; detection examples are built and written a column
-at a time, each line from ``json.encoder.encode_basestring`` pieces.
+JSON lines keyed by id; detection examples are built a column at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from json.encoder import encode_basestring
-from operator import attrgetter, is_not
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .ingest.records import CONN_FIELDS, AttackLabel, ConnRecord
+from .ingest.records import CONN_FIELDS, ConnRecord
 from .ingest.zeek import _render_column
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
@@ -109,9 +107,8 @@ def build_detection_input(record: ConnRecord, instruction: str = DEFAULT_INSTRUC
 
 def _detection_examples(records: list[ConnRecord], instruction: str) -> list[DetectionExample]:
     """The examples of ``records``, built from their id, row and gold columns."""
-    golds = map(is_not, map(attrgetter("label"), records), repeat(AttackLabel.Benign))
     return list(map(DetectionExample, map(attrgetter("uid"), records), repeat(instruction),
-                    _detection_rows(records), golds))
+                    _detection_rows(records), map(attrgetter("is_malicious"), records)))
 
 
 def bool_to_label(value: bool) -> str:
@@ -152,23 +149,14 @@ def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEF
     return examples
 
 
-# one detection example as a JSON line: the bytes of
-# json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode({"id": ..,
-# "input": .., "gold": ..}) + "\n", from encode_basestring pieces
-_DETECTION_LINE = '{{"gold": {}, "id": {}, "input": {}}}\n'.format
-_GOLD_JSON = {True: encode_basestring(bool_to_label(True)),
-              False: encode_basestring(bool_to_label(False))}
-
-
 def write_detection_examples(records: Iterable[ConnRecord], path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
-    """Write one JSON line per record, a column at a time (ids are strings)."""
     examples = _detection_examples(list(records), instruction)
-    lines = map(_DETECTION_LINE,
-                map(_GOLD_JSON.__getitem__, map(attrgetter("gold"), examples)),
-                map(encode_basestring, map(attrgetter("id"), examples)),
-                map(encode_basestring, map(attrgetter("input"), examples)))
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.writelines(
+            encode({"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)}) + "\n"
+            for ex in examples
+        )
     return examples
 
 

@@ -526,7 +526,7 @@ def test_ingest_exits_1_on_a_bad_directive(tmp_path, capsys):
     logs.mkdir()
     (logs / "conn.log").write_text(HEADER + "\n#separator \\x\n" + GOOD_LINE + "\n", encoding="utf-8")
     assert main(["--out", str(tmp_path / "out"), "ingest", "--logs", str(logs)]) == 1
-    assert "line 9: bad #separator value" in capsys.readouterr().err
+    assert f"{logs / 'conn.log'}:9: bad #separator value" in capsys.readouterr().err
 
 
 def test_duplicate_field_checked_at_each_position():
