@@ -3,20 +3,19 @@
 Identifier columns (ts, uid, orig_h, resp_h, tunnel_parents) never
 contribute features.  Numeric columns pass through (unset becomes 0 plus
 a presence flag); categorical columns are one-hot over a training-time
-vocabulary with an explicit "other" slot for unseen values.  The matrix
-is filled a column at a time: one pass per numeric column, and for each
-categorical column a dict lookup per value and one assignment of its
-one-hot slots.
+vocabulary with an explicit "other" slot for unseen values.  Records are
+read as columns (``records.conn_columns``), and the matrix is filled a
+column at a time: one pass per numeric column, and for each categorical
+column a dict lookup per value and one assignment of its one-hot slots.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 
 import numpy as np
 
-from ..ingest.records import ConnRecord
+from ..ingest.records import ConnRecord, conn_columns
 
 
 class FeatureError(Exception):
@@ -72,8 +71,9 @@ class Featurizer:
     def fit(self, records: list[ConnRecord]) -> "Featurizer":
         if not records:
             raise Empty("cannot fit a featurizer on zero records")
+        columns = conn_columns(records)
         for name in CATEGORICAL_FIELDS:
-            counts = Counter(map(_categorical_text, map(attrgetter(name), records)))
+            counts = Counter(map(_categorical_text, columns[name]))
             budget = self.vocab_budget[name]
             ranked = sorted(counts, key=lambda v: (-counts[v], v))[:budget]
             self.vocab[name] = sorted(ranked)
@@ -118,22 +118,23 @@ class Featurizer:
     def transform(self, records: list[ConnRecord]) -> np.ndarray:
         """The feature matrix, one row per record, filled a column at a time."""
         self._require_fitted()
-        n = len(records)
+        columns = conn_columns(records)
+        n = len(columns["label"])
         X = np.zeros((n, self.n_dims), dtype=np.float64)
         rows = np.arange(n)
         col = 0
         for name in NUMERIC_FIELDS:
-            X[:, col] = [0.0 if value is None else value for value in map(attrgetter(name), records)]
+            X[:, col] = [0.0 if value is None else value for value in columns[name]]
             col += 1
         for name in OPTIONAL_NUMERIC_FIELDS:
-            X[:, col] = [value is not None for value in map(attrgetter(name), records)]
+            X[:, col] = [value is not None for value in columns[name]]
             col += 1
         for name in CATEGORICAL_FIELDS:
             vocab = self.vocab[name]
             # the first slot of each value, as vocab.index gives it
             slot_of = {text: slot for slot, text in reversed(list(enumerate(vocab)))}
             other = len(vocab)
-            texts = map(_categorical_text, map(attrgetter(name), records))
+            texts = map(_categorical_text, columns[name])
             X[rows, [col + slot_of.get(text, other) for text in texts]] = 1.0
             col += other + 1
         return X

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import baselines, evaluation, modelio, splitter, templates
@@ -157,12 +158,14 @@ def _zeek_log(path: Path, kind: str) -> Path | None:
 
 
 def _parse_zeek_file(path: Path, kind: str):
-    """``parse_zeek`` of a log file; a bad directive is an error naming
-    ``<file>:<line>``, as a malformed line is."""
+    """``parse_zeek`` of a log file; a bad directive, or a missing
+    ``#fields``, is an error naming ``<file>:<line>`` as a malformed line is
+    (``<file>`` alone when the log has no ``#fields`` at all)."""
     try:
         return parse_zeek(path.read_text(encoding="utf-8"), kind)
     except BadDirective as exc:
-        raise IngestError(f"{path}:{exc.line_no}: {exc.message}") from exc
+        where = path if exc.line_no is None else f"{path}:{exc.line_no}"
+        raise IngestError(f"{where}: {exc.message}") from exc
 
 
 def read_logs_dir(path: Path) -> tuple[dict, list]:
@@ -189,6 +192,8 @@ def read_logs_dir(path: Path) -> tuple[dict, list]:
 
 
 def build_database(schema, data: dict) -> Database:
+    """A database of ``data``; a conn log's rows are zipped from its
+    columns (``rows_for_table``)."""
     db = Database(schema)
     for kind in ZEEK_KINDS:
         records = data.get(kind)
@@ -217,9 +222,10 @@ def load_db_dir(path: Path):
     return schema, build_database(schema, data), data
 
 
-def _conn_records(path) -> list:
-    """The records of a conn log.  A malformed line is a data error naming
-    ``<file>:<line>``: the records would otherwise silently go missing."""
+def _conn_table(path):
+    """The ``ConnTable`` of a conn log.  A malformed line is a data error
+    naming ``<file>:<line>``: the records would otherwise silently go
+    missing."""
     result = _parse_zeek_file(Path(path), "conn")
     if result.issues:
         issue = result.issues[0]
@@ -227,21 +233,29 @@ def _conn_records(path) -> list:
     return result.records
 
 
-def network_splits(anonymized: str, network_manifest: str) -> dict[str, list]:
-    """The anonymized conn records of each split, in manifest order.
+def network_splits(anonymized: str, network_manifest: str) -> dict:
+    """The anonymized conn table of each split, in manifest order: a
+    sub-table taken by row position.
 
     A malformed line in the anonymized log, or a manifest uid it does not
     hold, is a data error: the splits would silently lose records.
     """
-    by_uid = {r.uid: r for r in _conn_records(anonymized)}
+    table = _conn_table(anonymized)
+    # the last row of a uid, as a uid -> record dict would keep
+    position = {uid: i for i, uid in enumerate(table.columns["uid"])}
     manifest = splitter.load_manifest(Path(network_manifest).read_text(encoding="utf-8"))
     for uid in manifest.assignment:
-        if uid not in by_uid:
+        if uid not in position:
             raise splitter.SplitError(f"manifest uid {uid!r} is not in {anonymized}")
     return {
-        split: [by_uid[i] for i in manifest.ids_for(split)]
+        split: table.take(list(map(position.__getitem__, manifest.ids_for(split))))
         for split in splitter.SPLITS
     }
+
+
+def _malicious(table) -> list[bool]:
+    """The gold column of a conn table: whether each row is malicious."""
+    return list(map(attrgetter("is_malicious"), table.columns["label"]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +334,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
     if args.db:
         # only the conn log: the rest of the database dir plays no part
         conn_log = _zeek_log(Path(args.db), "conn")
-        records = [] if conn_log is None else _conn_records(conn_log)
+        records = [] if conn_log is None else _conn_table(conn_log)
         if not records:
             raise IngestError("network split requested but no conn records found")
         anonymized, maps = splitter.anonymize(
@@ -339,12 +353,10 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
             seed=seed,
             config=net_cfg,
         )
-        kept = {r.uid for r in anonymized} & set(manifest.assignment)
+        assigned = manifest.assignment
+        kept = [i for i, uid in enumerate(anonymized.columns["uid"]) if uid in assigned]
         writer.write("splits/network_manifest.txt", splitter.dump_manifest(manifest))
-        writer.write(
-            "splits/conn.anonymized.tsv",
-            serialize_zeek([r for r in anonymized if r.uid in kept], "conn"),
-        )
+        writer.write("splits/conn.anonymized.tsv", serialize_zeek(anonymized.take(kept), "conn"))
         # maps stay out of released splits; kept beside them for audit only
         writer.write(
             "splits/private_anonymization_maps.json",
@@ -452,7 +464,7 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
     )
     featurizer = baselines.fit_featurizer(subsets["train"])
     X_train = featurizer.transform(subsets["train"])
-    y_train = [r.is_malicious for r in subsets["train"]]
+    y_train = _malicious(subsets["train"])
     model = baselines.train(kind, X_train, y_train, hyperparams=hp, seed=seed, featurizer=featurizer)
 
     writer = ArtifactWriter(out)
@@ -465,7 +477,7 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
         if not records:
             continue
         X = featurizer.transform(records)
-        golds = [r.is_malicious for r in records]
+        golds = _malicious(records)
         preds = baselines.predict(model, X, seed=seed)
         report = evaluation.detection_metrics(golds, list(preds))
         writer.write(f"baseline/report_{split}.json", report.to_json() + "\n")

@@ -1,14 +1,22 @@
-"""Typed records for Zeek logs, attack labels, and sensor readings."""
+"""Typed records for Zeek logs, attack labels, and sensor readings.
+
+A parsed conn log is a ``ConnTable``: its values held as columns, one list
+per ``ConnRecord`` field, which the detection path (anonymization, the
+splits, the TSV and JSONL writers, the featurizer) reads and replaces a
+column at a time.  The table is a read-only sequence of ``ConnRecord``s and
+builds a record only when one is indexed or iterated.  ``conn_columns``
+gives any consumer its columns: a table's own, or those of a plain sequence
+of records in one transposition, so a caller may pass either.
+"""
 
 from __future__ import annotations
 
 import enum
 import functools
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, eq
 
 
 class IngestError(Exception):
@@ -38,6 +46,10 @@ class AttackLabel(enum.Enum):
     Okiru = "Okiru"
     Torii = "Torii"
     PartOfAHorizontalPortScan = "PartOfAHorizontalPortScan"
+
+    @property
+    def is_malicious(self) -> bool:
+        return self is not AttackLabel.Benign
 
 
 def _fold_label(text: str) -> str:
@@ -72,8 +84,7 @@ def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
 class ConnRecord:
     """One Zeek conn.log session plus its attack label.
 
-    Slotted: a record holds its 22 values without an instance dict, and
-    ``conn_records`` can set them a field at a time.
+    Slotted: a record holds its 22 values without an instance dict.
     """
 
     ts: datetime
@@ -102,7 +113,8 @@ class ConnRecord:
     def __post_init__(self) -> None:
         # written out check by check, without a loop or helper calls: a
         # record is checked per line of a Zeek block that fails the column
-        # check (see zeek._convert_group) and per JSON log line
+        # check (see zeek._convert_group), per JSON log line and per row a
+        # ConnTable builds
         if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
             raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
         if self.resp_p is not None and not 0 <= self.resp_p <= 65535:
@@ -126,7 +138,7 @@ class ConnRecord:
 
     @property
     def is_malicious(self) -> bool:
-        return self.label is not AttackLabel.Benign
+        return self.label.is_malicious
 
 
 SENSOR_TYPES = ("humidity", "co2", "temperature", "luminosity", "motion")
@@ -324,26 +336,59 @@ LABEL_FIELDS = [
 ]
 
 
-# conn_to_row(record): a 21-value row for the conn.log table (label excluded)
+# a ConnTable's column names: CONN_FIELDS order, then the label
 _CONN_NAMES = tuple(spec.name for spec in CONN_FIELDS)
-conn_to_row = attrgetter(*_CONN_NAMES)
+CONN_TABLE_NAMES = (*_CONN_NAMES, "label")
 
 
-# the slot descriptors of ConnRecord's fields: CONN_FIELDS order, then label
-_CONN_SLOTS = tuple(getattr(ConnRecord, name) for name in (*_CONN_NAMES, "label"))
+class ConnTable(Sequence):
+    """A read-only sequence of ConnRecords held as columns.
 
-
-def conn_records(columns, labels: list) -> list[ConnRecord]:
-    """Unchecked ConnRecords from value ``columns`` in CONN_FIELDS order and
-    a column of labels, all of one length.
-
-    The records are built a field at a time, one C-level pass per column
-    through the slot descriptors, and ``__post_init__`` does not run: the
-    caller has proved its invariants for every row (ports in range, counts
-    and durations nonnegative, no NaN duration), as the Zeek column passes
-    do for a clean block and as the values of checked records already are.
+    ``columns`` maps each name of CONN_TABLE_NAMES, in that order, to a list
+    of one value per row; the lists are shared with whoever made them and
+    are never changed.  Their values must satisfy ``ConnRecord``'s
+    invariants, as those of a Zeek parse or of checked records do: a record
+    is built, and checked, only when a row is indexed or iterated.  A table
+    equals any sequence of equal records.
     """
-    records = list(map(object.__new__, repeat(ConnRecord, len(labels))))
-    for slot, column in zip(_CONN_SLOTS, (*columns, labels), strict=True):
-        deque(map(slot.__set__, records, column), maxlen=0)
-    return records
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["label"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ConnTable({name: column[index] for name, column in self.columns.items()})
+        return ConnRecord(*[column[index] for column in self.columns.values()])
+
+    def __iter__(self):
+        return map(ConnRecord, *self.columns.values())
+
+    def take(self, positions: list[int]) -> ConnTable:
+        """The sub-table of the rows at ``positions``, in that order."""
+        return ConnTable({name: list(map(column.__getitem__, positions))
+                          for name, column in self.columns.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, ConnTable):
+            return self.columns == other.columns
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ConnTable({list(self)!r})"
+
+
+def conn_columns(records) -> dict[str, list]:
+    """The columns of conn ``records`` by name, as a ``ConnTable`` holds
+    them: a table's own, which the caller must not change, or those of any
+    other iterable of ConnRecords, transposed once."""
+    if isinstance(records, ConnTable):
+        return records.columns
+    records = list(records)
+    return {name: list(map(attrgetter(name), records)) for name in CONN_TABLE_NAMES}

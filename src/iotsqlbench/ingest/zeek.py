@@ -29,17 +29,20 @@ finds each bad line's first failing column, so issues and records are the
 same as a line-by-line parse gives.  ``_convert`` is the one per-value
 semantics.
 
-A conn block in which every value converted, every required field is
-present, no duration is NaN and every label is known needs no per-record
-check: the column passes have proved every other invariant of
+A conn log parses to a ``records.ConnTable``: the converted value columns
+of its blocks, in CONN_FIELDS order, plus the label column.  A conn block
+needs no per-record check, and builds no ``ConnRecord``, when every value
+converted, every required field is present, no duration is NaN and every
+label is known: the column passes have proved every other invariant of
 ``ConnRecord.__post_init__`` (ports in range, counts and durations
-nonnegative), and its records are built a field at a time through the slot
-descriptors (``records.conn_records``).  NaN passes both the range check and
-``_convert``, so the block checks it on the duration column.  Any other conn
-block is built and checked record by record, so that each bad line is
-reported.  Rows of every kind are rendered (``serialize_zeek``) a column at
-a time in the same way (``_render_column``), with ``_render`` as the
-per-value semantics it matches.
+nonnegative), so its columns join the table as they are.  NaN passes both
+the range check and ``_convert``, so the block checks it on the duration
+column.  Any other conn block, and a JSON conn log, is built and checked
+record by record, so that each bad line is reported, and its good records
+join the table.  Rows of every kind are rendered (``serialize_zeek``) a
+column at a time in the same way (``_render_column``), a conn log from its
+columns (``records.conn_columns``), with ``_render`` as the per-value
+semantics it matches.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ from .records import (
     KIND_FIELDS,
     LABEL_FIELDS,
     TABLE_FOR_KIND,
+    CONN_TABLE_NAMES,
     AttackLabel,
     ConnRecord,
+    ConnTable,
     FieldSpec,
     IngestError,
     RecordInvariantError,
@@ -66,26 +71,27 @@ from .records import (
     UnknownLabel,
     ZeekRecord,
     _CONN_NAMES,
-    conn_records,
-    conn_to_row,
+    conn_columns,
     parse_iot23_label,
 )
 
 _EPOCH = datetime(1970, 1, 1)
 
 
-class MissingFieldsHeader(IngestError):
-    pass
-
-
 class BadDirective(IngestError):
     """A ``#separator``, ``#unset_field`` or ``#empty_field`` line without a
-    usable value, at ``line_no``."""
+    usable value, at ``line_no``; or a missing ``#fields`` directive
+    (``MissingFieldsHeader``)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
+
+
+class MissingFieldsHeader(BadDirective):
+    """A data line at ``line_no`` before any ``#fields`` directive, or
+    (``line_no`` None) a log with no ``#fields`` directive at all."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class ParseIssue:
 
 @dataclass
 class ZeekParseResult:
-    records: list
+    records: list | ConnTable  # a ConnTable for a conn log
     issues: list[ParseIssue]
 
 
@@ -236,6 +242,8 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     unset, empty = "-", "(empty)"
     field_names: list[str] | None = None
     plan: list | None = None
+    # a conn log's rows gather as columns, any other kind's as ZeekRecords
+    columns = {name: [] for name in CONN_TABLE_NAMES} if kind == "conn" else None
     records: list = []
     issues: list[ParseIssue] = []
     # the data lines between two directives are a run, split and converted
@@ -247,14 +255,19 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
         for first in range(start, stop, _BLOCK_LINES):
             block = lines[first:min(first + _BLOCK_LINES, stop)]
             if plan is None:
-                if any(map(str.strip, block)):
-                    raise MissingFieldsHeader("data line before #fields directive")
+                line_no = next(compress(count(first + 1), map(str.strip, block)), None)
+                if line_no is not None:
+                    raise MissingFieldsHeader(line_no, "data line before #fields directive")
                 continue
-            for line_plan, line_nos, columns in _split_block(block, first + 1, plan, kind,
-                                                             separator, issues):
-                block_records, block_issues = _convert_group(kind, line_plan, line_nos, columns,
-                                                             unset, empty)
-                records.extend(block_records)
+            for line_plan, line_nos, raw_columns in _split_block(block, first + 1, plan, kind,
+                                                                 separator, issues):
+                rows, block_issues = _convert_group(kind, line_plan, line_nos, raw_columns,
+                                                    unset, empty)
+                if columns is None:
+                    records.extend(rows)
+                else:
+                    for name, column in rows.items():
+                        columns[name] += column
                 issues.extend(block_issues)
         if stop == len(lines):
             break
@@ -270,9 +283,10 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
         elif directive == "empty_field":
             empty = _directive_value(raw, directive, separator, stop + 1)
     if field_names is None:
-        raise MissingFieldsHeader("no #fields directive found")
+        raise MissingFieldsHeader(None, "no #fields directive found")
     issues.sort(key=attrgetter("line_no"))
-    return ZeekParseResult(records=records, issues=issues)
+    return ZeekParseResult(records=records if columns is None else ConnTable(columns),
+                           issues=issues)
 
 
 def _directive_value(raw: str, directive: str, separator: str, line_no: int) -> str:
@@ -428,18 +442,19 @@ def _fill(keep: list, values: list, marker) -> list:
 
 
 def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: str, empty: str):
-    """(records, issues) for a block of data lines that share one line plan,
+    """(rows, issues) for a block of data lines that share one line plan,
     given as ``columns`` of raw values (emptied here as they are converted).
+    The rows are ZeekRecords, or for a conn block the value and label
+    columns of its good rows (``records.CONN_TABLE_NAMES``).
 
     Converts column by column.  A line reports what a line-by-line parse
     would: its first failing column in column order, then its label, then
     the required fields, then the record invariants.  A conn block in which
     every value converted, every required field is present, no duration is
-    NaN and every label is known is built a field at a time without a
-    per-record check (``records.conn_records``): the column passes have
-    proved every other ``ConnRecord`` invariant (ports in range, counts and
-    durations nonnegative).  Any other conn block is built and checked
-    record by record.
+    NaN and every label is known gives its converted columns as they are:
+    the column passes have proved every other ``ConnRecord`` invariant
+    (ports in range, counts and durations nonnegative).  Any other conn
+    block is built and checked record by record.
     """
     n = len(line_nos)
     errors: dict[int, str] = {}
@@ -477,7 +492,7 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
         except UnknownLabel:
             pass  # the per-record loop reports each unknown label
         else:
-            return conn_records(value_columns, labels), issues
+            return dict(zip(CONN_TABLE_NAMES, (*value_columns, labels))), issues
     for i, values in enumerate(zip(*value_columns)):
         message = errors.get(i)
         if message is None:
@@ -491,7 +506,7 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
             except (ValueError, RecordInvariantError, UnknownLabel) as exc:
                 message = str(exc)
         issues.append(ParseIssue(line_no=line_nos[i], message=message))
-    return records, issues
+    return conn_columns(records), issues
 
 
 _DURATION = _CONN_NAMES.index("duration")
@@ -538,6 +553,8 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                 records.append(ZeekRecord(kind=kind, fields=values))
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:
             issues.append(ParseIssue(line_no=line_no, message=str(exc)))
+    if kind == "conn":
+        records = ConnTable(conn_columns(records))
     return ZeekParseResult(records=records, issues=issues)
 
 
@@ -573,14 +590,20 @@ def _convert_json(value, spec: FieldSpec):
 
 
 def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) -> str:
-    """Render records as a Zeek TSV log (deterministic header, no wall clock)."""
+    """Render records as a Zeek TSV log (deterministic header, no wall clock).
+
+    Conn records are rendered from their columns (``records.conn_columns``)
+    and are labeled unless ``labeled`` is false or there are none."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
-    records = list(records)
-    if kind != "conn":
+    if kind == "conn":
+        columns = conn_columns(records)
+        labeled = bool(columns["label"]) if labeled is None else labeled
+        n = len(columns["label"])
+    else:
+        records = list(records)
         labeled = False
-    elif labeled is None:
-        labeled = any(isinstance(r, ConnRecord) for r in records)
+        n = len(records)
     specs = KIND_FIELDS[kind] + LABEL_FIELDS if labeled else KIND_FIELDS[kind]
     lines = [
         "#separator \\x09",
@@ -593,19 +616,22 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         "#types\t" + "\t".join(spec.zeek_type for spec in specs),
     ]
     # a block of rows at a time, so that only one block's rendered values are
-    # held before they are joined into lines; a record whose width differs
-    # from the others' is a ValueError (strict), never a cut to theirs
-    for start in range(0, len(records), _BLOCK_LINES):
-        block = records[start:start + _BLOCK_LINES]
-        columns = [_render_column(column, spec) for column, spec in
-                   zip(zip(*rows_for_table(block, kind), strict=True), KIND_FIELDS[kind])]
+    # held before they are joined into lines; a ZeekRecord whose width
+    # differs from the others' is a ValueError (strict), never a cut to theirs
+    for start in range(0, n, _BLOCK_LINES):
+        stop = start + _BLOCK_LINES
+        if kind == "conn":
+            block = [columns[spec.name][start:stop] for spec in KIND_FIELDS[kind]]
+        else:
+            block = zip(*(record.fields for record in records[start:stop]), strict=True)
+        rendered = list(map(_render_column, block, KIND_FIELDS[kind]))
         if labeled:
-            labels = [record.label for record in block]
-            columns.append(["Benign" if label is AttackLabel.Benign else "Malicious"
-                            for label in labels])
-            columns.append(["-" if label is AttackLabel.Benign else label.value
-                            for label in labels])
-        lines.extend(map("\t".join, zip(*columns)))
+            labels = columns["label"][start:stop]
+            rendered.append(["Benign" if label is AttackLabel.Benign else "Malicious"
+                             for label in labels])
+            rendered.append(["-" if label is AttackLabel.Benign else label.value
+                             for label in labels])
+        lines.extend(map("\t".join, zip(*rendered)))
     lines.append("#close\t2000-01-01-00-00-00")
     return "\n".join(lines) + "\n"
 
@@ -641,7 +667,8 @@ def _render_values(column, vtype: str) -> list[str]:
 def rows_for_table(records: Iterable, kind: str) -> list[tuple]:
     """Store-ready rows (conn label columns excluded; table schema order)."""
     if kind == "conn":
-        return list(map(conn_to_row, records))
+        columns = conn_columns(records)
+        return list(zip(*map(columns.__getitem__, _CONN_NAMES)))
     return [record.fields for record in records]
 
 

@@ -4,10 +4,12 @@ Text-to-SQL inputs are the question, a separator, then the linearized
 schema tokens.  Detection inputs are a fixed instruction followed by the
 space-joined connection-log row (identifier columns ts and uid excluded,
 matching the 19-feature row; unset values render as ``-``).  The rows are
-rendered a column at a time by ``zeek._render_column``, the renderer the
-TSV writer uses, and ``detection_row`` renders one record the same way, so
-rendering has one semantics.  Examples and predictions travel as UTF-8
-JSON lines keyed by id; detection examples are built a column at a time.
+rendered a column at a time, from the columns ``records.conn_columns``
+gives, by ``zeek._render_column``, the renderer the TSV writer uses, and
+``detection_row`` renders one record the same way, so rendering has one
+semantics.  Examples and predictions travel as UTF-8 JSON lines keyed by
+id, one per ``"\n"``-ended line; detection examples are built a column at a
+time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .ingest.records import CONN_FIELDS, ConnRecord
+from .ingest.records import CONN_FIELDS, ConnRecord, conn_columns
 from .ingest.zeek import _render_column
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
@@ -29,7 +31,6 @@ DEFAULT_SEPARATOR = " | "
 SCHEMA_TOKEN_JOINER = ", "
 
 DETECTION_FIELDS = [spec for spec in CONN_FIELDS if spec.name not in ("ts", "uid")]
-_detection_values = attrgetter(*(spec.name for spec in DETECTION_FIELDS))
 
 
 class ModelIOError(Exception):
@@ -89,26 +90,28 @@ def build_sql_input(
     return f"{question}{separator}{linearized.joined(SCHEMA_TOKEN_JOINER)}"
 
 
-def _detection_rows(records: list[ConnRecord]) -> list[str]:
-    """``detection_row`` of each record, rendered a column at a time."""
-    columns = [_render_column(column, spec)
-               for column, spec in zip(zip(*map(_detection_values, records)), DETECTION_FIELDS)]
-    return list(map(" ".join, zip(*columns)))
+def _detection_rows(columns: dict) -> list[str]:
+    """``detection_row`` of each row of conn ``columns``, rendered a column
+    at a time."""
+    rendered = [_render_column(columns[spec.name], spec) for spec in DETECTION_FIELDS]
+    return list(map(" ".join, zip(*rendered)))
 
 
 def detection_row(record: ConnRecord) -> str:
     """Space-joined column values in connection-log order (ts/uid dropped)."""
-    return _detection_rows([record])[0]
+    return _detection_rows(conn_columns([record]))[0]
 
 
 def build_detection_input(record: ConnRecord, instruction: str = DEFAULT_INSTRUCTION) -> DetectionExample:
     return _detection_examples([record], instruction)[0]
 
 
-def _detection_examples(records: list[ConnRecord], instruction: str) -> list[DetectionExample]:
-    """The examples of ``records``, built from their id, row and gold columns."""
-    return list(map(DetectionExample, map(attrgetter("uid"), records), repeat(instruction),
-                    _detection_rows(records), map(attrgetter("is_malicious"), records)))
+def _detection_examples(records: Iterable[ConnRecord], instruction: str) -> list[DetectionExample]:
+    """The examples of ``records``, built from their uid, row and label
+    columns."""
+    columns = conn_columns(records)
+    return list(map(DetectionExample, columns["uid"], repeat(instruction),
+                    _detection_rows(columns), map(attrgetter("is_malicious"), columns["label"])))
 
 
 def bool_to_label(value: bool) -> str:
@@ -150,7 +153,7 @@ def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEF
 
 
 def write_detection_examples(records: Iterable[ConnRecord], path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
-    examples = _detection_examples(list(records), instruction)
+    examples = _detection_examples(records, instruction)
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
@@ -216,7 +219,10 @@ def _read_jsonl(source: str | os.PathLike):
     """(line number, object) per record; a str is the file's text, an
     os.PathLike its path."""
     text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # records end at "\n" alone: str.splitlines would also break at U+2028,
+    # U+2029 and U+0085, which json leaves unescaped under ensure_ascii=False
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:

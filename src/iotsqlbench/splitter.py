@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import repeat
-from operator import attrgetter
 
-from .ingest.records import _CONN_NAMES, AttackLabel, conn_records
+from .ingest.records import AttackLabel, ConnTable, conn_columns
 
 SPLITS = ("train", "dev", "test")
 
@@ -131,17 +130,23 @@ def split_network(
     seed: int = 0,
     config: NetworkSplitConfig | None = None,
 ) -> SplitManifest:
-    """Attack-disjoint split keyed by record uid."""
+    """Attack-disjoint split keyed by record uid; reads the uid and label
+    columns of ``records`` (``records.conn_columns``)."""
     config = config or NetworkSplitConfig()
     train_attacks = frozenset(train_attacks)
     if AttackLabel.Benign in train_attacks:
         raise SplitError("train_attacks must not include Benign")
     _check_ratios(config.benign_fracs)
 
+    columns = conn_columns(records)
+    uids, labels = columns["uid"], columns["label"]
     rng = random.Random(seed)
-    benign = [r for r in records if r.label is AttackLabel.Benign]
-    train_mal = [r for r in records if r.label is not AttackLabel.Benign and r.label in train_attacks]
-    other_mal = [r for r in records if r.label is not AttackLabel.Benign and r.label not in train_attacks]
+    # uids stand for their records: a shuffle draws the same for any items
+    benign = [uid for uid, label in zip(uids, labels) if label is AttackLabel.Benign]
+    train_mal = [uid for uid, label in zip(uids, labels)
+                 if label is not AttackLabel.Benign and label in train_attacks]
+    other_mal = [uid for uid, label in zip(uids, labels)
+                 if label is not AttackLabel.Benign and label not in train_attacks]
     rng.shuffle(benign)
     rng.shuffle(train_mal)
     rng.shuffle(other_mal)
@@ -187,18 +192,19 @@ def split_network(
         benign_parts.append(benign[cursor : cursor + target])
         cursor += target
     for split, part in zip(SPLITS, ([*train_mal], [*dev_mal], [*test_mal])):
-        for r in part:
-            assignment[r.uid] = split
+        for uid in part:
+            assignment[uid] = split
     for split, part in zip(SPLITS, benign_parts):
-        for r in part:
-            assignment[r.uid] = split
+        for uid in part:
+            assignment[uid] = split
     manifest = SplitManifest(
         assignment=assignment,
         ratios=None,
         seed=seed,
         train_attack_labels=train_attacks,
     )
-    manifest.check_attack_disjoint({r.uid: r.label for r in records if r.uid in assignment})
+    manifest.check_attack_disjoint({uid: label for uid, label in zip(uids, labels)
+                                    if uid in assignment})
     return manifest
 
 
@@ -217,17 +223,17 @@ class AnonymizationMaps:
     time_offsets: dict
 
 
-def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
+def anonymize(records, seed: int = 0, max_offset_days: int = 30):
     """Randomize identifiers: one IP bijection for all records, independent
     per-record timestamp offsets.  All other fields are untouched.
 
-    Works a column at a time: each field of the input records is read in one
-    pass, ``ts``, ``orig_h`` and ``resp_h`` are replaced in one pass each,
-    and the anonymized records are built from the columns by
-    ``records.conn_records``.  The other values were checked when the input
-    records were built and are not checked again.
+    Works a column at a time on the columns of ``records``
+    (``records.conn_columns``): ``ts``, ``orig_h`` and ``resp_h`` are
+    replaced in one pass each, and the result is a ``ConnTable`` that shares
+    every other column with the input.  Those values were checked when the
+    input was parsed or built and are not checked again.
     """
-    columns = {name: list(map(attrgetter(name), records)) for name in _CONN_NAMES}
+    columns = dict(conn_columns(records))
     rng = random.Random(seed)
     input_ips = sorted({*columns["orig_h"], *columns["resp_h"]})
     pool_iter = _synthetic_ips(set(input_ips))
@@ -237,12 +243,13 @@ def anonymize(records: list, seed: int = 0, max_offset_days: int = 30):
 
     # randint(a, b) is randrange(a, b + 1): the same draws
     max_offset = max_offset_days * 86400
-    offsets = list(map(rng.randrange, repeat(-max_offset, len(records)), repeat(max_offset + 1)))
+    n = len(columns["uid"])
+    offsets = list(map(rng.randrange, repeat(-max_offset, n), repeat(max_offset + 1)))
     columns["ts"] = list(map(datetime.__add__, columns["ts"], map(timedelta, repeat(0), offsets)))
     columns["orig_h"] = list(map(ip_map.__getitem__, columns["orig_h"]))
     columns["resp_h"] = list(map(ip_map.__getitem__, columns["resp_h"]))
-    out = conn_records(columns.values(), list(map(attrgetter("label"), records)))
-    return out, AnonymizationMaps(ip_map=ip_map, time_offsets=dict(zip(columns["uid"], offsets)))
+    maps = AnonymizationMaps(ip_map=ip_map, time_offsets=dict(zip(columns["uid"], offsets)))
+    return ConnTable(columns), maps
 
 
 def _synthetic_ips(exclude: set):

@@ -584,7 +584,10 @@ def pair_to_json(pair: TextSqlPair) -> str:
 def read_corpus(text: str) -> list[TextSqlPair]:
     """Load a corpus file's text; every pair's SQL must parse in the store dialect."""
     pairs = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # records end at "\n" alone: str.splitlines would also break at U+2028,
+    # U+2029 and U+0085, which json leaves unescaped under ensure_ascii=False
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:
@@ -611,7 +614,8 @@ def read_corpus(text: str) -> list[TextSqlPair]:
 def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
     """Hand-written pairs from JSONL text, validated by execution."""
     pairs = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):  # "\n" alone, as read_corpus
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:

@@ -279,3 +279,15 @@ def test_write_detection_examples_bytes_match_the_json_encoder(tmp_path):
     # split at "\n" only: the encoder leaves U+2028 unescaped
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert [json.loads(line)["id"] for line in lines] == [record.uid for record in records]
+
+
+def test_detection_examples_round_trip_a_row_holding_line_separators(tmp_path):
+    # json leaves U+2028, U+2029 and U+0085 unescaped; each record still
+    # ends at its "\n"
+    records = [dataclasses.replace(REFERENCE_RECORD, uid=f"CSep{i}", history=f"Sh{sep}Ad")
+               for i, sep in enumerate(["\u2028", "\u2029", "\x85"])]
+    path = tmp_path / "det.jsonl"
+    examples = write_detection_examples(records, path)
+    assert read_detection_examples(path) == examples
+    crlf = path.read_text(encoding="utf-8").replace("\n", "\r\n")
+    assert read_detection_examples("\n" + crlf) == examples

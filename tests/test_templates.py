@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from iotsqlbench.templates import (
     ExhaustedResampling,
     ManualPairError,
     TemplateBinder,
+    TemplateError,
     UnsatisfiableSlot,
     construct_coverage,
     corpus_stats,
@@ -189,3 +191,15 @@ def test_corpus_stats_reports_both_lengths(synth_db):
     assert stats["n_pairs"] == 60
     assert stats["question_length"]["min"] >= 5
     assert stats["sql_length"]["avg"] > 0
+
+
+def test_corpus_readers_split_records_at_newlines_only(synth_db):
+    question = "How many sessions\u2028are there in\x85total?"
+    line = json.dumps({"question": question, "sql": "SELECT COUNT(*) FROM conn.log"},
+                      ensure_ascii=False)
+    text = "\n" + line + "\r\n"
+    assert [pair.question for pair in read_corpus(text)] == [question]
+    assert [pair.question for pair in read_manual_pairs(text, synth_db)] == [question]
+    with pytest.raises(TemplateError) as exc:
+        read_corpus(text + '{"question": "x"}\n')
+    assert "line 3" in str(exc.value)

@@ -529,6 +529,29 @@ def test_ingest_exits_1_on_a_bad_directive(tmp_path, capsys):
     assert f"{logs / 'conn.log'}:9: bad #separator value" in capsys.readouterr().err
 
 
+def test_missing_fields_header_names_the_first_data_line():
+    with pytest.raises(MissingFieldsHeader) as info:
+        parse_zeek("#separator \\x09\n\n" + GOOD_LINE + "\n", "conn")
+    assert (info.value.line_no, str(info.value)) == (3, "line 3: data line before #fields directive")
+    with pytest.raises(MissingFieldsHeader) as info:
+        parse_zeek("#separator \\x09\n", "conn")
+    assert (info.value.line_no, str(info.value)) == (None, "no #fields directive found")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("a\tb\n", "conn.log:1: data line before #fields directive"),
+    ("#separator \\x09\n", "conn.log: no #fields directive found"),
+])
+def test_ingest_names_the_log_without_a_fields_header(tmp_path, capsys, text, where):
+    from iotsqlbench.cli import main
+
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "conn.log").write_text(text, encoding="utf-8")
+    assert main(["--out", str(tmp_path / "out"), "ingest", "--logs", str(logs)]) == 1
+    assert f"error: {logs / where}" in capsys.readouterr().err
+
+
 def test_duplicate_field_checked_at_each_position():
     header = HEADER.replace("\ttunnel_parents", "\ttunnel_parents\tid.orig_p")
     good = GOOD_LINE + "\t443"
