@@ -57,10 +57,10 @@ from typing import Iterable
 
 from .records import (
     CONN_FIELDS,
+    CONN_TABLE_NAMES,
     KIND_FIELDS,
     LABEL_FIELDS,
     TABLE_FOR_KIND,
-    CONN_TABLE_NAMES,
     AttackLabel,
     ConnRecord,
     ConnTable,
