@@ -207,7 +207,12 @@ def parse_zeek(text: str, kind: str) -> ZeekParseResult:
     """
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
-    lines = text.splitlines()
+    # lines end at "\n" (one "\r" before it is dropped): str.splitlines would
+    # also break at U+2028, U+2029 and U+0085, which serialize_zeek leaves in
+    # a value as they are
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
     for line in lines:
         if not line.strip():
             continue

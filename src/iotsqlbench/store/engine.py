@@ -17,31 +17,36 @@ written form is ``values_eq``/``values_lt``:
   left row's right matches in right-table order) but are semantically
   unordered unless the query has ORDER BY.
 
-A query is compiled before any row is read.  Each comparison gets one
-comparator, chosen from the attributes of its two sides (column attribute,
-literal type, scalar-subquery value), so rows are tested without type
-dispatch.  In a join, every WHERE conjunct that reads one table filters
-that table before the join; the rest run on the joined rows.  A joined row
-holds only the columns read after the join (by those conjuncts, the select
-list, GROUP BY, aggregate arguments, HAVING and ORDER BY; all of them for
+A query is compiled before any row is read.  Each condition is compiled
+once, to passes over a chunk of rows.  Each comparison gets one comparator,
+chosen from the attributes of its two sides (column attribute, literal
+type, scalar-subquery value), so rows are tested without type dispatch.
+AND is its parts' passes run in sequence.  OR is one pass that keeps, in
+chunk order, the rows any part keeps; each part tests only the rows the
+parts before it dropped, as a row-at-a-time OR would, so a part that can
+raise (a time against text with a UTC offset) raises on no other row.  In
+a join, every WHERE conjunct that reads one table filters that table
+before the join; the rest run on the joined rows.  A joined row holds only
+the columns read after the join (by those conjuncts, the select list,
+GROUP BY, aggregate arguments, HAVING and ORDER BY; all of them for
 SELECT *), and everything after the join resolves names to their place in
-that narrow row.  Each output row is built once, and DISTINCT, ORDER BY (a
-stable sort of row positions per key) and LIMIT work on those rows.
+that narrow row.  HAVING runs its passes over the grouped rows.  Each
+output row is built once, and DISTINCT, ORDER BY (a stable sort of row
+positions per key) and LIMIT work on those rows.
 
-WHERE, GROUP BY and the join take their rows a chunk of _CHECK_EVERY rows
-at a time and read the deadline once per chunk (and once per group, and
-once per _CHECK_EVERY joined rows).  Each WHERE conjunct is a pass over the
-chunk.  A column compared with a constant of its own attribute (text,
-time, boolean or number; BETWEEN is two such passes) and a column IN
-(subquery) read the chunk's column in one pass and keep rows with
-``itertools.compress``; a null passes no test, so a chunk whose column
-holds one drops those rows first.  A number outside the constant's
-tolerance window is decided by one comparison with the window's edge; only
-the values inside it take the tolerance test.  Every other condition (OR,
-a column against a column, a time against text, whose parse can raise)
-tests one row at a time.  GROUP BY takes a chunk's keys with one
-``itemgetter`` pass, an aggregate reads its argument column of a group in
-one pass, and the join takes its build and probe keys the same way.
+WHERE, HAVING, GROUP BY and the join take their rows a chunk of
+_CHECK_EVERY rows at a time and read the deadline once per chunk (and once
+per group, and once per _CHECK_EVERY joined rows).  A comparison reads the
+chunk's column (both, for a column against a column) in one pass, maps
+its comparator over the values and keeps rows with ``itertools.compress``;
+a null passes no test, so a chunk whose column holds one drops those rows
+first.  A number outside a number constant's tolerance window is decided
+by one comparison with the window's edge; only the values inside it take
+the tolerance test.  A column IN (subquery) maps the subquery's equality
+lookup over the column, and a comparison of two constants keeps every row
+or none.  GROUP BY takes a chunk's keys with one ``itemgetter`` pass, an
+aggregate reads its argument column of a group in one pass, and the join
+takes its build and probe keys the same way.
 
 Each stored table is one tuple of rows.  A load builds the table's longer
 tuple and swaps in a new table mapping under the writers' lock; no stored
@@ -345,67 +350,76 @@ def _tolerance_window(x) -> tuple:
         return -math.inf, math.inf
 
 
-def _never(row) -> bool:
-    return False
-
-
-def _compile_comparison(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[tuple], bool]:
-    """Row predicate for ``lhs op rhs``."""
+def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequence[tuple]], Iterable]:
+    """``lhs op rhs`` as a pass over a chunk of rows: its test mapped over
+    the column (or the two columns) it reads, a number constant's through
+    its tolerance window.  Two constants keep every row or none."""
     if op not in _FLIPPED:
         raise ParseError(f"unsupported operator {op!r}")
     if lhs.index is None and rhs.index is not None:
         op, lhs, rhs = _FLIPPED[op], rhs, lhs
     test = _value_test(op, lhs.attr, rhs.attr)
     if test is None:
-        return _never
-    i, j, v = lhs.index, rhs.index, rhs.value
-    if i is None:
-        result = test(lhs.value, v)
-        return lambda row: result
-    if j is not None:
-        return lambda row: (a := row[i]) is not None and (b := row[j]) is not None and test(a, b)
-    if op == "=" and lhs.attr == rhs.attr != "number":
-        return lambda row: row[i] == v
-    return lambda row: (a := row[i]) is not None and test(a, v)
-
-
-def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequence[tuple]], list]:
-    """``lhs op rhs`` as a pass over a chunk of rows.  A column against a
-    constant of its own attribute is decided a column at a time; any other
-    comparison, such as a time against text, goes through the row
-    predicate."""
-    predicate = _compile_comparison(op, lhs, rhs)
+        return _constant_pass(False)
     if lhs.index is None:
-        op, lhs, rhs = _FLIPPED[op], rhs, lhs
-    test = _value_test(op, lhs.attr, rhs.attr)
-    if lhs.index is None or rhs.index is not None or lhs.attr != rhs.attr or test is None:
-        return _rows_pass(predicate)
-    if lhs.attr == "number":
-        return _column_pass(lhs.index, _number_mask(op, test, rhs.value))
+        return _constant_pass(test(lhs.value, rhs.value))
+    if rhs.index is not None:
+        return _column_pass((lhs.index, rhs.index), lambda a, b: map(test, a, b))
     v = rhs.value
-    return _column_pass(lhs.index, lambda values: map(test, values, repeat(v)))
+    if lhs.attr == rhs.attr == "number":
+        return _column_pass((lhs.index,), _number_mask(op, test, v))
+    return _column_pass((lhs.index,), lambda values: map(test, values, repeat(v)))
 
 
-def _rows_pass(predicate: Callable[[tuple], bool]) -> Callable[[Sequence[tuple]], list]:
-    """A pass that tests each row of a chunk with ``predicate``."""
-    return lambda chunk: list(filter(predicate, chunk))
+def _constant_pass(keep: bool) -> Callable[[Sequence[tuple]], Iterable]:
+    """A pass that keeps every row of a chunk, or none."""
+    return lambda chunk: repeat(keep, len(chunk))
 
 
-def _column_pass(index: int, decide: Callable[[list], Iterable]) -> Callable[[Sequence[tuple]], list]:
-    """A pass that keeps the rows of a chunk whose value at ``index``
-    ``decide`` finds true; ``decide`` maps a list of non-null values to
-    their truth values.  A null passes no test, so a chunk whose column
-    holds one drops those rows first."""
-    get = operator.itemgetter(index)
+def _column_pass(indexes: tuple, decide: Callable[..., Iterable]) -> Callable[[Sequence[tuple]], Iterable]:
+    """A pass that keeps the rows of a chunk whose values at ``indexes``
+    ``decide`` finds true; ``decide`` maps one list of non-null values per
+    index to their truth values.  A null passes no test, so a chunk whose
+    columns hold one decides only its other rows."""
+    getters = [operator.itemgetter(index) for index in indexes]
 
-    def column_pass(chunk: Sequence[tuple]) -> list:
-        values = list(map(get, chunk))
-        if None in values:
-            chunk = list(compress(chunk, map(operator.is_not, values, repeat(None))))
-            values = list(map(get, chunk))
-        return list(compress(chunk, decide(values)))
+    def column_pass(chunk: Sequence[tuple]) -> Iterable:
+        columns = [list(map(get, chunk)) for get in getters]
+        if not any(None in values for values in columns):
+            return decide(*columns)
+        present = list(map(operator.is_not, columns[0], repeat(None)))
+        for values in columns[1:]:
+            present = list(map(operator.and_, present, map(operator.is_not, values, repeat(None))))
+        decided = iter(decide(*[list(compress(values, present)) for values in columns])).__next__
+        return [keep and decided() for keep in present]
 
     return column_pass
+
+
+def _mask(passes: list, chunk: Sequence[tuple]) -> list:
+    """Whether each row of ``chunk`` passes every pass, each run only on
+    the rows the passes before it keep."""
+    keep = list(passes[0](chunk))
+    for run in passes[1:]:
+        decided = iter(run(list(compress(chunk, keep)))).__next__
+        keep = [kept and decided() for kept in keep]
+    return keep
+
+
+def _any_pass(parts: list[list]) -> Callable[[Sequence[tuple]], list]:
+    """OR as one pass: a row is kept when any part (its passes run in
+    sequence) keeps it.  Each part tests only the rows the parts before it
+    dropped, as a row-at-a-time OR would, so a part raises only on a row
+    that OR tests with it."""
+
+    def any_pass(chunk: Sequence[tuple]) -> list:
+        keep = _mask(parts[0], chunk)
+        for passes in parts[1:]:
+            decided = iter(_mask(passes, list(compress(chunk, map(operator.not_, keep))))).__next__
+            keep = [kept or decided() for kept in keep]
+        return keep
+
+    return any_pass
 
 
 def _number_mask(op: str, test, v) -> Callable[[list], list]:
@@ -495,25 +509,6 @@ def _equality_lookup(
     if parse_probe:
         return lambda x: buckets.get(_time_of_text(x), ())
     return lambda x: buckets.get(x, ())
-
-
-def _membership(cond, operand, schema, snap, deadline) -> tuple[_Operand, Callable[[object], Sequence]]:
-    """``probe IN (subquery)`` as (probe, lookup): the lookup of a non-null
-    value is non-empty exactly when the subquery returned a value equal to
-    it.  The values are one column's, so they share one attribute."""
-    values = _column_subquery(cond.query, schema, snap, deadline)
-    probe = operand(cond.operand)
-    key_attr = _value_attr(values[0]) if values else None
-    return probe, _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
-
-
-def _compile_membership(probe: _Operand, lookup) -> Callable[[tuple], bool]:
-    """Row predicate for ``probe IN values``, given their lookup."""
-    if probe.index is None:
-        result = probe.value is not None and bool(lookup(probe.value))
-        return lambda row: result
-    i = probe.index
-    return lambda row: (x := row[i]) is not None and bool(lookup(x))
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +603,13 @@ def _chunks(rows: Sequence[tuple], deadline: float) -> Iterable[Sequence[tuple]]
 
 def _filter(rows: Sequence[tuple], passes: list, deadline: float) -> Sequence[tuple]:
     """The rows every pass keeps, in order; a pass takes a chunk of rows
-    and returns the ones it keeps."""
+    and returns the truth value of each."""
     if not passes:
         return rows
     kept: list[tuple] = []
     for chunk in _chunks(rows, deadline):
         for run in passes:
-            chunk = run(chunk)
+            chunk = list(compress(chunk, run(chunk)))
         kept.extend(chunk)
     return kept
 
@@ -660,52 +655,25 @@ class _AggSpec:
         return max(values)
 
 
-def _all_of(parts: list) -> Callable[[tuple], bool]:
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        first, second = parts
-        return lambda row: first(row) and second(row)
-    return lambda row: all(p(row) for p in parts)
-
-
-def _any_of(parts: list) -> Callable[[tuple], bool]:
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        first, second = parts
-        return lambda row: first(row) or second(row)
-    return lambda row: any(p(row) for p in parts)
-
-
-def _compile_condition(
-    cond,
-    operand: Callable[[object], _Operand],
-    schema: DatabaseSchema,
-    snap: Mapping[str, tuple],
-    deadline: float,
-) -> Callable[[tuple], bool]:
-    """Row predicate for a WHERE or HAVING condition; ``operand`` places an
-    AST operand in the row or makes it a constant."""
-    if isinstance(cond, (_sql.And, _sql.Or)):
-        parts = [_compile_condition(c, operand, schema, snap, deadline) for c in cond.items]
-        return _all_of(parts) if isinstance(cond, _sql.And) else _any_of(parts)
-    if isinstance(cond, _sql.InSubquery):
-        return _compile_membership(*_membership(cond, operand, schema, snap, deadline))
-    return _all_of([_compile_comparison(*c) for c in _comparisons(cond, operand, schema, snap, deadline)])
-
-
 def _compile_passes(cond, operand, schema, snap, deadline) -> list:
-    """A WHERE conjunct as passes over a chunk of rows, run one after the
-    other: one per comparison it amounts to, one for a column IN (subquery),
-    else one of its row predicate."""
+    """A WHERE or HAVING condition as passes over a chunk of rows, run one
+    after the other; ``operand`` places an AST operand in the row or makes
+    it a constant.  AND is its parts' passes, OR one pass, a comparison one
+    pass per comparison it amounts to, and ``probe IN (subquery)`` one pass
+    that keeps a non-null probe equal to a value the subquery returned."""
+    if isinstance(cond, _sql.And):
+        return [p for item in cond.items for p in _compile_passes(item, operand, schema, snap, deadline)]
+    if isinstance(cond, _sql.Or):
+        return [_any_pass([_compile_passes(item, operand, schema, snap, deadline) for item in cond.items])]
     if isinstance(cond, _sql.InSubquery):
-        probe, lookup = _membership(cond, operand, schema, snap, deadline)
+        # the values are one column's, so they share one attribute
+        values = _column_subquery(cond.query, schema, snap, deadline)
+        probe = operand(cond.operand)
+        key_attr = _value_attr(values[0]) if values else None
+        lookup = _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
         if probe.index is None:
-            return [_rows_pass(_compile_membership(probe, lookup))]
-        return [_column_pass(probe.index, lambda values: map(lookup, values))]
-    if isinstance(cond, (_sql.And, _sql.Or)):
-        return [_rows_pass(_compile_condition(cond, operand, schema, snap, deadline))]
+            return [_constant_pass(probe.value is not None and bool(lookup(probe.value)))]
+        return [_column_pass((probe.index,), lambda probes: map(lookup, probes))]
     return [_comparison_pass(*c) for c in _comparisons(cond, operand, schema, snap, deadline)]
 
 
@@ -778,7 +746,7 @@ def _run_query(
     main = scope.tables[0][0]
     rows: Sequence[tuple] = snap[main.name]
 
-    def compile_where(cond, operand):
+    def passes_of(cond, operand):
         return _compile_passes(cond, operand, schema, snap, deadline)
 
     if query.join is not None:
@@ -799,16 +767,16 @@ def _run_query(
                 if isinstance(node, _sql.ColumnRef)
             }
             if sides == {True}:
-                right_passes.extend(compile_where(cond, _shifted(scope.operand, base)))
+                right_passes.extend(passes_of(cond, _shifted(scope.operand, base)))
             elif sides == {True, False}:
                 spanning.append(cond)
             else:
-                left_passes.extend(compile_where(cond, scope.operand))
+                left_passes.extend(passes_of(cond, scope.operand))
         # joined rows hold only the columns read after the join; everything
         # after it resolves names to their place in that narrow row
         reads = _read_after_join(query, spanning, scope)
         scope = scope.narrowed(reads)
-        joined_passes = [p for cond in spanning for p in compile_where(cond, scope.operand)]
+        joined_passes = [p for cond in spanning for p in passes_of(cond, scope.operand)]
         rows = _hash_join(
             _filter(rows, left_passes, deadline),
             _filter(snap[right.name], right_passes, deadline),
@@ -818,8 +786,7 @@ def _run_query(
         )
         rows = _filter(rows, joined_passes, deadline)
     else:
-        passes = [p for cond in _conjuncts(query.where) for p in compile_where(cond, scope.operand)]
-        rows = _filter(rows, passes, deadline)
+        rows = _filter(rows, [] if query.where is None else passes_of(query.where, scope.operand), deadline)
 
     select = list(query.select)
     has_star = any(isinstance(item, _sql.Star) for item in select)
@@ -898,9 +865,7 @@ def _run_query(
             return _Operand(group_idxs.index(idx), col.attribute)
         return _constant(node.value)
 
-    having = None
-    if query.having is not None:
-        having = _compile_condition(query.having, having_operand, schema, snap, deadline)
+    having = [] if query.having is None else passes_of(query.having, having_operand)
 
     order_plan = []
     for item in query.order_by:
@@ -931,9 +896,8 @@ def _run_query(
     for key, members in groups.items():
         _check_deadline(deadline)
         aggregates = tuple([spec.compute(members) for spec in agg_specs.values()])
-        group_row = ((key,) if one_key else key) + aggregates
-        if having is None or having(group_row):
-            group_rows.append(group_row)
+        group_rows.append(((key,) if one_key else key) + aggregates)
+    group_rows = _filter(group_rows, having, deadline)
     out_rows = list(_picked(select_slots, group_rows))
     order_keys = None
     if order_plan:

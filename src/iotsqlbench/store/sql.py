@@ -35,7 +35,7 @@ _KEYWORDS = {
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
   | (?P<string>'[^']*'|"[^"]*")
   | (?P<op><=|>=|!=|<>|=|<|>)

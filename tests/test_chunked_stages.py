@@ -253,12 +253,13 @@ def outcome(run):
         return type(exc)
 
 
+OFFSET_TEXT = "2021-01-01T00:00:00+01:00"  # a TypeMismatch against a time
 NULLS_SOMETIMES = dict.fromkeys(("n", "m", "t", "s", "b", "g", "k", "y", "u", "tt"), 0.0002)
 EDGE_POOL = {
     "number": [math.nan, 2**53, 2**53 + 1, float(2**53), 2**70 + 1, 1.0, 1.0 + 5e-10, 1.0 + 3e-9,
                math.inf, -math.inf],
     "time": [BASE_TIME, BASE_TIME + timedelta(hours=12)],
-    "text": ["a", "2021-01-01", "2021-01-01T00:00:00+01:00"],
+    "text": ["a", "2021-01-01", OFFSET_TEXT],
     "boolean": [True, False], "group": ["x", "y"], "nulls": NULLS_SOMETIMES, "keys": 10,
 }
 
@@ -296,6 +297,17 @@ EDGE_CONDITIONS = [
     ("or", [("cmp", ">", ("col", "n"), ("sub", "n", 5)), ("cmp", "=", ("col", "g"), ("const", "x"))]),
     ("in", "n", "y"),
     ("in", "s", "tt"),  # a TypeMismatch once a row holds the offset text
+    # a later OR part tests only the rows the earlier parts dropped, so it
+    # never meets the offset text that an earlier part keeps; within a part,
+    # a later AND item tests only the rows the earlier items keep
+    ("or", [("cmp", "=", ("col", "s"), ("const", OFFSET_TEXT)), ("cmp", "<", ("col", "t"), ("col", "s"))]),
+    ("or", [("cmp", "=", ("col", "s"), ("const", OFFSET_TEXT)), ("cmp", "=", ("col", "g"), ("const", "x")),
+            ("cmp", ">=", ("col", "t"), ("col", "s"))]),
+    ("or", [("and", [("cmp", "!=", ("col", "s"), ("const", "a")),
+                     ("cmp", "!=", ("col", "s"), ("const", "2021-01-01"))]),
+            ("in", "s", "tt")]),
+    ("or", [("cmp", "=", ("col", "g"), ("const", "x")),
+            ("and", [("cmp", "=", ("col", "s"), ("const", "a")), ("cmp", "<", ("col", "s"), ("col", "t"))])]),
 ]
 
 
@@ -341,7 +353,8 @@ def reference_groups(rows, keys, calls, having, pos):
 
 @st.composite
 def group_queries(draw, pool):
-    keys = draw(st.sampled_from((["g"], ["n"], ["b"], ["t"], ["g", "b"], ["b", "k"])))
+    # one group per row with ``id``: HAVING runs over 4,095-4,097 groups
+    keys = draw(st.sampled_from((["g"], ["n"], ["b"], ["t"], ["g", "b"], ["b", "k"], ["id"])))
     calls = draw(st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=4, unique=True))
     having = None
     if draw(st.booleans()):

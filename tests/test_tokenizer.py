@@ -1,18 +1,20 @@
 """The tokenizer's single ``finditer`` pass against the ``match`` loop it
-replaced: the same (kind, text, position) tokens, or the same ParseError."""
+replaced: the same (kind, text, position) tokens, or the same ParseError.
+Numbers are ASCII digits only, as identifiers are ASCII letters."""
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.store import ParseError
-from iotsqlbench.store.sql import tokenize
+from iotsqlbench.store.sql import parse, tokenize
 
 _REFERENCE_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
   | (?P<string>'[^']*'|"[^"]*")
   | (?P<op><=|>=|!=|<>|=|<|>)
@@ -70,3 +72,9 @@ dialect_with_junk = st.one_of(
 @example("SELECT $1")
 def test_tokenize_matches_the_match_loop(sql):
     assert tokenized(sql) == reference_tokenize(sql)
+
+
+def test_a_non_ascii_digit_is_no_number():
+    with pytest.raises(ParseError, match="unexpected character '١'"):
+        parse("SELECT uid FROM conn_log WHERE orig_p = ١٢")
+    assert tokenized("12٣") == "unexpected character '٣' at position 2"

@@ -268,6 +268,24 @@ def test_round_trip_all_kinds(synth_data):
         assert serialize_zeek(back.records, kind) == text
 
 
+@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+def test_round_trip_keeps_a_value_holding_a_unicode_line_break(mark):
+    records = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    records[1] = dataclasses.replace(records[1], history=f"Sh{mark}Ad")
+    text = serialize_zeek(records, "conn")
+    back = parse_zeek(text, "conn")
+    assert not back.issues
+    assert back.records == records
+
+
+def test_crlf_log_parses_as_its_lf_form():
+    text = f"{HEADER}\n{GOOD_LINE}\n\n{GOOD_LINE}\n"
+    crlf = parse_zeek(text.replace("\n", "\r\n"), "conn")
+    assert not crlf.issues
+    assert crlf.records == parse_zeek(text, "conn").records
+    assert len(crlf.records) == 2
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
 def test_generator_parser_duality(seed, n):
@@ -320,7 +338,8 @@ def _reference_parse(text, kind):
     """Line-by-line parse of a log: (records, [(line_no, message)])."""
     separator, unset, empty, plan = "\t", "-", "(empty)", None
     records, issues = [], []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         if not raw.strip():
             continue
         if raw.startswith("#"):
