@@ -39,12 +39,12 @@ _CHECK_EVERY rows at a time and read the deadline once per chunk (and once
 per group, and once per _CHECK_EVERY joined rows).  A comparison reads the
 chunk's column (both, for a column against a column) in one pass, maps
 its comparator over the values and keeps rows with ``itertools.compress``;
-a null passes no test, so a chunk whose column holds one drops those rows
-first.  A number outside a number constant's tolerance window is decided
-by one comparison with the window's edge; only the values inside it take
-the tolerance test.  A column IN (subquery) maps the subquery's equality
-lookup over the column, and a comparison of two constants keeps every row
-or none.  GROUP BY takes a chunk's keys with one ``itemgetter`` pass, an
+a null passes no test, so a chunk whose column holds one tests only its
+other rows.  A number outside a number constant's tolerance window is
+decided by one comparison with the window's edge; only the values inside
+it take the tolerance test.  A column IN (subquery) maps the subquery's
+equality lookup over the column, and a comparison of two constants keeps
+every row or none.  GROUP BY takes a chunk's keys with one ``itemgetter`` pass, an
 aggregate reads its argument column of a group in one pass, and the join
 takes its build and probe keys the same way.
 
