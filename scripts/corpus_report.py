@@ -12,6 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from iotsqlbench.templates import read_corpus
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -19,12 +21,13 @@ def main() -> int:
     args = parser.parse_args()
 
     corpus = Path(args.corpus)
-    stats = json.loads((corpus.parent / "stats.json").read_text(encoding="utf-8"))
+    with open(corpus.parent / "stats.json", encoding="utf-8") as fh:
+        stats = json.load(fh)
     print(json.dumps(stats, indent=2, sort_keys=True))
 
-    lines = corpus.read_text(encoding="utf-8").splitlines()
+    pairs = read_corpus(corpus.read_text(encoding="utf-8"))
     # hand-written pairs have no category
-    categories = Counter(json.loads(line)["category"] or "(none)" for line in lines if line.strip())
+    categories = Counter(pair.category or "(none)" for pair in pairs)
     print("categories:", json.dumps(categories, sort_keys=True))
 
     temporal, n = stats["temporal_pairs"], stats["n_pairs"]

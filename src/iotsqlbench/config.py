@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .ingest.records import AttackLabel
+from .lines import split_lines
 
 # key -> (default, help)
 CONFIG_KEYS = {
@@ -65,7 +66,7 @@ class ConfigError(Exception):
 
 def parse_kv_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import datetime
 from typing import Iterable
 
+from ..lines import split_lines
 from .records import SENSOR_TYPES, IngestError, RecordInvariantError, SensorReading
 
 
@@ -25,7 +26,7 @@ def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
     readings: list[SensorReading] = []
-    rows = text.splitlines()
+    rows = split_lines(text)
     start = 0
     if rows and rows[0].replace(" ", "").casefold().startswith("room,"):
         start = 1

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
+from ..lines import split_lines
 from .records import (
     SENSOR_TYPES,
     ZEEK_KINDS,
@@ -402,9 +403,7 @@ def serialize_devices(devices: list[dict]) -> str:
 
 
 def parse_devices(text: str) -> list[dict]:
-    lines = text.splitlines()
-    if not lines:
-        return []
+    lines = split_lines(text)
     header = lines[0].split(",")
     out = []
     for raw in lines[1:]:

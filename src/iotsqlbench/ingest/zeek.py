@@ -55,6 +55,7 @@ from itertools import compress, count, repeat
 from operator import attrgetter, is_not, itemgetter
 from typing import Iterable
 
+from ..lines import split_lines
 from .records import (
     CONN_FIELDS,
     CONN_TABLE_NAMES,
@@ -207,12 +208,7 @@ def parse_zeek(text: str, kind: str) -> ZeekParseResult:
     """
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
-    # lines end at "\n" (one "\r" before it is dropped): str.splitlines would
-    # also break at U+2028, U+2029 and U+0085, which serialize_zeek leaves in
-    # a value as they are
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
+    lines = split_lines(text)
     for line in lines:
         if not line.strip():
             continue

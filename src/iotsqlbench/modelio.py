@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .ingest.records import CONN_FIELDS, ConnRecord, conn_columns
 from .ingest.zeek import _render_column
+from .lines import split_lines
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
 DEFAULT_INSTRUCTION = "Is the following network information Malicious?"
@@ -165,7 +166,7 @@ def write_detection_examples(records: Iterable[ConnRecord], path, instruction: s
 
 def read_sql_examples(source: str | os.PathLike) -> list[SqlExample]:
     out = []
-    for line_no, obj in _read_jsonl(source):
+    for line_no, obj in read_jsonl(source):
         try:
             instruction_free = obj["input"]
             out.append(SqlExample(id=obj["id"], input=instruction_free, gold_sql=obj["gold_sql"]))
@@ -177,7 +178,7 @@ def read_sql_examples(source: str | os.PathLike) -> list[SqlExample]:
 
 def read_detection_examples(source: str | os.PathLike) -> list[DetectionExample]:
     out = []
-    for line_no, obj in _read_jsonl(source):
+    for line_no, obj in read_jsonl(source):
         try:
             text = obj["input"]
             gold = label_to_bool(obj["gold"])
@@ -200,7 +201,7 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
     if kind not in ("sql", "detection"):
         raise ParseError(f"unknown prediction kind {kind!r}")
     out = []
-    for line_no, obj in _read_jsonl(source):
+    for line_no, obj in read_jsonl(source):
         if "id" not in obj:
             raise MissingId(f"line {line_no}: prediction record has no id")
         if "payload" not in obj:
@@ -215,14 +216,11 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
     return out
 
 
-def _read_jsonl(source: str | os.PathLike):
-    """(line number, object) per record; a str is the file's text, an
-    os.PathLike its path."""
+def read_jsonl(source: str | os.PathLike):
+    """(line number, object) per record of JSON lines, the toolkit's one JSON-lines
+    reader; a str is the text, an os.PathLike its file's path."""
     text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
-    # records end at "\n" alone: str.splitlines would also break at U+2028,
-    # U+2029 and U+0085, which json leaves unescaped under ensure_ascii=False
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
+    for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:

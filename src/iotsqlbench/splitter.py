@@ -16,6 +16,7 @@ from datetime import datetime, timedelta
 from itertools import repeat
 
 from .ingest.records import AttackLabel, ConnTable, conn_columns
+from .lines import split_lines
 
 SPLITS = ("train", "dev", "test")
 
@@ -279,8 +280,8 @@ def dump_manifest(manifest: SplitManifest) -> str:
 
 
 def load_manifest(text: str) -> SplitManifest:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# "):
+    lines = split_lines(text)
+    if not lines[0].startswith("# "):
         raise SplitError("manifest missing header")
     header = json.loads(lines[0][2:])
     assignment = {}

@@ -17,6 +17,8 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..lines import split_lines
+
 ATTRIBUTES = ("text", "number", "time", "boolean")
 
 
@@ -162,7 +164,7 @@ def parse_schema_text(text: str) -> DatabaseSchema:
             tables.append(TableSchema(name=current_name, columns=tuple(current_cols)))
         current_name, current_cols = None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

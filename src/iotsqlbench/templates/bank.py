@@ -15,6 +15,8 @@ import importlib.resources
 import re
 from dataclasses import dataclass, field
 
+from ..lines import split_lines
+
 
 class TemplateError(Exception):
     pass
@@ -199,7 +201,7 @@ def parse_bank_text(text: str) -> list[QueryTemplate]:
         current_id, category, sql_pattern = None, None, None
         nl_patterns, slots = [], {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
 
+from ..modelio import read_jsonl
 from ..store import Database, Scope, StoreError, canonical_tables
 from ..store import sql as _sql
 from ..store.schema import ColumnDef, DatabaseSchema, TableSchema
@@ -582,18 +583,12 @@ def pair_to_json(pair: TextSqlPair) -> str:
 
 
 def read_corpus(text: str) -> list[TextSqlPair]:
-    """Load a corpus file's text; every pair's SQL must parse in the store dialect."""
+    """A corpus file's text (``read_jsonl``); every pair's SQL must parse in the store dialect."""
     pairs = []
-    # records end at "\n" alone: str.splitlines would also break at U+2028,
-    # U+2029 and U+0085, which json leaves unescaped under ensure_ascii=False
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
-        if not line.strip():
-            continue
+    for line_no, obj in read_jsonl(text):
         try:
-            obj = json.loads(line)
             question, sql_text = obj["question"], obj["sql"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except KeyError as exc:
             raise TemplateError(f"corpus line {line_no}: bad record ({exc})") from exc
         try:
             _sql.parse(sql_text)
@@ -612,16 +607,12 @@ def read_corpus(text: str) -> list[TextSqlPair]:
 
 
 def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
-    """Hand-written pairs from JSONL text, validated by execution."""
+    """Hand-written pairs from JSONL text (``read_jsonl``), validated by execution."""
     pairs = []
-    for line_no, line in enumerate(text.split("\n"), start=1):  # "\n" alone, as read_corpus
-        line = line.removesuffix("\r")
-        if not line.strip():
-            continue
+    for line_no, obj in read_jsonl(text):
         try:
-            obj = json.loads(line)
             question, sql_text = obj["question"], obj["sql"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except KeyError as exc:
             raise ManualPairError(f"line {line_no}: bad record ({exc})") from exc
         try:
             query = db.execute(sql_text).query
