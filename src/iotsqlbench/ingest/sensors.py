@@ -20,8 +20,9 @@ class BadValue(IngestError):
 def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
     """Parse a sensor CSV into typed readings.
 
-    Expects a ``room,ts,value`` header; ts is ISO-8601.  Raises BadTimestamp
-    or BadValue with the offending line number.
+    Expects a ``room,ts,value`` header; ts is ISO-8601; lines end at "\n"
+    alone (``lines.split_lines``).  Raises BadTimestamp or BadValue with the
+    offending line number.
     """
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")

@@ -403,18 +403,28 @@ def serialize_devices(devices: list[dict]) -> str:
 
 
 def parse_devices(text: str) -> list[dict]:
+    """Device dicts of a devices.csv text: a header naming every DEVICE_COLUMNS
+    column, then one row of the header's width per line. A row of another
+    width, or a value that does not convert, is an IngestError naming its line."""
     lines = split_lines(text)
     header = lines[0].split(",")
+    if text.strip() and not set(DEVICE_COLUMNS).issubset(header):
+        raise IngestError(f"devices line 1: the header must name {','.join(DEVICE_COLUMNS)}")
     out = []
-    for raw in lines[1:]:
+    for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         values = raw.split(",", len(header) - 1)
+        if len(values) != len(header):
+            raise IngestError(f"devices line {line_no}: expected {len(header)} values, got {len(values)}")
         d: dict = dict(zip(header, values))
-        d["floor"] = int(d["floor"])
-        d["battery_level"] = int(d["battery_level"])
-        d["install_ts"] = datetime.fromisoformat(d["install_ts"])
-        d["last_seen_ts"] = datetime.fromisoformat(d["last_seen_ts"])
-        d["is_gateway"] = d["is_gateway"] == "T"
+        try:
+            d["floor"] = int(d["floor"])
+            d["battery_level"] = int(d["battery_level"])
+            d["install_ts"] = datetime.fromisoformat(d["install_ts"])
+            d["last_seen_ts"] = datetime.fromisoformat(d["last_seen_ts"])
+            d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]
+        except (KeyError, ValueError) as exc:  # KeyError: an is_gateway other than T or F
+            raise IngestError(f"devices line {line_no}: bad value {exc}") from exc
         out.append(d)
     return out

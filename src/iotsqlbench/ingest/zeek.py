@@ -202,9 +202,10 @@ def _render(value, spec: FieldSpec) -> str:
 def parse_zeek(text: str, kind: str) -> ZeekParseResult:
     """Parse the text of one Zeek log into typed records.
 
-    Returns the records plus per-line issues for malformed rows (wrong
-    field count, out-of-range values); bad lines are reported, never
-    silently coerced into records.
+    Lines end at "\n" alone (``lines.split_lines``). Returns the records
+    plus per-line issues for malformed rows (wrong field count, out-of-range
+    values, a JSON line that is not an object); bad lines are reported,
+    never silently coerced into records.
     """
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
@@ -537,6 +538,9 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             issues.append(ParseIssue(line_no=line_no, message=f"bad json: {exc}"))
+            continue
+        if not isinstance(obj, dict):
+            issues.append(ParseIssue(line_no=line_no, message="expected a JSON object"))
             continue
         try:
             values = tuple(

@@ -280,25 +280,29 @@ def dump_manifest(manifest: SplitManifest) -> str:
 
 
 def load_manifest(text: str) -> SplitManifest:
+    """The manifest ``dump_manifest`` wrote; a header that is not a JSON object
+    of its fields, or a line that is not an id, a tab and a split name, is a
+    SplitError naming its line."""
     lines = split_lines(text)
     if not lines[0].startswith("# "):
-        raise SplitError("manifest missing header")
-    header = json.loads(lines[0][2:])
+        raise SplitError("manifest line 1: missing header")
+    try:
+        header = json.loads(lines[0][2:])
+        ratios = tuple(header["ratios"]) if header.get("ratios") else None
+        train_attacks = frozenset(AttackLabel(v) for v in header.get("train_attacks", []))
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SplitError(f"manifest line 1: bad header ({exc})") from exc
     assignment = {}
-    for raw in lines[1:]:
+    for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        item_id, split = raw.split("\t")
+        item_id, _, split = raw.partition("\t")
         if split not in SPLITS:
-            raise SplitError(f"bad split name {split!r}")
+            raise SplitError(f"manifest line {line_no}: expected <id>\\t<split>, got {raw!r}")
         assignment[item_id] = split
     return SplitManifest(
-        assignment=assignment,
-        ratios=tuple(header["ratios"]) if header.get("ratios") else None,
-        seed=header.get("seed", 0),
-        train_attack_labels=frozenset(
-            AttackLabel(v) for v in header.get("train_attacks", [])
-        ),
+        assignment=assignment, ratios=ratios, seed=header.get("seed", 0),
+        train_attack_labels=train_attacks,
     )
 
 

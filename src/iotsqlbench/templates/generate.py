@@ -583,13 +583,13 @@ def pair_to_json(pair: TextSqlPair) -> str:
 
 
 def read_corpus(text: str) -> list[TextSqlPair]:
-    """A corpus file's text (``read_jsonl``); every pair's SQL must parse in the store dialect."""
+    """A corpus file's text (``read_jsonl``): each record's question and sql
+    are strings, and the SQL parses in the store dialect."""
     pairs = []
     for line_no, obj in read_jsonl(text):
-        try:
-            question, sql_text = obj["question"], obj["sql"]
-        except KeyError as exc:
-            raise TemplateError(f"corpus line {line_no}: bad record ({exc})") from exc
+        question, sql_text = obj.get("question"), obj.get("sql")
+        if not (isinstance(question, str) and isinstance(sql_text, str)):
+            raise TemplateError(f"corpus line {line_no}: question and sql must be strings")
         try:
             _sql.parse(sql_text)
         except Exception as exc:
@@ -607,13 +607,13 @@ def read_corpus(text: str) -> list[TextSqlPair]:
 
 
 def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
-    """Hand-written pairs from JSONL text (``read_jsonl``), validated by execution."""
+    """Hand-written pairs from JSONL text (``read_jsonl``): each question and
+    sql is a string, and the SQL executes on ``db``."""
     pairs = []
     for line_no, obj in read_jsonl(text):
-        try:
-            question, sql_text = obj["question"], obj["sql"]
-        except KeyError as exc:
-            raise ManualPairError(f"line {line_no}: bad record ({exc})") from exc
+        question, sql_text = obj.get("question"), obj.get("sql")
+        if not (isinstance(question, str) and isinstance(sql_text, str)):
+            raise ManualPairError(f"line {line_no}: question and sql must be strings")
         try:
             query = db.execute(sql_text).query
         except Exception as exc:

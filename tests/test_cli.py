@@ -384,3 +384,35 @@ def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, monkeypatc
     assert run(["--out", tmp_path / "twins", "eval-sql", "--db", out / "synth",
                 "--examples", examples, "--predictions", files[0], twin]) == 2
     assert not (tmp_path / "twins" / "eval").exists()
+
+
+def test_malformed_device_manifest_and_corpus_lines_exit_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    devices = out / "synth/devices.csv"
+    lines = devices.read_text(encoding="utf-8").split("\n")
+    lines[2] = "D0099,two-values"
+    devices.write_text("\n".join(lines), encoding="utf-8")
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text('{"id": "g0", "input": "q", "gold_sql": "SELECT 1"}\n')
+    capsys.readouterr()
+    for stage in (["ingest", "--logs"], ["gen-pairs", "--db"],
+                  ["eval-sql", "--examples", examples, "--predictions", examples, "--db"]):
+        assert run(["--out", tmp_path / stage[0], *SMALL, *stage, out / "synth"]) == 1
+        assert "devices line 3: expected 16 values, got 2" in capsys.readouterr().err
+    manifest = out / "splits/network_manifest.txt"
+    good = manifest.read_text(encoding="utf-8").split("\n")
+    for line_no, bad in ((1, "# {not json"), (4, "C-no-tab"), (5, "C1\ttrain\textra")):
+        lines = list(good)
+        lines[line_no - 1] = bad
+        manifest.write_text("\n".join(lines), encoding="utf-8")
+        for stage in ("emit", "baseline"):
+            assert run(["--out", tmp_path / stage, stage, *network]) == 1
+            assert f"manifest line {line_no}:" in capsys.readouterr().err
+    corpus = tmp_path / "corpus.jsonl"
+    for bad, message in (('{"question": 5, "sql": "SELECT 1"}',
+                          "corpus line 2: question and sql must be strings"),
+                         ("[1, 2]", "line 2: expected an object")):
+        corpus.write_text('{"question": "q", "sql": "SELECT 1"}\n' + bad + "\n", encoding="utf-8")
+        assert run(["--out", tmp_path / "split", "split", "--corpus", corpus]) == 1
+        assert message in capsys.readouterr().err

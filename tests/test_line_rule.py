@@ -1,0 +1,82 @@
+"""Every text file the toolkit writes and reads back ends a line at "\\n"
+alone: each writer -> reader pair keeps a value holding U+2028, U+2029 or
+U+0085, which ``str.splitlines`` would break, and reads its CRLF form."""
+
+import dataclasses
+from datetime import datetime
+
+import pytest
+
+from iotsqlbench.ingest import (
+    AttackLabel,
+    SensorReading,
+    SynthSpec,
+    ingest_sensors,
+    parse_devices,
+    parse_zeek,
+    serialize_devices,
+    serialize_sensors,
+    serialize_zeek,
+    synthesize_logs,
+)
+from iotsqlbench.lines import split_lines
+from iotsqlbench.modelio import read_sql_examples, write_sql_examples
+from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
+from iotsqlbench.store import default_schema
+from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
+
+
+def _devices(mark, tmp_path):
+    devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
+    devices[1]["name"] = f"hub{mark}R101"
+    return devices, serialize_devices(devices), parse_devices
+
+
+def _sensors(mark, tmp_path):
+    readings = [SensorReading("co2", f"R1{mark}01", datetime(2021, 3, 1, 10), 415),
+                SensorReading("co2", "R102", datetime(2021, 3, 1, 11), 420.5)]
+    return readings, serialize_sensors(readings), lambda text: ingest_sensors(text, "co2")
+
+
+def _manifest(mark, tmp_path):
+    manifest = SplitManifest(assignment={f"C1{mark}x": "train", "C2": "test"}, ratios=(0.6, 0.4),
+                             seed=5, train_attack_labels=frozenset({AttackLabel.Okiru}))
+    return manifest, dump_manifest(manifest), load_manifest
+
+
+def _corpus(mark, tmp_path):
+    pairs = [TextSqlPair(question=f"How many{mark}sessions?", sql="SELECT COUNT(*) FROM conn.log",
+                         template_id="t1", tables_referenced=frozenset({"conn.log"}),
+                         category="retrieval")]
+    return pairs, "".join(pair_to_json(p) + "\n" for p in pairs), read_corpus
+
+
+def _jsonl(mark, tmp_path):
+    pairs = [TextSqlPair(question=f"Which{mark}hosts?", sql="SELECT orig_h FROM conn.log")]
+    path = tmp_path / "sql.jsonl"
+    examples = write_sql_examples(pairs, default_schema(), path)
+    return examples, path.read_text(encoding="utf-8"), read_sql_examples
+
+
+def _zeek(mark, tmp_path):
+    records = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    records[1] = dataclasses.replace(records[1], uid=f"C{mark}1", history=f"Sh{mark}Ad")
+    return records, serialize_zeek(records, "conn"), lambda text: parse_zeek(text, "conn").records
+
+
+PAIRS = {"devices": _devices, "sensors": _sensors, "manifest": _manifest,
+         "corpus": _corpus, "jsonl": _jsonl, "zeek": _zeek}
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+@pytest.mark.parametrize("pair", list(PAIRS))
+def test_writer_reader_pair_keeps_a_value_holding_a_unicode_line_break(pair, mark, line_end, tmp_path):
+    written, text, read = PAIRS[pair](mark, tmp_path)
+    assert mark in text
+    assert read(text.replace("\n", line_end)) == written
+
+
+def test_a_line_ends_at_newline_alone():
+    assert split_lines("a\u2028b\x85c\r\nd\re\x0cf\x1cg\n") == ["a\u2028b\x85c", "d\re\x0cf\x1cg", ""]
+    assert split_lines("") == [""]

@@ -4,13 +4,17 @@ from iotsqlbench.ingest import (
     AttackLabel,
     BadTimestamp,
     BadValue,
+    IngestError,
     InvalidSpec,
     SynthSpec,
     apportion,
     ingest_sensors,
+    parse_devices,
+    serialize_devices,
     serialize_sensors,
     synthesize_logs,
 )
+from iotsqlbench.ingest.synth import DEVICE_COLUMNS
 
 CO2_FIXTURE = "\n".join(
     ["room,ts,value"]
@@ -107,3 +111,31 @@ def test_conn_records_satisfy_invariants(synth_data):
         if rec.duration is not None:
             assert rec.duration >= 0
         assert rec.is_malicious == (rec.label is not AttackLabel.Benign)
+
+
+DEVICES_TEXT = serialize_devices(synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("D0099,two-values", "devices line 3: expected 16 values, got 2"),
+    ("floor=x", "devices line 3: bad value invalid literal for int()"),
+    ("install_ts=yesterday", "devices line 3: bad value Invalid isoformat string"),
+    ("is_gateway=yes", "devices line 3: bad value 'yes'"),
+])
+def test_parse_devices_names_a_bad_line(line, message):
+    lines = DEVICES_TEXT.split("\n")
+    if "=" in line:  # one value of the second device replaced
+        column, value = line.split("=")
+        values = lines[2].split(",")
+        values[DEVICE_COLUMNS.index(column)] = value
+        line = ",".join(values)
+    lines[2] = line
+    with pytest.raises(IngestError) as exc:
+        parse_devices("\n".join(lines))
+    assert str(exc.value).startswith(message)
+
+
+def test_parse_devices_needs_every_column_in_its_header():
+    assert len(parse_devices(DEVICES_TEXT)) == 3
+    with pytest.raises(IngestError, match="devices line 1: the header must name"):
+        parse_devices(DEVICES_TEXT.replace(",floor,", ",level,"))

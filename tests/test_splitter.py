@@ -215,6 +215,18 @@ def test_manifest_round_trip():
     assert again.seed == manifest.seed
 
 
+@pytest.mark.parametrize("line_no, bad", [
+    (1, "no header"), (1, "# {not json"), (1, "# [1, 2]"), (1, '# {"train_attacks": ["x"]}'),
+    (3, "C-no-tab"), (4, "C1\ttrain\textra"), (4, "C1\tvalidation"),
+])
+def test_load_manifest_names_a_bad_line(line_no, bad):
+    records = _records({AttackLabel.Okiru: 0.5, AttackLabel.Benign: 0.5}, 20)
+    lines = dump_manifest(split_network(records, seed=4)).split("\n")
+    lines[line_no - 1] = bad
+    with pytest.raises(SplitError, match=f"^manifest line {line_no}: "):
+        load_manifest("\n".join(lines))
+
+
 def test_attack_disjointness_asserted():
     records = _records({AttackLabel.Okiru: 0.5, AttackLabel.Benign: 0.5}, 60)
     manifest = split_network(records, seed=2)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from iotsqlbench.modelio import ParseError
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
 from iotsqlbench.templates import (
     CorpusConfig,
@@ -171,6 +172,10 @@ def test_read_corpus_rejects_unparseable_sql():
     with pytest.raises(TemplateError) as exc:
         read_corpus(bad + "\n")
     assert "line 1" in str(exc.value)
+    with pytest.raises(TemplateError, match="^corpus line 2: question and sql must be strings"):
+        read_corpus('{"question": "q", "sql": "SELECT 1"}\n{"question": 5, "sql": "SELECT 1"}\n')
+    with pytest.raises(ParseError, match="^line 1: expected an object"):
+        read_corpus("[1, 2]\n")
 
 
 def test_manual_pairs_validated(synth_db, tmp_path):
@@ -181,8 +186,12 @@ def test_manual_pairs_validated(synth_db, tmp_path):
     bad = '{"question": "broken", "sql": "SELECT nope FROM conn.log"}'
     with pytest.raises(ManualPairError):
         read_manual_pairs(bad + "\n", synth_db)
-    with pytest.raises(ManualPairError):
-        read_manual_pairs('{"question": "no sql"}\n', synth_db)
+    for bad in ('{"question": "no sql"}', '{"question": 5, "sql": "SELECT 1"}',
+                '{"question": "q", "sql": ["SELECT 1"]}'):
+        with pytest.raises(ManualPairError, match="^line 1: question and sql must be strings"):
+            read_manual_pairs(bad + "\n", synth_db)
+    with pytest.raises(ParseError, match="^line 1: expected an object"):
+        read_manual_pairs("[1, 2]\n", synth_db)
 
 
 def test_corpus_stats_reports_both_lengths(synth_db):

@@ -161,6 +161,15 @@ def test_json_lines_format():
     assert rec.duration is None
 
 
+def test_json_line_that_is_not_an_object_is_a_parse_issue():
+    good = json.dumps(_JSON_CONN)
+    result = parse_zeek("\n".join([good, "[1, 2]", "{oops", "5", good]) + "\n", "conn")
+    assert len(result.records) == 2
+    assert [issue.line_no for issue in result.issues] == [2, 3, 4]
+    assert result.issues[0].message == result.issues[2].message == "expected a JSON object"
+    assert result.issues[1].message.startswith("bad json")
+
+
 # A NaN duration passes the column range check (min and max skip a NaN that
 # is not first) and _convert (NaN < 0 is false); __post_init__ rejects it.
 @pytest.mark.parametrize("position", [0, 1, 255, 256, 299])
