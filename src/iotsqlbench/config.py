@@ -65,7 +65,7 @@ class ConfigError(Exception):
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """``key = value`` lines, each ending at "\n" alone (``lines.split_lines``)."""
+    """``key = value`` lines, split by ``lines.split_lines``; ``#`` starts a comment."""
     out: dict[str, str] = {}
     for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()

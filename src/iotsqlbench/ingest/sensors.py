@@ -20,8 +20,8 @@ class BadValue(IngestError):
 def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
     """Parse a sensor CSV into typed readings.
 
-    Expects a ``room,ts,value`` header; ts is ISO-8601; lines end at "\n"
-    alone (``lines.split_lines``).  Raises BadTimestamp or BadValue with the
+    Lines are split by ``lines.split_lines``.  Expects a ``room,ts,value``
+    header; ts is ISO-8601.  Raises BadTimestamp or BadValue with the
     offending line number.
     """
     if sensor_type not in SENSOR_TYPES:
@@ -29,7 +29,7 @@ def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
     readings: list[SensorReading] = []
     rows = split_lines(text)
     start = 0
-    if rows and rows[0].replace(" ", "").casefold().startswith("room,"):
+    if rows[0].replace(" ", "").casefold().startswith("room,"):
         start = 1
     for line_no, raw in enumerate(rows[start:], start=start + 1):
         if not raw.strip():

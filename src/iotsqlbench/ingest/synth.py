@@ -403,9 +403,10 @@ def serialize_devices(devices: list[dict]) -> str:
 
 
 def parse_devices(text: str) -> list[dict]:
-    """Device dicts of a devices.csv text: a header naming every DEVICE_COLUMNS
-    column, then one row of the header's width per line. A row of another
-    width, or a value that does not convert, is an IngestError naming its line."""
+    """Device dicts of a devices.csv text, its lines split by ``lines.split_lines``:
+    a header naming every DEVICE_COLUMNS column, then one row of the header's
+    width per line. A row of another width, or a value that does not convert,
+    is an IngestError naming its line."""
     lines = split_lines(text)
     header = lines[0].split(",")
     if text.strip() and not set(DEVICE_COLUMNS).issubset(header):

@@ -202,7 +202,7 @@ def _render(value, spec: FieldSpec) -> str:
 def parse_zeek(text: str, kind: str) -> ZeekParseResult:
     """Parse the text of one Zeek log into typed records.
 
-    Lines end at "\n" alone (``lines.split_lines``). Returns the records
+    Lines are split by ``lines.split_lines``. Returns the records
     plus per-line issues for malformed rows (wrong field count, out-of-range
     values, a JSON line that is not an object); bad lines are reported,
     never silently coerced into records.

@@ -218,8 +218,8 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
 
 def read_jsonl(source: str | os.PathLike):
     """(line number, object) per record of JSON lines, the toolkit's one JSON-lines
-    reader; a str is the text, an os.PathLike its file's path. Lines end at "\n"
-    alone (``lines.split_lines``); one that is not a JSON object is a ParseError."""
+    reader; a str is the text, an os.PathLike its file's path. Lines are split by
+    ``lines.split_lines``; one that is not a JSON object is a ParseError."""
     text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
     for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():

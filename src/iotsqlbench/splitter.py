@@ -280,9 +280,10 @@ def dump_manifest(manifest: SplitManifest) -> str:
 
 
 def load_manifest(text: str) -> SplitManifest:
-    """The manifest ``dump_manifest`` wrote; a header that is not a JSON object
-    of its fields, or a line that is not an id, a tab and a split name, is a
-    SplitError naming its line."""
+    """The manifest ``dump_manifest`` wrote, its lines split by
+    ``lines.split_lines``; a header that is not a JSON object of its fields,
+    or a line that is not an id, a tab and a split name, is a SplitError
+    naming its line."""
     lines = split_lines(text)
     if not lines[0].startswith("# "):
         raise SplitError("manifest line 1: missing header")

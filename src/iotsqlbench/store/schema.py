@@ -152,7 +152,7 @@ def parse_schema_text(text: str) -> DatabaseSchema:
 
     Format: ``table <name>`` lines, each followed by indented
     ``column <name> <attribute>`` lines.  ``#`` starts a comment; blank
-    lines are ignored; lines end at "\n" alone (``lines.split_lines``).
+    lines are ignored; lines are split by ``lines.split_lines``.
     """
     tables: list[TableSchema] = []
     current_name: str | None = None

@@ -175,8 +175,8 @@ def _parse_slot_line(parts: list[str], template_id: str) -> SlotSpec:
 
 
 def parse_bank_text(text: str) -> list[QueryTemplate]:
-    """Parse the block-structured template bank format; lines end at "\n"
-    alone (``lines.split_lines``)."""
+    """Parse the block-structured template bank format, its lines split by
+    ``lines.split_lines``."""
     templates: list[QueryTemplate] = []
     current_id: str | None = None
     category = None
