@@ -2,7 +2,8 @@
 
 Logical accuracy is exact match after formatting-only normalization
 (whitespace runs, identifier/keyword case, spacing around commas and
-parentheses, quote style); literal contents keep their case.  Execution
+parentheses, quote style, except that a literal holding a double quote
+keeps its single quotes); literal contents keep their case.  Execution
 accuracy compares result multisets positionally with numeric relative
 tolerance 1e-6, turning order-sensitive only when the gold query has
 ORDER BY; without it both results are sorted by exact keys first, so two
@@ -85,7 +86,10 @@ def normalize_sql(sql: str) -> str:
     pos = 0
     for m in _LITERAL_RE.finditer(text):
         pieces.append(_normalize_code(text[pos : m.start()]))
-        pieces.append('"' + m.group()[1:-1] + '"')
+        body = m.group()[1:-1]
+        # one quote style, but a body with a double quote keeps its single
+        # quotes: as "a"b" it would be the normal form of text that fails
+        pieces.append(f"'{body}'" if '"' in body else f'"{body}"')
         pos = m.end()
     pieces.append(_normalize_code(text[pos:]))
     return "".join(pieces).strip()

@@ -22,8 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 import random
 import re
+import signal
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
@@ -511,7 +515,17 @@ def _candidate_rng(seed: int, index: int) -> random.Random:
 
 
 def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
-    """Generate exactly n distinct pairs, deterministic in the seed."""
+    """Generate exactly n distinct pairs, deterministic in the seed.
+
+    Candidates are computed a batch at a time, round robin over this process
+    and one forked worker per further CPU it may run on (``_Candidates``),
+    then taken in index order as one process would take them.  Candidate k
+    is a function of the seed, k and its template pool alone, so the pairs
+    never depend on the number of processes: a candidate is computed again
+    here when its pool was forced to the temporal templates after the batch
+    was sent, or when computing it raised, which it then raises here, at
+    the index where one process would have raised it.
+    """
     if config.n_pairs == 0:
         return []
     bank = default_bank()
@@ -524,36 +538,182 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
     binder = TemplateBinder(db)
     temporal = [t for t in active if t.is_temporal and _temporal_possible(binder, t)]
 
+    def candidate(k: int, force_temporal: bool = False) -> TextSqlPair | None:
+        """Candidate k, or None when its template cannot be bound."""
+        rng = _candidate_rng(config.seed, k)
+        reserve_temporal = bool(temporal) and (k % _TEMPORAL_STRIDE == 0)
+        pool = temporal if (force_temporal or reserve_temporal) else active
+        template = rng.choices(pool, weights=[weights[t.id] for t in pool])[0]
+        try:
+            return instantiate(template, db, rng, binder=binder)
+        except UnsatisfiableSlot:
+            return None
+
     pairs: list[TextSqlPair] = []
     seen: set[tuple[str, str]] = set()
     temporal_count = 0
     need_temporal = int(config.temporal_floor * config.n_pairs + 0.999999) if temporal else 0
     max_attempts = max(1000, config.max_attempt_factor * config.n_pairs)
 
-    for k in range(max_attempts):
-        if len(pairs) >= config.n_pairs:
-            break
-        rng = _candidate_rng(config.seed, k)
-        remaining = config.n_pairs - len(pairs)
-        force_temporal = bool(temporal) and (need_temporal - temporal_count) >= remaining
-        reserve_temporal = bool(temporal) and (k % _TEMPORAL_STRIDE == 0)
-        pool = temporal if (force_temporal or reserve_temporal) else active
-        template = rng.choices(pool, weights=[weights[t.id] for t in pool])[0]
-        try:
-            pair = instantiate(template, db, rng, binder=binder)
-        except UnsatisfiableSlot:
-            continue
-        key = (pair.question, pair.sql)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(pair)
-        temporal_count += pair.temporal
+    with _Candidates(candidate, _process_count()) as candidates:
+        start = 0
+        while len(pairs) < config.n_pairs and start < max_attempts:
+            # no more candidates than pairs still wanted, so none is wasted
+            batch = range(start, min(start + config.n_pairs - len(pairs), max_attempts))
+            start = batch.stop
+            for k, pair in zip(batch, candidates.compute(batch)):
+                remaining = config.n_pairs - len(pairs)
+                force_temporal = bool(temporal) and (need_temporal - temporal_count) >= remaining
+                if pair == _NOT_COMPUTED or (force_temporal and k % _TEMPORAL_STRIDE):
+                    pair = candidate(k, force_temporal)
+                if pair is None:
+                    continue
+                key = (pair.question, pair.sql)
+                if key in seen:
+                    continue
+                seen.add(key)
+                pairs.append(pair)
+                temporal_count += pair.temporal
     if len(pairs) < config.n_pairs:
         raise ExhaustedResampling(
             f"could only produce {len(pairs)} of {config.n_pairs} distinct pairs"
         )
     return pairs
+
+
+# a candidate whose computation raised anything but UnsatisfiableSlot
+_NOT_COMPUTED = "not computed"
+
+
+def _process_count() -> int:
+    """Processes that compute candidates: one per CPU this process may run
+    on, or one where the platform cannot fork or name those CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _attempt(compute, k: int):
+    # any error is held back: the in-order walk computes k again and raises
+    # it only if one process would have reached k
+    try:
+        return compute(k)
+    except Exception:
+        return _NOT_COMPUTED
+
+
+class _Candidates:
+    """Computes batches of candidates with ``compute``, round robin over this
+    process and ``processes - 1`` workers forked when it is made, which share
+    its warmed binder and database pages.  Every worker is killed and reaped
+    on leaving the ``with`` block; one that fails is dropped at once, and its
+    share of the batch is marked ``_NOT_COMPUTED``.  A fork that fails leaves
+    fewer workers, and none leaves the work to this process."""
+
+    def __init__(self, compute, processes: int):
+        self._compute = compute
+        self._workers: list[_Worker] = []
+        try:
+            for _ in range(processes - 1):
+                self._workers.append(_Worker(compute, self._workers))
+        except OSError:  # no process to spare: carry on with those made
+            pass
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> _Candidates:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for worker in self._workers:
+            worker.stop()
+        self._workers = []
+
+    def compute(self, batch: range) -> list:
+        """One result per index of ``batch``: a pair, None for an
+        unsatisfiable candidate, or ``_NOT_COMPUTED``."""
+        workers = list(self._workers)
+        share = 1 + len(workers)
+        sent = [worker.send(batch[i::share]) for i, worker in enumerate(workers, 1)]
+        results = [_NOT_COMPUTED] * len(batch)
+        results[0::share] = [_attempt(self._compute, k) for k in batch[0::share]]
+        for i, (worker, ok) in enumerate(zip(workers, sent), 1):
+            got = worker.receive() if ok else None
+            if got is None:
+                worker.stop()
+                self._workers.remove(worker)
+            else:
+                results[i::share] = got
+        return results
+
+
+class _Worker:
+    """A forked process that computes each list of candidate indices it is
+    sent and sends the results back, pickled, until its pipe closes."""
+
+    def __init__(self, compute, siblings: list[_Worker]):
+        commands_r, commands_w = os.pipe()
+        results_r, results_w = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (commands_r, commands_w, results_r, results_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                # keep no write end of a sibling's pipe open, so that each
+                # worker sees its commands end if this process dies
+                for fd in (commands_w, results_r, *(f.fileno() for w in siblings for f in w.pipes)):
+                    os.close(fd)
+                with os.fdopen(commands_r, "rb") as commands, os.fdopen(results_w, "wb") as results:
+                    while True:
+                        try:
+                            batch = pickle.load(commands)
+                        except EOFError:
+                            break
+                        pickle.dump([_attempt(compute, k) for k in batch], results)
+                        results.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(commands_r)
+        os.close(results_w)
+        self.pipes = (os.fdopen(commands_w, "wb"), os.fdopen(results_r, "rb"))
+
+    def send(self, batch: range) -> bool:
+        try:
+            pickle.dump(batch, self.pipes[0])
+            self.pipes[0].flush()
+            return True
+        except OSError:  # the worker has died
+            return False
+
+    def receive(self) -> list | None:
+        """The results of the last batch sent; None if the worker died."""
+        try:
+            return pickle.load(self.pipes[1])
+        except (EOFError, OSError, pickle.UnpicklingError):
+            return None
+
+    def stop(self) -> None:
+        for pipe in self.pipes:
+            try:
+                pipe.close()
+            except OSError:  # unsent bytes for a dead worker
+                pass
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(self.pid, 0)
 
 
 def _temporal_possible(binder: TemplateBinder, template: QueryTemplate) -> bool:
@@ -584,12 +744,20 @@ def pair_to_json(pair: TextSqlPair) -> str:
 
 def read_corpus(text: str) -> list[TextSqlPair]:
     """A corpus file's text (``read_jsonl``): each record's question and sql
-    are strings, and the SQL parses in the store dialect."""
+    are strings, and the SQL parses in the store dialect; tables_referenced,
+    if present, is a list of strings, and template_id and category are each
+    a string or null."""
     pairs = []
     for line_no, obj in read_jsonl(text):
         question, sql_text = obj.get("question"), obj.get("sql")
         if not (isinstance(question, str) and isinstance(sql_text, str)):
             raise TemplateError(f"corpus line {line_no}: question and sql must be strings")
+        tables = obj.get("tables_referenced", [])
+        if not (isinstance(tables, list) and all(isinstance(t, str) for t in tables)):
+            raise TemplateError(f"corpus line {line_no}: tables_referenced must be a list of strings")
+        template_id, category = obj.get("template_id"), obj.get("category")
+        if not all(v is None or isinstance(v, str) for v in (template_id, category)):
+            raise TemplateError(f"corpus line {line_no}: template_id and category must be strings or null")
         try:
             _sql.parse(sql_text)
         except Exception as exc:
@@ -598,9 +766,9 @@ def read_corpus(text: str) -> list[TextSqlPair]:
             TextSqlPair(
                 question=question,
                 sql=sql_text,
-                template_id=obj.get("template_id"),
-                tables_referenced=frozenset(obj.get("tables_referenced", [])),
-                category=obj.get("category"),
+                template_id=template_id,
+                tables_referenced=frozenset(tables),
+                category=category,
             )
         )
     return pairs

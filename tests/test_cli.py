@@ -412,6 +412,10 @@ def test_malformed_device_manifest_and_corpus_lines_exit_1(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     for bad, message in (('{"question": 5, "sql": "SELECT 1"}',
                           "corpus line 2: question and sql must be strings"),
+                         ('{"question": "q", "sql": "SELECT 1", "tables_referenced": 5}',
+                          "corpus line 2: tables_referenced must be a list of strings"),
+                         ('{"question": "q", "sql": "SELECT 1", "category": [1]}',
+                          "corpus line 2: template_id and category must be strings or null"),
                          ("[1, 2]", "line 2: expected an object")):
         corpus.write_text('{"question": "q", "sql": "SELECT 1"}\n' + bad + "\n", encoding="utf-8")
         assert run(["--out", tmp_path / "split", "split", "--corpus", corpus]) == 1

@@ -1,8 +1,11 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotsqlbench.evaluation import (
+    _LITERAL_RE,
     Empty,
     GoldExecutionError,
     LengthMismatch,
@@ -75,6 +78,56 @@ def test_logical_folds_ascii_letters_only(pred, gold):
         parse(pred)
     assert not logical_accuracy(pred, gold)
     assert logical_accuracy(gold.upper().replace('"TCP"', '"tcp"'), gold)
+
+
+def test_logical_keeps_a_literal_with_a_double_quote_apart():
+    gold = """SELECT uid FROM CONN_LOG WHERE (history = 'a"b')"""
+    pred = 'SELECT uid FROM CONN_LOG WHERE (history = "a"b")'
+    parse(gold)
+    with pytest.raises(ParseError):
+        parse(pred)
+    assert not logical_accuracy(pred, gold)
+    assert logical_accuracy("""select uid from conn_log where ( history = 'a"b' ) ;""", gold)
+
+
+def parses(text):
+    try:
+        parse(text)
+    except ParseError:
+        return False
+    return True
+
+
+_BODIES = st.text(alphabet="aB \"'", max_size=4)
+_LITERALS = st.builds(lambda quote, body: quote + body + quote, st.sampled_from(["'", '"', ""]), _BODIES)
+_TEXTS = st.builds(
+    "SELECT uid FROM conn_log WHERE{2}(history ={2}{0}){1}".format,
+    _LITERALS, st.sampled_from(["", ";", " ;", ";;", ", uid", ")"]), st.sampled_from([" ", "", "\n\t"]),
+)
+
+
+def _reformatted(text, rng):
+    """``text`` with its code's letter case and spacing, and the quotes of
+    each literal whose body allows it, changed at random."""
+    out, pos = [], 0
+    for m in _LITERAL_RE.finditer(text):
+        code = text[pos:m.start()]
+        out.append(code.upper() if rng.random() < 0.5 else code.replace("(", " ( "))
+        body = m.group()[1:-1]
+        quote = rng.choice([q for q in "'\"" if q not in body])
+        out.append(quote + body + quote)
+        pos = m.end()
+    out.append(text[pos:].upper())
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, st.randoms(use_true_random=False))
+def test_texts_with_one_normal_form_parse_alike(text, rng):
+    normal = normalize_sql(text)
+    for other in (normal, _reformatted(text, rng), _reformatted(normal, rng)):
+        if normalize_sql(other) == normal:
+            assert parses(other) == parses(text), (text, other)
 
 
 # -- execution accuracy

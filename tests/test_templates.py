@@ -178,6 +178,21 @@ def test_read_corpus_rejects_unparseable_sql():
         read_corpus("[1, 2]\n")
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("tables_referenced", 5, "tables_referenced must be a list of strings"),
+    ("tables_referenced", "abc", "tables_referenced must be a list of strings"),
+    ("tables_referenced", ["conn.log", 1], "tables_referenced must be a list of strings"),
+    ("template_id", 3, "template_id and category must be strings or null"),
+    ("category", [1], "template_id and category must be strings or null"),
+])
+def test_read_corpus_rejects_mistyped_fields(field, value, message):
+    good = {"question": "q", "sql": "SELECT 1", "template_id": None, "tables_referenced": [], "category": "x"}
+    text = json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n"
+    with pytest.raises(TemplateError, match=f"^corpus line 2: {message}$"):
+        read_corpus(text)
+    assert read_corpus(json.dumps(good) + "\n")[0].category == "x"
+
+
 def test_manual_pairs_validated(synth_db, tmp_path):
     good = '{"question": "How many sessions are there in total?", "sql": "SELECT COUNT(*) FROM conn.log"}'
     pairs = read_manual_pairs(good + "\n", synth_db)
