@@ -78,6 +78,7 @@ def test_forced_temporal_pool_gives_the_same_pairs(synth_db, processes):
     config = CorpusConfig(n_pairs=120, seed=4, temporal_floor=0.9)
     one = generated(synth_db, config, processes, 1)
     assert generated(synth_db, config, processes, 2) == one
+    assert generated(synth_db, config, processes, 4) == one  # more processes than CPUs
     # without a floor nothing is forced; the same seed then gives other pairs
     unforced = generated(synth_db, dataclasses.replace(config, temporal_floor=0.0), processes, 1)
     assert one != unforced
