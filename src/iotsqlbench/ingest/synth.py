@@ -7,11 +7,12 @@ the same invariants the parsers enforce (generator/parser duality).
 
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from ..lines import split_lines
+from ..lines import csv_rows, csv_text, split_lines
 from .records import (
     SENSOR_TYPES,
     ZEEK_KINDS,
@@ -387,7 +388,9 @@ def device_rows(devices: list[dict]) -> list[tuple]:
 
 
 def serialize_devices(devices: list[dict]) -> str:
-    lines = [",".join(DEVICE_COLUMNS)]
+    """devices.csv; a value holding "\\n", "\\r" or NUL is a ValueError
+    (``lines.csv_text``)."""
+    rows = [DEVICE_COLUMNS]
     for d in devices:
         rendered = []
         for k in DEVICE_COLUMNS:
@@ -398,34 +401,35 @@ def serialize_devices(devices: list[dict]) -> str:
                 rendered.append("T" if v else "F")
             else:
                 rendered.append(str(v))
-        lines.append(",".join(rendered))
-    return "\n".join(lines) + "\n"
+        rows.append(rendered)
+    return csv_text(rows)
 
 
 def parse_devices(text: str) -> list[dict]:
-    """Device dicts of a devices.csv text, its lines split by ``lines.split_lines``:
-    a header naming every DEVICE_COLUMNS column, then one row of the header's
-    width per line. A row of another width, or a value that does not convert,
-    is an IngestError naming its line."""
+    """Device dicts of a devices.csv text, its lines split by ``lines.split_lines``
+    and read by ``csv.reader``: a header naming every DEVICE_COLUMNS column,
+    then one row of the header's width per line, each value kept as written.
+    A row of another width, or a value that does not convert, is an
+    IngestError naming its line."""
     lines = split_lines(text)
-    header = lines[0].split(",")
+    header = next(csv.reader(lines[:1]), [])
     if text.strip() and not set(DEVICE_COLUMNS).issubset(header):
         raise IngestError(f"devices line 1: the header must name {','.join(DEVICE_COLUMNS)}")
     out = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        values = raw.split(",", len(header) - 1)
-        if len(values) != len(header):
-            raise IngestError(f"devices line {line_no}: expected {len(header)} values, got {len(values)}")
-        d: dict = dict(zip(header, values))
-        try:
-            d["floor"] = int(d["floor"])
-            d["battery_level"] = int(d["battery_level"])
-            d["install_ts"] = datetime.fromisoformat(d["install_ts"])
-            d["last_seen_ts"] = datetime.fromisoformat(d["last_seen_ts"])
-            d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]
-        except (KeyError, ValueError) as exc:  # KeyError: an is_gateway other than T or F
-            raise IngestError(f"devices line {line_no}: bad value {exc}") from exc
-        out.append(d)
+    try:
+        for line_no, values in csv_rows(lines[1:], 2):
+            if len(values) != len(header):
+                raise IngestError(f"devices line {line_no}: expected {len(header)} values, got {len(values)}")
+            d: dict = dict(zip(header, values))
+            try:
+                d["floor"] = int(d["floor"])
+                d["battery_level"] = int(d["battery_level"])
+                d["install_ts"] = datetime.fromisoformat(d["install_ts"])
+                d["last_seen_ts"] = datetime.fromisoformat(d["last_seen_ts"])
+                d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]
+            except (KeyError, ValueError) as exc:  # KeyError: an is_gateway other than T or F
+                raise IngestError(f"devices line {line_no}: bad value {exc}") from exc
+            out.append(d)
+    except csv.Error as exc:
+        raise IngestError(f"devices {exc}") from exc
     return out

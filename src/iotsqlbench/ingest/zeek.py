@@ -7,14 +7,11 @@ seen in the wild: label columns declared in ``#fields``, appended as extra
 TSV columns, or glued onto the final field with spaces.
 
 A TSV log is converted one column at a time.  The data lines between two
-directives form a run, split and converted ``_BLOCK_LINES`` lines at a
-time (``_split_block``).  A block whose lines all have one width (the field
-plan's, or the plan's plus two appended label columns) is split at once when
-the separator is one character: joined by it, split, and sliced into
-columns.  Any other block goes line by line through ``_reconcile_arity``
-(blank or whitespace-only lines, mixed widths, labels glued onto the last
-column, or a multi-character separator, which can match across a line
-boundary), in groups of consecutive lines of one line plan.
+directives form a run, taken ``_BLOCK_LINES`` lines at a time
+(``_split_block``).  Each line of a block is split and checked by
+``_reconcile_arity`` (the IoT-23 label quirks, the field count), and the
+block's lines go on as columns, in groups of consecutive lines of one line
+plan.
 
 Each column is converted in one pass (``int``, ``float``,
 ``epoch_to_datetime`` or the bool table mapped over it, then one range
@@ -135,6 +132,7 @@ def datetime_to_epoch(dt: datetime) -> str:
 _BOOLS = {"T": True, "true": True, "True": True, "F": False, "false": False, "False": False}
 
 
+# kept: without it detect-pipeline setup_s read +8.9%, wall_ref_s +4.8% (BENCH_22.json)
 def _epoch_column(column) -> list:
     """``epoch_to_datetime`` over a column.  A column of plain values, all
     ``digits.dddddd`` (ASCII digits, one dot at [-7], no sign), is taken in
@@ -248,9 +246,10 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     columns = {name: [] for name in CONN_TABLE_NAMES} if kind == "conn" else None
     records: list = []
     issues: list[ParseIssue] = []
-    # the data lines between two directives are a run, split and converted
-    # _BLOCK_LINES lines at a time, so that only one block's split values
-    # are held; every marker and the plan hold for the whole run
+    # the data lines between two directives are a run, taken _BLOCK_LINES
+    # lines at a time: each line of a block is split on its own, and the
+    # block is converted a column at a time, so that only one block's split
+    # values are held; every marker and the plan hold for the whole run
     directives = [*compress(count(), map(str.startswith, lines, repeat("#"))), len(lines)]
     start = 0
     for stop in directives:
@@ -314,30 +313,10 @@ def _split_block(block: list[str], first_line_no: int, plan: list, kind: str,
                  separator: str, issues: list):
     """The data lines of a block as (line plan, line numbers, columns) groups
     of consecutive lines of one line plan (the plan, or the plan plus the
-    IoT-23 label columns); a line of the wrong width goes to ``issues``.
-
-    A block of non-blank lines that all have one width (the plan's, or the
-    plan's plus two appended label columns) is split at once: joined by a
-    one-character separator, split, and sliced into columns.  Any other
-    block (blank lines, mixed widths, labels glued onto the last column, a
-    multi-character separator, which can match across a line boundary)
-    goes line by line through ``_reconcile_arity``.
+    IoT-23 label columns), each line split and reconciled by
+    ``_reconcile_arity``; a blank line is skipped, and a line of the wrong
+    width goes to ``issues``.
     """
-    if len(separator) == 1 and all(block) and not any(map(str.isspace, block)):
-        widths = set(map(str.count, block, repeat(separator)))
-        line_plan = None
-        if widths == {len(plan) - 1}:
-            line_plan = plan
-        elif widths == {len(plan) + 1} and _labels_appendable(plan, kind):
-            line_plan = plan + LABEL_FIELDS
-        if line_plan is not None:
-            values = separator.join(block).split(separator)
-            width = len(line_plan)
-            columns = [values[j::width] for j in range(width)]
-            del values
-            if not (line_plan is plan and _labels_gluable(plan, kind)
-                    and any(map(str.__contains__, columns[-1], repeat("  ")))):
-                return [(line_plan, range(first_line_no, first_line_no + len(block)), columns)]
     groups: list = []
     rows: list[list[str]] = []
     for line_no, raw in enumerate(block, start=first_line_no):
@@ -355,25 +334,18 @@ def _split_block(block: list[str], first_line_no: int, plan: list, kind: str,
     return [(line_plan, line_nos, list(zip(*rows))) for line_plan, line_nos, rows in groups]
 
 
-def _labels_gluable(plan: list, kind: str) -> bool:
-    return kind == "conn" and len(plan) == len(CONN_FIELDS)
-
-
-def _labels_appendable(plan: list, kind: str) -> bool:
-    return kind == "conn" and not any(spec in LABEL_FIELDS for spec in plan)
-
-
 def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
     """Handle IoT-23 label-column quirks; otherwise enforce the field count."""
     expected = len(plan)
     if len(values) == expected:
         # labels glued into the final column with spaces
-        if _labels_gluable(plan, kind) and "  " in values[-1].strip():
+        if kind == "conn" and expected == len(CONN_FIELDS) and "  " in values[-1].strip():
             tail = values[-1].split()
             if len(tail) == 3:
                 return values[:-1] + tail, plan + LABEL_FIELDS, None
         return values, plan, None
-    if len(values) == expected + 2 and _labels_appendable(plan, kind):
+    if (len(values) == expected + 2 and kind == "conn"
+            and not any(spec in LABEL_FIELDS for spec in plan)):
         return values, plan + LABEL_FIELDS, None
     return values, plan, ParseIssue(
         line_no=line_no,
@@ -598,7 +570,9 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
     """Render records as a Zeek TSV log (deterministic header, no wall clock).
 
     Conn records are rendered from their columns (``records.conn_columns``)
-    and are labeled unless ``labeled`` is false or there are none."""
+    and are labeled unless ``labeled`` is false or there are none.  A string
+    value that ``parse_zeek`` would misread is a ValueError
+    (``_check_readable``); no value is escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     if kind == "conn":
@@ -629,7 +603,11 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
             block = [columns[spec.name][start:stop] for spec in KIND_FIELDS[kind]]
         else:
             block = zip(*(record.fields for record in records[start:stop]), strict=True)
-        rendered = list(map(_render_column, block, KIND_FIELDS[kind]))
+        rendered = []
+        for column, spec in zip(block, KIND_FIELDS[kind]):
+            if spec.vtype == "str":
+                _check_readable(column, spec, kind, not labeled and spec is KIND_FIELDS[kind][-1])
+            rendered.append(_render_column(column, spec))
         if labeled:
             labels = columns["label"][start:stop]
             rendered.append(["Benign" if label is AttackLabel.Benign else "Malicious"
@@ -639,6 +617,23 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         lines.extend(map("\t".join, zip(*rendered)))
     lines.append("#close\t2000-01-01-00-00-00")
     return "\n".join(lines) + "\n"
+
+
+def _check_readable(column, spec: FieldSpec, kind: str, last: bool) -> None:
+    """Raise ValueError on a string value that ``parse_zeek`` would misread:
+    one equal to the unset or empty marker or holding a tab or "\\n"; and,
+    as the ``last`` value of its line, one ending in "\\r", which the line
+    rule drops, or in a conn log one that reads as IoT-23 labels glued on
+    with spaces."""
+    present = list(filter(None, column))
+    joined = "".join(present)
+    if ("-" in present or "(empty)" in present or "\t" in joined or "\n" in joined
+            or last and ("\r" in joined or kind == "conn" and "  " in joined)):
+        for value in present:
+            if (value in ("-", "(empty)") or "\t" in value or "\n" in value
+                    or last and (value.endswith("\r") or kind == "conn" and "  " in value.strip()
+                                 and len(value.split()) == 3)):
+                raise ValueError(f"{spec.name}: the Zeek reader would misread {value!r}")
 
 
 _STR_MARKERS_RENDERED = {None: "-", "": "(empty)"}

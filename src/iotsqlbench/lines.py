@@ -1,4 +1,9 @@
-"""The line rule of every text file the toolkit reads."""
+"""The line rule of every text file the toolkit reads, and the CSV form that
+keeps to it: one record per line."""
+
+import csv
+import io
+from typing import Iterable, Iterator
 
 
 def split_lines(text: str) -> list[str]:
@@ -6,3 +11,35 @@ def split_lines(text: str) -> list[str]:
     end one at "\\r", "\\v", "\\f", "\\x1c"-"\\x1e", U+0085, U+2028 or U+2029 in a value."""
     lines = text.split("\n")
     return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """Rows as CSV text, one "\\n"-ended line each, quoted by ``csv.writer``
+    only where a value needs it.  A value holding "\\n", "\\r" or NUL is a
+    ValueError: split_lines would end a line inside its quotes or drop its
+    last "\\r", and Python 3.10's csv reader refuses NUL."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        for value in row:
+            if isinstance(value, str) and ("\n" in value or "\r" in value or "\0" in value):
+                raise ValueError(f"a CSV value cannot hold a line break or NUL: {value!r}")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def csv_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, values) of each line that is not blank, as ``csv.reader``
+    reads it, numbered from ``first_line_no``.  A quoted value still open at
+    the end of its line, or a line the reader refuses, is a csv.Error naming
+    the line."""
+    numbered = [(line_no, line) for line_no, line in enumerate(lines, first_line_no) if line.strip()]
+    reader = csv.reader(line for _, line in numbered)
+    for read, (line_no, _) in enumerate(numbered, 1):
+        try:
+            values = next(reader)
+        except csv.Error as exc:
+            raise csv.Error(f"line {line_no}: {exc}") from exc
+        if reader.line_num != read:
+            raise csv.Error(f"line {line_no}: a quoted value runs past the end of its line")
+        yield line_no, values

@@ -40,9 +40,7 @@ per group, and once per _CHECK_EVERY joined rows).  A comparison reads the
 chunk's column (both, for a column against a column) in one pass, maps
 its comparator over the values and keeps rows with ``itertools.compress``;
 a null passes no test, so a chunk whose column holds one tests only its
-other rows.  A number outside a number constant's tolerance window is
-decided by one comparison with the window's edge; only the values inside
-it take the tolerance test.  A column IN (subquery) maps the subquery's
+other rows.  A column IN (subquery) maps the subquery's
 equality lookup over the column, and a comparison of two constants keeps
 every row or none.  GROUP BY takes a chunk's keys with one ``itemgetter`` pass, an
 aggregate reads its argument column of a group in one pass, and the join
@@ -67,7 +65,7 @@ import time as _time
 import types
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import sql as _sql
@@ -352,8 +350,8 @@ def _tolerance_window(x) -> tuple:
 
 def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequence[tuple]], Iterable]:
     """``lhs op rhs`` as a pass over a chunk of rows: its test mapped over
-    the column (or the two columns) it reads, a number constant's through
-    its tolerance window.  Two constants keep every row or none."""
+    the column (or the two columns) it reads.  Two constants keep every row
+    or none."""
     if op not in _FLIPPED:
         raise ParseError(f"unsupported operator {op!r}")
     if lhs.index is None and rhs.index is not None:
@@ -366,8 +364,6 @@ def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequenc
     if rhs.index is not None:
         return _column_pass((lhs.index, rhs.index), lambda a, b: map(test, a, b))
     v = rhs.value
-    if lhs.attr == rhs.attr == "number":
-        return _column_pass((lhs.index,), _number_mask(op, test, v))
     return _column_pass((lhs.index,), lambda values: map(test, values, repeat(v)))
 
 
@@ -420,34 +416,6 @@ def _any_pass(parts: list[list]) -> Callable[[Sequence[tuple]], list]:
         return keep
 
     return any_pass
-
-
-def _number_mask(op: str, test, v) -> Callable[[list], list]:
-    """``values -> [test(a, v) for a in values]`` for a list of numbers.  A
-    value outside the tolerance window of ``v`` equals no value near ``v``,
-    so one comparison with the window's edge decides it; only the values
-    inside the window (all of them when ``v`` is an int beyond float range)
-    call ``test``.  A NaN lies on neither side and in no window: ``test``
-    finds it false for every operator but ``!=``, and so does the mask."""
-    lo, hi = _tolerance_window(v)
-    # ``outside`` marks the values below the window, where < and <= hold
-    # (above it, for > and >=); ``reached`` also marks the values inside
-    # it, so the two differ exactly there
-    if op in (">", ">="):
-        beyond, edge, reach, far_edge = operator.gt, hi, operator.ge, lo
-    else:
-        beyond, edge, reach, far_edge = operator.lt, lo, operator.le, hi
-
-    def mask(values: list) -> list:
-        outside = list(map(beyond, values, repeat(edge)))
-        reached = list(map(reach, values, repeat(far_edge)))
-        keep = outside if op not in ("=", "!=") else [op == "!="] * len(values)
-        if outside != reached:
-            for pos in list(compress(count(), map(operator.ne, outside, reached))):
-                keep[pos] = test(values[pos], v)
-        return keep
-
-    return mask
 
 
 def _typed_literal(side: _Operand, other_attr: str | None) -> _Operand:

@@ -1,4 +1,8 @@
+from datetime import datetime
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotsqlbench.ingest import (
     AttackLabel,
@@ -6,6 +10,7 @@ from iotsqlbench.ingest import (
     BadValue,
     IngestError,
     InvalidSpec,
+    SensorReading,
     SynthSpec,
     apportion,
     ingest_sensors,
@@ -139,3 +144,48 @@ def test_parse_devices_needs_every_column_in_its_header():
     assert len(parse_devices(DEVICES_TEXT)) == 3
     with pytest.raises(IngestError, match="devices line 1: the header must name"):
         parse_devices(DEVICES_TEXT.replace(",floor,", ",level,"))
+
+
+# text a CSV writer accepts: no "\n", "\r" or NUL (README, "Sensor and device CSVs")
+_CSV_TEXT = st.text(alphabet=st.characters(exclude_characters="\n\r\x00"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(SensorReading, st.just("co2"), _CSV_TEXT, st.datetimes(),
+                          st.integers(-10**300, 10**300) | st.floats(allow_nan=False)),
+                max_size=5))
+def test_sensor_csv_round_trips_every_room_value_and_time(readings):
+    assert ingest_sensors(serialize_sensors(readings), "co2") == readings
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT), min_size=3, max_size=3))
+def test_device_csv_round_trips_every_name_and_room(names_and_rooms):
+    devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
+    for device, (name, room) in zip(devices, names_and_rooms):
+        device["name"], device["room"] = name, room
+    assert parse_devices(serialize_devices(devices)) == devices
+
+
+@pytest.mark.parametrize("value", ["R1\n01", "R1\r01", "R101\r", "R1\x0001"])
+def test_csv_writers_reject_a_line_break_or_nul(value):
+    with pytest.raises(ValueError, match="cannot hold a line break or NUL"):
+        serialize_sensors([SensorReading("co2", value, datetime(2021, 3, 1, 10), 415)])
+    devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
+    devices[1]["name"] = value
+    with pytest.raises(ValueError, match="cannot hold a line break or NUL"):
+        serialize_devices(devices)
+
+
+def test_csv_readers_name_a_quoted_value_left_open_at_the_end_of_its_line():
+    with pytest.raises(BadValue, match="^line 2: a quoted value runs past the end of its line"):
+        ingest_sensors('room,ts,value\n"R1,2021-03-01T10:00:00,5\nR2",2021-03-01T10:00:00,5\n', "co2")
+    lines = DEVICES_TEXT.split("\n")
+    lines[2] = '"' + lines[2]
+    with pytest.raises(IngestError, match="^devices line 3: a quoted value runs past the end of its line"):
+        parse_devices("\n".join(lines))
+
+
+def test_sensor_csv_keeps_the_room_as_written_and_strips_ts_and_value():
+    readings = ingest_sensors('room,ts,value\n" R1,01 ", 2021-03-01T10:00:00 , 415 \n', "co2")
+    assert readings == [SensorReading("co2", " R1,01 ", datetime(2021, 3, 1, 10), 415)]
