@@ -30,9 +30,8 @@ def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
     readings: list[SensorReading] = []
     rows = split_lines(text)
-    start = 0
-    if rows[0].replace(" ", "").casefold().startswith("room,"):
-        start = 1
+    header = next(csv.reader(rows[:1]), [])
+    start = 1 if header and header[0].strip().casefold() == "room" else 0
     try:
         for line_no, parts in csv_rows(rows[start:], start + 1):
             if len(parts) != 3:

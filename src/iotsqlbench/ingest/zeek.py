@@ -87,6 +87,11 @@ class BadDirective(IngestError):
         self.message = message
 
 
+class UnreadableValue(IngestError, ValueError):
+    """A string value ``serialize_zeek`` refuses because ``parse_zeek``
+    would misread it (``_check_readable``)."""
+
+
 class MissingFieldsHeader(BadDirective):
     """A data line at ``line_no`` before any ``#fields`` directive, or
     (``line_no`` None) a log with no ``#fields`` directive at all."""
@@ -571,8 +576,8 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
 
     Conn records are rendered from their columns (``records.conn_columns``)
     and are labeled unless ``labeled`` is false or there are none.  A string
-    value that ``parse_zeek`` would misread is a ValueError
-    (``_check_readable``); no value is escaped."""
+    value that ``parse_zeek`` would misread is an UnreadableValue, a
+    ValueError and a data error (``_check_readable``); no value is escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     if kind == "conn":
@@ -606,7 +611,7 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         rendered = []
         for column, spec in zip(block, KIND_FIELDS[kind]):
             if spec.vtype == "str":
-                _check_readable(column, spec, kind, not labeled and spec is KIND_FIELDS[kind][-1])
+                _check_readable(column, spec, kind, not labeled and spec is KIND_FIELDS[kind][-1], start + 1)
             rendered.append(_render_column(column, spec))
         if labeled:
             labels = columns["label"][start:stop]
@@ -619,21 +624,17 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def _check_readable(column, spec: FieldSpec, kind: str, last: bool) -> None:
-    """Raise ValueError on a string value that ``parse_zeek`` would misread:
-    one equal to the unset or empty marker or holding a tab or "\\n"; and,
-    as the ``last`` value of its line, one ending in "\\r", which the line
-    rule drops, or in a conn log one that reads as IoT-23 labels glued on
-    with spaces."""
-    present = list(filter(None, column))
-    joined = "".join(present)
-    if ("-" in present or "(empty)" in present or "\t" in joined or "\n" in joined
-            or last and ("\r" in joined or kind == "conn" and "  " in joined)):
-        for value in present:
-            if (value in ("-", "(empty)") or "\t" in value or "\n" in value
-                    or last and (value.endswith("\r") or kind == "conn" and "  " in value.strip()
-                                 and len(value.split()) == 3)):
-                raise ValueError(f"{spec.name}: the Zeek reader would misread {value!r}")
+def _check_readable(column, spec: FieldSpec, kind: str, last: bool, first_row: int) -> None:
+    """Raise UnreadableValue on a string value that ``parse_zeek`` would
+    misread: one equal to the unset or empty marker or holding a tab or
+    "\\n"; and, as the ``last`` value of its line, one ending in "\\r", which
+    the line rule drops, or in a conn log one that reads as IoT-23 labels
+    glued on with spaces.  Rows are numbered from ``first_row``."""
+    for row, value in enumerate(column, first_row):
+        if value and (value in ("-", "(empty)") or "\t" in value or "\n" in value
+                      or last and (value.endswith("\r") or kind == "conn" and "  " in value.strip()
+                                   and len(value.split()) == 3)):
+            raise UnreadableValue(f"record {row}: {spec.name}: the Zeek reader would misread {value!r}")
 
 
 _STR_MARKERS_RENDERED = {None: "-", "": "(empty)"}

@@ -29,17 +29,14 @@ def csv_text(rows: Iterable[Iterable]) -> str:
 
 
 def csv_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, values) of each line that is not blank, as ``csv.reader``
-    reads it, numbered from ``first_line_no``.  A quoted value still open at
-    the end of its line, or a line the reader refuses, is a csv.Error naming
-    the line."""
-    numbered = [(line_no, line) for line_no, line in enumerate(lines, first_line_no) if line.strip()]
-    reader = csv.reader(line for _, line in numbered)
-    for read, (line_no, _) in enumerate(numbered, 1):
-        try:
-            values = next(reader)
-        except csv.Error as exc:
-            raise csv.Error(f"line {line_no}: {exc}") from exc
-        if reader.line_num != read:
-            raise csv.Error(f"line {line_no}: a quoted value runs past the end of its line")
-        yield line_no, values
+    """(line number, values) of each line that is not blank, read alone by a
+    strict ``csv.reader``, numbered from ``first_line_no``.  A quoted value
+    still open at the end of its line, or quoting the reader refuses (such as
+    ``"a"b``), is a csv.Error naming the line."""
+    for line_no, line in enumerate(lines, first_line_no):
+        if line.strip():
+            try:
+                values = next(csv.reader([line], strict=True))
+            except csv.Error as exc:
+                raise csv.Error(f"line {line_no}: {exc}") from exc
+            yield line_no, values

@@ -335,6 +335,31 @@ def test_split_db_rejects_malformed_conn_lines(tmp_path, capsys):
     assert not (out / "splits").exists()
 
 
+def test_split_db_stops_with_a_data_error_on_a_value_the_zeek_writer_refuses(tmp_path, capsys):
+    # under "#unset_field NULL" a "-" history is read as the string "-", which
+    # the anonymized log written as Zeek TSV would read back as unset
+    out = tmp_path / "run"
+    base = ["--seed", 7, "--out", out, *SMALL, "--set", "synth.conn=200"]
+    assert run(base + ["synth"]) == 0
+    conn_log = out / "synth/conn.log.tsv"
+    lines = conn_log.read_text(encoding="utf-8").splitlines()
+    names = next(line for line in lines if line.startswith("#fields")).split("\t")[1:]
+    for i, line in enumerate(lines):
+        if line.startswith("#unset_field"):
+            lines[i] = "#unset_field\tNULL"
+        elif not line.startswith("#"):
+            lines[i] = "\t".join("NULL" if value == "-" else value for value in line.split("\t"))
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    parts = lines[data[5]].split("\t")
+    parts[names.index("history")] = "-"
+    lines[data[5]] = "\t".join(parts)
+    conn_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(base + ["split", "--db", out / "synth"]) == 1
+    err = capsys.readouterr().err
+    assert "history: the Zeek reader would misread '-'" in err
+
+
 def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, monkeypatch):
     from iotsqlbench.store import Database
 

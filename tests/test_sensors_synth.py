@@ -177,15 +177,24 @@ def test_csv_writers_reject_a_line_break_or_nul(value):
         serialize_devices(devices)
 
 
-def test_csv_readers_name_a_quoted_value_left_open_at_the_end_of_its_line():
-    with pytest.raises(BadValue, match="^line 2: a quoted value runs past the end of its line"):
+def test_csv_readers_name_the_line_of_malformed_quoting():
+    # a quoted value left open at the end of its line, and text after a closing quote
+    with pytest.raises(BadValue, match="^line 2: unexpected end of data"):
         ingest_sensors('room,ts,value\n"R1,2021-03-01T10:00:00,5\nR2",2021-03-01T10:00:00,5\n', "co2")
+    with pytest.raises(BadValue, match="^line 2: ',' expected after"):
+        ingest_sensors('room,ts,value\n"R1"01,2021-03-01T10:00:00,5\n', "co2")
     lines = DEVICES_TEXT.split("\n")
     lines[2] = '"' + lines[2]
-    with pytest.raises(IngestError, match="^devices line 3: a quoted value runs past the end of its line"):
+    with pytest.raises(IngestError, match="^devices line 3: unexpected end of data"):
         parse_devices("\n".join(lines))
 
 
 def test_sensor_csv_keeps_the_room_as_written_and_strips_ts_and_value():
     readings = ingest_sensors('room,ts,value\n" R1,01 ", 2021-03-01T10:00:00 , 415 \n', "co2")
     assert readings == [SensorReading("co2", " R1,01 ", datetime(2021, 3, 1, 10), 415)]
+
+
+@pytest.mark.parametrize("header", ["room,ts,value", '"room",ts,value', ' Room , ts , value'])
+def test_sensor_csv_header_is_read_through_csv(header):
+    readings = ingest_sensors(header + '\nR1,2021-03-01T10:00:00,415\n', "co2")
+    assert readings == [SensorReading("co2", "R1", datetime(2021, 3, 1, 10), 415)]
