@@ -23,6 +23,13 @@ kept result is sorted on the first comparison that needs it, and at most
 once.  A prediction textually identical to its gold query is scored
 without running, by the gold's NaN check, and is logically correct
 without being normalized.  None of this changes the comparison policy.
+
+Execution verdicts are computed in up to one process per CPU in the
+affinity mask (forked workers, none with one CPU, one distinct gold text,
+or where the platform cannot fork).  The distinct gold texts are dealt
+round robin, so each gold query runs in one process, and the verdicts are
+merged in example order: a report never depends on the process count, and
+an error raises at the example where one process would raise it.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Mapping, Sequence
 from .modelio import PredictionRecord, SqlExample
 from .store import Database, ResultTable, StoreError
 from .store import sql as _sql
+from .workers import NOT_COMPUTED, Pool
 
 EXEC_REL_TOL = 1e-6
 PRED_TIMEOUT = 5.0
@@ -218,6 +226,24 @@ class _Prepared:
         only NaN is."""
         return not any(map(operator.ne, chain.from_iterable(self.rows), chain.from_iterable(self.rows)))
 
+    def computed(self) -> dict:
+        """What has been computed of it, for another process's copy: the NaN
+        check, and the sorted rows as their positions in ``rows``."""
+        done = {}
+        if "matches_itself" in vars(self):
+            done["matches_itself"] = self.matches_itself
+        if "comparable_rows" in vars(self):
+            position = {id(row): i for i, row in enumerate(self.rows)}
+            done["comparable_rows"] = [position[id(row)] for row in self.comparable_rows]
+        return done
+
+    def take(self, done: dict) -> None:
+        """Keeps what another process's copy of it computed (``computed``)."""
+        if "matches_itself" in done:
+            vars(self).setdefault("matches_itself", done["matches_itself"])
+        if "comparable_rows" in done:
+            vars(self).setdefault("comparable_rows", [self.rows[i] for i in done["comparable_rows"]])
+
     def matches(self, pred: ResultTable) -> bool:
         """Positional multiset comparison; column names are ignored."""
         if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
@@ -268,15 +294,22 @@ class _KeptGolds:
 _KEPT: weakref.WeakKeyDictionary[Database, _KeptGolds] = weakref.WeakKeyDictionary()
 
 
+def _kept_set(db: Database, snapshot: Mapping, timeout: float) -> _KeptGolds:
+    """The set kept on ``db`` for the rows of ``snapshot`` under ``timeout``;
+    a set kept for other rows or another timeout is replaced by an empty one."""
+    kept = _KEPT.get(db)
+    if kept is None or kept.timeout != timeout or kept.snapshot != snapshot:
+        kept = _KEPT[db] = _KeptGolds(snapshot, timeout)
+    return kept
+
+
 def _prepared_gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
     """The gold entry for ``gold_sql`` on the current rows of ``db`` under
     ``timeout``: the kept one, or one run now.  A new entry is kept only if
     the rows did not change while it ran (a load only appends rows, so
     equal snapshots before and after mean the query saw those rows)."""
     snapshot = db.snapshot()
-    kept = _KEPT.get(db)
-    if kept is None or kept.timeout != timeout or kept.snapshot != snapshot:
-        kept = _KEPT[db] = _KeptGolds(snapshot, timeout)
+    kept = _kept_set(db, snapshot, timeout)
     gold = kept.golds.get(gold_sql)
     if gold is None:  # a gold query that raises is not kept
         gold = _gold(gold_sql, db, timeout)
@@ -413,6 +446,83 @@ def join_predictions(examples: Sequence, predictions: Sequence[PredictionRecord]
     return pairs
 
 
+def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bool, bool, frozenset]]:
+    """Each (example, prediction) pair's execution and logical verdicts and
+    the tables its gold query references, in order, as one process computes
+    them.
+
+    The distinct gold texts are dealt, in order of first appearance, round
+    robin over this process and its forked workers (``workers.Pool``).  Each
+    process scores every example of each gold it was dealt, so each gold
+    query runs in one process only.  This process walks its own examples in
+    order and stops at the first error, which is raised when the walk below
+    reaches that example.  A worker's gold that raised, or whose worker
+    died, is scored again in that walk, so an error raises at the example
+    where one process would have raised it.  A worker sends back each gold
+    entry it ran, and of each kept one what it computed (the NaN check and
+    the sort), which are kept here if the rows have not changed since the
+    workers were forked.
+    """
+    examples_of: dict[str, list[int]] = {}
+    for i, (ex, _) in enumerate(pairs):
+        examples_of.setdefault(ex.gold_sql, []).append(i)
+    golds = list(examples_of)
+
+    def verdict(i: int) -> tuple[bool, bool]:
+        ex, rec = pairs[i]
+        return (execution_accuracy(rec.payload, ex.gold_sql, db, timeout),
+                logical_accuracy(rec.payload, ex.gold_sql))
+
+    def score_gold(j: int) -> tuple:
+        """In a worker: the verdicts of gold ``j``'s examples, its tables,
+        and its entry if it was run here, else what is computed of it."""
+        gold_sql = golds[j]
+        kept = _KEPT.get(db)
+        before = kept and kept.golds.get(gold_sql)
+        verdicts = list(map(verdict, examples_of[gold_sql]))
+        gold = _prepared_gold(gold_sql, db, timeout)
+        return verdicts, gold.tables, gold if gold is not before else gold.expected.computed()
+
+    held = None  # (example index, error) where this process stopped
+
+    def score_here(mine: range) -> list:
+        nonlocal held
+        verdicts = {golds[j]: [] for j in mine}
+        for i, (ex, _) in enumerate(pairs):
+            if ex.gold_sql in verdicts:
+                try:
+                    verdicts[ex.gold_sql].append(verdict(i))
+                except Exception as exc:
+                    held = i, exc
+                    break
+        # kept by those calls, or run again if another caller replaced the
+        # set meanwhile: the referenced tables depend on the text alone
+        return [(got, _prepared_gold(gold_sql, db, timeout).tables if got else None, None)
+                for gold_sql, got in verdicts.items()]
+
+    snapshot = db.snapshot()
+    with Pool(score_gold, len(golds)) as pool:
+        results = pool.compute(range(len(golds)), score_here)
+    kept = _kept_set(db, snapshot, timeout).golds if db.snapshot() == snapshot else {}
+    out: list = [None] * len(pairs)
+    for gold_sql, result in zip(golds, results):
+        if result == NOT_COMPUTED:
+            continue
+        verdicts, tables, sent = result
+        for i, (execution, logical) in zip(examples_of[gold_sql], verdicts):
+            out[i] = execution, logical, tables
+        if isinstance(sent, _Gold):
+            kept[gold_sql] = sent
+        elif sent is not None and gold_sql in kept:
+            kept[gold_sql].expected.take(sent)
+    for i, (ex, _) in enumerate(pairs):
+        if out[i] is None:
+            if held is not None and held[0] == i:
+                raise held[1]
+            out[i] = *verdict(i), _prepared_gold(ex.gold_sql, db, timeout).tables
+    return out
+
+
 def score_sql_corpus(
     examples: list[SqlExample],
     predictions: list[PredictionRecord],
@@ -426,15 +536,11 @@ def score_sql_corpus(
     logical_correct = 0
     per_table: dict[str, TableBucket] = {}
     failures: list[tuple[str, str]] = []
-    for ex, rec in join_predictions(examples, predictions):
-        pred_sql = rec.payload
-        logical = logical_accuracy(pred_sql, ex.gold_sql)
-        execution = execution_accuracy(pred_sql, ex.gold_sql, db, timeout=timeout)
+    pairs = join_predictions(examples, predictions)
+    for (ex, _), (execution, logical, tables) in zip(pairs, _verdicts(pairs, db, timeout)):
         exec_correct += execution
         logical_correct += logical
-        # kept by that call, or run again if another caller replaced the
-        # set meanwhile: the referenced tables depend on the text alone
-        for name in _prepared_gold(ex.gold_sql, db, timeout).tables:
+        for name in tables:
             bucket = per_table.setdefault(name, TableBucket())
             bucket.n += 1
             bucket.execution_correct += execution

@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 import random
 import re
-import signal
-import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
@@ -36,6 +32,7 @@ from ..modelio import read_jsonl
 from ..store import Database, Scope, StoreError, canonical_tables
 from ..store import sql as _sql
 from ..store.schema import ColumnDef, DatabaseSchema, TableSchema
+from ..workers import NOT_COMPUTED, Pool
 from .bank import (
     PLACEHOLDER_RE,
     QueryTemplate,
@@ -518,8 +515,9 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
     """Generate exactly n distinct pairs, deterministic in the seed.
 
     Candidates are computed a batch at a time, round robin over this process
-    and one forked worker per further CPU it may run on (``_Candidates``),
-    then taken in index order as one process would take them.  Candidate k
+    and one forked worker per further CPU it may run on (``workers.Pool``,
+    no more processes than the first batch has candidates), then taken in
+    index order as one process would take them.  Candidate k
     is a function of the seed, k and its template pool alone, so the pairs
     never depend on the number of processes: a candidate is computed again
     here when its pool was forced to the temporal templates after the batch
@@ -555,7 +553,7 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
     need_temporal = int(config.temporal_floor * config.n_pairs + 0.999999) if temporal else 0
     max_attempts = max(1000, config.max_attempt_factor * config.n_pairs)
 
-    with _Candidates(candidate, _process_count()) as candidates:
+    with Pool(candidate, min(config.n_pairs, max_attempts)) as candidates:
         start = 0
         while len(pairs) < config.n_pairs and start < max_attempts:
             # no more candidates than pairs still wanted, so none is wasted
@@ -564,7 +562,7 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
             for k, pair in zip(batch, candidates.compute(batch)):
                 remaining = config.n_pairs - len(pairs)
                 force_temporal = bool(temporal) and (need_temporal - temporal_count) >= remaining
-                if pair == _NOT_COMPUTED or (force_temporal and k % _TEMPORAL_STRIDE):
+                if pair == NOT_COMPUTED or (force_temporal and k % _TEMPORAL_STRIDE):
                     pair = candidate(k, force_temporal)
                 if pair is None:
                     continue
@@ -579,141 +577,6 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
             f"could only produce {len(pairs)} of {config.n_pairs} distinct pairs"
         )
     return pairs
-
-
-# a candidate whose computation raised anything but UnsatisfiableSlot
-_NOT_COMPUTED = "not computed"
-
-
-def _process_count() -> int:
-    """Processes that compute candidates: one per CPU this process may run
-    on, or one where the platform cannot fork or name those CPUs."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _attempt(compute, k: int):
-    # any error is held back: the in-order walk computes k again and raises
-    # it only if one process would have reached k
-    try:
-        return compute(k)
-    except Exception:
-        return _NOT_COMPUTED
-
-
-class _Candidates:
-    """Computes batches of candidates with ``compute``, round robin over this
-    process and ``processes - 1`` workers forked when it is made, which share
-    its warmed binder and database pages.  Every worker is killed and reaped
-    on leaving the ``with`` block; one that fails is dropped at once, and its
-    share of the batch is marked ``_NOT_COMPUTED``.  A fork that fails leaves
-    fewer workers, and none leaves the work to this process."""
-
-    def __init__(self, compute, processes: int):
-        self._compute = compute
-        self._workers: list[_Worker] = []
-        try:
-            for _ in range(processes - 1):
-                self._workers.append(_Worker(compute, self._workers))
-        except OSError:  # no process to spare: carry on with those made
-            pass
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> _Candidates:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        for worker in self._workers:
-            worker.stop()
-        self._workers = []
-
-    def compute(self, batch: range) -> list:
-        """One result per index of ``batch``: a pair, None for an
-        unsatisfiable candidate, or ``_NOT_COMPUTED``."""
-        workers = list(self._workers)
-        share = 1 + len(workers)
-        sent = [worker.send(batch[i::share]) for i, worker in enumerate(workers, 1)]
-        results = [_NOT_COMPUTED] * len(batch)
-        results[0::share] = [_attempt(self._compute, k) for k in batch[0::share]]
-        for i, (worker, ok) in enumerate(zip(workers, sent), 1):
-            got = worker.receive() if ok else None
-            if got is None:
-                worker.stop()
-                self._workers.remove(worker)
-            else:
-                results[i::share] = got
-        return results
-
-
-class _Worker:
-    """A forked process that computes each list of candidate indices it is
-    sent and sends the results back, pickled, until its pipe closes."""
-
-    def __init__(self, compute, siblings: list[_Worker]):
-        commands_r, commands_w = os.pipe()
-        results_r, results_w = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (commands_r, commands_w, results_r, results_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                # keep no write end of a sibling's pipe open, so that each
-                # worker sees its commands end if this process dies
-                for fd in (commands_w, results_r, *(f.fileno() for w in siblings for f in w.pipes)):
-                    os.close(fd)
-                with os.fdopen(commands_r, "rb") as commands, os.fdopen(results_w, "wb") as results:
-                    while True:
-                        try:
-                            batch = pickle.load(commands)
-                        except EOFError:
-                            break
-                        pickle.dump([_attempt(compute, k) for k in batch], results)
-                        results.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(commands_r)
-        os.close(results_w)
-        self.pipes = (os.fdopen(commands_w, "wb"), os.fdopen(results_r, "rb"))
-
-    def send(self, batch: range) -> bool:
-        try:
-            pickle.dump(batch, self.pipes[0])
-            self.pipes[0].flush()
-            return True
-        except OSError:  # the worker has died
-            return False
-
-    def receive(self) -> list | None:
-        """The results of the last batch sent; None if the worker died."""
-        try:
-            return pickle.load(self.pipes[1])
-        except (EOFError, OSError, pickle.UnpicklingError):
-            return None
-
-    def stop(self) -> None:
-        for pipe in self.pipes:
-            try:
-                pipe.close()
-            except OSError:  # unsent bytes for a dead worker
-                pass
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        os.waitpid(self.pid, 0)
 
 
 def _temporal_possible(binder: TemplateBinder, template: QueryTemplate) -> bool:

@@ -1,7 +1,11 @@
+import itertools
+import json
+from collections.abc import Sequence
 from datetime import datetime
 
 import pytest
 
+from iotsqlbench import workers
 from iotsqlbench.ingest import AttackLabel, SynthSpec, synthesize_logs
 from iotsqlbench.ingest.sensors import sensor_rows
 from iotsqlbench.ingest.synth import device_rows
@@ -91,3 +95,78 @@ def toy_schema():
     return define_schema([
         TableSchema(name="T", columns=(ColumnDef("c", "number"),)),
     ])
+
+
+# ---------------------------------------------------------------------------
+# Counting calls made in forked workers, and pinning how many processes work
+
+
+class CallLog(Sequence):
+    """The values noted by this process and by every process forked from it,
+    in the order they were written: each note appends one JSON line to a
+    file, so a note made in a worker is read back here."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def note(self, value):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(value) + "\n")
+
+    def _values(self):
+        if not self.path.exists():
+            return []
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+    def __getitem__(self, index):
+        return self._values()[index]
+
+    def __len__(self):
+        return len(self._values())
+
+    def __eq__(self, other):
+        return self._values() == other
+
+    def __repr__(self):
+        return repr(self._values())
+
+    def clear(self):
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture()
+def call_log(tmp_path):
+    """Makes a new, empty CallLog on each call."""
+    made = itertools.count()
+    return lambda: CallLog(tmp_path / f"calls-{next(made)}.jsonl")
+
+
+@pytest.fixture()
+def count_executes(monkeypatch, call_log):
+    """Call it to log the SQL text of every later ``Database.execute`` call,
+    in any process; it returns the CallLog."""
+
+    def start():
+        calls = call_log()
+        real_execute = Database.execute
+
+        def execute(self, sql, timeout=5.0):
+            calls.note(sql)
+            return real_execute(self, sql, timeout)
+
+        monkeypatch.setattr(Database, "execute", execute)
+        return calls
+
+    return start
+
+
+@pytest.fixture()
+def processes(monkeypatch):
+    """Call it with a count to make every later worker pool compute with
+    that many processes, whatever the CPUs."""
+
+    def pin(count):
+        monkeypatch.setattr(workers, "process_count", lambda: count)
+
+    return pin
+

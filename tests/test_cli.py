@@ -360,9 +360,7 @@ def test_split_db_stops_with_a_data_error_on_a_value_the_zeek_writer_refuses(tmp
     assert "history: the Zeek reader would misread '-'" in err
 
 
-def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, monkeypatch):
-    from iotsqlbench.store import Database
-
+def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, count_executes):
     out = tmp_path / "run"
     run_pipeline(out)
     examples = out / "model_io/sql_test.jsonl"
@@ -379,14 +377,7 @@ def test_eval_sql_scores_several_files_on_one_database_load(tmp_path, monkeypatc
         assert run(["--out", alone, "eval-sql", "--db", out / "synth",
                     "--examples", examples, "--predictions", path]) == 0
 
-    calls = []
-    real_execute = Database.execute
-
-    def execute(self, sql, timeout=5.0):
-        calls.append(sql)
-        return real_execute(self, sql, timeout)
-
-    monkeypatch.setattr(Database, "execute", execute)
+    calls = count_executes()
     both = tmp_path / "both"
     assert run(["--out", both, "eval-sql", "--db", out / "synth",
                 "--examples", examples, "--predictions", *files]) == 0

@@ -486,47 +486,42 @@ def test_execute_returns_the_query_it_ran(fixture_db, text):
 
 def count_parses_and_executes(monkeypatch, log):
     """Counts parse and execute calls in this process and in any process
-    forked from it: each call appends a line to the file ``log``.  Returns
-    a function that reads the counts."""
+    forked from it, noting each call's name in the CallLog ``log``.
+    Returns a function that reads the counts."""
     real_parse, real_execute = _sql.parse, Database.execute
 
-    def note(name):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(name + "\n")
-
     def counting_parse(text):
-        note("parse")
+        log.note("parse")
         return real_parse(text)
 
     def counting_execute(self, text, timeout=5.0):
-        note("execute")
+        log.note("execute")
         return real_execute(self, text, timeout)
 
     monkeypatch.setattr(_sql, "parse", counting_parse)
     monkeypatch.setattr(Database, "execute", counting_execute)
 
     def counts():
-        names = log.read_text(encoding="utf-8").split() if log.exists() else []
-        return {"parse": names.count("parse"), "execute": names.count("execute")}
+        return {"parse": log.count("parse"), "execute": log.count("execute")}
 
     return counts
 
 
-def test_generation_parses_each_text_once(synth_db, monkeypatch, tmp_path):
-    counts = count_parses_and_executes(monkeypatch, tmp_path / "calls")
+def test_generation_parses_each_text_once(synth_db, monkeypatch, call_log):
+    counts = count_parses_and_executes(monkeypatch, call_log())
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=60, seed=3))
     assert len(pairs) == 60
     assert counts()["parse"] == counts()["execute"] >= 60
 
 
-def test_scoring_parses_each_text_once(synth_db, monkeypatch, tmp_path):
+def test_scoring_parses_each_text_once(synth_db, monkeypatch, call_log):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=30, seed=5))
     golds = [p.sql for p in pairs] + [pairs[0].sql]  # one gold text twice
     examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
     payloads = [g if i % 3 == 0 else g.lower() if i % 3 == 1 else g + " junk"
                 for i, g in enumerate(golds)]  # echo, formatting, parse error
     predictions = [PredictionRecord(id=f"e{i}", payload=p) for i, p in enumerate(payloads)]
-    counts = count_parses_and_executes(monkeypatch, tmp_path / "calls")
+    counts = count_parses_and_executes(monkeypatch, call_log())
     report = score_sql_corpus(examples, predictions, synth_db)
     assert report.n == len(golds)
     assert counts()["parse"] == counts()["execute"] > len(golds)

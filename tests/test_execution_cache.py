@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 from datetime import datetime, timezone
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -54,21 +55,9 @@ PREDICTIONS = [
 ]
 
 
-def count_executes(monkeypatch):
-    calls = []
-    real_execute = Database.execute
-
-    def execute(self, sql, timeout=5.0):
-        calls.append(sql)
-        return real_execute(self, sql, timeout)
-
-    monkeypatch.setattr(Database, "execute", execute)
-    return calls
-
-
-def test_scoring_runs_each_gold_once_and_rescoring_is_byte_identical(monkeypatch):
+def test_scoring_runs_each_gold_once_and_rescoring_is_byte_identical(count_executes):
     db = make_db()
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     first = score_sql_corpus(EXAMPLES, PREDICTIONS, db).to_json()
     gold_runs = [sql for sql in calls if sql in GOLDS]
     assert sorted(gold_runs) == sorted(set(GOLDS))
@@ -85,13 +74,13 @@ def test_report_matches_a_fresh_database_per_scoring():
     assert second == score_sql_corpus(EXAMPLES, PREDICTIONS, make_db()).to_json()
 
 
-def test_rescore_after_load_sees_new_rows(monkeypatch):
+def test_rescore_after_load_sees_new_rows(count_executes):
     db = make_db()
     gold = "SELECT a FROM t"
     pred = "SELECT a FROM t WHERE b < 100"
     assert execution_accuracy(pred, gold, db)
     db.load_records("t", [(4, 400, "new")])
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     assert not execution_accuracy(pred, gold, db)
     assert calls == [gold, pred]
     report = score_sql_corpus(
@@ -112,9 +101,9 @@ def test_echo_of_nan_gold_stays_false():
     assert execution_accuracy("SELECT v FROM t WHERE v = 1", "SELECT v FROM t WHERE v < 2", db)
 
 
-def test_gold_error_raises_on_every_call(monkeypatch):
+def test_gold_error_raises_on_every_call(count_executes):
     db = make_db()
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     for _ in range(3):
         with pytest.raises(GoldExecutionError):
             execution_accuracy("SELECT a FROM t", "SELECT nope FROM t", db)
@@ -142,8 +131,8 @@ def test_execute_rejects_a_nan_timeout():
 
 
 @pytest.mark.parametrize("timeout", [math.nan, math.inf])
-def test_scoring_rejects_a_timeout_that_is_no_json_number(monkeypatch, timeout):
-    calls = count_executes(monkeypatch)
+def test_scoring_rejects_a_timeout_that_is_no_json_number(count_executes, timeout):
+    calls = count_executes()
     with pytest.raises(ValueError):
         score_sql_corpus(EXAMPLES, PREDICTIONS, make_db(), timeout=timeout)
     assert calls == []  # raised before anything was scored
@@ -362,22 +351,31 @@ def test_values_match_fast_path_agrees_with_policy(a, b, same):
 # -- gold results are sorted on the first comparison that needs them
 
 
-def count_gold_sorts(monkeypatch):
-    """(the prepared gold entries made, the rows lists _sorted_rows sorts)."""
-    golds, sorts = [], []
+def count_gold_sorts(monkeypatch, call_log):
+    """(the gold text of each prepared gold entry made, one note per rows
+    list _sorted_rows sorts: the gold text whose rows they are, or None),
+    noted in this process and in any worker forked from it."""
+    golds, sorts = call_log(), call_log()
+    made = []  # (gold text, entry) made in this process
     real_gold, real_sort = evaluation._gold, evaluation._sorted_rows
 
-    def gold(*args):
-        golds.append(real_gold(*args))
-        return golds[-1]
+    def gold(gold_sql, *args):
+        made.append((gold_sql, real_gold(gold_sql, *args)))
+        golds.note(gold_sql)
+        return made[-1][1]
+
+    def sort(rows):
+        entries = chain(made, *(kept.golds.items() for kept in evaluation._KEPT.values()))
+        sorts.note(next((sql for sql, entry in entries if rows is entry.expected.rows), None))
+        return real_sort(rows)
 
     monkeypatch.setattr(evaluation, "_gold", gold)
-    monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.append(rows) or real_sort(rows))
+    monkeypatch.setattr(evaluation, "_sorted_rows", sort)
     return golds, sorts
 
 
 def gold_sorts(golds, sorts):
-    return sum(rows is gold.expected.rows for rows in sorts for gold in golds)
+    return sum(sql is not None and sql in golds for sql in sorts)
 
 
 def score(pairs, db):
@@ -386,9 +384,9 @@ def score(pairs, db):
     return score_sql_corpus(examples, preds, db)
 
 
-def test_gold_is_not_sorted_when_no_prediction_compares_rows(monkeypatch):
+def test_gold_is_not_sorted_when_no_prediction_compares_rows(monkeypatch, call_log):
     db = make_db()
-    golds, sorts = count_gold_sorts(monkeypatch)
+    golds, sorts = count_gold_sorts(monkeypatch, call_log)
     report = score([
         ("SELECT a FROM t", "SELECT a FROM t"),  # echo
         ("SELECT b FROM t", "SELECT nope FROM t"),  # fails to run
@@ -400,9 +398,9 @@ def test_gold_is_not_sorted_when_no_prediction_compares_rows(monkeypatch):
     assert sorts == []
 
 
-def test_gold_is_sorted_once_for_many_comparisons(monkeypatch):
+def test_gold_is_sorted_once_for_many_comparisons(monkeypatch, call_log):
     db = make_db()
-    golds, sorts = count_gold_sorts(monkeypatch)
+    golds, sorts = count_gold_sorts(monkeypatch, call_log)
     gold = "SELECT a FROM t WHERE b > 10"
     # each run prediction returns rows other than the gold's as returned
     report = score([
@@ -417,9 +415,9 @@ def test_gold_is_sorted_once_for_many_comparisons(monkeypatch):
     assert len(sorts) == 4  # the gold once, each run prediction once
 
 
-def test_rows_equal_as_returned_are_not_sorted(monkeypatch):
+def test_rows_equal_as_returned_are_not_sorted(monkeypatch, call_log):
     db = make_db()
-    golds, sorts = count_gold_sorts(monkeypatch)
+    golds, sorts = count_gold_sorts(monkeypatch, call_log)
     gold = "SELECT a FROM t WHERE b > 10"
     report = score([
         (gold, "select a from t where b > 10"),
@@ -433,9 +431,9 @@ def test_rows_equal_as_returned_are_not_sorted(monkeypatch):
     assert len(sorts) == 2
 
 
-def test_ordered_gold_is_never_sorted(monkeypatch):
+def test_ordered_gold_is_never_sorted(monkeypatch, call_log):
     db = make_db()
-    golds, sorts = count_gold_sorts(monkeypatch)
+    golds, sorts = count_gold_sorts(monkeypatch, call_log)
     gold = "SELECT a FROM t ORDER BY a DESC"
     report = score([
         (gold, "SELECT a FROM t ORDER BY b DESC"),

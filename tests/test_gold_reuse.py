@@ -54,18 +54,6 @@ FILE_B = predictions(
 )
 
 
-def count_executes(monkeypatch):
-    calls = []
-    real_execute = Database.execute
-
-    def execute(self, sql, timeout=5.0):
-        calls.append(sql)
-        return real_execute(self, sql, timeout)
-
-    monkeypatch.setattr(Database, "execute", execute)
-    return calls
-
-
 def gold_runs(calls):
     return sorted(sql for sql in calls if sql in GOLDS)
 
@@ -74,10 +62,10 @@ def report_bytes(report):
     return report.to_json() + "\n" + report.to_text()
 
 
-def test_two_files_run_each_gold_once_and_match_fresh_databases(monkeypatch):
+def test_two_files_run_each_gold_once_and_match_fresh_databases(count_executes):
     alone = [report_bytes(score_sql_corpus(EXAMPLES, f, make_db())) for f in (FILE_A, FILE_B)]
     db = make_db()
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     both = [report_bytes(score_sql_corpus(EXAMPLES, f, db)) for f in (FILE_A, FILE_B)]
     assert both == alone
     assert gold_runs(calls) == sorted(set(GOLDS))
@@ -87,11 +75,11 @@ def test_two_files_run_each_gold_once_and_match_fresh_databases(monkeypatch):
     assert len(calls) == len(set(GOLDS)) + 3 + 3
 
 
-def test_a_load_between_files_runs_the_golds_again_on_the_new_rows(monkeypatch):
+def test_a_load_between_files_runs_the_golds_again_on_the_new_rows(count_executes):
     db = make_db()
     before = report_bytes(score_sql_corpus(EXAMPLES, FILE_B, db))
     db.load_records("t", [(5, 50, "ef")])
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     after = score_sql_corpus(EXAMPLES, FILE_B, db)
     assert gold_runs(calls) == sorted(set(GOLDS))
     fresh = make_db()
@@ -104,9 +92,9 @@ def test_a_load_between_files_runs_the_golds_again_on_the_new_rows(monkeypatch):
     assert ("e3", "execution mismatch, logical mismatch") in after.failures
 
 
-def test_another_timeout_runs_the_golds_again(monkeypatch):
+def test_another_timeout_runs_the_golds_again(count_executes):
     db = make_db()
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     first = score_sql_corpus(EXAMPLES, FILE_A, db, timeout=5.0)
     score_sql_corpus(EXAMPLES, FILE_A, db, timeout=5.0)
     assert gold_runs(calls) == sorted(set(GOLDS))
@@ -117,17 +105,21 @@ def test_another_timeout_runs_the_golds_again(monkeypatch):
     assert second.policy["prediction_timeout_seconds"] == 60.0
 
 
-def test_a_failing_gold_raises_on_every_call_and_is_never_kept(monkeypatch):
+# the failing gold is the fourth distinct one: with two processes it is dealt
+# to the worker, where it raises, and this process runs it again in order
+@pytest.mark.parametrize("count, runs", [(1, 1), (2, 2)])
+def test_a_failing_gold_raises_on_every_call_and_is_never_kept(count_executes, processes, count, runs):
+    processes(count)
     db = make_db()
     bad = "SELECT missing FROM t"
     examples = EXAMPLES + [SqlExample(id="e4", input="q", gold_sql=bad)]
     preds = FILE_A + [PredictionRecord(id="e4", payload="SELECT a FROM t")]
-    calls = count_executes(monkeypatch)
+    calls = count_executes()
     for _ in range(3):
         with pytest.raises(GoldExecutionError):
             score_sql_corpus(examples, preds, db)
         assert bad not in evaluation._KEPT[db].golds
-    assert calls.count(bad) == 3
+    assert calls.count(bad) == 3 * runs
     # the golds that ran are kept; the failing one is the only gold run again
     assert gold_runs(calls) == sorted(set(GOLDS))
 
@@ -167,19 +159,19 @@ OTHER = (
 )
 
 
-def test_a_scorer_with_another_timeout_in_between_leaves_a_scoring_run_whole(monkeypatch):
+def test_a_scorer_with_another_timeout_in_between_leaves_a_scoring_run_whole(monkeypatch, call_log):
     # another caller replaces the kept set after each execution_accuracy
     # call, as a second thread scoring with another timeout may
     db = make_db()
     alone = report_bytes(score_sql_corpus(EXAMPLES, FILE_A, make_db()))
     other = report_bytes(score_sql_corpus(*OTHER, make_db(), timeout=60.0))
     real = evaluation.execution_accuracy
-    others = []
+    others = call_log()  # in whichever process scores the example
 
     def interleaved(pred_sql, gold_sql, db_, timeout=evaluation.PRED_TIMEOUT):
         verdict = real(pred_sql, gold_sql, db_, timeout)
         monkeypatch.setattr(evaluation, "execution_accuracy", real)
-        others.append(report_bytes(score_sql_corpus(*OTHER, db, timeout=60.0)))
+        others.note(report_bytes(score_sql_corpus(*OTHER, db, timeout=60.0)))
         monkeypatch.setattr(evaluation, "execution_accuracy", interleaved)
         return verdict
 

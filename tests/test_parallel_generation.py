@@ -8,18 +8,11 @@ import random
 
 import pytest
 
+from iotsqlbench import workers
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
 from iotsqlbench.templates import CorpusConfig, ExhaustedResampling, generate, generate_corpus
 
 REAL_RNG = generate._candidate_rng
-
-
-@pytest.fixture()
-def processes(monkeypatch):
-    def pin(count):
-        monkeypatch.setattr(generate, "_process_count", lambda: count)
-
-    return pin
 
 
 def no_child_left():
@@ -131,13 +124,13 @@ def test_a_worker_that_dies_changes_nothing(synth_db, processes, monkeypatch):
             os._exit(3)
 
     received = []
-    real_receive = generate._Worker.receive
+    real_receive = workers.Worker.receive
 
     def receive(worker):
         received.append(real_receive(worker))
         return received[-1]
 
-    monkeypatch.setattr(generate._Worker, "receive", receive)
+    monkeypatch.setattr(workers.Worker, "receive", receive)
     fail_at(monkeypatch, 5, die_in_worker)  # odd: in the worker's share
     assert generated(synth_db, config, processes, 2) == expected
     assert received[0] is None  # the first batch came back from no worker
@@ -156,3 +149,14 @@ def test_exhausted_resampling_is_unchanged(processes, count):
     with pytest.raises(ExhaustedResampling) as serial:
         generate_corpus(db, CorpusConfig(n_pairs=300, seed=1, max_attempt_factor=1))
     assert str(exc.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("n_pairs, forked", [(1, 0), (2, 1), (40, 3)])
+def test_no_more_workers_than_pairs_minus_one(synth_db, processes, monkeypatch, n_pairs, forked):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    processes(4)
+    assert len(generate_corpus(synth_db, CorpusConfig(n_pairs=n_pairs, seed=3))) == n_pairs
+    assert len(forks) == forked
+    assert no_child_left()
