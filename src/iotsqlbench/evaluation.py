@@ -14,22 +14,27 @@ substituted for empty denominators.
 Each gold query runs once per exact SQL text, database and timeout: its
 result, as returned, is kept with the database while the database's rows
 and the timeout stay the same, so a second prediction file scored on the
-same rows runs no gold query again.  A kept result is checked for a value
-unequal to itself (NaN) at most once.  A prediction with the gold's width
+same rows runs no gold query again.  A prediction with the gold's width
 and row count whose rows equal the gold's as returned, with the same type
-in every cell, matches by one equality pass if the gold has no NaN.  Any
-other such prediction is compared after sorting, unless order counts; a
-kept result is sorted on the first comparison that needs it, and at most
-once.  A prediction textually identical to its gold query is scored
-without running, by the gold's NaN check, and is logically correct
-without being normalized.  None of this changes the comparison policy.
+in every cell, matches by one equality pass if the gold has no value
+unequal to itself (NaN).  Any other such prediction is compared after
+sorting, unless order counts; the NaN check and the sort of a gold result
+are made on the first comparison that needs them.  A prediction textually
+identical to its gold query is scored without running, by the gold's NaN
+check, and is logically correct without being normalized.  None of this
+changes the comparison policy.
 
 Execution verdicts are computed in up to one process per CPU in the
 affinity mask (forked workers, none with one CPU, one distinct gold text,
 or where the platform cannot fork).  The distinct gold texts are dealt
 round robin, so each gold query runs in one process, and the verdicts are
 merged in example order: a report never depends on the process count, and
-an error raises at the example where one process would raise it.
+an error raises at the example where one process would raise it, because
+a gold whose scoring raised is scored again in example order.  A worker
+sends back the results of the gold queries it ran, with the NaN check and
+sort it made of them, so these are made once.  Of a result kept before the
+call, a worker sends nothing back: a check or sort it made there is made
+again when a later file needs it.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ def _values_close(a, b, rel_tol: float) -> bool:
         try:
             return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-9)
         except OverflowError:  # an int beyond float range matches only an equal int
-            return False
+            return a == b
     if type(a) is not type(b):
         return False
     return a == b
@@ -176,29 +181,9 @@ def _cell_key(v) -> tuple:
     return (rank, str(v))
 
 
-def _column_key(values: tuple) -> Sequence:
-    """One column's part of the sort key.  A column of one type needs no
-    rank, and its values order as their keys do (booleans as 0/1, naive
-    times as their ISO text), so they are their own key."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and kinds <= {type(None), bool, float, datetime, str}:
-        return values
-    if kinds <= {int, float}:
-        try:
-            return list(map(float, values))
-        except OverflowError:
-            pass
-    return list(map(_cell_key, values))
-
-
 def _sorted_rows(rows: list[tuple]) -> list[tuple]:
-    """``rows`` sorted by their per-column keys; ties keep their order."""
-    columns = list(zip(*rows))
-    keys = [_column_key(col) for col in columns]
-    if all(key is col for key, col in zip(keys, columns)):
-        return sorted(rows)
-    row_keys = list(zip(*keys))
-    return [rows[i] for i in sorted(range(len(rows)), key=row_keys.__getitem__)]
+    """``rows`` sorted by their cells' keys; ties keep their order."""
+    return sorted(rows, key=lambda row: tuple(map(_cell_key, row)))
 
 
 @dataclass(frozen=True)
@@ -225,24 +210,6 @@ class _Prepared:
         """False iff a cell is unequal to itself, which among store values
         only NaN is."""
         return not any(map(operator.ne, chain.from_iterable(self.rows), chain.from_iterable(self.rows)))
-
-    def computed(self) -> dict:
-        """What has been computed of it, for another process's copy: the NaN
-        check, and the sorted rows as their positions in ``rows``."""
-        done = {}
-        if "matches_itself" in vars(self):
-            done["matches_itself"] = self.matches_itself
-        if "comparable_rows" in vars(self):
-            position = {id(row): i for i, row in enumerate(self.rows)}
-            done["comparable_rows"] = [position[id(row)] for row in self.comparable_rows]
-        return done
-
-    def take(self, done: dict) -> None:
-        """Keeps what another process's copy of it computed (``computed``)."""
-        if "matches_itself" in done:
-            vars(self).setdefault("matches_itself", done["matches_itself"])
-        if "comparable_rows" in done:
-            vars(self).setdefault("comparable_rows", [self.rows[i] for i in done["comparable_rows"]])
 
     def matches(self, pred: ResultTable) -> bool:
         """Positional multiset comparison; column names are ignored."""
@@ -454,14 +421,13 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
     The distinct gold texts are dealt, in order of first appearance, round
     robin over this process and its forked workers (``workers.Pool``).  Each
     process scores every example of each gold it was dealt, so each gold
-    query runs in one process only.  This process walks its own examples in
-    order and stops at the first error, which is raised when the walk below
-    reaches that example.  A worker's gold that raised, or whose worker
-    died, is scored again in that walk, so an error raises at the example
-    where one process would have raised it.  A worker sends back each gold
-    entry it ran, and of each kept one what it computed (the NaN check and
-    the sort), which are kept here if the rows have not changed since the
-    workers were forked.
+    query runs in one process only.  A gold whose scoring raised, in any
+    process, or whose worker died, is scored again in the example-order walk
+    below, so an error raises at the example where one process would have
+    raised it.  A worker sends back each gold entry it ran, with its NaN
+    check and sort if it made them, and these are kept here if the rows have
+    not changed since the workers were forked.  A check or sort a worker
+    made on an entry kept before the call is not sent back.
     """
     examples_of: dict[str, list[int]] = {}
     for i, (ex, _) in enumerate(pairs):
@@ -474,51 +440,30 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
                 logical_accuracy(rec.payload, ex.gold_sql))
 
     def score_gold(j: int) -> tuple:
-        """In a worker: the verdicts of gold ``j``'s examples, its tables,
-        and its entry if it was run here, else what is computed of it."""
+        """The verdicts of gold ``j``'s examples, its tables, and its entry
+        if this call ran it, else None."""
         gold_sql = golds[j]
         kept = _KEPT.get(db)
         before = kept and kept.golds.get(gold_sql)
         verdicts = list(map(verdict, examples_of[gold_sql]))
         gold = _prepared_gold(gold_sql, db, timeout)
-        return verdicts, gold.tables, gold if gold is not before else gold.expected.computed()
-
-    held = None  # (example index, error) where this process stopped
-
-    def score_here(mine: range) -> list:
-        nonlocal held
-        verdicts = {golds[j]: [] for j in mine}
-        for i, (ex, _) in enumerate(pairs):
-            if ex.gold_sql in verdicts:
-                try:
-                    verdicts[ex.gold_sql].append(verdict(i))
-                except Exception as exc:
-                    held = i, exc
-                    break
-        # kept by those calls, or run again if another caller replaced the
-        # set meanwhile: the referenced tables depend on the text alone
-        return [(got, _prepared_gold(gold_sql, db, timeout).tables if got else None, None)
-                for gold_sql, got in verdicts.items()]
+        return verdicts, gold.tables, gold if gold is not before else None
 
     snapshot = db.snapshot()
     with Pool(score_gold, len(golds)) as pool:
-        results = pool.compute(range(len(golds)), score_here)
+        results = pool.compute(range(len(golds)))
     kept = _kept_set(db, snapshot, timeout).golds if db.snapshot() == snapshot else {}
     out: list = [None] * len(pairs)
     for gold_sql, result in zip(golds, results):
         if result == NOT_COMPUTED:
             continue
-        verdicts, tables, sent = result
+        verdicts, tables, ran = result
         for i, (execution, logical) in zip(examples_of[gold_sql], verdicts):
             out[i] = execution, logical, tables
-        if isinstance(sent, _Gold):
-            kept[gold_sql] = sent
-        elif sent is not None and gold_sql in kept:
-            kept[gold_sql].expected.take(sent)
+        if ran is not None:
+            kept[gold_sql] = ran
     for i, (ex, _) in enumerate(pairs):
         if out[i] is None:
-            if held is not None and held[0] == i:
-                raise held[1]
             out[i] = *verdict(i), _prepared_gold(ex.gold_sql, db, timeout).tables
     return out
 

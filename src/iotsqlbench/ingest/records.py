@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
@@ -80,6 +81,17 @@ def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
     raise UnknownLabel(f"unknown label {raw_label!r}")
 
 
+# each bounded ConnRecord field, with its lowest and highest value
+_CONN_BOUNDS = (
+    ("orig_p", 0, 65535),
+    ("resp_p", 0, 65535),
+    *((name, 0, math.inf) for name in (
+        "duration", "orig_bytes", "resp_bytes", "missed_bytes",
+        "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes",
+    )),
+)
+
+
 @dataclass(frozen=True, slots=True)
 class ConnRecord:
     """One Zeek conn.log session plus its attack label.
@@ -111,30 +123,11 @@ class ConnRecord:
     label: AttackLabel = AttackLabel.Benign
 
     def __post_init__(self) -> None:
-        # written out check by check, without a loop or helper calls: a
-        # record is checked per line of a Zeek block that fails the column
-        # check (see zeek._convert_group), per JSON log line and per row a
-        # ConnTable builds
-        if self.orig_p is not None and not 0 <= self.orig_p <= 65535:
-            raise RecordInvariantError(f"orig_p out of range: {self.orig_p}")
-        if self.resp_p is not None and not 0 <= self.resp_p <= 65535:
-            raise RecordInvariantError(f"resp_p out of range: {self.resp_p}")
-        if self.duration is not None and not self.duration >= 0:
-            raise RecordInvariantError(f"duration must be nonnegative: {self.duration}")
-        if self.orig_bytes is not None and not self.orig_bytes >= 0:
-            raise RecordInvariantError(f"orig_bytes must be nonnegative: {self.orig_bytes}")
-        if self.resp_bytes is not None and not self.resp_bytes >= 0:
-            raise RecordInvariantError(f"resp_bytes must be nonnegative: {self.resp_bytes}")
-        if self.missed_bytes is not None and not self.missed_bytes >= 0:
-            raise RecordInvariantError(f"missed_bytes must be nonnegative: {self.missed_bytes}")
-        if self.orig_pkts is not None and not self.orig_pkts >= 0:
-            raise RecordInvariantError(f"orig_pkts must be nonnegative: {self.orig_pkts}")
-        if self.orig_ip_bytes is not None and not self.orig_ip_bytes >= 0:
-            raise RecordInvariantError(f"orig_ip_bytes must be nonnegative: {self.orig_ip_bytes}")
-        if self.resp_pkts is not None and not self.resp_pkts >= 0:
-            raise RecordInvariantError(f"resp_pkts must be nonnegative: {self.resp_pkts}")
-        if self.resp_ip_bytes is not None and not self.resp_ip_bytes >= 0:
-            raise RecordInvariantError(f"resp_ip_bytes must be nonnegative: {self.resp_ip_bytes}")
+        for name, lowest, highest in _CONN_BOUNDS:
+            value = getattr(self, name)
+            if value is not None and not lowest <= value <= highest:
+                problem = "out of range" if highest < math.inf else "must be nonnegative"
+                raise RecordInvariantError(f"{name} {problem}: {value}")
 
     @property
     def is_malicious(self) -> bool:

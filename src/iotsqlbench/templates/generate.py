@@ -49,10 +49,6 @@ class ExhaustedResampling(TemplateError):
     pass
 
 
-class ManualPairError(TemplateError):
-    pass
-
-
 @dataclass(frozen=True)
 class TextSqlPair:
     question: str
@@ -632,30 +628,6 @@ def read_corpus(text: str) -> list[TextSqlPair]:
                 template_id=template_id,
                 tables_referenced=frozenset(tables),
                 category=category,
-            )
-        )
-    return pairs
-
-
-def read_manual_pairs(text: str, db: Database) -> list[TextSqlPair]:
-    """Hand-written pairs from JSONL text (``read_jsonl``): each question and
-    sql is a string, and the SQL executes on ``db``."""
-    pairs = []
-    for line_no, obj in read_jsonl(text):
-        question, sql_text = obj.get("question"), obj.get("sql")
-        if not (isinstance(question, str) and isinstance(sql_text, str)):
-            raise ManualPairError(f"line {line_no}: question and sql must be strings")
-        try:
-            query = db.execute(sql_text).query
-        except Exception as exc:
-            raise ManualPairError(f"line {line_no}: sql does not execute: {exc}") from exc
-        pairs.append(
-            TextSqlPair(
-                question=question,
-                sql=sql_text,
-                template_id=None,
-                tables_referenced=canonical_tables(query, db.schema),
-                category=None,
             )
         )
     return pairs

@@ -4,10 +4,11 @@ A ``Pool`` forks one worker per further CPU this process may run on, and
 no more than its items minus one, so one CPU, one item or a platform that
 cannot fork forks nothing.  The items of a batch are dealt round robin:
 this process computes its share while each worker computes its own on the
-pages it shares with this process.  An item a worker could not compute
-(computing it raised, or the worker died) comes back ``NOT_COMPUTED``, and
-the caller computes it again in order, so that an error is raised where
-one process would have raised it, and only if one process would reach it.
+pages it shares with this process.  An item that could not be computed
+(computing it raised, in this process or a worker, or its worker died)
+comes back ``NOT_COMPUTED``, and the caller computes it again in order, so
+that an error is raised where one process would have raised it, and only
+if one process would reach it.
 """
 
 from __future__ import annotations
@@ -69,16 +70,13 @@ class Pool:
             worker.stop()
         self._workers = []
 
-    def compute(self, batch, here=None) -> list:
-        """One result per item of ``batch``, or ``NOT_COMPUTED``.  This
-        process's share, ``batch[0::n]``, is computed item by item, or by
-        ``here(share)``, which returns one result per item of its share."""
+    def compute(self, batch) -> list:
+        """One result per item of ``batch``, or ``NOT_COMPUTED``."""
         workers = list(self._workers)
         share = 1 + len(workers)
         sent = [worker.send(batch[i::share]) for i, worker in enumerate(workers, 1)]
         results = [NOT_COMPUTED] * len(batch)
-        mine = batch[0::share]
-        results[0::share] = here(mine) if here else [_attempt(self._compute, k) for k in mine]
+        results[0::share] = [_attempt(self._compute, k) for k in batch[0::share]]
         for i, (worker, ok) in enumerate(zip(workers, sent), 1):
             got = worker.receive() if ok else None
             if got is None:

@@ -76,15 +76,17 @@ def report_bytes(report):
 
 @pytest.mark.usefixtures("timeouts")
 def test_reports_do_not_depend_on_the_process_count(synth_db, examples, processes):
-    files = [predictions(examples), predictions(examples, salt=2)]
-    reports = {}
+    # with two processes, the third file's mutant of the sixth gold (a count
+    # the worker runs in the first file) sorts that gold in the worker again,
+    # after the second file's mutant sorted it there first
+    files = [predictions(examples), predictions(examples, salt=2), predictions(examples, salt=3)]
+    processes(1)
+    alone = [report_bytes(score_sql_corpus(examples, preds, fresh(synth_db))) for preds in files]
     for count in (1, 2, 4):
         processes(count)
         db = fresh(synth_db)
-        reports[count] = [report_bytes(score_sql_corpus(examples, preds, db)) for preds in files]
+        assert [report_bytes(score_sql_corpus(examples, preds, db)) for preds in files] == alone
         assert no_child_left()
-    assert reports[2] == reports[1]
-    assert reports[4] == reports[1]
     report = score_sql_corpus(examples, files[0], fresh(synth_db))
     assert 0.2 < report.execution_acc < 0.6  # every kind scored, not all alike
     timed_out = [ex.id for ex, rec in zip(examples, files[0]) if rec.payload == TIMEOUT_SQL]
@@ -193,11 +195,11 @@ def test_a_gold_sorted_in_a_worker_is_not_sorted_again(processes, call_log, monk
     real_sort = evaluation._sorted_rows
     monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.note(rows) or real_sort(rows))
     processes(2)
-    # the first file runs the golds and sorts neither; each prediction of
-    # the next two returns its gold's rows in another order, so each of
-    # those comparisons sorts the prediction, and the gold unless it was
-    # sorted before, in whichever process
-    for suffix in ("", " ORDER BY a DESC", " ORDER BY b DESC"):
+    # each prediction returns its gold's rows in another order, so each
+    # comparison sorts the prediction, and the gold unless it was sorted
+    # before: the first file runs each gold and sorts it where it ran, and
+    # the worker sends its gold back sorted
+    for suffix in (" ORDER BY a DESC", " ORDER BY b DESC"):
         preds = [PredictionRecord(id=ex.id, payload=ex.gold_sql.lower() + suffix) for ex in examples]
         assert score_sql_corpus(examples, preds, db).execution_acc == 1.0
         assert no_child_left()

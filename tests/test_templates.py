@@ -9,7 +9,6 @@ from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
 from iotsqlbench.templates import (
     CorpusConfig,
     ExhaustedResampling,
-    ManualPairError,
     TemplateBinder,
     TemplateError,
     UnsatisfiableSlot,
@@ -23,7 +22,6 @@ from iotsqlbench.templates import (
     pair_to_json,
     parse_bank_text,
     read_corpus,
-    read_manual_pairs,
 )
 
 BY_ID = {t.id: t for t in default_bank()}
@@ -193,22 +191,6 @@ def test_read_corpus_rejects_mistyped_fields(field, value, message):
     assert read_corpus(json.dumps(good) + "\n")[0].category == "x"
 
 
-def test_manual_pairs_validated(synth_db, tmp_path):
-    good = '{"question": "How many sessions are there in total?", "sql": "SELECT COUNT(*) FROM conn.log"}'
-    pairs = read_manual_pairs(good + "\n", synth_db)
-    assert pairs[0].template_id is None
-    assert pairs[0].tables_referenced == frozenset({"conn.log"})
-    bad = '{"question": "broken", "sql": "SELECT nope FROM conn.log"}'
-    with pytest.raises(ManualPairError):
-        read_manual_pairs(bad + "\n", synth_db)
-    for bad in ('{"question": "no sql"}', '{"question": 5, "sql": "SELECT 1"}',
-                '{"question": "q", "sql": ["SELECT 1"]}'):
-        with pytest.raises(ManualPairError, match="^line 1: question and sql must be strings"):
-            read_manual_pairs(bad + "\n", synth_db)
-    with pytest.raises(ParseError, match="^line 1: expected an object"):
-        read_manual_pairs("[1, 2]\n", synth_db)
-
-
 def test_corpus_stats_reports_both_lengths(synth_db):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=60, seed=5))
     stats = corpus_stats(pairs)
@@ -217,13 +199,12 @@ def test_corpus_stats_reports_both_lengths(synth_db):
     assert stats["sql_length"]["avg"] > 0
 
 
-def test_corpus_readers_split_records_at_newlines_only(synth_db):
+def test_corpus_readers_split_records_at_newlines_only():
     question = "How many sessions\u2028are there in\x85total?"
     line = json.dumps({"question": question, "sql": "SELECT COUNT(*) FROM conn.log"},
                       ensure_ascii=False)
     text = "\n" + line + "\r\n"
     assert [pair.question for pair in read_corpus(text)] == [question]
-    assert [pair.question for pair in read_manual_pairs(text, synth_db)] == [question]
     with pytest.raises(TemplateError) as exc:
         read_corpus(text + '{"question": "x"}\n')
     assert "line 3" in str(exc.value)
