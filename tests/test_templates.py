@@ -191,6 +191,15 @@ def test_read_corpus_rejects_mistyped_fields(field, value, message):
     assert read_corpus(json.dumps(good) + "\n")[0].category == "x"
 
 
+def test_read_corpus_takes_a_pair_with_no_template():
+    bare = {"question": "How many sessions are there in total?", "sql": "SELECT COUNT(*) FROM conn.log"}
+    nulls = {**bare, "template_id": None, "category": None}
+    for obj in (bare, nulls):
+        [pair] = read_corpus(json.dumps(obj) + "\n")
+        assert (pair.template_id, pair.category, pair.tables_referenced) == (None, None, frozenset())
+        assert read_corpus(pair_to_json(pair) + "\n") == [pair]
+
+
 def test_corpus_stats_reports_both_lengths(synth_db):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=60, seed=5))
     stats = corpus_stats(pairs)
