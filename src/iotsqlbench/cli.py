@@ -37,6 +37,7 @@ from .ingest import (
 from .ingest.sensors import sensor_rows
 from .ingest.synth import device_rows
 from .ingest.zeek import rows_for_table, table_name
+from .lines import NotUtf8, read_text
 from .store import Database, StoreError, default_schema, dump_schema_text, load_schema_file
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ DATA_ERRORS = (
     baselines.BaselineError,
     baselines.FeatureError,
     baselines.ModelFileError,
+    NotUtf8,
 )
 
 
@@ -158,11 +160,12 @@ def _zeek_log(path: Path, kind: str) -> Path | None:
 
 
 def _parse_zeek_file(path: Path, kind: str):
-    """``parse_zeek`` of a log file; a bad directive, or a missing
-    ``#fields``, is an error naming ``<file>:<line>`` as a malformed line is
-    (``<file>`` alone when the log has no ``#fields`` at all)."""
+    """``parse_zeek`` of a log file; a bad directive, a missing ``#fields``
+    or a byte that is not UTF-8 is an error naming ``<file>:<line>`` as a
+    malformed line is (``<file>`` alone when the log has no ``#fields`` at
+    all)."""
     try:
-        return parse_zeek(path.read_text(encoding="utf-8"), kind)
+        return parse_zeek(read_text(path), kind)
     except BadDirective as exc:
         where = path if exc.line_no is None else f"{path}:{exc.line_no}"
         raise IngestError(f"{where}: {exc.message}") from exc
@@ -182,10 +185,10 @@ def read_logs_dir(path: Path) -> tuple[dict, list]:
     for sensor in SENSOR_TYPES:
         candidate = path / f"{sensor}.csv"
         if candidate.exists():
-            data[sensor] = ingest_sensors(candidate.read_text(encoding="utf-8"), sensor)
+            data[sensor] = ingest_sensors(read_text(candidate), sensor)
     candidate = path / "devices.csv"
     if candidate.exists():
-        data["devices"] = parse_devices(candidate.read_text(encoding="utf-8"))
+        data["devices"] = parse_devices(read_text(candidate))
     if not data:
         raise IngestError(f"no recognizable log files under {path}")
     return data, issues
@@ -243,7 +246,7 @@ def network_splits(anonymized: str, network_manifest: str) -> dict:
     table = _conn_table(anonymized)
     # the last row of a uid, as a uid -> record dict would keep
     position = {uid: i for i, uid in enumerate(table.columns["uid"])}
-    manifest = splitter.load_manifest(Path(network_manifest).read_text(encoding="utf-8"))
+    manifest = splitter.load_manifest(read_text(network_manifest))
     for uid in manifest.assignment:
         if uid not in position:
             raise splitter.SplitError(f"manifest uid {uid!r} is not in {anonymized}")
@@ -326,7 +329,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
     inputs: dict = {}
     seed = cfg.get_int("seed")
     if args.corpus:
-        pairs = templates.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+        pairs = templates.read_corpus(Path(args.corpus))
         manifest = splitter.split_pairs(pairs, ratios=cfg.get_floats("split.ratios"), seed=seed)
         writer.write("splits/pairs_manifest.txt", splitter.dump_manifest(manifest))
         inputs["corpus"] = args.corpus
@@ -375,8 +378,8 @@ def cmd_emit(cfg: RunConfig, out: Path, args) -> int:
     inputs: dict = {}
     schema = _load_schema(cfg)
     if args.corpus and args.pairs_manifest:
-        pairs = templates.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
-        manifest = splitter.load_manifest(Path(args.pairs_manifest).read_text(encoding="utf-8"))
+        pairs = templates.read_corpus(Path(args.corpus))
+        manifest = splitter.load_manifest(read_text(args.pairs_manifest))
         separator = cfg.raw("emit.separator")
         for split in splitter.SPLITS:
             subset = [pairs[int(i)] for i in manifest.ids_for(split)]

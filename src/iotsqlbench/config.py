@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .ingest.records import AttackLabel
-from .lines import split_lines
+from .lines import NotUtf8, read_text, split_lines
 
 # key -> (default, help)
 CONFIG_KEYS = {
@@ -87,9 +87,8 @@ class RunConfig:
         values = {k: default for k, (default, _) in CONFIG_KEYS.items()}
         if path:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    file_values = parse_kv_text(fh.read())
-            except OSError as exc:
+                file_values = parse_kv_text(read_text(path))
+            except (OSError, NotUtf8) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
             for key, value in file_values.items():
                 if key not in CONFIG_KEYS:

@@ -8,8 +8,8 @@ rendered a column at a time, from the columns ``records.conn_columns``
 gives, by ``zeek._render_column``, the renderer the TSV writer uses, and
 ``detection_row`` renders one record the same way, so rendering has one
 semantics.  Examples and predictions travel as UTF-8 JSON lines keyed by
-id, one per ``"\n"``-ended line; detection examples are built a column at a
-time.
+id, one per ``"\n"``-ended line, and a file of them is read one line at a
+time; detection examples are built a column at a time.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import os
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from pathlib import Path
 from typing import Iterable
 
 from .ingest.records import CONN_FIELDS, ConnRecord, conn_columns
 from .ingest.zeek import _render_column
-from .lines import split_lines
+from .lines import read_lines, split_lines
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
 DEFAULT_INSTRUCTION = "Is the following network information Malicious?"
@@ -219,9 +218,12 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
 def read_jsonl(source: str | os.PathLike):
     """(line number, object) per record of JSON lines, the toolkit's one JSON-lines
     reader; a str is the text, an os.PathLike its file's path. Lines are split by
-    ``lines.split_lines``; one that is not a JSON object is a ParseError."""
-    text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
-    for line_no, line in enumerate(split_lines(text), start=1):
+    ``lines.split_lines``' rule, a file's one at a time from its bytes
+    (``lines.read_lines``), so that it costs its records plus one line. A line that
+    is not a JSON object is a ParseError; one of a file that is not UTF-8 is a
+    ``lines.NotUtf8`` naming the file and line."""
+    lines = split_lines(source) if isinstance(source, str) else read_lines(source)
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

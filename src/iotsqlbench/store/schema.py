@@ -17,7 +17,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..lines import split_lines
+from ..lines import read_text, split_lines
 
 ATTRIBUTES = ("text", "number", "time", "boolean")
 
@@ -196,8 +196,7 @@ def dump_schema_text(schema: DatabaseSchema) -> str:
 
 
 def load_schema_file(path: str) -> DatabaseSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schema_text(fh.read())
+    return parse_schema_text(read_text(path))
 
 
 def default_schema() -> DatabaseSchema:

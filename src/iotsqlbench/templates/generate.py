@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -601,13 +602,13 @@ def pair_to_json(pair: TextSqlPair) -> str:
     )
 
 
-def read_corpus(text: str) -> list[TextSqlPair]:
-    """A corpus file's text (``read_jsonl``): each record's question and sql
-    are strings, and the SQL parses in the store dialect; tables_referenced,
-    if present, is a list of strings, and template_id and category are each
-    a string or null."""
+def read_corpus(source: str | os.PathLike) -> list[TextSqlPair]:
+    """The pairs of a corpus, given as its text or as its file's path
+    (``read_jsonl``): each record's question and sql are strings, and the SQL
+    parses in the store dialect; tables_referenced, if present, is a list of
+    strings, and template_id and category are each a string or null."""
     pairs = []
-    for line_no, obj in read_jsonl(text):
+    for line_no, obj in read_jsonl(source):
         question, sql_text = obj.get("question"), obj.get("sql")
         if not (isinstance(question, str) and isinstance(sql_text, str)):
             raise TemplateError(f"corpus line {line_no}: question and sql must be strings")

@@ -436,3 +436,35 @@ def test_malformed_device_manifest_and_corpus_lines_exit_1(tmp_path, capsys):
         corpus.write_text('{"question": "q", "sql": "SELECT 1"}\n' + bad + "\n", encoding="utf-8")
         assert run(["--out", tmp_path / "split", "split", "--corpus", corpus]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_eval_detect_reports_a_byte_that_is_not_utf8_as_a_data_error(tmp_path, capsys):
+    examples, preds = tmp_path / "det.jsonl", tmp_path / "preds.jsonl"
+    good = '{"gold": "Benign", "id": "C1", "input": "Is it Malicious? tcp"}\n'
+    examples.write_bytes(good.encode() + b'{"gold": "Benign", "id": "C2", "input": "\xff"}\n')
+    preds.write_text('{"id": "C1", "payload": "Benign"}\n', encoding="utf-8")
+    capsys.readouterr()
+    # a traceback would propagate out of main() and fail the test
+    assert run(["--out", tmp_path / "run", "eval-detect", "--examples", examples,
+                "--predictions", preds]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {examples}:2: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
+def test_ingest_and_config_report_a_byte_that_is_not_utf8_naming_its_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["--seed", 5, "--out", out, *SMALL, "synth"]) == 0
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    lines = (out / "synth/conn.log.tsv").read_bytes().split(b"\n")
+    bad = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 2  # 0-based
+    lines[bad] = lines[bad].replace(b"\t", b"\t\xfe", 1)
+    (logs / "conn.log").write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "ingest", "ingest", "--logs", logs]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {logs / 'conn.log'}:{bad + 1}: byte 0xfe is not UTF-8 (invalid start byte)\n")
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 3\nsynth.conn = \xe9\n")
+    assert run(["--config", config, "config"]) == 2
+    assert f"{config}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err

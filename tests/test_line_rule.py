@@ -1,6 +1,8 @@
 """Every text file the toolkit writes and reads back ends a line at "\\n"
 alone: each writer -> reader pair keeps a value holding U+2028, U+2029 or
-U+0085, which ``str.splitlines`` would break, and reads its CRLF form."""
+U+0085, which ``str.splitlines`` would break, and reads its CRLF form, from
+its text and from its file; from its file also a value holding a lone
+"\\r", which text mode would break, wherever the writer writes one."""
 
 import dataclasses
 from datetime import datetime
@@ -19,7 +21,8 @@ from iotsqlbench.ingest import (
     serialize_zeek,
     synthesize_logs,
 )
-from iotsqlbench.lines import split_lines
+from iotsqlbench.cli import _parse_zeek_file, read_logs_dir
+from iotsqlbench.lines import read_text, split_lines
 from iotsqlbench.modelio import read_sql_examples, write_sql_examples
 from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
 from iotsqlbench.store import default_schema
@@ -67,9 +70,24 @@ def _zeek(mark, tmp_path):
 PAIRS = {"devices": _devices, "sensors": _sensors, "manifest": _manifest,
          "corpus": _corpus, "jsonl": _jsonl, "zeek": _zeek}
 
+# the file each pair's text is written to, and how the CLI reads it back
+FILES = {
+    "devices": ("devices.csv", lambda path: read_logs_dir(path.parent)[0]["devices"]),
+    "sensors": ("co2.csv", lambda path: read_logs_dir(path.parent)[0]["co2"]),
+    "manifest": ("manifest.txt", lambda path: load_manifest(read_text(path))),
+    "corpus": ("corpus.jsonl", read_corpus),
+    "jsonl": ("sql.jsonl", read_sql_examples),
+    "zeek": ("conn.log", lambda path: _parse_zeek_file(path, "conn").records),
+}
+
+MARKS = ["\u2028", "\u2029", "\x85"]
+# the CSV writers refuse a value holding "\r", and the JSON writers escape it
+FILE_CASES = [(pair, mark) for pair in PAIRS for mark in MARKS] + [
+    ("manifest", "\r"), ("zeek", "\r")]
+
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
-@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+@pytest.mark.parametrize("mark", MARKS)
 @pytest.mark.parametrize("pair", list(PAIRS))
 def test_writer_reader_pair_keeps_a_value_holding_a_unicode_line_break(pair, mark, line_end, tmp_path):
     written, text, read = PAIRS[pair](mark, tmp_path)
@@ -80,3 +98,15 @@ def test_writer_reader_pair_keeps_a_value_holding_a_unicode_line_break(pair, mar
 def test_a_line_ends_at_newline_alone():
     assert split_lines("a\u2028b\x85c\r\nd\re\x0cf\x1cg\n") == ["a\u2028b\x85c", "d\re\x0cf\x1cg", ""]
     assert split_lines("") == [""]
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("pair, mark", FILE_CASES)
+def test_writer_reader_pair_reads_the_same_from_its_file(pair, mark, line_end, tmp_path):
+    written, text, _ = PAIRS[pair](mark, tmp_path)
+    assert mark in text
+    name, read_file = FILES[pair]
+    path = tmp_path / "read" / name
+    path.parent.mkdir()
+    path.write_bytes(text.replace("\n", line_end).encode("utf-8"))
+    assert read_file(path) == written

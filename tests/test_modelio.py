@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 from datetime import datetime
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iotsqlbench.ingest import AttackLabel, ConnRecord
 from iotsqlbench.modelio import (
@@ -10,6 +13,7 @@ from iotsqlbench.modelio import (
     EmptyQuestion,
     MissingId,
     ParseError,
+    PredictionRecord,
     bool_to_label,
     build_detection_input,
     build_sql_input,
@@ -18,6 +22,7 @@ from iotsqlbench.modelio import (
     echo_gold_sql,
     label_to_bool,
     read_detection_examples,
+    read_jsonl,
     read_predictions,
     read_sql_examples,
     write_detection_examples,
@@ -291,3 +296,95 @@ def test_detection_examples_round_trip_a_row_holding_line_separators(tmp_path):
     assert read_detection_examples(path) == examples
     crlf = path.read_text(encoding="utf-8").replace("\n", "\r\n")
     assert read_detection_examples("\n" + crlf) == examples
+
+
+# ---------------------------------------------------------------------------
+# a file is read one line at a time from its bytes, by the rule of its text
+
+_IN_TMP = settings(max_examples=60, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# JSON whitespace between tokens: none, spaces, or a lone "\r"
+_SEPARATORS = [(",", ":"), (", ", ": "), (",\r", ":\r"), ("\r,", "\r:\r ")]
+
+
+@st.composite
+def _jsonl_files(draw) -> str:
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            line = draw(st.sampled_from(["", " ", "\t", " \r ", "\u3000"]))
+        else:
+            obj = draw(st.dictionaries(st.text(max_size=4), st.one_of(
+                st.none(), st.booleans(), st.integers(), st.text()), max_size=3))
+            line = json.dumps(obj, ensure_ascii=False, separators=draw(st.sampled_from(_SEPARATORS)))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(lines)
+    return text.removesuffix(draw(st.sampled_from(["", "\n"])))
+
+
+@_IN_TMP
+@given(_jsonl_files())
+def test_read_jsonl_of_a_file_equals_read_jsonl_of_its_text(tmp_path, text):
+    path = tmp_path / "any.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(read_jsonl(path)) == list(read_jsonl(path.read_bytes().decode("utf-8")))
+
+
+def test_reading_examples_holds_one_line_of_the_file_at_a_time(tmp_path):
+    path = tmp_path / "sql.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(2000):
+            fh.write(json.dumps({"id": f"sql-{i:06d}", "input": f"{i} " + "é" * 1500,
+                                 "gold_sql": "SELECT 1"}, ensure_ascii=False) + "\n")
+    assert path.stat().st_size > 2000 * 3000
+    tracemalloc.start()
+    try:
+        examples = read_sql_examples(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(examples) == 2000
+    # the whole text, or a list of its lines, would each add about 6 MB
+    assert peak - kept < 1 << 20
+
+
+# model inputs read back from their file as written, over every value the
+# writers accept (README): a nonempty question, and an instruction that ends
+# in "?" and holds no "? " before that
+_QUESTIONS = st.text(min_size=1).filter(str.strip)
+_INSTRUCTIONS = st.text().filter(lambda text: "? " not in text).map(lambda text: text + "?")
+
+
+@_IN_TMP
+@given(st.lists(st.tuples(_QUESTIONS, st.text()), max_size=5))
+def test_sql_examples_read_back_from_their_file(tmp_path, drawn):
+    pairs = [TextSqlPair(question=question, sql=sql) for question, sql in drawn]
+    path = tmp_path / "sql.jsonl"
+    written = write_sql_examples(pairs, default_schema(), path)
+    assert read_sql_examples(path) == written
+
+
+@_IN_TMP
+@given(st.lists(st.tuples(st.text(), st.text(), st.booleans()), max_size=5), _INSTRUCTIONS)
+def test_detection_examples_read_back_from_their_file(tmp_path, drawn, instruction):
+    records = [dataclasses.replace(REFERENCE_RECORD, uid=uid, history=history,
+                                   label=AttackLabel.Okiru if malicious else AttackLabel.Benign)
+               for uid, history, malicious in drawn]
+    path = tmp_path / "det.jsonl"
+    written = write_detection_examples(records, path, instruction=instruction)
+    if len({record.uid for record in records}) < len(records):
+        with pytest.raises(DuplicateId):
+            read_detection_examples(path)
+    else:
+        assert read_detection_examples(path) == written
+
+
+@_IN_TMP
+@given(st.dictionaries(st.text(), st.text(), max_size=5))
+def test_predictions_read_back_from_their_file(tmp_path, payloads):
+    records = [PredictionRecord(id=item_id, payload=payload) for item_id, payload in payloads.items()]
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(json.dumps({"id": rec.id, "payload": rec.payload}, ensure_ascii=False) + "\n"
+                            for rec in records), encoding="utf-8")
+    assert read_predictions(path, kind="sql") == records
