@@ -25,7 +25,7 @@ def main() -> int:
         stats = json.load(fh)
     print(json.dumps(stats, indent=2, sort_keys=True))
 
-    pairs = read_corpus(corpus)
+    pairs = read_corpus(args.corpus)
     # hand-written pairs have no category
     categories = Counter(pair.category or "(none)" for pair in pairs)
     print("categories:", json.dumps(categories, sort_keys=True))

@@ -48,7 +48,7 @@ import weakref
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .modelio import PredictionRecord, SqlExample
@@ -129,14 +129,14 @@ def logical_accuracy(pred_sql: str, gold_sql: str) -> bool:
 # execution accuracy
 
 
-def _values_match(a, b, rel_tol: float) -> bool:
+def _values_match(a, b) -> bool:
     # equal values of one type match at once (NaN is unequal to itself)
     if type(a) is type(b) and a == b:
         return True
-    return _values_close(a, b, rel_tol)
+    return _values_close(a, b)
 
 
-def _values_close(a, b, rel_tol: float) -> bool:
+def _values_close(a, b) -> bool:
     """The value policy: null matches null, a boolean only a boolean, numbers
     within the tolerance, anything else an equal value of its type."""
     if a is None or b is None:
@@ -145,7 +145,7 @@ def _values_close(a, b, rel_tol: float) -> bool:
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         try:
-            return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-9)
+            return math.isclose(a, b, rel_tol=EXEC_REL_TOL, abs_tol=1e-9)
         except OverflowError:  # an int beyond float range matches only an equal int
             return a == b
     if type(a) is not type(b):
@@ -153,15 +153,16 @@ def _values_close(a, b, rel_tol: float) -> bool:
     return a == b
 
 
-def _rows_match(rows: list[tuple], expected: list[tuple], rel_tol: float) -> bool:
+def _rows_match(rows: list[tuple], expected: list[tuple]) -> bool:
     """Value by value, for rows of one width."""
     values, wanted = chain.from_iterable(rows), chain.from_iterable(expected)
-    return all(map(_values_match, values, wanted, repeat(rel_tol)))
+    return all(map(_values_match, values, wanted))
 
 
 # Unordered results are compared after sorting by a key of (type rank,
 # value) per column: null < boolean < number < time < text < other, numbers
-# as floats, so 1 and 1.0 tie and stay in their order.
+# as floats, so 1 and 1.0 tie and stay in their order; an int beyond float
+# range keys as an infinity, then by its own value.
 _TYPE_ORDER = {type(None): 0, bool: 1, int: 2, float: 2, datetime: 3, str: 4}
 
 
@@ -175,7 +176,7 @@ def _cell_key(v) -> tuple:
         try:
             return (rank, float(v))
         except OverflowError:  # an int beyond float range
-            return (rank, math.inf if v > 0 else -math.inf)
+            return (rank, math.inf if v > 0 else -math.inf, v)
     if isinstance(v, datetime):
         return (rank, v.isoformat())
     return (rank, str(v))
@@ -227,7 +228,7 @@ class _Prepared:
         ):
             return True
         rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
-        return _rows_match(rows, self.comparable_rows, EXEC_REL_TOL)
+        return _rows_match(rows, self.comparable_rows)
 
 
 def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -> bool:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .ingest.records import CONN_FIELDS, ConnRecord, conn_columns
 from .ingest.zeek import _render_column
-from .lines import read_lines, split_lines
+from .lines import read_lines
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
 
 DEFAULT_INSTRUCTION = "Is the following network information Malicious?"
@@ -80,14 +80,13 @@ class PredictionRecord:
 
 def build_sql_input(
     question: str,
-    schema: DatabaseSchema | LinearizedSchema,
+    schema: LinearizedSchema,
     separator: str = DEFAULT_SEPARATOR,
 ) -> str:
     """Question plus the full linearized schema, e.g. ``Q | *, t, c, number``."""
     if not question or not question.strip():
         raise EmptyQuestion("question must be nonempty")
-    linearized = schema if isinstance(schema, LinearizedSchema) else linearize_schema(schema)
-    return f"{question}{separator}{linearized.joined(SCHEMA_TOKEN_JOINER)}"
+    return f"{question}{separator}{schema.joined(SCHEMA_TOKEN_JOINER)}"
 
 
 def _detection_rows(columns: dict) -> list[str]:
@@ -163,9 +162,9 @@ def write_detection_examples(records: Iterable[ConnRecord], path, instruction: s
     return examples
 
 
-def read_sql_examples(source: str | os.PathLike) -> list[SqlExample]:
+def read_sql_examples(path: str | os.PathLike) -> list[SqlExample]:
     out = []
-    for line_no, obj in read_jsonl(source):
+    for line_no, obj in read_jsonl(path):
         try:
             instruction_free = obj["input"]
             out.append(SqlExample(id=obj["id"], input=instruction_free, gold_sql=obj["gold_sql"]))
@@ -175,9 +174,9 @@ def read_sql_examples(source: str | os.PathLike) -> list[SqlExample]:
     return out
 
 
-def read_detection_examples(source: str | os.PathLike) -> list[DetectionExample]:
+def read_detection_examples(path: str | os.PathLike) -> list[DetectionExample]:
     out = []
-    for line_no, obj in read_jsonl(source):
+    for line_no, obj in read_jsonl(path):
         try:
             text = obj["input"]
             gold = label_to_bool(obj["gold"])
@@ -191,7 +190,7 @@ def read_detection_examples(source: str | os.PathLike) -> list[DetectionExample]
     return out
 
 
-def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[PredictionRecord]:
+def read_predictions(path: str | os.PathLike, kind: str = "sql") -> list[PredictionRecord]:
     """Parse a prediction file; duplicate or missing ids are rejected.
 
     kind="detection" additionally validates that each payload normalizes
@@ -200,7 +199,7 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
     if kind not in ("sql", "detection"):
         raise ParseError(f"unknown prediction kind {kind!r}")
     out = []
-    for line_no, obj in read_jsonl(source):
+    for line_no, obj in read_jsonl(path):
         if "id" not in obj:
             raise MissingId(f"line {line_no}: prediction record has no id")
         if "payload" not in obj:
@@ -215,15 +214,14 @@ def read_predictions(source: str | os.PathLike, kind: str = "sql") -> list[Predi
     return out
 
 
-def read_jsonl(source: str | os.PathLike):
-    """(line number, object) per record of JSON lines, the toolkit's one JSON-lines
-    reader; a str is the text, an os.PathLike its file's path. Lines are split by
-    ``lines.split_lines``' rule, a file's one at a time from its bytes
+def read_jsonl(path: str | os.PathLike):
+    """(line number, object) per record of the JSON-lines file at ``path``, a
+    str or an os.PathLike, the toolkit's one JSON-lines reader. Lines are split
+    by ``lines.split_lines``' rule, one at a time from the file's bytes
     (``lines.read_lines``), so that it costs its records plus one line. A line that
-    is not a JSON object is a ParseError; one of a file that is not UTF-8 is a
+    is not a JSON object is a ParseError; one that is not UTF-8 is a
     ``lines.NotUtf8`` naming the file and line."""
-    lines = split_lines(source) if isinstance(source, str) else read_lines(source)
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:

@@ -465,10 +465,9 @@ def queries(query: Query) -> Iterator[Query]:
                 yield from queries(leaf.query)
 
 
-def referenced_tables(query: Query | str) -> set[str]:
-    """Raw table names mentioned by a query, including join and subquery tables."""
-    if isinstance(query, str):
-        query = parse(query)
+def referenced_tables(query: Query) -> set[str]:
+    """Raw table names mentioned by a parsed query, including join and
+    subquery tables."""
     names = set()
     for q in queries(query):
         if q.table is not None:
@@ -478,7 +477,7 @@ def referenced_tables(query: Query | str) -> set[str]:
     return names
 
 
-def canonical_tables(query: Query | str, schema: DatabaseSchema) -> frozenset:
+def canonical_tables(query: Query, schema: DatabaseSchema) -> frozenset:
     """The tables a query references, by their names in ``schema``; a name
     the schema lacks is kept as written."""
     names = set()

@@ -14,8 +14,8 @@ that ``Database.execute`` parses to run it, through the store's query walk
 (``has_datetime_predicate``, columns resolved by the engine's ``Scope``)
 and the constructs it uses (``query_constructs``).  The pair keeps these
 values, so the corpus counts (``construct_coverage``, the temporal floor,
-``stats.json``) never parse its SQL again; the text-path functions parse
-a pair that was not classified when it was made.
+``stats.json``) never parse its SQL again.  These functions take the
+parsed ``Query`` or the classified pair, never SQL text.
 """
 
 from __future__ import annotations
@@ -460,17 +460,12 @@ def instantiate(
     )
 
 
-def has_datetime_predicate(query: _sql.Query | str, schema: DatabaseSchema) -> bool:
-    """True when a WHERE/HAVING comparison of the query or of a subquery
-    reads a time-attribute column (a temporal pair).  Columns resolve as
-    the engine resolves them, in the scope of their own query: one it
-    cannot resolve (ambiguous, or from a table outside FROM) is no time
-    column, and text that does not parse is no temporal query."""
-    if isinstance(query, str):
-        try:
-            query = _sql.parse(query)
-        except StoreError:
-            return False
+def has_datetime_predicate(query: _sql.Query, schema: DatabaseSchema) -> bool:
+    """True when a WHERE/HAVING comparison of the parsed query or of a
+    subquery reads a time-attribute column (a temporal pair).  Columns
+    resolve as the engine resolves them, in the scope of their own query:
+    one it cannot resolve (ambiguous, or from a table outside FROM) is no
+    time column."""
     for q in _sql.queries(query):
         try:
             scope = Scope.of(q, schema)
@@ -602,13 +597,13 @@ def pair_to_json(pair: TextSqlPair) -> str:
     )
 
 
-def read_corpus(source: str | os.PathLike) -> list[TextSqlPair]:
-    """The pairs of a corpus, given as its text or as its file's path
+def read_corpus(path: str | os.PathLike) -> list[TextSqlPair]:
+    """The pairs of the corpus file at ``path``, a str or an os.PathLike
     (``read_jsonl``): each record's question and sql are strings, and the SQL
     parses in the store dialect; tables_referenced, if present, is a list of
     strings, and template_id and category are each a string or null."""
     pairs = []
-    for line_no, obj in read_jsonl(source):
+    for line_no, obj in read_jsonl(path):
         question, sql_text = obj.get("question"), obj.get("sql")
         if not (isinstance(question, str) and isinstance(sql_text, str)):
             raise TemplateError(f"corpus line {line_no}: question and sql must be strings")
@@ -652,18 +647,11 @@ CONSTRUCTS = ("join", "having", "nested", "distinct", "order_by", "limit",
 
 
 def construct_coverage(pairs: list[TextSqlPair]) -> dict:
-    """How many pairs use each construct (``CONSTRUCTS``).  A pair
-    classified when it was made is counted from its recorded constructs;
-    any other is parsed, and one whose SQL does not parse counts nowhere."""
+    """How many pairs use each construct (``CONSTRUCTS``), counted from the
+    constructs each pair recorded when ``generate_corpus`` classified it."""
     counts = dict.fromkeys(CONSTRUCTS, 0)
     for pair in pairs:
-        constructs = pair.constructs
-        if constructs is None:
-            try:
-                constructs = query_constructs(_sql.parse(pair.sql))
-            except StoreError:
-                continue
-        for name in constructs:
+        for name in pair.constructs:
             counts[name] += 1
     return counts
 

@@ -41,6 +41,14 @@ def build_database(data):
     return db
 
 
+def text_file(tmp_path, text: str):
+    """The path of a file under ``tmp_path`` that now holds ``text`` as UTF-8
+    bytes, for a reader that takes a path."""
+    path = tmp_path / "text.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
 @pytest.fixture(scope="session")
 def synth_spec():
     return SynthSpec(

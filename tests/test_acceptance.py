@@ -25,7 +25,7 @@ from iotsqlbench.evaluation import (
     score_sql_corpus,
 )
 from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, parse_zeek, synthesize_logs
-from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
+from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema, parse
 from iotsqlbench.templates import CorpusConfig, generate_corpus, has_datetime_predicate
 from tests.conftest import FULL_MIX, build_database
 
@@ -82,7 +82,7 @@ def test_c01_corpus_construction(acceptance_db, full_corpus):
 def test_c02_temporal_coverage(acceptance_db, full_corpus):
     with criterion(2, "datetime-predicate pairs >= 10% under default weights"):
         pairs, _ = full_corpus
-        temporal = sum(has_datetime_predicate(p.sql, acceptance_db.schema) for p in pairs)
+        temporal = sum(has_datetime_predicate(parse(p.sql), acceptance_db.schema) for p in pairs)
         assert temporal / len(pairs) >= 0.10, f"only {temporal}/{len(pairs)} temporal"
 
 

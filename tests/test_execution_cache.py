@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from iotsqlbench import evaluation
 from iotsqlbench.evaluation import (
-    EXEC_REL_TOL,
     GoldExecutionError,
     MissingPrediction,
     UnknownId,
@@ -344,12 +343,23 @@ def test_sort_orders_exactly_like_the_old_key(rows):
 values_and_huge = st.one_of(values, st.sampled_from([2**1100, -(2**1100)]))
 
 
+def test_an_unordered_match_orders_ints_beyond_float_range_by_value():
+    def unordered_match(pred, gold):
+        return results_match(ResultTable(["c"], pred), ResultTable(["c"], gold), order_sensitive=False)
+
+    rows = [(2**1100,), (2**1101,)]
+    assert unordered_match(rows, rows[::-1])
+    assert not unordered_match([(2**1100,), (2**1100,)], rows)
+    rows = [(-(2**1101),), (-math.inf,), (2**1101,), (math.inf,), (-(2**1100),), (1.5,)]
+    assert unordered_match(rows, rows[::-1])
+
+
 @settings(max_examples=500, deadline=None)
 @given(a=values_and_huge, b=values_and_huge, same=st.booleans())
 def test_values_match_fast_path_agrees_with_policy(a, b, same):
     if same:
         b = a
-    assert evaluation._values_match(a, b, EXEC_REL_TOL) == evaluation._values_close(a, b, EXEC_REL_TOL)
+    assert evaluation._values_match(a, b) == evaluation._values_close(a, b)
 
 
 # -- gold results are sorted on the first comparison that needs them
@@ -452,7 +462,7 @@ def test_ordered_gold_is_never_sorted(monkeypatch, call_log):
 @given(rows=result_rows())
 def test_echo_verdict_is_the_rows_matching_themselves(rows):
     prepared = evaluation._Prepared(len(rows[0]) if rows else 1, False, rows)
-    assert prepared.matches_itself == evaluation._rows_match(rows, rows, EXEC_REL_TOL)
+    assert prepared.matches_itself == evaluation._rows_match(rows, rows)
 
 
 # -- the exact pass settles a match only where sort-then-compare would
@@ -461,10 +471,8 @@ def test_echo_verdict_is_the_rows_matching_themselves(rows):
 def sort_then_compare(pred_rows, gold_rows, ordered):
     """The verdict of the comparison without its exact pass."""
     if ordered:
-        return evaluation._rows_match(pred_rows, gold_rows, EXEC_REL_TOL)
-    return evaluation._rows_match(
-        evaluation._sorted_rows(pred_rows), evaluation._sorted_rows(gold_rows), EXEC_REL_TOL
-    )
+        return evaluation._rows_match(pred_rows, gold_rows)
+    return evaluation._rows_match(evaluation._sorted_rows(pred_rows), evaluation._sorted_rows(gold_rows))
 
 
 def retyped(v):

@@ -1,8 +1,9 @@
 """Every text file the toolkit writes and reads back ends a line at "\\n"
 alone: each writer -> reader pair keeps a value holding U+2028, U+2029 or
 U+0085, which ``str.splitlines`` would break, and reads its CRLF form, from
-its text and from its file; from its file also a value holding a lone
-"\\r", which text mode would break, wherever the writer writes one."""
+its text (a JSON-lines reader, which takes a path, from a file holding the
+text) and from its file; from its file also a value holding a lone "\\r",
+which text mode would break, wherever the writer writes one."""
 
 import dataclasses
 from datetime import datetime
@@ -27,6 +28,7 @@ from iotsqlbench.modelio import read_sql_examples, write_sql_examples
 from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
 from iotsqlbench.store import default_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
+from tests.conftest import text_file
 
 
 def _devices(mark, tmp_path):
@@ -51,14 +53,16 @@ def _corpus(mark, tmp_path):
     pairs = [TextSqlPair(question=f"How many{mark}sessions?", sql="SELECT COUNT(*) FROM conn.log",
                          template_id="t1", tables_referenced=frozenset({"conn.log"}),
                          category="retrieval")]
-    return pairs, "".join(pair_to_json(p) + "\n" for p in pairs), read_corpus
+    text = "".join(pair_to_json(p) + "\n" for p in pairs)
+    return pairs, text, lambda text: read_corpus(text_file(tmp_path, text))
 
 
 def _jsonl(mark, tmp_path):
     pairs = [TextSqlPair(question=f"Which{mark}hosts?", sql="SELECT orig_h FROM conn.log")]
     path = tmp_path / "sql.jsonl"
     examples = write_sql_examples(pairs, default_schema(), path)
-    return examples, path.read_text(encoding="utf-8"), read_sql_examples
+    text = path.read_text(encoding="utf-8")
+    return examples, text, lambda text: read_sql_examples(text_file(tmp_path, text))
 
 
 def _zeek(mark, tmp_path):

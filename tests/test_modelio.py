@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.ingest import AttackLabel, ConnRecord
+from iotsqlbench.lines import split_lines
 from iotsqlbench.modelio import (
     DuplicateId,
     EmptyQuestion,
@@ -29,7 +30,8 @@ from iotsqlbench.modelio import (
     write_sql_examples,
 )
 from iotsqlbench.store import default_schema, linearize_schema
-from iotsqlbench.templates import TextSqlPair
+from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
+from tests.conftest import text_file
 
 REFERENCE_RECORD = ConnRecord(
     ts=datetime(2021, 3, 1, 12, 0, 0),
@@ -58,25 +60,25 @@ REFERENCE_RECORD = ConnRecord(
 
 
 def test_build_sql_input_toy_schema(toy_schema):
-    out = build_sql_input("How many sessions?", toy_schema)
+    out = build_sql_input("How many sessions?", linearize_schema(toy_schema))
     assert out == "How many sessions? | *, T, c, number"
 
 
 def test_build_sql_input_contains_all_tokens():
-    schema = default_schema()
-    out = build_sql_input("List everything.", schema)
+    linearized = linearize_schema(default_schema())
+    out = build_sql_input("List everything.", linearized)
     question, _, rest = out.partition(" | ")
     assert question == "List everything."
     tokens = rest.split(", ")
     assert len(tokens) == 359
-    assert tokens == list(linearize_schema(schema).tokens)
+    assert tokens == list(linearized.tokens)
 
 
 def test_build_sql_input_empty_question(toy_schema):
     with pytest.raises(EmptyQuestion):
-        build_sql_input("", toy_schema)
+        build_sql_input("", linearize_schema(toy_schema))
     with pytest.raises(EmptyQuestion):
-        build_sql_input("   ", toy_schema)
+        build_sql_input("   ", linearize_schema(toy_schema))
 
 
 def test_detection_input_begins_with_instruction_and_ips():
@@ -129,32 +131,32 @@ def test_label_normalization_both_directions():
         label_to_bool("maybe")
 
 
-def test_read_predictions_well_formed():
+def test_read_predictions_well_formed(tmp_path):
     text = "\n".join(
         '{"id": "p%d", "payload": "SELECT 1"}' % i for i in range(3)
     )
-    records = read_predictions(text + "\n", kind="sql")
+    records = read_predictions(text_file(tmp_path, text + "\n"), kind="sql")
     assert len(records) == 3
     assert records[0].id == "p0"
 
 
-def test_read_predictions_duplicate_id():
+def test_read_predictions_duplicate_id(tmp_path):
     text = '{"id": "a", "payload": "x"}\n{"id": "a", "payload": "y"}\n'
     with pytest.raises(DuplicateId):
-        read_predictions(text, kind="sql")
+        read_predictions(text_file(tmp_path, text), kind="sql")
 
 
-def test_read_predictions_missing_id():
+def test_read_predictions_missing_id(tmp_path):
     with pytest.raises(MissingId):
-        read_predictions('{"payload": "x"}\n', kind="sql")
+        read_predictions(text_file(tmp_path, '{"payload": "x"}\n'), kind="sql")
 
 
-def test_read_predictions_bad_json_and_label():
+def test_read_predictions_bad_json_and_label(tmp_path):
     with pytest.raises(ParseError):
-        read_predictions("not json\n", kind="sql")
+        read_predictions(text_file(tmp_path, "not json\n"), kind="sql")
     with pytest.raises(ParseError):
-        read_predictions('{"id": "a", "payload": "Sus"}\n', kind="detection")
-    ok = read_predictions('{"id": "a", "payload": "benign"}\n', kind="detection")
+        read_predictions(text_file(tmp_path, '{"id": "a", "payload": "Sus"}\n'), kind="detection")
+    ok = read_predictions(text_file(tmp_path, '{"id": "a", "payload": "benign"}\n'), kind="detection")
     assert label_to_bool(ok[0].payload) is False
 
 
@@ -183,16 +185,18 @@ def test_examples_round_trip(tmp_path, synth_data):
     assert all(g.payload == e.gold_sql for g, e in zip(sql_golds, written))
 
 
-def test_read_jsonl_takes_a_str_as_text_and_a_path_as_a_file(tmp_path):
-    # a one-line str is text, whatever it starts with
-    for text in ("not json", "[1]", "missing.jsonl"):
-        with pytest.raises(ParseError):
-            read_predictions(text, kind="sql")
-    line = '{"id": "a", "payload": "SELECT 1"}'
-    assert read_predictions(line, kind="sql")[0].id == "a"
-    path = tmp_path / "preds.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
-    assert read_predictions(path, kind="sql")[0].payload == "SELECT 1"
+def test_readers_take_a_str_as_the_path_of_a_file(tmp_path):
+    pairs = [TextSqlPair(question="How many rows?", sql="SELECT COUNT(*) FROM conn.log")]
+    sql_path = tmp_path / "sql.jsonl"
+    written = write_sql_examples(pairs, default_schema(), sql_path)
+    assert read_sql_examples(str(sql_path)) == written
+    corpus_path = text_file(tmp_path, "".join(pair_to_json(p) + "\n" for p in pairs))
+    assert read_corpus(str(corpus_path)) == pairs
+    preds_path = text_file(tmp_path, '{"id": "a", "payload": "SELECT 1"}\n')
+    assert read_predictions(str(preds_path), kind="sql") == [PredictionRecord("a", "SELECT 1")]
+    # a str is never read as the records themselves
+    with pytest.raises(FileNotFoundError):
+        read_predictions('{"id": "a", "payload": "SELECT 1"}', kind="sql")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,7 @@ def test_detection_examples_round_trip_a_row_holding_line_separators(tmp_path):
     examples = write_detection_examples(records, path)
     assert read_detection_examples(path) == examples
     crlf = path.read_text(encoding="utf-8").replace("\n", "\r\n")
-    assert read_detection_examples("\n" + crlf) == examples
+    assert read_detection_examples(text_file(tmp_path, "\n" + crlf)) == examples
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,8 @@ def _jsonl_files(draw) -> str:
 def test_read_jsonl_of_a_file_equals_read_jsonl_of_its_text(tmp_path, text):
     path = tmp_path / "any.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    assert list(read_jsonl(path)) == list(read_jsonl(path.read_bytes().decode("utf-8")))
+    lines = enumerate(split_lines(path.read_bytes().decode("utf-8")), start=1)
+    assert list(read_jsonl(path)) == [(n, json.loads(line)) for n, line in lines if line.strip()]
 
 
 def test_reading_examples_holds_one_line_of_the_file_at_a_time(tmp_path):

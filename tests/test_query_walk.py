@@ -13,7 +13,7 @@ from iotsqlbench.templates import (
     generate_corpus,
     has_datetime_predicate,
 )
-from iotsqlbench.templates.generate import CONSTRUCTS
+from iotsqlbench.templates.generate import CONSTRUCTS, query_constructs
 
 # two tables that share an id and a time column name, each with one time
 # column of its own
@@ -66,9 +66,14 @@ def test_referenced_tables_cover_join_and_both_subquery_forms():
         f"{JOIN} WHERE evt.id IN (SELECT id FROM EVT) GROUP BY dev.log.id "
         "HAVING COUNT(*) > (SELECT COUNT(*) FROM dev_log)"
     )
-    assert _sql.referenced_tables(sql) == {"dev.log", "evt", "EVT", "dev_log"}
-    assert canonical_tables(sql, SCHEMA) == frozenset({"dev.log", "evt"})
-    assert canonical_tables("SELECT * FROM nowhere", SCHEMA) == frozenset({"nowhere"})
+    query = _sql.parse(sql)
+    assert _sql.referenced_tables(query) == {"dev.log", "evt", "EVT", "dev_log"}
+    assert canonical_tables(query, SCHEMA) == frozenset({"dev.log", "evt"})
+    assert canonical_tables(_sql.parse("SELECT * FROM nowhere"), SCHEMA) == frozenset({"nowhere"})
+
+
+def _temporal(sql):
+    return has_datetime_predicate(_sql.parse(sql), SCHEMA)
 
 
 @pytest.mark.parametrize("where", [
@@ -79,7 +84,7 @@ def test_referenced_tables_cover_join_and_both_subquery_forms():
     f"dev.log.n > 1 OR seen BETWEEN {T} AND {T}",
 ])
 def test_time_columns_in_a_join(where):
-    assert has_datetime_predicate(f"{JOIN} WHERE {where}", SCHEMA)
+    assert _temporal(f"{JOIN} WHERE {where}")
 
 
 @pytest.mark.parametrize("where", [
@@ -88,45 +93,38 @@ def test_time_columns_in_a_join(where):
     "evt.id = 'x'",
 ])
 def test_non_time_columns_in_a_join(where):
-    assert not has_datetime_predicate(f"{JOIN} WHERE {where}", SCHEMA)
+    assert not _temporal(f"{JOIN} WHERE {where}")
 
 
 def test_time_predicates_inside_subqueries():
-    assert has_datetime_predicate(
-        f"SELECT id FROM dev.log WHERE id IN (SELECT id FROM evt WHERE fired < {T})", SCHEMA)
-    assert has_datetime_predicate(
-        f"SELECT id FROM dev.log WHERE n > (SELECT AVG(m) FROM evt WHERE ts > {T})", SCHEMA)
+    assert _temporal(f"SELECT id FROM dev.log WHERE id IN (SELECT id FROM evt WHERE fired < {T})")
+    assert _temporal(f"SELECT id FROM dev.log WHERE n > (SELECT AVG(m) FROM evt WHERE ts > {T})")
     # the compared operand itself is a time column
-    assert has_datetime_predicate(
-        "SELECT id FROM dev.log WHERE seen IN (SELECT fired FROM evt)", SCHEMA)
-    assert has_datetime_predicate(
-        "SELECT id FROM dev.log WHERE seen > (SELECT MIN(fired) FROM evt)", SCHEMA)
+    assert _temporal("SELECT id FROM dev.log WHERE seen IN (SELECT fired FROM evt)")
+    assert _temporal("SELECT id FROM dev.log WHERE seen > (SELECT MIN(fired) FROM evt)")
     # a subquery that selects a time column but compares none
-    assert not has_datetime_predicate(
-        "SELECT id FROM dev.log WHERE id IN (SELECT id FROM evt WHERE m > 1)", SCHEMA)
+    assert not _temporal("SELECT id FROM dev.log WHERE id IN (SELECT id FROM evt WHERE m > 1)")
 
 
 def test_time_column_in_having():
-    assert has_datetime_predicate(
-        f"SELECT ts, COUNT(*) FROM evt GROUP BY ts HAVING ts > {T}", SCHEMA)
-    assert not has_datetime_predicate(
-        "SELECT id, COUNT(*) FROM evt GROUP BY id HAVING COUNT(*) > 1", SCHEMA)
+    assert _temporal(f"SELECT ts, COUNT(*) FROM evt GROUP BY ts HAVING ts > {T}")
+    assert not _temporal("SELECT id, COUNT(*) FROM evt GROUP BY id HAVING COUNT(*) > 1")
 
 
 def test_columns_the_engine_cannot_resolve_are_no_time_columns():
     # ambiguous: both tables have ts
-    assert not has_datetime_predicate(f"{JOIN} WHERE ts > {T}", SCHEMA)
+    assert not _temporal(f"{JOIN} WHERE ts > {T}")
     # from a table outside FROM
-    assert not has_datetime_predicate(f"SELECT id FROM dev.log WHERE evt.fired > {T}", SCHEMA)
-    # unparsable, unknown table, self-join
-    assert not has_datetime_predicate("SELECT FROM", SCHEMA)
-    assert not has_datetime_predicate(f"SELECT id FROM nowhere WHERE ts > {T}", SCHEMA)
-    assert not has_datetime_predicate(
-        f"SELECT id FROM evt JOIN evt ON evt.id = evt.id WHERE fired > {T}", SCHEMA)
+    assert not _temporal(f"SELECT id FROM dev.log WHERE evt.fired > {T}")
+    # unknown table, self-join
+    assert not _temporal(f"SELECT id FROM nowhere WHERE ts > {T}")
+    assert not _temporal(f"SELECT id FROM evt JOIN evt ON evt.id = evt.id WHERE fired > {T}")
 
 
 def _coverage(*sqls):
-    return construct_coverage([TextSqlPair(question="q", sql=sql) for sql in sqls])
+    return construct_coverage([
+        TextSqlPair(question="q", sql=sql, constructs=query_constructs(_sql.parse(sql))) for sql in sqls
+    ])
 
 
 def test_coverage_counts_having_and_order_by_aggregates():
@@ -150,28 +148,15 @@ def test_coverage_counts_an_aggregate_compared_with_a_subquery_in_having():
     assert (cov["MAX"], cov["AVG"], cov["nested"], cov["having"]) == (1, 1, 1, 1)
 
 
-def test_coverage_skips_unparsable_sql():
-    assert set(_coverage("SELECT FROM").values()) == {0}
-
-
-def test_an_engine_fault_in_parse_propagates(monkeypatch):
-    def parse(sql):
-        raise RuntimeError("engine fault")
-
-    monkeypatch.setattr(_sql, "parse", parse)
-    with pytest.raises(RuntimeError):
-        has_datetime_predicate("SELECT id FROM evt", SCHEMA)
-    with pytest.raises(RuntimeError):
-        _coverage("SELECT id FROM evt")
-
-
-def test_generated_pairs_are_classified_as_the_text_path_classifies(synth_db):
+def test_generated_pairs_are_classified_as_a_fresh_parse_classifies(synth_db):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=300, seed=27))
     assert set().union(*(p.constructs for p in pairs)) == set(CONSTRUCTS)
     assert any(p.temporal for p in pairs) and not all(p.temporal for p in pairs)
     for pair in pairs:
-        assert pair.temporal == has_datetime_predicate(pair.sql, synth_db.schema), pair.sql
-        from_text = _coverage(pair.sql)  # a pair with no recorded classification
+        query = _sql.parse(pair.sql)
+        assert pair.temporal == has_datetime_predicate(query, synth_db.schema), pair.sql
+        assert pair.tables_referenced == canonical_tables(query, synth_db.schema), pair.sql
+        from_text = _coverage(pair.sql)  # a pair classified from its text alone
         assert pair.constructs == {name for name, n in from_text.items() if n}, pair.sql
         assert construct_coverage([pair]) == from_text, pair.sql
 

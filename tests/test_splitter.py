@@ -3,16 +3,18 @@ from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, synthesize_logs
+from iotsqlbench.lines import read_text
 from iotsqlbench.splitter import (
     BadRatios,
     EmptyAttackClass,
     InsufficientBenign,
     NetworkSplitConfig,
     SplitError,
+    SplitManifest,
     anonymize,
     dump_manifest,
     load_manifest,
@@ -213,6 +215,29 @@ def test_manifest_round_trip():
     assert again.assignment == manifest.assignment
     assert again.train_attack_labels == manifest.train_attack_labels
     assert again.seed == manifest.seed
+
+
+# every manifest dump_manifest writes, minus the exclusions README lists: an
+# id holds no "\t" or "\n", ratios are absent or nonempty, and none is NaN
+_MANIFESTS = st.builds(
+    SplitManifest,
+    assignment=st.dictionaries(st.text().filter(lambda i: "\t" not in i and "\n" not in i),
+                               st.sampled_from(["train", "dev", "test"]), max_size=6),
+    ratios=st.one_of(st.none(), st.lists(st.one_of(st.integers(), st.floats(allow_nan=False)),
+                                         min_size=1, max_size=3).map(tuple)),
+    seed=st.integers(),
+    train_attack_labels=st.frozensets(st.sampled_from(list(AttackLabel))),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MANIFESTS)
+def test_manifest_reads_back_from_its_file(tmp_path, manifest):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(dump_manifest(manifest).encode("utf-8"))
+    again = load_manifest(read_text(path))
+    assert again == manifest
+    assert list(again.assignment.items()) == list(manifest.assignment.items())
 
 
 @pytest.mark.parametrize("line_no, bad", [

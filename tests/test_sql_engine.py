@@ -273,11 +273,11 @@ def test_concurrent_readers_one_writer(fixture_db):
 
 
 def test_referenced_tables():
-    assert referenced_tables("SELECT * FROM a JOIN b ON a.x = b.x") == {"a", "b"}
+    assert referenced_tables(parse("SELECT * FROM a JOIN b ON a.x = b.x")) == {"a", "b"}
     assert referenced_tables(
-        "SELECT * FROM a WHERE (x IN (SELECT x FROM c WHERE (y = 1)))"
+        parse("SELECT * FROM a WHERE (x IN (SELECT x FROM c WHERE (y = 1)))")
     ) == {"a", "c"}
-    assert referenced_tables("SELECT 1") == set()
+    assert referenced_tables(parse("SELECT 1")) == set()
 
 
 # An integer literal longer than the interpreter's int-string limit (4,300

@@ -3,14 +3,18 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iotsqlbench.modelio import ParseError
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
+from iotsqlbench.store import sql as _sql
 from iotsqlbench.templates import (
     CorpusConfig,
     ExhaustedResampling,
     TemplateBinder,
     TemplateError,
+    TextSqlPair,
     UnsatisfiableSlot,
     construct_coverage,
     corpus_stats,
@@ -23,6 +27,7 @@ from iotsqlbench.templates import (
     parse_bank_text,
     read_corpus,
 )
+from tests.conftest import text_file
 
 BY_ID = {t.id: t for t in default_bank()}
 
@@ -128,7 +133,7 @@ def test_generate_corpus_exhausted_resampling():
 
 def test_temporal_floor(synth_db):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=400, seed=3))
-    temporal = sum(has_datetime_predicate(p.sql, synth_db.schema) for p in pairs)
+    temporal = sum(has_datetime_predicate(_sql.parse(p.sql), synth_db.schema) for p in pairs)
     assert temporal / len(pairs) >= 0.10
 
 
@@ -145,35 +150,34 @@ def test_category_partition_exhaustive(synth_db):
 
 
 def test_has_datetime_predicate(synth_db):
-    schema = synth_db.schema
-    assert has_datetime_predicate(
-        'SELECT COUNT(*) FROM conn.log WHERE (ts > "2021-03-02")', schema)
-    assert has_datetime_predicate(
-        'SELECT uid FROM conn.log WHERE (ts BETWEEN "2021-03-01" AND "2021-03-02")', schema)
-    assert not has_datetime_predicate(
-        'SELECT COUNT(*) FROM conn.log WHERE (proto = "tcp")', schema)
-    assert not has_datetime_predicate("SELECT ts FROM conn.log", schema)
+    def temporal(sql):
+        return has_datetime_predicate(_sql.parse(sql), synth_db.schema)
+
+    assert temporal('SELECT COUNT(*) FROM conn.log WHERE (ts > "2021-03-02")')
+    assert temporal('SELECT uid FROM conn.log WHERE (ts BETWEEN "2021-03-01" AND "2021-03-02")')
+    assert not temporal('SELECT COUNT(*) FROM conn.log WHERE (proto = "tcp")')
+    assert not temporal("SELECT ts FROM conn.log")
 
 
 def test_corpus_io_round_trip(synth_db, tmp_path):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=40, seed=21))
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(pair_to_json(p) + "\n" for p in pairs), encoding="utf-8")
-    again = read_corpus(path.read_text(encoding="utf-8"))
+    again = read_corpus(path)
     assert again == pairs
 
 
-def test_read_corpus_rejects_unparseable_sql():
+def test_read_corpus_rejects_unparseable_sql(tmp_path):
     from iotsqlbench.templates import TemplateError
 
     bad = '{"question": "broken question here", "sql": "SELEC nothing FROM"}'
     with pytest.raises(TemplateError) as exc:
-        read_corpus(bad + "\n")
+        read_corpus(text_file(tmp_path, bad + "\n"))
     assert "line 1" in str(exc.value)
     with pytest.raises(TemplateError, match="^corpus line 2: question and sql must be strings"):
-        read_corpus('{"question": "q", "sql": "SELECT 1"}\n{"question": 5, "sql": "SELECT 1"}\n')
+        read_corpus(text_file(tmp_path, '{"question": "q", "sql": "SELECT 1"}\n{"question": 5, "sql": "SELECT 1"}\n'))
     with pytest.raises(ParseError, match="^line 1: expected an object"):
-        read_corpus("[1, 2]\n")
+        read_corpus(text_file(tmp_path, "[1, 2]\n"))
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -183,21 +187,40 @@ def test_read_corpus_rejects_unparseable_sql():
     ("template_id", 3, "template_id and category must be strings or null"),
     ("category", [1], "template_id and category must be strings or null"),
 ])
-def test_read_corpus_rejects_mistyped_fields(field, value, message):
+def test_read_corpus_rejects_mistyped_fields(field, value, message, tmp_path):
     good = {"question": "q", "sql": "SELECT 1", "template_id": None, "tables_referenced": [], "category": "x"}
     text = json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n"
     with pytest.raises(TemplateError, match=f"^corpus line 2: {message}$"):
-        read_corpus(text)
-    assert read_corpus(json.dumps(good) + "\n")[0].category == "x"
+        read_corpus(text_file(tmp_path, text))
+    assert read_corpus(text_file(tmp_path, json.dumps(good) + "\n"))[0].category == "x"
 
 
-def test_read_corpus_takes_a_pair_with_no_template():
+def test_read_corpus_takes_a_pair_with_no_template(tmp_path):
     bare = {"question": "How many sessions are there in total?", "sql": "SELECT COUNT(*) FROM conn.log"}
     nulls = {**bare, "template_id": None, "category": None}
     for obj in (bare, nulls):
-        [pair] = read_corpus(json.dumps(obj) + "\n")
+        [pair] = read_corpus(text_file(tmp_path, json.dumps(obj) + "\n"))
         assert (pair.template_id, pair.category, pair.tables_referenced) == (None, None, frozenset())
-        assert read_corpus(pair_to_json(pair) + "\n") == [pair]
+        assert read_corpus(text_file(tmp_path, pair_to_json(pair) + "\n")) == [pair]
+
+
+# every pair pair_to_json writes, minus the exclusion README lists: the SQL
+# parses in the store dialect, here any literal that holds no "'" between
+# any whitespace the tokenizer skips
+_SQL = st.builds("SELECT{0}uid FROM conn.log WHERE{0}history = '{1}'".format,
+                 st.sampled_from([" ", "\n", "\r\n", "\t", "\u2028", "\x85"]),
+                 st.text().filter(lambda text: "'" not in text))
+_PAIRS = st.builds(TextSqlPair, question=st.text(), sql=_SQL,
+                   template_id=st.none() | st.text(), tables_referenced=st.frozensets(st.text()),
+                   category=st.none() | st.text())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_PAIRS, max_size=5))
+def test_corpus_reads_back_from_its_file(tmp_path, pairs):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes("".join(pair_to_json(p) + "\n" for p in pairs).encode("utf-8"))
+    assert read_corpus(path) == pairs
 
 
 def test_corpus_stats_reports_both_lengths(synth_db):
@@ -208,12 +231,12 @@ def test_corpus_stats_reports_both_lengths(synth_db):
     assert stats["sql_length"]["avg"] > 0
 
 
-def test_corpus_readers_split_records_at_newlines_only():
+def test_corpus_readers_split_records_at_newlines_only(tmp_path):
     question = "How many sessions\u2028are there in\x85total?"
     line = json.dumps({"question": question, "sql": "SELECT COUNT(*) FROM conn.log"},
                       ensure_ascii=False)
     text = "\n" + line + "\r\n"
-    assert [pair.question for pair in read_corpus(text)] == [question]
+    assert [pair.question for pair in read_corpus(text_file(tmp_path, text))] == [question]
     with pytest.raises(TemplateError) as exc:
-        read_corpus(text + '{"question": "x"}\n')
+        read_corpus(text_file(tmp_path, text + '{"question": "x"}\n'))
     assert "line 3" in str(exc.value)
