@@ -1,12 +1,15 @@
 """Typed records for Zeek logs, attack labels, and sensor readings.
 
-A parsed conn log is a ``ConnTable``: its values held as columns, one list
-per ``ConnRecord`` field, which the detection path (anonymization, the
-splits, the TSV and JSONL writers, the featurizer) reads and replaces a
-column at a time.  The table is a read-only sequence of ``ConnRecord``s and
-builds a record only when one is indexed or iterated.  ``conn_columns``
-gives any consumer its columns: a table's own, or those of a plain sequence
-of records in one transposition, so a caller may pass either.
+A parsed dns, http, files, ntp or weird log is a list of row tuples, each
+holding its values in ``KIND_FIELDS[kind]`` order: the rows the database
+stores and the Zeek writer renders.  A parsed conn log is a ``ConnTable``:
+its values held as columns, one list per ``ConnRecord`` field, which the
+detection path (anonymization, the splits, the TSV and JSONL writers, the
+featurizer) reads and replaces a column at a time.  The table is a
+read-only sequence of ``ConnRecord``s and builds a record only when one is
+indexed or iterated.  ``conn_columns`` gives any consumer its columns: a
+table's own, or those of a plain sequence of records in one transposition,
+so a caller may pass either.
 """
 
 from __future__ import annotations
@@ -152,19 +155,11 @@ class SensorReading:
 
 
 @dataclass(frozen=True)
-class ZeekRecord:
-    """Generic typed record for the non-conn Zeek log kinds."""
-
-    kind: str
-    fields: tuple  # values in KIND_FIELDS order
-
-
-@dataclass(frozen=True)
 class FieldSpec:
     name: str       # record / database column name
     zeek_name: str  # name in the #fields directive
     zeek_type: str  # entry in the #types directive
-    vtype: str      # time | str | int | float | bool | port | count | duration
+    vtype: str      # time | str | float | bool | port | count | duration
 
 
 def _f(name, zeek_type, vtype, zeek_name=None) -> FieldSpec:

@@ -20,7 +20,6 @@ from .records import (
     ConnRecord,
     IngestError,
     SensorReading,
-    ZeekRecord,
 )
 
 ALL_KINDS = ZEEK_KINDS + SENSOR_TYPES + ("devices",)
@@ -232,13 +231,13 @@ class _Synth:
             return self.rng.choice(self.conn_uids)
         return self._uid()
 
-    def dns(self, n: int) -> list[ZeekRecord]:
+    def dns(self, n: int) -> list[tuple]:
         out = []
         for _ in range(n):
             rng = self.rng
             qtype, qtype_name = rng.choice([(1, "A"), (28, "AAAA"), (12, "PTR"), (16, "TXT")])
             rcode, rcode_name = rng.choice([(0, "NOERROR"), (0, "NOERROR"), (3, "NXDOMAIN")])
-            out.append(ZeekRecord(kind="dns", fields=(
+            out.append((
                 self._ts(), self._uid_for_sub(), rng.choice(self.local_ips),
                 rng.randrange(49152, 65536), rng.choice(self.remote_ips), 53, "udp",
                 rng.randrange(0, 65536), round(rng.uniform(0.001, 0.4), 6),
@@ -246,17 +245,17 @@ class _Synth:
                 rcode, rcode_name, rng.random() < 0.1, False, True, rng.random() < 0.9,
                 0, rng.choice(["203.0.113.9", "198.51.100.7", ""]),
                 float(rng.choice([60, 300, 2523, 3600, 86400])), rcode != 0,
-            )))
+            ))
         return out
 
-    def http(self, n: int) -> list[ZeekRecord]:
+    def http(self, n: int) -> list[tuple]:
         out = []
         for _ in range(n):
             rng = self.rng
             status = rng.choice([200, 200, 200, 404, 301, 500])
             req_len = rng.randrange(0, 1200)
             resp_len = rng.randrange(100, 500_000)
-            out.append(ZeekRecord(kind="http", fields=(
+            out.append((
                 self._ts(), self._uid_for_sub(), rng.choice(self.local_ips),
                 rng.randrange(49152, 65536), rng.choice(self.remote_ips),
                 rng.choice([80, 8080]), 1, rng.choice(_METHODS),
@@ -267,16 +266,16 @@ class _Synth:
                 None, None, None, None, None, None,
                 f"F{rng.randrange(10**8):08d}" if rng.random() < 0.4 else None,
                 None, rng.choice(["text/html", "application/json", "application/octet-stream"]),
-            )))
+            ))
         return out
 
-    def files(self, n: int) -> list[ZeekRecord]:
+    def files(self, n: int) -> list[tuple]:
         out = []
         for _ in range(n):
             rng = self.rng
             seen = rng.randrange(100, 2_000_000)
             total = seen if rng.random() < 0.8 else None
-            out.append(ZeekRecord(kind="files", fields=(
+            out.append((
                 self._ts(), f"F{rng.randrange(10**8):08d}", self._uid_for_sub(),
                 rng.choice(self.local_ips), rng.randrange(49152, 65536),
                 rng.choice(self.remote_ips), rng.choice([80, 443]),
@@ -286,15 +285,15 @@ class _Synth:
                 round(rng.uniform(0.01, 20.0), 6), False, False,
                 seen, total, 0, 0, rng.random() < 0.05, None,
                 f"{rng.randrange(16**8):08x}" * 4, None, None, None, False, None,
-            )))
+            ))
         return out
 
-    def ntp(self, n: int) -> list[ZeekRecord]:
+    def ntp(self, n: int) -> list[tuple]:
         out = []
         for _ in range(n):
             rng = self.rng
             ts = self._ts()
-            out.append(ZeekRecord(kind="ntp", fields=(
+            out.append((
                 ts, self._uid_for_sub(), rng.choice(self.local_ips),
                 rng.randrange(49152, 65536), rng.choice(self.remote_ips), 123,
                 4, 3, rng.choice([2, 3, 4]), 6.0, round(rng.uniform(-20.0, -5.0), 6),
@@ -304,19 +303,19 @@ class _Synth:
                 ts - timedelta(milliseconds=rng.randrange(1, 500)),
                 ts - timedelta(milliseconds=rng.randrange(1, 400)),
                 ts, 0,
-            )))
+            ))
         return out
 
-    def weird(self, n: int) -> list[ZeekRecord]:
+    def weird(self, n: int) -> list[tuple]:
         out = []
         for _ in range(n):
             rng = self.rng
-            out.append(ZeekRecord(kind="weird", fields=(
+            out.append((
                 self._ts(), self._uid_for_sub(), rng.choice(self.local_ips),
                 rng.randrange(49152, 65536), rng.choice(self.remote_ips),
                 rng.choice([80, 443, 53]), rng.choice(_WEIRD_NAMES),
                 None, False, "zeek", "IP",
-            )))
+            ))
         return out
 
     def sensor(self, sensor_type: str, n: int) -> list[SensorReading]:

@@ -36,10 +36,12 @@ nonnegative), so its columns join the table as they are.  NaN passes both
 the range check and ``_convert``, so the block checks it on the duration
 column.  Any other conn block, and a JSON conn log, is built and checked
 record by record, so that each bad line is reported, and its good records
-join the table.  Rows of every kind are rendered (``serialize_zeek``) a
-column at a time in the same way (``_render_column``), a conn log from its
-columns (``records.conn_columns``), with ``_render`` as the per-value
-semantics it matches.
+join the table.  A log of any other kind parses to a list of row tuples
+in ``KIND_FIELDS[kind]`` order, the rows the database stores.  Rows of
+every kind are rendered (``serialize_zeek``) a column at a time in the same
+way (``_render_column``), a conn log from its columns
+(``records.conn_columns``), with ``_render`` as the per-value semantics it
+matches.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .records import (
     RecordInvariantError,
     UnknownKind,
     UnknownLabel,
-    ZeekRecord,
     _CONN_NAMES,
     conn_columns,
     parse_iot23_label,
@@ -105,7 +106,7 @@ class ParseIssue:
 
 @dataclass
 class ZeekParseResult:
-    records: list | ConnTable  # a ConnTable for a conn log
+    records: list | ConnTable  # a ConnTable for a conn log, else row tuples
     issues: list[ParseIssue]
 
 
@@ -137,7 +138,7 @@ def datetime_to_epoch(dt: datetime) -> str:
 _BOOLS = {"T": True, "true": True, "True": True, "F": False, "false": False, "False": False}
 
 
-# kept: without it detect-pipeline setup_s read +8.9%, wall_ref_s +4.8% (BENCH_22.json)
+# kept: without it detect-pipeline setup_s read +8.9%, slower in 11 of 12 pairs (BENCH_28.json)
 def _epoch_column(column) -> list:
     """``epoch_to_datetime`` over a column.  A column of plain values, all
     ``digits.dddddd`` (ASCII digits, one dot at [-7], no sign), is taken in
@@ -171,7 +172,7 @@ def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
         return value
     if vtype == "time":
         return epoch_to_datetime(value)
-    if vtype in ("count", "port", "int"):
+    if vtype in ("count", "port"):
         out = int(value)
     elif vtype in ("float", "duration"):
         out = float(value)
@@ -247,7 +248,7 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     unset, empty = "-", "(empty)"
     field_names: list[str] | None = None
     plan: list | None = None
-    # a conn log's rows gather as columns, any other kind's as ZeekRecords
+    # a conn log's rows gather as columns, any other kind's as row tuples
     columns = {name: [] for name in CONN_TABLE_NAMES} if kind == "conn" else None
     records: list = []
     issues: list[ParseIssue] = []
@@ -363,7 +364,7 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
 # or whose values fall outside the range below, goes through _convert value
 # by value.
 _COLUMN_CONVERT = {
-    "count": int, "port": int, "int": int,
+    "count": int, "port": int,
     "float": float, "duration": float,
     "bool": _BOOLS.__getitem__,
 }
@@ -423,8 +424,9 @@ def _fill(keep: list, values: list, marker) -> list:
 def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: str, empty: str):
     """(rows, issues) for a block of data lines that share one line plan,
     given as ``columns`` of raw values (emptied here as they are converted).
-    The rows are ZeekRecords, or for a conn block the value and label
-    columns of its good rows (``records.CONN_TABLE_NAMES``).
+    The rows are tuples in ``KIND_FIELDS[kind]`` order, or for a conn block
+    the value and label columns of its good rows
+    (``records.CONN_TABLE_NAMES``).
 
     Converts column by column.  A line reports what a line-by-line parse
     would: its first failing column in column order, then its label, then
@@ -449,16 +451,12 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
             # the last one is kept, as in a line-by-line parse
             by_name[spec.name] = _convert_column(column, spec, unset, empty, errors)
     unset_column = [None] * n
+    if kind != "conn":
+        rows = zip(*(by_name.get(spec.name, unset_column) for spec in KIND_FIELDS[kind]))
+        return ([row for i, row in enumerate(rows) if i not in errors],
+                [ParseIssue(line_no=line_nos[i], message=errors[i]) for i in sorted(errors)])
     records: list = []
     issues: list[ParseIssue] = []
-    if kind != "conn":
-        for i, values in enumerate(zip(*(by_name.get(spec.name, unset_column)
-                                         for spec in KIND_FIELDS[kind]))):
-            if i in errors:
-                issues.append(ParseIssue(line_no=line_nos[i], message=errors[i]))
-            else:
-                records.append(ZeekRecord(kind=kind, fields=values))
-        return records, issues
     raw_labels = by_name.get("label")
     raw_details = by_name.get("detailed_label", ["-"] * n)
     value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
@@ -532,7 +530,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                 _require_present(values)
                 records.append(ConnRecord(*values, label))
             else:
-                records.append(ZeekRecord(kind=kind, fields=values))
+                records.append(values)
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:
             issues.append(ParseIssue(line_no=line_no, message=str(exc)))
     if kind == "conn":
@@ -543,7 +541,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
 def _convert_json(value, spec: FieldSpec):
     if value is None:
         return None
-    if spec.vtype in ("count", "port", "int"):
+    if spec.vtype in ("count", "port"):
         # only a JSON integer: 1.9, true or "80" is a bad line, not 1, 1 or 80
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{spec.name} must be an integer: {value!r}")
@@ -571,24 +569,23 @@ def _convert_json(value, spec: FieldSpec):
     return str(value)
 
 
-def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) -> str:
+def serialize_zeek(records: Iterable, kind: str) -> str:
     """Render records as a Zeek TSV log (deterministic header, no wall clock).
 
-    Conn records are rendered from their columns (``records.conn_columns``)
-    and are labeled unless ``labeled`` is false or there are none.  A string
-    value that ``parse_zeek`` would misread is an UnreadableValue, a
-    ValueError and a data error (``_check_readable``); no value is escaped."""
+    A conn log is rendered from its columns (``records.conn_columns``), with
+    its label columns when it has rows; a log of any other kind from its
+    row tuples.  A string value that ``parse_zeek`` would misread is an
+    UnreadableValue, a ValueError and a data error (``_check_readable``); no
+    value is escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     if kind == "conn":
         columns = conn_columns(records)
-        labeled = bool(columns["label"]) if labeled is None else labeled
         n = len(columns["label"])
     else:
         records = list(records)
-        labeled = False
         n = len(records)
-    specs = KIND_FIELDS[kind] + LABEL_FIELDS if labeled else KIND_FIELDS[kind]
+    specs = KIND_FIELDS[kind] + LABEL_FIELDS if kind == "conn" and n else KIND_FIELDS[kind]
     lines = [
         "#separator \\x09",
         "#set_separator\t,",
@@ -600,20 +597,20 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
         "#types\t" + "\t".join(spec.zeek_type for spec in specs),
     ]
     # a block of rows at a time, so that only one block's rendered values are
-    # held before they are joined into lines; a ZeekRecord whose width
-    # differs from the others' is a ValueError (strict), never a cut to theirs
+    # held before they are joined into lines; a row whose width differs
+    # from the others' is a ValueError (strict), never a cut to theirs
     for start in range(0, n, _BLOCK_LINES):
         stop = start + _BLOCK_LINES
         if kind == "conn":
-            block = [columns[spec.name][start:stop] for spec in KIND_FIELDS[kind]]
+            block = [columns[name][start:stop] for name in _CONN_NAMES]
         else:
-            block = zip(*(record.fields for record in records[start:stop]), strict=True)
+            block = zip(*records[start:stop], strict=True)
         rendered = []
         for column, spec in zip(block, KIND_FIELDS[kind]):
             if spec.vtype == "str":
-                _check_readable(column, spec, kind, not labeled and spec is KIND_FIELDS[kind][-1], start + 1)
+                _check_readable(column, spec, spec is specs[-1], start + 1)
             rendered.append(_render_column(column, spec))
-        if labeled:
+        if kind == "conn":
             labels = columns["label"][start:stop]
             rendered.append(["Benign" if label is AttackLabel.Benign else "Malicious"
                              for label in labels])
@@ -624,16 +621,14 @@ def serialize_zeek(records: Iterable, kind: str, labeled: bool | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def _check_readable(column, spec: FieldSpec, kind: str, last: bool, first_row: int) -> None:
+def _check_readable(column, spec: FieldSpec, last: bool, first_row: int) -> None:
     """Raise UnreadableValue on a string value that ``parse_zeek`` would
     misread: one equal to the unset or empty marker or holding a tab or
-    "\\n"; and, as the ``last`` value of its line, one ending in "\\r", which
-    the line rule drops, or in a conn log one that reads as IoT-23 labels
-    glued on with spaces.  Rows are numbered from ``first_row``."""
+    "\\n", or, as the ``last`` value of its line, one ending in "\\r", which
+    the line rule drops.  Rows are numbered from ``first_row``."""
     for row, value in enumerate(column, first_row):
         if value and (value in ("-", "(empty)") or "\t" in value or "\n" in value
-                      or last and (value.endswith("\r") or kind == "conn" and "  " in value.strip()
-                                   and len(value.split()) == 3)):
+                      or last and value.endswith("\r")):
             raise UnreadableValue(f"record {row}: {spec.name}: the Zeek reader would misread {value!r}")
 
 
@@ -666,11 +661,12 @@ def _render_values(column, vtype: str) -> list[str]:
 
 
 def rows_for_table(records: Iterable, kind: str) -> list[tuple]:
-    """Store-ready rows (conn label columns excluded; table schema order)."""
+    """Store-ready rows (conn label columns excluded; table schema order):
+    the row tuples of any kind but conn as they are."""
     if kind == "conn":
         columns = conn_columns(records)
         return list(zip(*map(columns.__getitem__, _CONN_NAMES)))
-    return [record.fields for record in records]
+    return records
 
 
 def table_name(kind: str) -> str:

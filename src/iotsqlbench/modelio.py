@@ -5,11 +5,11 @@ schema tokens.  Detection inputs are a fixed instruction followed by the
 space-joined connection-log row (identifier columns ts and uid excluded,
 matching the 19-feature row; unset values render as ``-``).  The rows are
 rendered a column at a time, from the columns ``records.conn_columns``
-gives, by ``zeek._render_column``, the renderer the TSV writer uses, and
-``detection_row`` renders one record the same way, so rendering has one
-semantics.  Examples and predictions travel as UTF-8 JSON lines keyed by
-id, one per ``"\n"``-ended line, and a file of them is read one line at a
-time; detection examples are built a column at a time.
+gives, by ``zeek._render_column``, the renderer the TSV writer uses, so
+rendering has one semantics.  An example holds its input as it is written.
+Examples and predictions travel as UTF-8 JSON lines keyed by id, one per
+``"\n"``-ended line, and a file of them is read one line at a time; an
+example's id, input and gold (or gold_sql) must be strings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -63,13 +62,8 @@ class SqlExample:
 @dataclass(frozen=True)
 class DetectionExample:
     id: str
-    instruction: str
-    row: str
+    input: str
     gold: bool
-
-    @property
-    def input(self) -> str:
-        return f"{self.instruction} {self.row}"
 
 
 @dataclass(frozen=True)
@@ -89,28 +83,16 @@ def build_sql_input(
     return f"{question}{separator}{schema.joined(SCHEMA_TOKEN_JOINER)}"
 
 
-def _detection_rows(columns: dict) -> list[str]:
-    """``detection_row`` of each row of conn ``columns``, rendered a column
-    at a time."""
-    rendered = [_render_column(columns[spec.name], spec) for spec in DETECTION_FIELDS]
-    return list(map(" ".join, zip(*rendered)))
-
-
-def detection_row(record: ConnRecord) -> str:
-    """Space-joined column values in connection-log order (ts/uid dropped)."""
-    return _detection_rows(conn_columns([record]))[0]
-
-
-def build_detection_input(record: ConnRecord, instruction: str = DEFAULT_INSTRUCTION) -> DetectionExample:
-    return _detection_examples([record], instruction)[0]
-
-
 def _detection_examples(records: Iterable[ConnRecord], instruction: str) -> list[DetectionExample]:
     """The examples of ``records``, built from their uid, row and label
-    columns."""
+    columns.  An input is the instruction, a space and the row: its values
+    in connection-log order (ts/uid dropped), rendered a column at a time
+    and space-joined."""
     columns = conn_columns(records)
-    return list(map(DetectionExample, columns["uid"], repeat(instruction),
-                    _detection_rows(columns), map(attrgetter("is_malicious"), columns["label"])))
+    rendered = [_render_column(columns[spec.name], spec) for spec in DETECTION_FIELDS]
+    inputs = map(f"{instruction} ".__add__, map(" ".join, zip(*rendered)))
+    return list(map(DetectionExample, columns["uid"], inputs,
+                    map(attrgetter("is_malicious"), columns["label"])))
 
 
 def bool_to_label(value: bool) -> str:
@@ -163,13 +145,8 @@ def write_detection_examples(records: Iterable[ConnRecord], path, instruction: s
 
 
 def read_sql_examples(path: str | os.PathLike) -> list[SqlExample]:
-    out = []
-    for line_no, obj in read_jsonl(path):
-        try:
-            instruction_free = obj["input"]
-            out.append(SqlExample(id=obj["id"], input=instruction_free, gold_sql=obj["gold_sql"]))
-        except KeyError as exc:
-            raise ParseError(f"line {line_no}: missing key {exc}") from exc
+    out = [SqlExample(*_strings(obj, line_no, ("id", "input", "gold_sql")))
+           for line_no, obj in read_jsonl(path)]
     _check_unique_ids(ex.id for ex in out)
     return out
 
@@ -177,17 +154,21 @@ def read_sql_examples(path: str | os.PathLike) -> list[SqlExample]:
 def read_detection_examples(path: str | os.PathLike) -> list[DetectionExample]:
     out = []
     for line_no, obj in read_jsonl(path):
-        try:
-            text = obj["input"]
-            gold = label_to_bool(obj["gold"])
-        except KeyError as exc:
-            raise ParseError(f"line {line_no}: missing key {exc}") from exc
-        instruction, _, row = text.partition("? ")
-        if _:
-            instruction = instruction + "?"
-        out.append(DetectionExample(id=obj["id"], instruction=instruction, row=row, gold=gold))
+        item_id, text, gold = _strings(obj, line_no, ("id", "input", "gold"))
+        out.append(DetectionExample(id=item_id, input=text, gold=label_to_bool(gold)))
     _check_unique_ids(ex.id for ex in out)
     return out
+
+
+def _strings(obj: dict, line_no: int, names: tuple[str, ...]) -> list[str]:
+    """The values of ``names`` in the record of line ``line_no``; a missing
+    key, or a value that is not a string, is a ParseError naming the line."""
+    for name in names:
+        if name not in obj:
+            raise ParseError(f"line {line_no}: missing key {name!r}")
+        if not isinstance(obj[name], str):
+            raise ParseError(f"line {line_no}: {name} must be a string")
+    return [obj[name] for name in names]
 
 
 def read_predictions(path: str | os.PathLike, kind: str = "sql") -> list[PredictionRecord]:
@@ -239,12 +220,3 @@ def _check_unique_ids(ids) -> None:
         if item_id in seen:
             raise DuplicateId(f"duplicate id {item_id!r}")
         seen.add(item_id)
-
-
-def echo_gold_sql(examples: list[SqlExample]) -> list[PredictionRecord]:
-    """Round-trip helper: gold answers replayed as predictions."""
-    return [PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]
-
-
-def echo_gold_detection(examples: list[DetectionExample]) -> list[PredictionRecord]:
-    return [PredictionRecord(id=ex.id, payload=bool_to_label(ex.gold)) for ex in examples]

@@ -268,14 +268,18 @@ def _synthetic_ips(exclude: set):
 
 
 def dump_manifest(manifest: SplitManifest) -> str:
+    """The manifest file's text.  An id holding a tab or "\\n" is a
+    SplitError naming it, since ``load_manifest`` would misread its line."""
     header = {
         "seed": manifest.seed,
-        "ratios": list(manifest.ratios) if manifest.ratios else None,
+        "ratios": list(manifest.ratios) if manifest.ratios is not None else None,
         "train_attacks": sorted(l.value for l in manifest.train_attack_labels),
     }
     lines = [f"# {json.dumps(header, sort_keys=True)}"]
-    for item_id in manifest.assignment:
-        lines.append(f"{item_id}\t{manifest.assignment[item_id]}")
+    for item_id, split in manifest.assignment.items():
+        if "\t" in item_id or "\n" in item_id:
+            raise SplitError(f"manifest id {item_id!r} holds a tab or a line break")
+        lines.append(f"{item_id}\t{split}")
     return "\n".join(lines) + "\n"
 
 
@@ -289,7 +293,7 @@ def load_manifest(text: str) -> SplitManifest:
         raise SplitError("manifest line 1: missing header")
     try:
         header = json.loads(lines[0][2:])
-        ratios = tuple(header["ratios"]) if header.get("ratios") else None
+        ratios = tuple(header["ratios"]) if header.get("ratios") is not None else None
         train_attacks = frozenset(AttackLabel(v) for v in header.get("train_attacks", []))
     except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SplitError(f"manifest line 1: bad header ({exc})") from exc

@@ -273,7 +273,7 @@ def test_c03_metric_soundness_and_mutation_suite(acceptance_db, full_corpus):
             modelio.SqlExample(id=f"e{i}", input=p.question, gold_sql=p.sql)
             for i, p in enumerate(subset[:200])
         ]
-        preds = modelio.echo_gold_sql(examples)
+        preds = [modelio.PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]
         report = score_sql_corpus(examples, preds, acceptance_db)
         assert report.execution_acc == 1.0 and report.logical_acc == 1.0
 
@@ -569,7 +569,7 @@ def test_c10_serialization_fidelity(acceptance_db, full_corpus, tmp_path):
             history="ShADadFf", orig_pkts=5, orig_ip_bytes=320, resp_pkts=6,
             resp_ip_bytes=550, tunnel_parents=None, label=AttackLabel.Okiru,
         )
-        example = modelio.build_detection_input(record)
+        (example,) = modelio.write_detection_examples([record], tmp_path / "one.jsonl")
         assert example.input.startswith(
             "Is the following network information Malicious? 192.168.1.1 80 192.161.2.2 8080"
         )
@@ -580,7 +580,7 @@ def test_c10_serialization_fidelity(acceptance_db, full_corpus, tmp_path):
         examples = modelio.write_sql_examples(pairs[:150], acceptance_db.schema, sql_path)
         sql_report = score_sql_corpus(
             modelio.read_sql_examples(sql_path),
-            modelio.echo_gold_sql(examples),
+            [modelio.PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples],
             acceptance_db,
         )
         assert sql_report.execution_acc == 1.0 and sql_report.logical_acc == 1.0
@@ -593,7 +593,8 @@ def test_c10_serialization_fidelity(acceptance_db, full_corpus, tmp_path):
         records = synthesize_logs(spec)["conn"]
         det_path = tmp_path / "det.jsonl"
         det_examples = modelio.write_detection_examples(records, det_path)
-        echoed = modelio.echo_gold_detection(det_examples)
+        echoed = [modelio.PredictionRecord(id=ex.id, payload=modelio.bool_to_label(ex.gold))
+                  for ex in det_examples]
         by_id = {p.id: p for p in echoed}
         read_back = modelio.read_detection_examples(det_path)
         golds = [ex.gold for ex in read_back]

@@ -2,7 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from iotsqlbench.cli import main
+from iotsqlbench.ingest import serialize_zeek
 
 SMALL = [
     "--set", "synth.conn=250", "--set", "synth.dns=60", "--set", "synth.http=40",
@@ -449,6 +452,35 @@ def test_eval_detect_reports_a_byte_that_is_not_utf8_as_a_data_error(tmp_path, c
                 "--predictions", preds]) == 1
     assert capsys.readouterr().err == (
         f"error: {examples}:2: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("stage, bad, message", [
+    ("eval-detect", '{"id": "a", "input": 5, "gold": "Benign"}', "input must be a string"),
+    ("eval-detect", '{"id": "a", "input": null, "gold": "Benign"}', "input must be a string"),
+    ("eval-detect", '{"id": "a", "input": "Is it? tcp", "gold": true}', "gold must be a string"),
+    ("eval-detect", '{"id": 7, "input": "Is it? tcp", "gold": "Benign"}', "id must be a string"),
+    ("eval-detect", '{"id": "a", "gold": "Benign"}', "missing key 'input'"),
+    ("eval-sql", '{"id": "a", "input": "q", "gold_sql": 5}', "gold_sql must be a string"),
+    ("eval-sql", '{"id": "a", "input": ["q"], "gold_sql": "SELECT 1"}', "input must be a string"),
+    ("eval-sql", '{"id": 7, "input": "q", "gold_sql": "SELECT 1"}', "id must be a string"),
+    ("eval-sql", '{"id": "a", "input": "q"}', "missing key 'gold_sql'"),
+])
+def test_eval_reports_a_mistyped_example_field_as_a_data_error(tmp_path, capsys, stage, bad, message):
+    good, payload = {"eval-detect": ('{"gold": "Benign", "id": "C1", "input": "Is it? tcp"}', "Benign"),
+                     "eval-sql": ('{"gold_sql": "SELECT 1", "id": "C1", "input": "q"}', "SELECT 1")}[stage]
+    examples, preds = tmp_path / "examples.jsonl", tmp_path / "preds.jsonl"
+    examples.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    preds.write_text("".join(json.dumps({"id": i, "payload": payload}) + "\n"
+                             for i in ("C1", json.loads(bad)["id"])), encoding="utf-8")
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "weird.log").write_text(serialize_zeek([], "weird"), encoding="utf-8")
+    extra = ["--db", db] if stage == "eval-sql" else []
+    capsys.readouterr()
+    # a traceback would propagate out of main() and fail the test
+    assert run(["--out", tmp_path / "run", stage, "--examples", examples,
+                "--predictions", preds, *extra]) == 1
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 def test_ingest_and_config_report_a_byte_that_is_not_utf8_naming_its_line(tmp_path, capsys):

@@ -169,8 +169,8 @@ def test_results_match_shares_the_prepared_path():
 
 def test_join_predictions_pairs_by_id():
     examples = [
-        DetectionExample(id="a", instruction="i", row="x", gold=True),
-        DetectionExample(id="b", instruction="i", row="y", gold=False),
+        DetectionExample(id="a", input="i x", gold=True),
+        DetectionExample(id="b", input="i y", gold=False),
     ]
     preds = [
         PredictionRecord(id="b", payload="benign"),

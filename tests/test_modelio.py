@@ -4,23 +4,21 @@ import tracemalloc
 from datetime import datetime
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from iotsqlbench.ingest import AttackLabel, ConnRecord
 from iotsqlbench.lines import split_lines
 from iotsqlbench.modelio import (
+    DEFAULT_INSTRUCTION,
     DuplicateId,
     EmptyQuestion,
     MissingId,
     ParseError,
     PredictionRecord,
+    _detection_examples,
     bool_to_label,
-    build_detection_input,
     build_sql_input,
-    detection_row,
-    echo_gold_detection,
-    echo_gold_sql,
     label_to_bool,
     read_detection_examples,
     read_jsonl,
@@ -81,13 +79,20 @@ def test_build_sql_input_empty_question(toy_schema):
         build_sql_input("   ", linearize_schema(toy_schema))
 
 
+def _row(record) -> str:
+    """The row of ``record``'s detection input, after its instruction."""
+    (example,) = _detection_examples([record], "?")
+    assert example.input.startswith("? ")
+    return example.input[2:]
+
+
 def test_detection_input_begins_with_instruction_and_ips():
-    example = build_detection_input(REFERENCE_RECORD)
+    (example,) = _detection_examples([REFERENCE_RECORD], DEFAULT_INSTRUCTION)
     assert example.input.startswith(
         "Is the following network information Malicious? 192.168.1.1 80 192.161.2.2 8080"
     )
     assert example.gold is True
-    assert "\t" not in example.row
+    assert "\t" not in example.input
 
 
 def test_detection_row_unset_renders_dashes_fixed_arity():
@@ -97,7 +102,7 @@ def test_detection_row_unset_renders_dashes_fixed_arity():
         conn_state="S0", local_orig=None, local_resp=None, missed_bytes=0, history="D",
         orig_pkts=1, orig_ip_bytes=40, resp_pkts=0, resp_ip_bytes=0, tunnel_parents=None,
     )
-    fields = detection_row(record).split(" ")
+    fields = _row(record).split(" ")
     assert len(fields) == 19
     assert fields[4:9] == ["udp", "-", "-", "-", "-"]  # service..resp_bytes unset
     assert fields[-1] == "-"
@@ -107,16 +112,16 @@ def test_detection_input_differs_iff_values_differ():
     import dataclasses
 
     same = dataclasses.replace(REFERENCE_RECORD)
-    assert detection_row(same) == detection_row(REFERENCE_RECORD)
+    assert _row(same) == _row(REFERENCE_RECORD)
     changed = dataclasses.replace(REFERENCE_RECORD, resp_bytes=231)
-    assert detection_row(changed) != detection_row(REFERENCE_RECORD)
+    assert _row(changed) != _row(REFERENCE_RECORD)
     # ts and uid are not part of the row
     shifted = dataclasses.replace(REFERENCE_RECORD, uid="COther", ts=datetime(2022, 1, 1))
-    assert detection_row(shifted) == detection_row(REFERENCE_RECORD)
+    assert _row(shifted) == _row(REFERENCE_RECORD)
 
 
 def test_detection_row_stable_across_calls():
-    assert detection_row(REFERENCE_RECORD) == detection_row(REFERENCE_RECORD)
+    assert _row(REFERENCE_RECORD) == _row(REFERENCE_RECORD)
 
 
 def test_label_normalization_both_directions():
@@ -178,11 +183,6 @@ def test_examples_round_trip(tmp_path, synth_data):
     assert [e.id for e in back] == [e.id for e in examples]
     assert [e.gold for e in back] == [e.gold for e in examples]
     assert [e.input for e in back] == [e.input for e in examples]
-
-    golds = echo_gold_detection(examples)
-    assert all(label_to_bool(g.payload) == e.gold for g, e in zip(golds, examples))
-    sql_golds = echo_gold_sql(written)
-    assert all(g.payload == e.gold_sql for g, e in zip(sql_golds, written))
 
 
 def test_readers_take_a_str_as_the_path_of_a_file(tmp_path):
@@ -256,8 +256,7 @@ def test_write_detection_examples_matches_per_value_reference(tmp_path, pick):
     assert [ex.id for ex in examples] == [record.uid for record in records]
     assert [ex.gold for ex in examples] == [record.is_malicious for record in records]
     for record, example in zip(records, examples):
-        assert example == build_detection_input(record, instruction=instruction)
-        assert example.row == detection_row(record)
+        assert [example] == _detection_examples([record], instruction)
         assert json.loads(_reference_line(record, instruction))["input"] == example.input
 
 
@@ -355,10 +354,8 @@ def test_reading_examples_holds_one_line_of_the_file_at_a_time(tmp_path):
 
 
 # model inputs read back from their file as written, over every value the
-# writers accept (README): a nonempty question, and an instruction that ends
-# in "?" and holds no "? " before that
+# writers accept (README): any instruction, and a nonempty question
 _QUESTIONS = st.text(min_size=1).filter(str.strip)
-_INSTRUCTIONS = st.text().filter(lambda text: "? " not in text).map(lambda text: text + "?")
 
 
 @_IN_TMP
@@ -371,7 +368,9 @@ def test_sql_examples_read_back_from_their_file(tmp_path, drawn):
 
 
 @_IN_TMP
-@given(st.lists(st.tuples(st.text(), st.text(), st.booleans()), max_size=5), _INSTRUCTIONS)
+@given(st.lists(st.tuples(st.text(), st.text(), st.booleans()), max_size=5), st.text())
+@example(drawn=[("C1", "Sh", True), ("C2", "", False)], instruction="Is it? Or is it?")
+@example(drawn=[("C1", "Sh", True)], instruction="No question here")
 def test_detection_examples_read_back_from_their_file(tmp_path, drawn, instruction):
     records = [dataclasses.replace(REFERENCE_RECORD, uid=uid, history=history,
                                    label=AttackLabel.Okiru if malicious else AttackLabel.Benign)

@@ -13,7 +13,6 @@ from iotsqlbench.ingest import (
     ZEEK_KINDS,
     AttackLabel,
     ConnRecord,
-    ZeekRecord,
     serialize_zeek,
 )
 from iotsqlbench.ingest import zeek
@@ -38,16 +37,14 @@ _CONN_VALUES = _VALUES | {
 }
 
 # string values serialize_zeek accepts in any position (README states its
-# contract): no tab, "\n" or "\r", no unset or empty marker, and none that
-# reads as IoT-23 labels glued on with spaces
+# contract): no tab, "\n" or "\r", and no unset or empty marker
 _READABLE_TEXT = st.text(alphabet=st.characters(exclude_characters="\t\n\r"), max_size=6).filter(
-    lambda value: value not in ("-", "(empty)")
-    and not ("  " in value.strip() and len(value.split()) == 3))
+    lambda value: value not in ("-", "(empty)"))
 
 
 @st.composite
 def _records(draw):
-    """(kind, records, labeled): records of one kind whose columns hold None
+    """(kind, records): records of one kind whose columns hold None
     (and, in a string column, "") only when ``holes`` is drawn, so that both
     the mapped and the value-by-value column paths are taken."""
     kind = draw(st.sampled_from(ZEEK_KINDS))
@@ -61,37 +58,39 @@ def _records(draw):
             column = values[spec.vtype]
         columns.append(st.none() | column if holes else column)
     rows = draw(st.lists(st.tuples(*columns), max_size=9))
-    labeled = draw(st.sampled_from([None, False, True]))
     if kind != "conn":
-        return kind, [ZeekRecord(kind=kind, fields=row) for row in rows], labeled
+        return kind, rows
     labels = draw(st.lists(st.sampled_from(list(AttackLabel)), min_size=len(rows), max_size=len(rows)))
-    return kind, [ConnRecord(*row, label=label) for row, label in zip(rows, labels)], labeled
+    return kind, [ConnRecord(*row, label=label) for row, label in zip(rows, labels)]
 
 
-def _reference_serialize(records, kind, labeled):
-    """One value at a time through ``zeek._render``, labels spelled out."""
+def _reference_serialize(records, kind):
+    """One value at a time through ``zeek._render``, header and labels
+    spelled out: a conn log with records has its two label columns."""
     specs = KIND_FIELDS[kind]
-    with_labels = kind == "conn" and (bool(records) if labeled is None else labeled)
-    *header, close = serialize_zeek([], kind, with_labels).splitlines()
-    lines = []
+    with_labels = kind == "conn" and bool(records)
+    names = [spec.zeek_name for spec in specs] + (["label", "detailed-label"] if with_labels else [])
+    types = [spec.zeek_type for spec in specs] + (["string", "string"] if with_labels else [])
+    lines = ["#separator \\x09", "#set_separator\t,", "#empty_field\t(empty)", "#unset_field\t-",
+             f"#path\t{kind}", "#open\t2000-01-01-00-00-00",
+             "\t".join(["#fields", *names]), "\t".join(["#types", *types])]
     for record in records:
-        row = (tuple(getattr(record, spec.name) for spec in specs) if kind == "conn"
-               else record.fields)
+        row = tuple(getattr(record, spec.name) for spec in specs) if kind == "conn" else record
         values = [zeek._render(value, spec) for value, spec in zip(row, specs)]
         if with_labels:
             values += (["Benign", "-"] if record.label is AttackLabel.Benign
                        else ["Malicious", record.label.value])
         lines.append("\t".join(values))
-    return "\n".join(header + lines + [close]) + "\n"
+    return "\n".join(lines + ["#close\t2000-01-01-00-00-00"]) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_records(), st.sampled_from([1, 2, 3, 256]))
 def test_serialize_every_kind_matches_per_value_render(data, block):
-    kind, records, labeled = data
+    kind, records = data
     with mock.patch.object(zeek, "_BLOCK_LINES", block):
-        got = serialize_zeek(records, kind, labeled)
-    assert got == _reference_serialize(records, kind, labeled)
+        got = serialize_zeek(records, kind)
+    assert got == _reference_serialize(records, kind)
 
 
 def test_serialize_renders_markers_bools_nan_and_pre_epoch_times():
@@ -101,7 +100,7 @@ def test_serialize_renders_markers_bools_nan_and_pre_epoch_times():
     first[names.index("filename")], second[names.index("filename")] = "", "a.bin"
     first[names.index("duration")], second[names.index("duration")] = float("nan"), float("-inf")
     first[names.index("is_orig")], second[names.index("is_orig")] = True, False
-    records = [ZeekRecord("files", tuple(first)), ZeekRecord("files", tuple(second))]
+    records = [tuple(first), tuple(second)]
     lines = serialize_zeek(records, "files").splitlines()[8:10]
     got = [dict(zip(names, line.split("\t"))) for line in lines]
     assert [row["ts"] for row in got] == ["-1.500000", "-"]
@@ -112,7 +111,7 @@ def test_serialize_renders_markers_bools_nan_and_pre_epoch_times():
 
 def test_serialize_rejects_a_record_of_another_width_in_a_block():
     full = (datetime(2021, 1, 1), "C1", "10.0.0.1", 1, "10.0.0.2", 2, "bad", None, False, "zeek", "IP")
-    records = [ZeekRecord("weird", full), ZeekRecord("weird", full[:5])]
+    records = [full, full[:5]]
     with pytest.raises(ValueError):
         serialize_zeek(records, "weird")
 
