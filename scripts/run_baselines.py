@@ -37,18 +37,16 @@ def main() -> int:
     parser.add_argument("--trees", type=int, default=100)
     args = parser.parse_args()
 
-    records = synthesize_logs(SynthSpec(counts={"conn": args.n}, label_mix=MIX, seed=args.seed))["conn"]
-    anonymized, _ = splitter.anonymize(records, seed=args.seed)
+    table = synthesize_logs(SynthSpec(counts={"conn": args.n}, label_mix=MIX, seed=args.seed))["conn"]
+    anonymized, _ = splitter.anonymize(table, seed=args.seed)
     manifest = splitter.split_network(anonymized, seed=args.seed)
-    by_uid = {r.uid: r for r in anonymized}
-    subsets = {s: [by_uid[u] for u in manifest.ids_for(s)] for s in splitter.SPLITS}
+    subsets = splitter.take_splits(anonymized, manifest)
+    y = {s: np.array(splitter.malicious(subsets[s])) for s in splitter.SPLITS}
     for split, subset in subsets.items():
-        malicious = sum(r.is_malicious for r in subset)
-        print(f"{split}: {len(subset)} records ({malicious} malicious)")
+        print(f"{split}: {len(subset)} records ({y[split].sum()} malicious)")
 
     featurizer = bl.fit_featurizer(subsets["train"])
     X = {s: featurizer.transform(subsets[s]) for s in splitter.SPLITS}
-    y = {s: np.array([r.is_malicious for r in subsets[s]]) for s in splitter.SPLITS}
 
     print(f"\n{'baseline':<16} {'dev P':>7} {'dev R':>7} {'dev F1':>7} {'test P':>7} {'test R':>7} {'test F1':>8}")
     hp = bl.Hyperparams(n_trees=args.trees)

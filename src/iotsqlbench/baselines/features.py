@@ -4,8 +4,8 @@ Identifier columns (ts, uid, orig_h, resp_h, tunnel_parents) never
 contribute features.  Numeric columns pass through (unset becomes 0 plus
 a presence flag); categorical columns are one-hot over a training-time
 vocabulary with an explicit "other" slot for unseen values.  Records are
-read as columns (``records.conn_columns``), and the matrix is filled a
-column at a time: one pass per numeric column, and for each categorical
+read as the columns of a ``ConnTable``, and the matrix is filled a column
+at a time: one pass per numeric column, and for each categorical
 column a dict lookup per value and one assignment of its one-hot slots.
 """
 
@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..ingest.records import ConnRecord, conn_columns
+from ..ingest.records import ConnTable
 
 
 class FeatureError(Exception):
@@ -68,12 +68,11 @@ class Featurizer:
         self.vocab: dict[str, list[str]] = {}
         self._fitted = False
 
-    def fit(self, records: list[ConnRecord]) -> "Featurizer":
+    def fit(self, records: ConnTable) -> "Featurizer":
         if not records:
             raise Empty("cannot fit a featurizer on zero records")
-        columns = conn_columns(records)
         for name in CATEGORICAL_FIELDS:
-            counts = Counter(map(_categorical_text, columns[name]))
+            counts = Counter(map(_categorical_text, records.columns[name]))
             budget = self.vocab_budget[name]
             ranked = sorted(counts, key=lambda v: (-counts[v], v))[:budget]
             self.vocab[name] = sorted(ranked)
@@ -115,11 +114,11 @@ class Featurizer:
         if not self._fitted:
             raise FeatureError("featurizer is not fitted")
 
-    def transform(self, records: list[ConnRecord]) -> np.ndarray:
+    def transform(self, records: ConnTable) -> np.ndarray:
         """The feature matrix, one row per record, filled a column at a time."""
         self._require_fitted()
-        columns = conn_columns(records)
-        n = len(columns["label"])
+        columns = records.columns
+        n = len(records)
         X = np.zeros((n, self.n_dims), dtype=np.float64)
         rows = np.arange(n)
         col = 0
@@ -151,5 +150,5 @@ class Featurizer:
         return out
 
 
-def fit_featurizer(records: list[ConnRecord], vocab_budget: dict | None = None) -> Featurizer:
+def fit_featurizer(records: ConnTable, vocab_budget: dict | None = None) -> Featurizer:
     return Featurizer(vocab_budget=vocab_budget).fit(records)

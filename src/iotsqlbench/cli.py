@@ -15,13 +15,13 @@ import json
 import math
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from . import baselines, evaluation, modelio, splitter, templates
 from .config import ConfigError, RunConfig, default_config_text
 from .ingest import (
     SENSOR_TYPES,
+    TABLE_FOR_KIND,
     ZEEK_KINDS,
     BadDirective,
     IngestError,
@@ -29,14 +29,12 @@ from .ingest import (
     ingest_sensors,
     parse_devices,
     parse_zeek,
+    rows_for_table,
     serialize_devices,
     serialize_sensors,
     serialize_zeek,
     synthesize_logs,
 )
-from .ingest.sensors import sensor_rows
-from .ingest.synth import device_rows
-from .ingest.zeek import rows_for_table, table_name
 from .lines import NotUtf8, read_text
 from .store import Database, StoreError, default_schema, dump_schema_text, load_schema_file
 
@@ -195,20 +193,13 @@ def read_logs_dir(path: Path) -> tuple[dict, list]:
 
 
 def build_database(schema, data: dict) -> Database:
-    """A database of ``data``; a conn log's rows are zipped from its
-    columns (``rows_for_table``)."""
+    """A database of ``data``: each kind's rows in its table, a Zeek log's
+    named by ``TABLE_FOR_KIND`` and any other's by the kind itself; a conn
+    log's rows are zipped from its columns (``rows_for_table``)."""
     db = Database(schema)
-    for kind in ZEEK_KINDS:
-        records = data.get(kind)
-        if records:
-            db.load_records(table_name(kind), rows_for_table(records, kind))
-    for sensor in SENSOR_TYPES:
-        readings = data.get(sensor)
-        if readings:
-            db.load_records(sensor, sensor_rows(readings))
-    devices = data.get("devices")
-    if devices:
-        db.load_records("devices", device_rows(devices))
+    for kind, rows in data.items():
+        if rows:
+            db.load_records(TABLE_FOR_KIND.get(kind, kind), rows_for_table(rows, kind))
     return db
 
 
@@ -237,28 +228,17 @@ def _conn_table(path):
 
 
 def network_splits(anonymized: str, network_manifest: str) -> dict:
-    """The anonymized conn table of each split, in manifest order: a
-    sub-table taken by row position.
+    """The anonymized conn table of each split (``splitter.take_splits``).
 
     A malformed line in the anonymized log, or a manifest uid it does not
     hold, is a data error: the splits would silently lose records.
     """
     table = _conn_table(anonymized)
-    # the last row of a uid, as a uid -> record dict would keep
-    position = {uid: i for i, uid in enumerate(table.columns["uid"])}
     manifest = splitter.load_manifest(read_text(network_manifest))
-    for uid in manifest.assignment:
-        if uid not in position:
-            raise splitter.SplitError(f"manifest uid {uid!r} is not in {anonymized}")
-    return {
-        split: table.take(list(map(position.__getitem__, manifest.ids_for(split))))
-        for split in splitter.SPLITS
-    }
-
-
-def _malicious(table) -> list[bool]:
-    """The gold column of a conn table: whether each row is malicious."""
-    return list(map(attrgetter("is_malicious"), table.columns["label"]))
+    try:
+        return splitter.take_splits(table, manifest)
+    except splitter.SplitError as exc:
+        raise splitter.SplitError(f"{anonymized}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +447,7 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
     )
     featurizer = baselines.fit_featurizer(subsets["train"])
     X_train = featurizer.transform(subsets["train"])
-    y_train = _malicious(subsets["train"])
+    y_train = splitter.malicious(subsets["train"])
     model = baselines.train(kind, X_train, y_train, hyperparams=hp, seed=seed, featurizer=featurizer)
 
     writer = ArtifactWriter(out)
@@ -480,7 +460,7 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
         if not records:
             continue
         X = featurizer.transform(records)
-        golds = _malicious(records)
+        golds = splitter.malicious(records)
         preds = baselines.predict(model, X, seed=seed)
         report = evaluation.detection_metrics(golds, list(preds))
         writer.write(f"baseline/report_{split}.json", report.to_json() + "\n")

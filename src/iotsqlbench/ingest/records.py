@@ -1,15 +1,13 @@
-"""Typed records for Zeek logs, attack labels, and sensor readings.
+"""Typed records for Zeek logs and attack labels.
 
 A parsed dns, http, files, ntp or weird log is a list of row tuples, each
 holding its values in ``KIND_FIELDS[kind]`` order: the rows the database
 stores and the Zeek writer renders.  A parsed conn log is a ``ConnTable``:
 its values held as columns, one list per ``ConnRecord`` field, which the
 detection path (anonymization, the splits, the TSV and JSONL writers, the
-featurizer) reads and replaces a column at a time.  The table is a
-read-only sequence of ``ConnRecord``s and builds a record only when one is
-indexed or iterated.  ``conn_columns`` gives any consumer its columns: a
-table's own, or those of a plain sequence of records in one transposition,
-so a caller may pass either.
+featurizer) reads and replaces a column at a time.  A producer that builds
+checked ``ConnRecord``s one at a time gathers them into a table with
+``ConnTable.of``.
 """
 
 from __future__ import annotations
@@ -17,10 +15,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from operator import attrgetter, eq
+from operator import attrgetter
 
 
 class IngestError(Exception):
@@ -138,20 +135,6 @@ class ConnRecord:
 
 
 SENSOR_TYPES = ("humidity", "co2", "temperature", "luminosity", "motion")
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    sensor_type: str
-    room: str
-    ts: datetime
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.sensor_type not in SENSOR_TYPES:
-            raise RecordInvariantError(f"unknown sensor type {self.sensor_type!r}")
-        if self.sensor_type == "motion" and self.value not in (0, 1):
-            raise RecordInvariantError(f"motion value must be 0 or 1: {self.value}")
 
 
 @dataclass(frozen=True)
@@ -329,54 +312,28 @@ _CONN_NAMES = tuple(spec.name for spec in CONN_FIELDS)
 CONN_TABLE_NAMES = (*_CONN_NAMES, "label")
 
 
-class ConnTable(Sequence):
-    """A read-only sequence of ConnRecords held as columns.
+@dataclass(frozen=True, slots=True)
+class ConnTable:
+    """Conn log rows held as columns.
 
     ``columns`` maps each name of CONN_TABLE_NAMES, in that order, to a list
     of one value per row; the lists are shared with whoever made them and
-    are never changed.  Their values must satisfy ``ConnRecord``'s
-    invariants, as those of a Zeek parse or of checked records do: a record
-    is built, and checked, only when a row is indexed or iterated.  A table
-    equals any sequence of equal records.
+    are never changed.  Their values satisfy ``ConnRecord``'s invariants, as
+    those of a Zeek parse or of checked records do.  Two tables are equal
+    when their columns are.
     """
 
-    __slots__ = ("columns",)
+    columns: dict[str, list]
 
-    def __init__(self, columns: dict[str, list]):
-        self.columns = columns
+    @classmethod
+    def of(cls, records: list[ConnRecord]) -> ConnTable:
+        """The table of a list of checked ConnRecords, transposed once."""
+        return cls({name: list(map(attrgetter(name), records)) for name in CONN_TABLE_NAMES})
 
     def __len__(self) -> int:
         return len(self.columns["label"])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ConnTable({name: column[index] for name, column in self.columns.items()})
-        return ConnRecord(*[column[index] for column in self.columns.values()])
-
-    def __iter__(self):
-        return map(ConnRecord, *self.columns.values())
 
     def take(self, positions: list[int]) -> ConnTable:
         """The sub-table of the rows at ``positions``, in that order."""
         return ConnTable({name: list(map(column.__getitem__, positions))
                           for name, column in self.columns.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, ConnTable):
-            return self.columns == other.columns
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"ConnTable({list(self)!r})"
-
-
-def conn_columns(records) -> dict[str, list]:
-    """The columns of conn ``records`` by name, as a ``ConnTable`` holds
-    them: a table's own, which the caller must not change, or those of any
-    other iterable of ConnRecords, transposed once."""
-    if isinstance(records, ConnTable):
-        return records.columns
-    records = list(records)
-    return {name: list(map(attrgetter(name), records)) for name in CONN_TABLE_NAMES}

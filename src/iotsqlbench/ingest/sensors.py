@@ -1,13 +1,16 @@
-"""Sensor reading ingestion (toolkit-defined CSV: room,ts,value)."""
+"""Sensor reading ingestion (toolkit-defined CSV: room,ts,value).
+
+A reading is held as the row its sensor's table stores:
+``(reading_id, room, floor, ts, value)`` (``sensor_row``).
+"""
 
 from __future__ import annotations
 
 import csv
 from datetime import datetime
-from typing import Iterable
 
 from ..lines import csv_rows, csv_text, split_lines
-from .records import SENSOR_TYPES, IngestError, RecordInvariantError, SensorReading
+from .records import SENSOR_TYPES, IngestError
 
 
 class BadTimestamp(IngestError):
@@ -18,17 +21,29 @@ class BadValue(IngestError):
     pass
 
 
-def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
-    """Parse a sensor CSV into typed readings.
+def sensor_row(sensor_type: str, index: int, room: str, ts: datetime, value) -> tuple:
+    """The stored row of the ``index``-th reading of a ``sensor_type`` sensor:
+    (reading_id, room, floor, ts, value).
+
+    Floor is derived from rooms shaped like R<floor><nn>; otherwise null.  A
+    digit that ``int`` does not read, such as "²", is no floor.
+    """
+    floor = int(room[1]) if len(room) >= 2 and room[0] in "Rr" and room[1].isdecimal() else None
+    return (f"{sensor_type[:1]}{index:06d}", room, floor, ts, value)
+
+
+def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
+    """Parse a sensor CSV into the rows of its readings (``sensor_row``).
 
     Lines are split by ``lines.split_lines`` and read by ``csv.reader``, one
     row per line.  Expects a ``room,ts,value`` header; ts is ISO-8601.  The
-    room is kept as written; ts and value lose surrounding whitespace.
-    Raises BadTimestamp or BadValue with the offending line number.
+    room is kept as written; ts and value lose surrounding whitespace.  A
+    motion value must be 0 or 1.  Raises BadTimestamp or BadValue with the
+    offending line number.
     """
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
-    readings: list[SensorReading] = []
+    readings: list[tuple] = []
     rows = split_lines(text)
     header = next(csv.reader(rows[:1]), [])
     start = 1 if header and header[0].strip().casefold() == "room" else 0
@@ -47,33 +62,17 @@ def ingest_sensors(text: str, sensor_type: str) -> list[SensorReading]:
                     value = int(value_text)
             except ValueError as exc:
                 raise BadValue(f"line {line_no}: bad value {value_text!r}") from exc
-            try:
-                readings.append(SensorReading(sensor_type=sensor_type, room=room, ts=ts, value=value))
-            except RecordInvariantError as exc:
-                raise BadValue(f"line {line_no}: {exc}") from exc
+            if sensor_type == "motion" and value not in (0, 1):
+                raise BadValue(f"line {line_no}: motion value must be 0 or 1: {value}")
+            readings.append(sensor_row(sensor_type, len(readings), room, ts, value))
     except csv.Error as exc:
         raise BadValue(str(exc)) from exc
     return readings
 
 
-def serialize_sensors(readings: Iterable[SensorReading]) -> str:
-    """A sensor CSV (``room,ts,value``); a room holding "\\n", "\\r" or NUL
-    is a ValueError (``lines.csv_text``)."""
+def serialize_sensors(rows: list[tuple]) -> str:
+    """A sensor CSV (``room,ts,value``) of a sensor's rows; a room holding
+    "\\n", "\\r" or NUL is a ValueError (``lines.csv_text``)."""
     return csv_text([("room", "ts", "value"), *(
-        (r.room, r.ts.isoformat(), int(r.value) if float(r.value).is_integer() else r.value)
-        for r in readings)])
-
-
-def sensor_rows(readings: Iterable[SensorReading]) -> list[tuple]:
-    """Store rows for a sensor table: (reading_id, room, floor, ts, value).
-
-    Floor is derived from rooms shaped like R<floor><nn>; otherwise null.
-    """
-    rows = []
-    for i, r in enumerate(readings):
-        floor = None
-        if len(r.room) >= 2 and r.room[0] in "Rr" and r.room[1].isdigit():
-            floor = int(r.room[1])
-        rid = f"{r.sensor_type[:1]}{i:06d}"
-        rows.append((rid, r.room, floor, r.ts, r.value))
-    return rows
+        (room, ts.isoformat(), int(value) if float(value).is_integer() else value)
+        for _, room, _, ts, value in rows)])

@@ -2,7 +2,11 @@
 
 Substitute for the real captures: deterministic given the seed, label mix
 within one record of the requested fractions, and every record satisfies
-the same invariants the parsers enforce (generator/parser duality).
+the same invariants the parsers enforce (generator/parser duality).  Each
+kind is made in the shape the parsers give and the database stores: a conn
+log as a ``ConnTable``, other Zeek logs as row tuples, a sensor's readings
+as its rows (``sensors.sensor_row``), devices as tuples in DEVICE_COLUMNS
+order.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from .records import (
     ZEEK_KINDS,
     AttackLabel,
     ConnRecord,
+    ConnTable,
     IngestError,
-    SensorReading,
 )
+from .sensors import sensor_row
 
 ALL_KINDS = ZEEK_KINDS + SENSOR_TYPES + ("devices",)
 # the columns of a device row, in devices.csv and in the devices table
@@ -111,12 +116,12 @@ class _Synth:
         span = int((hi - lo).total_seconds())
         return lo + timedelta(seconds=self.rng.randrange(span), microseconds=self.rng.randrange(0, 1_000_000, 1000))
 
-    def conn(self, n: int) -> list[ConnRecord]:
+    def conn(self, n: int) -> ConnTable:
         labels: list[AttackLabel] = []
         for label, count in apportion(n, self.spec.label_mix).items():
             labels.extend([label] * count)
         self.rng.shuffle(labels)
-        return [self._conn_one(label) for label in labels]
+        return ConnTable.of([self._conn_one(label) for label in labels])
 
     def _conn_one(self, label: AttackLabel) -> ConnRecord:
         rng = self.rng
@@ -318,7 +323,7 @@ class _Synth:
             ))
         return out
 
-    def sensor(self, sensor_type: str, n: int) -> list[SensorReading]:
+    def sensor(self, sensor_type: str, n: int) -> list[tuple]:
         rng = self.rng
         ranges = {
             "humidity": (20.0, 70.0),
@@ -327,17 +332,17 @@ class _Synth:
             "luminosity": (0.0, 900.0),
         }
         out = []
-        for _ in range(n):
+        for i in range(n):
             room = rng.choice(self.rooms)
             if sensor_type == "motion":
                 value: float = rng.randrange(2)
             else:
                 lo, hi = ranges[sensor_type]
                 value = round(rng.uniform(lo, hi), 2)
-            out.append(SensorReading(sensor_type=sensor_type, room=room, ts=self._ts(), value=value))
+            out.append(sensor_row(sensor_type, i, room, self._ts(), value))
         return out
 
-    def devices(self, n: int) -> list[dict]:
+    def devices(self, n: int) -> list[tuple]:
         rng = self.rng
         out = []
         for i in range(n):
@@ -345,29 +350,30 @@ class _Synth:
             dtype = rng.choice(_DEVICE_TYPES)
             room = rng.choice(self.rooms)
             install = self.spec.window[0] - timedelta(days=rng.randrange(30, 400))
-            out.append({
-                "device_id": f"D{i:04d}",
-                "name": f"{dtype}-{room}-{i:02d}",
-                "type": dtype,
-                "vendor": vendor,
-                "model": f"{vendor[:2].upper()}-{rng.randrange(100, 999)}",
-                "firmware_version": f"{rng.randrange(1, 4)}.{rng.randrange(0, 10)}.{rng.randrange(0, 20)}",
-                "mac": ":".join(f"{rng.randrange(256):02x}" for _ in range(6)),
-                "ip": self.local_ips[i % len(self.local_ips)],
-                "room": room,
-                "floor": int(room[1]),
-                "install_ts": install,
-                "last_seen_ts": self._ts(),
-                "status": rng.choice(["online", "online", "online", "offline"]),
-                "battery_level": rng.randrange(5, 101),
-                "network_segment": rng.choice(["iot-a", "iot-b", "guest"]),
-                "is_gateway": dtype == "hub",
-            })
+            out.append((  # DEVICE_COLUMNS order
+                f"D{i:04d}",
+                f"{dtype}-{room}-{i:02d}",
+                dtype,
+                vendor,
+                f"{vendor[:2].upper()}-{rng.randrange(100, 999)}",
+                f"{rng.randrange(1, 4)}.{rng.randrange(0, 10)}.{rng.randrange(0, 20)}",
+                ":".join(f"{rng.randrange(256):02x}" for _ in range(6)),
+                self.local_ips[i % len(self.local_ips)],
+                room,
+                int(room[1]),
+                install,
+                self._ts(),
+                rng.choice(["online", "online", "online", "offline"]),
+                rng.randrange(5, 101),
+                rng.choice(["iot-a", "iot-b", "guest"]),
+                dtype == "hub",
+            ))
         return out
 
 
-def synthesize_logs(spec: SynthSpec) -> dict[str, list]:
-    """Generate records per kind, deterministically from the spec's seed.
+def synthesize_logs(spec: SynthSpec) -> dict:
+    """Generate records per kind, deterministically from the spec's seed: a
+    ``ConnTable`` for conn, a list of rows for every other kind.
 
     Kinds are generated in a fixed order so the same spec always yields the
     same records regardless of dict ordering in ``counts``.
@@ -382,32 +388,25 @@ def synthesize_logs(spec: SynthSpec) -> dict[str, list]:
     return out
 
 
-def device_rows(devices: list[dict]) -> list[tuple]:
-    return [tuple(d[k] for k in DEVICE_COLUMNS) for d in devices]
+def _device_text(value) -> str:
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, bool):
+        return "T" if value else "F"
+    return str(value)
 
 
-def serialize_devices(devices: list[dict]) -> str:
-    """devices.csv; a value holding "\\n", "\\r" or NUL is a ValueError
-    (``lines.csv_text``)."""
-    rows = [DEVICE_COLUMNS]
-    for d in devices:
-        rendered = []
-        for k in DEVICE_COLUMNS:
-            v = d[k]
-            if isinstance(v, datetime):
-                rendered.append(v.isoformat())
-            elif isinstance(v, bool):
-                rendered.append("T" if v else "F")
-            else:
-                rendered.append(str(v))
-        rows.append(rendered)
-    return csv_text(rows)
+def serialize_devices(devices: list[tuple]) -> str:
+    """devices.csv of device rows in DEVICE_COLUMNS order; a value holding
+    "\\n", "\\r" or NUL is a ValueError (``lines.csv_text``)."""
+    return csv_text([DEVICE_COLUMNS, *(list(map(_device_text, device)) for device in devices)])
 
 
-def parse_devices(text: str) -> list[dict]:
-    """Device dicts of a devices.csv text, its lines split by ``lines.split_lines``
-    and read by ``csv.reader``: a header naming every DEVICE_COLUMNS column,
-    then one row of the header's width per line, each value kept as written.
+def parse_devices(text: str) -> list[tuple]:
+    """Device rows, in DEVICE_COLUMNS order, of a devices.csv text, its lines
+    split by ``lines.split_lines`` and read by ``csv.reader``: a header naming
+    every DEVICE_COLUMNS column, then one row of the header's width per line,
+    each value read by its column's name and kept as written.
     A row of another width, or a value that does not convert, is an
     IngestError naming its line."""
     lines = split_lines(text)
@@ -428,7 +427,7 @@ def parse_devices(text: str) -> list[dict]:
                 d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]
             except (KeyError, ValueError) as exc:  # KeyError: an is_gateway other than T or F
                 raise IngestError(f"devices line {line_no}: bad value {exc}") from exc
-            out.append(d)
+            out.append(tuple(map(d.__getitem__, DEVICE_COLUMNS)))
     except csv.Error as exc:
         raise IngestError(f"devices {exc}") from exc
     return out

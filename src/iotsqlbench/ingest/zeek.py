@@ -36,12 +36,11 @@ nonnegative), so its columns join the table as they are.  NaN passes both
 the range check and ``_convert``, so the block checks it on the duration
 column.  Any other conn block, and a JSON conn log, is built and checked
 record by record, so that each bad line is reported, and its good records
-join the table.  A log of any other kind parses to a list of row tuples
-in ``KIND_FIELDS[kind]`` order, the rows the database stores.  Rows of
-every kind are rendered (``serialize_zeek``) a column at a time in the same
-way (``_render_column``), a conn log from its columns
-(``records.conn_columns``), with ``_render`` as the per-value semantics it
-matches.
+join the table (``ConnTable.of``).  A log of any other kind parses to a
+list of row tuples in ``KIND_FIELDS[kind]`` order, the rows the database
+stores.  Rows of every kind are rendered (``serialize_zeek``) a column at a
+time in the same way (``_render_column``), a conn log from its table's
+columns, with ``_render`` as the per-value semantics it matches.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, count, repeat
 from operator import attrgetter, is_not, itemgetter
-from typing import Iterable
 
 from ..lines import split_lines
 from .records import (
@@ -70,7 +68,6 @@ from .records import (
     UnknownKind,
     UnknownLabel,
     _CONN_NAMES,
-    conn_columns,
     parse_iot23_label,
 )
 
@@ -483,7 +480,7 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
             except (ValueError, RecordInvariantError, UnknownLabel) as exc:
                 message = str(exc)
         issues.append(ParseIssue(line_no=line_nos[i], message=message))
-    return conn_columns(records), issues
+    return ConnTable.of(records).columns, issues
 
 
 _DURATION = _CONN_NAMES.index("duration")
@@ -534,7 +531,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
         except (ValueError, RecordInvariantError, UnknownLabel) as exc:
             issues.append(ParseIssue(line_no=line_no, message=str(exc)))
     if kind == "conn":
-        records = ConnTable(conn_columns(records))
+        records = ConnTable.of(records)
     return ZeekParseResult(records=records, issues=issues)
 
 
@@ -569,22 +566,19 @@ def _convert_json(value, spec: FieldSpec):
     return str(value)
 
 
-def serialize_zeek(records: Iterable, kind: str) -> str:
+def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
     """Render records as a Zeek TSV log (deterministic header, no wall clock).
 
-    A conn log is rendered from its columns (``records.conn_columns``), with
-    its label columns when it has rows; a log of any other kind from its
-    row tuples.  A string value that ``parse_zeek`` would misread is an
-    UnreadableValue, a ValueError and a data error (``_check_readable``); no
-    value is escaped."""
+    A conn log is rendered from its ``ConnTable``'s columns, with its label
+    columns when it has rows; a log of any other kind from its row tuples.
+    A string value that ``parse_zeek`` would misread is an UnreadableValue,
+    a ValueError and a data error (``_check_readable``); no value is
+    escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
+    n = len(records)
     if kind == "conn":
-        columns = conn_columns(records)
-        n = len(columns["label"])
-    else:
-        records = list(records)
-        n = len(records)
+        columns = records.columns
     specs = KIND_FIELDS[kind] + LABEL_FIELDS if kind == "conn" and n else KIND_FIELDS[kind]
     lines = [
         "#separator \\x09",
@@ -660,16 +654,10 @@ def _render_values(column, vtype: str) -> list[str]:
     return list(map(str, column))
 
 
-def rows_for_table(records: Iterable, kind: str) -> list[tuple]:
+def rows_for_table(records: ConnTable | list[tuple], kind: str) -> list[tuple]:
     """Store-ready rows (conn label columns excluded; table schema order):
-    the row tuples of any kind but conn as they are."""
+    a conn table's rows zipped from its columns, and the rows of any other
+    kind as they are."""
     if kind == "conn":
-        columns = conn_columns(records)
-        return list(zip(*map(columns.__getitem__, _CONN_NAMES)))
+        return list(zip(*map(records.columns.__getitem__, _CONN_NAMES)))
     return records
-
-
-def table_name(kind: str) -> str:
-    if kind not in TABLE_FOR_KIND:
-        raise UnknownKind(f"unknown Zeek log kind {kind!r}")
-    return TABLE_FOR_KIND[kind]

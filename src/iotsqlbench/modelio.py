@@ -4,12 +4,13 @@ Text-to-SQL inputs are the question, a separator, then the linearized
 schema tokens.  Detection inputs are a fixed instruction followed by the
 space-joined connection-log row (identifier columns ts and uid excluded,
 matching the 19-feature row; unset values render as ``-``).  The rows are
-rendered a column at a time, from the columns ``records.conn_columns``
-gives, by ``zeek._render_column``, the renderer the TSV writer uses, so
+rendered a column at a time, from a ``ConnTable``'s columns, by
+``zeek._render_column``, the renderer the TSV writer uses, so
 rendering has one semantics.  An example holds its input as it is written.
 Examples and predictions travel as UTF-8 JSON lines keyed by id, one per
 ``"\n"``-ended line, and a file of them is read one line at a time; an
-example's id, input and gold (or gold_sql) must be strings.
+example's id, input and gold (or gold_sql) must be strings, as must a
+prediction's id and payload.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import json
 import os
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
 
-from .ingest.records import CONN_FIELDS, ConnRecord, conn_columns
+from .ingest.records import CONN_FIELDS, ConnTable
 from .ingest.zeek import _render_column
 from .lines import read_lines
 from .store.schema import DatabaseSchema, LinearizedSchema, linearize_schema
@@ -83,12 +83,12 @@ def build_sql_input(
     return f"{question}{separator}{schema.joined(SCHEMA_TOKEN_JOINER)}"
 
 
-def _detection_examples(records: Iterable[ConnRecord], instruction: str) -> list[DetectionExample]:
+def _detection_examples(records: ConnTable, instruction: str) -> list[DetectionExample]:
     """The examples of ``records``, built from their uid, row and label
     columns.  An input is the instruction, a space and the row: its values
     in connection-log order (ts/uid dropped), rendered a column at a time
     and space-joined."""
-    columns = conn_columns(records)
+    columns = records.columns
     rendered = [_render_column(columns[spec.name], spec) for spec in DETECTION_FIELDS]
     inputs = map(f"{instruction} ".__add__, map(" ".join, zip(*rendered)))
     return list(map(DetectionExample, columns["uid"], inputs,
@@ -133,7 +133,7 @@ def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEF
     return examples
 
 
-def write_detection_examples(records: Iterable[ConnRecord], path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
+def write_detection_examples(records: ConnTable, path, instruction: str = DEFAULT_INSTRUCTION) -> list[DetectionExample]:
     examples = _detection_examples(records, instruction)
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
@@ -155,7 +155,7 @@ def read_detection_examples(path: str | os.PathLike) -> list[DetectionExample]:
     out = []
     for line_no, obj in read_jsonl(path):
         item_id, text, gold = _strings(obj, line_no, ("id", "input", "gold"))
-        out.append(DetectionExample(id=item_id, input=text, gold=label_to_bool(gold)))
+        out.append(DetectionExample(id=item_id, input=text, gold=_label_on_line(gold, line_no)))
     _check_unique_ids(ex.id for ex in out)
     return out
 
@@ -171,8 +171,18 @@ def _strings(obj: dict, line_no: int, names: tuple[str, ...]) -> list[str]:
     return [obj[name] for name in names]
 
 
+def _label_on_line(payload: str, line_no: int) -> bool:
+    """``label_to_bool`` of the label on line ``line_no``, whose ParseError
+    names that line."""
+    try:
+        return label_to_bool(payload)
+    except ParseError as exc:
+        raise ParseError(f"line {line_no}: {exc}") from None
+
+
 def read_predictions(path: str | os.PathLike, kind: str = "sql") -> list[PredictionRecord]:
-    """Parse a prediction file; duplicate or missing ids are rejected.
+    """Parse a prediction file; duplicate or missing ids, and an id or
+    payload that is not a string, are rejected.
 
     kind="detection" additionally validates that each payload normalizes
     to a label.
@@ -183,14 +193,10 @@ def read_predictions(path: str | os.PathLike, kind: str = "sql") -> list[Predict
     for line_no, obj in read_jsonl(path):
         if "id" not in obj:
             raise MissingId(f"line {line_no}: prediction record has no id")
-        if "payload" not in obj:
-            raise ParseError(f"line {line_no}: prediction record has no payload")
-        payload = obj["payload"]
-        if not isinstance(payload, str):
-            raise ParseError(f"line {line_no}: payload must be a string")
+        item_id, payload = _strings(obj, line_no, ("id", "payload"))
         if kind == "detection":
-            label_to_bool(payload)  # raises ParseError on junk
-        out.append(PredictionRecord(id=str(obj["id"]), payload=payload))
+            _label_on_line(payload, line_no)  # raises ParseError on junk
+        out.append(PredictionRecord(id=item_id, payload=payload))
     _check_unique_ids(rec.id for rec in out)
     return out
 

@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import repeat
+from operator import attrgetter
 
-from .ingest.records import AttackLabel, ConnTable, conn_columns
+from .ingest.records import AttackLabel, ConnTable
 from .lines import split_lines
 
 SPLITS = ("train", "dev", "test")
@@ -126,21 +127,20 @@ class NetworkSplitConfig:
 
 
 def split_network(
-    records: list,
+    records: ConnTable,
     train_attacks=DEFAULT_TRAIN_ATTACKS,
     seed: int = 0,
     config: NetworkSplitConfig | None = None,
 ) -> SplitManifest:
     """Attack-disjoint split keyed by record uid; reads the uid and label
-    columns of ``records`` (``records.conn_columns``)."""
+    columns of ``records``."""
     config = config or NetworkSplitConfig()
     train_attacks = frozenset(train_attacks)
     if AttackLabel.Benign in train_attacks:
         raise SplitError("train_attacks must not include Benign")
     _check_ratios(config.benign_fracs)
 
-    columns = conn_columns(records)
-    uids, labels = columns["uid"], columns["label"]
+    uids, labels = records.columns["uid"], records.columns["label"]
     rng = random.Random(seed)
     # uids stand for their records: a shuffle draws the same for any items
     benign = [uid for uid, label in zip(uids, labels) if label is AttackLabel.Benign]
@@ -215,6 +215,26 @@ def _benign_targets(n: int, fracs) -> list[int]:
     return targets
 
 
+def take_splits(table: ConnTable, manifest: SplitManifest) -> dict:
+    """The conn table of each split, in manifest order: a sub-table taken
+    by row position.  A manifest uid the table does not hold is a
+    ``SplitError``: the splits would silently lose records."""
+    # the last row of a uid, as a uid -> record dict would keep
+    position = {uid: i for i, uid in enumerate(table.columns["uid"])}
+    for uid in manifest.assignment:
+        if uid not in position:
+            raise SplitError(f"manifest uid {uid!r} is not in the conn table")
+    return {
+        split: table.take(list(map(position.__getitem__, manifest.ids_for(split))))
+        for split in SPLITS
+    }
+
+
+def malicious(table: ConnTable) -> list[bool]:
+    """The gold column of a conn table: whether each row is malicious."""
+    return list(map(attrgetter("is_malicious"), table.columns["label"]))
+
+
 _ANON_BLOCKS = ("198.18", "198.19")  # benchmarking range, disjoint from real captures
 
 
@@ -224,17 +244,17 @@ class AnonymizationMaps:
     time_offsets: dict
 
 
-def anonymize(records, seed: int = 0, max_offset_days: int = 30):
+def anonymize(records: ConnTable, seed: int = 0, max_offset_days: int = 30):
     """Randomize identifiers: one IP bijection for all records, independent
     per-record timestamp offsets.  All other fields are untouched.
 
-    Works a column at a time on the columns of ``records``
-    (``records.conn_columns``): ``ts``, ``orig_h`` and ``resp_h`` are
-    replaced in one pass each, and the result is a ``ConnTable`` that shares
-    every other column with the input.  Those values were checked when the
-    input was parsed or built and are not checked again.
+    Works a column at a time on the columns of ``records``: ``ts``,
+    ``orig_h`` and ``resp_h`` are replaced in one pass each, and the result
+    is a ``ConnTable`` that shares every other column with the input.
+    Those values were checked when the input was parsed or built and are
+    not checked again.
     """
-    columns = dict(conn_columns(records))
+    columns = dict(records.columns)
     rng = random.Random(seed)
     input_ips = sorted({*columns["orig_h"], *columns["resp_h"]})
     pool_iter = _synthetic_ips(set(input_ips))
@@ -285,18 +305,18 @@ def dump_manifest(manifest: SplitManifest) -> str:
 
 def load_manifest(text: str) -> SplitManifest:
     """The manifest ``dump_manifest`` wrote, its lines split by
-    ``lines.split_lines``; a header that is not a JSON object of its fields,
-    or a line that is not an id, a tab and a split name, is a SplitError
-    naming its line."""
+    ``lines.split_lines``; a header unlike the one it writes
+    (``_is_header``), or a line that is not an id, a tab and a split name,
+    is a SplitError naming its line."""
     lines = split_lines(text)
     if not lines[0].startswith("# "):
         raise SplitError("manifest line 1: missing header")
     try:
         header = json.loads(lines[0][2:])
-        ratios = tuple(header["ratios"]) if header.get("ratios") is not None else None
-        train_attacks = frozenset(AttackLabel(v) for v in header.get("train_attacks", []))
-    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise SplitError(f"manifest line 1: bad header ({exc})") from exc
+    except ValueError:  # JSONDecodeError is a ValueError
+        header = None
+    if not _is_header(header):
+        raise SplitError("manifest line 1: bad header")
     assignment = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -305,10 +325,28 @@ def load_manifest(text: str) -> SplitManifest:
         if split not in SPLITS:
             raise SplitError(f"manifest line {line_no}: expected <id>\\t<split>, got {raw!r}")
         assignment[item_id] = split
+    ratios = header["ratios"]
     return SplitManifest(
-        assignment=assignment, ratios=ratios, seed=header.get("seed", 0),
-        train_attack_labels=train_attacks,
+        assignment=assignment, ratios=None if ratios is None else tuple(ratios),
+        seed=header["seed"],
+        train_attack_labels=frozenset(map(AttackLabel, header["train_attacks"])),
     )
+
+
+_LABEL_VALUES = frozenset(label.value for label in AttackLabel)
+
+
+def _is_header(header) -> bool:
+    """Whether decoded JSON ``header`` is a manifest header as
+    ``dump_manifest`` writes it: an object of an int ``seed`` (not a bool),
+    ``ratios`` null or a list of numbers, and ``train_attacks`` a list of
+    attack label values."""
+    return (isinstance(header, dict) and type(header.get("seed")) is int
+            and "ratios" in header
+            and (header["ratios"] is None or isinstance(header["ratios"], list)
+                 and all(type(ratio) in (int, float) for ratio in header["ratios"]))
+            and isinstance(header.get("train_attacks"), list)
+            and all(isinstance(v, str) and v in _LABEL_VALUES for v in header["train_attacks"]))
 
 
 def dump_anonymization_maps(maps: AnonymizationMaps) -> str:

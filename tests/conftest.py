@@ -5,14 +5,9 @@ from datetime import datetime
 
 import pytest
 
-from iotsqlbench import workers
-from iotsqlbench.ingest import AttackLabel, SynthSpec, synthesize_logs
-from iotsqlbench.ingest.sensors import sensor_rows
-from iotsqlbench.ingest.synth import device_rows
-from iotsqlbench.ingest.zeek import rows_for_table, table_name
+from iotsqlbench import cli, workers
+from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, synthesize_logs
 from iotsqlbench.store import ColumnDef, Database, TableSchema, default_schema, define_schema
-
-SENSORS = ("humidity", "co2", "temperature", "luminosity", "motion")
 
 FULL_MIX = {
     AttackLabel.Benign: 0.6,
@@ -29,16 +24,12 @@ FULL_MIX = {
 
 
 def build_database(data):
-    db = Database(default_schema())
-    for kind in ("conn", "dns", "http", "files", "ntp", "weird"):
-        if data.get(kind):
-            db.load_records(table_name(kind), rows_for_table(data[kind], kind))
-    for sensor in SENSORS:
-        if data.get(sensor):
-            db.load_records(sensor, sensor_rows(data[sensor]))
-    if data.get("devices"):
-        db.load_records("devices", device_rows(data["devices"]))
-    return db
+    return cli.build_database(default_schema(), data)
+
+
+def conn_records(table) -> list[ConnRecord]:
+    """The rows of a ConnTable as ConnRecords, for assertions on records."""
+    return list(map(ConnRecord, *table.columns.values()))
 
 
 def text_file(tmp_path, text: str):

@@ -24,10 +24,10 @@ from iotsqlbench.evaluation import (
     logical_accuracy,
     score_sql_corpus,
 )
-from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, parse_zeek, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable, SynthSpec, parse_zeek, synthesize_logs
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema, parse
 from iotsqlbench.templates import CorpusConfig, generate_corpus, has_datetime_predicate
-from tests.conftest import FULL_MIX, build_database
+from tests.conftest import FULL_MIX, build_database, conn_records
 
 
 @contextmanager
@@ -446,11 +446,11 @@ def test_c07_separability_sanity():
             seed=77,
         )
         records = synthesize_logs(spec)["conn"]
-        train_recs, eval_recs = records[:1000], records[1000:]
+        train_recs, eval_recs = records.take(list(range(1000))), records.take(list(range(1000, 2000)))
         feat = bl.fit_featurizer(train_recs)
         X_train, X_eval = feat.transform(train_recs), feat.transform(eval_recs)
-        y_train = np.array([r.is_malicious for r in train_recs])
-        y_eval = [r.is_malicious for r in eval_recs]
+        y_train = np.array([label.is_malicious for label in train_recs.columns["label"]])
+        y_eval = [label.is_malicious for label in eval_recs.columns["label"]]
         scores = {}
         for kind in ("stratified", "uniform", "random_forest", "linear_svm"):
             model = bl.train(kind, X_train, y_train, seed=5, featurizer=feat)
@@ -487,7 +487,7 @@ def test_c08_full_data_conditional():
         manifest = splitter.split_network(records, seed=0, config=config)
         counts = manifest.counts()
         assert counts == {"train": 125_000, "dev": 57_199, "test": 57_199}
-        by_uid = {r.uid: r for r in records}
+        by_uid = {r.uid: r for r in conn_records(records)}
         mal = {
             s: sum(1 for u, sp in manifest.assignment.items() if sp == s and by_uid[u].is_malicious)
             for s in ("train", "dev", "test")
@@ -497,15 +497,15 @@ def test_c08_full_data_conditional():
             s: [by_uid[u] for u, sp in manifest.assignment.items() if sp == s]
             for s in ("train", "dev", "test")
         }
-        feat = bl.fit_featurizer(subsets["train"])
+        feat = bl.fit_featurizer(ConnTable.of(subsets["train"]))
         model = bl.train(
             "random_forest",
-            feat.transform(subsets["train"]),
+            feat.transform(ConnTable.of(subsets["train"])),
             [r.is_malicious for r in subsets["train"]],
             seed=0,
             featurizer=feat,
         )
-        preds = bl.predict(model, feat.transform(subsets["test"]))
+        preds = bl.predict(model, feat.transform(ConnTable.of(subsets["test"])))
         score = detection_metrics([r.is_malicious for r in subsets["test"]], list(preds)).macro_f1
         assert abs(score - 0.710) <= 0.05, f"forest macro-F1 {score:.3f}"
 
@@ -525,9 +525,10 @@ def test_c09_split_anonymization_invariants():
                 },
                 seed=seed,
             )
-            records = synthesize_logs(spec)["conn"]
-            anonymized, maps = splitter.anonymize(records, seed=seed)
-            manifest = splitter.split_network(anonymized, seed=seed)
+            table = synthesize_logs(spec)["conn"]
+            anonymized_table, maps = splitter.anonymize(table, seed=seed)
+            manifest = splitter.split_network(anonymized_table, seed=seed)
+            records, anonymized = conn_records(table), conn_records(anonymized_table)
 
             labels = {r.uid: r.label for r in anonymized}
             try:
@@ -569,7 +570,7 @@ def test_c10_serialization_fidelity(acceptance_db, full_corpus, tmp_path):
             history="ShADadFf", orig_pkts=5, orig_ip_bytes=320, resp_pkts=6,
             resp_ip_bytes=550, tunnel_parents=None, label=AttackLabel.Okiru,
         )
-        (example,) = modelio.write_detection_examples([record], tmp_path / "one.jsonl")
+        (example,) = modelio.write_detection_examples(ConnTable.of([record]), tmp_path / "one.jsonl")
         assert example.input.startswith(
             "Is the following network information Malicious? 192.168.1.1 80 192.161.2.2 8080"
         )

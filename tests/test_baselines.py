@@ -26,6 +26,8 @@ from iotsqlbench.baselines import (
 )
 from iotsqlbench.baselines.forest import _child_seed, _gini
 from iotsqlbench.evaluation import detection_metrics
+from iotsqlbench.ingest import ConnTable
+from tests.conftest import conn_records
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +41,14 @@ def separable():
     return X, y
 
 
+def _conn(synth_data, start, stop):
+    """Rows start..stop of the synthetic conn table, as a table."""
+    return synth_data["conn"].take(list(range(start, stop)))
+
+
 def test_featurizer_vocab_width(synth_data):
-    records = [r for r in synth_data["conn"] if r.proto in ("tcp", "udp")][:200]
-    feat = fit_featurizer(records)
+    records = [r for r in conn_records(synth_data["conn"]) if r.proto in ("tcp", "udp")][:200]
+    feat = fit_featurizer(ConnTable.of(records))
     # tcp, udp observed -> one-hot width 3 including the "other" slot
     assert len(feat.vocab["proto"]) == 2
     proto_cols = [name for name in feat.expanded_names if name.startswith("proto=")]
@@ -49,14 +56,14 @@ def test_featurizer_vocab_width(synth_data):
 
 
 def test_featurizer_excludes_identifiers(synth_data):
-    feat = fit_featurizer(synth_data["conn"][:100])
+    feat = fit_featurizer(_conn(synth_data, 0, 100))
     for banned in ("ts", "uid", "orig_h", "resp_h", "tunnel_parents"):
         assert not any(banned == n or n.startswith(banned + "=") for n in feat.expanded_names)
     assert len(feat.feature_names) == 19
 
 
 def test_featurizer_refit_identical(synth_data):
-    records = synth_data["conn"][:150]
+    records = _conn(synth_data, 0, 150)
     a = fit_featurizer(records)
     b = fit_featurizer(records)
     assert a.vocab == b.vocab and a.n_dims == b.n_dims
@@ -66,10 +73,10 @@ def test_featurizer_refit_identical(synth_data):
 def test_featurizer_unseen_category_goes_to_other(synth_data):
     import dataclasses
 
-    records = synth_data["conn"][:100]
+    records = _conn(synth_data, 0, 100)
     feat = fit_featurizer(records)
-    weird = dataclasses.replace(records[0], proto="sctp")
-    X = feat.transform([weird])
+    weird = dataclasses.replace(conn_records(records)[0], proto="sctp")
+    X = feat.transform(ConnTable.of([weird]))
     other_col = feat.expanded_names.index("proto=<other>")
     assert X[0, other_col] == 1.0
 
@@ -77,11 +84,11 @@ def test_featurizer_unseen_category_goes_to_other(synth_data):
 def test_featurizer_presence_flags(synth_data):
     import dataclasses
 
-    records = synth_data["conn"][:50]
+    records = _conn(synth_data, 0, 50)
     feat = fit_featurizer(records)
-    with_duration = next(r for r in records if r.duration is not None)
+    with_duration = next(r for r in conn_records(records) if r.duration is not None)
     unset = dataclasses.replace(with_duration, duration=None)
-    X = feat.transform([with_duration, unset])
+    X = feat.transform(ConnTable.of([with_duration, unset]))
     dur_col = feat.expanded_names.index("duration")
     flag_col = feat.expanded_names.index("duration_present")
     assert X[1, dur_col] == 0.0 and X[1, flag_col] == 0.0
@@ -212,10 +219,10 @@ def test_save_load_round_trip(tmp_path, separable):
 def test_model_file_reports_feature_names(tmp_path, synth_data):
     import json
 
-    records = synth_data["conn"][:200]
+    records = _conn(synth_data, 0, 200)
     feat = fit_featurizer(records)
     X = feat.transform(records)
-    y = [r.is_malicious for r in records]
+    y = [label.is_malicious for label in records.columns["label"]]
     model = train("random_forest", X, y, hyperparams=Hyperparams(n_trees=5), seed=0, featurizer=feat)
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -310,9 +317,9 @@ def _transform_row_by_row(feat, records):
 def test_featurizer_transform_matches_row_by_row_reference(synth_data):
     import dataclasses
 
-    train_records = synth_data["conn"][:300]
+    train_records = _conn(synth_data, 0, 300)
     feat = fit_featurizer(train_records)
-    base = train_records[0]
+    base = conn_records(train_records)[0]
     odd = [
         dataclasses.replace(base, duration=None, orig_bytes=None, resp_bytes=None,
                             service=None, local_orig=None, local_resp=None),
@@ -322,8 +329,8 @@ def test_featurizer_transform_matches_row_by_row_reference(synth_data):
         dataclasses.replace(base, proto="sctp", service="gopher", conn_state="ZZ",
                             history="Never-seen"),
     ]
-    records = odd + synth_data["conn"][300:600]
-    X = feat.transform(records)
+    records = odd + conn_records(_conn(synth_data, 300, 600))
+    X = feat.transform(ConnTable.of(records))
     assert X.dtype == np.float64 and X.shape == (len(records), feat.n_dims)
     assert np.array_equal(X, _transform_row_by_row(feat, records))
     assert X[3, feat.expanded_names.index("proto=<other>")] == 1.0
@@ -333,22 +340,22 @@ def test_featurizer_transform_matches_row_by_row_reference(synth_data):
 
 
 def test_featurizer_transform_empty_and_single(synth_data):
-    feat = fit_featurizer(synth_data["conn"][:100])
-    X = feat.transform([])
+    feat = fit_featurizer(_conn(synth_data, 0, 100))
+    X = feat.transform(ConnTable.of([]))
     assert X.shape == (0, feat.n_dims) and X.dtype == np.float64
-    one = synth_data["conn"][100:101]
-    assert np.array_equal(feat.transform(one), _transform_row_by_row(feat, one))
+    one = _conn(synth_data, 100, 101)
+    assert np.array_equal(feat.transform(one), _transform_row_by_row(feat, conn_records(one)))
 
 
 def test_featurizer_local_flags_one_hot(synth_data):
     import dataclasses
 
-    base = synth_data["conn"][0]
+    base = conn_records(_conn(synth_data, 0, 1))[0]
     records = [dataclasses.replace(base, uid=f"CFlag{i}", local_orig=flag)
                for i, flag in enumerate((None, True, False, True))]
-    feat = fit_featurizer(records)
+    feat = fit_featurizer(ConnTable.of(records))
     assert feat.vocab["local_orig"] == ["-", "F", "T"]
-    X = feat.transform(records)
+    X = feat.transform(ConnTable.of(records))
     assert np.array_equal(X, _transform_row_by_row(feat, records))
     cols = [feat.expanded_names.index(f"local_orig={v}") for v in ("-", "T", "F", "T")]
     assert [X[i, col] for i, col in enumerate(cols)] == [1.0] * 4

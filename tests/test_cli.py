@@ -454,6 +454,66 @@ def test_eval_detect_reports_a_byte_that_is_not_utf8_as_a_data_error(tmp_path, c
         f"error: {examples}:2: byte 0xff is not UTF-8 (invalid start byte)\n")
 
 
+def _eval_detect(tmp_path, examples: list[dict], predictions: list[dict]) -> int:
+    """eval-detect on JSON-lines files of ``examples`` and ``predictions``."""
+    example_path, prediction_path = tmp_path / "det.jsonl", tmp_path / "preds.jsonl"
+    example_path.write_text("".join(json.dumps(ex) + "\n" for ex in examples), encoding="utf-8")
+    prediction_path.write_text("".join(json.dumps(p) + "\n" for p in predictions), encoding="utf-8")
+    return run(["--out", tmp_path / "run", "eval-detect", "--examples", example_path,
+                "--predictions", prediction_path])
+
+
+def test_eval_detect_refuses_a_prediction_id_that_is_not_a_string(tmp_path, capsys):
+    # read as str, the ids 7 and true would match the examples "7" and "True"
+    examples = [{"id": "7", "input": "Is it? tcp", "gold": "Malicious"},
+                {"id": "True", "input": "Is it? udp", "gold": "Benign"}]
+    predictions = [{"id": 7, "payload": "Malicious"}, {"id": True, "payload": "Benign"}]
+    capsys.readouterr()
+    # a traceback would propagate out of main() and fail the test
+    assert _eval_detect(tmp_path, examples, predictions) == 1
+    assert capsys.readouterr().err == "error: line 1: id must be a string\n"
+    assert not (tmp_path / "run/eval").exists()
+
+
+@pytest.mark.parametrize("bad_file", ["examples", "predictions"])
+def test_eval_detect_names_the_line_of_an_unknown_detection_label(tmp_path, capsys, bad_file):
+    examples = [{"id": "C1", "input": "Is it? tcp", "gold": "Benign"},
+                {"id": "C2", "input": "Is it? udp", "gold": "Maybe" if bad_file == "examples" else "Benign"}]
+    predictions = [{"id": "C1", "payload": "Benign"},
+                   {"id": "C2", "payload": "Maybe" if bad_file == "predictions" else "Benign"}]
+    capsys.readouterr()
+    assert _eval_detect(tmp_path, examples, predictions) == 1
+    assert capsys.readouterr().err == "error: line 2: unknown detection label 'Maybe'\n"
+
+
+def test_emit_and_baseline_name_a_manifest_uid_missing_from_the_anonymized_log(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    manifest = out / "splits/network_manifest.txt"
+    with manifest.open("a", encoding="utf-8") as f:
+        f.write("Cmissing\tdev\n")
+    capsys.readouterr()
+    for stage in ("emit", "baseline"):
+        assert run(["--out", tmp_path / stage, stage, *network]) == 1
+        assert capsys.readouterr().err == (f"error: {network[1]}: manifest uid 'Cmissing'"
+                                           " is not in the conn table\n")
+
+
+def test_emit_and_baseline_refuse_a_manifest_header_of_the_wrong_types(tmp_path, capsys):
+    out = tmp_path / "run"
+    network = _network_split(out)
+    manifest = out / "splits/network_manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").split("\n")
+    for field, value in (("ratios", "ab"), ("ratios", ""), ("seed", "x"), ("train_attacks", "Okiru")):
+        header = json.loads(lines[0][2:])
+        header[field] = value
+        manifest.write_text("\n".join(["# " + json.dumps(header), *lines[1:]]), encoding="utf-8")
+        capsys.readouterr()
+        for stage in ("emit", "baseline"):
+            assert run(["--out", tmp_path / stage, stage, *network]) == 1
+            assert capsys.readouterr().err == "error: manifest line 1: bad header\n"
+
+
 @pytest.mark.parametrize("stage, bad, message", [
     ("eval-detect", '{"id": "a", "input": 5, "gold": "Benign"}', "input must be a string"),
     ("eval-detect", '{"id": "a", "input": null, "gold": "Benign"}', "input must be a string"),

@@ -1,5 +1,6 @@
-"""A parsed conn log is a ConnTable: a read-only sequence of ConnRecords held
-as columns, which builds a record only when one is indexed or iterated."""
+"""A conn log is held as a ConnTable: its rows as columns, one list per
+ConnRecord field.  A producer of checked records gathers them with
+``ConnTable.of``."""
 
 import dataclasses
 import hashlib
@@ -13,11 +14,11 @@ from iotsqlbench.ingest import (
     ConnRecord,
     ConnTable,
     SynthSpec,
-    conn_columns,
     parse_zeek,
     serialize_zeek,
     synthesize_logs,
 )
+from tests.conftest import conn_records
 
 MIX = {
     AttackLabel.Benign: 0.6,
@@ -33,49 +34,32 @@ def records():
     return synthesize_logs(SynthSpec(counts={"conn": 40}, label_mix=MIX, seed=3))["conn"]
 
 
-def test_table_is_a_sequence_of_its_records(records):
-    table = ConnTable(conn_columns(records))
-    assert len(table) == 40
-    assert table[0] == records[0] and table[-1] == records[-1] and table[-40] == records[0]
-    with pytest.raises(IndexError):
-        table[40]
-    assert list(table) == records
-    assert isinstance(table[3:9], ConnTable) and list(table[3:9]) == records[3:9]
-    assert list(table[::-7]) == records[::-7]
-    assert table.take([5, 0, 5]) == [records[5], records[0], records[5]]
-    assert records[7] in table and table.index(records[7]) == 7
+def test_of_gathers_records_into_columns(records):
+    rows = conn_records(records)
+    table = ConnTable.of(rows)
+    assert list(table.columns) == [*(f.name for f in dataclasses.fields(ConnRecord))]
+    assert table.columns["uid"] == [r.uid for r in rows]
+    assert table.columns["label"] == [r.label for r in rows]
+    assert table == records and len(table) == 40
+    assert conn_records(table) == rows
 
 
-def test_table_equals_any_sequence_of_equal_records(records):
-    table = ConnTable(conn_columns(records))
-    assert table == records and records == table
-    assert table == tuple(records) and table == ConnTable(conn_columns(records))
-    changed = [*records[:-1], dataclasses.replace(records[-1], history="x")]
-    assert table != changed and changed != table
-    assert table != records[:-1] and records[:-1] != table
-    assert table != ConnTable(conn_columns(changed))
-    assert table != "not records" and table != 40
+def test_a_table_equals_only_a_table_of_equal_columns(records):
+    rows = conn_records(records)
+    assert conn_records(records.take([5, 0, 5])) == [rows[5], rows[0], rows[5]]
+    changed = [*rows[:-1], dataclasses.replace(rows[-1], history="x")]
+    assert records != ConnTable.of(changed) and records != ConnTable.of(rows[:-1])
+    assert records != rows and records != "not records" and records != 40
     with pytest.raises(TypeError):
-        hash(table)
+        hash(records)
 
 
 def test_empty_table(records):
-    empty = ConnTable(conn_columns([]))
-    assert len(empty) == 0 and not empty and list(empty) == []
-    assert empty == [] and [] == empty and empty == ConnTable(conn_columns(records))[:0]
-    assert empty != records
-    with pytest.raises(IndexError):
-        empty[0]
-    assert serialize_zeek(empty, "conn") == serialize_zeek([], "conn")
-
-
-def test_conn_columns_gives_a_table_its_own_columns(records):
-    columns = conn_columns(iter(records))
-    assert list(columns) == [*(f.name for f in dataclasses.fields(ConnRecord))]
-    assert columns["uid"] == [r.uid for r in records]
-    assert columns["label"] == [r.label for r in records]
-    table = ConnTable(columns)
-    assert conn_columns(table) is columns
+    empty = ConnTable.of([])
+    assert len(empty) == 0 and not empty
+    assert empty == records.take([]) and empty != records
+    text = serialize_zeek(empty, "conn")
+    assert len(text.splitlines()) == 9 and "label" not in text  # the header and #close alone
 
 
 def test_a_conn_parse_is_a_table_equal_to_its_records(records):
@@ -124,12 +108,13 @@ def test_cli_detection_stages_build_no_conn_record(tmp_path, monkeypatch):
     records = synthesize_logs(SynthSpec(counts={"conn": 300}, label_mix=MIX, seed=8))["conn"]
     (logs / "conn.log").write_text(serialize_zeek(records, "conn"), encoding="utf-8")
     plain = _detection_stages(logs, tmp_path / "plain")
-    values = dataclasses.astuple(records[0])
+    first = conn_records(records)[0]
+    values = dataclasses.astuple(first)
     monkeypatch.setattr(ConnRecord, "uid", _NoRecord())
     with pytest.raises(AssertionError, match="was built"):
         ConnRecord(*values)
     with pytest.raises(AssertionError, match="was read"):
-        records[0].uid
+        first.uid
     assert _detection_stages(logs, tmp_path / "columns") == plain
     assert {"db/conn.log.tsv", "splits/conn.anonymized.tsv", "model_io/detect_train.jsonl",
             "baseline/model.json", "baseline/report_test.json"} <= set(plain)

@@ -12,13 +12,14 @@ import pytest
 
 from iotsqlbench.ingest import (
     AttackLabel,
-    SensorReading,
+    ConnTable,
     SynthSpec,
     ingest_sensors,
     parse_devices,
     parse_zeek,
     serialize_devices,
     serialize_sensors,
+    sensor_row,
     serialize_zeek,
     synthesize_logs,
 )
@@ -28,18 +29,20 @@ from iotsqlbench.modelio import read_sql_examples, write_sql_examples
 from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
 from iotsqlbench.store import default_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
-from tests.conftest import text_file
+from iotsqlbench.ingest.synth import DEVICE_COLUMNS
+from tests.conftest import conn_records, text_file
 
 
 def _devices(mark, tmp_path):
     devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
-    devices[1]["name"] = f"hub{mark}R101"
+    name = DEVICE_COLUMNS.index("name")
+    devices[1] = (*devices[1][:name], f"hub{mark}R101", *devices[1][name + 1:])
     return devices, serialize_devices(devices), parse_devices
 
 
 def _sensors(mark, tmp_path):
-    readings = [SensorReading("co2", f"R1{mark}01", datetime(2021, 3, 1, 10), 415),
-                SensorReading("co2", "R102", datetime(2021, 3, 1, 11), 420.5)]
+    readings = [sensor_row("co2", 0, f"R1{mark}01", datetime(2021, 3, 1, 10), 415),
+                sensor_row("co2", 1, "R102", datetime(2021, 3, 1, 11), 420.5)]
     return readings, serialize_sensors(readings), lambda text: ingest_sensors(text, "co2")
 
 
@@ -66,9 +69,10 @@ def _jsonl(mark, tmp_path):
 
 
 def _zeek(mark, tmp_path):
-    records = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
     records[1] = dataclasses.replace(records[1], uid=f"C{mark}1", history=f"Sh{mark}Ad")
-    return records, serialize_zeek(records, "conn"), lambda text: parse_zeek(text, "conn").records
+    table = ConnTable.of(records)
+    return table, serialize_zeek(table, "conn"), lambda text: parse_zeek(text, "conn").records
 
 
 PAIRS = {"devices": _devices, "sensors": _sensors, "manifest": _manifest,

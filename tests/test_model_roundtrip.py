@@ -9,10 +9,10 @@ from iotsqlbench.baselines import KINDS, Hyperparams, fit_featurizer, load_model
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_load_then_save_gives_back_identical_bytes(tmp_path, synth_data, kind):
-    records = synth_data["conn"][:300]
+    records = synth_data["conn"].take(list(range(300)))
     featurizer = fit_featurizer(records)
     X = featurizer.transform(records)
-    y = [record.is_malicious for record in records]
+    y = [label.is_malicious for label in records.columns["label"]]
     model = train(kind, X, y, hyperparams=Hyperparams(n_trees=4, svm_epochs=2), seed=5,
                   featurizer=featurizer)
     first, second = tmp_path / "first.json", tmp_path / "second.json"

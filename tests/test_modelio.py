@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, ConnRecord
+from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable
 from iotsqlbench.lines import split_lines
 from iotsqlbench.modelio import (
     DEFAULT_INSTRUCTION,
@@ -81,13 +81,13 @@ def test_build_sql_input_empty_question(toy_schema):
 
 def _row(record) -> str:
     """The row of ``record``'s detection input, after its instruction."""
-    (example,) = _detection_examples([record], "?")
+    (example,) = _detection_examples(ConnTable.of([record]), "?")
     assert example.input.startswith("? ")
     return example.input[2:]
 
 
 def test_detection_input_begins_with_instruction_and_ips():
-    (example,) = _detection_examples([REFERENCE_RECORD], DEFAULT_INSTRUCTION)
+    (example,) = _detection_examples(ConnTable.of([REFERENCE_RECORD]), DEFAULT_INSTRUCTION)
     assert example.input.startswith(
         "Is the following network information Malicious? 192.168.1.1 80 192.161.2.2 8080"
     )
@@ -177,7 +177,7 @@ def test_examples_round_trip(tmp_path, synth_data):
     assert again == written
 
     det_path = tmp_path / "det.jsonl"
-    records = synth_data["conn"][:20]
+    records = synth_data["conn"].take(list(range(20)))
     examples = write_detection_examples(records, det_path)
     back = read_detection_examples(det_path)
     assert [e.id for e in back] == [e.id for e in examples]
@@ -250,20 +250,20 @@ def test_write_detection_examples_matches_per_value_reference(tmp_path, pick):
     records = _detection_records()[pick]
     instruction = "Is this one Malicious?"
     path = tmp_path / "det.jsonl"
-    examples = write_detection_examples(records, path, instruction=instruction)
+    examples = write_detection_examples(ConnTable.of(records), path, instruction=instruction)
     expected = "".join(_reference_line(record, instruction) for record in records)
     assert path.read_bytes() == expected.encode("utf-8")
     assert [ex.id for ex in examples] == [record.uid for record in records]
     assert [ex.gold for ex in examples] == [record.is_malicious for record in records]
     for record, example in zip(records, examples):
-        assert [example] == _detection_examples([record], instruction)
+        assert [example] == _detection_examples(ConnTable.of([record]), instruction)
         assert json.loads(_reference_line(record, instruction))["input"] == example.input
 
 
-def test_write_detection_examples_takes_an_iterator(tmp_path):
+def test_write_detection_examples_default_instruction_matches_reference(tmp_path):
     records = _detection_records()
     path = tmp_path / "det.jsonl"
-    examples = write_detection_examples(iter(records), path)
+    examples = write_detection_examples(ConnTable.of(records), path)
     assert len(examples) == len(records)
     assert path.read_text(encoding="utf-8") == "".join(
         _reference_line(record, "Is the following network information Malicious?")
@@ -279,7 +279,7 @@ def test_write_detection_examples_bytes_match_the_json_encoder(tmp_path):
                for i, label in enumerate([AttackLabel.Benign, AttackLabel.Okiru, AttackLabel.CandC])]
     instruction = f"Is {odd} Malicious?"
     path = tmp_path / "det.jsonl"
-    examples = write_detection_examples(records, path, instruction=instruction)
+    examples = write_detection_examples(ConnTable.of(records), path, instruction=instruction)
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     expected = "".join(encode({"id": ex.id, "input": ex.input, "gold": bool_to_label(ex.gold)}) + "\n"
                        for ex in examples)
@@ -295,7 +295,7 @@ def test_detection_examples_round_trip_a_row_holding_line_separators(tmp_path):
     records = [dataclasses.replace(REFERENCE_RECORD, uid=f"CSep{i}", history=f"Sh{sep}Ad")
                for i, sep in enumerate(["\u2028", "\u2029", "\x85"])]
     path = tmp_path / "det.jsonl"
-    examples = write_detection_examples(records, path)
+    examples = write_detection_examples(ConnTable.of(records), path)
     assert read_detection_examples(path) == examples
     crlf = path.read_text(encoding="utf-8").replace("\n", "\r\n")
     assert read_detection_examples(text_file(tmp_path, "\n" + crlf)) == examples
@@ -376,7 +376,7 @@ def test_detection_examples_read_back_from_their_file(tmp_path, drawn, instructi
                                    label=AttackLabel.Okiru if malicious else AttackLabel.Benign)
                for uid, history, malicious in drawn]
     path = tmp_path / "det.jsonl"
-    written = write_detection_examples(records, path, instruction=instruction)
+    written = write_detection_examples(ConnTable.of(records), path, instruction=instruction)
     if len({record.uid for record in records}) < len(records):
         with pytest.raises(DuplicateId):
             read_detection_examples(path)

@@ -10,16 +10,17 @@ from iotsqlbench.ingest import (
     BadValue,
     IngestError,
     InvalidSpec,
-    SensorReading,
     SynthSpec,
     apportion,
     ingest_sensors,
     parse_devices,
     serialize_devices,
+    sensor_row,
     serialize_sensors,
     synthesize_logs,
 )
 from iotsqlbench.ingest.synth import DEVICE_COLUMNS
+from tests.conftest import conn_records
 
 CO2_FIXTURE = "\n".join(
     ["room,ts,value"]
@@ -34,17 +35,17 @@ def test_empty_stream_zero_readings():
 def test_co2_fixture_round_trip():
     readings = ingest_sensors(CO2_FIXTURE, "co2")
     assert len(readings) == 10
-    assert [r.room for r in readings] == [f"R1{i:02d}" for i in range(10)]
-    assert readings[3].value == 430
+    assert [room for _, room, _, _, _ in readings] == [f"R1{i:02d}" for i in range(10)]
+    assert readings[3] == ("c000003", "R103", 1, datetime(2021, 3, 1, 3), 430)
     again = ingest_sensors(serialize_sensors(readings), "co2")
     assert again == readings
 
 
 def test_motion_value_must_be_binary():
-    with pytest.raises(BadValue):
+    with pytest.raises(BadValue, match="^line 2: motion value must be 0 or 1: 2$"):
         ingest_sensors("room,ts,value\nR101,2021-03-01T10:00:00,2\n", "motion")
     ok = ingest_sensors("room,ts,value\nR101,2021-03-01T10:00:00,1\n", "motion")
-    assert ok[0].value == 1
+    assert ok == [("m000000", "R101", 1, datetime(2021, 3, 1, 10), 1)]
 
 
 def test_bad_timestamp():
@@ -74,8 +75,8 @@ def test_synth_label_mix_within_one():
     )
     records = synthesize_logs(spec)["conn"]
     counts = {}
-    for r in records:
-        counts[r.label] = counts.get(r.label, 0) + 1
+    for label in records.columns["label"]:
+        counts[label] = counts.get(label, 0) + 1
     assert abs(counts[AttackLabel.Benign] - 600) <= 1
     assert abs(counts[AttackLabel.Okiru] - 200) <= 1
     assert abs(counts[AttackLabel.PartOfAHorizontalPortScan] - 200) <= 1
@@ -109,7 +110,7 @@ def test_apportion_largest_remainder():
 
 
 def test_conn_records_satisfy_invariants(synth_data):
-    for rec in synth_data["conn"]:
+    for rec in conn_records(synth_data["conn"]):
         assert 0 <= rec.orig_p <= 65535 and 0 <= rec.resp_p <= 65535
         for name in ("missed_bytes", "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes"):
             assert getattr(rec, name) >= 0
@@ -151,28 +152,30 @@ _CSV_TEXT = st.text(alphabet=st.characters(exclude_characters="\n\r\x00"))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(SensorReading, st.just("co2"), _CSV_TEXT, st.datetimes(),
+@given(st.lists(st.tuples(_CSV_TEXT, st.datetimes(),
                           st.integers(-10**300, 10**300) | st.floats(allow_nan=False)),
                 max_size=5))
-def test_sensor_csv_round_trips_every_room_value_and_time(readings):
-    assert ingest_sensors(serialize_sensors(readings), "co2") == readings
+def test_sensor_csv_round_trips_every_room_value_and_time(drawn):
+    rows = [sensor_row("co2", i, room, ts, value) for i, (room, ts, value) in enumerate(drawn)]
+    assert ingest_sensors(serialize_sensors(rows), "co2") == rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT), min_size=3, max_size=3))
 def test_device_csv_round_trips_every_name_and_room(names_and_rooms):
-    devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
+    devices = [list(device) for device in synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]]
     for device, (name, room) in zip(devices, names_and_rooms):
-        device["name"], device["room"] = name, room
-    assert parse_devices(serialize_devices(devices)) == devices
+        device[DEVICE_COLUMNS.index("name")], device[DEVICE_COLUMNS.index("room")] = name, room
+    rows = list(map(tuple, devices))
+    assert parse_devices(serialize_devices(rows)) == rows
 
 
 @pytest.mark.parametrize("value", ["R1\n01", "R1\r01", "R101\r", "R1\x0001"])
 def test_csv_writers_reject_a_line_break_or_nul(value):
     with pytest.raises(ValueError, match="cannot hold a line break or NUL"):
-        serialize_sensors([SensorReading("co2", value, datetime(2021, 3, 1, 10), 415)])
+        serialize_sensors([sensor_row("co2", 0, value, datetime(2021, 3, 1, 10), 415)])
     devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
-    devices[1]["name"] = value
+    devices[1] = (devices[1][0], value, *devices[1][2:])
     with pytest.raises(ValueError, match="cannot hold a line break or NUL"):
         serialize_devices(devices)
 
@@ -191,10 +194,15 @@ def test_csv_readers_name_the_line_of_malformed_quoting():
 
 def test_sensor_csv_keeps_the_room_as_written_and_strips_ts_and_value():
     readings = ingest_sensors('room,ts,value\n" R1,01 ", 2021-03-01T10:00:00 , 415 \n', "co2")
-    assert readings == [SensorReading("co2", " R1,01 ", datetime(2021, 3, 1, 10), 415)]
+    assert readings == [("c000000", " R1,01 ", None, datetime(2021, 3, 1, 10), 415)]
+
+
+def test_sensor_floor_is_the_decimal_digit_after_r():
+    text = "room,ts,value\nR201,2021-03-01T10:00:00,5\nr\u0663x,2021-03-01T10:00:00,5\nR\u00b201,2021-03-01T10:00:00,5\n"
+    assert [floor for _, _, floor, _, _ in ingest_sensors(text, "co2")] == [2, 3, None]
 
 
 @pytest.mark.parametrize("header", ["room,ts,value", '"room",ts,value', ' Room , ts , value'])
 def test_sensor_csv_header_is_read_through_csv(header):
     readings = ingest_sensors(header + '\nR1,2021-03-01T10:00:00,415\n', "co2")
-    assert readings == [SensorReading("co2", "R1", datetime(2021, 3, 1, 10), 415)]
+    assert readings == [("c000000", "R1", 1, datetime(2021, 3, 1, 10), 415)]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from collections import Counter
 from datetime import datetime, timedelta
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable, SynthSpec, synthesize_logs
 from iotsqlbench.lines import read_text
 from iotsqlbench.splitter import (
     BadRatios,
@@ -15,13 +16,17 @@ from iotsqlbench.splitter import (
     InsufficientBenign,
     NetworkSplitConfig,
     SplitError,
+    SPLITS,
     SplitManifest,
     anonymize,
     dump_manifest,
     load_manifest,
+    malicious,
     split_network,
     split_pairs,
+    take_splits,
 )
+from tests.conftest import conn_records
 
 
 def _records(mix, n, seed=3):
@@ -74,7 +79,7 @@ def test_split_network_attack_disjoint():
         {AttackLabel.Okiru: 0.3, AttackLabel.DDoS: 0.3, AttackLabel.Benign: 0.4}, 200
     )
     manifest = split_network(records, train_attacks={AttackLabel.Okiru}, seed=2)
-    by_uid = {r.uid: r for r in records}
+    by_uid = {r.uid: r for r in conn_records(records)}
     for uid, split in manifest.assignment.items():
         label = by_uid[uid].label
         if label is AttackLabel.Okiru:
@@ -102,7 +107,7 @@ def test_split_network_explicit_totals():
     manifest = split_network(records, seed=4, config=config)
     counts = manifest.counts()
     assert counts == {"train": 300, "dev": 120, "test": 120}
-    by_uid = {r.uid: r for r in records}
+    by_uid = {r.uid: r for r in conn_records(records)}
     mal_counts = Counter(
         split for uid, split in manifest.assignment.items() if by_uid[uid].is_malicious
     )
@@ -127,7 +132,7 @@ def test_anonymize_bijection_consistency():
     records = _records({AttackLabel.Benign: 1.0}, 120)
     anonymized, maps = anonymize(records, seed=9)
     # shared original IPs still shared afterwards
-    for old, new in zip(records, anonymized):
+    for old, new in zip(conn_records(records), conn_records(anonymized)):
         assert new.orig_h == maps.ip_map[old.orig_h]
         assert new.resp_h == maps.ip_map[old.resp_h]
     assert len(set(maps.ip_map.values())) == len(maps.ip_map)
@@ -136,8 +141,8 @@ def test_anonymize_bijection_consistency():
 def test_anonymize_pools_disjoint():
     records = _records({AttackLabel.Benign: 1.0}, 80)
     anonymized, maps = anonymize(records, seed=1)
-    input_ips = {r.orig_h for r in records} | {r.resp_h for r in records}
-    output_ips = {r.orig_h for r in anonymized} | {r.resp_h for r in anonymized}
+    input_ips = {*records.columns["orig_h"], *records.columns["resp_h"]}
+    output_ips = {*anonymized.columns["orig_h"], *anonymized.columns["resp_h"]}
     assert not (input_ips & output_ips)
 
 
@@ -153,15 +158,15 @@ def test_anonymize_preserves_non_identifier_values():
     anonymized, _ = anonymize(records, seed=3)
     for name in ("duration", "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts",
                  "proto", "service", "conn_state", "history", "orig_p", "resp_p"):
-        before = Counter(getattr(r, name) for r in records)
-        after = Counter(getattr(r, name) for r in anonymized)
+        before = Counter(records.columns[name])
+        after = Counter(anonymized.columns[name])
         assert before == after, name
 
 
 def test_anonymize_shifts_timestamps_independently():
     records = _records({AttackLabel.Benign: 1.0}, 50)
     anonymized, maps = anonymize(records, seed=7)
-    shifted = sum(1 for old, new in zip(records, anonymized) if old.ts != new.ts)
+    shifted = sum(1 for old, new in zip(records.columns["ts"], anonymized.columns["ts"]) if old != new)
     assert shifted > 40  # offsets of exactly 0 are possible but rare
     assert len(set(maps.time_offsets.values())) > 1
 
@@ -187,10 +192,11 @@ def _odd_records():
 
 
 def test_anonymize_matches_a_dataclasses_replace_reference():
-    records = _odd_records() + _records({AttackLabel.Benign: 0.5, AttackLabel.DDoS: 0.5}, 40)
-    anonymized, maps = anonymize(records, seed=4)
+    records = _odd_records() + conn_records(_records({AttackLabel.Benign: 0.5, AttackLabel.DDoS: 0.5}, 40))
+    table = ConnTable.of(records)
+    anonymized, maps = anonymize(table, seed=4)
     assert len(anonymized) == len(records)
-    for record, got in zip(records, anonymized):
+    for record, got in zip(records, conn_records(anonymized)):
         reference = dataclasses.replace(
             record,
             ts=record.ts + timedelta(seconds=maps.time_offsets[record.uid]),
@@ -205,7 +211,8 @@ def test_anonymize_matches_a_dataclasses_replace_reference():
         assert type(got) is ConnRecord
         with pytest.raises(dataclasses.FrozenInstanceError):
             got.orig_h = "10.9.9.9"
-    assert records[0].orig_h == "192.168.1.1"  # the input records are untouched
+    # the input table is untouched
+    assert table == ConnTable.of(records) and table.columns["orig_h"][0] == "192.168.1.1"
 
 
 def test_manifest_round_trip():
@@ -250,6 +257,13 @@ def test_manifest_reads_back_from_its_file(tmp_path, manifest):
 
 @pytest.mark.parametrize("line_no, bad", [
     (1, "no header"), (1, "# {not json"), (1, "# [1, 2]"), (1, '# {"train_attacks": ["x"]}'),
+    # a header of the wrong types: each field but one as dump_manifest writes it
+    *((1, "# " + json.dumps({"ratios": None, "seed": 4, "train_attacks": ["Okiru"], **{field: value}}))
+      for field, value in [("ratios", "ab"), ("ratios", ""), ("ratios", [0.5, True]), ("ratios", {}),
+                           ("seed", "x"), ("seed", True), ("seed", 1.0), ("seed", None),
+                           ("train_attacks", "Okiru"), ("train_attacks", [5]),
+                           ("train_attacks", ["Maybe"]), ("train_attacks", None)]),
+    (1, '# {"seed": 4, "train_attacks": []}'),
     (3, "C-no-tab"), (4, "C1\ttrain\textra"), (4, "C1\tvalidation"),
 ])
 def test_load_manifest_names_a_bad_line(line_no, bad):
@@ -263,7 +277,7 @@ def test_load_manifest_names_a_bad_line(line_no, bad):
 def test_attack_disjointness_asserted():
     records = _records({AttackLabel.Okiru: 0.5, AttackLabel.Benign: 0.5}, 60)
     manifest = split_network(records, seed=2)
-    labels = {r.uid: r.label for r in records}
+    labels = dict(zip(records.columns["uid"], records.columns["label"]))
     manifest.check_attack_disjoint(labels)
     # corrupt it: move one Okiru record to dev
     okiru_uid = next(uid for uid, label in labels.items() if label is AttackLabel.Okiru)
@@ -272,3 +286,17 @@ def test_attack_disjointness_asserted():
     bad.assignment[okiru_uid] = "dev"
     with pytest.raises(SplitError):
         bad.check_attack_disjoint(labels)
+
+
+def test_take_splits_gives_each_split_its_rows_in_manifest_order():
+    records = _records({AttackLabel.Okiru: 0.5, AttackLabel.Benign: 0.5}, 60)
+    manifest = split_network(records, seed=2)
+    subsets = take_splits(records, manifest)
+    by_uid = {r.uid: r for r in conn_records(records)}
+    for split in SPLITS:
+        expected = [by_uid[uid] for uid in manifest.ids_for(split)]
+        assert conn_records(subsets[split]) == expected
+        assert malicious(subsets[split]) == [r.is_malicious for r in expected]
+    manifest.assignment["Cmissing"] = "dev"
+    with pytest.raises(SplitError, match="^manifest uid 'Cmissing' is not in the conn table$"):
+        take_splits(records, manifest)

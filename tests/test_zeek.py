@@ -13,6 +13,7 @@ from iotsqlbench.ingest import (
     AttackLabel,
     BadDirective,
     ConnRecord,
+    ConnTable,
     MissingFieldsHeader,
     RecordInvariantError,
     SynthSpec,
@@ -26,6 +27,7 @@ from iotsqlbench.ingest import (
     synthesize_logs,
 )
 from iotsqlbench.ingest import zeek
+from tests.conftest import conn_records
 
 HEADER = "\n".join([
     "#separator \\x09",
@@ -63,8 +65,8 @@ def test_header_only_stream_yields_zero_records():
 def test_conn_line_parses_all_21_columns():
     result = parse_zeek(HEADER + "\n" + GOOD_LINE + "\n", "conn")
     assert not result.issues
-    (rec,) = result.records
-    assert isinstance(rec, ConnRecord)
+    assert isinstance(result.records, ConnTable)
+    (rec,) = conn_records(result.records)
     assert rec.uid == "CAbc1"
     assert rec.orig_p == 51234 and rec.resp_p == 80
     assert rec.duration == pytest.approx(1.5)
@@ -81,7 +83,7 @@ def test_dash_maps_to_unset():
     line[9] = "-"   # orig_bytes
     line[7] = "-"   # service
     result = parse_zeek(HEADER + "\n" + "\t".join(line) + "\n", "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.duration is None and rec.orig_bytes is None and rec.service is None
 
 
@@ -91,14 +93,14 @@ def test_labels_as_declared_columns():
     ).replace("\tset[string]", "\tset[string]\tstring\tstring")
     line = GOOD_LINE + "\tMalicious\tOkiru"
     result = parse_zeek(header + "\n" + line + "\n", "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.label is AttackLabel.Okiru and rec.is_malicious
 
 
 def test_labels_as_extra_trailing_columns():
     line = GOOD_LINE + "\tMalicious\tPartOfAHorizontalPortScan"
     result = parse_zeek(HEADER + "\n" + line + "\n", "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.label is AttackLabel.PartOfAHorizontalPortScan
 
 
@@ -106,7 +108,7 @@ def test_labels_glued_with_spaces():
     parts = GOOD_LINE.split("\t")
     parts[-1] = "(empty)   Malicious   Okiru"
     result = parse_zeek(HEADER + "\n" + "\t".join(parts) + "\n", "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.label is AttackLabel.Okiru
     assert rec.tunnel_parents == ""
 
@@ -155,7 +157,7 @@ def test_json_lines_format():
         ' "label": "Malicious", "detailed-label": "C&C"}'
     )
     result = parse_zeek(line + "\n", "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.uid == "CJson1"
     assert rec.label is AttackLabel.CandC
     assert rec.duration is None
@@ -183,7 +185,7 @@ def test_nan_duration_reported_as_negative_duration(position):
     assert issue.line_no == 9 + position
     assert issue.message == "duration must be nonnegative: nan"
     assert len(result.records) == 299
-    assert f"CNan{position}" not in {r.uid for r in result.records}
+    assert f"CNan{position}" not in result.records.columns["uid"]
 
 
 def test_nan_duration_in_json_reported():
@@ -202,7 +204,7 @@ def test_parsed_record_is_the_dataclass_record():
     parts = GOOD_LINE.split("\t")
     parts[7], parts[8], parts[12], parts[13], parts[20] = "(empty)", "-", "-", "T", "(empty)"
     labeled = "\t".join(parts + ["Malicious", "Okiru"])
-    (record,) = parse_zeek(HEADER + "\n" + labeled + "\n", "conn").records
+    (record,) = conn_records(parse_zeek(HEADER + "\n" + labeled + "\n", "conn").records)
     reference = ConnRecord(
         ts=datetime(2021, 3, 19, 13, 46, 56, 123456), uid="CAbc1", orig_h="192.168.1.5",
         orig_p=51234, resp_h="10.0.0.9", resp_p=80, proto="tcp", service="", duration=None,
@@ -279,12 +281,12 @@ def test_round_trip_all_kinds(synth_data):
 
 @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
 def test_round_trip_keeps_a_value_holding_a_unicode_line_break(mark):
-    records = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
     records[1] = dataclasses.replace(records[1], history=f"Sh{mark}Ad")
-    text = serialize_zeek(records, "conn")
+    text = serialize_zeek(ConnTable.of(records), "conn")
     back = parse_zeek(text, "conn")
     assert not back.issues
-    assert back.records == records
+    assert back.records == ConnTable.of(records)
 
 
 # string values the Zeek reader reads back as written anywhere in a line:
@@ -297,15 +299,17 @@ _READABLE = st.text(alphabet=st.characters(exclude_characters="\t\n\r")).filter(
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["conn", "dns", "http", "files", "ntp", "weird"]), st.data())
 def test_round_trip_keeps_every_string_the_writer_accepts(kind, data):
-    records = list(synthesize_logs(SynthSpec(counts={kind: 3}, seed=3))[kind])
+    records = synthesize_logs(SynthSpec(counts={kind: 3}, seed=3))[kind]
     specs = KIND_FIELDS[kind]
-    for i, record in enumerate(records):
-        if kind == "conn":
-            records[i] = dataclasses.replace(record, **{
+    if kind == "conn":
+        records = ConnTable.of([
+            dataclasses.replace(record, **{
                 spec.name: data.draw(_READABLE) for spec in specs if spec.vtype == "str"})
-        else:
-            records[i] = tuple(data.draw(_READABLE) if spec.vtype == "str" else value
-                               for value, spec in zip(record, specs))
+            for record in conn_records(records)])
+    else:
+        records = [tuple(data.draw(_READABLE) if spec.vtype == "str" else value
+                         for value, spec in zip(record, specs))
+                   for record in records]
     back = parse_zeek(serialize_zeek(records, kind), kind)
     assert not back.issues
     assert back.records == records
@@ -313,10 +317,10 @@ def test_round_trip_keeps_every_string_the_writer_accepts(kind, data):
 
 @pytest.mark.parametrize("value", ["-", "(empty)", "S\tA", "S\nA"])
 def test_serialize_rejects_a_string_the_reader_would_misread(value):
-    records = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
     records[1] = dataclasses.replace(records[1], history=value)
     with pytest.raises(ValueError, match="history: the Zeek reader would misread"):
-        serialize_zeek(records, "conn")
+        serialize_zeek(ConnTable.of(records), "conn")
 
 
 def test_serialize_rejects_a_last_value_the_reader_would_misread_only_where_it_is_last():
@@ -328,10 +332,11 @@ def test_serialize_rejects_a_last_value_the_reader_would_misread_only_where_it_i
         serialize_zeek(records, "weird")
     records[1] = (*records[1][:-2], "C1\r", "IP")
     assert parse_zeek(serialize_zeek(records, "weird"), "weird").records == records
-    conn = list(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
+    conn = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
     for value in ["C1\r", "C1  Malicious  Okiru"]:
         conn[1] = dataclasses.replace(conn[1], tunnel_parents=value)
-        assert parse_zeek(serialize_zeek(conn, "conn"), "conn").records == conn
+        table = ConnTable.of(conn)
+        assert parse_zeek(serialize_zeek(table, "conn"), "conn").records == table
 
 
 def test_crlf_log_parses_as_its_lf_form():
@@ -410,6 +415,11 @@ def _reference_arity(values, plan, kind):
     if kind == "conn" and len(values) == len(plan) + 2 and not names & {"label", "detailed_label"}:
         return values, plan + _REFERENCE_LABELS
     return (values, plan) if len(values) == len(plan) else None
+
+
+def _rows(records):
+    """A parse's records as a list: a conn table's rows as ConnRecords."""
+    return conn_records(records) if isinstance(records, ConnTable) else records
 
 
 def _reference_parse(text, kind):
@@ -563,7 +573,7 @@ def test_column_conversion_matches_line_by_line_reference(log, block):
     with mock.patch.object(zeek, "_BLOCK_LINES", block):
         got = parse_zeek(text, kind)
     # repr compares types too (1 vs 1.0 vs True) and treats NaN as equal to NaN
-    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert list(map(repr, _rows(got.records))) == list(map(repr, want_records))
     assert [(i.line_no, i.message) for i in got.issues] == want_issues
 
 
@@ -578,9 +588,9 @@ def test_column_conversion_mixed_label_shapes_across_blocks():
     want_records, want_issues = _reference_parse(text, "conn")
     got = parse_zeek(text, "conn")
     assert len(got.records) == 420 and len(got.issues) == 140
-    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert list(map(repr, _rows(got.records))) == list(map(repr, want_records))
     assert [(i.line_no, i.message) for i in got.issues] == want_issues
-    assert [r.label for r in got.records[:3]] == [AttackLabel.Benign, AttackLabel.DDoS, AttackLabel.Okiru]
+    assert got.records.columns["label"][:3] == [AttackLabel.Benign, AttackLabel.DDoS, AttackLabel.Okiru]
 
 
 def test_bad_line_reports_its_first_failing_column():
@@ -654,7 +664,7 @@ def test_duplicate_field_checked_at_each_position():
     good = GOOD_LINE + "\t443"
     bad = GOOD_LINE + "\t-5"
     result = parse_zeek(header + "\n" + good + "\n" + bad + "\n", "conn")
-    assert [r.orig_p for r in result.records] == [443]
+    assert result.records.columns["orig_p"] == [443]
     assert [(i.line_no, i.message) for i in result.issues] == [(10, "orig_p out of range: -5")]
 
 
@@ -667,7 +677,7 @@ def test_serialize_and_rows_render_unset_and_empty_values():
     assert out.splitlines()[8:10] == ["\t".join(parts) + "\tBenign\t-", GOOD_LINE + "\tBenign\t-"]
     rows = zeek.rows_for_table(records, "conn")
     assert rows[0][7] == "" and rows[0][8] is None and rows[0][12] is None
-    assert rows[1] == tuple(getattr(records[1], spec.name) for spec in KIND_FIELDS["conn"])
+    assert rows[1] == tuple(getattr(conn_records(records)[1], spec.name) for spec in KIND_FIELDS["conn"])
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +788,7 @@ def test_time_column_pass_in_a_log_matches_line_by_line_reference(times, block):
     want_records, want_issues = _reference_parse(text, "conn")
     with mock.patch.object(zeek, "_BLOCK_LINES", block):
         got = parse_zeek(text, "conn")
-    assert list(map(repr, got.records)) == list(map(repr, want_records))
+    assert list(map(repr, _rows(got.records))) == list(map(repr, want_records))
     assert [(i.line_no, i.message) for i in got.issues] == want_issues
 
 
@@ -829,7 +839,7 @@ def test_json_integer_fields_keep_range_checks():
         dict(_JSON_CONN, **{"orig_bytes": -1}),
     ]
     result = parse_zeek("".join(json.dumps(o) + "\n" for o in lines), "conn")
-    (rec,) = result.records
+    (rec,) = conn_records(result.records)
     assert rec.orig_p == 65535 and rec.orig_bytes == 2**40
     assert [(i.line_no, i.message) for i in result.issues] == [
         (2, "orig_p out of range: 65536"),
@@ -856,7 +866,7 @@ def test_json_fields_take_values_of_their_type_only(field, value, message):
 
 def test_json_float_fields_take_json_numbers():
     lines = [dict(_JSON_CONN, duration=2), dict(_JSON_CONN, duration=1.5, local_orig=True)]
-    first, second = parse_zeek("".join(json.dumps(o) + "\n" for o in lines), "conn").records
+    first, second = conn_records(parse_zeek("".join(json.dumps(o) + "\n" for o in lines), "conn").records)
     assert first.duration == 2.0 and isinstance(first.duration, float)
     assert second.duration == 1.5 and second.local_orig is True
     ntp = parse_zeek(json.dumps({"ts": 1.0, "uid": "N1", "poll": [8.0]}) + "\n", "ntp")
@@ -865,7 +875,7 @@ def test_json_float_fields_take_json_numbers():
 
 def test_json_list_is_joined_in_a_string_field():
     obj = dict(_JSON_CONN, tunnel_parents=["CA", "CB"])
-    (rec,) = parse_zeek(json.dumps(obj) + "\n", "conn").records
+    (rec,) = conn_records(parse_zeek(json.dumps(obj) + "\n", "conn").records)
     assert rec.tunnel_parents == "CA,CB"
 
 

@@ -13,6 +13,7 @@ from iotsqlbench.ingest import (
     ZEEK_KINDS,
     AttackLabel,
     ConnRecord,
+    ConnTable,
     serialize_zeek,
 )
 from iotsqlbench.ingest import zeek
@@ -89,7 +90,7 @@ def _reference_serialize(records, kind):
 def test_serialize_every_kind_matches_per_value_render(data, block):
     kind, records = data
     with mock.patch.object(zeek, "_BLOCK_LINES", block):
-        got = serialize_zeek(records, kind)
+        got = serialize_zeek(ConnTable.of(records) if kind == "conn" else records, kind)
     assert got == _reference_serialize(records, kind)
 
 
