@@ -3,21 +3,20 @@
 A parsed dns, http, files, ntp or weird log is a list of row tuples, each
 holding its values in ``KIND_FIELDS[kind]`` order: the rows the database
 stores and the Zeek writer renders.  A parsed conn log is a ``ConnTable``:
-its values held as columns, one list per ``ConnRecord`` field, which the
-detection path (anonymization, the splits, the TSV and JSONL writers, the
-featurizer) reads and replaces a column at a time.  A producer that builds
-checked ``ConnRecord``s one at a time gathers them into a table with
-``ConnTable.of``.
+its values held as columns, one list per name of ``CONN_TABLE_NAMES`` (the
+CONN_FIELDS names, then the label), which the detection path
+(anonymization, the splits, the TSV and JSONL writers, the featurizer)
+reads and replaces a column at a time.  A producer that makes one row at a
+time, in CONN_TABLE_NAMES order, gathers its rows into a table with
+``ConnTable.of``.  A value's range is stated once, by its ``vtype`` in the
+Zeek reader's per-value rules (``zeek._convert``).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
-from datetime import datetime
-from operator import attrgetter
 
 
 class IngestError(Exception):
@@ -30,10 +29,6 @@ class UnknownLabel(IngestError):
 
 class UnknownKind(IngestError):
     pass
-
-
-class RecordInvariantError(IngestError):
-    """A record value violates its declared range (never silently coerced)."""
 
 
 class AttackLabel(enum.Enum):
@@ -79,59 +74,6 @@ def parse_iot23_label(raw_label: str, raw_detail: str = "-") -> AttackLabel:
     if coarse in _LABEL_LOOKUP:
         return _LABEL_LOOKUP[coarse]
     raise UnknownLabel(f"unknown label {raw_label!r}")
-
-
-# each bounded ConnRecord field, with its lowest and highest value
-_CONN_BOUNDS = (
-    ("orig_p", 0, 65535),
-    ("resp_p", 0, 65535),
-    *((name, 0, math.inf) for name in (
-        "duration", "orig_bytes", "resp_bytes", "missed_bytes",
-        "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes",
-    )),
-)
-
-
-@dataclass(frozen=True, slots=True)
-class ConnRecord:
-    """One Zeek conn.log session plus its attack label.
-
-    Slotted: a record holds its 22 values without an instance dict.
-    """
-
-    ts: datetime
-    uid: str
-    orig_h: str
-    orig_p: int
-    resp_h: str
-    resp_p: int
-    proto: str
-    service: str | None
-    duration: float | None
-    orig_bytes: int | None
-    resp_bytes: int | None
-    conn_state: str
-    local_orig: bool | None
-    local_resp: bool | None
-    missed_bytes: int
-    history: str
-    orig_pkts: int
-    orig_ip_bytes: int
-    resp_pkts: int
-    resp_ip_bytes: int
-    tunnel_parents: str | None
-    label: AttackLabel = AttackLabel.Benign
-
-    def __post_init__(self) -> None:
-        for name, lowest, highest in _CONN_BOUNDS:
-            value = getattr(self, name)
-            if value is not None and not lowest <= value <= highest:
-                problem = "out of range" if highest < math.inf else "must be nonnegative"
-                raise RecordInvariantError(f"{name} {problem}: {value}")
-
-    @property
-    def is_malicious(self) -> bool:
-        return self.label.is_malicious
 
 
 SENSOR_TYPES = ("humidity", "co2", "temperature", "luminosity", "motion")
@@ -318,17 +260,19 @@ class ConnTable:
 
     ``columns`` maps each name of CONN_TABLE_NAMES, in that order, to a list
     of one value per row; the lists are shared with whoever made them and
-    are never changed.  Their values satisfy ``ConnRecord``'s invariants, as
-    those of a Zeek parse or of checked records do.  Two tables are equal
-    when their columns are.
+    are never changed.  Their values keep the Zeek reader's per-value rules,
+    as those of a parse or of the synthesizer do.  Two tables are equal when
+    their columns are.
     """
 
     columns: dict[str, list]
 
     @classmethod
-    def of(cls, records: list[ConnRecord]) -> ConnTable:
-        """The table of a list of checked ConnRecords, transposed once."""
-        return cls({name: list(map(attrgetter(name), records)) for name in CONN_TABLE_NAMES})
+    def of(cls, rows: list[tuple]) -> ConnTable:
+        """The table of rows, each in CONN_TABLE_NAMES order, transposed once;
+        a row of another width is a ValueError."""
+        columns = list(map(list, zip(*rows, strict=True))) or [[] for _ in CONN_TABLE_NAMES]
+        return cls(dict(zip(CONN_TABLE_NAMES, columns, strict=True)))
 
     def __len__(self) -> int:
         return len(self.columns["label"])

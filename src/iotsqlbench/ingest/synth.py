@@ -21,7 +21,6 @@ from .records import (
     SENSOR_TYPES,
     ZEEK_KINDS,
     AttackLabel,
-    ConnRecord,
     ConnTable,
     IngestError,
 )
@@ -123,18 +122,17 @@ class _Synth:
         self.rng.shuffle(labels)
         return ConnTable.of([self._conn_one(label) for label in labels])
 
-    def _conn_one(self, label: AttackLabel) -> ConnRecord:
+    def _conn_one(self, label: AttackLabel) -> tuple:
+        """One conn row in CONN_TABLE_NAMES order."""
         rng = self.rng
         uid = self._uid()
         self.conn_uids.append(uid)
         orig_h = rng.choice(self.local_ips)
         resp_h = rng.choice(self.remote_ips if rng.random() < 0.8 else self.local_ips)
         orig_p = rng.randrange(49152, 65536)
-        common = dict(
-            ts=self._ts(), uid=uid, orig_h=orig_h, resp_h=resp_h, orig_p=orig_p,
-            missed_bytes=0, local_orig=True, local_resp=False, tunnel_parents=None,
-            label=label,
-        )
+        ts = self._ts()
+        # each branch draws its values in one fixed order, which the seeded
+        # corpora depend on
         if label is AttackLabel.Benign:
             service = rng.choice(_SERVICES)
             duration = round(rng.uniform(0.05, 120.0), 6)
@@ -142,94 +140,58 @@ class _Synth:
             resp_pkts = rng.randrange(1, 60)
             orig_bytes = rng.randrange(40, 20_000)
             resp_bytes = rng.randrange(40, 80_000)
-            return ConnRecord(
-                proto=rng.choice(["tcp", "tcp", "udp"]),
-                service=service,
-                duration=duration,
-                orig_bytes=orig_bytes,
-                resp_bytes=resp_bytes,
-                conn_state=rng.choice(_STATES_BENIGN),
-                history=rng.choice(_HISTORY_BENIGN),
-                orig_pkts=orig_pkts,
-                orig_ip_bytes=orig_bytes + 40 * orig_pkts,
-                resp_pkts=resp_pkts,
-                resp_ip_bytes=resp_bytes + 40 * resp_pkts,
-                resp_p=rng.choice([80, 443, 53, 123, 8080]),
-                **common,
-            )
-        if label in (AttackLabel.PartOfAHorizontalPortScan, AttackLabel.Okiru, AttackLabel.Mirai):
+            proto = rng.choice(["tcp", "tcp", "udp"])
+            conn_state = rng.choice(_STATES_BENIGN)
+            history = rng.choice(_HISTORY_BENIGN)
+            orig_ip_bytes = orig_bytes + 40 * orig_pkts
+            resp_ip_bytes = resp_bytes + 40 * resp_pkts
+            resp_p = rng.choice([80, 443, 53, 123, 8080])
+        elif label in (AttackLabel.PartOfAHorizontalPortScan, AttackLabel.Okiru, AttackLabel.Mirai):
             # scan-style: single unanswered probe
             orig_pkts = rng.randrange(1, 4)
-            return ConnRecord(
-                proto="tcp",
-                service=None,
-                duration=round(rng.uniform(0.000001, 0.01), 6) if rng.random() < 0.4 else None,
-                orig_bytes=0,
-                resp_bytes=0,
-                conn_state="S0",
-                history="S",
-                orig_pkts=orig_pkts,
-                orig_ip_bytes=40 * orig_pkts,
-                resp_pkts=0,
-                resp_ip_bytes=0,
-                resp_p=rng.choice([23, 2323, 81, 8080]),
-                **common,
-            )
-        if label is AttackLabel.DDoS:
+            proto, service, conn_state, history = "tcp", None, "S0", "S"
+            duration = round(rng.uniform(0.000001, 0.01), 6) if rng.random() < 0.4 else None
+            orig_bytes, resp_bytes, resp_pkts, resp_ip_bytes = 0, 0, 0, 0
+            orig_ip_bytes = 40 * orig_pkts
+            resp_p = rng.choice([23, 2323, 81, 8080])
+        elif label is AttackLabel.DDoS:
             orig_pkts = rng.randrange(500, 5000)
-            return ConnRecord(
-                proto=rng.choice(["tcp", "udp"]),
-                service=None,
-                duration=round(rng.uniform(5.0, 300.0), 6),
-                orig_bytes=orig_pkts * rng.randrange(40, 120),
-                resp_bytes=0,
-                conn_state=rng.choice(["S0", "OTH"]),
-                history="D",
-                orig_pkts=orig_pkts,
-                orig_ip_bytes=orig_pkts * 60,
-                resp_pkts=0,
-                resp_ip_bytes=0,
-                resp_p=rng.choice([80, 443]),
-                **common,
-            )
-        if label is AttackLabel.FileDownload:
+            proto = rng.choice(["tcp", "udp"])
+            service = None
+            duration = round(rng.uniform(5.0, 300.0), 6)
+            orig_bytes = orig_pkts * rng.randrange(40, 120)
+            resp_bytes, resp_pkts, resp_ip_bytes = 0, 0, 0
+            conn_state = rng.choice(["S0", "OTH"])
+            history = "D"
+            orig_ip_bytes = orig_pkts * 60
+            resp_p = rng.choice([80, 443])
+        elif label is AttackLabel.FileDownload:
             resp_bytes = rng.randrange(200_000, 5_000_000)
             resp_pkts = resp_bytes // 1200
-            return ConnRecord(
-                proto="tcp",
-                service="http",
-                duration=round(rng.uniform(1.0, 90.0), 6),
-                orig_bytes=rng.randrange(100, 600),
-                resp_bytes=resp_bytes,
-                conn_state="SF",
-                history="ShADadFf",
-                orig_pkts=rng.randrange(5, 40),
-                orig_ip_bytes=rng.randrange(300, 2_400),
-                resp_pkts=resp_pkts,
-                resp_ip_bytes=resp_bytes + 40 * resp_pkts,
-                resp_p=rng.choice([80, 8080]),
-                **common,
-            )
-        # C&C-style periodic traffic: CandC, HeartBeat, Torii, Attack
-        orig_bytes = rng.randrange(40, 400) if label is not AttackLabel.HeartBeat else rng.randrange(0, 60)
-        resp_bytes = rng.randrange(40, 800) if label is not AttackLabel.HeartBeat else rng.randrange(0, 60)
-        orig_pkts = rng.randrange(1, 12)
-        resp_pkts = rng.randrange(1, 12)
-        return ConnRecord(
-            proto="tcp",
-            service=rng.choice(["http", "ssl", None]),
-            duration=round(rng.uniform(0.1, 10.0), 6),
-            orig_bytes=orig_bytes,
-            resp_bytes=resp_bytes,
-            conn_state=rng.choice(["SF", "RSTO", "S1"]),
-            history="ShAdDa",
-            orig_pkts=orig_pkts,
-            orig_ip_bytes=orig_bytes + 40 * orig_pkts,
-            resp_pkts=resp_pkts,
-            resp_ip_bytes=resp_bytes + 40 * resp_pkts,
-            resp_p=rng.choice([80, 443, 6667, 8080]),
-            **common,
-        )
+            proto, service, conn_state, history = "tcp", "http", "SF", "ShADadFf"
+            duration = round(rng.uniform(1.0, 90.0), 6)
+            orig_bytes = rng.randrange(100, 600)
+            orig_pkts = rng.randrange(5, 40)
+            orig_ip_bytes = rng.randrange(300, 2_400)
+            resp_ip_bytes = resp_bytes + 40 * resp_pkts
+            resp_p = rng.choice([80, 8080])
+        else:
+            # C&C-style periodic traffic: CandC, HeartBeat, Torii, Attack
+            orig_bytes = rng.randrange(40, 400) if label is not AttackLabel.HeartBeat else rng.randrange(0, 60)
+            resp_bytes = rng.randrange(40, 800) if label is not AttackLabel.HeartBeat else rng.randrange(0, 60)
+            orig_pkts = rng.randrange(1, 12)
+            resp_pkts = rng.randrange(1, 12)
+            proto = "tcp"
+            service = rng.choice(["http", "ssl", None])
+            duration = round(rng.uniform(0.1, 10.0), 6)
+            conn_state = rng.choice(["SF", "RSTO", "S1"])
+            history = "ShAdDa"
+            orig_ip_bytes = orig_bytes + 40 * orig_pkts
+            resp_ip_bytes = resp_bytes + 40 * resp_pkts
+            resp_p = rng.choice([80, 443, 6667, 8080])
+        return (ts, uid, orig_h, orig_p, resp_h, resp_p, proto, service, duration,
+                orig_bytes, resp_bytes, conn_state, True, False, 0, history,
+                orig_pkts, orig_ip_bytes, resp_pkts, resp_ip_bytes, None, label)
 
     def _uid_for_sub(self) -> str:
         if self.conn_uids and self.rng.random() < 0.5:
@@ -405,14 +367,17 @@ def serialize_devices(devices: list[tuple]) -> str:
 def parse_devices(text: str) -> list[tuple]:
     """Device rows, in DEVICE_COLUMNS order, of a devices.csv text, its lines
     split by ``lines.split_lines`` and read by ``csv.reader``: a header naming
-    every DEVICE_COLUMNS column, then one row of the header's width per line,
-    each value read by its column's name and kept as written.
-    A row of another width, or a value that does not convert, is an
-    IngestError naming its line."""
+    every DEVICE_COLUMNS column and no column twice, then one row of the
+    header's width per line, each value read by its column's name and kept
+    as written.  A row of another width, or a value that does not convert,
+    is an IngestError naming its line."""
     lines = split_lines(text)
     header = next(csv.reader(lines[:1]), [])
     if text.strip() and not set(DEVICE_COLUMNS).issubset(header):
         raise IngestError(f"devices line 1: the header must name {','.join(DEVICE_COLUMNS)}")
+    repeated = [name for name in header if header.count(name) > 1]
+    if repeated:
+        raise IngestError(f"devices line 1: the header names {repeated[0]!r} twice")
     out = []
     try:
         for line_no, values in csv_rows(lines[1:], 2):

@@ -21,26 +21,23 @@ other values in one pass and puts None back (``_fill``).  A time column of
 plain ``digits.dddddd`` values is converted in C-level passes as exact
 microsecond counts (``_epoch_column``).  A column goes through the per-value
 ``_convert`` instead when it holds the empty marker outside a string column,
-when a value does not parse, or when a value is out of range; that path
+when a value does not parse, or when a value is out of range (a port
+outside 0..65535, a negative count, a negative or NaN duration); that path
 finds each bad line's first failing column, so issues and records are the
-same as a line-by-line parse gives.  ``_convert`` is the one per-value
-semantics.
+same as a line-by-line parse gives.  ``_convert`` (``_convert_json`` for a
+JSON line) is the one per-value semantics, and the only statement of a
+value's range, for every kind.
 
-A conn log parses to a ``records.ConnTable``: the converted value columns
-of its blocks, in CONN_FIELDS order, plus the label column.  A conn block
-needs no per-record check, and builds no ``ConnRecord``, when every value
-converted, every required field is present, no duration is NaN and every
-label is known: the column passes have proved every other invariant of
-``ConnRecord.__post_init__`` (ports in range, counts and durations
-nonnegative), so its columns join the table as they are.  NaN passes both
-the range check and ``_convert``, so the block checks it on the duration
-column.  Any other conn block, and a JSON conn log, is built and checked
-record by record, so that each bad line is reported, and its good records
-join the table (``ConnTable.of``).  A log of any other kind parses to a
-list of row tuples in ``KIND_FIELDS[kind]`` order, the rows the database
-stores.  Rows of every kind are rendered (``serialize_zeek``) a column at a
-time in the same way (``_render_column``), a conn log from its table's
-columns, with ``_render`` as the per-value semantics it matches.
+A conn block adds two column passes: its labels are read (an unknown one
+fails its line), then its required fields must be present.  Each line
+reports its first failure (column, then label, then required field), and
+the good lines' columns are kept.  A conn log parses to a
+``records.ConnTable``: the columns of its blocks, in CONN_FIELDS order,
+plus the label column.  A log of any other kind parses to a list of row
+tuples in ``KIND_FIELDS[kind]`` order, the rows the database stores.  Rows
+of every kind are rendered (``serialize_zeek``) a column at a time in the
+same way (``_render_column``), a conn log from its table's columns, with
+``_render`` as the per-value semantics it matches.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, count, repeat
-from operator import attrgetter, is_not, itemgetter
+from operator import attrgetter, is_, is_not, itemgetter
 
 from ..lines import split_lines
 from .records import (
@@ -58,13 +55,10 @@ from .records import (
     CONN_TABLE_NAMES,
     KIND_FIELDS,
     LABEL_FIELDS,
-    TABLE_FOR_KIND,
     AttackLabel,
-    ConnRecord,
     ConnTable,
     FieldSpec,
     IngestError,
-    RecordInvariantError,
     UnknownKind,
     UnknownLabel,
     _CONN_NAMES,
@@ -181,7 +175,7 @@ def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
         raise ValueError(f"unhandled field type {vtype!r}")
     if vtype == "port" and not 0 <= out <= 65535:
         raise ValueError(f"{spec.name} out of range: {out}")
-    if vtype in ("count", "duration") and out < 0:
+    if vtype in ("count", "duration") and not out >= 0:  # NaN fails too
         raise ValueError(f"{spec.name} must be nonnegative: {out}")
     return out
 
@@ -366,9 +360,16 @@ _COLUMN_CONVERT = {
     "bool": _BOOLS.__getitem__,
 }
 # (lowest, highest) allowed value, one min() and one max() per column; both
-# return the NaN of a float column led by one, which fails the test and so
-# takes the per-value path
+# skip a NaN unless it leads the column, so a duration column is also
+# searched for one
 _COLUMN_RANGE = {"count": (0, math.inf), "duration": (0, math.inf), "port": (0, 65535)}
+
+
+def _in_range(out: list, vtype: str) -> bool:
+    bounds = _COLUMN_RANGE.get(vtype)
+    return (bounds is None or not out
+            or (bounds[0] <= min(out) and max(out) <= bounds[1]
+                and not (vtype == "duration" and any(map(math.isnan, out)))))
 
 
 def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
@@ -395,8 +396,7 @@ def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dic
         except (ValueError, KeyError):
             pass
         else:
-            bounds = _COLUMN_RANGE.get(spec.vtype)
-            if bounds is None or not out or (bounds[0] <= min(out) and max(out) <= bounds[1]):
+            if _in_range(out, spec.vtype):
                 return out if keep is None else _fill(keep, out, None)
     out = []
     for i, value in enumerate(column):
@@ -425,14 +425,10 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
     the value and label columns of its good rows
     (``records.CONN_TABLE_NAMES``).
 
-    Converts column by column.  A line reports what a line-by-line parse
+    Converts column by column; a conn block then reads its label column and
+    checks its required fields.  A line reports what a line-by-line parse
     would: its first failing column in column order, then its label, then
-    the required fields, then the record invariants.  A conn block in which
-    every value converted, every required field is present, no duration is
-    NaN and every label is known gives its converted columns as they are:
-    the column passes have proved every other ``ConnRecord`` invariant
-    (ports in range, counts and durations nonnegative).  Any other conn
-    block is built and checked record by record.
+    its first unset required field.
     """
     n = len(line_nos)
     errors: dict[int, str] = {}
@@ -448,42 +444,43 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
             # the last one is kept, as in a line-by-line parse
             by_name[spec.name] = _convert_column(column, spec, unset, empty, errors)
     unset_column = [None] * n
-    if kind != "conn":
-        rows = zip(*(by_name.get(spec.name, unset_column) for spec in KIND_FIELDS[kind]))
-        return ([row for i, row in enumerate(rows) if i not in errors],
-                [ParseIssue(line_no=line_nos[i], message=errors[i]) for i in sorted(errors)])
-    records: list = []
-    issues: list[ParseIssue] = []
-    raw_labels = by_name.get("label")
-    raw_details = by_name.get("detailed_label", ["-"] * n)
-    value_columns = [by_name.get(spec.name, unset_column) for spec in CONN_FIELDS]
-    check_required = any(None in value_columns[j] for _, j in _REQUIRED)
-    nan_duration = any(map(math.isnan, filter(None, value_columns[_DURATION])))
-    if not errors and not check_required and not nan_duration:
+    values = [by_name.get(spec.name, unset_column) for spec in KIND_FIELDS[kind]]
+    if kind == "conn":
+        values.append(_label_column(by_name.get("label"), by_name.get("detailed_label", ["-"] * n),
+                                    n, errors))
+        for name, j in _REQUIRED:
+            if None in values[j]:
+                for i in compress(count(), map(is_, values[j], repeat(None))):
+                    errors.setdefault(i, f"required field {name} is unset")
+    issues = [ParseIssue(line_no=line_nos[i], message=errors[i]) for i in sorted(errors)]
+    if errors:
+        keep = [i not in errors for i in range(n)]
+        values = [list(compress(column, keep)) for column in values]
+    if kind == "conn":
+        return dict(zip(CONN_TABLE_NAMES, values)), issues
+    return list(zip(*values)), issues
+
+
+def _label_column(raw_labels, raw_details, n: int, errors: dict) -> list:
+    """The AttackLabel of each line (Benign without a label column); an
+    unknown label records its message in ``errors`` unless the line already
+    failed."""
+    if raw_labels is None:
+        return [AttackLabel.Benign] * n
+    try:
+        return list(map(parse_iot23_label, raw_labels, raw_details))
+    except UnknownLabel:
+        pass
+    labels = []
+    for i, (raw, detail) in enumerate(zip(raw_labels, raw_details)):
         try:
-            labels = ([AttackLabel.Benign] * n if raw_labels is None
-                      else list(map(parse_iot23_label, raw_labels, raw_details)))
-        except UnknownLabel:
-            pass  # the per-record loop reports each unknown label
-        else:
-            return dict(zip(CONN_TABLE_NAMES, (*value_columns, labels))), issues
-    for i, values in enumerate(zip(*value_columns)):
-        message = errors.get(i)
-        if message is None:
-            try:
-                label = (AttackLabel.Benign if raw_labels is None
-                         else parse_iot23_label(raw_labels[i], raw_details[i]))
-                if check_required:
-                    _require_present(values)
-                records.append(ConnRecord(*values, label))
-                continue
-            except (ValueError, RecordInvariantError, UnknownLabel) as exc:
-                message = str(exc)
-        issues.append(ParseIssue(line_no=line_nos[i], message=message))
-    return ConnTable.of(records).columns, issues
+            labels.append(parse_iot23_label(raw, detail))
+        except UnknownLabel as exc:
+            errors.setdefault(i, str(exc))
+            labels.append(None)
+    return labels
 
 
-_DURATION = _CONN_NAMES.index("duration")
 _REQUIRED = [
     (name, _CONN_NAMES.index(name))
     for name in ("ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p",
@@ -525,14 +522,12 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                         str(obj.get("label", "-")), str(obj.get("detailed-label", "-"))
                     )
                 _require_present(values)
-                records.append(ConnRecord(*values, label))
-            else:
-                records.append(values)
-        except (ValueError, RecordInvariantError, UnknownLabel) as exc:
+                values = (*values, label)
+            records.append(values)
+        except (ValueError, UnknownLabel) as exc:
             issues.append(ParseIssue(line_no=line_no, message=str(exc)))
-    if kind == "conn":
-        records = ConnTable.of(records)
-    return ZeekParseResult(records=records, issues=issues)
+    return ZeekParseResult(records=ConnTable.of(records) if kind == "conn" else records,
+                           issues=issues)
 
 
 def _convert_json(value, spec: FieldSpec):
@@ -552,7 +547,7 @@ def _convert_json(value, spec: FieldSpec):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{spec.name} must be a number: {value!r}")
         out = float(value)
-        if spec.vtype == "duration" and out < 0:
+        if spec.vtype == "duration" and not out >= 0:  # NaN fails too
             raise ValueError(f"{spec.name} must be nonnegative: {out}")
         return out
     if spec.vtype == "time":

@@ -306,8 +306,8 @@ def dump_manifest(manifest: SplitManifest) -> str:
 def load_manifest(text: str) -> SplitManifest:
     """The manifest ``dump_manifest`` wrote, its lines split by
     ``lines.split_lines``; a header unlike the one it writes
-    (``_is_header``), or a line that is not an id, a tab and a split name,
-    is a SplitError naming its line."""
+    (``_is_header``), a line that is not an id, a tab and a split name, or
+    an id listed twice, is a SplitError naming its line."""
     lines = split_lines(text)
     if not lines[0].startswith("# "):
         raise SplitError("manifest line 1: missing header")
@@ -324,6 +324,8 @@ def load_manifest(text: str) -> SplitManifest:
         item_id, _, split = raw.partition("\t")
         if split not in SPLITS:
             raise SplitError(f"manifest line {line_no}: expected <id>\\t<split>, got {raw!r}")
+        if item_id in assignment:
+            raise SplitError(f"manifest line {line_no}: id {item_id!r} listed twice")
         assignment[item_id] = split
     ratios = header["ratios"]
     return SplitManifest(

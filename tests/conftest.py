@@ -1,12 +1,14 @@
 import itertools
 import json
+from collections import namedtuple
 from collections.abc import Sequence
 from datetime import datetime
 
 import pytest
 
 from iotsqlbench import cli, workers
-from iotsqlbench.ingest import AttackLabel, ConnRecord, SynthSpec, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, SynthSpec, synthesize_logs
+from iotsqlbench.ingest.records import CONN_TABLE_NAMES
 from iotsqlbench.store import ColumnDef, Database, TableSchema, default_schema, define_schema
 
 FULL_MIX = {
@@ -27,9 +29,14 @@ def build_database(data):
     return cli.build_database(default_schema(), data)
 
 
-def conn_records(table) -> list[ConnRecord]:
-    """The rows of a ConnTable as ConnRecords, for assertions on records."""
-    return list(map(ConnRecord, *table.columns.values()))
+# one conn row with its values named, in CONN_TABLE_NAMES order, for tests
+# that build rows or make assertions on them; the label defaults to Benign
+ConnRow = namedtuple("ConnRow", CONN_TABLE_NAMES, defaults=(AttackLabel.Benign,))
+
+
+def conn_records(table) -> list[ConnRow]:
+    """The rows of a ConnTable as ConnRows."""
+    return list(map(ConnRow, *table.columns.values()))
 
 
 def text_file(tmp_path, text: str):

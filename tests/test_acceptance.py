@@ -24,10 +24,10 @@ from iotsqlbench.evaluation import (
     logical_accuracy,
     score_sql_corpus,
 )
-from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable, SynthSpec, parse_zeek, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, ConnTable, SynthSpec, parse_zeek, synthesize_logs
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema, parse
 from iotsqlbench.templates import CorpusConfig, generate_corpus, has_datetime_predicate
-from tests.conftest import FULL_MIX, build_database, conn_records
+from tests.conftest import FULL_MIX, ConnRow, build_database, conn_records
 
 
 @contextmanager
@@ -489,7 +489,7 @@ def test_c08_full_data_conditional():
         assert counts == {"train": 125_000, "dev": 57_199, "test": 57_199}
         by_uid = {r.uid: r for r in conn_records(records)}
         mal = {
-            s: sum(1 for u, sp in manifest.assignment.items() if sp == s and by_uid[u].is_malicious)
+            s: sum(1 for u, sp in manifest.assignment.items() if sp == s and by_uid[u].label.is_malicious)
             for s in ("train", "dev", "test")
         }
         assert mal == {"train": 50_000, "dev": 19_701, "test": 19_697}
@@ -501,12 +501,12 @@ def test_c08_full_data_conditional():
         model = bl.train(
             "random_forest",
             feat.transform(ConnTable.of(subsets["train"])),
-            [r.is_malicious for r in subsets["train"]],
+            [r.label.is_malicious for r in subsets["train"]],
             seed=0,
             featurizer=feat,
         )
         preds = bl.predict(model, feat.transform(ConnTable.of(subsets["test"])))
-        score = detection_metrics([r.is_malicious for r in subsets["test"]], list(preds)).macro_f1
+        score = detection_metrics([r.label.is_malicious for r in subsets["test"]], list(preds)).macro_f1
         assert abs(score - 0.710) <= 0.05, f"forest macro-F1 {score:.3f}"
 
 
@@ -562,7 +562,7 @@ def test_c09_split_anonymization_invariants():
 
 def test_c10_serialization_fidelity(acceptance_db, full_corpus, tmp_path):
     with criterion(10, "detection input prefix is exact; emit->echo->score returns all 1.0"):
-        record = ConnRecord(
+        record = ConnRow(
             ts=datetime(2021, 3, 1, 12, 0, 0), uid="CRef01",
             orig_h="192.168.1.1", orig_p=80, resp_h="192.161.2.2", resp_p=8080,
             proto="tcp", service="http", duration=2.5, orig_bytes=120, resp_bytes=310,

@@ -71,23 +71,19 @@ def test_featurizer_refit_identical(synth_data):
 
 
 def test_featurizer_unseen_category_goes_to_other(synth_data):
-    import dataclasses
-
     records = _conn(synth_data, 0, 100)
     feat = fit_featurizer(records)
-    weird = dataclasses.replace(conn_records(records)[0], proto="sctp")
+    weird = conn_records(records)[0]._replace(proto="sctp")
     X = feat.transform(ConnTable.of([weird]))
     other_col = feat.expanded_names.index("proto=<other>")
     assert X[0, other_col] == 1.0
 
 
 def test_featurizer_presence_flags(synth_data):
-    import dataclasses
-
     records = _conn(synth_data, 0, 50)
     feat = fit_featurizer(records)
     with_duration = next(r for r in conn_records(records) if r.duration is not None)
-    unset = dataclasses.replace(with_duration, duration=None)
+    unset = with_duration._replace(duration=None)
     X = feat.transform(ConnTable.of([with_duration, unset]))
     dur_col = feat.expanded_names.index("duration")
     flag_col = feat.expanded_names.index("duration_present")
@@ -315,19 +311,17 @@ def _transform_row_by_row(feat, records):
 
 
 def test_featurizer_transform_matches_row_by_row_reference(synth_data):
-    import dataclasses
-
     train_records = _conn(synth_data, 0, 300)
     feat = fit_featurizer(train_records)
     base = conn_records(train_records)[0]
     odd = [
-        dataclasses.replace(base, duration=None, orig_bytes=None, resp_bytes=None,
-                            service=None, local_orig=None, local_resp=None),
-        dataclasses.replace(base, local_orig=True, local_resp=False, service=""),
-        dataclasses.replace(base, local_orig=False, local_resp=True, duration=0.0),
+        base._replace(duration=None, orig_bytes=None, resp_bytes=None,
+                      service=None, local_orig=None, local_resp=None),
+        base._replace(local_orig=True, local_resp=False, service=""),
+        base._replace(local_orig=False, local_resp=True, duration=0.0),
         # categories never seen at fit time go to the <other> slot
-        dataclasses.replace(base, proto="sctp", service="gopher", conn_state="ZZ",
-                            history="Never-seen"),
+        base._replace(proto="sctp", service="gopher", conn_state="ZZ",
+                      history="Never-seen"),
     ]
     records = odd + conn_records(_conn(synth_data, 300, 600))
     X = feat.transform(ConnTable.of(records))
@@ -348,10 +342,8 @@ def test_featurizer_transform_empty_and_single(synth_data):
 
 
 def test_featurizer_local_flags_one_hot(synth_data):
-    import dataclasses
-
     base = conn_records(_conn(synth_data, 0, 1))[0]
-    records = [dataclasses.replace(base, uid=f"CFlag{i}", local_orig=flag)
+    records = [base._replace(uid=f"CFlag{i}", local_orig=flag)
                for i, flag in enumerate((None, True, False, True))]
     feat = fit_featurizer(ConnTable.of(records))
     assert feat.vocab["local_orig"] == ["-", "F", "T"]

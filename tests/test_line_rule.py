@@ -5,7 +5,6 @@ its text (a JSON-lines reader, which takes a path, from a file holding the
 text) and from its file; from its file also a value holding a lone "\\r",
 which text mode would break, wherever the writer writes one."""
 
-import dataclasses
 from datetime import datetime
 
 import pytest
@@ -70,7 +69,7 @@ def _jsonl(mark, tmp_path):
 
 def _zeek(mark, tmp_path):
     records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
-    records[1] = dataclasses.replace(records[1], uid=f"C{mark}1", history=f"Sh{mark}Ad")
+    records[1] = records[1]._replace(uid=f"C{mark}1", history=f"Sh{mark}Ad")
     table = ConnTable.of(records)
     return table, serialize_zeek(table, "conn"), lambda text: parse_zeek(text, "conn").records
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 from datetime import datetime
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable
+from iotsqlbench.ingest import AttackLabel, ConnTable
 from iotsqlbench.lines import split_lines
 from iotsqlbench.modelio import (
     DEFAULT_INSTRUCTION,
@@ -29,9 +28,9 @@ from iotsqlbench.modelio import (
 )
 from iotsqlbench.store import default_schema, linearize_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
-from tests.conftest import text_file
+from tests.conftest import ConnRow, text_file
 
-REFERENCE_RECORD = ConnRecord(
+REFERENCE_RECORD = ConnRow(
     ts=datetime(2021, 3, 1, 12, 0, 0),
     uid="CRef01",
     orig_h="192.168.1.1",
@@ -96,7 +95,7 @@ def test_detection_input_begins_with_instruction_and_ips():
 
 
 def test_detection_row_unset_renders_dashes_fixed_arity():
-    record = ConnRecord(
+    record = ConnRow(
         ts=datetime(2021, 3, 1), uid="CDash", orig_h="10.0.0.1", orig_p=1, resp_h="10.0.0.2",
         resp_p=2, proto="udp", service=None, duration=None, orig_bytes=None, resp_bytes=None,
         conn_state="S0", local_orig=None, local_resp=None, missed_bytes=0, history="D",
@@ -109,14 +108,12 @@ def test_detection_row_unset_renders_dashes_fixed_arity():
 
 
 def test_detection_input_differs_iff_values_differ():
-    import dataclasses
-
-    same = dataclasses.replace(REFERENCE_RECORD)
+    same = REFERENCE_RECORD._replace()
     assert _row(same) == _row(REFERENCE_RECORD)
-    changed = dataclasses.replace(REFERENCE_RECORD, resp_bytes=231)
+    changed = REFERENCE_RECORD._replace(resp_bytes=231)
     assert _row(changed) != _row(REFERENCE_RECORD)
     # ts and uid are not part of the row
-    shifted = dataclasses.replace(REFERENCE_RECORD, uid="COther", ts=datetime(2022, 1, 1))
+    shifted = REFERENCE_RECORD._replace(uid="COther", ts=datetime(2022, 1, 1))
     assert _row(shifted) == _row(REFERENCE_RECORD)
 
 
@@ -225,7 +222,7 @@ def _reference_line(record, instruction) -> str:
     row = " ".join(_reference_value(getattr(record, name)) for name in _DETECTION_NAMES)
     return json.dumps(
         {"id": record.uid, "input": f"{instruction} {row}",
-         "gold": "Malicious" if record.is_malicious else "Benign"},
+         "gold": "Malicious" if record.label.is_malicious else "Benign"},
         ensure_ascii=False, sort_keys=True,
     ) + "\n"
 
@@ -234,13 +231,13 @@ def _detection_records():
     base = REFERENCE_RECORD
     return [
         base,
-        dataclasses.replace(base, uid="CRef02", service=None, duration=None, orig_bytes=None,
-                            resp_bytes=None, local_orig=None, local_resp=None,
-                            label=AttackLabel.Benign),
-        dataclasses.replace(base, uid="CRef03", service="", history="", tunnel_parents="",
-                            local_orig=False, local_resp=True, duration=0.0),
-        dataclasses.replace(base, uid="CRef04", history="Séü", tunnel_parents="CTun1,CTun2",
-                            duration=12345.6789, orig_p=0, resp_p=65535),
+        base._replace(uid="CRef02", service=None, duration=None, orig_bytes=None,
+                      resp_bytes=None, local_orig=None, local_resp=None,
+                      label=AttackLabel.Benign),
+        base._replace(uid="CRef03", service="", history="", tunnel_parents="",
+                      local_orig=False, local_resp=True, duration=0.0),
+        base._replace(uid="CRef04", history="Séü", tunnel_parents="CTun1,CTun2",
+                      duration=12345.6789, orig_p=0, resp_p=65535),
     ]
 
 
@@ -254,7 +251,7 @@ def test_write_detection_examples_matches_per_value_reference(tmp_path, pick):
     expected = "".join(_reference_line(record, instruction) for record in records)
     assert path.read_bytes() == expected.encode("utf-8")
     assert [ex.id for ex in examples] == [record.uid for record in records]
-    assert [ex.gold for ex in examples] == [record.is_malicious for record in records]
+    assert [ex.gold for ex in examples] == [record.label.is_malicious for record in records]
     for record, example in zip(records, examples):
         assert [example] == _detection_examples(ConnTable.of([record]), instruction)
         assert json.loads(_reference_line(record, instruction))["input"] == example.input
@@ -274,8 +271,8 @@ def test_write_detection_examples_bytes_match_the_json_encoder(tmp_path):
     # quotes, backslashes, control characters and non-ASCII text in every
     # string the writer escapes: id, instruction and row
     odd = 'q"b\\s\x00\x1f\t\n\u2028é✓'
-    records = [dataclasses.replace(REFERENCE_RECORD, uid=f"C{odd}{i}", history=odd,
-                                   service=odd[:i], label=label)
+    records = [REFERENCE_RECORD._replace(uid=f"C{odd}{i}", history=odd,
+                                         service=odd[:i], label=label)
                for i, label in enumerate([AttackLabel.Benign, AttackLabel.Okiru, AttackLabel.CandC])]
     instruction = f"Is {odd} Malicious?"
     path = tmp_path / "det.jsonl"
@@ -292,7 +289,7 @@ def test_write_detection_examples_bytes_match_the_json_encoder(tmp_path):
 def test_detection_examples_round_trip_a_row_holding_line_separators(tmp_path):
     # json leaves U+2028, U+2029 and U+0085 unescaped; each record still
     # ends at its "\n"
-    records = [dataclasses.replace(REFERENCE_RECORD, uid=f"CSep{i}", history=f"Sh{sep}Ad")
+    records = [REFERENCE_RECORD._replace(uid=f"CSep{i}", history=f"Sh{sep}Ad")
                for i, sep in enumerate(["\u2028", "\u2029", "\x85"])]
     path = tmp_path / "det.jsonl"
     examples = write_detection_examples(ConnTable.of(records), path)
@@ -372,8 +369,8 @@ def test_sql_examples_read_back_from_their_file(tmp_path, drawn):
 @example(drawn=[("C1", "Sh", True), ("C2", "", False)], instruction="Is it? Or is it?")
 @example(drawn=[("C1", "Sh", True)], instruction="No question here")
 def test_detection_examples_read_back_from_their_file(tmp_path, drawn, instruction):
-    records = [dataclasses.replace(REFERENCE_RECORD, uid=uid, history=history,
-                                   label=AttackLabel.Okiru if malicious else AttackLabel.Benign)
+    records = [REFERENCE_RECORD._replace(uid=uid, history=history,
+                                         label=AttackLabel.Okiru if malicious else AttackLabel.Benign)
                for uid, history, malicious in drawn]
     path = tmp_path / "det.jsonl"
     written = write_detection_examples(ConnTable.of(records), path, instruction=instruction)

@@ -116,7 +116,7 @@ def test_conn_records_satisfy_invariants(synth_data):
             assert getattr(rec, name) >= 0
         if rec.duration is not None:
             assert rec.duration >= 0
-        assert rec.is_malicious == (rec.label is not AttackLabel.Benign)
+        assert rec.label.is_malicious == (rec.label is not AttackLabel.Benign)
 
 
 DEVICES_TEXT = serialize_devices(synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"])
@@ -145,6 +145,14 @@ def test_parse_devices_needs_every_column_in_its_header():
     assert len(parse_devices(DEVICES_TEXT)) == 3
     with pytest.raises(IngestError, match="devices line 1: the header must name"):
         parse_devices(DEVICES_TEXT.replace(",floor,", ",level,"))
+
+
+def test_parse_devices_refuses_a_header_naming_a_column_twice():
+    # a second name column, with a value in every row: not read by its last occurrence
+    lines = DEVICES_TEXT.split("\n")
+    text = "\n".join([lines[0] + ",name", *(line + ",other" for line in lines[1:] if line)]) + "\n"
+    with pytest.raises(IngestError, match="^devices line 1: the header names 'name' twice$"):
+        parse_devices(text)
 
 
 # text a CSV writer accepts: no "\n", "\r" or NUL (README, "Sensor and device CSVs")

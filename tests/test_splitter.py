@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, ConnRecord, ConnTable, SynthSpec, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, ConnTable, SynthSpec, synthesize_logs
 from iotsqlbench.lines import read_text
 from iotsqlbench.splitter import (
     BadRatios,
@@ -26,7 +26,7 @@ from iotsqlbench.splitter import (
     split_pairs,
     take_splits,
 )
-from tests.conftest import conn_records
+from tests.conftest import ConnRow, conn_records
 
 
 def _records(mix, n, seed=3):
@@ -109,7 +109,7 @@ def test_split_network_explicit_totals():
     assert counts == {"train": 300, "dev": 120, "test": 120}
     by_uid = {r.uid: r for r in conn_records(records)}
     mal_counts = Counter(
-        split for uid, split in manifest.assignment.items() if by_uid[uid].is_malicious
+        split for uid, split in manifest.assignment.items() if by_uid[uid].label.is_malicious
     )
     assert mal_counts == {"train": 250, "dev": 80, "test": 80}
 
@@ -172,8 +172,8 @@ def test_anonymize_shifts_timestamps_independently():
 
 
 def _odd_records():
-    """Records holding None, "" and bool values, built with the dataclass constructor."""
-    base = ConnRecord(
+    """Rows holding None, "" and bool values."""
+    base = ConnRow(
         ts=datetime(2021, 3, 1, 12, 0, 0), uid="COdd0", orig_h="192.168.1.1", orig_p=80,
         resp_h="10.0.0.2", resp_p=8080, proto="tcp", service="http", duration=1.5,
         orig_bytes=100, resp_bytes=230, conn_state="SF", local_orig=True, local_resp=False,
@@ -182,35 +182,31 @@ def _odd_records():
     )
     return [
         base,
-        dataclasses.replace(base, uid="COdd1", service=None, duration=None, orig_bytes=None,
-                            resp_bytes=None, local_orig=None, local_resp=None,
-                            label=AttackLabel.Benign),
-        dataclasses.replace(base, uid="COdd2", orig_h="10.0.0.2", resp_h="192.168.1.1",
-                            service="", history="", tunnel_parents="", local_orig=False,
-                            local_resp=True, duration=0.0),
+        base._replace(uid="COdd1", service=None, duration=None, orig_bytes=None,
+                      resp_bytes=None, local_orig=None, local_resp=None,
+                      label=AttackLabel.Benign),
+        base._replace(uid="COdd2", orig_h="10.0.0.2", resp_h="192.168.1.1",
+                      service="", history="", tunnel_parents="", local_orig=False,
+                      local_resp=True, duration=0.0),
     ]
 
 
-def test_anonymize_matches_a_dataclasses_replace_reference():
+def test_anonymize_matches_a_per_row_replace_reference():
     records = _odd_records() + conn_records(_records({AttackLabel.Benign: 0.5, AttackLabel.DDoS: 0.5}, 40))
     table = ConnTable.of(records)
     anonymized, maps = anonymize(table, seed=4)
     assert len(anonymized) == len(records)
     for record, got in zip(records, conn_records(anonymized)):
-        reference = dataclasses.replace(
-            record,
+        reference = record._replace(
             ts=record.ts + timedelta(seconds=maps.time_offsets[record.uid]),
             orig_h=maps.ip_map[record.orig_h],
             resp_h=maps.ip_map[record.resp_h],
         )
-        for spec in dataclasses.fields(ConnRecord):
-            value, expected = getattr(got, spec.name), getattr(reference, spec.name)
-            assert value == expected and type(value) is type(expected), spec.name
+        for name in ConnRow._fields:
+            value, expected = getattr(got, name), getattr(reference, name)
+            assert value == expected and type(value) is type(expected), name
         assert got == reference and hash(got) == hash(reference)
         assert repr(got) == repr(reference)
-        assert type(got) is ConnRecord
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.orig_h = "10.9.9.9"
     # the input table is untouched
     assert table == ConnTable.of(records) and table.columns["orig_h"][0] == "192.168.1.1"
 
@@ -265,11 +261,12 @@ def test_manifest_reads_back_from_its_file(tmp_path, manifest):
                            ("train_attacks", ["Maybe"]), ("train_attacks", None)]),
     (1, '# {"seed": 4, "train_attacks": []}'),
     (3, "C-no-tab"), (4, "C1\ttrain\textra"), (4, "C1\tvalidation"),
+    (4, "<id of line 2>\ttest"),  # an id listed twice
 ])
 def test_load_manifest_names_a_bad_line(line_no, bad):
     records = _records({AttackLabel.Okiru: 0.5, AttackLabel.Benign: 0.5}, 20)
     lines = dump_manifest(split_network(records, seed=4)).split("\n")
-    lines[line_no - 1] = bad
+    lines[line_no - 1] = bad.replace("<id of line 2>", lines[1].split("\t")[0])
     with pytest.raises(SplitError, match=f"^manifest line {line_no}: "):
         load_manifest("\n".join(lines))
 
@@ -296,7 +293,7 @@ def test_take_splits_gives_each_split_its_rows_in_manifest_order():
     for split in SPLITS:
         expected = [by_uid[uid] for uid in manifest.ids_for(split)]
         assert conn_records(subsets[split]) == expected
-        assert malicious(subsets[split]) == [r.is_malicious for r in expected]
+        assert malicious(subsets[split]) == [r.label.is_malicious for r in expected]
     manifest.assignment["Cmissing"] = "dev"
     with pytest.raises(SplitError, match="^manifest uid 'Cmissing' is not in the conn table$"):
         take_splits(records, manifest)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from datetime import datetime
 from types import SimpleNamespace
@@ -12,10 +11,8 @@ from iotsqlbench.ingest import (
     KIND_FIELDS,
     AttackLabel,
     BadDirective,
-    ConnRecord,
     ConnTable,
     MissingFieldsHeader,
-    RecordInvariantError,
     SynthSpec,
     UnknownKind,
     UnknownLabel,
@@ -27,7 +24,7 @@ from iotsqlbench.ingest import (
     synthesize_logs,
 )
 from iotsqlbench.ingest import zeek
-from tests.conftest import conn_records
+from tests.conftest import ConnRow, conn_records
 
 HEADER = "\n".join([
     "#separator \\x09",
@@ -74,7 +71,7 @@ def test_conn_line_parses_all_21_columns():
     assert rec.local_orig is True and rec.local_resp is False
     assert rec.tunnel_parents is None
     assert rec.ts.year == 2021 and rec.ts.microsecond == 123456
-    assert rec.label is AttackLabel.Benign and rec.is_malicious is False
+    assert rec.label is AttackLabel.Benign and rec.label.is_malicious is False
 
 
 def test_dash_maps_to_unset():
@@ -94,7 +91,7 @@ def test_labels_as_declared_columns():
     line = GOOD_LINE + "\tMalicious\tOkiru"
     result = parse_zeek(header + "\n" + line + "\n", "conn")
     (rec,) = conn_records(result.records)
-    assert rec.label is AttackLabel.Okiru and rec.is_malicious
+    assert rec.label is AttackLabel.Okiru and rec.label.is_malicious
 
 
 def test_labels_as_extra_trailing_columns():
@@ -172,8 +169,8 @@ def test_json_line_that_is_not_an_object_is_a_parse_issue():
     assert result.issues[1].message.startswith("bad json")
 
 
-# A NaN duration passes the column range check (min and max skip a NaN that
-# is not first) and _convert (NaN < 0 is false); __post_init__ rejects it.
+# min and max skip a NaN that is not first, so the column range check
+# searches a duration column for one
 @pytest.mark.parametrize("position", [0, 1, 255, 256, 299])
 def test_nan_duration_reported_as_negative_duration(position):
     lines = [GOOD_LINE.replace("CAbc1", f"CNan{i}") for i in range(300)]
@@ -200,52 +197,54 @@ def test_nan_duration_in_json_reported():
     assert [issue.message for issue in result.issues] == ["duration must be nonnegative: nan"]
 
 
-def test_parsed_record_is_the_dataclass_record():
+def test_parsed_row_holds_each_value_in_its_type():
     parts = GOOD_LINE.split("\t")
     parts[7], parts[8], parts[12], parts[13], parts[20] = "(empty)", "-", "-", "T", "(empty)"
     labeled = "\t".join(parts + ["Malicious", "Okiru"])
     (record,) = conn_records(parse_zeek(HEADER + "\n" + labeled + "\n", "conn").records)
-    reference = ConnRecord(
+    reference = ConnRow(
         ts=datetime(2021, 3, 19, 13, 46, 56, 123456), uid="CAbc1", orig_h="192.168.1.5",
         orig_p=51234, resp_h="10.0.0.9", resp_p=80, proto="tcp", service="", duration=None,
         orig_bytes=450, resp_bytes=2300, conn_state="SF", local_orig=None, local_resp=True,
         missed_bytes=0, history="ShADadFf", orig_pkts=7, orig_ip_bytes=730, resp_pkts=9,
         resp_ip_bytes=2660, tunnel_parents="", label=AttackLabel.Okiru,
     )
-    for spec in dataclasses.fields(ConnRecord):
-        value, expected = getattr(record, spec.name), getattr(reference, spec.name)
-        assert value == expected and type(value) is type(expected), spec.name
+    for name in ConnRow._fields:
+        value, expected = getattr(record, name), getattr(reference, name)
+        assert value == expected and type(value) is type(expected), name
     assert record == reference and hash(record) == hash(reference)
     assert repr(record) == repr(reference)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.duration = 1.0
 
 
-_VALID_RECORD = dict(
-    ts=datetime(2021, 3, 19, 13, 46, 56), uid="CInv1", orig_h="192.168.1.5", orig_p=51234,
-    resp_h="10.0.0.9", resp_p=80, proto="tcp", service=None, duration=0.5, orig_bytes=450,
-    resp_bytes=2300, conn_state="SF", local_orig=None, local_resp=None, missed_bytes=0,
-    history="ShADadFf", orig_pkts=7, orig_ip_bytes=730, resp_pkts=9, resp_ip_bytes=2660,
-    tunnel_parents=None,
-)
-
-
-@pytest.mark.parametrize("name, bad, message", [
-    ("orig_p", 65536, "orig_p out of range: 65536"),
-    ("orig_p", -1, "orig_p out of range: -1"),
-    ("resp_p", 70000, "resp_p out of range: 70000"),
-    ("duration", -0.5, "duration must be nonnegative: -0.5"),
-    ("duration", float("nan"), "duration must be nonnegative: nan"),
-    *((name, -1, f"{name} must be nonnegative: -1") for name in (
+# an out-of-range value of each bounded field, and the issue it gives; a
+# NaN duration is refused in every kind
+_OUT_OF_RANGE = [
+    ("conn", "id.orig_p", 65536, "orig_p out of range: 65536"),
+    ("conn", "id.orig_p", -1, "orig_p out of range: -1"),
+    ("conn", "id.resp_p", 70000, "resp_p out of range: 70000"),
+    ("conn", "duration", -0.5, "duration must be nonnegative: -0.5"),
+    ("conn", "duration", float("nan"), "duration must be nonnegative: nan"),
+    *(("conn", name, -1, f"{name} must be nonnegative: -1") for name in (
         "orig_bytes", "resp_bytes", "missed_bytes", "orig_pkts", "orig_ip_bytes",
         "resp_pkts", "resp_ip_bytes")),
-])
-def test_conn_record_invariants_name_the_field(name, bad, message):
-    ConnRecord(**_VALID_RECORD)
-    ConnRecord(**{**_VALID_RECORD, name: None})
-    with pytest.raises(RecordInvariantError) as exc:
-        ConnRecord(**{**_VALID_RECORD, name: bad})
-    assert str(exc.value) == message
+    ("files", "duration", float("nan"), "duration must be nonnegative: nan"),
+    ("dns", "rtt", float("nan"), "rtt must be nonnegative: nan"),
+]
+
+
+@pytest.mark.parametrize("kind, field, bad, message", _OUT_OF_RANGE)
+def test_reader_refuses_an_out_of_range_value_in_tsv_and_json(kind, field, bad, message):
+    lines = serialize_zeek(synthesize_logs(SynthSpec(counts={kind: 1}, seed=3))[kind], kind).splitlines()
+    good = lines[8]
+    values = good.split("\t")
+    values[lines[6].split("\t")[1:].index(field)] = str(bad)
+    tsv = parse_zeek("\n".join([*lines[:8], good, "\t".join(values)]) + "\n", kind)
+    json_good = _JSON_CONN if kind == "conn" else {"ts": 1616161616.5, "uid": "CJson1"}
+    lines = [json.dumps(json_good), json.dumps(dict(json_good, **{field: bad}))]
+    from_json = parse_zeek("\n".join(lines) + "\n", kind)
+    assert len(tsv.records) == len(from_json.records) == 1
+    assert [(i.line_no, i.message) for i in tsv.issues] == [(10, message)]
+    assert [(i.line_no, i.message) for i in from_json.issues] == [(2, message)]
 
 
 def test_parse_iot23_label_cases():
@@ -282,7 +281,7 @@ def test_round_trip_all_kinds(synth_data):
 @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
 def test_round_trip_keeps_a_value_holding_a_unicode_line_break(mark):
     records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
-    records[1] = dataclasses.replace(records[1], history=f"Sh{mark}Ad")
+    records[1] = records[1]._replace(history=f"Sh{mark}Ad")
     text = serialize_zeek(ConnTable.of(records), "conn")
     back = parse_zeek(text, "conn")
     assert not back.issues
@@ -303,7 +302,7 @@ def test_round_trip_keeps_every_string_the_writer_accepts(kind, data):
     specs = KIND_FIELDS[kind]
     if kind == "conn":
         records = ConnTable.of([
-            dataclasses.replace(record, **{
+            record._replace(**{
                 spec.name: data.draw(_READABLE) for spec in specs if spec.vtype == "str"})
             for record in conn_records(records)])
     else:
@@ -318,7 +317,7 @@ def test_round_trip_keeps_every_string_the_writer_accepts(kind, data):
 @pytest.mark.parametrize("value", ["-", "(empty)", "S\tA", "S\nA"])
 def test_serialize_rejects_a_string_the_reader_would_misread(value):
     records = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
-    records[1] = dataclasses.replace(records[1], history=value)
+    records[1] = records[1]._replace(history=value)
     with pytest.raises(ValueError, match="history: the Zeek reader would misread"):
         serialize_zeek(ConnTable.of(records), "conn")
 
@@ -334,7 +333,7 @@ def test_serialize_rejects_a_last_value_the_reader_would_misread_only_where_it_i
     assert parse_zeek(serialize_zeek(records, "weird"), "weird").records == records
     conn = conn_records(synthesize_logs(SynthSpec(counts={"conn": 3}, seed=3))["conn"])
     for value in ["C1\r", "C1  Malicious  Okiru"]:
-        conn[1] = dataclasses.replace(conn[1], tunnel_parents=value)
+        conn[1] = conn[1]._replace(tunnel_parents=value)
         table = ConnTable.of(conn)
         assert parse_zeek(serialize_zeek(table, "conn"), "conn").records == table
 
@@ -372,7 +371,9 @@ _REFERENCE_REQUIRED = (
 
 
 def _reference_record(kind, plan, values, unset, empty):
-    """One line, one value at a time through zeek._convert."""
+    """One line, one value at a time through zeek._convert; a conn line then
+    reads its label and checks its required fields, and gives its values
+    and label."""
     converted, raw_label, raw_detail = {}, None, None
     for spec, value in zip(plan, values):
         if spec is None:
@@ -388,11 +389,10 @@ def _reference_record(kind, plan, values, unset, empty):
     label = AttackLabel.Benign
     if raw_label is not None:
         label = parse_iot23_label(raw_label, raw_detail if raw_detail is not None else "-")
-    kwargs = {spec.name: converted.get(spec.name) for spec in KIND_FIELDS["conn"]}
     for name in _REFERENCE_REQUIRED:
-        if kwargs[name] is None:
+        if converted.get(name) is None:
             raise ValueError(f"required field {name} is unset")
-    return ConnRecord(label=label, **kwargs)
+    return ConnRow(*(converted.get(spec.name) for spec in KIND_FIELDS["conn"]), label)
 
 
 # the label columns the reference appends to a line's plan; the reference
@@ -418,7 +418,7 @@ def _reference_arity(values, plan, kind):
 
 
 def _rows(records):
-    """A parse's records as a list: a conn table's rows as ConnRecords."""
+    """A parse's records as a list: a conn table's rows as ConnRows."""
     return conn_records(records) if isinstance(records, ConnTable) else records
 
 
@@ -449,7 +449,7 @@ def _reference_parse(text, kind):
         values, line_plan = reconciled
         try:
             records.append(_reference_record(kind, line_plan, values, unset, empty))
-        except (ValueError, RecordInvariantError, UnknownLabel) as exc:
+        except (ValueError, UnknownLabel) as exc:
             issues.append((line_no, str(exc)))
     return records, issues
 
@@ -459,7 +459,7 @@ _GOOD = {
     "count": ["0", "450", "7", "007"],
     "port": ["0", "80", "65535"],
     "float": ["1.5", "-0.25", "nan", "inf", "1e3"],
-    "duration": ["0.0", "1.500000", "inf", "nan"],  # NaN fails the conn invariant
+    "duration": ["0.0", "1.500000", "inf"],
     "bool": ["T", "F", "true", "False"],
     "str": ["abc", "x y", "CAbc1", "-x", "(empty)x"],
 }
@@ -468,7 +468,7 @@ _BAD = {
     "count": ["-3", "1.9", "x"],
     "port": ["70000", "-1", "8O"],
     "float": ["x", "1,5"],
-    "duration": ["-0.5", "1,5"],
+    "duration": ["-0.5", "1,5", "nan"],
     "bool": ["yes", "1"],
 }
 _LABEL_PAIRS = [

@@ -12,17 +12,18 @@ from iotsqlbench.ingest import (
     KIND_FIELDS,
     ZEEK_KINDS,
     AttackLabel,
-    ConnRecord,
     ConnTable,
     serialize_zeek,
 )
 from iotsqlbench.ingest import zeek
+from tests.conftest import ConnRow
 
 _TIMES = st.datetimes(min_value=datetime(1, 1, 1),
                       max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-# non-string values a record of any kind may hold; a conn record keeps its
-# invariants (ports in range, counts and duration nonnegative, no NaN duration)
+# non-string values the writer renders in a row of any kind; a conn row keeps
+# the reader's ranges (ports in range, counts and duration nonnegative, no
+# NaN duration)
 _VALUES = {
     "time": _TIMES,
     "count": st.integers(-2**64, 2**64),
@@ -62,7 +63,7 @@ def _records(draw):
     if kind != "conn":
         return kind, rows
     labels = draw(st.lists(st.sampled_from(list(AttackLabel)), min_size=len(rows), max_size=len(rows)))
-    return kind, [ConnRecord(*row, label=label) for row, label in zip(rows, labels)]
+    return kind, [ConnRow(*row, label) for row, label in zip(rows, labels)]
 
 
 def _reference_serialize(records, kind):
