@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from . import baselines, evaluation, modelio, splitter, templates
@@ -34,9 +35,18 @@ from .ingest import (
     serialize_sensors,
     serialize_zeek,
     synthesize_logs,
+    table_columns,
 )
 from .lines import NotUtf8, read_text
-from .store import Database, StoreError, default_schema, dump_schema_text, load_schema_file
+from .store import (
+    Database,
+    SchemaError,
+    StoreError,
+    default_schema,
+    dump_schema_text,
+    load_schema_file,
+    norm_ident,
+)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -45,6 +55,7 @@ EXIT_CONFIG = 2
 DATA_ERRORS = (
     IngestError,
     StoreError,
+    SchemaError,
     templates.TemplateError,
     splitter.SplitError,
     modelio.ModelIOError,
@@ -128,7 +139,31 @@ class ArtifactWriter:
 
 def _load_schema(cfg: RunConfig):
     path = cfg.raw("schema")
-    return load_schema_file(path) if path else default_schema()
+    return _read_schema(path) if path else default_schema()
+
+
+def _read_schema(path):
+    """The schema of a schema file; a malformed one is a SchemaError naming
+    the file.  A Zeek log's rows are loaded by position, so each Zeek table
+    the schema names must list its reader's columns (``table_columns``) in
+    order, names folded as the store folds them; the first column that
+    differs is a SchemaError naming the file and the table."""
+    try:
+        schema = load_schema_file(str(path))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    for kind in ZEEK_KINDS:
+        table = schema.table(TABLE_FOR_KIND[kind])
+        if table is None:
+            continue
+        have = [(column.name, column.attribute) for column in table.columns]
+        pairs = zip_longest(have, table_columns(kind), fillvalue=("", "missing"))
+        for i, (got, want) in enumerate(pairs, 1):
+            if (norm_ident(got[0]), got[1]) != (norm_ident(want[0]), want[1]):
+                got, want = (" ".join(pair).strip() for pair in (got, want))
+                raise SchemaError(f"{path}: table {table.name}: column {i} is {got}, "
+                                  f"its reader gives {want}")
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +243,7 @@ def load_db_dir(path: Path):
     is a data error naming ``<file>:<line>``: its row would silently go
     missing from the database."""
     schema_file = path / "schema.txt"
-    schema = load_schema_file(str(schema_file)) if schema_file.exists() else default_schema()
+    schema = _read_schema(schema_file) if schema_file.exists() else default_schema()
     data, issues = read_logs_dir(path)
     if issues:
         loc, message = issues[0]

@@ -8,8 +8,9 @@ CONN_FIELDS names, then the label), which the detection path
 (anonymization, the splits, the TSV and JSONL writers, the featurizer)
 reads and replaces a column at a time.  A producer that makes one row at a
 time, in CONN_TABLE_NAMES order, gathers its rows into a table with
-``ConnTable.of``.  A value's range is stated once, by its ``vtype`` in the
-Zeek reader's per-value rules (``zeek._convert``).
+``ConnTable.of``.  A value's range is stated once, by its ``vtype``'s
+entry in the Zeek rules (``zeek._TYPES``), which the readers and the writer
+read.
 """
 
 from __future__ import annotations

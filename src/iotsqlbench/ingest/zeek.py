@@ -6,38 +6,22 @@ collection.  Labeled IoT-23 conn logs are accepted in the three shapes
 seen in the wild: label columns declared in ``#fields``, appended as extra
 TSV columns, or glued onto the final field with spaces.
 
-A TSV log is converted one column at a time.  The data lines between two
-directives form a run, taken ``_BLOCK_LINES`` lines at a time
-(``_split_block``).  Each line of a block is split and checked by
-``_reconcile_arity`` (the IoT-23 label quirks, the field count), and the
-block's lines go on as columns, in groups of consecutive lines of one line
-plan.
+Each value type (``FieldSpec.vtype``) has one entry in ``_TYPES``: its
+parse, range, JSON types, render and store attribute.  The TSV reader
+(a column at a time, or value by value in ``_convert``), the JSON reader
+(``_convert_json``), the writer (``_check_readable``, ``_render_column``)
+and ``table_columns`` read it; only string markers have rules of their own.
 
-Each column is converted in one pass (``int``, ``float``,
-``epoch_to_datetime`` or the bool table mapped over it, then one range
-check); a string column maps the unset and empty markers to None and "" in
-one pass, and any other column that holds the unset marker converts its
-other values in one pass and puts None back (``_fill``).  A time column of
-plain ``digits.dddddd`` values is converted in C-level passes as exact
-microsecond counts (``_epoch_column``).  A column goes through the per-value
-``_convert`` instead when it holds the empty marker outside a string column,
-when a value does not parse, or when a value is out of range (a port
-outside 0..65535, a negative count, a negative or NaN duration); that path
-finds each bad line's first failing column, so issues and records are the
-same as a line-by-line parse gives.  ``_convert`` (``_convert_json`` for a
-JSON line) is the one per-value semantics, and the only statement of a
-value's range, for every kind.
-
-A conn block adds two column passes: its labels are read (an unknown one
-fails its line), then its required fields must be present.  Each line
-reports its first failure (column, then label, then required field), and
-the good lines' columns are kept.  A conn log parses to a
-``records.ConnTable``: the columns of its blocks, in CONN_FIELDS order,
-plus the label column.  A log of any other kind parses to a list of row
-tuples in ``KIND_FIELDS[kind]`` order, the rows the database stores.  Rows
-of every kind are rendered (``serialize_zeek``) a column at a time in the
-same way (``_render_column``), a conn log from its table's columns, with
-``_render`` as the per-value semantics it matches.
+A TSV log is read ``_BLOCK_LINES`` data lines at a time.  Each line is
+split and checked by ``_reconcile_arity`` (the IoT-23 label quirks, the
+field count), and a block's lines are converted as columns, each in one
+pass and one range check.  A column that holds the empty marker outside a
+string column, or a value that does not parse or is out of range, goes
+value by value instead, so issues and records are the same as a
+line-by-line parse gives.  A conn block then reads its labels and checks
+its required fields; each line reports its first failure (column, then
+label, then required field).  A conn log parses to a ``records.ConnTable``
+of columns, any other kind to row tuples in ``KIND_FIELDS[kind]`` order.
 """
 
 from __future__ import annotations
@@ -48,6 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, count, repeat
 from operator import attrgetter, is_, is_not, itemgetter
+from typing import Callable
 
 from ..lines import split_lines
 from .records import (
@@ -80,8 +65,8 @@ class BadDirective(IngestError):
 
 
 class UnreadableValue(IngestError, ValueError):
-    """A string value ``serialize_zeek`` refuses because ``parse_zeek``
-    would misread it (``_check_readable``)."""
+    """A value ``serialize_zeek`` refuses because ``parse_zeek`` would
+    misread or refuse it (``_check_readable``)."""
 
 
 class MissingFieldsHeader(BadDirective):
@@ -126,7 +111,12 @@ def datetime_to_epoch(dt: datetime) -> str:
     return f"{sign}{delta.days * 86400 + delta.seconds}.{delta.microseconds:06d}"
 
 
-_BOOLS = {"T": True, "true": True, "True": True, "F": False, "false": False, "False": False}
+class _Bools(dict):  # a Zeek bool's text to its value; any other text is a bad bool
+    def __missing__(self, value):
+        raise ValueError(f"bad bool {value!r}")
+
+
+_BOOLS = _Bools({"T": True, "true": True, "True": True, "F": False, "false": False, "False": False})
 
 
 # kept: without it detect-pipeline setup_s read +8.9%, slower in 11 of 12 pairs (BENCH_28.json)
@@ -149,6 +139,56 @@ def _epoch_column(column) -> list:
     return list(map(epoch_to_datetime, column))
 
 
+@dataclass(frozen=True)
+class _Type:
+    """The rules of one Zeek value type, for a value that is no marker."""
+    attribute: str          # the store attribute of a column of the type
+    parse: Callable         # TSV text to value; a ValueError with the issue
+    render: Callable        # value (never None) to TSV text
+    from_json: Callable     # JSON value (never null) of a type it takes to value
+    json_types: tuple = ()  # the exact JSON types it takes (a bool is no number); () any
+    json_issue: str = ""
+    bounds: tuple = ()      # (lowest, highest, issue) of a value; a NaN is outside
+    parse_column: Callable | None = None  # parse over a column (None: parse mapped over it)
+
+
+_INTEGER, _NUMBER = "{name} must be an integer: {value!r}", "{name} must be a number: {value!r}"
+_NONNEGATIVE = (0, math.inf, "{name} must be nonnegative: {value}")
+_PORT = (0, 65535, "{name} out of range: {value}")
+_TYPES = {
+    # a JSON set or vector is a list, its members joined as in TSV
+    "str": _Type("text", str, str, lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v)),
+    "time": _Type("time", epoch_to_datetime, datetime_to_epoch, lambda v: epoch_to_datetime(str(v)),
+                  parse_column=_epoch_column),
+    "count": _Type("number", int, str, int, (int,), _INTEGER, _NONNEGATIVE),
+    "port": _Type("number", int, str, int, (int,), _INTEGER, _PORT),
+    "float": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER),
+    "duration": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _NONNEGATIVE),
+    "bool": _Type("boolean", _BOOLS.__getitem__, {True: "T", False: "F"}.__getitem__, bool, (bool,),
+                  "bad bool {value!r}"),
+}
+
+
+def _check_range(values: list, spec: FieldSpec) -> list:
+    """``values`` (no None) if each is within the bounds of ``spec``'s type,
+    else a ValueError with the reader's issue for the first that is not.  One
+    min() and one max() test a list; both skip a NaN unless it leads, so the
+    sum, NaN when any value is, must also equal itself."""
+    bounds = _TYPES[spec.vtype].bounds
+    if bounds and values:
+        total = sum(values)
+        if not (bounds[0] <= min(values) and max(values) <= bounds[1] and total == total):
+            bad = next(value for value in values if not bounds[0] <= value <= bounds[1])
+            raise ValueError(bounds[2].format(name=spec.name, value=bad))
+    return values
+
+
+def table_columns(kind: str) -> list[tuple[str, str]]:
+    """(name, store attribute) of each column of a ``kind`` log's table, in
+    ``KIND_FIELDS[kind]`` order, the order the rows are loaded in."""
+    return [(spec.name, _TYPES[spec.vtype].attribute) for spec in KIND_FIELDS[kind]]
+
+
 def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
     if value == unset:
         return None
@@ -158,40 +198,7 @@ def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
         if spec.vtype == "str":
             return ""
         raise ValueError(f"{spec.name}: empty marker in a {spec.zeek_type} field")
-    vtype = spec.vtype
-    if vtype == "str":
-        return value
-    if vtype == "time":
-        return epoch_to_datetime(value)
-    if vtype in ("count", "port"):
-        out = int(value)
-    elif vtype in ("float", "duration"):
-        out = float(value)
-    elif vtype == "bool":
-        if value in _BOOLS:
-            return _BOOLS[value]
-        raise ValueError(f"bad bool {value!r}")
-    else:
-        raise ValueError(f"unhandled field type {vtype!r}")
-    if vtype == "port" and not 0 <= out <= 65535:
-        raise ValueError(f"{spec.name} out of range: {out}")
-    if vtype in ("count", "duration") and not out >= 0:  # NaN fails too
-        raise ValueError(f"{spec.name} must be nonnegative: {out}")
-    return out
-
-
-def _render(value, spec: FieldSpec) -> str:
-    if value is None:
-        return "-"
-    if value == "" and spec.vtype == "str":
-        return "(empty)"
-    if spec.vtype == "time":
-        return datetime_to_epoch(value)
-    if spec.vtype == "bool":
-        return "T" if value else "F"
-    if spec.vtype in ("float", "duration"):
-        return f"{value:.6f}"
-    return str(value)
+    return _check_range([_TYPES[spec.vtype].parse(value)], spec)[0]
 
 
 def parse_zeek(text: str, kind: str) -> ZeekParseResult:
@@ -350,37 +357,15 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
     )
 
 
-# Column conversions that match _convert on a column free of the unset and
-# empty markers (a time column takes _epoch_column); a column they reject,
-# or whose values fall outside the range below, goes through _convert value
-# by value.
-_COLUMN_CONVERT = {
-    "count": int, "port": int,
-    "float": float, "duration": float,
-    "bool": _BOOLS.__getitem__,
-}
-# (lowest, highest) allowed value, one min() and one max() per column; both
-# skip a NaN unless it leads the column, so a duration column is also
-# searched for one
-_COLUMN_RANGE = {"count": (0, math.inf), "duration": (0, math.inf), "port": (0, 65535)}
-
-
-def _in_range(out: list, vtype: str) -> bool:
-    bounds = _COLUMN_RANGE.get(vtype)
-    return (bounds is None or not out
-            or (bounds[0] <= min(out) and max(out) <= bounds[1]
-                and not (vtype == "duration" and any(map(math.isnan, out)))))
-
-
 def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
     """Convert one column of raw values; a value that fails records its
     message in ``errors`` (row index -> message) unless that row already
     failed in an earlier column, whose values then stop being converted.
 
     A string column maps its markers to None and "" in one pass.  Any other
-    column converts its values other than the unset marker in one pass and
-    puts None back in the marker's places (``_fill``); a column that holds
-    the empty marker, or whose pass fails, goes value by value.
+    column parses its values but the unset marker in one pass, checks them
+    (``_check_range``) and puts None back in the marker's places (``_fill``);
+    a column holding the empty marker, or whose pass fails, goes value by value.
     """
     if spec.vtype == "str":
         if unset in column or empty in column:
@@ -390,14 +375,14 @@ def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dic
     if empty not in column:
         keep = list(map(unset.__ne__, column)) if unset in column else None
         present = column if keep is None else list(compress(column, keep))
+        rules = _TYPES[spec.vtype]
         try:
-            out = (_epoch_column(present) if spec.vtype == "time"
-                   else list(map(_COLUMN_CONVERT[spec.vtype], present)))
-        except (ValueError, KeyError):
+            out = _check_range(list(map(rules.parse, present)) if rules.parse_column is None
+                               else rules.parse_column(present), spec)
+        except ValueError:
             pass
         else:
-            if _in_range(out, spec.vtype):
-                return out if keep is None else _fill(keep, out, None)
+            return out if keep is None else _fill(keep, out, None)
     out = []
     for i, value in enumerate(column):
         if i in errors:
@@ -489,13 +474,6 @@ _REQUIRED = [
 ]
 
 
-def _require_present(values: tuple) -> None:
-    """``values`` in CONN_FIELDS order."""
-    for name, j in _REQUIRED:
-        if values[j] is None:
-            raise ValueError(f"required field {name} is unset")
-
-
 def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
     records: list = []
     issues: list[ParseIssue] = []
@@ -516,12 +494,12 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
                 _convert_json(obj.get(spec.zeek_name, obj.get(spec.name)), spec) for spec in specs
             )
             if kind == "conn":
-                label = AttackLabel.Benign
-                if "label" in obj or "detailed-label" in obj:
-                    label = parse_iot23_label(
-                        str(obj.get("label", "-")), str(obj.get("detailed-label", "-"))
-                    )
-                _require_present(values)
+                # a line without label fields reads as ("-", "-"), Benign
+                label = parse_iot23_label(str(obj.get("label", "-")),
+                                          str(obj.get("detailed-label", "-")))
+                missing = [name for name, j in _REQUIRED if values[j] is None]
+                if missing:
+                    raise ValueError(f"required field {missing[0]} is unset")
                 values = (*values, label)
             records.append(values)
         except (ValueError, UnknownLabel) as exc:
@@ -533,32 +511,10 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
 def _convert_json(value, spec: FieldSpec):
     if value is None:
         return None
-    if spec.vtype in ("count", "port"):
-        # only a JSON integer: 1.9, true or "80" is a bad line, not 1, 1 or 80
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{spec.name} must be an integer: {value!r}")
-        if spec.vtype == "port" and not 0 <= value <= 65535:
-            raise ValueError(f"{spec.name} out of range: {value}")
-        if spec.vtype == "count" and value < 0:
-            raise ValueError(f"{spec.name} must be nonnegative: {value}")
-        return value
-    if spec.vtype in ("float", "duration"):
-        # only a JSON number: true, "2.5" or [1.5] is a bad line
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"{spec.name} must be a number: {value!r}")
-        out = float(value)
-        if spec.vtype == "duration" and not out >= 0:  # NaN fails too
-            raise ValueError(f"{spec.name} must be nonnegative: {out}")
-        return out
-    if spec.vtype == "time":
-        return epoch_to_datetime(repr(value) if isinstance(value, float) else str(value))
-    if spec.vtype == "bool":
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"bad bool {value!r}")
-    if isinstance(value, list):  # a set or vector, in a string field only
-        return ",".join(str(v) for v in value)
-    return str(value)
+    rules = _TYPES[spec.vtype]
+    if rules.json_types and type(value) not in rules.json_types:
+        raise ValueError(rules.json_issue.format(name=spec.name, value=value))
+    return _check_range([rules.from_json(value)], spec)[0]
 
 
 def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
@@ -566,9 +522,9 @@ def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
 
     A conn log is rendered from its ``ConnTable``'s columns, with its label
     columns when it has rows; a log of any other kind from its row tuples.
-    A string value that ``parse_zeek`` would misread is an UnreadableValue,
-    a ValueError and a data error (``_check_readable``); no value is
-    escaped."""
+    A value that ``parse_zeek`` would misread or refuse is an
+    UnreadableValue, a ValueError and a data error (``_check_readable``);
+    no value is escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     n = len(records)
@@ -596,8 +552,7 @@ def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
             block = zip(*records[start:stop], strict=True)
         rendered = []
         for column, spec in zip(block, KIND_FIELDS[kind]):
-            if spec.vtype == "str":
-                _check_readable(column, spec, spec is specs[-1], start + 1)
+            _check_readable(column, spec, spec is specs[-1], start + 1)
             rendered.append(_render_column(column, spec))
         if kind == "conn":
             labels = columns["label"][start:stop]
@@ -611,42 +566,47 @@ def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
 
 
 def _check_readable(column, spec: FieldSpec, last: bool, first_row: int) -> None:
-    """Raise UnreadableValue on a string value that ``parse_zeek`` would
-    misread: one equal to the unset or empty marker or holding a tab or
-    "\\n", or, as the ``last`` value of its line, one ending in "\\r", which
-    the line rule drops.  Rows are numbered from ``first_row``."""
-    for row, value in enumerate(column, first_row):
-        if value and (value in ("-", "(empty)") or "\t" in value or "\n" in value
-                      or last and value.endswith("\r")):
-            raise UnreadableValue(f"record {row}: {spec.name}: the Zeek reader would misread {value!r}")
+    """Raise UnreadableValue, naming the first record that ``parse_zeek``
+    would misread or refuse, counted from ``first_row``.  A string value is
+    misread when it equals the unset or empty marker or holds a tab or
+    "\\n", or, as the ``last`` value of its line, ends in "\\r", which
+    the line rule drops.  Any other value is refused, with the reader's own
+    issue, when it lies outside its type's bounds (``_check_range``)."""
+    if spec.vtype == "str":
+        for row, value in enumerate(column, first_row):
+            if value and (value in ("-", "(empty)") or "\t" in value or "\n" in value
+                          or last and value.endswith("\r")):
+                raise UnreadableValue(f"record {row}: {spec.name}: the Zeek reader would misread {value!r}")
+        return
+    rows = count(first_row)
+    if None in column:
+        keep = list(map(is_not, column, repeat(None)))
+        rows, column = compress(rows, keep), list(compress(column, keep))
+    try:
+        _check_range(column, spec)
+    except ValueError:
+        for row, value in zip(rows, column):
+            try:
+                _check_range([value], spec)
+            except ValueError as exc:
+                raise UnreadableValue(f"record {row}: {exc}") from None
 
 
 _STR_MARKERS_RENDERED = {None: "-", "": "(empty)"}
 
 
 def _render_column(column, spec: FieldSpec) -> list[str]:
-    """``_render`` over one column, in one pass.  A string column maps None
-    to "-" and "" to "(empty)" as it renders; any other column renders its
-    values other than None in one pass and puts "-" back in place of each
-    None (``_fill``)."""
+    """Render one column in one pass.  A string column maps None to "-" and
+    "" to "(empty)" as it renders; any other column renders its values
+    other than None in one pass and puts "-" back in place of each None
+    (``_fill``)."""
     if spec.vtype == "str":
         return list(map(_STR_MARKERS_RENDERED.get, column, map(str, column)))
+    render = _TYPES[spec.vtype].render
     if None in column:
         keep = list(map(is_not, column, repeat(None)))
-        return _fill(keep, _render_values(list(compress(column, keep)), spec.vtype), "-")
-    return _render_values(column, spec.vtype)
-
-
-def _render_values(column, vtype: str) -> list[str]:
-    """``_render`` over a column of a number, time or bool type that holds
-    no None."""
-    if vtype in ("float", "duration"):
-        return list(map("{:.6f}".format, column))
-    if vtype == "time":
-        return list(map(datetime_to_epoch, column))
-    if vtype == "bool":
-        return ["T" if value else "F" for value in column]
-    return list(map(str, column))
+        return _fill(keep, list(map(render, compress(column, keep))), "-")
+    return list(map(render, column))
 
 
 def rows_for_table(records: ConnTable | list[tuple], kind: str) -> list[tuple]:

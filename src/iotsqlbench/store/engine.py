@@ -241,12 +241,6 @@ class Database:
             self._tables = {**self._tables, tschema.name: self._tables[tschema.name] + tuple(staged)}
         return len(staged)
 
-    def row_count(self, table: str) -> int:
-        tschema = self.schema.table(table)
-        if tschema is None:
-            raise UnknownTable(f"no such table {table!r}")
-        return len(self._tables[tschema.name])
-
     def snapshot(self) -> Mapping[str, tuple]:
         return types.MappingProxyType(self._tables)
 

@@ -104,10 +104,6 @@ class DatabaseSchema:
     def table(self, name: str) -> TableSchema | None:
         return self._index.get(norm_ident(name))
 
-    @property
-    def n_columns(self) -> int:
-        return sum(len(t.columns) for t in self.tables)
-
 
 @dataclass(frozen=True)
 class LinearizedSchema:
@@ -136,7 +132,7 @@ def linearize_schema(schema: DatabaseSchema) -> LinearizedSchema:
 
     Token layout: a leading ``*``, then per table the table name followed by
     (column name, attribute) for every column in declared order.  Token count
-    is ``1 + sum(1 + 2 * n_columns)`` over tables.
+    is 1, plus 1 per table, plus 2 per column.
     """
     tokens: list[str] = ["*"]
     for table in schema.tables:

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from iotsqlbench import cli
 from iotsqlbench.cli import main
 from iotsqlbench.ingest import serialize_zeek
+from iotsqlbench.store import TableSchema, default_schema, define_schema, dump_schema_text
 
 SMALL = [
     "--set", "synth.conn=250", "--set", "synth.dns=60", "--set", "synth.http=40",
@@ -560,3 +562,50 @@ def test_ingest_and_config_report_a_byte_that_is_not_utf8_naming_its_line(tmp_pa
     config.write_bytes(b"seed = 3\nsynth.conn = \xe9\n")
     assert run(["--config", config, "config"]) == 2
     assert f"{config}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+
+def _conn_schema_text(edit) -> str:
+    """The default schema's text, its conn.log columns passed through ``edit``."""
+    tables = [TableSchema(table.name, tuple(edit(list(table.columns)))) if table.name == "conn.log"
+              else table for table in default_schema().tables]
+    return dump_schema_text(define_schema(tables))
+
+
+def _swap_uid_and_history(columns):
+    columns[1], columns[15] = columns[15], columns[1]
+    return columns
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_uid_and_history, "table conn.log: column 2 is history text, its reader gives uid text"),
+    (lambda columns: columns[:-1],
+     "table conn.log: column 21 is missing, its reader gives tunnel_parents text"),
+])
+def test_a_schema_that_lists_a_zeek_log_unlike_its_reader_is_a_data_error(tmp_path, capsys, edit,
+                                                                           message):
+    # rows are loaded by position, so such a schema would misload or fail later
+    schema = tmp_path / "schema.txt"
+    schema.write_text(_conn_schema_text(edit), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(["--out", out, *SMALL, "--set", f"schema={schema}", "synth"]) == 1
+    assert capsys.readouterr().err == f"error: {schema}: {message}\n"
+    assert not (out / "synth").exists()
+    assert run(["--out", out, *SMALL, "synth"]) == 0
+    db_schema = out / "synth/schema.txt"
+    db_schema.write_bytes(schema.read_bytes())
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "pairs", *SMALL, "gen-pairs", "--db", out / "synth"]) == 1
+    assert capsys.readouterr().err == f"error: {db_schema}: {message}\n"
+
+
+def test_a_malformed_schema_file_is_a_data_error_naming_it(tmp_path, capsys):
+    schema = tmp_path / "schema.txt"
+    schema.write_text("table conn.log\n    colum ts time\n", encoding="utf-8")
+    assert run(["--out", tmp_path / "run", "--set", f"schema={schema}", "synth"]) == 1
+    assert capsys.readouterr().err == f"error: {schema}: line 2: unrecognized directive 'colum'\n"
+
+
+def test_the_default_schema_lists_each_zeek_log_as_its_reader_does(tmp_path):
+    schema = tmp_path / "schema.txt"
+    schema.write_text(dump_schema_text(default_schema()), encoding="utf-8")
+    assert cli._read_schema(schema) == default_schema()

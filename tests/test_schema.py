@@ -24,7 +24,7 @@ def test_define_schema_single_table():
             ColumnDef("orig_h", "text"), ColumnDef("orig_p", "number"),
         )),
     ])
-    assert schema.n_columns == 2
+    assert sum(len(t.columns) for t in schema.tables) == 2
     assert schema.table("conn.log").column("orig_h").attribute == "text"
 
 
@@ -57,7 +57,7 @@ def test_bad_attribute_rejected():
 def test_default_schema_shape():
     schema = default_schema()
     assert len(schema.tables) == 12
-    assert schema.n_columns == 173
+    assert sum(len(t.columns) for t in schema.tables) == 173
     conn = schema.table("conn.log")
     assert len(conn.columns) == 21
     assert conn.column("orig_h").attribute == "text"
@@ -80,7 +80,7 @@ def test_linearize_two_table_layout():
 
 
 def test_linearize_default_token_count():
-    # hand-derived: 1 + n_tables + 2 * n_columns
+    # hand-derived: 1 + tables + 2 * columns
     tokens = linearize_schema(default_schema()).tokens
     assert tokens[0] == "*"
     assert len(tokens) == 1 + 12 + 2 * 173 == 359

@@ -170,10 +170,15 @@ def test_json_line_that_is_not_an_object_is_a_parse_issue():
 
 
 # min and max skip a NaN that is not first, so the column range check
-# searches a duration column for one
+# searches a duration column for one, in the reader and in the writer
 @pytest.mark.parametrize("position", [0, 1, 255, 256, 299])
 def test_nan_duration_reported_as_negative_duration(position):
     lines = [GOOD_LINE.replace("CAbc1", f"CNan{i}") for i in range(300)]
+    columns = parse_zeek(HEADER + "\n" + "\n".join(lines) + "\n", "conn").records.columns
+    duration = [float("nan") if i == position else value for i, value in enumerate(columns["duration"])]
+    with pytest.raises(zeek.UnreadableValue) as refused:
+        serialize_zeek(ConnTable({**columns, "duration": duration}), "conn")
+    assert str(refused.value) == f"record {position + 1}: duration must be nonnegative: nan"
     parts = lines[position].split("\t")
     parts[8] = "nan"
     lines[position] = "\t".join(parts)

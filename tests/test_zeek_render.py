@@ -1,6 +1,8 @@
 """serialize_zeek renders every kind a column at a time; each rendered line
-must equal the one a per-value ``_render`` gives."""
+must equal the one a per-value ``_render`` gives.  What it writes, the
+reader reads back, and a value the reader refuses the writer refuses."""
 
+import math
 from datetime import datetime
 from unittest import mock
 
@@ -13,30 +15,61 @@ from iotsqlbench.ingest import (
     ZEEK_KINDS,
     AttackLabel,
     ConnTable,
+    datetime_to_epoch,
+    parse_zeek,
     serialize_zeek,
 )
 from iotsqlbench.ingest import zeek
+from iotsqlbench.ingest.records import FieldSpec
+from iotsqlbench.ingest.zeek import UnreadableValue
 from tests.conftest import ConnRow
+
+
+def _render(value, spec: FieldSpec) -> str:
+    """One value's TSV text, the reference each column render must match."""
+    if value is None:
+        return "-"
+    if value == "" and spec.vtype == "str":
+        return "(empty)"
+    if spec.vtype == "time":
+        return datetime_to_epoch(value)
+    if spec.vtype == "bool":
+        return "T" if value else "F"
+    if spec.vtype in ("float", "duration"):
+        return f"{value:.6f}"
+    return str(value)
+
 
 _TIMES = st.datetimes(min_value=datetime(1, 1, 1),
                       max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-# non-string values the writer renders in a row of any kind; a conn row keeps
-# the reader's ranges (ports in range, counts and duration nonnegative, no
-# NaN duration)
+# non-string values of each type the reader reads: ports in range, counts
+# and durations nonnegative, no NaN duration
 _VALUES = {
     "time": _TIMES,
-    "count": st.integers(-2**64, 2**64),
-    "port": st.integers(-1, 70000),
-    "float": _FLOATS,
-    "duration": _FLOATS,
-    "bool": st.booleans(),
-}
-_CONN_VALUES = _VALUES | {
     "count": st.integers(0, 2**64),
     "port": st.integers(0, 65535),
+    "float": _FLOATS,
     "duration": st.floats(min_value=0.0),
+    "bool": st.booleans(),
 }
+# the values above that the reader reads back equal to what was written: a
+# float of whole microseconds, since the writer renders six decimals
+_MICROS = st.integers(-2**53, 2**53).map(lambda n: n / 10**6)
+_READ_BACK = _VALUES | {
+    "float": _MICROS | st.sampled_from([math.inf, -math.inf, math.nan]),
+    "duration": _MICROS.map(abs) | st.just(math.inf),
+}
+# in-type values the reader refuses, and the issue it gives
+_REFUSED = {
+    "count": (st.integers(-2**64, -1), "must be nonnegative"),
+    "port": (st.integers(-2**64, -1) | st.integers(65536, 2**64), "out of range"),
+    "duration": (st.floats(max_value=-math.ulp(0.0)) | st.just(math.nan), "must be nonnegative"),
+}
+# the conn fields a conn line must set
+_CONN_REQUIRED = {"ts", "uid", "orig_h", "orig_p", "resp_h", "resp_p", "proto", "conn_state",
+                  "missed_bytes", "history", "orig_pkts", "orig_ip_bytes", "resp_pkts",
+                  "resp_ip_bytes"}
 
 # string values serialize_zeek accepts in any position (README states its
 # contract): no tab, "\n" or "\r", and no unset or empty marker
@@ -45,20 +78,21 @@ _READABLE_TEXT = st.text(alphabet=st.characters(exclude_characters="\t\n\r"), ma
 
 
 @st.composite
-def _records(draw):
+def _records(draw, values=_VALUES, required=frozenset()):
     """(kind, records): records of one kind whose columns hold None
     (and, in a string column, "") only when ``holes`` is drawn, so that both
-    the mapped and the value-by-value column paths are taken."""
+    the mapped and the value-by-value column paths are taken; a conn field
+    named in ``required`` is never None."""
     kind = draw(st.sampled_from(ZEEK_KINDS))
     holes = draw(st.booleans())
-    values = _CONN_VALUES if kind == "conn" else _VALUES
     columns = []
     for spec in KIND_FIELDS[kind]:
         if spec.vtype == "str":
             column = _READABLE_TEXT if holes else _READABLE_TEXT.filter(bool)
         else:
             column = values[spec.vtype]
-        columns.append(st.none() | column if holes else column)
+        unset = holes and not (kind == "conn" and spec.name in required)
+        columns.append(st.none() | column if unset else column)
     rows = draw(st.lists(st.tuples(*columns), max_size=9))
     if kind != "conn":
         return kind, rows
@@ -67,7 +101,7 @@ def _records(draw):
 
 
 def _reference_serialize(records, kind):
-    """One value at a time through ``zeek._render``, header and labels
+    """One value at a time through ``_render``, header and labels
     spelled out: a conn log with records has its two label columns."""
     specs = KIND_FIELDS[kind]
     with_labels = kind == "conn" and bool(records)
@@ -78,7 +112,7 @@ def _reference_serialize(records, kind):
              "\t".join(["#fields", *names]), "\t".join(["#types", *types])]
     for record in records:
         row = tuple(getattr(record, spec.name) for spec in specs) if kind == "conn" else record
-        values = [zeek._render(value, spec) for value, spec in zip(row, specs)]
+        values = [_render(value, spec) for value, spec in zip(row, specs)]
         if with_labels:
             values += (["Benign", "-"] if record.label is AttackLabel.Benign
                        else ["Malicious", record.label.value])
@@ -100,15 +134,51 @@ def test_serialize_renders_markers_bools_nan_and_pre_epoch_times():
     first, second = [None] * len(names), [None] * len(names)
     first[names.index("ts")] = datetime(1969, 12, 31, 23, 59, 58, 500000)
     first[names.index("filename")], second[names.index("filename")] = "", "a.bin"
-    first[names.index("duration")], second[names.index("duration")] = float("nan"), float("-inf")
     first[names.index("is_orig")], second[names.index("is_orig")] = True, False
     records = [tuple(first), tuple(second)]
     lines = serialize_zeek(records, "files").splitlines()[8:10]
     got = [dict(zip(names, line.split("\t"))) for line in lines]
     assert [row["ts"] for row in got] == ["-1.500000", "-"]
     assert [row["filename"] for row in got] == ["(empty)", "a.bin"]
-    assert [row["duration"] for row in got] == ["nan", "-inf"]
     assert [row["is_orig"] for row in got] == ["T", "F"]
+    # a float column takes what a duration column refuses
+    poll = [spec.name for spec in KIND_FIELDS["ntp"]].index("poll")
+    rows = [tuple(value if j == poll else None for j in range(len(KIND_FIELDS["ntp"])))
+            for value in (math.nan, -math.inf)]
+    lines = serialize_zeek(rows, "ntp").splitlines()[8:10]
+    assert [line.split("\t")[poll] for line in lines] == ["nan", "-inf"]
+
+
+def _nan_marked(records) -> list:
+    """The rows of ``records`` with each NaN replaced by "NaN", so that a
+    NaN read back equals the NaN written."""
+    rows = zip(*records.columns.values()) if isinstance(records, ConnTable) else records
+    return [tuple("NaN" if value != value else value for value in row) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records(_READ_BACK, _CONN_REQUIRED), st.sampled_from([1, 2, 256]), st.data())
+def test_the_writer_refuses_what_the_reader_refuses(data, block, draws):
+    kind, records = data
+    specs = KIND_FIELDS[kind]
+    with mock.patch.object(zeek, "_BLOCK_LINES", block):
+        table = ConnTable.of(records) if kind == "conn" else records
+        back = parse_zeek(serialize_zeek(table, kind), kind)
+        assert not back.issues
+        assert _nan_marked(back.records) == _nan_marked(table)
+        if not records:
+            return
+        # one in-type value the reader refuses, which the writer names
+        row = draws.draw(st.integers(0, len(records) - 1))
+        vtype = draws.draw(st.sampled_from(sorted({spec.vtype for spec in specs} & set(_REFUSED))))
+        j = draws.draw(st.sampled_from([j for j, spec in enumerate(specs) if spec.vtype == vtype]))
+        values, issue = _REFUSED[vtype]
+        bad = draws.draw(values)
+        changed = [*records[row][:j], bad, *records[row][j + 1:]]
+        records[row] = ConnRow(*changed) if kind == "conn" else tuple(changed)
+        with pytest.raises(UnreadableValue) as refused:
+            serialize_zeek(ConnTable.of(records) if kind == "conn" else records, kind)
+    assert str(refused.value) == f"record {row + 1}: {specs[j].name} {issue}: {bad}"
 
 
 def test_serialize_rejects_a_record_of_another_width_in_a_block():
@@ -134,7 +204,7 @@ _COLUMN_VALUES = {
 def test_render_column_matches_per_value_render(data):
     vtype, column = data
     spec = next(spec for kind in ZEEK_KINDS for spec in KIND_FIELDS[kind] if spec.vtype == vtype)
-    want = [zeek._render(value, spec) for value in column]
+    want = [_render(value, spec) for value in column]
     assert zeek._render_column(column, spec) == want
     assert zeek._render_column(tuple(column), spec) == want
 
