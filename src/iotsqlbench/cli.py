@@ -21,12 +21,14 @@ from pathlib import Path
 from . import baselines, evaluation, modelio, splitter, templates
 from .config import ConfigError, RunConfig, default_config_text
 from .ingest import (
+    ALL_KINDS,
     SENSOR_TYPES,
     TABLE_FOR_KIND,
     ZEEK_KINDS,
     BadDirective,
     IngestError,
     SynthSpec,
+    default_schema,
     ingest_sensors,
     parse_devices,
     parse_zeek,
@@ -42,7 +44,6 @@ from .store import (
     Database,
     SchemaError,
     StoreError,
-    default_schema,
     dump_schema_text,
     load_schema_file,
     norm_ident,
@@ -144,7 +145,7 @@ def _load_schema(cfg: RunConfig):
 
 def _read_schema(path):
     """The schema of a schema file; a malformed one is a SchemaError naming
-    the file.  A Zeek log's rows are loaded by position, so each Zeek table
+    the file.  A reader's rows are loaded by position, so each reader table
     the schema names must list its reader's columns (``table_columns``) in
     order, names folded as the store folds them; the first column that
     differs is a SchemaError naming the file and the table."""
@@ -152,7 +153,7 @@ def _read_schema(path):
         schema = load_schema_file(str(path))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    for kind in ZEEK_KINDS:
+    for kind in ALL_KINDS:
         table = schema.table(TABLE_FOR_KIND[kind])
         if table is None:
             continue
@@ -228,13 +229,13 @@ def read_logs_dir(path: Path) -> tuple[dict, list]:
 
 
 def build_database(schema, data: dict) -> Database:
-    """A database of ``data``: each kind's rows in its table, a Zeek log's
-    named by ``TABLE_FOR_KIND`` and any other's by the kind itself; a conn
-    log's rows are zipped from its columns (``rows_for_table``)."""
+    """A database of ``data``: each kind's rows in its table
+    (``TABLE_FOR_KIND``); a conn log's rows are zipped from its columns
+    (``rows_for_table``)."""
     db = Database(schema)
     for kind, rows in data.items():
         if rows:
-            db.load_records(TABLE_FOR_KIND.get(kind, kind), rows_for_table(rows, kind))
+            db.load_records(TABLE_FOR_KIND[kind], rows_for_table(rows, kind))
     return db
 
 

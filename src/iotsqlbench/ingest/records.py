@@ -11,6 +11,11 @@ time, in CONN_TABLE_NAMES order, gathers its rows into a table with
 ``ConnTable.of``.  A value's range is stated once, by its ``vtype``'s
 entry in the Zeek rules (``zeek._TYPES``), which the readers and the writer
 read.
+
+``ALL_KINDS`` lists every kind a reader gives (the six Zeek logs, the five
+sensors, the devices) and ``TABLE_FOR_KIND`` the table each is stored in.
+A Zeek log's ``KIND_FIELDS[kind]`` is the only statement of its table's
+columns (``tables.table_columns``).
 """
 
 from __future__ import annotations
@@ -242,7 +247,10 @@ KIND_FIELDS = {
     "weird": WEIRD_FIELDS,
 }
 
-TABLE_FOR_KIND = {kind: f"{kind}.log" for kind in ZEEK_KINDS}
+ALL_KINDS = ZEEK_KINDS + SENSOR_TYPES + ("devices",)
+
+# the table each kind's rows are stored in: <kind>.log for a Zeek log, else the kind
+TABLE_FOR_KIND = {kind: f"{kind}.log" if kind in ZEEK_KINDS else kind for kind in ALL_KINDS}
 
 LABEL_FIELDS = [
     FieldSpec(name="label", zeek_name="label", zeek_type="string", vtype="str"),

@@ -1,7 +1,9 @@
 """Sensor reading ingestion (toolkit-defined CSV: room,ts,value).
 
-A reading is held as the row its sensor's table stores:
-``(reading_id, room, floor, ts, value)`` (``sensor_row``).
+A reading is held as the row its sensor's table stores, in
+``SENSOR_COLUMNS`` order (``sensor_row``); those pairs are the only
+statement of a sensor table's columns, which ``ingest.default_schema``
+and the schema check read.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from ..lines import csv_rows, csv_text, split_lines
 from .records import SENSOR_TYPES, IngestError
 
 
+# (name, store attribute) of each column of a sensor's table, in sensor_row order
+SENSOR_COLUMNS = (("reading_id", "text"), ("room", "text"), ("floor", "number"),
+                  ("ts", "time"), ("value", "number"))
+
+
 class BadTimestamp(IngestError):
     pass
 
@@ -22,8 +29,8 @@ class BadValue(IngestError):
 
 
 def sensor_row(sensor_type: str, index: int, room: str, ts: datetime, value) -> tuple:
-    """The stored row of the ``index``-th reading of a ``sensor_type`` sensor:
-    (reading_id, room, floor, ts, value).
+    """The stored row of the ``index``-th reading of a ``sensor_type`` sensor,
+    in ``SENSOR_COLUMNS`` order.
 
     Floor is derived from rooms shaped like R<floor><nn>; otherwise null.  A
     digit that ``int`` does not read, such as "²", is no floor.

@@ -6,7 +6,9 @@ the same invariants the parsers enforce (generator/parser duality).  Each
 kind is made in the shape the parsers give and the database stores: a conn
 log as a ``ConnTable``, other Zeek logs as row tuples, a sensor's readings
 as its rows (``sensors.sensor_row``), devices as tuples in DEVICE_COLUMNS
-order.
+order.  DEVICE_COLUMNS, the (name, store attribute) pairs of a device row,
+is the only statement of the devices table's columns: devices.csv's
+header, ``parse_devices`` and ``ingest.default_schema`` read it.
 """
 
 from __future__ import annotations
@@ -18,19 +20,24 @@ from datetime import datetime, timedelta
 
 from ..lines import csv_rows, csv_text, split_lines
 from .records import (
+    ALL_KINDS,
     SENSOR_TYPES,
-    ZEEK_KINDS,
     AttackLabel,
     ConnTable,
     IngestError,
 )
 from .sensors import sensor_row
 
-ALL_KINDS = ZEEK_KINDS + SENSOR_TYPES + ("devices",)
-# the columns of a device row, in devices.csv and in the devices table
-DEVICE_COLUMNS = ("device_id", "name", "type", "vendor", "model", "firmware_version",
-                  "mac", "ip", "room", "floor", "install_ts", "last_seen_ts", "status",
-                  "battery_level", "network_segment", "is_gateway")
+# (name, store attribute) of each column of a device row, in devices.csv and
+# in the devices table
+DEVICE_COLUMNS = (
+    ("device_id", "text"), ("name", "text"), ("type", "text"), ("vendor", "text"),
+    ("model", "text"), ("firmware_version", "text"), ("mac", "text"), ("ip", "text"),
+    ("room", "text"), ("floor", "number"), ("install_ts", "time"), ("last_seen_ts", "time"),
+    ("status", "text"), ("battery_level", "number"), ("network_segment", "text"),
+    ("is_gateway", "boolean"),
+)
+_DEVICE_NAMES = tuple(name for name, _ in DEVICE_COLUMNS)
 
 
 class InvalidSpec(IngestError):
@@ -361,7 +368,7 @@ def _device_text(value) -> str:
 def serialize_devices(devices: list[tuple]) -> str:
     """devices.csv of device rows in DEVICE_COLUMNS order; a value holding
     "\\n", "\\r" or NUL is a ValueError (``lines.csv_text``)."""
-    return csv_text([DEVICE_COLUMNS, *(list(map(_device_text, device)) for device in devices)])
+    return csv_text([_DEVICE_NAMES, *(list(map(_device_text, device)) for device in devices)])
 
 
 def parse_devices(text: str) -> list[tuple]:
@@ -373,8 +380,8 @@ def parse_devices(text: str) -> list[tuple]:
     is an IngestError naming its line."""
     lines = split_lines(text)
     header = next(csv.reader(lines[:1]), [])
-    if text.strip() and not set(DEVICE_COLUMNS).issubset(header):
-        raise IngestError(f"devices line 1: the header must name {','.join(DEVICE_COLUMNS)}")
+    if text.strip() and not set(_DEVICE_NAMES).issubset(header):
+        raise IngestError(f"devices line 1: the header must name {','.join(_DEVICE_NAMES)}")
     repeated = [name for name in header if header.count(name) > 1]
     if repeated:
         raise IngestError(f"devices line 1: the header names {repeated[0]!r} twice")
@@ -392,7 +399,7 @@ def parse_devices(text: str) -> list[tuple]:
                 d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]
             except (KeyError, ValueError) as exc:  # KeyError: an is_gateway other than T or F
                 raise IngestError(f"devices line {line_no}: bad value {exc}") from exc
-            out.append(tuple(map(d.__getitem__, DEVICE_COLUMNS)))
+            out.append(tuple(map(d.__getitem__, _DEVICE_NAMES)))
     except csv.Error as exc:
         raise IngestError(f"devices {exc}") from exc
     return out

@@ -10,7 +10,8 @@ Each value type (``FieldSpec.vtype``) has one entry in ``_TYPES``: its
 parse, range, JSON types, render and store attribute.  The TSV reader
 (a column at a time, or value by value in ``_convert``), the JSON reader
 (``_convert_json``), the writer (``_check_readable``, ``_render_column``)
-and ``table_columns`` read it; only string markers have rules of their own.
+and ``tables.table_columns`` read it; only string markers have rules of
+their own.
 
 A TSV log is read ``_BLOCK_LINES`` data lines at a time.  Each line is
 split and checked by ``_reconcile_arity`` (the IoT-23 label quirks, the
@@ -181,12 +182,6 @@ def _check_range(values: list, spec: FieldSpec) -> list:
             bad = next(value for value in values if not bounds[0] <= value <= bounds[1])
             raise ValueError(bounds[2].format(name=spec.name, value=bad))
     return values
-
-
-def table_columns(kind: str) -> list[tuple[str, str]]:
-    """(name, store attribute) of each column of a ``kind`` log's table, in
-    ``KIND_FIELDS[kind]`` order, the order the rows are loaded in."""
-    return [(spec.name, _TYPES[spec.vtype].attribute) for spec in KIND_FIELDS[kind]]
 
 
 def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
@@ -522,9 +517,9 @@ def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
 
     A conn log is rendered from its ``ConnTable``'s columns, with its label
     columns when it has rows; a log of any other kind from its row tuples.
-    A value that ``parse_zeek`` would misread or refuse is an
-    UnreadableValue, a ValueError and a data error (``_check_readable``);
-    no value is escaped."""
+    A value that ``parse_zeek`` would misread or refuse (``_check_readable``),
+    or a conn row whose required field is unset (``_REQUIRED``), is an
+    UnreadableValue, a ValueError and a data error; no value is escaped."""
     if kind not in KIND_FIELDS:
         raise UnknownKind(f"unknown Zeek log kind {kind!r}")
     n = len(records)
@@ -548,6 +543,12 @@ def serialize_zeek(records: ConnTable | list[tuple], kind: str) -> str:
         stop = start + _BLOCK_LINES
         if kind == "conn":
             block = [columns[name][start:stop] for name in _CONN_NAMES]
+            # the first row with a required field unset, and its first such
+            # field, as the reader names them
+            unset = [(block[j].index(None), name) for name, j in _REQUIRED if None in block[j]]
+            if unset:
+                row, name = min(unset, key=itemgetter(0))
+                raise UnreadableValue(f"record {start + 1 + row}: required field {name} is unset")
         else:
             block = zip(*records[start:stop], strict=True)
         rendered = []

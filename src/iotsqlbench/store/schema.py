@@ -13,7 +13,6 @@ schema folds its names once, when it is built, into the map that
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -193,18 +192,3 @@ def dump_schema_text(schema: DatabaseSchema) -> str:
 
 def load_schema_file(path: str) -> DatabaseSchema:
     return parse_schema_text(read_text(path))
-
-
-def default_schema() -> DatabaseSchema:
-    """The shipped 12-table smart-building schema (Zeek logs + sensors + devices).
-
-    conn.log follows the standard 21-column Zeek connection log; the other
-    Zeek tables are reconstructed from Zeek's field documentation, and the
-    sensor/device tables are toolkit-defined.
-    """
-    text = (
-        importlib.resources.files("iotsqlbench.data")
-        .joinpath("default_schema.txt")
-        .read_text(encoding="utf-8")
-    )
-    return parse_schema_text(text)

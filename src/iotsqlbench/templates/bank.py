@@ -233,33 +233,6 @@ def parse_bank_text(text: str) -> list[QueryTemplate]:
     return templates
 
 
-def dump_bank_text(templates: list[QueryTemplate]) -> str:
-    lines: list[str] = []
-    for t in templates:
-        lines.append(f"template {t.id}")
-        lines.append(f"category {t.category}")
-        lines.append(f"sql {t.sql_pattern}")
-        for pattern in t.nl_patterns:
-            lines.append(f"nl {pattern}")
-        for spec in t.slots.values():
-            parts = [f"slot {spec.name}", f"kind={spec.kind.value}"]
-            if spec.attrs:
-                parts.append("attrs=" + ",".join(spec.attrs))
-            if spec.ops:
-                parts.append("ops=" + ",".join(spec.ops))
-            if spec.table_slot != "TABLE":
-                parts.append(f"table={spec.table_slot}")
-            if spec.source:
-                parts.append(f"source={spec.source}")
-            if spec.kind is SlotKind.LIMIT_N and (spec.lo, spec.hi) != (1, 20):
-                parts.append(f"min={spec.lo}")
-                parts.append(f"max={spec.hi}")
-            lines.append(" ".join(parts))
-        lines.append("end")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def default_bank() -> list[QueryTemplate]:
     """The shipped 27-template bank (reconstructed, spans all construct classes)."""
     text = (

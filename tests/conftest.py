@@ -7,9 +7,9 @@ from datetime import datetime
 import pytest
 
 from iotsqlbench import cli, workers
-from iotsqlbench.ingest import AttackLabel, SynthSpec, synthesize_logs
+from iotsqlbench.ingest import AttackLabel, SynthSpec, default_schema, synthesize_logs
 from iotsqlbench.ingest.records import CONN_TABLE_NAMES
-from iotsqlbench.store import ColumnDef, Database, TableSchema, default_schema, define_schema
+from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
 
 FULL_MIX = {
     AttackLabel.Benign: 0.6,

@@ -6,8 +6,8 @@ import pytest
 
 from iotsqlbench import cli
 from iotsqlbench.cli import main
-from iotsqlbench.ingest import serialize_zeek
-from iotsqlbench.store import TableSchema, default_schema, define_schema, dump_schema_text
+from iotsqlbench.ingest import ALL_KINDS, TABLE_FOR_KIND, default_schema, serialize_zeek, table_columns
+from iotsqlbench.store import TableSchema, define_schema, dump_schema_text
 
 SMALL = [
     "--set", "synth.conn=250", "--set", "synth.dns=60", "--set", "synth.http=40",
@@ -564,28 +564,35 @@ def test_ingest_and_config_report_a_byte_that_is_not_utf8_naming_its_line(tmp_pa
     assert f"{config}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
 
-def _conn_schema_text(edit) -> str:
-    """The default schema's text, its conn.log columns passed through ``edit``."""
-    tables = [TableSchema(table.name, tuple(edit(list(table.columns)))) if table.name == "conn.log"
+def _schema_text(name, edit) -> str:
+    """The default schema's text, the columns of its table ``name`` passed
+    through ``edit``."""
+    tables = [TableSchema(table.name, tuple(edit(list(table.columns)))) if table.name == name
               else table for table in default_schema().tables]
     return dump_schema_text(define_schema(tables))
 
 
-def _swap_uid_and_history(columns):
-    columns[1], columns[15] = columns[15], columns[1]
-    return columns
+def _swap(i, j):
+    """An edit that swaps columns ``i`` and ``j`` (0-based)."""
+    def edit(columns):
+        columns[i], columns[j] = columns[j], columns[i]
+        return columns
+    return edit
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_swap_uid_and_history, "table conn.log: column 2 is history text, its reader gives uid text"),
-    (lambda columns: columns[:-1],
+@pytest.mark.parametrize("name, edit, message", [
+    ("conn.log", _swap(1, 15), "table conn.log: column 2 is history text, its reader gives uid text"),
+    ("conn.log", lambda columns: columns[:-1],
      "table conn.log: column 21 is missing, its reader gives tunnel_parents text"),
+    ("humidity", _swap(0, 1), "table humidity: column 1 is room text, its reader gives reading_id text"),
+    ("co2", lambda columns: columns[:-1], "table co2: column 5 is missing, its reader gives value number"),
+    ("devices", _swap(6, 7), "table devices: column 7 is ip text, its reader gives mac text"),
 ])
-def test_a_schema_that_lists_a_zeek_log_unlike_its_reader_is_a_data_error(tmp_path, capsys, edit,
-                                                                           message):
+def test_a_schema_that_lists_a_zeek_log_unlike_its_reader_is_a_data_error(tmp_path, capsys, name,
+                                                                           edit, message):
     # rows are loaded by position, so such a schema would misload or fail later
     schema = tmp_path / "schema.txt"
-    schema.write_text(_conn_schema_text(edit), encoding="utf-8")
+    schema.write_text(_schema_text(name, edit), encoding="utf-8")
     out = tmp_path / "run"
     assert run(["--out", out, *SMALL, "--set", f"schema={schema}", "synth"]) == 1
     assert capsys.readouterr().err == f"error: {schema}: {message}\n"
@@ -605,7 +612,11 @@ def test_a_malformed_schema_file_is_a_data_error_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {schema}: line 2: unrecognized directive 'colum'\n"
 
 
-def test_the_default_schema_lists_each_zeek_log_as_its_reader_does(tmp_path):
+def test_the_default_schema_lists_each_table_as_its_reader_does(tmp_path):
     schema = tmp_path / "schema.txt"
     schema.write_text(dump_schema_text(default_schema()), encoding="utf-8")
     assert cli._read_schema(schema) == default_schema()
+    # every reader's table, each checked by _read_schema, and no other
+    assert [(table.name, [(column.name, column.attribute) for column in table.columns])
+            for table in default_schema().tables] == [
+        (TABLE_FOR_KIND[kind], table_columns(kind)) for kind in ALL_KINDS]

@@ -13,6 +13,7 @@ from iotsqlbench.ingest import (
     AttackLabel,
     ConnTable,
     SynthSpec,
+    default_schema,
     ingest_sensors,
     parse_devices,
     parse_zeek,
@@ -26,7 +27,6 @@ from iotsqlbench.cli import _parse_zeek_file, read_logs_dir
 from iotsqlbench.lines import read_text, split_lines
 from iotsqlbench.modelio import read_sql_examples, write_sql_examples
 from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
-from iotsqlbench.store import default_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
 from iotsqlbench.ingest.synth import DEVICE_COLUMNS
 from tests.conftest import conn_records, text_file
@@ -34,7 +34,7 @@ from tests.conftest import conn_records, text_file
 
 def _devices(mark, tmp_path):
     devices = synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]
-    name = DEVICE_COLUMNS.index("name")
+    name = [column for column, _ in DEVICE_COLUMNS].index("name")
     devices[1] = (*devices[1][:name], f"hub{mark}R101", *devices[1][name + 1:])
     return devices, serialize_devices(devices), parse_devices
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from iotsqlbench.ingest import AttackLabel, ConnTable
+from iotsqlbench.ingest import AttackLabel, ConnTable, default_schema
 from iotsqlbench.lines import split_lines
 from iotsqlbench.modelio import (
     DEFAULT_INSTRUCTION,
@@ -26,7 +26,7 @@ from iotsqlbench.modelio import (
     write_detection_examples,
     write_sql_examples,
 )
-from iotsqlbench.store import default_schema, linearize_schema
+from iotsqlbench.store import linearize_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
 from tests.conftest import ConnRow, text_file
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotsqlbench.ingest import default_schema
 from iotsqlbench.store import (
     ColumnDef,
     Database,
@@ -21,7 +22,6 @@ from iotsqlbench.store import (
     StoreError,
     TableSchema,
     UnknownIdentifier,
-    default_schema,
     define_schema,
     norm_ident,
     parse,

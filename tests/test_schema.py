@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotsqlbench.ingest import default_schema
 from iotsqlbench.store import (
     ATTRIBUTES,
     ColumnDef,
@@ -10,7 +11,6 @@ from iotsqlbench.store import (
     EmptySchema,
     SchemaFormatError,
     TableSchema,
-    default_schema,
     define_schema,
     dump_schema_text,
     linearize_schema,

@@ -22,6 +22,8 @@ from iotsqlbench.ingest import (
 from iotsqlbench.ingest.synth import DEVICE_COLUMNS
 from tests.conftest import conn_records
 
+DEVICE_NAMES = [name for name, _ in DEVICE_COLUMNS]
+
 CO2_FIXTURE = "\n".join(
     ["room,ts,value"]
     + [f"R1{i:02d},2021-03-01T0{i}:00:00,{400 + 10 * i}" for i in range(10)]
@@ -133,7 +135,7 @@ def test_parse_devices_names_a_bad_line(line, message):
     if "=" in line:  # one value of the second device replaced
         column, value = line.split("=")
         values = lines[2].split(",")
-        values[DEVICE_COLUMNS.index(column)] = value
+        values[DEVICE_NAMES.index(column)] = value
         line = ",".join(values)
     lines[2] = line
     with pytest.raises(IngestError) as exc:
@@ -173,7 +175,7 @@ def test_sensor_csv_round_trips_every_room_value_and_time(drawn):
 def test_device_csv_round_trips_every_name_and_room(names_and_rooms):
     devices = [list(device) for device in synthesize_logs(SynthSpec(counts={"devices": 3}, seed=3))["devices"]]
     for device, (name, room) in zip(devices, names_and_rooms):
-        device[DEVICE_COLUMNS.index("name")], device[DEVICE_COLUMNS.index("room")] = name, room
+        device[DEVICE_NAMES.index("name")], device[DEVICE_NAMES.index("room")] = name, room
     rows = list(map(tuple, devices))
     assert parse_devices(serialize_devices(rows)) == rows
 

@@ -4,6 +4,7 @@ from datetime import datetime
 
 import pytest
 
+from iotsqlbench.ingest import default_schema
 from iotsqlbench.store import (
     ArityMismatch,
     ColumnDef,
@@ -14,7 +15,6 @@ from iotsqlbench.store import (
     TypeMismatch,
     UnknownIdentifier,
     UnknownTable,
-    default_schema,
     define_schema,
     parse,
     referenced_tables,

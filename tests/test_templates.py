@@ -19,12 +19,10 @@ from iotsqlbench.templates import (
     construct_coverage,
     corpus_stats,
     default_bank,
-    dump_bank_text,
     generate_corpus,
     has_datetime_predicate,
     instantiate,
     pair_to_json,
-    parse_bank_text,
     read_corpus,
 )
 from tests.conftest import text_file
@@ -40,14 +38,6 @@ def test_bank_has_27_templates_with_variants():
         assert t.category in ("retrieval", "reasoning")
     categories = {t.category for t in bank}
     assert categories == {"retrieval", "reasoning"}
-
-
-def test_bank_round_trips_through_text_format():
-    bank = default_bank()
-    again = parse_bank_text(dump_bank_text(bank))
-    assert [t.id for t in again] == [t.id for t in bank]
-    assert [t.sql_pattern for t in again] == [t.sql_pattern for t in bank]
-    assert [t.nl_patterns for t in again] == [t.nl_patterns for t in bank]
 
 
 def test_instantiate_agg_template_shape(synth_db):
