@@ -3,18 +3,13 @@
 from .classifiers import (
     KINDS,
     BaselineError,
-    ClassifierModel,
     Hyperparams,
-    LinearSVM,
     SingleClass,
-    StratifiedBaseline,
-    UniformBaseline,
     predict,
     train,
 )
 from .features import (
     CATEGORICAL_FIELDS,
-    EXCLUDED_FIELDS,
     NUMERIC_FIELDS,
     OPTIONAL_NUMERIC_FIELDS,
     DimensionMismatch,
@@ -29,23 +24,18 @@ from .persist import ModelFileError, load_model, save_model
 __all__ = [
     "BaselineError",
     "CATEGORICAL_FIELDS",
-    "ClassifierModel",
     "DecisionTree",
     "DimensionMismatch",
-    "EXCLUDED_FIELDS",
     "Empty",
     "FeatureError",
     "Featurizer",
     "Hyperparams",
     "KINDS",
-    "LinearSVM",
     "ModelFileError",
     "NUMERIC_FIELDS",
     "OPTIONAL_NUMERIC_FIELDS",
     "RandomForest",
     "SingleClass",
-    "StratifiedBaseline",
-    "UniformBaseline",
     "fit_featurizer",
     "load_model",
     "predict",

@@ -36,7 +36,6 @@ NUMERIC_FIELDS = (
 )
 OPTIONAL_NUMERIC_FIELDS = ("duration", "orig_bytes", "resp_bytes")
 CATEGORICAL_FIELDS = ("proto", "service", "conn_state", "history", "local_orig", "local_resp")
-EXCLUDED_FIELDS = ("ts", "uid", "orig_h", "resp_h", "tunnel_parents")
 
 DEFAULT_VOCAB_BUDGET = {
     "proto": 8,

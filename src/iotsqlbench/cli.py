@@ -21,7 +21,6 @@ from pathlib import Path
 from . import baselines, evaluation, modelio, splitter, templates
 from .config import ConfigError, RunConfig, default_config_text
 from .ingest import (
-    ALL_KINDS,
     SENSOR_TYPES,
     TABLE_FOR_KIND,
     ZEEK_KINDS,
@@ -37,17 +36,9 @@ from .ingest import (
     serialize_sensors,
     serialize_zeek,
     synthesize_logs,
-    table_columns,
 )
-from .lines import NotUtf8, read_text
-from .store import (
-    Database,
-    SchemaError,
-    StoreError,
-    dump_schema_text,
-    load_schema_file,
-    norm_ident,
-)
+from .lines import NotUtf8, read_text, split_lines
+from .store import Database, SchemaError, StoreError, dump_schema_text
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -138,35 +129,6 @@ class ArtifactWriter:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_schema(cfg: RunConfig):
-    path = cfg.raw("schema")
-    return _read_schema(path) if path else default_schema()
-
-
-def _read_schema(path):
-    """The schema of a schema file; a malformed one is a SchemaError naming
-    the file.  A reader's rows are loaded by position, so each reader table
-    the schema names must list its reader's columns (``table_columns``) in
-    order, names folded as the store folds them; the first column that
-    differs is a SchemaError naming the file and the table."""
-    try:
-        schema = load_schema_file(str(path))
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    for kind in ALL_KINDS:
-        table = schema.table(TABLE_FOR_KIND[kind])
-        if table is None:
-            continue
-        have = [(column.name, column.attribute) for column in table.columns]
-        pairs = zip_longest(have, table_columns(kind), fillvalue=("", "missing"))
-        for i, (got, want) in enumerate(pairs, 1):
-            if (norm_ident(got[0]), got[1]) != (norm_ident(want[0]), want[1]):
-                got, want = (" ".join(pair).strip() for pair in (got, want))
-                raise SchemaError(f"{path}: table {table.name}: column {i} is {got}, "
-                                  f"its reader gives {want}")
-    return schema
-
-
 # ---------------------------------------------------------------------------
 # database directory: schema.txt + normalized per-table logs
 
@@ -240,11 +202,19 @@ def build_database(schema, data: dict) -> Database:
 
 
 def load_db_dir(path: Path):
-    """The schema, database and records of a db dir.  A malformed log line
-    is a data error naming ``<file>:<line>``: its row would silently go
-    missing from the database."""
+    """The schema, database and records of a db dir.  Rows are loaded by
+    position, so a ``schema.txt`` in the dir must be the readers' schema as
+    ``write_db_dir`` writes it; one that differs is a SchemaError naming the
+    file and its first line that differs.  A malformed log line is a data
+    error naming ``<file>:<line>``: its row would silently go missing from
+    the database."""
+    schema = default_schema()
     schema_file = path / "schema.txt"
-    schema = _read_schema(schema_file) if schema_file.exists() else default_schema()
+    if schema_file.exists():
+        pairs = zip_longest(split_lines(read_text(schema_file)), split_lines(dump_schema_text(schema)))
+        line = next((i for i, (got, want) in enumerate(pairs, 1) if got != want), None)
+        if line is not None:
+            raise SchemaError(f"{schema_file}: line {line} differs from the readers' schema")
     data, issues = read_logs_dir(path)
     if issues:
         loc, message = issues[0]
@@ -294,9 +264,8 @@ def cmd_synth(cfg: RunConfig, out: Path, args) -> int:
         seed=cfg.get_int("seed"),
     )
     data = synthesize_logs(spec)
-    with_schema = _load_schema(cfg)
     writer = ArtifactWriter(out)
-    write_db_dir(writer, "synth", with_schema, data)
+    write_db_dir(writer, "synth", default_schema(), data)
     writer.manifest("synth", cfg, inputs={})
     print(f"synth: wrote {len(writer.artifacts)} files under {out / 'synth'}")
     return EXIT_OK
@@ -307,7 +276,7 @@ def cmd_ingest(cfg: RunConfig, out: Path, args) -> int:
     if not logs_dir.is_dir():
         raise ConfigError(f"--logs {logs_dir} is not a directory")
     data, issues = read_logs_dir(logs_dir)
-    schema = _load_schema(cfg)
+    schema = default_schema()
     build_database(schema, data)  # validates types/arity before writing
     writer = ArtifactWriter(out)
     write_db_dir(writer, "db", schema, data)
@@ -392,7 +361,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> int:
 def cmd_emit(cfg: RunConfig, out: Path, args) -> int:
     writer = ArtifactWriter(out)
     inputs: dict = {}
-    schema = _load_schema(cfg)
+    schema = default_schema()
     if args.corpus and args.pairs_manifest:
         pairs = templates.read_corpus(Path(args.corpus))
         manifest = splitter.load_manifest(read_text(args.pairs_manifest))
@@ -491,13 +460,16 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
     if kind == "linear_svm":
         log_lines = [f"epoch {i + 1}: loss {loss:.6f}" for i, loss in enumerate(model.model.epoch_losses)]
         writer.write("baseline/svm_training.log", "\n".join(log_lines) + "\n")
+    # dev and test are scored by the model read back from model.json, so
+    # every run checks the artifact it wrote
+    saved = baselines.load_model(out / "baseline/model.json")
     for split in ("dev", "test"):
         records = subsets[split]
         if not records:
             continue
-        X = featurizer.transform(records)
+        X = saved.featurizer.transform(records)
         golds = splitter.malicious(records)
-        preds = baselines.predict(model, X, seed=seed)
+        preds = baselines.predict(saved, X, seed=seed)
         report = evaluation.detection_metrics(golds, list(preds))
         writer.write(f"baseline/report_{split}.json", report.to_json() + "\n")
         writer.write(f"baseline/report_{split}.txt", report.to_text() + "\n")

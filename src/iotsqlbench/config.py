@@ -17,7 +17,6 @@ from .lines import NotUtf8, read_text, split_lines
 # key -> (default, help)
 CONFIG_KEYS = {
     "seed": ("0", "master seed for every stage"),
-    "schema": ("", "schema file path, checked against the readers' tables; empty = those tables"),
     "synth.conn": ("2000", "synthetic conn.log record count"),
     "synth.dns": ("400", "synthetic dns.log record count"),
     "synth.http": ("300", "synthetic http.log record count"),

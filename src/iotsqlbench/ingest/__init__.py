@@ -2,7 +2,6 @@
 
 from .records import (
     ALL_KINDS,
-    CONN_FIELDS,
     KIND_FIELDS,
     SENSOR_TYPES,
     TABLE_FOR_KIND,
@@ -27,8 +26,6 @@ from .tables import default_schema, table_columns
 from .zeek import (
     BadDirective,
     MissingFieldsHeader,
-    ParseIssue,
-    ZeekParseResult,
     datetime_to_epoch,
     epoch_to_datetime,
     parse_zeek,
@@ -42,20 +39,17 @@ __all__ = [
     "BadDirective",
     "BadTimestamp",
     "BadValue",
-    "CONN_FIELDS",
     "ConnTable",
     "IngestError",
     "InvalidSpec",
     "KIND_FIELDS",
     "MissingFieldsHeader",
-    "ParseIssue",
     "SENSOR_TYPES",
     "SynthSpec",
     "TABLE_FOR_KIND",
     "UnknownKind",
     "UnknownLabel",
     "ZEEK_KINDS",
-    "ZeekParseResult",
     "apportion",
     "datetime_to_epoch",
     "default_schema",

@@ -3,7 +3,7 @@
 A reading is held as the row its sensor's table stores, in
 ``SENSOR_COLUMNS`` order (``sensor_row``); those pairs are the only
 statement of a sensor table's columns, which ``ingest.default_schema``
-and the schema check read.
+reads.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Embedded relational store: schema model, SQL dialect, query evaluation."""
 
-from .engine import Database, ResultTable, Scope, parse_time_literal
+from .engine import Database, ResultTable, Scope
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -17,16 +17,12 @@ from .schema import (
     DuplicateColumn,
     DuplicateTable,
     EmptySchema,
-    LinearizedSchema,
     SchemaError,
-    SchemaFormatError,
     TableSchema,
     define_schema,
     dump_schema_text,
     linearize_schema,
-    load_schema_file,
     norm_ident,
-    parse_schema_text,
 )
 from .sql import canonical_tables, parse, referenced_tables
 
@@ -39,12 +35,10 @@ __all__ = [
     "DuplicateColumn",
     "DuplicateTable",
     "EmptySchema",
-    "LinearizedSchema",
     "ParseError",
     "QueryTimeout",
     "ResultTable",
     "SchemaError",
-    "SchemaFormatError",
     "Scope",
     "StoreError",
     "TableSchema",
@@ -55,10 +49,7 @@ __all__ = [
     "define_schema",
     "dump_schema_text",
     "linearize_schema",
-    "load_schema_file",
     "norm_ident",
     "parse",
-    "parse_schema_text",
-    "parse_time_literal",
     "referenced_tables",
 ]

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..lines import read_text, split_lines
-
 ATTRIBUTES = ("text", "number", "time", "boolean")
 
 
@@ -35,10 +33,6 @@ class DuplicateTable(SchemaError):
 
 class DuplicateColumn(SchemaError):
     pass
-
-
-class SchemaFormatError(SchemaError):
-    """Malformed schema file."""
 
 
 def norm_ident(name: str) -> str:
@@ -142,53 +136,12 @@ def linearize_schema(schema: DatabaseSchema) -> LinearizedSchema:
     return LinearizedSchema(tokens=tuple(tokens))
 
 
-def parse_schema_text(text: str) -> DatabaseSchema:
-    """Parse the line-oriented schema format.
-
-    Format: ``table <name>`` lines, each followed by indented
-    ``column <name> <attribute>`` lines.  ``#`` starts a comment; blank
-    lines are ignored; lines are split by ``lines.split_lines``.
-    """
-    tables: list[TableSchema] = []
-    current_name: str | None = None
-    current_cols: list[ColumnDef] = []
-
-    def flush() -> None:
-        nonlocal current_name, current_cols
-        if current_name is not None:
-            tables.append(TableSchema(name=current_name, columns=tuple(current_cols)))
-        current_name, current_cols = None, []
-
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "table":
-            if len(parts) != 2:
-                raise SchemaFormatError(f"line {lineno}: expected 'table <name>'")
-            flush()
-            current_name = parts[1]
-        elif parts[0] == "column":
-            if current_name is None:
-                raise SchemaFormatError(f"line {lineno}: column outside a table block")
-            if len(parts) != 3:
-                raise SchemaFormatError(f"line {lineno}: expected 'column <name> <attribute>'")
-            current_cols.append(ColumnDef(name=parts[1], attribute=parts[2]))
-        else:
-            raise SchemaFormatError(f"line {lineno}: unrecognized directive {parts[0]!r}")
-    flush()
-    return define_schema(tables)
-
-
 def dump_schema_text(schema: DatabaseSchema) -> str:
+    """A database directory's ``schema.txt``: ``table <name>`` lines, each
+    followed by indented ``column <name> <attribute>`` lines."""
     lines: list[str] = []
     for table in schema.tables:
         lines.append(f"table {table.name}")
         for col in table.columns:
             lines.append(f"    column {col.name} {col.attribute}")
     return "\n".join(lines) + "\n"
-
-
-def load_schema_file(path: str) -> DatabaseSchema:
-    return parse_schema_text(read_text(path))

@@ -2,22 +2,16 @@
 
 from .bank import (
     BankFormatError,
-    QueryTemplate,
-    SlotKind,
-    SlotSpec,
     TemplateError,
     UnboundPlaceholder,
     UnsatisfiableSlot,
     default_bank,
-    parse_bank_text,
-    placeholder_names,
 )
 from .generate import (
     CorpusConfig,
     ExhaustedResampling,
     TemplateBinder,
     TextSqlPair,
-    canonical_tables,
     construct_coverage,
     corpus_stats,
     generate_corpus,
@@ -25,24 +19,17 @@ from .generate import (
     instantiate,
     pair_to_json,
     read_corpus,
-    realize_question,
-    render_sql,
-    sql_table_name,
 )
 
 __all__ = [
     "BankFormatError",
     "CorpusConfig",
     "ExhaustedResampling",
-    "QueryTemplate",
-    "SlotKind",
-    "SlotSpec",
     "TemplateBinder",
     "TemplateError",
     "TextSqlPair",
     "UnboundPlaceholder",
     "UnsatisfiableSlot",
-    "canonical_tables",
     "construct_coverage",
     "corpus_stats",
     "default_bank",
@@ -50,10 +37,5 @@ __all__ = [
     "has_datetime_predicate",
     "instantiate",
     "pair_to_json",
-    "parse_bank_text",
-    "placeholder_names",
     "read_corpus",
-    "realize_question",
-    "render_sql",
-    "sql_table_name",
 ]

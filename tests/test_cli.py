@@ -580,43 +580,60 @@ def _swap(i, j):
     return edit
 
 
-@pytest.mark.parametrize("name, edit, message", [
-    ("conn.log", _swap(1, 15), "table conn.log: column 2 is history text, its reader gives uid text"),
-    ("conn.log", lambda columns: columns[:-1],
-     "table conn.log: column 21 is missing, its reader gives tunnel_parents text"),
-    ("humidity", _swap(0, 1), "table humidity: column 1 is room text, its reader gives reading_id text"),
-    ("co2", lambda columns: columns[:-1], "table co2: column 5 is missing, its reader gives value number"),
-    ("devices", _swap(6, 7), "table devices: column 7 is ip text, its reader gives mac text"),
+@pytest.mark.parametrize("name, edit, line", [
+    ("conn.log", _swap(1, 15), 3),
+    ("conn.log", lambda columns: columns[:-1], 22),  # tunnel_parents
+    ("humidity", _swap(0, 1), 140),
+    ("co2", lambda columns: columns[:-1], 150),  # value
+    ("devices", _swap(6, 7), 176),
 ])
 def test_a_schema_that_lists_a_zeek_log_unlike_its_reader_is_a_data_error(tmp_path, capsys, name,
-                                                                           edit, message):
-    # rows are loaded by position, so such a schema would misload or fail later
-    schema = tmp_path / "schema.txt"
-    schema.write_text(_schema_text(name, edit), encoding="utf-8")
+                                                                           edit, line):
+    # rows are loaded by position, so such a directory would misload or fail later
     out = tmp_path / "run"
-    assert run(["--out", out, *SMALL, "--set", f"schema={schema}", "synth"]) == 1
-    assert capsys.readouterr().err == f"error: {schema}: {message}\n"
-    assert not (out / "synth").exists()
     assert run(["--out", out, *SMALL, "synth"]) == 0
     db_schema = out / "synth/schema.txt"
-    db_schema.write_bytes(schema.read_bytes())
+    db_schema.write_text(_schema_text(name, edit), encoding="utf-8")
     capsys.readouterr()
     assert run(["--out", tmp_path / "pairs", *SMALL, "gen-pairs", "--db", out / "synth"]) == 1
-    assert capsys.readouterr().err == f"error: {db_schema}: {message}\n"
+    assert capsys.readouterr().err == f"error: {db_schema}: line {line} differs from the readers' schema\n"
 
 
-def test_a_malformed_schema_file_is_a_data_error_naming_it(tmp_path, capsys):
-    schema = tmp_path / "schema.txt"
-    schema.write_text("table conn.log\n    colum ts time\n", encoding="utf-8")
-    assert run(["--out", tmp_path / "run", "--set", f"schema={schema}", "synth"]) == 1
-    assert capsys.readouterr().err == f"error: {schema}: line 2: unrecognized directive 'colum'\n"
+@pytest.mark.parametrize("text, line", [
+    (dump_schema_text(define_schema([table for table in default_schema().tables
+                                     if table.name != "humidity"])), 139),
+    (dump_schema_text(default_schema()) + "table extra\n", 186),
+])
+def test_a_db_dir_schema_that_omits_or_adds_a_table_is_a_data_error(tmp_path, capsys, text, line):
+    # a schema without the humidity table, say, would hide the readings of humidity.csv
+    out = tmp_path / "run"
+    assert run(["--out", out, *SMALL, "synth"]) == 0
+    db_schema = out / "synth/schema.txt"
+    db_schema.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "pairs", *SMALL, "gen-pairs", "--db", out / "synth"]) == 1
+    assert capsys.readouterr().err == f"error: {db_schema}: line {line} differs from the readers' schema\n"
 
 
-def test_the_default_schema_lists_each_table_as_its_reader_does(tmp_path):
+def test_a_db_dir_schema_with_crlf_line_ends_is_the_readers_schema(tmp_path):
+    # split_lines drops one "\r" before each "\n", as for every file read
+    out = tmp_path / "run"
+    assert run(["--out", out, *SMALL, "synth"]) == 0
+    db_schema = out / "synth/schema.txt"
+    db_schema.write_bytes(db_schema.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(["--out", tmp_path / "pairs", *SMALL, "gen-pairs", "--db", out / "synth"]) == 0
+
+
+def test_schema_is_no_config_key(tmp_path, capsys):
     schema = tmp_path / "schema.txt"
     schema.write_text(dump_schema_text(default_schema()), encoding="utf-8")
-    assert cli._read_schema(schema) == default_schema()
-    # every reader's table, each checked by _read_schema, and no other
+    assert run(["--out", tmp_path / "run", "--set", f"schema={schema}", "synth"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'schema'\n"
+    assert not (tmp_path / "run/synth").exists()
+
+
+def test_the_default_schema_lists_each_table_as_its_reader_does():
+    # every reader's table and no other, each as its reader gives it
     assert [(table.name, [(column.name, column.attribute) for column in table.columns])
             for table in default_schema().tables] == [
         (TABLE_FOR_KIND[kind], table_columns(kind)) for kind in ALL_KINDS]

@@ -9,12 +9,9 @@ from iotsqlbench.store import (
     DuplicateColumn,
     DuplicateTable,
     EmptySchema,
-    SchemaFormatError,
     TableSchema,
     define_schema,
-    dump_schema_text,
     linearize_schema,
-    parse_schema_text,
 )
 
 
@@ -134,19 +131,3 @@ def test_linearize_injective_on_distinct_sequences(a, b):
         assert linearize_schema(a).tokens != linearize_schema(b).tokens
     else:
         assert linearize_schema(a).tokens == linearize_schema(b).tokens
-
-
-def test_schema_file_round_trip():
-    schema = default_schema()
-    text = dump_schema_text(schema)
-    again = parse_schema_text(text)
-    assert again == schema
-
-
-def test_schema_file_comments_and_errors():
-    schema = parse_schema_text("# comment\ntable t\n  column a text # trailing\n")
-    assert schema.table("t").column("a").attribute == "text"
-    with pytest.raises(SchemaFormatError):
-        parse_schema_text("column orphan text\n")
-    with pytest.raises(SchemaFormatError):
-        parse_schema_text("table t\nwhatever\n")
