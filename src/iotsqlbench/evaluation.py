@@ -19,10 +19,12 @@ and row count whose rows equal the gold's as returned, with the same type
 in every cell, matches by one equality pass if the gold has no value
 unequal to itself (NaN).  Any other such prediction is compared after
 sorting, unless order counts; the NaN check and the sort of a gold result
-are made on the first comparison that needs them.  A prediction textually
-identical to its gold query is scored without running, by the gold's NaN
-check, and is logically correct without being normalized.  None of this
-changes the comparison policy.
+are made on the first comparison that needs them.  Corpus scoring does not
+run a logically correct prediction: texts with one normal form run alike,
+so it is scored as its gold's echo, by the gold's NaN check.  A prediction
+textually identical to its gold query is logically correct without being
+normalized.  ``execution_accuracy`` called alone skips only that identical
+text.  None of this changes the comparison policy.
 
 Execution verdicts are computed in up to one process per CPU in the
 affinity mask (forked workers, none with one CPU, one distinct gold text,
@@ -437,8 +439,10 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
 
     def verdict(i: int) -> tuple[bool, bool]:
         ex, rec = pairs[i]
-        return (execution_accuracy(rec.payload, ex.gold_sql, db, timeout),
-                logical_accuracy(rec.payload, ex.gold_sql))
+        logical = logical_accuracy(rec.payload, ex.gold_sql)
+        # a text with the gold's normal form runs as the gold: score its echo
+        pred_sql = ex.gold_sql if logical else rec.payload
+        return execution_accuracy(pred_sql, ex.gold_sql, db, timeout), logical
 
     def score_gold(j: int) -> tuple:
         """The verdicts of gold ``j``'s examples, its tables, and its entry

@@ -18,7 +18,7 @@ from iotsqlbench.evaluation import (
     score_sql_corpus,
 )
 from iotsqlbench.modelio import PredictionRecord, SqlExample
-from iotsqlbench.store import ColumnDef, Database, TableSchema, TypeMismatch, define_schema
+from iotsqlbench.store import ColumnDef, Database, StoreError, TableSchema, TypeMismatch, define_schema
 from iotsqlbench.store.sql import ParseError, parse
 from iotsqlbench.templates import CorpusConfig, generate_corpus
 
@@ -90,44 +90,72 @@ def test_logical_keeps_a_literal_with_a_double_quote_apart():
     assert logical_accuracy("""select uid from conn_log where ( history = 'a"b' ) ;""", gold)
 
 
-def parses(text):
-    try:
-        parse(text)
-    except ParseError:
-        return False
-    return True
+_RUN_DB = Database(define_schema([
+    TableSchema(name="conn.log", columns=(
+        ColumnDef("uid", "text"), ColumnDef("history", "text"),
+        ColumnDef("orig_pkts", "number"), ColumnDef("local_orig", "boolean"),
+    )),
+]))
+_RUN_DB.load_records("conn.log", [
+    ("C1", "aB", 100, True), ("C2", "a'", 250, False), ("C3", 'B"', 1, True),
+    ("C4", "aB", 101, None), ("C5", "", None, False), ("C6", " ", 7, True),
+])
 
-
+_SEPS = st.sampled_from([" ", "\n\t", "\u00a0", " \u00a0 "])
 _BODIES = st.text(alphabet="aB \"'", max_size=4)
 _LITERALS = st.builds(lambda quote, body: quote + body + quote, st.sampled_from(["'", '"', ""]), _BODIES)
+_SELECTS = st.sampled_from(["uid", "CONN_LOG.UID", "Conn_Log.uid", "count ( * )", "COUNT(*)", "uid , history"])
+_PREDICATES = st.one_of(
+    st.builds("(history ={1}{0})".format, _LITERALS, st.sampled_from([" ", "", "\u00a0"])),
+    st.sampled_from(["local_orig = TRUE", "local_orig = true", "orig_pkts > 1E2", "orig_pkts<=1e2",
+                     "CONN_LOG.ORIG_PKTS >= 1e1", "uid IN ( SELECT uid FROM conn_log WHERE orig_pkts > 5 )"]),
+)
+_TAILS = st.sampled_from(["", ";", " ;", ";;", ", uid", ")", " ORDER BY uid DESC", "'", ' "', " 'aB"])
 _TEXTS = st.builds(
-    "SELECT uid FROM conn_log WHERE{2}(history ={2}{0}){1}".format,
-    _LITERALS, st.sampled_from(["", ";", " ;", ";;", ", uid", ")"]), st.sampled_from([" ", "", "\n\t"]),
+    "SELECT{0}{1}{0}FROM{0}conn_log{0}WHERE{0}{2}{3}".format, _SEPS, _SELECTS, _PREDICATES, _TAILS,
 )
 
 
 def _reformatted(text, rng):
     """``text`` with its code's letter case and spacing, and the quotes of
     each literal whose body allows it, changed at random."""
+    def code(piece):
+        piece = piece.upper() if rng.random() < 0.5 else piece.lower()
+        if rng.random() < 0.5:
+            piece = piece.replace("(", " ( ").replace(",", "\u00a0,\u00a0")
+        return piece.replace(" ", rng.choice([" ", "  ", "\u00a0", "\n"]))
+
     out, pos = [], 0
     for m in _LITERAL_RE.finditer(text):
-        code = text[pos:m.start()]
-        out.append(code.upper() if rng.random() < 0.5 else code.replace("(", " ( "))
+        out.append(code(text[pos:m.start()]))
         body = m.group()[1:-1]
         quote = rng.choice([q for q in "'\"" if q not in body])
         out.append(quote + body + quote)
         pos = m.end()
-    out.append(text[pos:].upper())
+    out.append(code(text[pos:]))
     return "".join(out)
 
 
-@settings(max_examples=300, deadline=None)
+def _run(text):
+    """The columns and rows ``text`` returns on _RUN_DB, or the type of the
+    store error it raises."""
+    try:
+        result = _RUN_DB.execute(text)
+    except StoreError as exc:
+        return type(exc)
+    return result.columns, result.rows
+
+
+# Scoring takes a logically correct prediction's execution verdict from its
+# gold's run, so texts with one normal form must run alike.
+@settings(max_examples=400, deadline=None)
 @given(_TEXTS, st.randoms(use_true_random=False))
-def test_texts_with_one_normal_form_parse_alike(text, rng):
+def test_texts_with_one_normal_form_run_alike(text, rng):
     normal = normalize_sql(text)
+    expected = _run(text)
     for other in (normal, _reformatted(text, rng), _reformatted(normal, rng)):
         if normalize_sql(other) == normal:
-            assert parses(other) == parses(text), (text, other)
+            assert _run(other) == expected, (text, other)
 
 
 # -- execution accuracy

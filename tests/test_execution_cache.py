@@ -60,9 +60,11 @@ def test_scoring_runs_each_gold_once_and_rescoring_is_byte_identical(count_execu
     first = score_sql_corpus(EXAMPLES, PREDICTIONS, db).to_json()
     gold_runs = [sql for sql in calls if sql in GOLDS]
     assert sorted(gold_runs) == sorted(set(GOLDS))
-    # the echo never runs; the other two predictions run once
-    assert calls.count("select b from t where a > 1") == 1
+    # the echo and the formatting-only variant never run; the store error
+    # runs once
+    assert calls.count("select b from t where a > 1") == 0
     assert calls.count("SELECT nope FROM t") == 1
+    assert len(calls) == len(set(GOLDS)) + 1
     assert score_sql_corpus(EXAMPLES, PREDICTIONS, db).to_json() == first
 
 
@@ -98,6 +100,22 @@ def test_echo_of_nan_gold_stays_false():
     ordered = "SELECT v FROM t ORDER BY v"
     assert not execution_accuracy(ordered, ordered, db)
     assert execution_accuracy("SELECT v FROM t WHERE v = 1", "SELECT v FROM t WHERE v < 2", db)
+
+
+def test_formatting_variant_of_nan_gold_stays_false(count_executes):
+    db = Database(define_schema([TableSchema("t", (ColumnDef("v", "number"),))]))
+    db.load_records("t", [(1.0,), (math.nan,)])
+    golds = ["SELECT v FROM t", "SELECT v FROM t ORDER BY v"]
+    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    variants = [PredictionRecord(id=ex.id, payload=ex.gold_sql.lower() + " ;") for ex in examples]
+    calls = count_executes()
+    report = score_sql_corpus(examples, variants, db)
+    # scored as the gold's echo, by its NaN check, as running it would score
+    assert report.logical_acc == 1.0 and report.execution_acc == 0.0
+    assert sorted(calls) == sorted(golds)
+    for ex, rec in zip(examples, variants):
+        assert not execution_accuracy(rec.payload, ex.gold_sql, db)
+    assert calls.count("select v from t ;") == 1
 
 
 def test_gold_error_raises_on_every_call(count_executes):

@@ -69,10 +69,12 @@ def test_two_files_run_each_gold_once_and_match_fresh_databases(count_executes):
     both = [report_bytes(score_sql_corpus(EXAMPLES, f, db)) for f in (FILE_A, FILE_B)]
     assert both == alone
     assert gold_runs(calls) == sorted(set(GOLDS))
-    # predictions are never kept: each non-echo prediction runs once per file
+    # predictions are never kept: each prediction that is not logically
+    # correct runs once per file, and a formatting-only variant never runs
     assert calls.count("SELECT nope FROM t") == 1
     assert calls.count("SELECT a FROM t ORDER BY b DESC") == 1
-    assert len(calls) == len(set(GOLDS)) + 3 + 3
+    assert calls.count("select x, count(*) from t group by x") == 0
+    assert len(calls) == len(set(GOLDS)) + 2 + 3
 
 
 def test_a_load_between_files_runs_the_golds_again_on_the_new_rows(count_executes):

@@ -186,6 +186,37 @@ def test_executes_across_processes_equal_one_process(synth_db, examples, process
     assert runs[2] == runs[1]
 
 
+def formatted(sql, i):
+    """A formatting-only variant of ``sql``, of kind ``i % 3``: keyword case
+    and a trailing semicolon, spacing, or quote style."""
+    if i % 3 == 0:
+        return "select" + sql[len("SELECT"):] + " ;"
+    if i % 3 == 1:
+        return sql.replace(" FROM ", "\n  from ").replace("(", " ( ").replace(",", " ,")
+    return sql if "'" in sql else sql.replace('"', "'")
+
+
+def test_formatting_variants_score_alike_in_one_and_two_processes(synth_db, examples, processes, count_executes):
+    preds = [PredictionRecord(id=ex.id, payload=formatted(ex.gold_sql, i)) for i, ex in enumerate(examples)]
+    assert sum(rec.payload != ex.gold_sql for ex, rec in zip(examples, preds)) > len(examples) // 2
+    reports = {}
+    for count in (1, 2):
+        processes(count)
+        db = fresh(synth_db)
+        calls = count_executes()
+        reports[count] = score_sql_corpus(examples, preds, db)
+        # no variant runs: each gold runs once, in one process or the other
+        assert sorted(calls) == sorted({ex.gold_sql for ex in examples})
+        assert no_child_left()
+    assert report_bytes(reports[2]) == report_bytes(reports[1])
+    assert reports[1].logical_acc == 1.0
+    # the verdicts are those of running each variant
+    db = fresh(synth_db)
+    ran = [ex.id for ex, rec in zip(examples, preds)
+           if not evaluation.execution_accuracy(rec.payload, ex.gold_sql, db)]
+    assert [f[0] for f in reports[1].failures] == ran
+
+
 def test_a_gold_sorted_in_a_worker_is_not_sorted_again(processes, call_log, monkeypatch):
     db = Database(define_schema([TableSchema("t", (ColumnDef("a", "number"), ColumnDef("b", "number")))]))
     db.load_records("t", [(1, 10), (2, 20), (3, 30)])
