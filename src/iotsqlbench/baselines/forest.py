@@ -98,9 +98,10 @@ class DecisionTree:
         best_score = parent_gini - 1e-12  # require strict improvement
         for feat in candidates:
             v_sorted = np.sort(X[idx, feat])
-            # split between distinct neighboring values (NaN sorts last and
-            # is never above its neighbour), so the rows left of a cut are
-            # exactly those at or below its value
+            # split between distinct neighboring values lo < hi (NaN sorts
+            # last and is never above its neighbour), at their midpoint when
+            # it lies in [lo, hi), else at lo (an infinity, or a sum beyond
+            # float range), so the rows left of a cut are exactly those <= it
             boundaries = np.nonzero(v_sorted[1:] > v_sorted[:-1])[0]
             if len(boundaries) == 0:
                 continue
@@ -116,8 +117,9 @@ class DecisionTree:
             j = int(np.argmin(weighted))
             if weighted[j] < best_score:
                 best_score = float(weighted[j])
-                cut = boundaries[j]
-                best = (int(feat), float((v_sorted[cut] + v_sorted[cut + 1]) / 2.0))
+                lo, hi = float(v_sorted[boundaries[j]]), float(v_sorted[boundaries[j] + 1])
+                mid = (lo + hi) / 2.0
+                best = (int(feat), mid if lo <= mid < hi else lo)
         return best
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, count, repeat
@@ -155,6 +156,8 @@ class _Type:
 
 _INTEGER, _NUMBER = "{name} must be an integer: {value!r}", "{name} must be a number: {value!r}"
 _NONNEGATIVE = (0, math.inf, "{name} must be nonnegative: {value}")
+_FINITE = (-sys.float_info.max, sys.float_info.max, "{name} must be a finite number: {value}")
+_FINITE_NONNEGATIVE = (0, sys.float_info.max, "{name} must be finite and nonnegative: {value}")
 _PORT = (0, 65535, "{name} out of range: {value}")
 _TYPES = {
     # a JSON set or vector is a list, its members joined as in TSV
@@ -163,8 +166,8 @@ _TYPES = {
                   parse_column=_epoch_column),
     "count": _Type("number", int, str, int, (int,), _INTEGER, _NONNEGATIVE),
     "port": _Type("number", int, str, int, (int,), _INTEGER, _PORT),
-    "float": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER),
-    "duration": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _NONNEGATIVE),
+    "float": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _FINITE),
+    "duration": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _FINITE_NONNEGATIVE),
     "bool": _Type("boolean", _BOOLS.__getitem__, {True: "T", False: "F"}.__getitem__, bool, (bool,),
                   "bad bool {value!r}"),
 }

@@ -24,15 +24,18 @@ type, scalar-subquery value), so rows are tested without type dispatch.
 AND is its parts' passes run in sequence.  OR is one pass that keeps, in
 chunk order, the rows any part keeps; each part tests only the rows the
 parts before it dropped, as a row-at-a-time OR would, so a part that can
-raise (a time against text with a UTC offset) raises on no other row.  In
-a join, every WHERE conjunct that reads one table filters that table
-before the join; the rest run on the joined rows.  A joined row holds only
-the columns read after the join (by those conjuncts, the select list,
-GROUP BY, aggregate arguments, HAVING and ORDER BY; all of them for
-SELECT *), and everything after the join resolves names to their place in
-that narrow row.  HAVING runs its passes over the grouped rows.  Each
-output row is built once, and DISTINCT, ORDER BY (a stable sort of row
-positions per key) and LIMIT work on those rows.
+raise (a time against text with a UTC offset) raises on no other row.
+
+``_run_query`` chains the stages, each taking rows and returning rows, and
+loops over no row itself.  Scan filters one base table by WHERE.  ``_join``
+filters each table by the WHERE conjuncts that read it alone, joins them
+(``_hash_join``), filters the joined rows by the rest and returns them
+with the scope narrowed to them: a joined row holds only the columns read
+after the join (``_read_after_join``; all of them for SELECT *).
+``_project`` takes an ungrouped query's rows, ``_group`` a grouped one's
+(the groups, their aggregates and HAVING); each returns the columns, the
+output rows, each built once, and the ORDER BY keys.  ``_finish`` applies
+DISTINCT, ORDER BY (a stable sort of row positions per key) and LIMIT.
 
 WHERE, HAVING, GROUP BY and the join take their rows a chunk of
 _CHECK_EVERY rows at a time and read the deadline once per chunk (and once
@@ -629,7 +632,7 @@ def _compile_passes(cond, operand, schema, snap, deadline) -> list:
         return [_any_pass([_compile_passes(item, operand, schema, snap, deadline) for item in cond.items])]
     if isinstance(cond, _sql.InSubquery):
         # the values are one column's, so they share one attribute
-        values = _column_subquery(cond.query, schema, snap, deadline)
+        values = [v for v in _subquery_values(cond.query, schema, snap, deadline, "IN") if v is not None]
         probe = operand(cond.operand)
         key_attr = _value_attr(values[0]) if values else None
         lookup = _equality_lookup(probe.attr, key_attr, [(v, True) for v in values])
@@ -652,7 +655,10 @@ def _comparisons(cond, operand, schema, snap, deadline) -> list[tuple[str, _Oper
         hi = _typed_literal(operand(cond.hi), value.attr)
         return [(">=", value, lo), ("<=", value, hi)]
     if isinstance(cond, _sql.SubqueryCmp):
-        rhs = _constant(_scalar_subquery(cond.query, schema, snap, deadline))
+        values = _subquery_values(cond.query, schema, snap, deadline, "scalar")
+        if len(values) > 1:
+            raise ParseError("scalar subquery returned more than one row")
+        rhs = _constant(values[0] if values else None)
         lhs = operand(cond.lhs)
         return [(cond.op, _typed_literal(lhs, rhs.attr), _typed_literal(rhs, lhs.attr))]
     raise ParseError(f"unsupported condition {cond!r}")
@@ -676,22 +682,13 @@ def _shifted(operand: Callable[[object], _Operand], offset: int) -> Callable[[ob
     return shifted
 
 
-def _scalar_subquery(query, schema, snap, deadline) -> object:
+def _subquery_values(query, schema, snap, deadline, kind: str) -> list:
+    """The values of a subquery's one column, in row order; ``kind`` names
+    the subquery in the error for any other width."""
     result = _run_query(query, schema, snap, deadline)
     if len(result.columns) != 1:
-        raise ParseError("scalar subquery must select exactly one column")
-    if len(result.rows) == 0:
-        return None
-    if len(result.rows) > 1:
-        raise ParseError("scalar subquery returned more than one row")
-    return result.rows[0][0]
-
-
-def _column_subquery(query, schema, snap, deadline) -> list:
-    result = _run_query(query, schema, snap, deadline)
-    if len(result.columns) != 1:
-        raise ParseError("IN subquery must select exactly one column")
-    return [row[0] for row in result.rows if row[0] is not None]
+        raise ParseError(f"{kind} subquery must select exactly one column")
+    return [row[0] for row in result.rows]
 
 
 def _run_query(
@@ -705,139 +702,140 @@ def _run_query(
         values = tuple(item.value for item in query.select)
         return ResultTable(columns=[_render_literal_name(v) for v in values], rows=[values])
     scope = Scope.of(query, schema)
-    main = scope.tables[0][0]
-    rows: Sequence[tuple] = snap[main.name]
+    if query.join is not None:
+        scope, rows = _join(query, scope, snap, deadline)
+    else:
+        where = [] if query.where is None else _compile_passes(
+            query.where, scope.operand, schema, snap, deadline)
+        rows = _filter(snap[scope.tables[0][0].name], where, deadline)
+    aggregates = any(isinstance(item, _sql.AggCall) for item in query.select)
+    if query.group_by or query.having is not None or aggregates:
+        columns, out_rows, order_keys = _group(query, scope, rows, snap, deadline)
+    else:
+        columns, out_rows, order_keys = _project(query, scope, rows)
+    return _finish(query, columns, out_rows, order_keys)
+
+
+def _join(query: _sql.Query, scope: Scope, snap, deadline) -> tuple[Scope, list[tuple]]:
+    """``scope`` narrowed to a query's joined rows, and those rows.  A WHERE
+    conjunct that reads one table filters that table before the join; the
+    rest filter the joined rows."""
+    (left, _), (right, base) = scope.tables
+    left_key = scope.resolve(query.join.left.name)
+    right_key = scope.resolve(query.join.right.name)
+    if left_key[0] >= base and right_key[0] < base:
+        left_key, right_key = right_key, left_key
+    elif not (left_key[0] < base <= right_key[0]):
+        raise ParseError("JOIN condition must relate one column from each table")
 
     def passes_of(cond, operand):
-        return _compile_passes(cond, operand, schema, snap, deadline)
+        return _compile_passes(cond, operand, scope.schema, snap, deadline)
 
-    if query.join is not None:
-        right, base = scope.tables[1]
-        left_key = scope.resolve(query.join.left.name)
-        right_key = scope.resolve(query.join.right.name)
-        if left_key[0] >= base and right_key[0] < base:
-            left_key, right_key = right_key, left_key
-        elif not (left_key[0] < base <= right_key[0]):
-            raise ParseError("JOIN condition must relate one column from each table")
-        # a conjunct reading one table filters it before the join
-        left_passes, right_passes, spanning = [], [], []
-        for cond in _conjuncts(query.where):
-            sides = {
-                scope.resolve(node.name)[0] >= base
-                for leaf in _sql.leaves(cond)
-                for node in _sql.operands(leaf)
-                if isinstance(node, _sql.ColumnRef)
-            }
-            if sides == {True}:
-                right_passes.extend(passes_of(cond, _shifted(scope.operand, base)))
-            elif sides == {True, False}:
-                spanning.append(cond)
-            else:
-                left_passes.extend(passes_of(cond, scope.operand))
-        # joined rows hold only the columns read after the join; everything
-        # after it resolves names to their place in that narrow row
-        reads = _read_after_join(query, spanning, scope)
-        scope = scope.narrowed(reads)
-        joined_passes = [p for cond in spanning for p in passes_of(cond, scope.operand)]
-        rows = _hash_join(
-            _filter(rows, left_passes, deadline),
-            _filter(snap[right.name], right_passes, deadline),
-            (left_key[0], left_key[1].attribute, [p for p in reads if p < base]),
-            (right_key[0] - base, right_key[1].attribute, [p - base for p in reads if p >= base]),
-            deadline,
-        )
-        rows = _filter(rows, joined_passes, deadline)
+    left_passes, right_passes, spanning = [], [], []
+    for cond in _conjuncts(query.where):
+        sides = {
+            scope.resolve(node.name)[0] >= base
+            for leaf in _sql.leaves(cond)
+            for node in _sql.operands(leaf)
+            if isinstance(node, _sql.ColumnRef)
+        }
+        if sides == {True}:
+            right_passes.extend(passes_of(cond, _shifted(scope.operand, base)))
+        elif sides == {True, False}:
+            spanning.append(cond)
+        else:
+            left_passes.extend(passes_of(cond, scope.operand))
+    # joined rows hold only the columns read after the join; everything
+    # after it resolves names to their place in that narrow row
+    reads = _read_after_join(query, spanning, scope)
+    narrow = scope.narrowed(reads)
+    joined_passes = [p for cond in spanning for p in passes_of(cond, narrow.operand)]
+    rows = _hash_join(
+        _filter(snap[left.name], left_passes, deadline),
+        _filter(snap[right.name], right_passes, deadline),
+        (left_key[0], left_key[1].attribute, [p for p in reads if p < base]),
+        (right_key[0] - base, right_key[1].attribute, [p - base for p in reads if p >= base]),
+        deadline,
+    )
+    return narrow, _filter(rows, joined_passes, deadline)
+
+
+def _project(query: _sql.Query, scope: Scope, rows: Sequence[tuple]) -> tuple:
+    """An ungrouped query's select list over ``rows``: (its columns, the
+    output rows, the ORDER BY keys ``_finish`` takes)."""
+    if any(isinstance(item, _sql.Star) for item in query.select):
+        columns = [c.name for c in scope.all_columns()]
+        selected = None
+        out_rows = list(rows)
     else:
-        rows = _filter(rows, [] if query.where is None else passes_of(query.where, scope.operand), deadline)
-
-    select = list(query.select)
-    has_star = any(isinstance(item, _sql.Star) for item in select)
-    agg_items = [item for item in select if isinstance(item, _sql.AggCall)]
-    grouped = bool(query.group_by) or bool(agg_items) or query.having is not None
-
-    if not grouped:
-        if has_star:
-            columns = [c.name for c in scope.all_columns()]
-            selected = None
-            out_rows = list(rows)
-        else:
-            selected, getters, columns = [], [], []
-            for item in select:
-                if isinstance(item, _sql.ColumnRef):
-                    idx, col = scope.resolve(item.name)
-                    selected.append(idx)
-                    getters.append(operator.itemgetter(idx))
-                    columns.append(col.name)
-                elif isinstance(item, _sql.Literal):
-                    getters.append(lambda row, v=item.value: v)
-                    columns.append(_render_literal_name(item.value))
-                else:
-                    raise ParseError("select items must be columns, literals, or aggregates")
-            if len(selected) != len(getters):  # literal items
-                out_rows = [tuple([g(row) for g in getters]) for row in rows]
+        selected, getters, columns = [], [], []
+        for item in query.select:
+            if isinstance(item, _sql.ColumnRef):
+                idx, col = scope.resolve(item.name)
+                selected.append(idx)
+                getters.append(operator.itemgetter(idx))
+                columns.append(col.name)
+            elif isinstance(item, _sql.Literal):
+                getters.append(lambda row, v=item.value: v)
+                columns.append(_render_literal_name(item.value))
             else:
-                out_rows = list(_picked(selected, rows))
-        order_keys = _row_order_keys(query, scope, rows, selected)
-        return _finish(query, columns, out_rows, order_keys)
-
-    # grouped evaluation: each group becomes one row of its key values
-    # followed by every aggregate the query uses, computed once per group
-    if has_star:
-        raise ParseError("'*' cannot be combined with aggregation or GROUP BY")
-    group_idxs: list[int] = []
-    for ref in query.group_by:
-        idx, _ = scope.resolve(ref.name)
-        group_idxs.append(idx)
-
-    agg_specs: dict[tuple, _AggSpec] = {}
-
-    def agg_slot(call: _sql.AggCall) -> tuple[int, _AggSpec]:
-        spec = _AggSpec(call, scope)
-        spec = agg_specs.setdefault(spec.key, spec)
-        return len(group_idxs) + list(agg_specs).index(spec.key), spec
-
-    columns = []
-    select_slots: list[int] = []
-    for item in select:
-        if isinstance(item, _sql.AggCall):
-            slot, spec = agg_slot(item)
-            select_slots.append(slot)
-            columns.append(spec.label)
-        elif isinstance(item, _sql.ColumnRef):
-            idx, col = scope.resolve(item.name)
-            if idx not in group_idxs:
-                raise ParseError(
-                    f"column {col.name!r} must appear in GROUP BY or inside an aggregate"
-                )
-            select_slots.append(group_idxs.index(idx))
-            columns.append(col.name)
+                raise ParseError("select items must be columns, literals, or aggregates")
+        if len(selected) != len(getters):  # literal items
+            out_rows = [tuple([g(row) for g in getters]) for row in rows]
         else:
-            raise ParseError("select items must be columns or aggregates")
-
-    def having_operand(node) -> _Operand:
-        if isinstance(node, _sql.AggCall):
-            slot, spec = agg_slot(node)
-            return _Operand(slot, spec.attr)
-        if isinstance(node, _sql.ColumnRef):
-            idx, col = scope.resolve(node.name)
-            if idx not in group_idxs:
-                raise ParseError(
-                    f"HAVING may only use group columns or aggregates, not {col.name!r}"
-                )
-            return _Operand(group_idxs.index(idx), col.attribute)
-        return _constant(node.value)
-
-    having = [] if query.having is None else passes_of(query.having, having_operand)
-
-    order_plan = []
+            out_rows = list(_picked(selected, rows))
+    if not query.order_by:
+        return columns, out_rows, None
+    idxs = []
     for item in query.order_by:
         if isinstance(item.expr, _sql.AggCall):
-            order_plan.append((agg_slot(item.expr)[0], item.desc))
-        else:
-            idx, col = scope.resolve(item.expr.name)
-            if idx not in group_idxs:
-                raise ParseError("ORDER BY in a grouped query must use group columns or aggregates")
-            order_plan.append((group_idxs.index(idx), item.desc))
+            raise ParseError("aggregate ORDER BY requires GROUP BY")
+        idx, _ = scope.resolve(item.expr.name)
+        if query.distinct and selected is not None and idx not in selected:
+            raise ParseError("ORDER BY with DISTINCT must use selected columns")
+        idxs.append(idx)
+    return columns, out_rows, (list(_picked(idxs, rows)), [item.desc for item in query.order_by])
+
+
+def _group(query: _sql.Query, scope: Scope, rows: Sequence[tuple], snap, deadline) -> tuple:
+    """A grouped query over ``rows``: each group becomes one row of its key
+    values followed by every aggregate the query uses, computed once per
+    group, and HAVING filters those rows.  Returns (the columns, the output
+    rows, the ORDER BY keys ``_finish`` takes)."""
+    if any(isinstance(item, _sql.Star) for item in query.select):
+        raise ParseError("'*' cannot be combined with aggregation or GROUP BY")
+    group_idxs = [scope.resolve(ref.name)[0] for ref in query.group_by]
+    agg_specs: dict[tuple, _AggSpec] = {}
+
+    def slot(node, message: str) -> tuple[int, str, str]:
+        """(place in a group row, attribute, label) of an aggregate or a
+        group column; any other column is ParseError(``message``)."""
+        if isinstance(node, _sql.AggCall):
+            spec = _AggSpec(node, scope)
+            spec = agg_specs.setdefault(spec.key, spec)
+            return len(group_idxs) + list(agg_specs).index(spec.key), spec.attr, spec.label
+        idx, col = scope.resolve(node.name)
+        if idx not in group_idxs:
+            raise ParseError(message.format(name=col.name))
+        return group_idxs.index(idx), col.attribute, col.name
+
+    columns, select_slots = [], []
+    for item in query.select:
+        if not isinstance(item, (_sql.AggCall, _sql.ColumnRef)):
+            raise ParseError("select items must be columns or aggregates")
+        place, _, label = slot(item, "column {name!r} must appear in GROUP BY or inside an aggregate")
+        select_slots.append(place)
+        columns.append(label)
+
+    def having_operand(node) -> _Operand:
+        if isinstance(node, _sql.Literal):
+            return _constant(node.value)
+        return _Operand(*slot(node, "HAVING may only use group columns or aggregates, not {name!r}")[:2])
+
+    having = [] if query.having is None else _compile_passes(
+        query.having, having_operand, scope.schema, snap, deadline)
+    order_slots = [slot(item.expr, "ORDER BY in a grouped query must use group columns or aggregates")[0]
+                   for item in query.order_by]
 
     # one group key: the value itself, made a 1-tuple once per group
     groups: dict = {}
@@ -860,12 +858,10 @@ def _run_query(
         aggregates = tuple([spec.compute(members) for spec in agg_specs.values()])
         group_rows.append(((key,) if one_key else key) + aggregates)
     group_rows = _filter(group_rows, having, deadline)
-    out_rows = list(_picked(select_slots, group_rows))
     order_keys = None
-    if order_plan:
-        keys = list(_picked([slot for slot, _ in order_plan], group_rows))
-        order_keys = keys, [desc for _, desc in order_plan]
-    return _finish(query, columns, out_rows, order_keys)
+    if order_slots:
+        order_keys = list(_picked(order_slots, group_rows)), [item.desc for item in query.order_by]
+    return columns, list(_picked(select_slots, group_rows)), order_keys
 
 
 def _read_after_join(query: _sql.Query, spanning: list, scope: Scope) -> Sequence[int]:
@@ -924,23 +920,6 @@ def _hash_join(left_rows, right_rows, left_key, right_key, deadline) -> list[tup
                     _check_deadline(deadline)
                     checked_at = len(joined)
     return joined
-
-
-def _row_order_keys(query, scope, rows, selected):
-    """ORDER BY of an ungrouped query: (the key values of each row, the desc
-    flag of each key), or None without ORDER BY.  ``selected`` holds the row
-    positions the select list reads; None for SELECT *."""
-    if not query.order_by:
-        return None
-    idxs = []
-    for item in query.order_by:
-        if isinstance(item.expr, _sql.AggCall):
-            raise ParseError("aggregate ORDER BY requires GROUP BY")
-        idx, _ = scope.resolve(item.expr.name)
-        if query.distinct and selected is not None and idx not in selected:
-            raise ParseError("ORDER BY with DISTINCT must use selected columns")
-        idxs.append(idx)
-    return list(_picked(idxs, rows)), [item.desc for item in query.order_by]
 
 
 def _render_literal_name(value: object) -> str:

@@ -388,8 +388,9 @@ def _reference_best_split(self, X, y, idx, rng):
         j = int(np.argmin(weighted))
         if weighted[j] < best_score:
             best_score = float(weighted[j])
-            cut = boundaries[j]
-            best = (int(feat), float((v_sorted[cut] + v_sorted[cut + 1]) / 2.0))
+            lo, hi = float(v_sorted[boundaries[j]]), float(v_sorted[boundaries[j] + 1])
+            mid = (lo + hi) / 2.0
+            best = (int(feat), mid if lo <= mid < hi else lo)
     return best
 
 
@@ -442,6 +443,22 @@ def test_forest_matches_argsort_reference(data, bootstrap, max_features, seed):
             mock.patch.object(DecisionTree, "fit", _reference_tree_fit):
         want = json.dumps(RandomForest(**params).fit(X, y).state())
     assert got == want
+
+
+_EXTREMES = st.sampled_from([np.inf, -np.inf, 1.7e308, -1.7e308, np.finfo(np.float64).max, 1.0])
+
+
+# a cut between neighbours whose midpoint is an infinity, NaN or beyond
+# float range still separates them, so the split that was scored is kept
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_EXTREMES | st.floats(allow_nan=False), _EXTREMES | st.floats(allow_nan=False))
+       .filter(lambda pair: pair[0] != pair[1]),
+       st.integers(1, 5), st.integers(1, 5), st.booleans())
+def test_forest_separates_two_classes_at_any_two_floats(values, n_first, n_second, first_label):
+    X = np.array([[values[0]]] * n_first + [[values[1]]] * n_second)
+    y = np.array([first_label] * n_first + [not first_label] * n_second)
+    forest = RandomForest(n_trees=3, bootstrap=False).fit(X, y)
+    assert np.array_equal(forest.predict(X), y)
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0.0, 0.5, 1.0, 1.0], [-1, 0, 1, 1],

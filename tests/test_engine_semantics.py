@@ -664,6 +664,13 @@ BAD_SELECT_AND_ORDER = [
      "column 'a' must appear in GROUP BY or inside an aggregate"),
     ("SELECT DISTINCT b FROM t ORDER BY a, nope", ParseError,
      "ORDER BY with DISTINCT must use selected columns"),
+    # each grouped clause names its own misuse of a column that is not grouped
+    ("SELECT COUNT(*) FROM t GROUP BY b HAVING a > 1", ParseError,
+     "HAVING may only use group columns or aggregates, not 'a'"),
+    ("SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY a", ParseError,
+     "ORDER BY in a grouped query must use group columns or aggregates"),
+    ("SELECT b, 1 FROM t GROUP BY b", ParseError, "select items must be columns or aggregates"),
+    ("SELECT * FROM t GROUP BY b", ParseError, "'*' cannot be combined with aggregation or GROUP BY"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import datetime
 from types import SimpleNamespace
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from iotsqlbench.ingest import (
     KIND_FIELDS,
+    ZEEK_KINDS,
     AttackLabel,
     BadDirective,
     ConnTable,
@@ -178,14 +180,14 @@ def test_nan_duration_reported_as_negative_duration(position):
     duration = [float("nan") if i == position else value for i, value in enumerate(columns["duration"])]
     with pytest.raises(zeek.UnreadableValue) as refused:
         serialize_zeek(ConnTable({**columns, "duration": duration}), "conn")
-    assert str(refused.value) == f"record {position + 1}: duration must be nonnegative: nan"
+    assert str(refused.value) == f"record {position + 1}: duration must be finite and nonnegative: nan"
     parts = lines[position].split("\t")
     parts[8] = "nan"
     lines[position] = "\t".join(parts)
     result = parse_zeek(HEADER + "\n" + "\n".join(lines) + "\n", "conn")
     (issue,) = result.issues
     assert issue.line_no == 9 + position
-    assert issue.message == "duration must be nonnegative: nan"
+    assert issue.message == "duration must be finite and nonnegative: nan"
     assert len(result.records) == 299
     assert f"CNan{position}" not in result.records.columns["uid"]
 
@@ -199,7 +201,7 @@ def test_nan_duration_in_json_reported():
     })
     result = parse_zeek(line + "\n", "conn")
     assert not result.records
-    assert [issue.message for issue in result.issues] == ["duration must be nonnegative: nan"]
+    assert [issue.message for issue in result.issues] == ["duration must be finite and nonnegative: nan"]
 
 
 def test_parsed_row_holds_each_value_in_its_type():
@@ -227,18 +229,24 @@ _OUT_OF_RANGE = [
     ("conn", "id.orig_p", 65536, "orig_p out of range: 65536"),
     ("conn", "id.orig_p", -1, "orig_p out of range: -1"),
     ("conn", "id.resp_p", 70000, "resp_p out of range: 70000"),
-    ("conn", "duration", -0.5, "duration must be nonnegative: -0.5"),
-    ("conn", "duration", float("nan"), "duration must be nonnegative: nan"),
+    ("conn", "duration", -0.5, "duration must be finite and nonnegative: -0.5"),
+    ("conn", "duration", float("nan"), "duration must be finite and nonnegative: nan"),
     *(("conn", name, -1, f"{name} must be nonnegative: -1") for name in (
         "orig_bytes", "resp_bytes", "missed_bytes", "orig_pkts", "orig_ip_bytes",
         "resp_pkts", "resp_ip_bytes")),
-    ("files", "duration", float("nan"), "duration must be nonnegative: nan"),
-    ("dns", "rtt", float("nan"), "rtt must be nonnegative: nan"),
+    ("files", "duration", float("nan"), "duration must be finite and nonnegative: nan"),
+    ("dns", "rtt", float("nan"), "rtt must be finite and nonnegative: nan"),
 ]
 
 
 @pytest.mark.parametrize("kind, field, bad, message", _OUT_OF_RANGE)
 def test_reader_refuses_an_out_of_range_value_in_tsv_and_json(kind, field, bad, message):
+    _assert_refused_in_tsv_and_json(kind, field, bad, message)
+
+
+def _assert_refused_in_tsv_and_json(kind, field, bad, message):
+    """A synthesized line of ``kind`` and a copy with ``bad`` in ``field``
+    give one record and ``message`` for the copy, in TSV and in JSON."""
     lines = serialize_zeek(synthesize_logs(SynthSpec(counts={kind: 1}, seed=3))[kind], kind).splitlines()
     good = lines[8]
     values = good.split("\t")
@@ -250,6 +258,29 @@ def test_reader_refuses_an_out_of_range_value_in_tsv_and_json(kind, field, bad, 
     assert len(tsv.records) == len(from_json.records) == 1
     assert [(i.line_no, i.message) for i in tsv.issues] == [(10, message)]
     assert [(i.line_no, i.message) for i in from_json.issues] == [(2, message)]
+
+
+# +-inf in every float and duration field (http and weird have none), and
+# the issue it gives; TSV reads "inf", JSON "Infinity"
+_INFINITE = [
+    (kind, spec, bad, f"{spec.name} must be "
+     f"{'a finite number' if spec.vtype == 'float' else 'finite and nonnegative'}: {bad}")
+    for kind in ZEEK_KINDS for spec in KIND_FIELDS[kind] if spec.vtype in ("float", "duration")
+    for bad in (math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("kind, spec, bad, message", _INFINITE,
+                         ids=[f"{kind}.{spec.name}={bad}" for kind, spec, bad, _ in _INFINITE])
+def test_an_infinite_number_is_refused_by_both_readers_and_the_writer(kind, spec, bad, message):
+    _assert_refused_in_tsv_and_json(kind, spec.zeek_name, bad, message)
+    records = synthesize_logs(SynthSpec(counts={kind: 2}, seed=3))[kind]
+    rows = conn_records(records) if kind == "conn" else list(records)
+    rows[1] = rows[1]._replace(**{spec.name: bad}) if kind == "conn" else tuple(
+        bad if other is spec else value for other, value in zip(KIND_FIELDS[kind], rows[1]))
+    with pytest.raises(zeek.UnreadableValue) as refused:
+        serialize_zeek(ConnTable.of(rows) if kind == "conn" else rows, kind)
+    assert str(refused.value) == f"record 2: {message}"
 
 
 def test_parse_iot23_label_cases():
