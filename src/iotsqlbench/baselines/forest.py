@@ -101,7 +101,9 @@ class DecisionTree:
             # split between distinct neighboring values lo < hi (NaN sorts
             # last and is never above its neighbour), at their midpoint when
             # it lies in [lo, hi), else at lo (an infinity, or a sum beyond
-            # float range), so the rows left of a cut are exactly those <= it
+            # float range), so the rows left of a cut are exactly those <= it;
+            # a zero cut is stored as 0.0, since np.sort may put -0.0 either
+            # side of 0.0
             boundaries = np.nonzero(v_sorted[1:] > v_sorted[:-1])[0]
             if len(boundaries) == 0:
                 continue
@@ -119,7 +121,7 @@ class DecisionTree:
                 best_score = float(weighted[j])
                 lo, hi = float(v_sorted[boundaries[j]]), float(v_sorted[boundaries[j] + 1])
                 mid = (lo + hi) / 2.0
-                best = (int(feat), mid if lo <= mid < hi else lo)
+                best = (int(feat), (mid if lo <= mid < hi else lo) + 0.0)
         return best
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ of columns, any other kind to row tuples in ``KIND_FIELDS[kind]`` order.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -154,8 +153,14 @@ class _Type:
     parse_column: Callable | None = None  # parse over a column (None: parse mapped over it)
 
 
+def _float_of_json(value) -> float:
+    """A JSON number read from its digits, as the TSV reader reads them: an
+    integer beyond float range is inf, which the bounds refuse."""
+    return float(str(value))
+
+
 _INTEGER, _NUMBER = "{name} must be an integer: {value!r}", "{name} must be a number: {value!r}"
-_NONNEGATIVE = (0, math.inf, "{name} must be nonnegative: {value}")
+_COUNT = (0, 2**64 - 1, "{name} must be a count in [0, 2**64): {value}")  # Zeek's count is 64-bit
 _FINITE = (-sys.float_info.max, sys.float_info.max, "{name} must be a finite number: {value}")
 _FINITE_NONNEGATIVE = (0, sys.float_info.max, "{name} must be finite and nonnegative: {value}")
 _PORT = (0, 65535, "{name} out of range: {value}")
@@ -164,10 +169,11 @@ _TYPES = {
     "str": _Type("text", str, str, lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v)),
     "time": _Type("time", epoch_to_datetime, datetime_to_epoch, lambda v: epoch_to_datetime(str(v)),
                   parse_column=_epoch_column),
-    "count": _Type("number", int, str, int, (int,), _INTEGER, _NONNEGATIVE),
+    "count": _Type("number", int, str, int, (int,), _INTEGER, _COUNT),
     "port": _Type("number", int, str, int, (int,), _INTEGER, _PORT),
-    "float": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _FINITE),
-    "duration": _Type("number", float, "{:.6f}".format, float, (int, float), _NUMBER, _FINITE_NONNEGATIVE),
+    "float": _Type("number", float, "{:.6f}".format, _float_of_json, (int, float), _NUMBER, _FINITE),
+    "duration": _Type("number", float, "{:.6f}".format, _float_of_json, (int, float), _NUMBER,
+                      _FINITE_NONNEGATIVE),
     "bool": _Type("boolean", _BOOLS.__getitem__, {True: "T", False: "F"}.__getitem__, bool, (bool,),
                   "bad bool {value!r}"),
 }
@@ -481,7 +487,7 @@ def _parse_json(lines: list[str], kind: str) -> ZeekParseResult:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             issues.append(ParseIssue(line_no=line_no, message=f"bad json: {exc}"))
             continue
         if not isinstance(obj, dict):

@@ -3,7 +3,8 @@
 Binding draws tables and columns that satisfy each slot's attribute
 constraints and samples condition values from cells actually present in
 the database, so every emitted query executes on the database it came
-from.  Corpus generation derives one RNG per candidate index from the
+from.  Each template's slot rules are worked out once (``_SlotRules``), so
+a bind only draws.  Corpus generation derives one RNG per candidate index from the
 seed, de-duplicates on (question, sql), and keeps a floor of pairs with
 datetime predicates when the database has populated time columns.
 
@@ -32,7 +33,7 @@ from operator import itemgetter
 from ..modelio import read_jsonl
 from ..store import Database, Scope, StoreError, canonical_tables
 from ..store import sql as _sql
-from ..store.schema import ColumnDef, DatabaseSchema, TableSchema
+from ..store.schema import ATTRIBUTES, ColumnDef, DatabaseSchema, TableSchema
 from ..workers import NOT_COMPUTED, Pool
 from .bank import (
     PLACEHOLDER_RE,
@@ -215,6 +216,82 @@ class ValueIndex:
         return self._cache[key]
 
 
+_COLUMN_KINDS = (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN)
+
+
+@dataclass(frozen=True)
+class _SlotRules:
+    """What each slot of one template allows, worked out once from its slots
+    and SQL pattern.  A bind draws against the fields in this order."""
+
+    join_keys: tuple  # JOIN_KEY slot names
+    # (AGG_OP spec, its AGG_COLUMN spec or None, its ops; with a column,
+    # {op: the attributes the column may have with that op})
+    aggs: tuple
+    columns: tuple   # (other column slot, its attributes, whether a value slot samples it)
+    cond_ops: tuple  # (COND_OP spec, the column slot it compares or None: a number, {attribute: ops})
+    values: tuple    # (COND_VALUE spec, the column slot it samples)
+    windows: tuple   # (column slot sampled, its TIME_LO specs then its TIME_HI specs)
+    limits: tuple    # LIMIT_N specs
+    needs: tuple     # (table slot, attributes one of its columns must have), one per column slot
+
+    @classmethod
+    def of(cls, template: QueryTemplate) -> _SlotRules:
+        slots = list(template.slots.values())
+
+        def attrs(spec: SlotSpec, default=ATTRIBUTES) -> set:
+            return set(default if spec.attrs is None else spec.attrs)
+
+        aggs, paired = [], {}
+        for spec in slots:
+            if spec.kind is SlotKind.AGG_OP:
+                ops = spec.ops or _DEFAULT_AGG_OPS
+                col = template.slots.get(f"AGG_COLUMN{spec.suffix}")
+                if col is not None:  # each op restricts its column's attributes
+                    ops = {op: attrs(col) & set(_OP_ATTRS[op]) for op in ops}
+                    paired[col.name] = (col.table_slot, set().union(*ops.values()))
+                aggs.append((spec, col, ops))
+        values = [(s, s.source or f"COND_COLUMN{s.suffix}") for s in slots if s.kind is SlotKind.COND_VALUE]
+        windows: dict[str, list[SlotSpec]] = {}
+        for spec in slots:
+            if spec.kind in (SlotKind.TIME_LO, SlotKind.TIME_HI):
+                windows.setdefault(spec.source or "", []).append(spec)
+        sampled = {*(source for _, source in values), *windows}
+        # an unpaired AGG_COLUMN with no attrs takes a number or time column
+        columns = [
+            (s, attrs(s, ("number", "time") if s.kind is SlotKind.AGG_COLUMN else ATTRIBUTES),
+             s.name in sampled)
+            for s in slots if s.kind in _COLUMN_KINDS and s.name not in paired
+        ]
+        column_names = {*paired, *(s.name for s, _, _ in columns)}
+        # a COND_OP compares the column slot nearest on its left in the
+        # pattern; a number after COUNT(*) or when there is none
+        cond_ops = {s.name: s for s in slots if s.kind is SlotKind.COND_OP}
+        compared, last = {}, None
+        for match in PLACEHOLDER_RE.finditer(template.sql_pattern):
+            name = match.group("braced") or match.group("bare")
+            if name in column_names:
+                last = name
+            elif name in cond_ops and name not in compared:
+                counted = template.sql_pattern[: match.start()].rstrip().endswith("COUNT(*)")
+                compared[name] = None if counted else last
+        return cls(
+            join_keys=tuple(s.name for s in slots if s.kind is SlotKind.JOIN_KEY),
+            aggs=tuple(aggs),
+            columns=tuple(columns),
+            cond_ops=tuple(
+                (s, compared.get(s.name),
+                 {a: [op for op in s.ops or _ALL_COND_OPS if op in _ops_for_attr(a)] for a in ATTRIBUTES})
+                for s in cond_ops.values()
+            ),
+            values=tuple(values),
+            windows=tuple((source, sorted(specs, key=lambda s: s.kind is SlotKind.TIME_HI))
+                          for source, specs in windows.items()),
+            limits=tuple(s for s in slots if s.kind is SlotKind.LIMIT_N),
+            needs=(*paired.values(), *((s.table_slot, a) for s, a, _ in columns)),
+        )
+
+
 class TemplateBinder:
     """Binds template slots against one database snapshot."""
 
@@ -223,7 +300,7 @@ class TemplateBinder:
         self.schema: DatabaseSchema = db.schema
         self.values = ValueIndex(db)
         self._join_options = self._enumerate_join_options()
-        self._options: dict[str, tuple[QueryTemplate, list, bool]] = {}
+        self._options: dict[str, tuple[QueryTemplate, list, bool, _SlotRules]] = {}
 
     def _enumerate_join_options(self) -> list[tuple[TableSchema, TableSchema, str]]:
         options = []
@@ -237,55 +314,33 @@ class TemplateBinder:
                         options.append((t1, t2, c1.name))
         return options
 
-    # -- satisfiability filters (attribute level; value existence is retried)
-
-    def _columns_matching(self, table: TableSchema, attrs) -> list[ColumnDef]:
-        if attrs is None:
-            return list(table.columns)
-        return [c for c in table.columns if c.attribute in attrs]
-
-    _AGG_COLUMN_DEFAULT_ATTRS = ("number", "time")
-
-    def _check_viable(self, template: QueryTemplate, table: TableSchema, table_slot: str) -> bool:
-        for spec in template.slots.values():
-            if spec.kind not in (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN):
-                continue
-            if spec.table_slot != table_slot:
-                continue
-            attrs = spec.attrs
-            if spec.kind is SlotKind.AGG_COLUMN:
-                agg_slot = template.slots.get(f"AGG_OP{spec.suffix}")
-                if agg_slot is not None and spec.name == f"AGG_COLUMN{spec.suffix}":
-                    ops = agg_slot.ops or _DEFAULT_AGG_OPS
-                    allowed = set()
-                    for op in ops:
-                        allowed.update(_OP_ATTRS[op])
-                    attrs = tuple(allowed if attrs is None else allowed & set(attrs))
-            if not self._columns_matching(table, attrs):
-                return False
-        return True
-
-    def _bind_options(self, template: QueryTemplate) -> tuple[list, bool]:
-        """(table, join table, join key) for each choice the slots allow, and
-        whether the template joins: a pure function of the schema and the
-        template, built on its first bind."""
+    def _bind_options(self, template: QueryTemplate) -> tuple[list, bool, _SlotRules]:
+        """(table, join table, join key) for each choice the slots allow (a
+        table has a column of the attributes each of its column slots needs;
+        value existence is retried), whether the template joins, and its slot
+        rules: a pure function of the schema and the template, built on its
+        first bind."""
         hit = self._options.get(template.id)
         if hit is None or hit[0] is not template:  # ids repeat across banks
+            rules = _SlotRules.of(template)
+            viable = {
+                slot: {t.name for t in self.schema.tables
+                       if all(any(c.attribute in attrs for c in t.columns)
+                              for owner, attrs in rules.needs if owner == slot)}
+                for slot in ("TABLE", "JOIN_TABLE")
+            }
             has_join = any(s.kind is SlotKind.JOIN_TABLE for s in template.slots.values())
-            tables = {t.name for t in self.schema.tables if self._check_viable(template, t, "TABLE")}
             if has_join:
-                joined = {t.name for t in self.schema.tables if self._check_viable(template, t, "JOIN_TABLE")}
-                options = [
-                    (t1, t2, key) for t1, t2, key in self._join_options if t1.name in tables and t2.name in joined
-                ]
+                options = [(t1, t2, key) for t1, t2, key in self._join_options
+                           if t1.name in viable["TABLE"] and t2.name in viable["JOIN_TABLE"]]
             else:
-                options = [(t, None, None) for t in self.schema.tables if t.name in tables]
-            hit = self._options[template.id] = (template, options, has_join)
-        return hit[1], hit[2]
+                options = [(t, None, None) for t in self.schema.tables if t.name in viable["TABLE"]]
+            hit = self._options[template.id] = (template, options, has_join, rules)
+        return hit[1:]
 
     def bind(self, template: QueryTemplate, rng: random.Random) -> dict:
         # tried in a random order until one option has sampleable values
-        options, has_join = self._bind_options(template)
+        options, has_join, rules = self._bind_options(template)
         if has_join:
             no_options = "no joinable table pair satisfies the slots"
             no_values = "no join option has sampleable values"
@@ -297,142 +352,61 @@ class TemplateBinder:
         for t1, t2, key in rng.sample(options, len(options)):
             table_map = {"TABLE": t1} if t2 is None else {"TABLE": t1, "JOIN_TABLE": t2}
             try:
-                return self._bind_with_tables(template, rng, table_map, key)
+                return self._bind_with_tables(rules, rng, table_map, key)
             except _RetryBind:
                 continue
         raise UnsatisfiableSlot(f"template {template.id}: {no_values}")
 
     def _bind_with_tables(
-        self,
-        template: QueryTemplate,
-        rng: random.Random,
-        table_map: dict[str, TableSchema],
-        join_key: str | None,
+        self, rules: _SlotRules, rng: random.Random, table_map: dict[str, TableSchema], join_key: str | None
     ) -> dict:
-        bindings: dict[str, Bound] = {}
-        col_tables: dict[str, TableSchema] = {}
-        for name, table in table_map.items():
-            kind = SlotKind.TABLE if name == "TABLE" else SlotKind.JOIN_TABLE
-            bindings[name] = Bound(kind=kind, value=table)
-        for spec in template.slots.values():
-            if spec.kind is SlotKind.JOIN_KEY:
-                bindings[spec.name] = Bound(kind=SlotKind.JOIN_KEY, value=join_key)
-
-        # aggregate op/column pairs first (op restricts the column's attrs)
-        for spec in template.slots.values():
-            if spec.kind is not SlotKind.AGG_OP:
-                continue
-            col_spec = template.slots.get(f"AGG_COLUMN{spec.suffix}")
-            ops = list(spec.ops or _DEFAULT_AGG_OPS)
+        bindings = {name: Bound(kind=SlotKind(name), value=table) for name, table in table_map.items()}
+        bindings.update((name, Bound(kind=SlotKind.JOIN_KEY, value=join_key)) for name in rules.join_keys)
+        tables: dict[str, TableSchema] = {}  # each column slot's table
+        for spec, col_spec, ops in rules.aggs:
             if col_spec is None:
                 bindings[spec.name] = Bound(kind=SlotKind.AGG_OP, value=rng.choice(ops))
                 continue
-            table = table_map[col_spec.table_slot]
-            viable: dict[str, list[ColumnDef]] = {}
-            for op in ops:
-                attrs = set(_OP_ATTRS[op])
-                if col_spec.attrs is not None:
-                    attrs &= set(col_spec.attrs)
-                cols = self._columns_matching(table, tuple(attrs))
-                if cols:
-                    viable[op] = cols
+            table = tables[col_spec.name] = table_map[col_spec.table_slot]
+            viable = {op: cols for op, attrs in ops.items()
+                      if (cols := [c for c in table.columns if c.attribute in attrs])}
             if not viable:
                 raise _RetryBind
             op = rng.choice(sorted(viable))
-            col = rng.choice(viable[op])
             bindings[spec.name] = Bound(kind=SlotKind.AGG_OP, value=op)
-            bindings[col_spec.name] = Bound(kind=SlotKind.AGG_COLUMN, value=col)
-            col_tables[col_spec.name] = table
+            bindings[col_spec.name] = Bound(kind=SlotKind.AGG_COLUMN, value=rng.choice(viable[op]))
 
-        # remaining column slots
-        value_sources = self._value_sources(template)
-        for spec in template.slots.values():
-            if spec.kind not in (SlotKind.AGG_COLUMN, SlotKind.COND_COLUMN, SlotKind.ORDER_COLUMN):
-                continue
-            if spec.name in bindings:
-                continue
-            table = table_map[spec.table_slot]
-            attrs = spec.attrs
-            if attrs is None and spec.kind is SlotKind.AGG_COLUMN:
-                attrs = self._AGG_COLUMN_DEFAULT_ATTRS
-            candidates = self._columns_matching(table, attrs)
-            if spec.name in value_sources:
-                candidates = [c for c in candidates if self.values.distinct(table, c)]
-            if not candidates:
+        for spec, attrs, sampled in rules.columns:
+            table = tables[spec.name] = table_map[spec.table_slot]
+            cols = [c for c in table.columns
+                    if c.attribute in attrs and (not sampled or self.values.distinct(table, c))]
+            if not cols:
                 raise _RetryBind
-            col = rng.choice(candidates)
-            bindings[spec.name] = Bound(kind=spec.kind, value=col)
-            col_tables[spec.name] = table
+            bindings[spec.name] = Bound(kind=spec.kind, value=rng.choice(cols))
 
-        # condition operators (constrained by the compared operand's type)
-        for spec in template.slots.values():
-            if spec.kind is not SlotKind.COND_OP:
-                continue
-            attr = self._cond_operand_attr(template, spec, bindings)
-            allowed = [op for op in (spec.ops or _ALL_COND_OPS) if op in _ops_for_attr(attr)]
-            if not allowed:
+        for spec, compared, allowed in rules.cond_ops:
+            ops = allowed[bindings[compared].value.attribute if compared else "number"]
+            if not ops:
                 raise _RetryBind
-            bindings[spec.name] = Bound(kind=SlotKind.COND_OP, value=rng.choice(allowed))
+            bindings[spec.name] = Bound(kind=SlotKind.COND_OP, value=rng.choice(ops))
 
-        # sampled values
-        time_pairs: dict[str, list[SlotSpec]] = {}
-        for spec in template.slots.values():
-            if spec.kind in (SlotKind.TIME_LO, SlotKind.TIME_HI):
-                time_pairs.setdefault(spec.source or "", []).append(spec)
-                continue
-            if spec.kind is not SlotKind.COND_VALUE:
-                continue
-            source = spec.source or f"COND_COLUMN{spec.suffix}"
-            if source not in bindings:
+        def pool(source: str) -> list:
+            """The values in the column bound to column slot ``source``."""
+            found = self.values.distinct(tables[source], bindings[source].value) if source in tables else []
+            if not found:
                 raise _RetryBind
-            col = bindings[source].value
-            pool = self.values.distinct(col_tables[source], col)
-            if not pool:
-                raise _RetryBind
-            bindings[spec.name] = Bound(kind=SlotKind.COND_VALUE, value=rng.choice(pool))
+            return found
 
-        for source, specs in time_pairs.items():
-            if source not in bindings:
-                raise _RetryBind
-            col = bindings[source].value
-            pool = self.values.distinct(col_tables[source], col)
-            if not pool:
-                raise _RetryBind
-            picks = sorted(rng.choice(pool) for _ in specs)
-            for spec, value in zip(sorted(specs, key=lambda s: s.kind.value, reverse=True), picks):
-                # TIME_LO sorts after TIME_HI reversed; pair low value with TIME_LO
+        for spec, source in rules.values:
+            bindings[spec.name] = Bound(kind=SlotKind.COND_VALUE, value=rng.choice(pool(source)))
+        for source, specs in rules.windows:
+            values = pool(source)
+            # the low value to TIME_LO, the high one to TIME_HI
+            for spec, value in zip(specs, sorted(rng.choice(values) for _ in specs)):
                 bindings[spec.name] = Bound(kind=spec.kind, value=value)
-
-        for spec in template.slots.values():
-            if spec.kind is SlotKind.LIMIT_N:
-                bindings[spec.name] = Bound(kind=SlotKind.LIMIT_N, value=rng.randint(spec.lo, spec.hi))
-
+        for spec in rules.limits:
+            bindings[spec.name] = Bound(kind=SlotKind.LIMIT_N, value=rng.randint(spec.lo, spec.hi))
         return bindings
-
-    def _value_sources(self, template: QueryTemplate) -> set[str]:
-        sources = set()
-        for spec in template.slots.values():
-            if spec.kind is SlotKind.COND_VALUE:
-                sources.add(spec.source or f"COND_COLUMN{spec.suffix}")
-            elif spec.kind in (SlotKind.TIME_LO, SlotKind.TIME_HI) and spec.source:
-                sources.add(spec.source)
-        return sources
-
-    def _cond_operand_attr(self, template: QueryTemplate, spec: SlotSpec, bindings: dict) -> str:
-        """Type of the operand compared by a COND_OP: nearest placeholder on its left."""
-        pattern = template.sql_pattern
-        marker = re.search(rf"\$\{{?{re.escape(spec.name)}\b\}}?", pattern)
-        if marker is None:
-            return "number"
-        before = pattern[: marker.start()]
-        if re.search(r"COUNT\(\*\)\s*$", before):
-            return "number"
-        names = [m.group("braced") or m.group("bare") for m in PLACEHOLDER_RE.finditer(before)]
-        for name in reversed(names):
-            bound = bindings.get(name)
-            if bound is not None and isinstance(bound.value, ColumnDef):
-                return bound.value.attribute
-        return "number"
 
 
 def instantiate(

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -390,7 +391,7 @@ def _reference_best_split(self, X, y, idx, rng):
             best_score = float(weighted[j])
             lo, hi = float(v_sorted[boundaries[j]]), float(v_sorted[boundaries[j] + 1])
             mid = (lo + hi) / 2.0
-            best = (int(feat), mid if lo <= mid < hi else lo)
+            best = (int(feat), (mid if lo <= mid < hi else lo) + 0.0)
     return best
 
 
@@ -459,6 +460,19 @@ def test_forest_separates_two_classes_at_any_two_floats(values, n_first, n_secon
     y = np.array([first_label] * n_first + [not first_label] * n_second)
     forest = RandomForest(n_trees=3, bootstrap=False).fit(X, y)
     assert np.array_equal(forest.predict(X), y)
+
+
+# np.sort leaves the order of -0.0 and 0.0 open, and a cut next to an
+# infinity is made at lo, so a zero's sign would reach model.json
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+def test_no_tree_stores_a_negative_zero(zero):
+    X = np.array([[zero]] * 3 + [[np.inf]] * 3 + [[-0.0], [0.0]] * 2)
+    y = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0, 0])
+    tree = DecisionTree().fit(X[:6], y[:6])
+    forest = RandomForest(n_trees=4, max_features=1, seed=0).fit(X, y)
+    thresholds = [t for state in (tree.state(), *forest.state()["trees"]) for t in state["threshold"]]
+    assert 0.0 in thresholds
+    assert all(math.copysign(1.0, t) == 1.0 for t in thresholds if t == 0.0)
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0.0, 0.5, 1.0, 1.0], [-1, 0, 1, 1],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -25,6 +26,7 @@ from iotsqlbench.templates import (
     pair_to_json,
     read_corpus,
 )
+from iotsqlbench.templates.bank import parse_bank_text
 from tests.conftest import text_file
 
 BY_ID = {t.id: t for t in default_bank()}
@@ -79,6 +81,47 @@ def test_binder_options_follow_the_template_not_its_id():
                 binder.bind(template, random.Random(0))
 
 
+def _template(sql: str, *slots: str):
+    """A retrieval template of ``sql`` and slot lines, with three NL patterns."""
+    nl = "".join(f"nl rows of $TABLE, variant {i}\n" for i in range(3))
+    text = f"template t\ncategory retrieval\nsql {sql}\n{nl}" + "".join(f"slot {s}\n" for s in slots)
+    return parse_bank_text(text + "end\n")[0]
+
+
+def _strings_db(rows):
+    db = Database(define_schema([
+        TableSchema(name="strings_only", columns=(ColumnDef("a", "text"), ColumnDef("b", "text"))),
+    ]))
+    db.load_records("strings_only", rows)
+    return db
+
+
+def test_cond_op_compares_the_nearest_column_slot_on_its_left(synth_db):
+    # the value placeholder between the column and the operator is passed
+    # over: the operator compares a text column, so only = and != are drawn
+    template = _template(
+        "SELECT * FROM $TABLE WHERE ($COND_COLUMN = $COND_VALUE OR $COND_VALUE $COND_OP2 $COND_COLUMN)",
+        "COND_COLUMN attrs=text")
+    binder = TemplateBinder(synth_db)
+    drawn = {binder.bind(template, random.Random(seed))["COND_OP2"].value for seed in range(40)}
+    assert drawn == {"=", "!="}
+
+
+def test_a_column_a_value_slot_samples_has_values():
+    db = _strings_db([(None, "y"), (None, "w")])
+    template = BY_ID["select_all_filter"]
+    binder = TemplateBinder(db)
+    for seed in range(20):
+        bindings = binder.bind(template, random.Random(seed))
+        assert bindings["COND_COLUMN"].value.name == "b" and bindings["COND_VALUE"].value in ("y", "w")
+
+
+def test_an_unpaired_agg_column_needs_a_number_or_time_column():
+    template = _template("SELECT $AGG_COLUMN FROM $TABLE")
+    with pytest.raises(UnsatisfiableSlot, match="no table satisfies the column constraints"):
+        TemplateBinder(_strings_db([("x", "y")])).bind(template, random.Random(0))
+
+
 def test_instantiations_all_execute(synth_db):
     binder = TemplateBinder(synth_db)
     bank = default_bank()
@@ -101,6 +144,20 @@ def test_generate_corpus_deterministic(synth_db):
     assert a == b
     c = generate_corpus(synth_db, CorpusConfig(n_pairs=120, seed=14))
     assert a != c
+
+
+# sha256 of each pair's JSON line, temporal flag and constructs, recorded
+# before the binder's slot rules were worked out once per template: any
+# change to a draw, its order or a retry moves it
+@pytest.mark.parametrize("floor, digest", [
+    (None, "b6026314dde316d91f4c201da4f40a58335afa689772640408e9c0194e8f5ae6"),
+    (0.9, "51b23478fb3353eb3052c844d401e91da163c6420f9d24b76b0cab454ca945c9"),
+], ids=["default-floor", "floor-0.9"])
+def test_generated_corpus_is_byte_identical(synth_db, floor, digest):
+    floors = {} if floor is None else {"temporal_floor": floor}
+    pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=1000, seed=7, **floors))
+    lines = "".join(f"{pair_to_json(p)}\t{p.temporal}\t{sorted(p.constructs)}\n" for p in pairs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def test_generate_corpus_empty():

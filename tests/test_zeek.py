@@ -4,6 +4,7 @@ from datetime import datetime
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from iotsqlbench.ingest import (
     serialize_zeek,
     synthesize_logs,
 )
+from iotsqlbench.baselines import fit_featurizer
 from iotsqlbench.ingest import zeek
 from tests.conftest import ConnRow, conn_records
 
@@ -231,9 +233,10 @@ _OUT_OF_RANGE = [
     ("conn", "id.resp_p", 70000, "resp_p out of range: 70000"),
     ("conn", "duration", -0.5, "duration must be finite and nonnegative: -0.5"),
     ("conn", "duration", float("nan"), "duration must be finite and nonnegative: nan"),
-    *(("conn", name, -1, f"{name} must be nonnegative: -1") for name in (
+    *(("conn", name, -1, f"{name} must be a count in [0, 2**64): -1") for name in (
         "orig_bytes", "resp_bytes", "missed_bytes", "orig_pkts", "orig_ip_bytes",
         "resp_pkts", "resp_ip_bytes")),
+    ("conn", "orig_bytes", 2**64, f"orig_bytes must be a count in [0, 2**64): {2**64}"),
     ("files", "duration", float("nan"), "duration must be finite and nonnegative: nan"),
     ("dns", "rtt", float("nan"), "rtt must be finite and nonnegative: nan"),
 ]
@@ -281,6 +284,39 @@ def test_an_infinite_number_is_refused_by_both_readers_and_the_writer(kind, spec
     with pytest.raises(zeek.UnreadableValue) as refused:
         serialize_zeek(ConnTable.of(rows) if kind == "conn" else rows, kind)
     assert str(refused.value) == f"record 2: {message}"
+
+
+# an integer of 401 digits is beyond float range: both readers read it as
+# inf, and a float or duration field refuses it
+@pytest.mark.parametrize("kind, field, message", [
+    ("conn", "duration", "duration must be finite and nonnegative: inf"),
+    ("ntp", "poll", "poll must be a finite number: inf"),
+])
+def test_an_integer_beyond_float_range_is_refused_alike_in_tsv_and_json(kind, field, message):
+    _assert_refused_in_tsv_and_json(kind, field, 10**401 - 1, message)
+
+
+def test_a_json_integer_of_too_many_digits_is_a_bad_line():
+    lines = [json.dumps(_JSON_CONN), json.dumps(_JSON_CONN)[:-1] + ', "duration": ' + "9" * 5000 + "}"]
+    result = parse_zeek("\n".join(lines) + "\n", "conn")
+    assert len(result.records) == 1
+    assert [i.line_no for i in result.issues] == [2]
+    assert result.issues[0].message.startswith("bad json: Exceeds the limit")
+
+
+# a count is Zeek's 64-bit count: the writer refuses 2**64 as both readers
+# do (_OUT_OF_RANGE), and the largest count loads and featurizes
+def test_a_count_must_fit_64_bits():
+    message = f"orig_bytes must be a count in [0, 2**64): {2**64}"
+    rows = conn_records(synthesize_logs(SynthSpec(counts={"conn": 2}, seed=3))["conn"])
+    with pytest.raises(zeek.UnreadableValue) as refused:
+        serialize_zeek(ConnTable.of([rows[0], rows[1]._replace(orig_bytes=2**64)]), "conn")
+    assert str(refused.value) == f"record 2: {message}"
+    table = ConnTable.of([rows[0], rows[1]._replace(orig_bytes=2**64 - 1)])
+    read = parse_zeek(serialize_zeek(table, "conn"), "conn")
+    assert not read.issues and conn_records(read.records)[1].orig_bytes == 2**64 - 1
+    features = fit_featurizer(read.records).transform(read.records)
+    assert np.isfinite(features).all()
 
 
 def test_parse_iot23_label_cases():
@@ -879,7 +915,7 @@ def test_json_integer_fields_keep_range_checks():
     assert rec.orig_p == 65535 and rec.orig_bytes == 2**40
     assert [(i.line_no, i.message) for i in result.issues] == [
         (2, "orig_p out of range: 65536"),
-        (3, "orig_bytes must be nonnegative: -1"),
+        (3, "orig_bytes must be a count in [0, 2**64): -1"),
     ]
 
 

@@ -44,10 +44,10 @@ _TIMES = st.datetimes(min_value=datetime(1, 1, 1),
                       max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 # non-string values of each type the reader reads: ports in range, counts
-# nonnegative, floats finite, durations finite and nonnegative
+# in 0..2**64-1, floats finite, durations finite and nonnegative
 _VALUES = {
     "time": _TIMES,
-    "count": st.integers(0, 2**64),
+    "count": st.integers(0, 2**64 - 1),
     "port": st.integers(0, 65535),
     "float": st.floats(allow_nan=False, allow_infinity=False),
     "duration": st.floats(min_value=0.0, allow_infinity=False),
@@ -59,7 +59,7 @@ _MICROS = st.integers(-2**53, 2**53).map(lambda n: n / 10**6)
 _READ_BACK = _VALUES | {"float": _MICROS, "duration": _MICROS.map(abs)}
 # in-type values the reader refuses, and the issue it gives
 _REFUSED = {
-    "count": (st.integers(-2**64, -1), "must be nonnegative"),
+    "count": (st.integers(-2**64, -1) | st.integers(2**64, 2**65), "must be a count in [0, 2**64)"),
     "port": (st.integers(-2**64, -1) | st.integers(65536, 2**64), "out of range"),
     "float": (st.sampled_from([math.inf, -math.inf, math.nan]), "must be a finite number"),
     "duration": (st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.inf, math.nan]),
