@@ -33,10 +33,11 @@ round robin, so each gold query runs in one process, and the verdicts are
 merged in example order: a report never depends on the process count, and
 an error raises at the example where one process would raise it, because
 a gold whose scoring raised is scored again in example order.  A worker
-sends back the results of the gold queries it ran, with the NaN check and
-sort it made of them, so these are made once.  Of a result kept before the
-call, a worker sends nothing back: a check or sort it made there is made
-again when a later file needs it.
+sends back each gold entry it ran as its tables, its NaN check and one
+bytes object holding its result, sorted if the worker sorted it; it is
+kept so, and decoded where a prediction in a later call compares rows
+against it.  Of an entry kept before the call, a worker sends nothing
+back: a check or sort it made there is made again when a later file needs it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import pickle
 import re
 import string
 import weakref
@@ -245,6 +247,31 @@ class _Gold:
     expected: _Prepared
     tables: frozenset  # referenced tables, by their schema names
 
+    @property
+    def matches_itself(self) -> bool:
+        return self.expected.matches_itself
+
+    def __reduce__(self):
+        return _SentGold, (self.tables, self.matches_itself, pickle.dumps(self.expected))
+
+
+class _SentGold:
+    """A gold entry as a worker sends it back: the NaN check is made first,
+    and the first comparison of rows against it decodes the result."""
+
+    def __init__(self, tables: frozenset, matches_itself: bool, encoded: bytes):
+        self.tables, self.matches_itself, self.encoded = tables, matches_itself, encoded
+        self._expected = None
+
+    @property
+    def expected(self) -> _Prepared:
+        # the bytes are read first: they are dropped only once the result is set
+        encoded, expected = self.encoded, self._expected
+        if expected is None:
+            expected = self._expected = pickle.loads(encoded)
+            self.encoded = None
+        return expected
+
 
 @dataclass
 class _KeptGolds:
@@ -317,7 +344,7 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
     """
     gold = _prepared_gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
-        return gold.expected.matches_itself
+        return gold.matches_itself
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
@@ -427,10 +454,10 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
     query runs in one process only.  A gold whose scoring raised, in any
     process, or whose worker died, is scored again in the example-order walk
     below, so an error raises at the example where one process would have
-    raised it.  A worker sends back each gold entry it ran, with its NaN
-    check and sort if it made them, and these are kept here if the rows have
-    not changed since the workers were forked.  A check or sort a worker
-    made on an entry kept before the call is not sent back.
+    raised it.  A worker sends back each gold entry it ran encoded, with its
+    NaN check and its sort if it made one (``_SentGold``), and these are kept
+    here if the rows have not changed since the workers were forked.  A check
+    or sort a worker made on an entry kept before the call is not sent back.
     """
     examples_of: dict[str, list[int]] = {}
     for i, (ex, _) in enumerate(pairs):

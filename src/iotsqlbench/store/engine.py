@@ -34,7 +34,8 @@ with the scope narrowed to them: a joined row holds only the columns read
 after the join (``_read_after_join``; all of them for SELECT *).
 ``_project`` takes an ungrouped query's rows, ``_group`` a grouped one's
 (the groups, their aggregates and HAVING); each returns the columns, the
-output rows, each built once, and the ORDER BY keys.  ``_finish`` applies
+output rows (the rows read, where the select list is each of their columns
+in order, else each built once) and the ORDER BY keys.  ``_finish`` applies
 DISTINCT, ORDER BY (a stable sort of row positions per key) and LIMIT.
 
 WHERE, HAVING, GROUP BY and the join take their rows a chunk of
@@ -879,9 +880,12 @@ def _read_after_join(query: _sql.Query, spanning: list, scope: Scope) -> Sequenc
 
 
 def _picked(positions: Sequence[int], rows: Sequence[tuple]) -> Iterable[tuple]:
-    """The tuple of each row's values at ``positions``, in row order."""
+    """The tuple of each row's values at ``positions``, in row order: the
+    rows themselves where ``positions`` is each of their places, in order."""
     if not positions:
         return repeat((), len(rows))
+    if rows and list(positions) == list(range(len(rows[0]))):
+        return rows
     if len(positions) == 1:
         return zip(map(operator.itemgetter(positions[0]), rows))
     return map(operator.itemgetter(*positions), rows)

@@ -9,10 +9,15 @@ pages it shares with this process.  An item that could not be computed
 comes back ``NOT_COMPUTED``, and the caller computes it again in order, so
 that an error is raised where one process would have raised it, and only
 if one process would reach it.
+
+The cyclic garbage collector is paused from before a pool's forks until it
+closes, so no worker runs it.  Batches of scoring and of generation make no
+reference cycle (the tests check both), so reference counting frees them.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
@@ -50,6 +55,8 @@ class Pool:
     def __init__(self, compute, items: int):
         self._compute = compute
         self._workers: list[Worker] = []
+        self._collecting = gc.isenabled()
+        gc.disable()
         try:
             for _ in range(min(process_count(), items) - 1):
                 self._workers.append(Worker(compute, self._workers))
@@ -66,6 +73,8 @@ class Pool:
         self.close()
 
     def close(self) -> None:
+        if self._collecting:  # first, whatever stopping a worker raises
+            gc.enable()
         for worker in self._workers:
             worker.stop()
         self._workers = []

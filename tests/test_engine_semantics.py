@@ -3,6 +3,7 @@ every comparison path: compiled WHERE and HAVING comparisons, IN
 (subquery), JOIN, and WHERE filters pushed below a join."""
 
 import math
+import operator
 import tracemalloc
 from datetime import datetime
 from types import SimpleNamespace
@@ -443,6 +444,47 @@ def test_join_matches_a_nested_loop_over_full_rows(select, clauses, expected, le
     joined = [lrow + rrow for lrow in left for rrow in right if values_eq(lrow[1], rrow[0]) is True]
     got = db.execute(f"SELECT {select} FROM l JOIN r ON l.k = r.k {clauses}").rows
     assert got == expected(joined)
+
+
+def made_rows(monkeypatch, name):
+    """The row lists engine function ``name`` returns, from now on."""
+    made = []
+    real = getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *args: made.append(real(*args)) or made[-1])
+    return made
+
+
+FULL_WIDTH_LEFT = [(1, 2, 10, "a"), (2, 2, 11, "b"), (3, 3, 12, None), (4, None, 13, "a")]
+FULL_WIDTH_RIGHT = [(2, 1.5, "p", 1), (2, 2.5, "q", 2), (3, None, "p", 3), (5, 4.0, None, 4)]
+
+
+def test_a_full_width_join_select_returns_the_joined_rows(monkeypatch):
+    """The joined rows hold the columns read after the join; a select list
+    of all of them, in order, returns those very rows, any other copies."""
+    db = join_db(FULL_WIDTH_LEFT, FULL_WIDTH_RIGHT)
+    joined = made_rows(monkeypatch, "_hash_join")
+    nested = [(lrow[2], rrow[1]) for lrow in FULL_WIDTH_LEFT for rrow in FULL_WIDTH_RIGHT
+              if values_eq(lrow[1], rrow[0]) is True]
+    rows = db.execute("SELECT x, y FROM l JOIN r ON l.k = r.k").rows
+    assert rows == nested and len(rows) == 5
+    assert all(map(operator.is_, rows, joined[-1]))
+    rows = db.execute("SELECT y, x FROM l JOIN r ON l.k = r.k").rows
+    assert rows == [row[::-1] for row in nested]
+    assert not any(map(operator.is_, rows, joined[-1]))
+
+
+def test_a_grouped_select_of_its_keys_then_aggregates_returns_the_group_rows(monkeypatch):
+    db = join_db(FULL_WIDTH_LEFT, FULL_WIDTH_RIGHT)
+    filtered = made_rows(monkeypatch, "_filter")  # HAVING's filter is the last, over the group rows
+    counts = {}
+    for row in FULL_WIDTH_RIGHT:
+        counts[row[2]] = counts.get(row[2], 0) + 1
+    rows = db.execute("SELECT tag, COUNT(*) FROM r GROUP BY tag").rows
+    assert rows == list(counts.items())
+    assert all(map(operator.is_, rows, filtered[-1]))
+    rows = db.execute("SELECT COUNT(*), tag FROM r GROUP BY tag").rows
+    assert rows == [(n, tag) for tag, n in counts.items()]
+    assert not any(map(operator.is_, rows, filtered[-1]))
 
 
 def test_count_over_a_wide_join_keeps_joined_rows_narrow():

@@ -3,6 +3,7 @@ index order: the pairs, the errors and the processes left behind must not
 depend on how many processes computed them."""
 
 import dataclasses
+import gc
 import os
 import random
 
@@ -159,4 +160,46 @@ def test_no_more_workers_than_pairs_minus_one(synth_db, processes, monkeypatch, 
     processes(4)
     assert len(generate_corpus(synth_db, CorpusConfig(n_pairs=n_pairs, seed=3))) == n_pairs
     assert len(forks) == forked
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_generation_makes_no_reference_cycle(synth_db, processes, count):
+    # a pool pauses the collector, which is safe only while no cycle is made
+    processes(count)
+    gc.collect()
+    gc.disable()
+    try:
+        generate_corpus(synth_db, CorpusConfig(n_pairs=60, seed=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_pool_pauses_the_collector_for_its_life_only(processes, monkeypatch, collecting):
+    processes(2)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with workers.Pool(lambda k: (k, gc.isenabled()), 2) as pool:
+            assert not gc.isenabled()
+            assert pool.compute([0, 1]) == [(0, False), (1, False)]  # the worker's pause too
+        assert gc.isenabled() == collecting
+        with pytest.raises(Refused), workers.Pool(abs, 2):
+            raise Refused
+        assert gc.isenabled() == collecting
+
+        def refused(*args):
+            raise Refused
+
+        monkeypatch.setattr(workers, "Worker", refused)
+        with pytest.raises(Refused):
+            workers.Pool(abs, 2)
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
     assert no_child_left()

@@ -3,6 +3,7 @@ process, and merges them in example order: the reports, the errors, the
 queries run and the processes left behind must not depend on how many
 processes scored."""
 
+import gc
 import os
 import re
 
@@ -91,6 +92,53 @@ def test_reports_do_not_depend_on_the_process_count(synth_db, examples, processe
     assert 0.2 < report.execution_acc < 0.6  # every kind scored, not all alike
     timed_out = [ex.id for ex, rec in zip(examples, files[0]) if rec.payload == TIMEOUT_SQL]
     assert {ex for ex, _ in report.failures} >= set(timed_out)
+
+
+def encoded(db):
+    """The gold texts whose kept entries are still as a worker sent them."""
+    return {sql for sql, gold in evaluation._KEPT[db].golds.items()
+            if isinstance(gold, evaluation._SentGold) and gold.encoded is not None}
+
+
+@pytest.mark.usefixtures("timeouts")
+def test_a_worker_entry_stays_encoded_until_a_prediction_compares_rows(synth_db, examples, processes):
+    golds = list(dict.fromkeys(ex.gold_sql for ex in examples))
+    echoes = [PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]
+    # one mutant that runs, on a gold of the worker's, and echoes elsewhere
+    k = next(i for i, ex in enumerate(examples)
+             if golds.index(ex.gold_sql) % 2 and mutant(ex.gold_sql) != ex.gold_sql + " junk")
+    one_mutant = list(echoes)
+    one_mutant[k] = PredictionRecord(id=examples[k].id, payload=mutant(examples[k].gold_sql))
+    files = [predictions(examples), echoes, one_mutant]
+    processes(1)
+    alone = [report_bytes(score_sql_corpus(examples, preds, fresh(synth_db))) for preds in files]
+    processes(2)
+    db = fresh(synth_db)
+    got = [report_bytes(score_sql_corpus(examples, files[0], db))]
+    assert encoded(db) == set(golds[1::2])  # the worker's share
+    got.append(report_bytes(score_sql_corpus(examples, files[1], db)))
+    assert encoded(db) == set(golds[1::2])  # an echo reads the NaN check alone
+    processes(1)  # this process compares the mutant's rows
+    got.append(report_bytes(score_sql_corpus(examples, files[2], db)))
+    assert encoded(db) == set(golds[1::2]) - {examples[k].gold_sql}
+    assert got == alone
+    assert no_child_left()
+
+
+@pytest.mark.usefixtures("timeouts")
+@pytest.mark.parametrize("count", [1, 2])
+def test_scoring_makes_no_reference_cycle(synth_db, examples, processes, count):
+    # a pool pauses the collector, which is safe only while no cycle is made
+    processes(count)
+    db = fresh(synth_db)
+    gc.collect()
+    gc.disable()
+    try:
+        score_sql_corpus(examples, predictions(examples), db)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def gold_error(examples, k):
