@@ -2,13 +2,17 @@
 """End-to-end benchmark build on synthetic data.
 
 Chains the CLI stages (synth -> gen-pairs -> split -> emit) into one
-reproducible run. Everything lands under --out; re-running with the same
-seed produces a byte-identical tree.
+reproducible run, then runs the CLI's baseline stage once per kind in
+baselines.KINDS, each under --out/baselines/KIND, so the four-baseline
+table is the lines that stage prints. Everything lands under --out;
+re-running with the same seed produces a byte-identical tree.
 """
 
 import argparse
+import os
 import sys
 
+from iotsqlbench.baselines import KINDS
 from iotsqlbench.cli import main as cli
 
 
@@ -20,18 +24,22 @@ def main() -> int:
     parser.add_argument("--conn", type=int, default=2000, help="synthetic conn.log rows")
     args = parser.parse_args()
 
-    base = ["--seed", str(args.seed), "--out", args.out,
+    # every stage runs inside the build, so that each manifest names its
+    # inputs relative to it wherever --out is
+    os.makedirs(args.out, exist_ok=True)
+    os.chdir(args.out)
+    base = ["--seed", str(args.seed), "--out", ".",
             "--set", f"synth.conn={args.conn}",
             "--set", f"corpus.n_pairs={args.n_pairs}"]
+    network = ["--anonymized", "splits/conn.anonymized.tsv", "--network-manifest", "splits/network_manifest.txt"]
     stages = [
         base + ["synth"],
-        base + ["gen-pairs", "--db", f"{args.out}/synth"],
-        base + ["split", "--corpus", f"{args.out}/corpus/corpus.jsonl", "--db", f"{args.out}/synth"],
-        base + ["emit",
-                "--corpus", f"{args.out}/corpus/corpus.jsonl",
-                "--pairs-manifest", f"{args.out}/splits/pairs_manifest.txt",
-                "--anonymized", f"{args.out}/splits/conn.anonymized.tsv",
-                "--network-manifest", f"{args.out}/splits/network_manifest.txt"],
+        base + ["gen-pairs", "--db", "synth"],
+        base + ["split", "--corpus", "corpus/corpus.jsonl", "--db", "synth"],
+        base + ["emit", "--corpus", "corpus/corpus.jsonl", "--pairs-manifest", "splits/pairs_manifest.txt",
+                *network],
+        *(["--seed", str(args.seed), "--out", f"baselines/{kind}", "--set", f"baseline.kind={kind}",
+           "baseline", *network] for kind in KINDS),
     ]
     for stage in stages:
         code = cli(stage)

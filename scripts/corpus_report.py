@@ -26,7 +26,7 @@ def main() -> int:
     print(json.dumps(stats, indent=2, sort_keys=True))
 
     pairs = read_corpus(args.corpus)
-    # hand-written pairs have no category
+    # None: the corpus line held null, or no such key
     categories = Counter(pair.category or "(none)" for pair in pairs)
     print("categories:", json.dumps(categories, sort_keys=True))
 

@@ -294,7 +294,6 @@ def cmd_gen_pairs(cfg: RunConfig, out: Path, args) -> int:
     corpus_cfg = templates.CorpusConfig(
         n_pairs=cfg.get_int("corpus.n_pairs"),
         seed=cfg.get_int("seed"),
-        template_weights=cfg.get_weights("corpus.weights"),
         temporal_floor=cfg.get_float("corpus.temporal_floor"),
     )
     pairs = templates.generate_corpus(db, corpus_cfg)

@@ -33,7 +33,6 @@ CONFIG_KEYS = {
     "synth.window": ("2021-03-01,2021-03-08", "time window (ISO dates, lo,hi)"),
     "synth.pool": ("24", "address pool size"),
     "corpus.n_pairs": ("10985", "text-SQL pairs to generate"),
-    "corpus.weights": ("", "template weights as id:weight pairs; empty = uniform"),
     "corpus.temporal_floor": ("0.10", "minimum fraction of datetime-predicate pairs"),
     "split.ratios": ("0.6,0.2,0.2", "pair split ratios (train,dev,test)"),
     "split.train_attacks": (
@@ -169,19 +168,6 @@ class RunConfig:
             return datetime.fromisoformat(parts[0]), datetime.fromisoformat(parts[1])
         except ValueError as exc:
             raise ConfigError(f"{key}: bad timestamp ({exc})") from exc
-
-    def get_weights(self, key: str) -> dict | None:
-        text = self.values[key]
-        if not text:
-            return None
-        out = {}
-        for part in text.split(","):
-            name, _, w = part.partition(":")
-            try:
-                out[name.strip()] = float(w)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: bad weight {w!r}") from exc
-        return out
 
     def canonical(self) -> str:
         return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values)) + "\n"

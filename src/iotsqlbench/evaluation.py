@@ -4,12 +4,13 @@ Logical accuracy is exact match after formatting-only normalization
 (whitespace runs, identifier/keyword case, spacing around commas and
 parentheses, quote style, except that a literal holding a double quote
 keeps its single quotes); literal contents keep their case.  Execution
-accuracy compares result multisets positionally with numeric relative
-tolerance 1e-6, turning order-sensitive only when the gold query has
-ORDER BY; without it both results are sorted by exact keys first, so two
-rows within tolerance may still land at different positions.  Detection
-metrics are macro precision/recall/F1 over the two classes with 0
-substituted for empty denominators.
+accuracy compares result multisets positionally, in one function,
+``results_match``, with numeric relative tolerance 1e-6, turning
+order-sensitive only when the gold query has ORDER BY; without it both
+results are sorted by exact keys first, so two rows within tolerance may
+still land at different positions.  Detection metrics are macro
+precision/recall/F1 over the two classes with 0 substituted for empty
+denominators.
 
 Each gold query runs once per exact SQL text, database and timeout: its
 result, as returned, is kept with the database while the database's rows
@@ -216,28 +217,25 @@ class _Prepared:
         only NaN is."""
         return not any(map(operator.ne, chain.from_iterable(self.rows), chain.from_iterable(self.rows)))
 
-    def matches(self, pred: ResultTable) -> bool:
-        """Positional multiset comparison; column names are ignored."""
-        if len(pred.columns) != self.width or len(pred.rows) != len(self.rows):
-            return False
-        # Rows equal as returned, of one type cell for cell, pass the first
-        # test of _values_match at every position, ordered or sorted alike.
-        # Tuple == counts a cell identical to itself as equal, and with no
-        # NaN in the gold no other cell is unequal to itself.
-        if (
-            pred.rows == self.rows
-            and self.matches_itself
-            and all(map(operator.is_, map(type, chain.from_iterable(pred.rows)),
-                        map(type, chain.from_iterable(self.rows))))
-        ):
-            return True
-        rows = pred.rows if self.ordered else _sorted_rows(pred.rows)
-        return _rows_match(rows, self.comparable_rows)
 
-
-def results_match(pred: ResultTable, gold: ResultTable, order_sensitive: bool) -> bool:
-    """Positional multiset comparison; column names are ignored."""
-    return _Prepared.of(gold, order_sensitive).matches(pred)
+def results_match(pred: ResultTable, expected: _Prepared) -> bool:
+    """Positional multiset comparison of ``pred`` with a prepared result,
+    the one comparison scoring makes; column names are ignored."""
+    if len(pred.columns) != expected.width or len(pred.rows) != len(expected.rows):
+        return False
+    # Rows equal as returned, of one type cell for cell, pass the first
+    # test of _values_match at every position, ordered or sorted alike.
+    # Tuple == counts a cell identical to itself as equal, and with no
+    # NaN in the gold no other cell is unequal to itself.
+    if (
+        pred.rows == expected.rows
+        and expected.matches_itself
+        and all(map(operator.is_, map(type, chain.from_iterable(pred.rows)),
+                    map(type, chain.from_iterable(expected.rows))))
+    ):
+        return True
+    rows = pred.rows if expected.ordered else _sorted_rows(pred.rows)
+    return _rows_match(rows, expected.comparable_rows)
 
 
 @dataclass(frozen=True)
@@ -349,7 +347,7 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
         return False
-    return gold.expected.matches(pred_result)
+    return results_match(pred_result, gold.expected)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reads.
 from __future__ import annotations
 
 import csv
+import math
 from datetime import datetime
 
 from ..lines import csv_rows, csv_text, split_lines
@@ -45,8 +46,9 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
     Lines are split by ``lines.split_lines`` and read by ``csv.reader``, one
     row per line.  Expects a ``room,ts,value`` header; ts is ISO-8601.  The
     room is kept as written; ts and value lose surrounding whitespace.  A
-    motion value must be 0 or 1.  Raises BadTimestamp or BadValue with the
-    offending line number.
+    value must be a finite number (not nan, inf, or digits beyond float
+    range), and a motion value 0 or 1.  Raises BadTimestamp or BadValue
+    with the offending line number.
     """
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
@@ -69,6 +71,8 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
                     value = int(value_text)
             except ValueError as exc:
                 raise BadValue(f"line {line_no}: bad value {value_text!r}") from exc
+            if not math.isfinite(value):
+                raise BadValue(f"line {line_no}: value must be finite: {value_text!r}")
             if sensor_type == "motion" and value not in (0, 1):
                 raise BadValue(f"line {line_no}: motion value must be 0 or 1: {value}")
             readings.append(sensor_row(sensor_type, len(readings), room, ts, value))
@@ -79,7 +83,18 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
 
 def serialize_sensors(rows: list[tuple]) -> str:
     """A sensor CSV (``room,ts,value``) of a sensor's rows; a room holding
-    "\\n", "\\r" or NUL is a ValueError (``lines.csv_text``)."""
+    "\\n", "\\r" or NUL (``lines.csv_text``), or a value that
+    ``ingest_sensors`` refuses as not finite, is a ValueError."""
     return csv_text([("room", "ts", "value"), *(
-        (room, ts.isoformat(), int(value) if float(value).is_integer() else value)
+        (room, ts.isoformat(), int(value) if _finite(value).is_integer() else value)
         for _, room, _, ts, value in rows)])
+
+
+def _finite(value) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"sensor value must be finite, got {value!r}")
+    return number

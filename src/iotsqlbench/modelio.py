@@ -206,14 +206,15 @@ def read_jsonl(path: str | os.PathLike):
     str or an os.PathLike, the toolkit's one JSON-lines reader. Lines are split
     by ``lines.split_lines``' rule, one at a time from the file's bytes
     (``lines.read_lines``), so that it costs its records plus one line. A line that
-    is not a JSON object is a ParseError; one that is not UTF-8 is a
+    is not a JSON object, or holds an integer of more digits than ``int``
+    reads from text, is a ParseError; one that is not UTF-8 is a
     ``lines.NotUtf8`` naming the file and line."""
     for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise ParseError(f"line {line_no}: bad json ({exc})") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected an object")

@@ -98,9 +98,6 @@ class ResultTable:
     rows: list[tuple]
     query: _sql.Query | None = field(default=None, compare=False, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def parse_time_literal(text: str) -> datetime | None:
     """ISO-8601 (date or date+time, 'T' or space separator), else None."""

@@ -111,7 +111,7 @@ class QueryTemplate:
                 slots[name] = SlotSpec(name=name, kind=kind)
         object.__setattr__(self, "slots", slots)
         for pattern in self.nl_patterns:
-            extra = placeholder_names(pattern) - set(slots)
+            extra = set(placeholder_names(pattern)) - set(slots)
             if extra:
                 raise BankFormatError(
                     f"template {self.id}: nl pattern uses unknown slots {sorted(extra)}"
@@ -134,11 +134,10 @@ class QueryTemplate:
         return False
 
 
-def placeholder_names(pattern: str) -> set[str]:
-    names = set()
-    for match in PLACEHOLDER_RE.finditer(pattern):
-        names.add(match.group("braced") or match.group("bare"))
-    return names
+def placeholder_names(pattern: str) -> list[str]:
+    """The slot names of ``pattern``, each once, in order of first use: so a
+    template's inferred slots, and a bind's draws, never follow string hashing."""
+    return list(dict.fromkeys(m.group("braced") or m.group("bare") for m in PLACEHOLDER_RE.finditer(pattern)))
 
 
 def _parse_slot_line(parts: list[str], template_id: str) -> SlotSpec:

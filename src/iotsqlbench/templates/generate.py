@@ -55,7 +55,7 @@ class ExhaustedResampling(TemplateError):
 class TextSqlPair:
     question: str
     sql: str
-    template_id: str | None = None  # absent means manually authored
+    template_id: str | None = None  # None: the corpus line held null, or no such key
     tables_referenced: frozenset = frozenset()
     category: str | None = None
     # classification made once from the parsed SQL when the pair is made
@@ -464,7 +464,6 @@ def _is_time_column(scope: Scope, raw: str) -> bool:
 class CorpusConfig:
     n_pairs: int
     seed: int = 0
-    template_weights: dict | None = None  # template id -> weight; None = uniform
     temporal_floor: float = 0.10
     max_attempt_factor: int = 60
 
@@ -493,21 +492,17 @@ def generate_corpus(db: Database, config: CorpusConfig) -> list[TextSqlPair]:
     if config.n_pairs == 0:
         return []
     bank = default_bank()
-    weights = {t.id: 1.0 for t in bank}
-    if config.template_weights is not None:
-        weights.update(config.template_weights)
-    active = [t for t in bank if weights.get(t.id, 0) > 0]
-    if not active:
-        raise ExhaustedResampling("no template has positive weight")
     binder = TemplateBinder(db)
-    temporal = [t for t in active if t.is_temporal and _temporal_possible(binder, t)]
+    temporal = [t for t in bank if t.is_temporal and _temporal_possible(binder, t)]
 
     def candidate(k: int, force_temporal: bool = False) -> TextSqlPair | None:
         """Candidate k, or None when its template cannot be bound."""
         rng = _candidate_rng(config.seed, k)
         reserve_temporal = bool(temporal) and (k % _TEMPORAL_STRIDE == 0)
-        pool = temporal if (force_temporal or reserve_temporal) else active
-        template = rng.choices(pool, weights=[weights[t.id] for t in pool])[0]
+        pool = temporal if (force_temporal or reserve_temporal) else bank
+        # choices draws floor(random() * len(pool)); choice would draw
+        # through _randbelow and move every corpus
+        template = rng.choices(pool)[0]
         try:
             return instantiate(template, db, rng, binder=binder)
         except UnsatisfiableSlot:

@@ -632,6 +632,14 @@ def test_schema_is_no_config_key(tmp_path, capsys):
     assert not (tmp_path / "run/synth").exists()
 
 
+def test_eval_detect_examples_with_an_integer_of_too_many_digits_is_a_data_error(tmp_path, capsys):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text('{"id": %s, "input": "x", "gold": "Benign"}\n' % ("9" * 5000), encoding="utf-8")
+    args = ["eval-detect", "--examples", examples, "--predictions", examples]
+    assert run(["--out", tmp_path / "run", *args]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: bad json (Exceeds the limit")
+
+
 def test_the_default_schema_lists_each_table_as_its_reader_does():
     # every reader's table and no other, each as its reader gives it
     assert [(table.name, [(column.name, column.attribute) for column in table.columns])

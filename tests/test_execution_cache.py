@@ -1,6 +1,6 @@
 """Prepared gold results: built once per gold SQL text while a file is
 scored, sorted on the first comparison that needs it, and compared through
-the same path as ``results_match``."""
+``results_match``."""
 
 import json
 import math
@@ -178,11 +178,12 @@ def test_prediction_beyond_float_range_is_scored_not_raised():
 
 def test_results_match_shares_the_prepared_path():
     gold = ResultTable(["a"], [(3,), (1,), (2,)])
-    assert results_match(ResultTable(["z"], [(1,), (2,), (3.0000001,)]), gold, order_sensitive=False)
-    assert not results_match(ResultTable(["a"], [(1,), (2,), (3,)]), gold, order_sensitive=True)
-    assert not results_match(ResultTable(["a", "b"], [(1, 1)] * 3), gold, order_sensitive=False)
+    unordered, ordered = evaluation._Prepared.of(gold, False), evaluation._Prepared.of(gold, True)
+    assert results_match(ResultTable(["z"], [(1,), (2,), (3.0000001,)]), unordered)
+    assert not results_match(ResultTable(["a"], [(1,), (2,), (3,)]), ordered)
+    assert not results_match(ResultTable(["a", "b"], [(1, 1)] * 3), unordered)
     ones = ResultTable(["a"], [(1,), (2,), (3,)])
-    assert not results_match(ResultTable(["a"], [(True,), (2,), (3,)]), ones, order_sensitive=False)
+    assert not results_match(ResultTable(["a"], [(True,), (2,), (3,)]), evaluation._Prepared.of(ones, False))
 
 
 def test_join_predictions_pairs_by_id():
@@ -363,7 +364,7 @@ values_and_huge = st.one_of(values, st.sampled_from([2**1100, -(2**1100)]))
 
 def test_an_unordered_match_orders_ints_beyond_float_range_by_value():
     def unordered_match(pred, gold):
-        return results_match(ResultTable(["c"], pred), ResultTable(["c"], gold), order_sensitive=False)
+        return results_match(ResultTable(["c"], pred), evaluation._Prepared.of(ResultTable(["c"], gold), False))
 
     rows = [(2**1100,), (2**1101,)]
     assert unordered_match(rows, rows[::-1])
@@ -528,14 +529,15 @@ def test_exact_pass_never_changes_a_verdict(case, ordered):
     gold, width, rows = case
     pred_width = len(rows[0]) if rows else width
     want = pred_width == width and len(rows) == len(gold) and sort_then_compare(rows, gold, ordered)
-    got = results_match(ResultTable(["c"] * pred_width, rows), ResultTable(["c"] * width, gold), ordered)
+    got = results_match(ResultTable(["c"] * pred_width, rows),
+                        evaluation._Prepared.of(ResultTable(["c"] * width, gold), ordered))
     assert got == want
 
 
 @pytest.mark.parametrize("ordered", [False, True])
 def test_exact_pass_named_cases(ordered):
     def match(pred, gold):
-        return results_match(ResultTable(["c"], pred), ResultTable(["c"], gold), ordered)
+        return results_match(ResultTable(["c"], pred), evaluation._Prepared.of(ResultTable(["c"], gold), ordered))
 
     assert not match([(True,)], [(1,)])  # equal under ==, yet a boolean is no number
     row = (math.nan,)
@@ -548,7 +550,7 @@ def test_unordered_match_sorts_by_exact_keys_then_compares_with_tolerance():
     # exact sort keys pair them differently
     pred = ResultTable(["x", "y"], [(1.0 + 1e-12, "a"), (1.0, "b")])
     gold = ResultTable(["x", "y"], [(1.0, "a"), (1.0 + 1e-12, "b")])
-    assert not results_match(pred, gold, order_sensitive=False)
+    assert not results_match(pred, evaluation._Prepared.of(gold, False))
 
 
 def test_report_header_records_the_timeout_used():

@@ -162,6 +162,14 @@ def test_read_predictions_bad_json_and_label(tmp_path):
     assert label_to_bool(ok[0].payload) is False
 
 
+@pytest.mark.parametrize("read", [read_sql_examples, read_detection_examples, read_predictions, read_corpus])
+def test_an_integer_of_too_many_digits_is_bad_json_naming_its_line(tmp_path, read):
+    # json.loads raises ValueError, not JSONDecodeError, past int's digit limit
+    text = '\n{"id": %s, "payload": "x"}\n' % ("9" * 5000)
+    with pytest.raises(ParseError, match=r"^line 2: bad json \(Exceeds the limit"):
+        read(text_file(tmp_path, text))
+
+
 def test_examples_round_trip(tmp_path, synth_data):
     pairs = [
         TextSqlPair(question="How many rows are in the table?", sql="SELECT COUNT(*) FROM conn.log"),

@@ -60,6 +60,18 @@ def test_bad_value():
         ingest_sensors("room,ts,value\nR101,2021-03-01T10:00:00,warm\n", "temperature")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400", "9" * 400],
+                         ids=["nan", "inf", "-Infinity", "1e400", "400-digit-int"])
+def test_a_non_finite_value_is_refused_by_reader_and_writer(value):
+    # a NaN reading would make every gold query over it unequal to itself
+    text = f"room,ts,value\nR101,2021-03-01T10:00:00,5\nR102,2021-03-01T10:00:00,{value}\n"
+    with pytest.raises(BadValue, match=r"^line 3: value must be finite: "):
+        ingest_sensors(text, "temperature")
+    number = int(value) if value.isdigit() else float(value)
+    with pytest.raises(ValueError, match="^sensor value must be finite"):
+        serialize_sensors([sensor_row("temperature", 0, "R101", datetime(2021, 3, 1, 10), number)])
+
+
 def test_synth_determinism(synth_spec, synth_data):
     again = synthesize_logs(synth_spec)
     assert again == synth_data
@@ -163,7 +175,7 @@ _CSV_TEXT = st.text(alphabet=st.characters(exclude_characters="\n\r\x00"))
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_CSV_TEXT, st.datetimes(),
-                          st.integers(-10**300, 10**300) | st.floats(allow_nan=False)),
+                          st.integers(-10**300, 10**300) | st.floats(allow_nan=False, allow_infinity=False)),
                 max_size=5))
 def test_sensor_csv_round_trips_every_room_value_and_time(drawn):
     rows = [sensor_row("co2", i, room, ts, value) for i, (room, ts, value) in enumerate(drawn)]

@@ -6,7 +6,7 @@ import hashlib
 from iotsqlbench.cli import main
 
 SEED_7_SHA256 = {
-    "run-synth.json": "5e27ee2856cc46c626056159ee9eccbe6962e7be3cb7a9688096e58ad14b4aff",
+    "run-synth.json": "e69523302b947ee09a84aa18badf2d1e9965738399d849644898c23defef7026",
     "synth/co2.csv": "4163a4599410d249ed509d499334269d30ffb8013871e23c9533003893723f0c",
     "synth/conn.log.tsv": "5bcf4ba147f0548ad7a5a3ca0898f4e86c56a43a87776649bd8fe3f2a81ff805",
     "synth/devices.csv": "d41771118cf78e54e991d077f4368812481d4a839ad12ee755d6085c1c6d479e",

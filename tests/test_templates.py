@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import iotsqlbench
 from iotsqlbench.modelio import ParseError
 from iotsqlbench.store import ColumnDef, Database, TableSchema, define_schema
 from iotsqlbench.store import sql as _sql
@@ -105,6 +110,26 @@ def test_cond_op_compares_the_nearest_column_slot_on_its_left(synth_db):
     binder = TemplateBinder(synth_db)
     drawn = {binder.bind(template, random.Random(seed))["COND_OP2"].value for seed in range(40)}
     assert drawn == {"=", "!="}
+
+
+_MANY_SLOTS_SQL = ("SELECT $AGG_OP($AGG_COLUMN) FROM $TABLE WHERE $COND_COLUMN2 $COND_OP2 $COND_VALUE2"
+                   " AND $COND_COLUMN $COND_OP $COND_VALUE ORDER BY $ORDER_COLUMN LIMIT $LIMIT_N")
+
+
+def test_inferred_slots_follow_pattern_order_under_any_hash_seed():
+    want = ["AGG_OP", "AGG_COLUMN", "TABLE", "COND_COLUMN2", "COND_OP2", "COND_VALUE2",
+            "COND_COLUMN", "COND_OP", "COND_VALUE", "ORDER_COLUMN", "LIMIT_N"]
+    assert list(_template(_MANY_SLOTS_SQL).slots) == want
+    # each draw follows slot order, so it must not move with string hashing
+    code = ("from iotsqlbench.templates.bank import parse_bank_text\n"
+            f"nl = ''.join(f'nl rows of $TABLE, variant {{i}}\\n' for i in range(3))\n"
+            f"text = 'template t\\ncategory retrieval\\nsql ' + {_MANY_SLOTS_SQL!r} + '\\n' + nl + 'end\\n'\n"
+            "print(list(parse_bank_text(text)[0].slots))\n")
+    src = str(Path(iotsqlbench.__file__).resolve().parents[1])
+    for hashseed in ("1", "999"):
+        env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == f"{want}\n", hashseed
 
 
 def test_a_column_a_value_slot_samples_has_values():
