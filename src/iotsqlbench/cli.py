@@ -468,7 +468,9 @@ def cmd_baseline(cfg: RunConfig, out: Path, args) -> int:
             continue
         X = saved.featurizer.transform(records)
         golds = splitter.malicious(records)
-        preds = baselines.predict(saved, X, seed=seed)
+        # a random baseline draws each split's labels from (seed, split) alone
+        split_seed = int.from_bytes(hashlib.sha256(f"{seed}/{split}".encode()).digest()[:8], "big")
+        preds = baselines.predict(saved, X, seed=split_seed)
         report = evaluation.detection_metrics(golds, list(preds))
         writer.write(f"baseline/report_{split}.json", report.to_json() + "\n")
         writer.write(f"baseline/report_{split}.txt", report.to_text() + "\n")

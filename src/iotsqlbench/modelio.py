@@ -6,11 +6,12 @@ space-joined connection-log row (identifier columns ts and uid excluded,
 matching the 19-feature row; unset values render as ``-``).  The rows are
 rendered a column at a time, from a ``ConnTable``'s columns, by
 ``zeek._render_column``, the renderer the TSV writer uses, so
-rendering has one semantics.  An example holds its input as it is written.
-Examples and predictions travel as UTF-8 JSON lines keyed by id, one per
-``"\n"``-ended line, and a file of them is read one line at a time; an
-example's id, input and gold (or gold_sql) must be strings, as must a
-prediction's id and payload.
+rendering has one semantics.  A detection example holds its input as it is
+written; a text-to-SQL example holds its id and gold SQL alone, since scoring
+reads no model input.  Examples and predictions travel as UTF-8 JSON lines
+keyed by id, one per ``"\n"``-ended line, and a file of them is read one line
+at a time; an example's id, input and gold (or gold_sql) must be strings, as
+must a prediction's id and payload.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ class ParseError(ModelIOError):
 
 @dataclass(frozen=True)
 class SqlExample:
+    """A text-to-SQL example as scoring reads it.  Its file also holds the
+    model input (the question and the linearized schema, about 3 KB), which
+    the reader checks to be a string and then drops."""
     id: str
-    input: str
     gold_sql: str
 
 
@@ -114,22 +117,15 @@ def label_to_bool(payload: str) -> bool:
 
 
 def write_sql_examples(pairs, schema: DatabaseSchema, path, separator: str = DEFAULT_SEPARATOR) -> list[SqlExample]:
-    """Emit text-to-SQL model inputs; ids are zero-padded positions."""
+    """Emit text-to-SQL model inputs; ids are zero-padded positions.  Returns
+    the examples as ``read_sql_examples`` reads them back."""
     linearized = linearize_schema(schema)
-    examples = [
-        SqlExample(
-            id=f"sql-{i:06d}",
-            input=build_sql_input(pair.question, linearized, separator=separator),
-            gold_sql=pair.sql,
-        )
-        for i, pair in enumerate(pairs)
-    ]
+    examples = [SqlExample(id=f"sql-{i:06d}", gold_sql=pair.sql) for i, pair in enumerate(pairs)]
+    lines = [json.dumps({"id": ex.id, "input": build_sql_input(pair.question, linearized, separator=separator),
+                         "gold_sql": ex.gold_sql}, ensure_ascii=False, sort_keys=True) + "\n"
+             for ex, pair in zip(examples, pairs)]
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(
-                {"id": ex.id, "input": ex.input, "gold_sql": ex.gold_sql},
-                ensure_ascii=False, sort_keys=True,
-            ) + "\n")
+        fh.writelines(lines)
     return examples
 
 
@@ -145,8 +141,11 @@ def write_detection_examples(records: ConnTable, path, instruction: str = DEFAUL
 
 
 def read_sql_examples(path: str | os.PathLike) -> list[SqlExample]:
-    out = [SqlExample(*_strings(obj, line_no, ("id", "input", "gold_sql")))
-           for line_no, obj in read_jsonl(path)]
+    """Each line's id and gold SQL; its input is checked, then dropped."""
+    out = []
+    for line_no, obj in read_jsonl(path):
+        item_id, _, gold_sql = _strings(obj, line_no, ("id", "input", "gold_sql"))
+        out.append(SqlExample(id=item_id, gold_sql=gold_sql))
     _check_unique_ids(ex.id for ex in out)
     return out
 

@@ -270,7 +270,7 @@ def test_c03_metric_soundness_and_mutation_suite(acceptance_db, full_corpus):
             assert execution_accuracy(pair.sql, pair.sql, acceptance_db)
         # echoing gold scores 1.0 / 1.0
         examples = [
-            modelio.SqlExample(id=f"e{i}", input=p.question, gold_sql=p.sql)
+            modelio.SqlExample(id=f"e{i}", gold_sql=p.sql)
             for i, p in enumerate(subset[:200])
         ]
         preds = [modelio.PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]

@@ -129,6 +129,32 @@ def test_baseline_command(tmp_path):
     assert (out / "baseline/report_test.json").exists()
 
 
+def test_a_random_baseline_draws_each_split_from_the_seed_and_the_split_alone(tmp_path, monkeypatch):
+    network = _network_split(tmp_path / "split")
+    drawn = []
+    metrics = cli.evaluation.detection_metrics
+    monkeypatch.setattr(cli.evaluation, "detection_metrics",
+                        lambda golds, preds: drawn.append(preds) or metrics(golds, preds))
+
+    def draws(name, seed=7):
+        drawn.clear()
+        assert run(["--seed", seed, "--out", tmp_path / name, "--set", "baseline.kind=uniform",
+                    "baseline", *network]) == 0
+        return drawn.copy()
+
+    dev, test = draws("first")
+    n = min(len(dev), len(test))
+    assert n >= 40
+    # one seed for both splits would draw dev as a prefix of test, or test of dev
+    assert dev[:n] != test[:n]
+    assert draws("again") == [dev, test]
+    assert draws("other seed", seed=8)[1] != test
+    # with no dev split, test still draws the same labels
+    manifest = Path(network[3])
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace("\tdev\n", "\ttrain\n"), encoding="utf-8")
+    assert draws("no dev") == [test]
+
+
 def test_baseline_svm_writes_training_log(tmp_path):
     out = tmp_path / "run"
     run_pipeline(out)
@@ -526,6 +552,7 @@ def test_emit_and_baseline_refuse_a_manifest_header_of_the_wrong_types(tmp_path,
     ("eval-sql", '{"id": "a", "input": ["q"], "gold_sql": "SELECT 1"}', "input must be a string"),
     ("eval-sql", '{"id": 7, "input": "q", "gold_sql": "SELECT 1"}', "id must be a string"),
     ("eval-sql", '{"id": "a", "input": "q"}', "missing key 'gold_sql'"),
+    ("eval-sql", '{"id": "a", "gold_sql": "SELECT 1"}', "missing key 'input'"),
 ])
 def test_eval_reports_a_mistyped_example_field_as_a_data_error(tmp_path, capsys, stage, bad, message):
     good, payload = {"eval-detect": ('{"gold": "Benign", "id": "C1", "input": "Is it? tcp"}', "Benign"),

@@ -559,7 +559,7 @@ def test_generation_parses_each_text_once(synth_db, monkeypatch, call_log):
 def test_scoring_parses_each_text_once(synth_db, monkeypatch, call_log):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=30, seed=5))
     golds = [p.sql for p in pairs] + [pairs[0].sql]  # one gold text twice
-    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(golds)]
     payloads = [g if i % 3 == 0 else g.lower() if i % 3 == 1 else g + " junk"
                 for i, g in enumerate(golds)]  # echo, formatting, parse error
     predictions = [PredictionRecord(id=f"e{i}", payload=p) for i, p in enumerate(payloads)]

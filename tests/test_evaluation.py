@@ -241,7 +241,7 @@ def _examples(ab_db):
         ("SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t"),
         ("SELECT a, b FROM t", "SELECT a, b FROM t"),
     ]
-    examples = [SqlExample(id=f"e{i}", input=f"q{i}", gold_sql=g) for i, (_, g) in enumerate(pairs)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=g) for i, (_, g) in enumerate(pairs)]
     predictions = [PredictionRecord(id=f"e{i}", payload=p) for i, (p, _) in enumerate(pairs)]
     return examples, predictions
 
@@ -288,8 +288,8 @@ def test_score_monotone_aggregation(ab_db):
 
 def test_score_per_table_buckets(ab_db):
     examples = [
-        SqlExample(id="a", input="q", gold_sql="SELECT a FROM t"),
-        SqlExample(id="b", input="q", gold_sql="SELECT 1"),
+        SqlExample(id="a", gold_sql="SELECT a FROM t"),
+        SqlExample(id="b", gold_sql="SELECT 1"),
     ]
     predictions = [
         PredictionRecord(id="a", payload="SELECT a FROM t"),
@@ -308,7 +308,7 @@ def test_per_table_bucket_counts_match_gold_scan(synth_db):
     other_pairs = [p for p in pairs if "conn.log" not in p.tables_referenced][:58]
     assert len(conn_pairs) == 142
     chosen = conn_pairs + other_pairs
-    examples = [SqlExample(id=f"e{i}", input=p.question, gold_sql=p.sql) for i, p in enumerate(chosen)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=p.sql) for i, p in enumerate(chosen)]
     predictions = [PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]
     report = score_sql_corpus(examples, predictions, synth_db)
     assert report.per_table["conn.log"].n == 142
@@ -452,7 +452,7 @@ def test_aggregate_beyond_float_range_is_a_store_rejection(other, aggregates):
         with pytest.raises(GoldExecutionError, match=rf"{op}\(n\)"):
             execution_accuracy(gold, text, db)
         report = score_sql_corpus(
-            [SqlExample(id="e0", input="q", gold_sql=gold)], [PredictionRecord(id="e0", payload=text)], db,
+            [SqlExample(id="e0", gold_sql=gold)], [PredictionRecord(id="e0", payload=text)], db,
         )
         assert report.execution_acc == 0.0
 

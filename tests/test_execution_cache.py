@@ -46,7 +46,7 @@ def make_db():
 
 
 GOLDS = ["SELECT a FROM t", "SELECT b FROM t WHERE a > 1", "SELECT a FROM t"]
-EXAMPLES = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(GOLDS)]
+EXAMPLES = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(GOLDS)]
 PREDICTIONS = [
     PredictionRecord(id="e0", payload="SELECT a FROM t"),  # echo
     PredictionRecord(id="e1", payload="select b from t where a > 1"),  # formatting only
@@ -85,7 +85,7 @@ def test_rescore_after_load_sees_new_rows(count_executes):
     assert not execution_accuracy(pred, gold, db)
     assert calls == [gold, pred]
     report = score_sql_corpus(
-        [SqlExample(id="e", input="q", gold_sql=gold)], [PredictionRecord(id="e", payload=pred)], db
+        [SqlExample(id="e", gold_sql=gold)], [PredictionRecord(id="e", payload=pred)], db
     )
     assert report.execution_acc == 0.0
 
@@ -106,7 +106,7 @@ def test_formatting_variant_of_nan_gold_stays_false(count_executes):
     db = Database(define_schema([TableSchema("t", (ColumnDef("v", "number"),))]))
     db.load_records("t", [(1.0,), (math.nan,)])
     golds = ["SELECT v FROM t", "SELECT v FROM t ORDER BY v"]
-    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(golds)]
     variants = [PredictionRecord(id=ex.id, payload=ex.gold_sql.lower() + " ;") for ex in examples]
     calls = count_executes()
     report = score_sql_corpus(examples, variants, db)
@@ -130,7 +130,7 @@ def test_gold_error_raises_on_every_call(count_executes):
 def test_gold_verdict_does_not_depend_on_earlier_timeouts():
     db = make_db()
     gold = "SELECT a FROM t"
-    example = [SqlExample(id="e", input="q", gold_sql=gold)]
+    example = [SqlExample(id="e", gold_sql=gold)]
     pred = [PredictionRecord(id="e", payload=gold)]
     assert execution_accuracy(gold, gold, db, timeout=60.0)
     assert score_sql_corpus(example, pred, db, timeout=60.0).execution_acc == 1.0
@@ -412,7 +412,7 @@ def gold_sorts(golds, sorts):
 
 
 def score(pairs, db):
-    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=gold) for i, (gold, _) in enumerate(pairs)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=gold) for i, (gold, _) in enumerate(pairs)]
     preds = [PredictionRecord(id=f"e{i}", payload=pred) for i, (_, pred) in enumerate(pairs)]
     return score_sql_corpus(examples, preds, db)
 

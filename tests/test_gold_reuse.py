@@ -33,7 +33,7 @@ GOLDS = [
     "SELECT a FROM t ORDER BY a DESC",
     "SELECT a FROM t WHERE b > 10",
 ]
-EXAMPLES = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(GOLDS)]
+EXAMPLES = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(GOLDS)]
 
 
 def predictions(*payloads):
@@ -115,7 +115,7 @@ def test_a_failing_gold_raises_on_every_call_and_is_never_kept(count_executes, p
     processes(count)
     db = make_db()
     bad = "SELECT missing FROM t"
-    examples = EXAMPLES + [SqlExample(id="e4", input="q", gold_sql=bad)]
+    examples = EXAMPLES + [SqlExample(id="e4", gold_sql=bad)]
     preds = FILE_A + [PredictionRecord(id="e4", payload="SELECT a FROM t")]
     calls = count_executes()
     for _ in range(3):
@@ -133,7 +133,7 @@ def test_an_unordered_gold_is_sorted_at_most_once_across_files(monkeypatch):
     real_sort = evaluation._sorted_rows
     monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.append(rows) or real_sort(rows))
     gold = "SELECT a FROM t WHERE b > 10"
-    examples = [SqlExample(id="e", input="q", gold_sql=gold)]
+    examples = [SqlExample(id="e", gold_sql=gold)]
     # rows in another order than the gold's, so each comparison sorts
     for pred in ("SELECT a FROM t WHERE b >= 20 ORDER BY a DESC", "SELECT a FROM t WHERE a > 1 ORDER BY a DESC"):
         assert score_sql_corpus(examples, [PredictionRecord(id="e", payload=pred)], db).execution_acc == 1.0
@@ -157,7 +157,7 @@ def test_kept_entries_are_released_with_the_database():
 
 # another corpus: its kept set holds none of the golds above
 OTHER = (
-    [SqlExample(id="o", input="q", gold_sql="SELECT b FROM t")],
+    [SqlExample(id="o", gold_sql="SELECT b FROM t")],
     [PredictionRecord(id="o", payload="SELECT b FROM t WHERE a > 0")],
 )
 

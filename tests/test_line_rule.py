@@ -25,8 +25,9 @@ from iotsqlbench.ingest import (
 )
 from iotsqlbench.cli import _parse_zeek_file, read_logs_dir
 from iotsqlbench.lines import read_text, split_lines
-from iotsqlbench.modelio import read_sql_examples, write_sql_examples
+from iotsqlbench.modelio import build_sql_input, read_jsonl, read_sql_examples, write_sql_examples
 from iotsqlbench.splitter import SplitManifest, dump_manifest, load_manifest
+from iotsqlbench.store import linearize_schema
 from iotsqlbench.templates import TextSqlPair, pair_to_json, read_corpus
 from iotsqlbench.ingest.synth import DEVICE_COLUMNS
 from tests.conftest import conn_records, text_file
@@ -59,12 +60,19 @@ def _corpus(mark, tmp_path):
     return pairs, text, lambda text: read_corpus(text_file(tmp_path, text))
 
 
+def _sql_examples_and_inputs(path):
+    """The examples read from ``path``, and each line's input as written."""
+    return read_sql_examples(path), [obj["input"] for _, obj in read_jsonl(path)]
+
+
 def _jsonl(mark, tmp_path):
-    pairs = [TextSqlPair(question=f"Which{mark}hosts?", sql="SELECT orig_h FROM conn.log")]
+    pairs = [TextSqlPair(question=f"Which{mark}hosts?",
+                         sql=f"SELECT orig_h FROM conn.log WHERE history = 'S{mark}h'")]
     path = tmp_path / "sql.jsonl"
     examples = write_sql_examples(pairs, default_schema(), path)
+    inputs = [build_sql_input(pair.question, linearize_schema(default_schema())) for pair in pairs]
     text = path.read_text(encoding="utf-8")
-    return examples, text, lambda text: read_sql_examples(text_file(tmp_path, text))
+    return (examples, inputs), text, lambda text: _sql_examples_and_inputs(text_file(tmp_path, text))
 
 
 def _zeek(mark, tmp_path):
@@ -83,7 +91,7 @@ FILES = {
     "sensors": ("co2.csv", lambda path: read_logs_dir(path.parent)[0]["co2"]),
     "manifest": ("manifest.txt", lambda path: load_manifest(read_text(path))),
     "corpus": ("corpus.jsonl", read_corpus),
-    "jsonl": ("sql.jsonl", read_sql_examples),
+    "jsonl": ("sql.jsonl", _sql_examples_and_inputs),
     "zeek": ("conn.log", lambda path: _parse_zeek_file(path, "conn").records),
 }
 

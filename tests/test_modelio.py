@@ -170,6 +170,11 @@ def test_an_integer_of_too_many_digits_is_bad_json_naming_its_line(tmp_path, rea
         read(text_file(tmp_path, text))
 
 
+def _written_inputs(path) -> list[str]:
+    """Each line's input as the examples file at ``path`` holds it."""
+    return [obj["input"] for _, obj in read_jsonl(path)]
+
+
 def test_examples_round_trip(tmp_path, synth_data):
     pairs = [
         TextSqlPair(question="How many rows are in the table?", sql="SELECT COUNT(*) FROM conn.log"),
@@ -180,6 +185,8 @@ def test_examples_round_trip(tmp_path, synth_data):
     written = write_sql_examples(pairs, schema, sql_path)
     again = read_sql_examples(sql_path)
     assert again == written
+    assert [(ex.id, ex.gold_sql) for ex in again] == [("sql-000000", pairs[0].sql), ("sql-000001", pairs[1].sql)]
+    assert _written_inputs(sql_path) == [build_sql_input(p.question, linearize_schema(schema)) for p in pairs]
 
     det_path = tmp_path / "det.jsonl"
     records = synth_data["conn"].take(list(range(20)))
@@ -195,6 +202,7 @@ def test_readers_take_a_str_as_the_path_of_a_file(tmp_path):
     sql_path = tmp_path / "sql.jsonl"
     written = write_sql_examples(pairs, default_schema(), sql_path)
     assert read_sql_examples(str(sql_path)) == written
+    assert _written_inputs(str(sql_path)) == [build_sql_input("How many rows?", linearize_schema(default_schema()))]
     corpus_path = text_file(tmp_path, "".join(pair_to_json(p) + "\n" for p in pairs))
     assert read_corpus(str(corpus_path)) == pairs
     preds_path = text_file(tmp_path, '{"id": "a", "payload": "SELECT 1"}\n')
@@ -356,6 +364,8 @@ def test_reading_examples_holds_one_line_of_the_file_at_a_time(tmp_path):
     assert len(examples) == 2000
     # the whole text, or a list of its lines, would each add about 6 MB
     assert peak - kept < 1 << 20
+    # and so would the inputs: an example keeps its id and gold SQL alone
+    assert kept < 1 << 20
 
 
 # model inputs read back from their file as written, over every value the
@@ -364,12 +374,15 @@ _QUESTIONS = st.text(min_size=1).filter(str.strip)
 
 
 @_IN_TMP
-@given(st.lists(st.tuples(_QUESTIONS, st.text()), max_size=5))
-def test_sql_examples_read_back_from_their_file(tmp_path, drawn):
+@given(st.lists(st.tuples(_QUESTIONS, st.text()), max_size=5), st.text())
+def test_sql_examples_read_back_from_their_file(tmp_path, drawn, separator):
     pairs = [TextSqlPair(question=question, sql=sql) for question, sql in drawn]
     path = tmp_path / "sql.jsonl"
-    written = write_sql_examples(pairs, default_schema(), path)
+    written = write_sql_examples(pairs, default_schema(), path, separator=separator)
     assert read_sql_examples(path) == written
+    assert [ex.gold_sql for ex in written] == [sql for _, sql in drawn]
+    linearized = linearize_schema(default_schema())
+    assert _written_inputs(path) == [build_sql_input(q, linearized, separator=separator) for q, _ in drawn]
 
 
 @_IN_TMP

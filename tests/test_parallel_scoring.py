@@ -38,7 +38,7 @@ def fresh(db):
 def examples(synth_db):
     golds = [p.sql for p in generate_corpus(synth_db, CorpusConfig(n_pairs=40, seed=11))]
     golds += golds[1:12]  # golds with two examples each, scored by two kinds of prediction
-    return [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    return [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(golds)]
 
 
 def mutant(sql):
@@ -143,7 +143,7 @@ def test_scoring_makes_no_reference_cycle(synth_db, examples, processes, count):
 
 def gold_error(examples, k):
     examples = list(examples)
-    examples[k] = SqlExample(id=examples[k].id, input="q", gold_sql=f"SELECT no_such_column_{k} FROM conn.log")
+    examples[k] = SqlExample(id=examples[k].id, gold_sql=f"SELECT no_such_column_{k} FROM conn.log")
     return examples
 
 
@@ -269,7 +269,7 @@ def test_a_gold_sorted_in_a_worker_is_not_sorted_again(processes, call_log, monk
     db = Database(define_schema([TableSchema("t", (ColumnDef("a", "number"), ColumnDef("b", "number")))]))
     db.load_records("t", [(1, 10), (2, 20), (3, 30)])
     golds = ["SELECT a FROM t WHERE b > 10", "SELECT b FROM t WHERE a > 1"]  # the second is the worker's
-    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(golds)]
     sorts = call_log()
     real_sort = evaluation._sorted_rows
     monkeypatch.setattr(evaluation, "_sorted_rows", lambda rows: sorts.note(rows) or real_sort(rows))
@@ -301,7 +301,7 @@ def test_no_more_workers_than_gold_texts_minus_one(processes, forks, distinct, f
     db = Database(define_schema([TableSchema("t", (ColumnDef("a", "number"),))]))
     db.load_records("t", [(1,), (2,)])
     golds = [f"SELECT a FROM t WHERE a > {i % distinct}" for i in range(6)]
-    examples = [SqlExample(id=f"e{i}", input="q", gold_sql=g) for i, g in enumerate(golds)]
+    examples = [SqlExample(id=f"e{i}", gold_sql=g) for i, g in enumerate(golds)]
     preds = [PredictionRecord(id=ex.id, payload=ex.gold_sql.lower()) for ex in examples]
     processes(4)
     assert score_sql_corpus(examples, preds, db).execution_acc == 1.0
