@@ -15,15 +15,15 @@ denominators.
 Each gold query runs once per exact SQL text, database and timeout: its
 result, as returned, is kept with the database while the database's rows
 and the timeout stay the same, so a second prediction file scored on the
-same rows runs no gold query again.  A prediction with the gold's width
+same rows runs no gold query again.  The store holds only finite numbers,
+so every result value equals itself.  A prediction with the gold's width
 and row count whose rows equal the gold's as returned, with the same type
-in every cell, matches by one equality pass if the gold has no value
-unequal to itself (NaN).  Any other such prediction is compared after
-sorting, unless order counts; the NaN check and the sort of a gold result
-are made on the first comparison that needs them.  Corpus scoring does not
-run a logically correct prediction: texts with one normal form run alike,
-so it is scored as its gold's echo, by the gold's NaN check.  A prediction
-textually identical to its gold query is logically correct without being
+in every cell, matches by one equality pass.  Any other such prediction is
+compared after sorting, unless order counts; the sort of a gold result is
+made on the first comparison that needs it.  Corpus scoring does not run a
+logically correct prediction: texts with one normal form run alike, so it
+is scored as its gold's echo, which matches.  A prediction textually
+identical to its gold query is logically correct without being
 normalized.  ``execution_accuracy`` called alone skips only that identical
 text.  None of this changes the comparison policy.
 
@@ -34,11 +34,11 @@ round robin, so each gold query runs in one process, and the verdicts are
 merged in example order: a report never depends on the process count, and
 an error raises at the example where one process would raise it, because
 a gold whose scoring raised is scored again in example order.  A worker
-sends back each gold entry it ran as its tables, its NaN check and one
-bytes object holding its result, sorted if the worker sorted it; it is
-kept so, and decoded where a prediction in a later call compares rows
-against it.  Of an entry kept before the call, a worker sends nothing
-back: a check or sort it made there is made again when a later file needs it.
+sends back each gold entry it ran as its tables and one bytes object
+holding its result, sorted if the worker sorted it; it is kept so, and
+decoded where a prediction in a later call compares rows against it.  Of
+an entry kept before the call, a worker sends nothing back: a sort it made
+there is made again when a later file needs it.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def logical_accuracy(pred_sql: str, gold_sql: str) -> bool:
 
 
 def _values_match(a, b) -> bool:
-    # equal values of one type match at once (NaN is unequal to itself)
+    # equal values of one type match at once
     if type(a) is type(b) and a == b:
         return True
     return _values_close(a, b)
@@ -149,10 +149,7 @@ def _values_close(a, b) -> bool:
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        try:
-            return math.isclose(a, b, rel_tol=EXEC_REL_TOL, abs_tol=1e-9)
-        except OverflowError:  # an int beyond float range matches only an equal int
-            return a == b
+        return math.isclose(a, b, rel_tol=EXEC_REL_TOL, abs_tol=1e-9)
     if type(a) is not type(b):
         return False
     return a == b
@@ -166,8 +163,7 @@ def _rows_match(rows: list[tuple], expected: list[tuple]) -> bool:
 
 # Unordered results are compared after sorting by a key of (type rank,
 # value) per column: null < boolean < number < time < text < other, numbers
-# as floats, so 1 and 1.0 tie and stay in their order; an int beyond float
-# range keys as an infinity, then by its own value.
+# as floats, so 1 and 1.0 tie and stay in their order.
 _TYPE_ORDER = {type(None): 0, bool: 1, int: 2, float: 2, datetime: 3, str: 4}
 
 
@@ -178,10 +174,7 @@ def _cell_key(v) -> tuple:
     if isinstance(v, bool):
         return (rank, int(v))
     if isinstance(v, (int, float)):
-        try:
-            return (rank, float(v))
-        except OverflowError:  # an int beyond float range
-            return (rank, math.inf if v > 0 else -math.inf, v)
+        return (rank, float(v))
     if isinstance(v, datetime):
         return (rank, v.isoformat())
     return (rank, str(v))
@@ -195,9 +188,9 @@ def _sorted_rows(rows: list[tuple]) -> list[tuple]:
 @dataclass(frozen=True)
 class _Prepared:
     """A result to compare against.  A prediction whose rows equal its rows
-    as returned, cell types included, matches it unless a cell is NaN.
-    Otherwise, unless row order counts, its rows are sorted once, by the
-    first comparison that gets that far."""
+    as returned, cell types included, matches it.  Otherwise, unless row
+    order counts, its rows are sorted once, by the first comparison that
+    gets that far."""
 
     width: int
     ordered: bool
@@ -211,12 +204,6 @@ class _Prepared:
     def comparable_rows(self) -> list:
         return self.rows if self.ordered else _sorted_rows(self.rows)
 
-    @cached_property
-    def matches_itself(self) -> bool:
-        """False iff a cell is unequal to itself, which among store values
-        only NaN is."""
-        return not any(map(operator.ne, chain.from_iterable(self.rows), chain.from_iterable(self.rows)))
-
 
 def results_match(pred: ResultTable, expected: _Prepared) -> bool:
     """Positional multiset comparison of ``pred`` with a prepared result,
@@ -225,14 +212,8 @@ def results_match(pred: ResultTable, expected: _Prepared) -> bool:
         return False
     # Rows equal as returned, of one type cell for cell, pass the first
     # test of _values_match at every position, ordered or sorted alike.
-    # Tuple == counts a cell identical to itself as equal, and with no
-    # NaN in the gold no other cell is unequal to itself.
-    if (
-        pred.rows == expected.rows
-        and expected.matches_itself
-        and all(map(operator.is_, map(type, chain.from_iterable(pred.rows)),
-                    map(type, chain.from_iterable(expected.rows))))
-    ):
+    if pred.rows == expected.rows and all(map(operator.is_, map(type, chain.from_iterable(pred.rows)),
+                                              map(type, chain.from_iterable(expected.rows)))):
         return True
     rows = pred.rows if expected.ordered else _sorted_rows(pred.rows)
     return _rows_match(rows, expected.comparable_rows)
@@ -245,20 +226,16 @@ class _Gold:
     expected: _Prepared
     tables: frozenset  # referenced tables, by their schema names
 
-    @property
-    def matches_itself(self) -> bool:
-        return self.expected.matches_itself
-
     def __reduce__(self):
-        return _SentGold, (self.tables, self.matches_itself, pickle.dumps(self.expected))
+        return _SentGold, (self.tables, pickle.dumps(self.expected))
 
 
 class _SentGold:
-    """A gold entry as a worker sends it back: the NaN check is made first,
-    and the first comparison of rows against it decodes the result."""
+    """A gold entry as a worker sends it back: the first comparison of rows
+    against it decodes the result."""
 
-    def __init__(self, tables: frozenset, matches_itself: bool, encoded: bytes):
-        self.tables, self.matches_itself, self.encoded = tables, matches_itself, encoded
+    def __init__(self, tables: frozenset, encoded: bytes):
+        self.tables, self.encoded = tables, encoded
         self._expected = None
 
     @property
@@ -342,7 +319,7 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
     """
     gold = _prepared_gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
-        return gold.matches_itself
+        return True
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
@@ -453,9 +430,9 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
     process, or whose worker died, is scored again in the example-order walk
     below, so an error raises at the example where one process would have
     raised it.  A worker sends back each gold entry it ran encoded, with its
-    NaN check and its sort if it made one (``_SentGold``), and these are kept
-    here if the rows have not changed since the workers were forked.  A check
-    or sort a worker made on an entry kept before the call is not sent back.
+    sort if it made one (``_SentGold``), and these are kept here if the rows
+    have not changed since the workers were forked.  A sort a worker made on
+    an entry kept before the call is not sent back.
     """
     examples_of: dict[str, list[int]] = {}
     for i, (ex, _) in enumerate(pairs):

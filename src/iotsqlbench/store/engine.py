@@ -10,7 +10,12 @@ written form is ``values_eq``/``values_lt``:
 * a time compares against text read as ISO-8601 (literal, column or
   subquery value); text with a UTC offset is a TypeMismatch, since stored
   times are naive;
-* ``=``, ``IN (subquery)`` and ``JOIN ... ON`` share one equality;
+* ``=``, ``IN (subquery)`` and ``JOIN ... ON`` share one equality, while
+  GROUP BY and DISTINCT key numbers exactly;
+* every stored or computed number is finite and within float range:
+  ``load_records`` refuses any other (TypeMismatch), so does a SUM or AVG
+  whose result would be one, and a number literal beyond float range is a
+  ParseError;
 * aggregates skip nulls, COUNT(*) counts rows, empty aggregates yield
   null (COUNT yields 0);
 * result rows keep a deterministic evaluation order (a join emits each
@@ -124,10 +129,7 @@ def _is_number(v: object) -> bool:
 def numbers_equal(a: float, b: float) -> bool:
     if isinstance(a, int) and isinstance(b, int):
         return a == b
-    try:
-        return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-    except OverflowError:  # an int beyond float range equals no float
-        return False
+    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
 
 
 def values_eq(a: object, b: object) -> bool | None:
@@ -170,6 +172,20 @@ def values_lt(a: object, b: object) -> bool | None:
     return None
 
 
+def _finite(numbers: Sequence) -> bool:
+    """Whether each of ``numbers`` (or null) is finite and within float
+    range, as every stored number is, at C speed.  filter(None, ...) drops
+    nulls, and zeros, which are finite.  A float sum is finite unless a
+    term is NaN or infinite, or the sum of finite terms overflows, which
+    the term-by-term pass then tells apart."""
+    try:
+        if math.isfinite(sum(filter(None, numbers), 0.0)):
+            return True
+    except OverflowError:  # an int beyond float range
+        return False
+    return all(map(math.isfinite, filter(None, numbers)))
+
+
 def _value_checker(col: ColumnDef, table: str) -> Callable[[object], object]:
     """The stored form of a value for ``col``: None stays None, a value of
     the column's attribute passes (a time may also be ISO-8601 text), any
@@ -193,7 +209,7 @@ def _value_checker(col: ColumnDef, table: str) -> Callable[[object], object]:
     if attr == "text":
         return lambda v: v if v is None or isinstance(v, str) else bad(v)
     if attr == "number":
-        return lambda v: v if v is None or _is_number(v) else bad(v)
+        return lambda v: v if v is None or (_is_number(v) and _finite((v,))) else bad(v)
     return lambda v: v if v is None or isinstance(v, bool) else bad(v)  # boolean
 
 
@@ -202,14 +218,16 @@ _STORED_TYPES = {"text": {str}, "number": {int, float}, "boolean": {bool}, "time
 
 def _stored_as_is(columns: Sequence[ColumnDef], rows: list[tuple]) -> bool:
     """Whether every value is None or of the exact type its column stores,
-    with naive times: values ``_value_checker`` would return unchanged, so
-    the rows need no per-value check.  It checks a batch per column at C
-    speed; anything else goes through the checkers."""
+    with naive times and finite numbers: values ``_value_checker`` would
+    return unchanged, so the rows need no per-value check.  It checks a
+    batch per column at C speed; anything else goes through the checkers."""
     for col, values in zip(columns, zip(*rows)):
         kinds = set(map(type, values)) - {type(None)}
         if not kinds <= _STORED_TYPES[col.attribute]:
             return False
         if col.attribute == "time" and any(v.tzinfo is not None for v in values if v is not None):
+            return False
+        if col.attribute == "number" and not _finite(values):
             return False
     return True
 
@@ -331,16 +349,10 @@ def _tolerance_window(x) -> tuple:
     """(lo, hi) holding every number equal to ``x`` under numbers_equal.
 
     The window is wider than the tolerance, so a number inside it still
-    needs numbers_equal; one outside it never does.  NaN gets an empty
-    window, an infinity the point itself.
+    needs numbers_equal; one outside it never does.
     """
-    try:
-        if not math.isfinite(x):
-            return x, x
-        slack = 2 * (_REL_TOL * abs(x) + _ABS_TOL)
-        return x - slack, x + slack
-    except OverflowError:  # an int beyond float range
-        return -math.inf, math.inf
+    slack = 2 * (_REL_TOL * abs(x) + _ABS_TOL)
+    return x - slack, x + slack
 
 
 def _comparison_pass(op: str, lhs: _Operand, rhs: _Operand) -> Callable[[Sequence[tuple]], Iterable]:
@@ -431,7 +443,7 @@ def _number_lookup(entries: Iterable[tuple]) -> Callable[[object], Sequence]:
     # exactly, so 1 and 1.0 stay apart
     groups: dict = {}
     for pos, (key, payload) in enumerate(entries):
-        if key is not None and key == key:  # null and NaN equal nothing
+        if key is not None:  # null equals nothing
             groups.setdefault((key, isinstance(key, float)), []).append((pos, payload))
     keys = sorted(groups)
 
@@ -606,16 +618,18 @@ class _AggSpec:
             return len(values)
         if not values:
             return None
-        try:
-            if self.op == "AVG":
-                return sum(values) / len(values)
-            if self.op == "SUM":
-                return sum(values)  # exact over ints alone
-        except OverflowError:  # an int beyond float range divided, or added to a float
-            raise TypeMismatch(f"{self.label} is beyond float range") from None
         if self.op == "MIN":
             return min(values)
-        return max(values)
+        if self.op == "MAX":
+            return max(values)
+        try:
+            total = sum(values)  # exact over ints alone
+            result = total / len(values) if self.op == "AVG" else total
+            if math.isfinite(result):  # an int beyond float range raises here
+                return result
+        except OverflowError:  # an int beyond float range divided, or added to a float
+            pass
+        raise TypeMismatch(f"{self.label} is beyond float range")
 
 
 def _compile_passes(cond, operand, schema, snap, deadline) -> list:

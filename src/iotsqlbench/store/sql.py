@@ -17,6 +17,7 @@ temporal counts are all built on these.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Union
@@ -403,12 +404,18 @@ class _Parser:
 
 
 def _number_value(text: str) -> int | float:
-    if re.fullmatch(r"\d+", text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError(f"integer literal of {len(text)} digits is too long") from None
-    return float(text)
+    """A number literal's value; one beyond float range is refused, as the
+    store holds only finite numbers."""
+    try:
+        value = int(text) if text.isdigit() else float(text)
+        if math.isfinite(value):  # an int beyond float range raises here
+            return value
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer literal of {len(text)} digits is too long") from None
+    except OverflowError:
+        pass
+    shown = text if len(text) <= 24 else text[:21] + "..."
+    raise ParseError(f"number literal {shown} is beyond float range")
 
 
 def parse(sql: str) -> Query:

@@ -117,7 +117,7 @@ def test_a_worker_entry_stays_encoded_until_a_prediction_compares_rows(synth_db,
     got = [report_bytes(score_sql_corpus(examples, files[0], db))]
     assert encoded(db) == set(golds[1::2])  # the worker's share
     got.append(report_bytes(score_sql_corpus(examples, files[1], db)))
-    assert encoded(db) == set(golds[1::2])  # an echo reads the NaN check alone
+    assert encoded(db) == set(golds[1::2])  # an echo reads no rows, so decodes nothing
     processes(1)  # this process compares the mutant's rows
     got.append(report_bytes(score_sql_corpus(examples, files[2], db)))
     assert encoded(db) == set(golds[1::2]) - {examples[k].gold_sql}
