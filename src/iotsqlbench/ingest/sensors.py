@@ -47,8 +47,8 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
     row per line.  Expects a ``room,ts,value`` header; ts is ISO-8601.  The
     room is kept as written; ts and value lose surrounding whitespace.  A
     value must be a finite number (not nan, inf, or digits beyond float
-    range), and a motion value 0 or 1.  Raises BadTimestamp or BadValue
-    with the offending line number.
+    range) written in ASCII without "_", and a motion value 0 or 1.  Raises
+    BadTimestamp or BadValue with the offending line number.
     """
     if sensor_type not in SENSOR_TYPES:
         raise BadValue(f"unknown sensor type {sensor_type!r}")
@@ -65,6 +65,9 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
                 ts = datetime.fromisoformat(ts_text)
             except ValueError as exc:
                 raise BadTimestamp(f"line {line_no}: {exc}") from exc
+            if not value_text.isascii() or "_" in value_text:
+                # float() would read "2_1.5" and Arabic-Indic digits as 21.5
+                raise BadValue(f"line {line_no}: bad value {value_text!r}")
             try:
                 value = float(value_text)
                 if value.is_integer() and "." not in value_text:

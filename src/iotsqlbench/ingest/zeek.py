@@ -19,7 +19,8 @@ field count), and a block's lines are converted as columns, each in one
 pass and one range check.  A column that holds the empty marker outside a
 string column, or a value that does not parse or is out of range, goes
 value by value instead, so issues and records are the same as a
-line-by-line parse gives.  A conn block then reads its labels and checks
+line-by-line parse gives.  A string column holds each distinct text once
+per run of markers.  A conn block then reads its labels and checks
 its required fields; each line reports its first failure (column, then
 label, then required field).  A conn log parses to a ``records.ConnTable``
 of columns, any other kind to row tuples in ``KIND_FIELDS[kind]`` order.
@@ -87,16 +88,32 @@ class ZeekParseResult:
     issues: list[ParseIssue]
 
 
+# what int() and float() read in ASCII text besides what Zeek writes: "_"
+# between digits, and whitespace around a value
+_UNWRITTEN = ("_", " ", "\t", "\n", "\r", "\x0b", "\x0c")
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds no character that ``int`` or ``float`` would
+    read but Zeek never writes in a number or time field: a Unicode digit or
+    space, "_", or ASCII whitespace.  Else ``8_0``, ``٨٠`` or `` 80`` would
+    read as 80.  One C-level pass per character tested."""
+    return text.isascii() and not any(map(text.__contains__, _UNWRITTEN))
+
+
 def epoch_to_datetime(text: str) -> datetime:
     """Zeek epoch-seconds string to naive UTC datetime, exact to the microsecond.
 
     The sign applies to the fraction too: ``-1.5`` is 1.5 s before the epoch.
-    A time beyond the range of ``datetime`` is a ValueError.
+    A time beyond the range of ``datetime``, or a text holding a character
+    Zeek never writes (``_plain``), is a ValueError.
     """
+    if not _plain(text):
+        raise ValueError(f"bad time {text!r}")
     secs_part, dot, frac = text.partition(".")
     secs = int(secs_part)
     usec = int((frac + "000000")[:6]) if dot else 0
-    if secs_part.lstrip().startswith("-"):
+    if secs_part.startswith("-"):
         usec = -usec
     try:
         return _EPOCH + timedelta(seconds=secs, microseconds=usec)
@@ -151,6 +168,7 @@ class _Type:
     json_issue: str = ""
     bounds: tuple = ()      # (lowest, highest, issue) of a value; a NaN is outside
     parse_column: Callable | None = None  # parse over a column (None: parse mapped over it)
+    plain: bool = False     # its text must pass _plain before parse reads it
 
 
 def _float_of_json(value) -> float:
@@ -168,12 +186,13 @@ _TYPES = {
     # a JSON set or vector is a list, its members joined as in TSV
     "str": _Type("text", str, str, lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v)),
     "time": _Type("time", epoch_to_datetime, datetime_to_epoch, lambda v: epoch_to_datetime(str(v)),
-                  parse_column=_epoch_column),
-    "count": _Type("number", int, str, int, (int,), _INTEGER, _COUNT),
-    "port": _Type("number", int, str, int, (int,), _INTEGER, _PORT),
-    "float": _Type("number", float, "{:.6f}".format, _float_of_json, (int, float), _NUMBER, _FINITE),
+                  parse_column=_epoch_column, plain=True),
+    "count": _Type("number", int, str, int, (int,), _INTEGER, _COUNT, plain=True),
+    "port": _Type("number", int, str, int, (int,), _INTEGER, _PORT, plain=True),
+    "float": _Type("number", float, "{:.6f}".format, _float_of_json, (int, float), _NUMBER, _FINITE,
+                   plain=True),
     "duration": _Type("number", float, "{:.6f}".format, _float_of_json, (int, float), _NUMBER,
-                      _FINITE_NONNEGATIVE),
+                      _FINITE_NONNEGATIVE, plain=True),
     "bool": _Type("boolean", _BOOLS.__getitem__, {True: "T", False: "F"}.__getitem__, bool, (bool,),
                   "bad bool {value!r}"),
 }
@@ -202,7 +221,10 @@ def _convert(value: str, spec: FieldSpec, unset: str, empty: str):
         if spec.vtype == "str":
             return ""
         raise ValueError(f"{spec.name}: empty marker in a {spec.zeek_type} field")
-    return _check_range([_TYPES[spec.vtype].parse(value)], spec)[0]
+    rules = _TYPES[spec.vtype]
+    if rules.plain and not _plain(value):
+        raise ValueError(f"{spec.name}: bad {spec.zeek_type} {value!r}")
+    return _check_range([rules.parse(value)], spec)[0]
 
 
 def parse_zeek(text: str, kind: str) -> ZeekParseResult:
@@ -248,6 +270,7 @@ _BLOCK_LINES = 256
 def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     separator = "\t"
     unset, empty = "-", "(empty)"
+    texts = {empty: "", unset: None}
     field_names: list[str] | None = None
     plan: list | None = None
     # a conn log's rows gather as columns, any other kind's as row tuples
@@ -257,7 +280,12 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
     # the data lines between two directives are a run, taken _BLOCK_LINES
     # lines at a time: each line of a block is split on its own, and the
     # block is converted a column at a time, so that only one block's split
-    # values are held; every marker and the plan hold for the whole run
+    # values are held; every marker and the plan hold for the whole run.
+    # ``texts`` maps the markers to None and "" (the unset marker winning
+    # where the two are the same) and every other string value to the first
+    # equal one read under these markers (``_convert_column``), so that each
+    # distinct text is held once; a marker directive starts a new map, as an
+    # old marker is ordinary text under a new one
     directives = [*compress(count(), map(str.startswith, lines, repeat("#"))), len(lines)]
     start = 0
     for stop in directives:
@@ -271,7 +299,7 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
             for line_plan, line_nos, raw_columns in _split_block(block, first + 1, plan, kind,
                                                                  separator, issues):
                 rows, block_issues = _convert_group(kind, line_plan, line_nos, raw_columns,
-                                                    unset, empty)
+                                                    unset, empty, texts)
                 if columns is None:
                     records.extend(rows)
                 else:
@@ -289,8 +317,10 @@ def _parse_tsv(lines: list[str], kind: str) -> ZeekParseResult:
             plan = _field_plan(kind, field_names)
         elif directive == "unset_field":
             unset = _directive_value(raw, directive, separator, stop + 1)
+            texts = {empty: "", unset: None}
         elif directive == "empty_field":
             empty = _directive_value(raw, directive, separator, stop + 1)
+            texts = {empty: "", unset: None}
     if field_names is None:
         raise MissingFieldsHeader(None, "no #fields directive found")
     issues.sort(key=attrgetter("line_no"))
@@ -361,32 +391,36 @@ def _reconcile_arity(values: list[str], plan: list, kind: str, line_no: int):
     )
 
 
-def _convert_column(column, spec: FieldSpec, unset: str, empty: str, errors: dict) -> list:
+def _convert_column(column, spec: FieldSpec, unset: str, empty: str, texts: dict,
+                    errors: dict) -> list:
     """Convert one column of raw values; a value that fails records its
     message in ``errors`` (row index -> message) unless that row already
     failed in an earlier column, whose values then stop being converted.
 
-    A string column maps its markers to None and "" in one pass.  Any other
-    column parses its values but the unset marker in one pass, checks them
-    (``_check_range``) and puts None back in the marker's places (``_fill``);
-    a column holding the empty marker, or whose pass fails, goes value by value.
+    A string column maps each value through ``texts`` in one pass: a marker
+    to None or "", as ``_convert`` does, and any other text to the first
+    equal text read under these markers, which it adds when new.  So each
+    distinct text is held once, in this column and every other string
+    column, per run of markers.  Any other column parses its values but the
+    unset marker in one pass, checks them (``_check_range``) and puts None
+    back in the marker's places (``_fill``); a column holding the empty
+    marker, a character Zeek never writes in its type (``_plain``), or whose
+    pass fails, goes value by value.
     """
     if spec.vtype == "str":
-        if unset in column or empty in column:
-            # the unset marker wins where the two are the same, as in _convert
-            return list(map({empty: "", unset: None}.get, column, column))
-        return column
+        return list(map(texts.setdefault, column, column))
+    rules = _TYPES[spec.vtype]
     if empty not in column:
         keep = list(map(unset.__ne__, column)) if unset in column else None
         present = column if keep is None else list(compress(column, keep))
-        rules = _TYPES[spec.vtype]
-        try:
-            out = _check_range(list(map(rules.parse, present)) if rules.parse_column is None
-                               else rules.parse_column(present), spec)
-        except ValueError:
-            pass
-        else:
-            return out if keep is None else _fill(keep, out, None)
+        if not rules.plain or _plain("".join(present)):
+            try:
+                out = _check_range(list(map(rules.parse, present)) if rules.parse_column is None
+                                   else rules.parse_column(present), spec)
+            except ValueError:
+                pass
+            else:
+                return out if keep is None else _fill(keep, out, None)
     out = []
     for i, value in enumerate(column):
         if i in errors:
@@ -407,9 +441,11 @@ def _fill(keep: list, values: list, marker) -> list:
     return list(map(next, map(sources.__getitem__, keep)))
 
 
-def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: str, empty: str):
+def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: str, empty: str,
+                   texts: dict):
     """(rows, issues) for a block of data lines that share one line plan,
-    given as ``columns`` of raw values (emptied here as they are converted).
+    given as ``columns`` of raw values (emptied here as they are converted);
+    ``texts`` maps string values as ``_convert_column`` says.
     The rows are tuples in ``KIND_FIELDS[kind]`` order, or for a conn block
     the value and label columns of its good rows
     (``records.CONN_TABLE_NAMES``).
@@ -431,7 +467,7 @@ def _convert_group(kind: str, line_plan: list, line_nos, columns: list, unset: s
         else:
             # a name listed twice in #fields is converted at each position;
             # the last one is kept, as in a line-by-line parse
-            by_name[spec.name] = _convert_column(column, spec, unset, empty, errors)
+            by_name[spec.name] = _convert_column(column, spec, unset, empty, texts, errors)
     unset_column = [None] * n
     values = [by_name.get(spec.name, unset_column) for spec in KIND_FIELDS[kind]]
     if kind == "conn":

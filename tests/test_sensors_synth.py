@@ -72,6 +72,15 @@ def test_a_non_finite_value_is_refused_by_reader_and_writer(value):
         serialize_sensors([sensor_row("temperature", 0, "R101", datetime(2021, 3, 1, 10), number)])
 
 
+@pytest.mark.parametrize("value", ["2_1.5", "٢١.٥"])
+def test_a_value_float_would_misread_is_a_bad_value(value):
+    # float() reads "2_1.5" and Arabic-Indic "٢١.٥" as 21.5; the writers never write them
+    text = f"room,ts,value\nR101,2021-03-01T10:00:00,5\nR102,2021-03-01T10:00:00, {value} \n"
+    with pytest.raises(BadValue) as refused:
+        ingest_sensors(text, "temperature")
+    assert str(refused.value) == f"line 3: bad value {value!r}"
+
+
 def test_synth_determinism(synth_spec, synth_data):
     again = synthesize_logs(synth_spec)
     assert again == synth_data

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from datetime import datetime
 from types import SimpleNamespace
 from unittest import mock
@@ -223,6 +224,41 @@ def test_parsed_row_holds_each_value_in_its_type():
         assert value == expected and type(value) is type(expected), name
     assert record == reference and hash(record) == hash(reference)
     assert repr(record) == repr(reference)
+
+
+@pytest.mark.parametrize("block", [1, 256])
+def test_a_string_column_holds_each_distinct_text_once_per_run_of_markers(block):
+    parts = GOOD_LINE.split("\t")
+    reply = list(parts)
+    reply[2], reply[4] = parts[4], parts[2]  # the addresses swapped
+    unset_service = list(parts)
+    unset_service[7] = "-"
+    lines = [HEADER, GOOD_LINE, "\t".join(reply), "\t".join(unset_service),
+             "#unset_field\tNULL", "\t".join(unset_service)]
+    with mock.patch.object(zeek, "_BLOCK_LINES", block):
+        result = parse_zeek("\n".join(lines) + "\n", "conn")
+    assert not result.issues
+    columns = result.records.columns
+    # a text repeated in one column, and one found in two columns, is one object
+    assert columns["history"][0] == "ShADadFf" and columns["history"][0] is columns["history"][1]
+    assert columns["orig_h"][0] is columns["resp_h"][1] and columns["resp_h"][0] is columns["orig_h"][1]
+    # under the new unset marker "-" is text, and the earlier "-" stays null
+    assert columns["service"] == ["http", "http", None, "-"]
+    assert columns["tunnel_parents"] == [None, None, None, "-"]
+
+
+def test_a_parsed_conn_log_holds_each_distinct_text_once():
+    text = serialize_zeek(synthesize_logs(SynthSpec(counts={"conn": 20_000}, seed=3))["conn"], "conn")
+    tracemalloc.start()
+    try:
+        records = parse_zeek(text, "conn").records
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000
+    # 14.9 MiB when each row holds its own copy of each text (the pool's
+    # addresses, proto, service, conn_state, history); 8.9 MiB held once
+    assert kept < 12 << 20
 
 
 # an out-of-range value of each bounded field, and the issue it gives; a
@@ -536,11 +572,14 @@ _GOOD = {
     "str": ["abc", "x y", "CAbc1", "-x", "(empty)x"],
 }
 _BAD = {
-    "time": ["abc", "1.x", "99999999999999.5"],
-    "count": ["-3", "1.9", "x"],
-    "port": ["70000", "-1", "8O"],
-    "float": ["x", "1,5"],
-    "duration": ["-0.5", "1,5", "nan"],
+    # int() and float() would read "_" between digits, a Unicode digit and
+    # surrounding whitespace, which Zeek never writes in these types
+    "time": ["abc", "1.x", "99999999999999.5", "1_614_796_756.742000", "١614796756.742000",
+             " 1614796756.742000"],
+    "count": ["-3", "1.9", "x", "4_50", "٤٥٠", "450\x0b"],
+    "port": ["70000", "-1", "8O", "8_0", "٨٠", " 80"],
+    "float": ["x", "1,5", "1_0.5", "١.٥", "1.5\x0c"],
+    "duration": ["-0.5", "1,5", "nan", "1_0.5", "١.٥", "1.5 "],
     "bool": ["yes", "1"],
 }
 _LABEL_PAIRS = [
@@ -647,6 +686,48 @@ def test_column_conversion_matches_line_by_line_reference(log, block):
     # repr compares types too (1 vs 1.0 vs True) and treats NaN as equal to NaN
     assert list(map(repr, _rows(got.records))) == list(map(repr, want_records))
     assert [(i.line_no, i.message) for i in got.issues] == want_issues
+
+
+@pytest.mark.parametrize("kind", ZEEK_KINDS)
+def test_every_bad_value_is_a_malformed_line(synth_data, kind):
+    # each value of _BAD in each field of its type, one to a line among good
+    # lines, so that the column pass meets it before the per-value converter
+    lines = serialize_zeek(synth_data[kind], kind).split("\n")
+    bad_lines = []
+    for j, spec in enumerate(KIND_FIELDS[kind]):
+        for bad in _BAD.get(spec.vtype, ()):
+            i = 8 + len(bad_lines)
+            parts = lines[i].split("\t")
+            parts[j] = bad
+            lines[i] = "\t".join(parts)
+            bad_lines.append(i + 1)
+    assert lines[i + 1] and not lines[i + 1].startswith("#")
+    result = parse_zeek("\n".join(lines), kind)
+    assert [issue.line_no for issue in result.issues] == bad_lines
+    assert len(result.records) == len(synth_data[kind]) - len(bad_lines)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id.orig_p", "8_0", "orig_p: bad port '8_0'"),
+    ("id.orig_p", "٨٠", "orig_p: bad port '٨٠'"),
+    ("id.orig_p", " 80", "orig_p: bad port ' 80'"),
+    ("ts", "1_614_796_756.742000", "ts: bad time '1_614_796_756.742000'"),
+    ("ts", "١614796756.742000", "ts: bad time '١614796756.742000'"),
+])
+def test_a_number_or_time_zeek_never_writes_is_a_malformed_line_naming_its_field(field, value, message):
+    names = ["ts", "uid", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "name"]
+    good = ["1614796756.742000", "CW1", "10.0.0.1", "80", "10.0.0.2", "443", "bad_TCP_checksum"]
+    bad = [value if name == field else text for name, text in zip(names, good)]
+    text = "#fields\t" + "\t".join(names) + "\n" + "\t".join(good) + "\n" + "\t".join(bad) + "\n"
+    result = parse_zeek(text, "weird")
+    assert len(result.records) == 1
+    assert [(issue.line_no, issue.message) for issue in result.issues] == [(3, message)]
+    if field == "ts":
+        with pytest.raises(ValueError, match="^bad time "):
+            epoch_to_datetime(value)
+        json_line = json.dumps({"ts": value, "uid": "CW1", "name": "bad_TCP_checksum"})
+        assert [issue.message for issue in parse_zeek(json_line + "\n", "weird").issues] == [
+            f"bad time {value!r}"]
 
 
 def test_column_conversion_mixed_label_shapes_across_blocks():
