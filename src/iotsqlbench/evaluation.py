@@ -33,12 +33,13 @@ or where the platform cannot fork).  The distinct gold texts are dealt
 round robin, so each gold query runs in one process, and the verdicts are
 merged in example order: a report never depends on the process count, and
 an error raises at the example where one process would raise it, because
-a gold whose scoring raised is scored again in example order.  A worker
-sends back each gold entry it ran as its tables and one bytes object
-holding its result, sorted if the worker sorted it; it is kept so, and
-decoded where a prediction in a later call compares rows against it.  Of
-an entry kept before the call, a worker sends nothing back: a sort it made
-there is made again when a later file needs it.
+a gold whose scoring raised is scored again in example order.  Every kept
+gold entry holds its tables and its result encoded as one bytes object,
+whichever process ran it, from the run of its query on; a later comparison
+of rows decodes it for that comparison only, and a sort made is encoded
+with it.  So a worker's entries are kept as it sends them.  Of an entry
+kept before the call, a worker sends nothing back: a sort it made there is
+made again when a later file needs it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import string
 import weakref
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -185,24 +185,35 @@ def _sorted_rows(rows: list[tuple]) -> list[tuple]:
     return sorted(rows, key=lambda row: tuple(map(_cell_key, row)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Prepared:
     """A result to compare against.  A prediction whose rows equal its rows
     as returned, cell types included, matches it.  Otherwise, unless row
     order counts, its rows are sorted once, by the first comparison that
-    gets that far."""
+    gets that far.  A kept gold entry holds it, with that sort if made, as
+    the bytes of ``encode``."""
 
     width: int
     ordered: bool
     rows: list  # as returned
+    sorted_rows: list | None = None
+
+    @property
+    def comparable_rows(self) -> list:
+        if not self.ordered and self.sorted_rows is None:
+            self.sorted_rows = _sorted_rows(self.rows)
+        return self.rows if self.ordered else self.sorted_rows
+
+    def encode(self) -> bytes:
+        # each rows list as one list of its cells: the pickler's memo then holds no row
+        cells = [None if rows is None else list(chain.from_iterable(rows)) for rows in (self.rows, self.sorted_rows)]
+        return pickle.dumps((self.width, self.ordered, *cells), pickle.HIGHEST_PROTOCOL)
 
     @classmethod
-    def of(cls, result: ResultTable, ordered: bool) -> "_Prepared":
-        return cls(len(result.columns), ordered, result.rows)
-
-    @cached_property
-    def comparable_rows(self) -> list:
-        return self.rows if self.ordered else _sorted_rows(self.rows)
+    def decode(cls, encoded: bytes) -> "_Prepared":
+        width, ordered, *cells = pickle.loads(encoded)
+        # every result has a column, so the cells split into rows of ``width``
+        return cls(width, ordered, *(None if c is None else list(zip(*[iter(c)] * width)) for c in cells))
 
 
 def results_match(pred: ResultTable, expected: _Prepared) -> bool:
@@ -219,33 +230,12 @@ def results_match(pred: ResultTable, expected: _Prepared) -> bool:
     return _rows_match(rows, expected.comparable_rows)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Gold:
     """What scoring needs of one gold query on one database."""
 
-    expected: _Prepared
     tables: frozenset  # referenced tables, by their schema names
-
-    def __reduce__(self):
-        return _SentGold, (self.tables, pickle.dumps(self.expected))
-
-
-class _SentGold:
-    """A gold entry as a worker sends it back: the first comparison of rows
-    against it decodes the result."""
-
-    def __init__(self, tables: frozenset, encoded: bytes):
-        self.tables, self.encoded = tables, encoded
-        self._expected = None
-
-    @property
-    def expected(self) -> _Prepared:
-        # the bytes are read first: they are dropped only once the result is set
-        encoded, expected = self.encoded, self._expected
-        if expected is None:
-            expected = self._expected = pickle.loads(encoded)
-            self.encoded = None
-        return expected
+    encoded: bytes  # its _Prepared result; replaced whole when a sort is made
 
 
 @dataclass
@@ -275,28 +265,29 @@ def _kept_set(db: Database, snapshot: Mapping, timeout: float) -> _KeptGolds:
     return kept
 
 
-def _prepared_gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
+def _prepared_gold(gold_sql: str, db: Database, timeout: float) -> tuple[_Gold, _Prepared | None]:
     """The gold entry for ``gold_sql`` on the current rows of ``db`` under
-    ``timeout``: the kept one, or one run now.  A new entry is kept only if
-    the rows did not change while it ran (a load only appends rows, so
-    equal snapshots before and after mean the query saw those rows)."""
+    ``timeout`` (the kept one, or one run now) and the result run now, or
+    None.  A new entry is kept only if the rows did not change while it ran
+    (a load only appends rows, so equal snapshots before and after mean the
+    query saw those rows)."""
     snapshot = db.snapshot()
     kept = _kept_set(db, snapshot, timeout)
-    gold = kept.golds.get(gold_sql)
+    gold, expected = kept.golds.get(gold_sql), None
     if gold is None:  # a gold query that raises is not kept
-        gold = _gold(gold_sql, db, timeout)
+        gold, expected = _gold(gold_sql, db, timeout)
         if db.snapshot() == snapshot:
             kept.golds[gold_sql] = gold
-    return gold
+    return gold, expected
 
 
-def _gold(gold_sql: str, db: Database, timeout: float) -> _Gold:
+def _gold(gold_sql: str, db: Database, timeout: float) -> tuple[_Gold, _Prepared]:
     try:
         result = db.execute(gold_sql, timeout=timeout)
     except Exception as exc:
         raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
-    expected = _Prepared.of(result, bool(result.query.order_by))
-    return _Gold(expected, _sql.canonical_tables(result.query, db.schema))
+    expected = _Prepared(len(result.columns), bool(result.query.order_by), result.rows)
+    return _Gold(_sql.canonical_tables(result.query, db.schema), expected.encode()), expected
 
 
 def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: float = PRED_TIMEOUT) -> bool:
@@ -317,14 +308,19 @@ def execution_accuracy(pred_sql: str, gold_sql: str, db: Database, timeout: floa
     as the database does (or until the next load or timeout change), not
     only until the call returns.
     """
-    gold = _prepared_gold(gold_sql, db, timeout)
+    gold, expected = _prepared_gold(gold_sql, db, timeout)
     if pred_sql == gold_sql:
         return True
     try:
         pred_result = db.execute(pred_sql, timeout=timeout)
     except StoreError:
         return False
-    return results_match(pred_result, gold.expected)
+    expected = expected or _Prepared.decode(gold.encoded)
+    unsorted = expected.sorted_rows is None
+    matched = results_match(pred_result, expected)
+    if unsorted and expected.sorted_rows is not None:  # kept with the sort this comparison made
+        gold.encoded = expected.encode()
+    return matched
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +425,10 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
     query runs in one process only.  A gold whose scoring raised, in any
     process, or whose worker died, is scored again in the example-order walk
     below, so an error raises at the example where one process would have
-    raised it.  A worker sends back each gold entry it ran encoded, with its
-    sort if it made one (``_SentGold``), and these are kept here if the rows
-    have not changed since the workers were forked.  A sort a worker made on
-    an entry kept before the call is not sent back.
+    raised it.  An entry is encoded where its gold ran, so each entry a
+    worker ran, with any sort made, is kept here as sent if the rows have not
+    changed since the workers were forked; a sort a worker made on an entry
+    kept before the call is not sent back.
     """
     examples_of: dict[str, list[int]] = {}
     for i, (ex, _) in enumerate(pairs):
@@ -453,7 +449,7 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
         kept = _KEPT.get(db)
         before = kept and kept.golds.get(gold_sql)
         verdicts = list(map(verdict, examples_of[gold_sql]))
-        gold = _prepared_gold(gold_sql, db, timeout)
+        gold = _prepared_gold(gold_sql, db, timeout)[0]
         return verdicts, gold.tables, gold if gold is not before else None
 
     snapshot = db.snapshot()
@@ -471,7 +467,7 @@ def _verdicts(pairs: list[tuple], db: Database, timeout: float) -> list[tuple[bo
             kept[gold_sql] = ran
     for i, (ex, _) in enumerate(pairs):
         if out[i] is None:
-            out[i] = *verdict(i), _prepared_gold(ex.gold_sql, db, timeout).tables
+            out[i] = *verdict(i), _prepared_gold(ex.gold_sql, db, timeout)[0].tables
     return out
 
 
@@ -497,13 +493,9 @@ def score_sql_corpus(
             bucket.n += 1
             bucket.execution_correct += execution
             bucket.logical_correct += logical
-        if not execution or not logical:
-            reason = []
-            if not execution:
-                reason.append("execution mismatch")
-            if not logical:
-                reason.append("logical mismatch")
-            failures.append((ex.id, ", ".join(reason)))
+        reason = ", ".join(text for text, ok in (("execution mismatch", execution), ("logical mismatch", logical)) if not ok)
+        if reason:
+            failures.append((ex.id, reason))
     n = len(examples)
     return SqlEvalReport(
         n=n,

@@ -40,6 +40,14 @@ def sensor_row(sensor_type: str, index: int, room: str, ts: datetime, value) -> 
     return (f"{sensor_type[:1]}{index:06d}", room, floor, ts, value)
 
 
+def read_number(read, text: str):
+    """``read(text)``, ``read`` being int or float, refusing non-ASCII text
+    and "_", which both read but no writer writes: "2_1.5" or "٢١.٥" as 21.5."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert {text!r}")
+    return read(text)
+
+
 def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
     """Parse a sensor CSV into the rows of its readings (``sensor_row``).
 
@@ -65,11 +73,8 @@ def ingest_sensors(text: str, sensor_type: str) -> list[tuple]:
                 ts = datetime.fromisoformat(ts_text)
             except ValueError as exc:
                 raise BadTimestamp(f"line {line_no}: {exc}") from exc
-            if not value_text.isascii() or "_" in value_text:
-                # float() would read "2_1.5" and Arabic-Indic digits as 21.5
-                raise BadValue(f"line {line_no}: bad value {value_text!r}")
             try:
-                value = float(value_text)
+                value = read_number(float, value_text)
                 if value.is_integer() and "." not in value_text:
                     value = int(value_text)
             except ValueError as exc:

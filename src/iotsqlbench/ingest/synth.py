@@ -26,7 +26,7 @@ from .records import (
     ConnTable,
     IngestError,
 )
-from .sensors import sensor_row
+from .sensors import read_number, sensor_row
 
 # (name, store attribute) of each column of a device row, in devices.csv and
 # in the devices table
@@ -392,8 +392,8 @@ def parse_devices(text: str) -> list[tuple]:
                 raise IngestError(f"devices line {line_no}: expected {len(header)} values, got {len(values)}")
             d: dict = dict(zip(header, values))
             try:
-                d["floor"] = int(d["floor"])
-                d["battery_level"] = int(d["battery_level"])
+                d["floor"] = read_number(int, d["floor"])
+                d["battery_level"] = read_number(int, d["battery_level"])
                 d["install_ts"] = datetime.fromisoformat(d["install_ts"])
                 d["last_seen_ts"] = datetime.fromisoformat(d["last_seen_ts"])
                 d["is_gateway"] = {"T": True, "F": False}[d["is_gateway"]]

@@ -89,15 +89,15 @@ class ZeekParseResult:
 
 
 # what int() and float() read in ASCII text besides what Zeek writes: "_"
-# between digits, and whitespace around a value
-_UNWRITTEN = ("_", " ", "\t", "\n", "\r", "\x0b", "\x0c")
+# between digits, a "+" sign, and whitespace around a value
+_UNWRITTEN = ("_", "+", " ", "\t", "\n", "\r", "\x0b", "\x0c")
 
 
 def _plain(text: str) -> bool:
     """Whether ``text`` holds no character that ``int`` or ``float`` would
     read but Zeek never writes in a number or time field: a Unicode digit or
-    space, "_", or ASCII whitespace.  Else ``8_0``, ``٨٠`` or `` 80`` would
-    read as 80.  One C-level pass per character tested."""
+    space, "_", "+", or ASCII whitespace.  Else ``8_0``, ``٨٠``, ``+80`` or
+    `` 80`` would read as 80.  One C-level pass per character tested."""
     return text.isascii() and not any(map(text.__contains__, _UNWRITTEN))
 
 
@@ -105,12 +105,12 @@ def epoch_to_datetime(text: str) -> datetime:
     """Zeek epoch-seconds string to naive UTC datetime, exact to the microsecond.
 
     The sign applies to the fraction too: ``-1.5`` is 1.5 s before the epoch.
-    A time beyond the range of ``datetime``, or a text holding a character
-    Zeek never writes (``_plain``), is a ValueError.
+    A time beyond the range of ``datetime``, a text holding a character Zeek
+    never writes (``_plain``) or a fraction of anything but digits is a ValueError.
     """
-    if not _plain(text):
-        raise ValueError(f"bad time {text!r}")
     secs_part, dot, frac = text.partition(".")
+    if not _plain(text) or dot and not frac.isdigit():
+        raise ValueError(f"bad time {text!r}")
     secs = int(secs_part)
     usec = int((frac + "000000")[:6]) if dot else 0
     if secs_part.startswith("-"):

@@ -186,14 +186,18 @@ def test_prediction_beyond_float_range_is_scored_not_raised():
         execution_accuracy(f"SELECT {huge} FROM t", f"SELECT {huge} FROM t WHERE a > 0", db)
 
 
+def prepared(result, ordered):
+    return evaluation._Prepared(len(result.columns), ordered, result.rows)
+
+
 def test_results_match_shares_the_prepared_path():
     gold = ResultTable(["a"], [(3,), (1,), (2,)])
-    unordered, ordered = evaluation._Prepared.of(gold, False), evaluation._Prepared.of(gold, True)
+    unordered, ordered = prepared(gold, False), prepared(gold, True)
     assert results_match(ResultTable(["z"], [(1,), (2,), (3.0000001,)]), unordered)
     assert not results_match(ResultTable(["a"], [(1,), (2,), (3,)]), ordered)
     assert not results_match(ResultTable(["a", "b"], [(1, 1)] * 3), unordered)
     ones = ResultTable(["a"], [(1,), (2,), (3,)])
-    assert not results_match(ResultTable(["a"], [(True,), (2,), (3,)]), evaluation._Prepared.of(ones, False))
+    assert not results_match(ResultTable(["a"], [(True,), (2,), (3,)]), prepared(ones, False))
 
 
 def test_join_predictions_pairs_by_id():
@@ -368,6 +372,21 @@ def test_sort_orders_exactly_like_the_old_key(rows):
     assert got == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=result_rows(), ordered=st.booleans(), sort=st.booleans())
+def test_a_decoded_result_is_the_result_it_encodes(rows, ordered, sort):
+    expected = evaluation._Prepared(len(rows[0]) if rows else 2, ordered, rows)
+    if sort:
+        expected.comparable_rows
+    decoded = evaluation._Prepared.decode(expected.encode())
+    assert (decoded.width, decoded.ordered) == (expected.width, expected.ordered)
+    for got, want in ((decoded.rows, rows), (decoded.comparable_rows, expected.comparable_rows)):
+        # cell for cell, of one type and one text: -0.0 and 0.0, or 1 and True, are told apart
+        assert [(type(v), repr(v)) for v in chain.from_iterable(got)] == [
+            (type(v), repr(v)) for v in chain.from_iterable(want)]
+        assert list(map(len, got)) == list(map(len, want))
+
+
 @settings(max_examples=500, deadline=None)
 @given(a=values, b=values, same=st.booleans())
 def test_values_match_fast_path_agrees_with_policy(a, b, same):
@@ -385,19 +404,29 @@ def count_gold_sorts(monkeypatch, call_log):
     noted in this process and in any worker forked from it."""
     golds, sorts = call_log(), call_log()
     made = []  # (gold text, entry) made in this process
-    real_gold, real_sort = evaluation._gold, evaluation._sorted_rows
+    results = []  # (gold text, rows) of each gold result run or decoded in this process
+    real_gold, real_sort, real_decode = evaluation._gold, evaluation._sorted_rows, evaluation._Prepared.decode
 
     def gold(gold_sql, *args):
-        made.append((gold_sql, real_gold(gold_sql, *args)))
+        entry, expected = real_gold(gold_sql, *args)
+        made.append((gold_sql, entry))
+        results.append((gold_sql, expected.rows))
         golds.note(gold_sql)
-        return made[-1][1]
+        return entry, expected
+
+    def decode(encoded):
+        # the entry is found by its bytes: reading an entry decodes nothing
+        entries = chain(made, *(kept.golds.items() for kept in evaluation._KEPT.values()))
+        expected = real_decode(encoded)
+        results.append((next((sql for sql, entry in entries if entry.encoded is encoded), None), expected.rows))
+        return expected
 
     def sort(rows):
-        entries = chain(made, *(kept.golds.items() for kept in evaluation._KEPT.values()))
-        sorts.note(next((sql for sql, entry in entries if rows is entry.expected.rows), None))
+        sorts.note(next((sql for sql, gold_rows in results if rows is gold_rows), None))
         return real_sort(rows)
 
     monkeypatch.setattr(evaluation, "_gold", gold)
+    monkeypatch.setattr(evaluation._Prepared, "decode", decode)
     monkeypatch.setattr(evaluation, "_sorted_rows", sort)
     return golds, sorts
 
@@ -523,14 +552,14 @@ def test_exact_pass_never_changes_a_verdict(case, ordered):
     pred_width = len(rows[0]) if rows else width
     want = pred_width == width and len(rows) == len(gold) and sort_then_compare(rows, gold, ordered)
     got = results_match(ResultTable(["c"] * pred_width, rows),
-                        evaluation._Prepared.of(ResultTable(["c"] * width, gold), ordered))
+                        prepared(ResultTable(["c"] * width, gold), ordered))
     assert got == want
 
 
 @pytest.mark.parametrize("ordered", [False, True])
 def test_exact_pass_named_cases(ordered):
     def match(pred, gold):
-        return results_match(ResultTable(["c"], pred), evaluation._Prepared.of(ResultTable(["c"], gold), ordered))
+        return results_match(ResultTable(["c"], pred), prepared(ResultTable(["c"], gold), ordered))
 
     assert not match([(True,)], [(1,)])  # equal under ==, yet a boolean is no number
     assert match([(1,)], [(1.0,)])
@@ -541,7 +570,7 @@ def test_unordered_match_sorts_by_exact_keys_then_compares_with_tolerance():
     # exact sort keys pair them differently
     pred = ResultTable(["x", "y"], [(1.0 + 1e-12, "a"), (1.0, "b")])
     gold = ResultTable(["x", "y"], [(1.0, "a"), (1.0 + 1e-12, "b")])
-    assert not results_match(pred, evaluation._Prepared.of(gold, False))
+    assert not results_match(pred, prepared(gold, False))
 
 
 def test_report_header_records_the_timeout_used():

@@ -137,9 +137,48 @@ def test_an_unordered_gold_is_sorted_at_most_once_across_files(monkeypatch):
     # rows in another order than the gold's, so each comparison sorts
     for pred in ("SELECT a FROM t WHERE b >= 20 ORDER BY a DESC", "SELECT a FROM t WHERE a > 1 ORDER BY a DESC"):
         assert score_sql_corpus(examples, [PredictionRecord(id="e", payload=pred)], db).execution_acc == 1.0
-    kept = evaluation._KEPT[db].golds[gold].expected.rows
-    assert sum(rows is kept for rows in sorts) == 1
+    # a kept entry is decoded anew for each comparison, so its rows are
+    # told apart from a prediction's by value
+    gold_rows = make_db().execute(gold).rows
+    assert sum(rows == gold_rows for rows in sorts) == 1
     assert len(sorts) == 3  # the gold once, each prediction once
+
+
+def holds_a_list(entry):
+    """Whether a list, such as a result's rows, is reachable from ``entry``."""
+    seen, todo = set(), [entry]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, list):
+            return True
+        if not isinstance(obj, type) and id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_no_kept_entry_holds_decoded_rows_after_a_one_process_call(processes):
+    processes(1)
+    db = make_db()
+    for preds in (FILE_A, FILE_B):  # FILE_B compares rows against golds FILE_A kept
+        score_sql_corpus(EXAMPLES, preds, db)
+        golds = evaluation._KEPT[db].golds
+        assert sorted(golds) == sorted(set(GOLDS))
+        assert not any(map(holds_a_list, golds.values()))
+
+
+def test_a_result_is_decoded_only_by_a_comparison_after_the_one_that_ran_it(monkeypatch, processes):
+    processes(1)
+    db = make_db()
+    decodes = []
+    real_decode = evaluation._Prepared.decode
+    monkeypatch.setattr(evaluation._Prepared, "decode", lambda encoded: decodes.append(encoded) or real_decode(encoded))
+    # the first and last predictions run and compare against one gold: the
+    # first against the result as run, the last against the kept one
+    score_sql_corpus(EXAMPLES, FILE_B, db)
+    assert len(decodes) == 1
+    score_sql_corpus(EXAMPLES, FILE_B, db)  # each of its three run predictions decodes
+    assert len(decodes) == 1 + 3
 
 
 def test_kept_entries_are_released_with_the_database():

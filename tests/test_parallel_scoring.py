@@ -94,17 +94,18 @@ def test_reports_do_not_depend_on_the_process_count(synth_db, examples, processe
     assert {ex for ex, _ in report.failures} >= set(timed_out)
 
 
-def encoded(db):
-    """The gold texts whose kept entries are still as a worker sent them."""
-    return {sql for sql, gold in evaluation._KEPT[db].golds.items()
-            if isinstance(gold, evaluation._SentGold) and gold.encoded is not None}
+def decoded(db):
+    """The gold texts whose kept entries hold their result other than as bytes."""
+    return {sql for sql, gold in evaluation._KEPT[db].golds.items() if type(gold.encoded) is not bytes}
 
 
 @pytest.mark.usefixtures("timeouts")
-def test_a_worker_entry_stays_encoded_until_a_prediction_compares_rows(synth_db, examples, processes):
+@pytest.mark.parametrize("count", [1, 2])
+def test_every_kept_entry_is_encoded_after_each_call(synth_db, examples, processes, count):
     golds = list(dict.fromkeys(ex.gold_sql for ex in examples))
     echoes = [PredictionRecord(id=ex.id, payload=ex.gold_sql) for ex in examples]
-    # one mutant that runs, on a gold of the worker's, and echoes elsewhere
+    # one mutant that runs, on a gold the worker runs with two processes,
+    # and echoes elsewhere
     k = next(i for i, ex in enumerate(examples)
              if golds.index(ex.gold_sql) % 2 and mutant(ex.gold_sql) != ex.gold_sql + " junk")
     one_mutant = list(echoes)
@@ -112,15 +113,13 @@ def test_a_worker_entry_stays_encoded_until_a_prediction_compares_rows(synth_db,
     files = [predictions(examples), echoes, one_mutant]
     processes(1)
     alone = [report_bytes(score_sql_corpus(examples, preds, fresh(synth_db))) for preds in files]
-    processes(2)
+    processes(count)
     db = fresh(synth_db)
-    got = [report_bytes(score_sql_corpus(examples, files[0], db))]
-    assert encoded(db) == set(golds[1::2])  # the worker's share
-    got.append(report_bytes(score_sql_corpus(examples, files[1], db)))
-    assert encoded(db) == set(golds[1::2])  # an echo reads no rows, so decodes nothing
-    processes(1)  # this process compares the mutant's rows
-    got.append(report_bytes(score_sql_corpus(examples, files[2], db)))
-    assert encoded(db) == set(golds[1::2]) - {examples[k].gold_sql}
+    got = []
+    for preds in files:
+        got.append(report_bytes(score_sql_corpus(examples, preds, db)))
+        assert set(evaluation._KEPT[db].golds) == set(golds)
+        assert decoded(db) == set()
     assert got == alone
     assert no_child_left()
 

@@ -165,12 +165,12 @@ def test_generation_and_scoring_name_tables_alike(synth_db):
     pairs = generate_corpus(synth_db, CorpusConfig(n_pairs=120, seed=5))
     assert any(len(p.tables_referenced) > 1 for p in pairs)
     for pair in pairs:
-        gold = evaluation._gold(pair.sql, synth_db, evaluation.PRED_TIMEOUT)
+        gold, _ = evaluation._gold(pair.sql, synth_db, evaluation.PRED_TIMEOUT)
         assert gold.tables == pair.tables_referenced, pair.sql
 
 
 def test_scoring_names_tables_by_schema_name():
     db = Database(SCHEMA)
     db.load_records("evt", [("a", None, None, 1)])
-    gold = evaluation._gold("SELECT id FROM EVT WHERE m IN (SELECT n FROM DEV_LOG)", db, 5.0)
+    gold, _ = evaluation._gold("SELECT id FROM EVT WHERE m IN (SELECT n FROM DEV_LOG)", db, 5.0)
     assert gold.tables == frozenset({"evt", "dev.log"})

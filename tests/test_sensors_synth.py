@@ -148,6 +148,9 @@ DEVICES_TEXT = serialize_devices(synthesize_logs(SynthSpec(counts={"devices": 3}
 @pytest.mark.parametrize("line, message", [
     ("D0099,two-values", "devices line 3: expected 16 values, got 2"),
     ("floor=x", "devices line 3: bad value invalid literal for int()"),
+    # int() would read these as 3 and 100; the writer never writes them
+    ("floor=٣", "devices line 3: bad value could not convert '٣'"),
+    ("battery_level=1_00", "devices line 3: bad value could not convert '1_00'"),
     ("install_ts=yesterday", "devices line 3: bad value Invalid isoformat string"),
     ("is_gateway=yes", "devices line 3: bad value 'yes'"),
 ])

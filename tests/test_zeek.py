@@ -572,14 +572,15 @@ _GOOD = {
     "str": ["abc", "x y", "CAbc1", "-x", "(empty)x"],
 }
 _BAD = {
-    # int() and float() would read "_" between digits, a Unicode digit and
-    # surrounding whitespace, which Zeek never writes in these types
+    # int() and float() would read "_" between digits, a Unicode digit, a
+    # "+" sign and surrounding whitespace, which Zeek never writes in these
+    # types; nor does it sign a time's fraction
     "time": ["abc", "1.x", "99999999999999.5", "1_614_796_756.742000", "١614796756.742000",
-             " 1614796756.742000"],
-    "count": ["-3", "1.9", "x", "4_50", "٤٥٠", "450\x0b"],
-    "port": ["70000", "-1", "8O", "8_0", "٨٠", " 80"],
-    "float": ["x", "1,5", "1_0.5", "١.٥", "1.5\x0c"],
-    "duration": ["-0.5", "1,5", "nan", "1_0.5", "١.٥", "1.5 "],
+             " 1614796756.742000", "+1614796756.742000", "1614796756.-742000"],
+    "count": ["-3", "1.9", "x", "4_50", "٤٥٠", "450\x0b", "+7"],
+    "port": ["70000", "-1", "8O", "8_0", "٨٠", " 80", "+80"],
+    "float": ["x", "1,5", "1_0.5", "١.٥", "1.5\x0c", "+1.5"],
+    "duration": ["-0.5", "1,5", "nan", "1_0.5", "١.٥", "1.5 ", "+1.5"],
     "bool": ["yes", "1"],
 }
 _LABEL_PAIRS = [
@@ -691,8 +692,12 @@ def test_column_conversion_matches_line_by_line_reference(log, block):
 @pytest.mark.parametrize("kind", ZEEK_KINDS)
 def test_every_bad_value_is_a_malformed_line(synth_data, kind):
     # each value of _BAD in each field of its type, one to a line among good
-    # lines, so that the column pass meets it before the per-value converter
-    lines = serialize_zeek(synth_data[kind], kind).split("\n")
+    # lines, so that the column pass meets it before the per-value converter;
+    # a kind with fewer rows than bad values has its rows twice
+    records = synth_data[kind]
+    if len(records) < 200:
+        records = list(records) * 2
+    lines = serialize_zeek(records, kind).split("\n")
     bad_lines = []
     for j, spec in enumerate(KIND_FIELDS[kind]):
         for bad in _BAD.get(spec.vtype, ()):
@@ -704,7 +709,7 @@ def test_every_bad_value_is_a_malformed_line(synth_data, kind):
     assert lines[i + 1] and not lines[i + 1].startswith("#")
     result = parse_zeek("\n".join(lines), kind)
     assert [issue.line_no for issue in result.issues] == bad_lines
-    assert len(result.records) == len(synth_data[kind]) - len(bad_lines)
+    assert len(result.records) == len(records) - len(bad_lines)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -713,6 +718,8 @@ def test_every_bad_value_is_a_malformed_line(synth_data, kind):
     ("id.orig_p", " 80", "orig_p: bad port ' 80'"),
     ("ts", "1_614_796_756.742000", "ts: bad time '1_614_796_756.742000'"),
     ("ts", "١614796756.742000", "ts: bad time '١614796756.742000'"),
+    ("id.orig_p", "+80", "orig_p: bad port '+80'"),
+    ("ts", "+1614796756.742000", "ts: bad time '+1614796756.742000'"),
 ])
 def test_a_number_or_time_zeek_never_writes_is_a_malformed_line_naming_its_field(field, value, message):
     names = ["ts", "uid", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "name"]
@@ -858,6 +865,13 @@ def test_epoch_short_fraction_and_sign():
     assert epoch_to_datetime("-0.25") == datetime(1969, 12, 31, 23, 59, 59, 750000)
     assert epoch_to_datetime("-2") == datetime(1969, 12, 31, 23, 59, 58)
     assert epoch_to_datetime("2.1234567") == datetime(1970, 1, 1, 0, 0, 2, 123456)
+
+
+@pytest.mark.parametrize("text", ["1.-500000", "1.+5", "1614796756.-742000", "-1.-5", "1.", "+1.5"])
+def test_epoch_refuses_a_sign_or_an_empty_fraction(text):
+    # Zeek writes only digits after the dot, and never a "+"
+    with pytest.raises(ValueError, match="^bad time "):
+        epoch_to_datetime(text)
 
 
 @settings(max_examples=300, deadline=None)
